@@ -10,7 +10,7 @@
 
 from shearlab import (FNCoordinates, Signature, canonical_pants_graph,
                       certify_short, develop, holonomy_from_fn, main_bound,
-                      max_abs_shear, seam_decomposition, shear_free_params,
+                      seam_decomposition, shear_free_params,
                       shear_point_free_audit, shear_relations, shear_vector,
                       spiral)
 
@@ -28,7 +28,7 @@ st = spiral(hd)
 dc = develop(hol, st)
 sv = shear_vector(dc)
 print("shears:", {k: round(v, 9) for k, v in sv.values.items()})
-print("max |shear|:", max_abs_shear(sv), " bound:", main_bound(sig))
+print("max |shear|:", sv.max_abs(), " bound:", main_bound(sig))
 
 rel = shear_relations(sv, hd)
 print("cusp-sum residuals:", rel.cusp_residuals)
@@ -46,7 +46,7 @@ dc2 = develop(hol2, spiral(hd2))
 sv2 = shear_vector(dc2)
 print("\n(2,1) sample lengths:", {k: round(v, 3) for k, v in fn2.lengths.items()})
 print("(2,1) shears:", {k: round(v, 4) for k, v in sv2.values.items()})
-print("(2,1) max |shear|:", round(max_abs_shear(sv2), 4),
+print("(2,1) max |shear|:", round(sv2.max_abs(), 4),
       "vs bound", round(main_bound(big), 2))
 
 report = certify_short(hd2, big)

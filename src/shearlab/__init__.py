@@ -12,16 +12,15 @@ from .constants import (RHO, Signature, ShearFreeParams, area, bavard_bound,
                         rough_cusped_bound, shear_free_params, spike_constant,
                         topology_constants, truncated_collar_width)
 from .geom import (IDEAL_INRADIUS, INF, Geodesic, GeometryError, IdealTriangle,
-                   Isometry, classify, compose, cross_ratio, dist,
-                   dist_to_geodesic, fixed_points, horocycle_length_at_radius,
-                   incircle, shear, shear_points, translation_length)
+                   Isometry, classify, cross_ratio, dist, dist_to_geodesic,
+                   fixed_points, horocycle_length_at_radius, incircle, shear,
+                   shear_points, translation_length)
 from .surface import (FNCoordinates, Holonomy, PantsGraph,
                       canonical_pants_graph, curve_length, holonomy_from_fn,
                       sample_fn, sample_seed, validate)
-from .decomposition import (gamma_a, certify_short, seam_decomposition,
-                            truncate_arc)
-from .spiralling import (develop, max_abs_shear, shear_point_free_audit,
-                         shear_relations, shear_vector, spiral)
+from .decomposition import certify_short, seam_decomposition, truncate_arc
+from .spiralling import (develop, shear_point_free_audit, shear_relations,
+                         shear_vector, spiral)
 from .chains import build_cusped_chain, is_chain
 from .cusped import (CuspedTriangulation, cusp_sums, develop_from_shears,
                      develop_walk, flip, flippable, hyperbolic_walk_lengths,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import geom
 from .cusped import CuspedTriangulation, _shear_of_quad
@@ -62,16 +63,6 @@ class _LadderFace:
     outer_side_kind: str  # "L" | "R"
 
 
-def _boundary_eq(x, y, tol=_MATCH_TOL):
-    if x == INF or y == INF:
-        return x == y
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
-
-
-def _apply_pt(g: Isometry, x):
-    return g.apply_boundary(x)
-
-
 def _build_ladder(h_curve: Isometry, length: float, base_points):
     """Triangulated strip around one curve.
 
@@ -103,7 +94,7 @@ def _build_ladder(h_curve: Isometry, length: float, base_points):
             steps = k - shift
             g = h_curve if steps >= 0 else h_curve.inverse()
             for _ in range(abs(steps)):
-                moved = _apply_pt(g, moved)
+                moved = g.apply_boundary(moved)
             events.append(_Event(t=t0 + (k - shift) * length, side=side,
                                  cusp=cusp, point=moved))
     events.sort(key=lambda e: e.t)
@@ -134,9 +125,7 @@ def _make_face(labels, points, outer_kind):
     the boundary line ("outer"), (bridge->prev) is the earlier frontier
     rung, (new->bridge) the later one.
     """
-    order = [0, 1, 2] if geom.cyclically_ordered(*points) else [0, 2, 1]
-    pts = tuple(points[i] for i in order)
-    lbl = tuple(labels[i] for i in order)
+    lbl, pts = _orient(labels, points)
     role_of_pair = {
         frozenset((points[0], points[1])): "outer",
         frozenset((points[2], points[0])): "rung_prev",
@@ -148,6 +137,14 @@ def _make_face(labels, points, outer_kind):
         roles[s] = role_of_pair[pair]
     return _LadderFace(labels=lbl, points=pts, roles=roles,
                        outer_side_kind=outer_kind)
+
+
+def _orient(labels, points):
+    """Labels and points of a face, reordered to positive cyclic order."""
+    pts = geom.oriented(*points)
+    if pts == tuple(points):
+        return tuple(labels), pts
+    return (labels[0], labels[2], labels[1]), pts
 
 
 def _side_with_role(face: _LadderFace, role: str) -> int:
@@ -188,9 +185,11 @@ class _Assembler:
         """Side index of face whose endpoints are the points a, b."""
         pts = self.points[face]
         for s in range(3):
-            if _boundary_eq(pts[s], a) and _boundary_eq(pts[(s + 1) % 3], b):
-                return s
-            if _boundary_eq(pts[s], b) and _boundary_eq(pts[(s + 1) % 3], a):
+            x, y = pts[s], pts[(s + 1) % 3]
+            if ((geom.boundary_close(x, a, _MATCH_TOL)
+                 and geom.boundary_close(y, b, _MATCH_TOL))
+                    or (geom.boundary_close(x, b, _MATCH_TOL)
+                        and geom.boundary_close(y, a, _MATCH_TOL))):
                 return s
         raise ChainError("face has no side with the given endpoints")
 
@@ -234,11 +233,11 @@ def _emit_ladder(asm: _Assembler, faces, h_curve: Isometry):
             w = faces[j].points[(s_prev + 2) % 3]
             chord = (faces[j].points[s_prev], faces[j].points[(s_prev + 1) % 3])
         else:
-            w = _apply_pt(h_curve, faces[0].points[(s_prev + 2) % 3])
-            chord = (_apply_pt(h_curve, faces[0].points[s_prev]),
-                     _apply_pt(h_curve, faces[0].points[(s_prev + 1) % 3]))
+            w = h_curve.apply_boundary(faces[0].points[(s_prev + 2) % 3])
+            chord = (h_curve.apply_boundary(faces[0].points[s_prev]),
+                     h_curve.apply_boundary(faces[0].points[(s_prev + 1) % 3]))
         for v in (x, y):
-            if not any(_boundary_eq(c, v) for c in chord):
+            if not any(geom.boundary_close(c, v, _MATCH_TOL) for c in chord):
                 raise ChainError(f"rung {i} chords do not line up")
         asm.add_glue((ids[i], s_next), (ids[j], s_prev),
                      _shear_of_quad(x, y, z, w))
@@ -262,14 +261,14 @@ def _close_outer(asm: _Assembler, faces, ids, kind):
     shared = None
     for p1 in (x1, y1):
         for p2 in (x2, y2):
-            if _boundary_eq(p1, p2):
+            if geom.boundary_close(p1, p2, _MATCH_TOL):
                 shared = p1
     if shared is None:
         raise ChainError("outer sides of an end closure share no endpoint")
-    other1 = y1 if _boundary_eq(shared, x1) else x1
-    other2 = y2 if _boundary_eq(shared, x2) else x2
+    other1 = y1 if geom.boundary_close(shared, x1, _MATCH_TOL) else x1
+    other2 = y2 if geom.boundary_close(shared, x2, _MATCH_TOL) else x2
     g = geom.parabolic_fixing(shared, other2, other1)
-    shear = _shear_of_quad(shared, other1, z1, _apply_pt(g, z2))
+    shear = _shear_of_quad(shared, other1, z1, g.apply_boundary(z2))
     asm.add_glue((ids[i1], s1), (ids[i2], s2), shear)
 
 
@@ -338,37 +337,38 @@ def _centered_frames(hol: Holonomy):
     Returned as tuples of Fractions (a, b, c, d); the root paths hold one
     float gluing map per tree edge, so each frame is a short exact product.
     """
-    from fractions import Fraction as F
-
-    def mat(iso):
-        return (F(iso.a), F(iso.b), F(iso.c), F(iso.d))
-
-    def inv(mm):
-        a, b, c, d = mm
-        det = a * d - b * c
-        return (d / det, -b / det, -c / det, a / det)
-
     center = (hol.graph.num_pants - 1) // 2
-    to_center = (F(1), F(0), F(0), F(1))
+    to_center = _exact(Isometry.identity())
     for e in hol.root_paths[center]:
-        to_center = _frac_mul(to_center, mat(e))
-    base = inv(to_center)
+        to_center = geom._mat_mul(to_center, _exact(e))
+    base = _exact_inverse(to_center)
     frames = []
     for p in range(hol.graph.num_pants):
         out = base
         for e in hol.root_paths[p]:
-            out = _frac_mul(out, mat(e))
+            out = geom._mat_mul(out, _exact(e))
         frames.append(out)
     return frames
 
 
+def _exact(iso: Isometry):
+    """The entries of an isometry as exact Fractions (a, b, c, d)."""
+    return (Fraction(iso.a), Fraction(iso.b), Fraction(iso.c),
+            Fraction(iso.d))
+
+
+def _exact_inverse(m):
+    a, b, c, d = m
+    det = a * d - b * c
+    return (d / det, -b / det, -c / det, a / det)
+
+
 def _frame_apply(frame, pt):
     """Boundary action of an exact frame, rounded once to float."""
-    from fractions import Fraction as F
     a, b, c, d = frame
     if pt == INF:
         return INF if c == 0 else float(a / c)
-    x = F(pt)
+    x = Fraction(pt)
     den = c * x + d
     if den == 0:
         return INF
@@ -376,13 +376,15 @@ def _frame_apply(frame, pt):
 
 
 def _frame_conj(frame, iso: Isometry) -> Isometry:
-    """frame iso frame^-1 in exact rationals, rounded once to float."""
-    from fractions import Fraction as F
-    a, b, c, d = frame
-    det = a * d - b * c
-    m = _frac_mul(frame, (F(iso.a), F(iso.b), F(iso.c), F(iso.d)))
-    out = _frac_mul(m, (d / det, -b / det, -c / det, a / det))
-    return Isometry(*(float(v) for v in out))
+    """frame iso frame^-1 in exact rationals, rounded once to float.
+
+    The conjugate of a parabolic by a large-entry frame has entries that
+    cancel from products thousands of times larger; float64 alone leaves
+    absolute errors big enough to spoil downstream cross-ratios.
+    """
+    m = geom._mat_mul(geom._mat_mul(frame, _exact(iso)),
+                      _exact_inverse(frame))
+    return Isometry(*(float(v) for v in m))
 
 
 def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
@@ -413,7 +415,8 @@ def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
         b0, b1, lb0, lb1, _ = sides[second]
         for (x0, x1) in ((a0, a1), (a1, a0)):
             for (y0, y1) in ((b0, b1), (b1, b0)):
-                if _boundary_eq(x1, y0) and not _boundary_eq(x0, y1):
+                if (geom.boundary_close(x1, y0, _MATCH_TOL)
+                        and not geom.boundary_close(x0, y1, _MATCH_TOL)):
                     chainings.append((first, second, x0, x1, y1))
     if not chainings:
         raise ChainError("right boundary arcs do not chain")
@@ -453,7 +456,7 @@ def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
 
 def _label_of(face: _LadderFace, point):
     for lbl, pt in zip(face.labels, face.points):
-        if _boundary_eq(pt, point):
+        if geom.boundary_close(pt, point, _MATCH_TOL):
             return lbl
     raise ChainError("point is not a vertex of the face")
 
@@ -472,7 +475,8 @@ def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
     far_side = geom.side_of(window, far)
 
     def in_window(x):
-        if x == INF or _boundary_eq(x, r0) or _boundary_eq(x, r1):
+        if (x == INF or geom.boundary_close(x, r0, _MATCH_TOL)
+                or geom.boundary_close(x, r1, _MATCH_TOL)):
             return False
         return geom.side_of(window, x) != far_side
 
@@ -496,10 +500,10 @@ def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
             if in_window(pt):
                 exact_pt, exact_pi = _evaluate_exact(gens, seq, base_point,
                                                      base_parab)
-                if exact_pt is not None and in_window(exact_pt):
+                if in_window(exact_pt):
                     yield exact_pt, exact_pi
             for gi, g in enumerate(gens):
-                moved = _apply_pt(g, pt)
+                moved = g.apply_boundary(pt)
                 mkey = round(moved, 9) if moved != INF else INF
                 if mkey not in seen:
                     nxt.append((moved, (gi,) + seq))
@@ -508,64 +512,10 @@ def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
 
 def _evaluate_exact(gens, seq, base_point, base_parab):
     """Exact-rational point and conjugated parabolic of a generator word."""
-    from fractions import Fraction as F
-    word = (F(1), F(0), F(0), F(1))
+    word = _exact(Isometry.identity())
     for gi in reversed(seq):
-        g = gens[gi]
-        word = _frac_mul((F(g.a), F(g.b), F(g.c), F(g.d)), word)
-    wa, wb, wc, wd = word
-    if base_point == INF:
-        pt = None if wc == 0 else wa / wc
-        if wc == 0:
-            return None, None
-    else:
-        x = F(base_point)
-        den = wc * x + wd
-        if den == 0:
-            return None, None
-        pt = (wa * x + wb) / den
-    pa, pb, pc, pd = (F(base_parab.a), F(base_parab.b),
-                      F(base_parab.c), F(base_parab.d))
-    m = _frac_mul(word, (pa, pb, pc, pd))
-    det = wa * wd - wb * wc
-    conj = _frac_mul(m, (wd / det, -wb / det, -wc / det, wa / det))
-    return float(pt), Isometry(*(float(v) for v in conj))
-
-
-def _frac_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _frac_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _conjugate_exact(w: Isometry, p: Isometry) -> Isometry:
-    """w p w^-1 with the cancellation-heavy products done exactly.
-
-    The conjugate of a parabolic by a large-entry word has entries that
-    cancel from products thousands of times larger; float64 alone leaves
-    absolute errors big enough to spoil downstream cross-ratios.  Floats
-    are exact rationals, so the triple product is evaluated in exact
-    rational arithmetic and rounded once at the end.
-    """
-    from fractions import Fraction as F
-    wa, wb, wc, wd = F(w.a), F(w.b), F(w.c), F(w.d)
-    pa, pb, pc, pd = F(p.a), F(p.b), F(p.c), F(p.d)
-    # w p
-    ma = wa * pa + wb * pc
-    mb = wa * pb + wb * pd
-    mc = wc * pa + wd * pc
-    md = wc * pb + wd * pd
-    # (w p) w^-1 with w^-1 = (d, -b; -c, a) up to the unit determinant
-    det = wa * wd - wb * wc
-    out = (ma * wd - mb * wc, -ma * wb + mb * wa,
-           mc * wd - md * wc, -mc * wb + md * wa)
-    return Isometry(*(float(v / det) for v in out))
+        word = geom._mat_mul(_exact(gens[gi]), word)
+    return _frame_apply(word, base_point), _frame_conj(word, base_parab)
 
 
 def _emit_fan_faces(asm, faces, ids, first, second, r0, r1, r2,
@@ -573,20 +523,16 @@ def _emit_fan_faces(asm, faces, ids, first, second, r0, r1, r2,
     """Add the two fan faces at the last cusp and their gluings."""
     # direction of the parabolic: the second fan face is (c4, r1, pi r0)
     # with pi r0 beyond r1 as seen from r0
-    pr0 = _apply_pt(pi, r0)
+    pr0 = pi.apply_boundary(r0)
     diag = geom.Geodesic(r1, c4)
     if geom.side_of(diag, r0) == geom.side_of(diag, pr0):
         pi = pi.inverse()
-        pr0 = _apply_pt(pi, r0)
+        pr0 = pi.apply_boundary(r0)
         if geom.side_of(diag, r0) == geom.side_of(diag, pr0):
             raise ChainError("fan parabolic does not cross the diagonal")
 
-    fan1 = asm.add_face(_orient_labels((last_cusp, lab_r0, lab_r1),
-                                       (c4, r0, r1)),
-                        _orient_points((c4, r0, r1)))
-    fan2 = asm.add_face(_orient_labels((last_cusp, lab_r1, lab_r0),
-                                       (c4, r1, pr0)),
-                        _orient_points((c4, r1, pr0)))
+    fan1 = asm.add_face(*_orient((last_cusp, lab_r0, lab_r1), (c4, r0, r1)))
+    fan2 = asm.add_face(*_orient((last_cusp, lab_r1, lab_r0), (c4, r1, pr0)))
 
     # boundary arc (r0, r1): ladder face vs fan1
     s_lad = _side_with_role(faces[first], "outer")
@@ -594,11 +540,11 @@ def _emit_fan_faces(asm, faces, ids, first, second, r0, r1, r2,
                  _shear_of_quad(r0, r1, zA, c4))
     # boundary arc class of (r1, r2): the fan's lift of it is (r1, pi r0)
     s_lad2 = _side_with_role(faces[second], "outer")
-    if _boundary_eq(pr0, r2, tol=1e-12):
+    if geom.boundary_close(pr0, r2, tol=1e-12):
         w = zB
     else:
         trans = geom.parabolic_fixing(r1, r2, pr0)
-        w = _apply_pt(trans, zB)
+        w = trans.apply_boundary(zB)
     asm.add_glue((ids[second], s_lad2), (fan2, asm.side_of(fan2, r1, pr0)),
                  _shear_of_quad(r1, pr0, c4, w))
     # the diagonal (c4, r1): shared by the two fan faces
@@ -608,24 +554,4 @@ def _emit_fan_faces(asm, faces, ids, first, second, r0, r1, r2,
     # the remaining edge (c4, r0) ~ (c4, pi r0): glued through pi
     asm.add_glue((fan1, asm.side_of(fan1, c4, r0)),
                  (fan2, asm.side_of(fan2, c4, pr0)),
-                 _shear_of_quad(c4, r0, r1, _apply_pt(pi.inverse(), r1)))
-
-
-def _power(g: Isometry, k: int) -> Isometry:
-    out = Isometry.identity()
-    step = g if k >= 0 else g.inverse()
-    for _ in range(abs(k)):
-        out = out @ step
-    return out
-
-
-def _orient_points(points):
-    if geom.cyclically_ordered(*points):
-        return tuple(points)
-    return (points[0], points[2], points[1])
-
-
-def _orient_labels(labels, points):
-    if geom.cyclically_ordered(*points):
-        return tuple(labels)
-    return (labels[0], labels[2], labels[1])
+                 _shear_of_quad(c4, r0, r1, pi.inverse().apply_boundary(r1)))

@@ -12,9 +12,11 @@ Subcommands:
   cusped chain surface (genus 0, up to five punctures); exit 4 for
   surfaces without a supported start triangulation.
 
+Boundary lengths too long for float64 (about 76 and up) fail the pants
+construction: ``compute`` exits 3 and ``optimize`` exits 4.
+
 Reports are byte-deterministic for a fixed configuration; timings are
-written to stderr only.  SHEARLAB_TOL overrides the relation-residual
-tolerance (audit tolerances are fixed).
+written to stderr only.  All tolerances are fixed.
 """
 
 from __future__ import annotations

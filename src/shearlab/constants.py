@@ -137,14 +137,6 @@ def rough_cusped_bound(sig: Signature, sys: float) -> float:
     return num / (2.0 * math.sinh(sys / 4.0))
 
 
-def loop_collar_gap_bound(loop_length: float) -> float:
-    """log(sinh(l/2)): distance bound from a geodesic loop to its collar.
-
-    Kept as a documented formula only; no loop geometry is built here.
-    """
-    return math.log(math.sinh(loop_length / 2.0))
-
-
 def curve_regime(length) -> str:
     """Classify a curve length as short / intermediate / long; None is a cusp."""
     if length is None:

@@ -5,13 +5,6 @@ vertices are the cusps, together with one shear per edge.  Edges can be
 flipped, the shears transforming by the standard local rule; the whole
 structure can be rebuilt into a holonomy representation by developing
 triangle by triangle, which provides the round-trip oracle.
-
-For chain-shaped sphere surfaces built from Fenchel-Nielsen data the
-triangulation is constructed geometrically: around each pants curve the
-visible cusp lifts on the two sides interleave into a bi-infinite strip,
-and merging the two sides by position triangulates the strip ("ladder").
-Adjacent ladders share their middle-pants triangles; the ladders are
-assembled into one complex by matching faces up to deck transformations.
 """
 
 from __future__ import annotations
@@ -22,10 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom
-from .geom import INF, Geodesic, Isometry, mobius_two_point
-from .surface import Holonomy
-
-RELATION_TOL = 1e-6
+from .geom import INF, RELATION_TOL, Geodesic, Isometry, mobius_two_point
 
 
 @dataclass
@@ -305,11 +295,6 @@ def develop_walk(cx: CuspedTriangulation, sigma: dict, walk) -> Isometry:
     return hol
 
 
-def _triple_map(pts) -> Isometry:
-    """Map (0, 1, inf) onto the given positively ordered triple."""
-    return geom.mobius_three_point(*pts)
-
-
 @dataclass
 class DevelopedCusped:
     cx: CuspedTriangulation
@@ -360,20 +345,14 @@ def develop_from_shears(cx: CuspedTriangulation, sigma: dict,
 def _span_map(old_pts, new_pts):
     """Deck element taking the stored placement to the redeveloped one."""
     try:
-        m_old = _triple_map(_as_ordered(old_pts))
-        m_new = _triple_map(_as_ordered(new_pts))
+        m_old = geom.mobius_three_point(*old_pts)
+        m_new = geom.mobius_three_point(*new_pts)
     except geom.GeometryError:
         return None
     g = m_new @ m_old.inverse()
     if geom.classify(g) == "identity":
         return None
     return g
-
-
-def _as_ordered(pts):
-    if geom.cyclically_ordered(*pts):
-        return pts
-    raise geom.GeometryError("placement triple is not positively ordered")
 
 
 def shears_from_places(dev: DevelopedCusped) -> dict:
@@ -395,19 +374,13 @@ def shears_from_places(dev: DevelopedCusped) -> dict:
 def _shear_of_quad(x, y, z, w) -> float:
     """Stored-convention shear of edge (x, y) with apexes z and w."""
     e = Geodesic(x, y)
-    tz = _tri(x, y, z)
-    tw = _tri(x, y, w)
+    tz = geom.IdealTriangle(*geom.oriented(x, y, z))
+    tw = geom.IdealTriangle(*geom.oriented(x, y, w))
     if geom.side_of(e, z) == "left":
         t_left, t_right = tz, tw
     else:
         t_left, t_right = tw, tz
     return geom.shear(t_right, t_left, e)
-
-
-def _tri(a, b, c):
-    if geom.cyclically_ordered(a, b, c):
-        return geom.IdealTriangle(a, b, c)
-    return geom.IdealTriangle(a, c, b)
 
 
 def project_to_complete(cx: CuspedTriangulation, sigma: dict) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import geom
 from .constants import INTERMEDIATE_CURVE_MAX, Signature, area, collar_width
 from .geom import INF, Geodesic, Isometry, mobius_two_point
-from .pants import StdPants
+from .pants import StdPants, _seam_ends
 from .surface import Holonomy
 
 
@@ -34,7 +34,6 @@ class OrthoArc:
     ident: tuple         # (pants index, seam index)
     endpoints: tuple
     length: float        # math.inf when an endpoint is a cusp
-    word: tuple          # curve class of the doubled loop around the arc
 
 
 @dataclass
@@ -50,10 +49,6 @@ class HexagonDecomposition:
 
     def __post_init__(self):
         self._index = {a.ident: a for a in self.arcs}
-
-
-def _seam_slots(k: int):
-    return tuple(sorted(m for m in range(3) if m != k))
 
 
 def curve_orientation_data(hol: Holonomy, cid) -> dict:
@@ -88,7 +83,7 @@ def seam_decomposition(hol: Holonomy) -> HexagonDecomposition:
     for p in range(pg.num_pants):
         sp = hol.std[p]
         for k in range(3):
-            i, j = _seam_slots(k)
+            i, j = _seam_ends(k)
             e1 = _endpoint(hol, p, i, orientations)
             e2 = _endpoint(hol, p, j, orientations)
             if e1.kind == "at-cusp" or e2.kind == "at-cusp":
@@ -96,9 +91,8 @@ def seam_decomposition(hol: Holonomy) -> HexagonDecomposition:
             else:
                 feet = dict(sp.seam_feet[k])
                 length = geom.dist(feet[i], feet[j])
-            word = ((f"bnd:{p}:{i}", 1), (f"bnd:{p}:{j}", 1))
             arcs.append(OrthoArc(ident=(p, k), endpoints=(e1, e2),
-                                 length=length, word=word))
+                                 length=length))
         # hexagon boundary cycle: slot side, seam, slot side, seam, ...
         for face_side in ("front", "back"):
             cycle = []
@@ -132,26 +126,6 @@ def _check_decomposition(hd: HexagonDecomposition):
                 borders[ref] = borders.get(ref, 0) + 1
     if any(count != 2 for count in borders.values()):
         raise ValueError("every arc must border exactly two hexagons")
-
-
-@dataclass(frozen=True)
-class GammaA:
-    """The closed loop doubling an arc along its endpoint curves."""
-
-    word: tuple
-    kind: str            # "hyperbolic" | "parabolic"
-    length: float = None
-
-
-def gamma_a(hd: HexagonDecomposition, arc: OrthoArc) -> GammaA:
-    f = hd.hol.evaluate_class(list(arc.word))
-    kind = geom.classify(f)
-    if kind == "hyperbolic":
-        return GammaA(word=arc.word, kind=kind,
-                      length=geom.translation_length(f))
-    if kind == "parabolic":
-        return GammaA(word=arc.word, kind=kind)
-    raise geom.GeometryError(f"doubled arc loop is {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +209,7 @@ class Truncation:
     clamped: bool
 
 
-def truncate_arc(hd: HexagonDecomposition, arc: OrthoArc,
-                 collar_max: float = INTERMEDIATE_CURVE_MAX) -> Truncation:
+def truncate_arc(hd: HexagonDecomposition, arc: OrthoArc) -> Truncation:
     """Length of the arc outside cusp neighborhoods and thin collars.
 
     Removes, along the developed seam, the standard cusp neighborhoods
@@ -250,7 +223,7 @@ def truncate_arc(hd: HexagonDecomposition, arc: OrthoArc,
     sp = hd.hol.std[p]
     seam = sp.seams[k]
     _, coord = _seam_coordinate(seam)
-    i, j = _seam_slots(k)
+    i, j = _seam_ends(k)
 
     # the arc segment in seam coordinates
     bounds = []
@@ -273,7 +246,7 @@ def truncate_arc(hd: HexagonDecomposition, arc: OrthoArc,
             interval = _horoball_interval(seam, coord, m_cusp, height)
         else:
             length = sp.lengths[s]
-            if length > collar_max:
+            if length > INTERMEDIATE_CURVE_MAX:
                 continue
             interval = _collar_interval(seam, coord, sp.slot_axis[s],
                                         collar_width(length))
@@ -322,7 +295,6 @@ class ShortnessRow:
 @dataclass
 class ShortnessReport:
     rows: list
-    skipped: list
 
     @property
     def certified(self) -> bool:
@@ -333,28 +305,24 @@ class ShortnessReport:
             "certified": self.certified,
             "rows": [{"name": r.name, "value": r.value, "bound": r.bound,
                       "passed": r.passed} for r in self.rows],
-            "skipped": list(self.skipped),
         }
 
 
 def certify_short(hd: HexagonDecomposition, sig: Signature) -> ShortnessReport:
-    """Check the curve, doubled-loop and truncated-arc length bounds."""
+    """Check the curve, raw arc and truncated-arc length bounds.
+
+    The doubled-loop bound is not checked: the word X_i X_j of a seam is
+    conjugate to the third boundary of its pants (X1 X2 X3 = 1), so a row
+    on it would only repeat that curve's row.
+    """
     log4a = math.log(4.0 * area(sig))
     rows = []
-    skipped = []
     for cid, length in sorted(hd.curves.items()):
         rows.append(ShortnessRow(f"curve {cid} length <= 2 log(4 area)",
                                  length, 2.0 * log4a, length <= 2.0 * log4a))
     for arc in hd.arcs:
         kinds = [e.kind for e in arc.endpoints]
         if all(k == "on-curve" for k in kinds):
-            g = gamma_a(hd, arc)
-            if g.kind == "parabolic":
-                skipped.append(f"arc {arc.ident}: doubled loop is parabolic")
-            else:
-                rows.append(ShortnessRow(
-                    f"arc {arc.ident} doubled loop <= 8 log(4 area)",
-                    g.length, 8.0 * log4a, g.length <= 8.0 * log4a))
             # per-regime bound on the raw arc length
             lens = [hd.curves[e.curve] for e in arc.endpoints]
             slack = sum(collar_width(l) for l in lens
@@ -368,4 +336,4 @@ def certify_short(hd: HexagonDecomposition, sig: Signature) -> ShortnessReport:
             f"arc {arc.ident} truncated length <= 6 log(4 area)",
             trunc.truncated_length, 6.0 * log4a,
             trunc.truncated_length <= 6.0 * log4a))
-    return ShortnessReport(rows=rows, skipped=skipped)
+    return ShortnessReport(rows=rows)

@@ -27,6 +27,8 @@ INF = math.inf
 CLASSIFY_TOL = 1e-9
 GEOM_TOL = 1e-9
 ALGEBRA_TOL = 1e-12
+#: Allowed residual of the shear relations (cusp sums, curve-side sums).
+RELATION_TOL = 1e-6
 
 #: Radius of the circle inscribed in any ideal triangle.
 IDEAL_INRADIUS = math.log(3.0) / 2.0
@@ -92,12 +94,8 @@ class Isometry:
         # matrices drift from det 1 only at machine precision, while the
         # float determinant of a large-entry product is dominated by
         # cancellation noise, so "fixing" it would inject error.
-        return Isometry(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return Isometry(*_mat_mul((self.a, self.b, self.c, self.d),
+                                  (other.a, other.b, other.c, other.d)))
 
     def apply(self, z: complex) -> complex:
         return (self.a * z + self.b) / (self.c * z + self.d)
@@ -149,13 +147,10 @@ class Reflection:
 
 
 def _mat_mul(m, n):
+    """Product of 2x2 matrices given as (a, b, c, d) rows; any number type."""
     a, b, c, d = m
     e, f, g, h = n
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def compose(f: Isometry, g: Isometry) -> Isometry:
-    return f @ g
 
 
 def compose_reflections(r1: Reflection, r2: Reflection) -> Isometry:
@@ -247,6 +242,11 @@ def cyclically_ordered(a, b, c) -> bool:
     if c == INF:
         return a < b
     return (a < b < c) or (b < c < a) or (c < a < b)
+
+
+def oriented(a, b, c):
+    """The triple (a, b, c) or (a, c, b), whichever is positively ordered."""
+    return (a, b, c) if cyclically_ordered(a, b, c) else (a, c, b)
 
 
 @dataclass(frozen=True)
@@ -486,35 +486,6 @@ def horocycle_length_at_radius(r: float) -> float:
     if r <= 0:
         raise GeometryError("injectivity radius must be positive")
     return 2.0 * math.sinh(r)
-
-
-def horocycle_through(center, z: complex):
-    """Horocycle centered at the ideal point through z.
-
-    Returned as (euclidean_center, euclidean_radius) for a finite center,
-    or ("height", y) for the horocycle at infinity.
-    """
-    center = normalize_boundary(center)
-    if center == INF:
-        return ("height", z.imag)
-    r = (abs(z - center) ** 2) / (2.0 * z.imag)
-    return (complex(center, r), r)
-
-
-def horocycles_tangent(center1, z1: complex, center2, z2: complex,
-                       tol=GEOM_TOL) -> bool:
-    """Whether the horocycles at two distinct ideal centers are tangent."""
-    h1 = horocycle_through(center1, z1)
-    h2 = horocycle_through(center2, z2)
-    if h1[0] == "height" and h2[0] == "height":
-        return False
-    if h1[0] == "height" or h2[0] == "height":
-        line, circ = (h1, h2) if h1[0] == "height" else (h2, h1)
-        return abs(2.0 * circ[1] - line[1]) <= tol * max(1.0, line[1])
-    c1, r1 = h1
-    c2, r2 = h2
-    gap = (c1.real - c2.real) ** 2 - 4.0 * r1 * r2
-    return abs(gap) <= tol * max(1.0, 4.0 * r1 * r2)
 
 
 def parabolic_fixing(q, x, y) -> Isometry:

@@ -113,6 +113,12 @@ def build_pants(l1: float, l2: float, l3: float) -> StdPants:
     lengths = (float(l1), float(l2), float(l3))
     alphas = [l / 2.0 for l in lengths]
     ts = [math.tanh(a / 2.0) ** 2 for a in alphas]
+    if 1.0 in ts:
+        # standard position puts the seams at tanh^2(l/4), which can no
+        # longer be told apart from 1 in float64
+        raise GeometryError(
+            f"pants construction failed: boundary lengths {lengths} are too "
+            f"long for float64 (tanh^2(l/4) rounds to 1)")
 
     g3 = Geodesic(0.0, INF)
     p = ts[0]

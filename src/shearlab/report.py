@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 from . import decomposition, spiralling
 from .constants import (Signature, constants_audit, main_bound,
@@ -23,12 +22,6 @@ SCHEMA = "shearlab-report/1"
 
 CSV_HEADER = ("sample,gn,seed,certified,max_shear,bound,ratio,"
               "cusp_residual,spiral_residual,min_margin")
-
-
-def relation_tolerance() -> float:
-    """The residual tolerance, overridable through SHEARLAB_TOL."""
-    raw = os.environ.get("SHEARLAB_TOL")
-    return float(raw) if raw else spiralling.RELATION_TOL
 
 
 def parse_surface(data: dict):
@@ -62,11 +55,8 @@ def parse_surface(data: dict):
     return sig, pg, fn
 
 
-def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates,
-                params=None, tol=None) -> dict:
+def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
     """Full pipeline on one surface; returns the per-surface record."""
-    params = params or shear_free_params()
-    tol = tol if tol is not None else relation_tolerance()
     hol = holonomy_from_fn(pg, fn)
     hd = decomposition.seam_decomposition(hol)
     st = spiralling.spiral(hd)
@@ -74,7 +64,7 @@ def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates,
     sv = spiralling.shear_vector(dc)
     relations = spiralling.shear_relations(sv, hd)
     shortness = decomposition.certify_short(hd, sig)
-    audit = spiralling.shear_point_free_audit(dc, params)
+    audit = spiralling.shear_point_free_audit(dc, shear_free_params())
     bound = main_bound(sig)
     max_shear = sv.max_abs()
     record = {
@@ -89,7 +79,7 @@ def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates,
         "certified": shortness.certified,
         "cusp_residual": relations.max_cusp_residual,
         "spiral_residual": relations.max_side_residual,
-        "relations_ok": relations.ok(tol),
+        "relations_ok": relations.ok(),
         "min_margin": audit.min_margin if audit.rows else None,
         "bound_satisfied": max_shear < bound,
     }
@@ -140,8 +130,7 @@ def sample_rows(report: dict):
 
 
 def run_sample_campaign(sig: Signature, seed: int, count: int,
-                        length_range=None, twist_range=(0.0, 1.0),
-                        params=None, tol=None):
+                        length_range=None, twist_range=(0.0, 1.0)):
     """Seeded sampling campaign; per-sample failures are recorded."""
     records = []
     for i in range(count):
@@ -150,7 +139,7 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
         try:
             pg, fn = sample_fn(sig, sub, length_range=length_range,
                                twist_range=twist_range)
-            rec.update(run_surface(sig, pg, fn, params=params, tol=tol))
+            rec.update(run_surface(sig, pg, fn))
         except Exception as err:   # recorded, campaign continues
             rec["error"] = f"{type(err).__name__}: {err}"
         records.append(rec)

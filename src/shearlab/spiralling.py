@@ -23,12 +23,10 @@ from dataclasses import dataclass
 
 from . import geom
 from .constants import ShearFreeParams, truncated_collar_width
-from .decomposition import HexagonDecomposition, _seam_slots
-from .geom import Geodesic, IdealTriangle, Isometry
-from .pants import spiral_endpoint
+from .decomposition import HexagonDecomposition
+from .geom import RELATION_TOL, Geodesic, IdealTriangle, Isometry
+from .pants import _seam_ends, spiral_endpoint
 from .surface import Holonomy
-
-RELATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -117,23 +115,18 @@ class DevelopedEdge:
     end_corners: tuple        # corners at the two edge endpoints
     apex_front: Corner
     apex_back: Corner
-    deck: Isometry            # identity: both lifts share the pants frame
 
     def quadrilateral(self):
         return (self.edge.p, self.apex_front.point, self.edge.q,
                 self.apex_back.point)
 
     def triangle_front(self) -> IdealTriangle:
-        return _triangle(self.edge.p, self.edge.q, self.apex_front.point)
+        return IdealTriangle(*geom.oriented(self.edge.p, self.edge.q,
+                                            self.apex_front.point))
 
     def triangle_back(self) -> IdealTriangle:
-        return _triangle(self.edge.p, self.edge.q, self.apex_back.point)
-
-
-def _triangle(a, b, c) -> IdealTriangle:
-    if geom.cyclically_ordered(a, b, c):
-        return IdealTriangle(a, b, c)
-    return IdealTriangle(a, c, b)
+        return IdealTriangle(*geom.oriented(self.edge.p, self.edge.q,
+                                            self.apex_back.point))
 
 
 @dataclass
@@ -197,7 +190,7 @@ def develop(hol: Holonomy, st: SpirallingTriangulation) -> DevelopedComplex:
     edges = {}
     for edge in st.edges:
         p, k = edge.arc
-        i, j = _seam_slots(k)
+        i, j = _seam_ends(k)
         c1 = _front_corner(hol, p, i)
         c2 = _front_corner(hol, p, j)
         apex1 = _front_corner(hol, p, k)
@@ -213,7 +206,7 @@ def develop(hol: Holonomy, st: SpirallingTriangulation) -> DevelopedComplex:
                 f"edge {edge.arc}: triangle apexes on the same side")
         edges[edge.arc] = DevelopedEdge(
             arc=edge.arc, edge=e, end_corners=(c1, c2),
-            apex_front=apex1, apex_back=apex2, deck=Isometry.identity())
+            apex_front=apex1, apex_back=apex2)
     return DevelopedComplex(st=st, edges=edges)
 
 
@@ -259,10 +252,6 @@ def _sorted_triangles(de: DevelopedEdge):
     if geom.side_of(de.edge, de.apex_front.point) == "left":
         return tf, tb
     return tb, tf
-
-
-def max_abs_shear(sv: ShearVector) -> float:
-    return sv.max_abs()
 
 
 @dataclass

@@ -3,10 +3,10 @@
 A surface is described combinatorially by a pants graph (which boundary
 slots are glued along which internal curve, which are cusps) and
 metrically by Fenchel-Nielsen coordinates (length and twist per internal
-curve).  The holonomy representation is built by placing each pair of
-pants in the upper half-plane: a spanning tree of the gluing graph fixes
-one placement per pants, and the remaining gluings contribute explicit
-deck transformations.
+curve).  The holonomy representation is built from the pants frames: a
+spanning tree of the gluing graph links each pants frame to the root
+frame by a path of gluing maps, and the remaining gluings contribute
+explicit deck transformations.
 
 Generators are stored frame-locally: each generator is a small matrix in
 the standard frame of one pants, together with the frame it lives in.
@@ -155,30 +155,19 @@ class Generator:
 
 @dataclass
 class Holonomy:
-    """Per-pants placements plus a generator table for curve classes."""
+    """Per-pants frames, tree paths and a generator table for curve classes."""
 
     graph: PantsGraph
     fn: FNCoordinates
     std: list                # StdPants per pants
-    placements: list         # Isometry per pants (global frame)
     root_paths: list         # per pants: list of single-gluing edge maps
     table: dict              # generator id -> Generator
     curve_primary: dict      # cid -> slot ref carrying the curve generator
     curve_secondary: dict
     tree_curves: set = field(default_factory=set)
 
-    def generator(self, name) -> Isometry:
-        """The generator as a matrix in the global frame."""
-        g = self.table[name]
-        return (self.placements[g.lframe] @ g.core
-                @ self.placements[g.rframe].inverse())
-
-    @property
-    def generators(self):
-        return {name: self.generator(name) for name in self.table}
-
     def _connector(self, p: int, q: int) -> Isometry:
-        """placements[p]^-1 @ placements[q], telescoped through the tree."""
+        """Map from the frame of pants q to that of pants p, along the tree."""
         if p == q:
             return Isometry.identity()
         path_p = self.root_paths[p]
@@ -214,14 +203,6 @@ class Holonomy:
         out = out @ self._connector(factors[-1][2], factors[0][0])
         return out
 
-    def evaluate(self, word) -> Isometry:
-        """The word as a matrix in the global frame."""
-        cls = self.evaluate_class(word)
-        phi = self.placements[self.table[word[0][0]].lframe
-                              if word[0][1] == 1
-                              else self.table[word[0][0]].rframe]
-        return phi @ cls @ phi.inverse()
-
 
 def curve_length(hol: Holonomy, word) -> float:
     """Geodesic length of the curve class; rejects non-hyperbolic classes."""
@@ -255,8 +236,6 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
 
     std = [build_pants(*_slot_lengths(pg, fn, p)) for p in range(pg.num_pants)]
     ends = pg.curve_ends()
-    placements = [None] * pg.num_pants
-    placements[0] = Isometry.identity()
     root_paths = [None] * pg.num_pants
     root_paths[0] = []
     tree_curves = set()
@@ -272,7 +251,6 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
                     if qq in placed:
                         continue
                     edge = _gluing_map(std[pp], ss, std[qq], tt, fn.twist(cid))
-                    placements[qq] = placements[pp] @ edge
                     root_paths[qq] = root_paths[pp] + [edge]
                     placed.add(qq)
                     tree_curves.add(cid)
@@ -299,9 +277,9 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
             table[f"glue:{cid}"] = Generator(p1, raw, p2)
 
     hol = Holonomy(
-        graph=pg, fn=fn, std=std, placements=placements,
-        root_paths=root_paths, table=table, curve_primary=curve_primary,
-        curve_secondary=curve_secondary, tree_curves=tree_curves,
+        graph=pg, fn=fn, std=std, root_paths=root_paths, table=table,
+        curve_primary=curve_primary, curve_secondary=curve_secondary,
+        tree_curves=tree_curves,
     )
     _check_holonomy(hol)
     return hol
@@ -341,13 +319,12 @@ def _check_holonomy(hol: Holonomy):
 
 
 def sample_fn(sig: Signature, seed: int, length_range=None,
-              twist_range=(0.0, 1.0), fractional_twists: bool = True):
+              twist_range=(0.0, 1.0)):
     """Seeded random surface on the canonical pants graph.
 
     Lengths are uniform in length_range, which defaults to
-    (0.05, 2 log(4 area)].  With fractional twists (the default) the twist
-    of each curve is u * length for u uniform in twist_range; otherwise
-    twists are uniform in twist_range directly, in length units.
+    (0.05, 2 log(4 area)].  The twist of each curve is u * length for u
+    uniform in twist_range.
     """
     pg = canonical_pants_graph(sig)
     if length_range is None:
@@ -359,7 +336,7 @@ def sample_fn(sig: Signature, seed: int, length_range=None,
         lengths[cid] = float(rng.uniform(length_range[0], length_range[1]))
     for cid in pg.curve_ids():
         u = float(rng.uniform(twist_range[0], twist_range[1]))
-        twists[cid] = u * lengths[cid] if fractional_twists else u
+        twists[cid] = u * lengths[cid]
     return pg, FNCoordinates(lengths, twists)
 
 

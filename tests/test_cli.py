@@ -175,17 +175,38 @@ class TestOptimizeCommand:
         assert cli.main(["optimize", path]) == 4
 
 
-class TestToleranceOverride:
-    def test_env_tolerance_respected(self, monkeypatch):
-        # an absurdly small override makes the relation check fail
-        monkeypatch.setenv("SHEARLAB_TOL", "1e-30")
-        assert report.relation_tolerance() == 1e-30
-        from shearlab.surface import (FNCoordinates, canonical_pants_graph)
+class TestLongBoundary:
+    """Lengths whose tanh^2(l/4) rounds to 1 in float64 fail by name."""
+
+    SURFACE = dict(SURFACE_04,
+                   fn=[{"curve": 0, "length": 100.0, "twist": 0.0}])
+
+    @pytest.mark.parametrize("command, code", [("compute", 3),
+                                               ("optimize", 4)])
+    def test_one_line_error(self, tmp_path, capsys, command, code):
+        path = write_surface(tmp_path, self.SURFACE)
+        assert cli.main([command, path]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "too long for float64" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+class TestRelationCheck:
+    def test_relations_ok_follows_relation_tol(self, monkeypatch):
+        from shearlab import spiralling
+        from shearlab.geom import RELATION_TOL
+        from shearlab.surface import FNCoordinates, canonical_pants_graph
+        bad = spiralling.RelationReport({0: 2 * RELATION_TOL}, {})
+        bad_side = spiralling.RelationReport({}, {(0, "left"): 2 * RELATION_TOL})
+        assert not bad.ok() and not bad_side.ok()
+        assert spiralling.RelationReport({0: RELATION_TOL}, {}).ok()
         sig = Signature(1, 1)
         pg = canonical_pants_graph(sig)
         fn = FNCoordinates({0: 1.0}, {0: 0.2})
+        assert report.run_surface(sig, pg, fn)["relations_ok"]
+        monkeypatch.setattr(spiralling, "shear_relations", lambda sv, hd: bad)
         rec = report.run_surface(sig, pg, fn)
         assert not rec["relations_ok"]
-        monkeypatch.delenv("SHEARLAB_TOL")
-        rec = report.run_surface(sig, pg, fn)
-        assert rec["relations_ok"]
+        assert rec["cusp_residual"] == 2 * RELATION_TOL

@@ -303,7 +303,3 @@ class TestTopologyConstants:
                             rel_tol=1e-15)
         assert ("long", "long") in tc.C_table
         assert tc.C_table[("long", "long")] == 0.0
-
-    def test_loop_collar_gap_formula(self):
-        assert math.isclose(C.loop_collar_gap_bound(2.0),
-                            math.log(math.sinh(1.0)), rel_tol=1e-14)

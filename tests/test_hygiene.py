@@ -1,0 +1,74 @@
+"""Source hygiene of the library, checked with the standard ast module.
+
+No module may define the same top-level name twice (the later definition
+silently replaces the earlier one), and no module may import a name it
+never uses.  The package ``__init__`` re-exports names, so its imports
+are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "shearlab"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def duplicate_definitions(tree):
+    """Top-level names bound by more than one def, class or assignment."""
+    seen, dups = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name in seen:
+                dups.append(name)
+            seen.add(name)
+    return dups
+
+
+def unused_imports(tree):
+    """Names bound by an import anywhere in the module and never read."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append(name)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_duplicate_top_level_names(path):
+    assert duplicate_definitions(_parse(path)) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(_parse(path)) == []
+
+
+def test_checks_catch_their_targets():
+    tree = ast.parse("import os\nfrom math import pi, tau\n"
+                     "def f():\n    return tau\n"
+                     "def f():\n    return 1\n")
+    assert duplicate_definitions(tree) == ["f"]
+    assert unused_imports(tree) == ["os", "pi"]

@@ -111,7 +111,7 @@ class TestShearVector:
         _, _, _, dc = pipeline(Signature(0, 3))
         sv = SP.shear_vector(dc)
         assert all(abs(v) <= 1e-12 for v in sv.values.values())
-        assert SP.max_abs_shear(sv) <= 1e-12
+        assert sv.max_abs() <= 1e-12
 
     def test_once_punctured_torus_forced_values(self):
         # relations force the two cusp-ended arcs to zero shear and the
@@ -187,7 +187,7 @@ class TestTheoremAtSmallScale:
             sv = SP.shear_vector(dc)
             rep = D.certify_short(hd, sig)
             if rep.certified:
-                assert SP.max_abs_shear(sv) < main_bound(sig)
+                assert sv.max_abs() < main_bound(sig)
 
 
 class TestHolonomyCocycle:

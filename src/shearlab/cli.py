@@ -3,11 +3,16 @@
 Subcommands:
 
 * ``shear constants --g G --n N [--rho-prime X]``: every named constant
-  plus the self-audit, as JSON.  Exit 2 if the audit fails.
+  plus the self-audit, as JSON.  Exit 2 if the audit fails, 1 for a
+  rho' outside (0, rho).
 * ``shear compute SURFACE.json``: full pipeline on one surface file.
-  Exit 1 on a parse error, 3 on a geometry-invariant failure.
+  Exit 1 on a parse error (including a curve without an fn row or not
+  glued to exactly two slots), 3 on a geometry-invariant failure
+  (including a non-positive or non-finite length and a disconnected
+  gluing graph).
 * ``shear sample --g G --n N --count K --seed S``: seeded sampling
-  campaign; exit 5 if any certified sample violates the shear bound.
+  campaign; exit 5 if any certified sample violates the shear bound,
+  1 for a negative count.
 * ``shear optimize SURFACE.json --budget B --seed S``: flip search on a
   cusped chain surface (genus 0, up to five punctures); exit 4 for
   surfaces without a supported start triangulation.
@@ -51,7 +56,11 @@ def _signature(args) -> Signature:
 
 def cmd_constants(args) -> int:
     sig = _signature(args)
-    data = report.constants_report(sig, rho_prime=args.rho_prime)
+    try:
+        data = report.constants_report(sig, rho_prime=args.rho_prime)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     config = {"command": "constants", "g": sig.g, "n": sig.n,
               "rho_prime": data["rho_prime"]}
     out = report.assemble(config, [data], {"audit_ok": data["audit"]["ok"]})
@@ -86,6 +95,10 @@ def cmd_compute(args) -> int:
 
 def cmd_sample(args) -> int:
     sig = _signature(args)
+    if args.count < 0:
+        print(f"error: --count must be non-negative, got {args.count}",
+              file=sys.stderr)
+        return 1
     length_range = None
     if args.length_min is not None or args.length_max is not None:
         lo = args.length_min if args.length_min is not None else 0.05

@@ -5,7 +5,9 @@ perpendiculars between boundary components) decomposes the surface into
 two right-angled hexagons per pants; the decomposition data is the pants
 curves, the seams as orthogeodesic arcs, and the hexagon faces.  Arcs
 with a cusp endpoint are infinite; their truncated lengths are measured
-after removing standard cusp neighborhoods and thin collars.
+after removing standard cusp neighborhoods and thin collars.  Arc
+lengths, truncations and shortness rows are computed per pants from its
+standard position alone (arc_length, truncate_arc, arc_rows).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import geom
 from .constants import INTERMEDIATE_CURVE_MAX, Signature, area, collar_width
 from .geom import INF, Geodesic, Isometry, mobius_two_point
 from .pants import StdPants, _seam_ends
-from .surface import Holonomy
+from .surface import Holonomy, PantsGraph
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class OrthoArc:
 class HexagonDecomposition:
     hol: Holonomy
     curves: dict         # curve id -> length
-    orientations: dict   # curve id -> canonical orientation data
+    slot_sides: dict     # glued slot (p, s) -> side of its curve
     arcs: list
     faces: list          # alternating (kind, ref) cycles, 2 per pants
 
@@ -51,31 +53,43 @@ class HexagonDecomposition:
         self._index = {a.ident: a for a in self.arcs}
 
 
-def curve_orientation_data(hol: Holonomy, cid) -> dict:
-    """Canonical orientation of a curve and the side its primary pants is on."""
-    (p, s) = hol.curve_primary[cid]
-    sp = hol.std[p]
+def _slot_side(sp: StdPants, s: int) -> str:
+    """Side of the boundary curve at slot s that the pants lies on.
+
+    The curve is oriented from the repelling to the attracting fixed
+    point of its holonomy in the pants' own frame.
+    """
     att, rep = geom.fixed_points(sp.slot_hol[s])
-    side = geom.side_of_point(Geodesic(rep, att), sp.slot_probe[s])
-    return {"primary": (p, s), "primary_side": side}
+    return geom.side_of_point(Geodesic(rep, att), sp.slot_probe[s])
 
 
-def _endpoint(hol: Holonomy, p: int, s: int, orientations) -> ArcEndpoint:
-    kind, ident = hol.graph.pants[p][s]
+def slot_sides(pg: PantsGraph, std) -> dict:
+    """Side of its curve that each glued slot (p, s) lies on.
+
+    A curve takes its orientation from its first slot in (pants, slot)
+    order, measured by _slot_side in that pants' frame; its other slot
+    lies on the opposite side.
+    """
+    sides = {}
+    for refs in pg.curve_ends().values():
+        first, second = sorted(refs)
+        side = _slot_side(std[first[0]], first[1])
+        sides[first] = side
+        sides[second] = "left" if side == "right" else "right"
+    return sides
+
+
+def _endpoint(pg: PantsGraph, p: int, s: int, sides) -> ArcEndpoint:
+    kind, ident = pg.pants[p][s]
     if kind == "cusp":
         return ArcEndpoint(kind="at-cusp", cusp=ident, slot_ref=(p, s))
-    data = orientations[ident]
-    if (p, s) == data["primary"]:
-        side = data["primary_side"]
-    else:
-        side = "left" if data["primary_side"] == "right" else "right"
-    return ArcEndpoint(kind="on-curve", curve=ident, side=side, slot_ref=(p, s))
+    return ArcEndpoint(kind="on-curve", curve=ident, side=sides[(p, s)],
+                       slot_ref=(p, s))
 
 
 def seam_decomposition(hol: Holonomy) -> HexagonDecomposition:
     pg = hol.graph
-    orientations = {cid: curve_orientation_data(hol, cid)
-                    for cid in pg.curve_ids()}
+    sides = slot_sides(pg, hol.std)
     curves = {cid: hol.fn.length(cid) for cid in pg.curve_ids()}
 
     arcs = []
@@ -84,15 +98,10 @@ def seam_decomposition(hol: Holonomy) -> HexagonDecomposition:
         sp = hol.std[p]
         for k in range(3):
             i, j = _seam_ends(k)
-            e1 = _endpoint(hol, p, i, orientations)
-            e2 = _endpoint(hol, p, j, orientations)
-            if e1.kind == "at-cusp" or e2.kind == "at-cusp":
-                length = math.inf
-            else:
-                feet = dict(sp.seam_feet[k])
-                length = geom.dist(feet[i], feet[j])
+            e1 = _endpoint(pg, p, i, sides)
+            e2 = _endpoint(pg, p, j, sides)
             arcs.append(OrthoArc(ident=(p, k), endpoints=(e1, e2),
-                                 length=length))
+                                 length=arc_length(sp, k)))
         # hexagon boundary cycle: slot side, seam, slot side, seam, ...
         for face_side in ("front", "back"):
             cycle = []
@@ -105,11 +114,18 @@ def seam_decomposition(hol: Holonomy) -> HexagonDecomposition:
                 cycle.append(("arc", (p, k)))
             faces.append((face_side, p, tuple(cycle)))
 
-    hd = HexagonDecomposition(hol=hol, curves=curves,
-                              orientations=orientations, arcs=arcs,
-                              faces=faces)
+    hd = HexagonDecomposition(hol=hol, curves=curves, slot_sides=sides,
+                              arcs=arcs, faces=faces)
     _check_decomposition(hd)
     return hd
+
+
+def arc_length(sp: StdPants, k: int) -> float:
+    """Length of seam arc k between its feet; math.inf at a cusp end."""
+    (i, foot_i), (j, foot_j) = sp.seam_feet[k]
+    if sp.slot_is_cusp[i] or sp.slot_is_cusp[j]:
+        return math.inf
+    return geom.dist(foot_i, foot_j)
 
 
 def _check_decomposition(hd: HexagonDecomposition):
@@ -201,7 +217,7 @@ def _collar_interval(seam: Geodesic, coord, axis: Geodesic, width: float):
 
 @dataclass
 class Truncation:
-    arc: tuple
+    seam: int
     full_length: float
     truncated_length: float
     removed: list            # (slot, lo, hi) intervals in seam coordinates
@@ -209,20 +225,19 @@ class Truncation:
     clamped: bool
 
 
-def truncate_arc(hd: HexagonDecomposition, arc: OrthoArc) -> Truncation:
-    """Length of the arc outside cusp neighborhoods and thin collars.
+def truncate_arc(sp: StdPants, k: int) -> Truncation:
+    """Length of seam arc k outside cusp neighborhoods and thin collars.
 
-    Removes, along the developed seam, the standard cusp neighborhoods
-    (boundary length 2) and the collars of width w(l) around boundary
-    curves of length at most 2 arcsinh(1).  All three slots of the pants
-    are scanned, so a thin third boundary crossing the arc's interior is
-    removed as well.  Disjointness of the removed regions is checked and
-    reported; negative leftovers are clamped to zero with a diagnostic.
+    Removes, along the seam in the pants' own frame, the standard cusp
+    neighborhoods (boundary length 2) and the collars of width w(l)
+    around boundary curves of length at most 2 arcsinh(1).  All three
+    slots of the pants are scanned, so a thin third boundary crossing the
+    arc's interior is removed as well.  Disjointness of the removed
+    regions is checked and reported; negative leftovers are clamped to
+    zero with a diagnostic.
     """
-    p, k = arc.ident
-    sp = hd.hol.std[p]
     seam = sp.seams[k]
-    _, coord = _seam_coordinate(seam)
+    m, coord = _seam_coordinate(seam)
     i, j = _seam_ends(k)
 
     # the arc segment in seam coordinates
@@ -231,9 +246,7 @@ def truncate_arc(hd: HexagonDecomposition, arc: OrthoArc) -> Truncation:
     for s in (i, j):
         if sp.slot_is_cusp[s]:
             # seam escapes to the cusp: the segment is infinite on this side
-            endpoint = feet[s]
-            m = mobius_two_point(seam.p, seam.q)
-            bounds.append(math.inf if m.apply_boundary(endpoint) == INF
+            bounds.append(math.inf if m.apply_boundary(feet[s]) == INF
                           else -math.inf)
         else:
             bounds.append(coord(feet[s]))
@@ -271,11 +284,12 @@ def truncate_arc(hd: HexagonDecomposition, arc: OrthoArc) -> Truncation:
         left += hi - cursor
     if not math.isfinite(left):
         raise geom.GeometryError(
-            f"truncation of arc {arc.ident} left an unbounded segment")
+            f"truncation of seam {k} in the pants with boundary lengths "
+            f"{sp.lengths} left an unbounded segment")
     if left < 0.0:
         left = 0.0
         clamped = True
-    return Truncation(arc=arc.ident, full_length=hi - lo,
+    return Truncation(seam=k, full_length=hi - lo,
                       truncated_length=left, removed=removed,
                       overlap_diagnostic=overlap, clamped=clamped)
 
@@ -308,6 +322,36 @@ class ShortnessReport:
         }
 
 
+def curve_rows(curves: dict, log4a: float) -> list:
+    """Rows of the curve-length bound, in curve id order."""
+    return [ShortnessRow(f"curve {cid} length <= 2 log(4 area)",
+                         length, 2.0 * log4a, length <= 2.0 * log4a)
+            for cid, length in sorted(curves.items())]
+
+
+def arc_rows(sp: StdPants, arc: tuple, log4a: float) -> list:
+    """Rows of the raw and truncated length bounds of seam arc (p, k).
+
+    The raw length is bounded only between two curves, per regime: the
+    collar widths of the intermediate curves at its ends are added.
+    """
+    k = arc[1]
+    i, j = _seam_ends(k)
+    rows = []
+    if not (sp.slot_is_cusp[i] or sp.slot_is_cusp[j]):
+        length = arc_length(sp, k)
+        slack = sum(collar_width(l) for l in (sp.lengths[i], sp.lengths[j])
+                    if l <= INTERMEDIATE_CURVE_MAX)
+        rows.append(ShortnessRow(
+            f"arc {arc} length <= 6 log(4 area) + collar widths",
+            length, 6.0 * log4a + slack, length <= 6.0 * log4a + slack))
+    trunc = truncate_arc(sp, k).truncated_length
+    rows.append(ShortnessRow(
+        f"arc {arc} truncated length <= 6 log(4 area)",
+        trunc, 6.0 * log4a, trunc <= 6.0 * log4a))
+    return rows
+
+
 def certify_short(hd: HexagonDecomposition, sig: Signature) -> ShortnessReport:
     """Check the curve, raw arc and truncated-arc length bounds.
 
@@ -316,24 +360,7 @@ def certify_short(hd: HexagonDecomposition, sig: Signature) -> ShortnessReport:
     on it would only repeat that curve's row.
     """
     log4a = math.log(4.0 * area(sig))
-    rows = []
-    for cid, length in sorted(hd.curves.items()):
-        rows.append(ShortnessRow(f"curve {cid} length <= 2 log(4 area)",
-                                 length, 2.0 * log4a, length <= 2.0 * log4a))
+    rows = curve_rows(hd.curves, log4a)
     for arc in hd.arcs:
-        kinds = [e.kind for e in arc.endpoints]
-        if all(k == "on-curve" for k in kinds):
-            # per-regime bound on the raw arc length
-            lens = [hd.curves[e.curve] for e in arc.endpoints]
-            slack = sum(collar_width(l) for l in lens
-                        if l <= INTERMEDIATE_CURVE_MAX)
-            rows.append(ShortnessRow(
-                f"arc {arc.ident} length <= 6 log(4 area) + collar widths",
-                arc.length, 6.0 * log4a + slack,
-                arc.length <= 6.0 * log4a + slack))
-        trunc = truncate_arc(hd, arc)
-        rows.append(ShortnessRow(
-            f"arc {arc.ident} truncated length <= 6 log(4 area)",
-            trunc.truncated_length, 6.0 * log4a,
-            trunc.truncated_length <= 6.0 * log4a))
+        rows += arc_rows(hd.hol.std[arc.ident[0]], arc.ident, log4a)
     return ShortnessReport(rows=rows)

@@ -26,7 +26,6 @@ INF = math.inf
 
 CLASSIFY_TOL = 1e-9
 GEOM_TOL = 1e-9
-ALGEBRA_TOL = 1e-12
 #: Allowed residual of the shear relations (cusp sums, curve-side sums).
 RELATION_TOL = 1e-6
 
@@ -430,6 +429,20 @@ def shear_points(t: IdealTriangle):
     return tuple(foot_of_perpendicular(center, side) for side in t.sides())
 
 
+def shear_point_on(t: IdealTriangle, edge: Geodesic) -> complex:
+    """Tangency point of the incircle on the side of t along the edge.
+
+    The side is taken with the orientation ``t.sides()`` gives it, so the
+    point equals the matching entry of ``shear_points(t)`` to the bit.
+    """
+    center, _ = incircle(t)
+    ends = {edge.p, edge.q}
+    for a, b in ((t.v1, t.v2), (t.v2, t.v3), (t.v3, t.v1)):
+        if {a, b} == ends:
+            return foot_of_perpendicular(center, Geodesic(a, b))
+    raise GeometryError("edge is not a side of the triangle")
+
+
 def _shared_edge_apexes(t_a: IdealTriangle, t_b: IdealTriangle, edge: Geodesic):
     ends = {edge.p, edge.q}
     va = set(t_a.vertices())
@@ -458,15 +471,8 @@ def shear(t_a: IdealTriangle, t_b: IdealTriangle, edge: Geodesic,
     apex_a, apex_b = _shared_edge_apexes(t_a, t_b, edge)
     if method == "cross_ratio":
         if side_of(edge, apex_b) == "right":
-            u, v = apex_a, apex_b
-            sign = 1.0
-        else:
-            u, v = apex_b, apex_a
-            sign = -1.0
-        cr = cross_ratio(edge.p, edge.q, v, u)
-        if cr >= 0:
-            raise GeometryError("degenerate quadrilateral in shear computation")
-        return sign * math.log(-cr)
+            return apex_shear(edge, apex_b, apex_a)
+        return -apex_shear(edge, apex_a, apex_b)
     if method == "shear_points":
         m = mobius_two_point(edge.p, edge.q)
         coord = {}
@@ -479,6 +485,19 @@ def shear(t_a: IdealTriangle, t_b: IdealTriangle, edge: Geodesic,
             coord[name] = math.log(w.imag)
         return coord["b"] - coord["a"]
     raise ValueError(f"unknown shear method {method!r}")
+
+
+def apex_shear(edge: Geodesic, right, left) -> float:
+    """Shear across the edge of the quadrilateral with these two apexes.
+
+    The signed distance along the oriented edge from the shear point of
+    the triangle with apex ``left`` (left of the edge) to that of the
+    triangle with apex ``right``: log(-cr(p, q, right, left)).
+    """
+    cr = cross_ratio(edge.p, edge.q, right, left)
+    if cr >= 0:
+        raise GeometryError("degenerate quadrilateral in shear computation")
+    return math.log(-cr)
 
 
 def horocycle_length_at_radius(r: float) -> float:

@@ -103,9 +103,12 @@ class StdPants:
                               # each entry (slot, foot complex or ideal point)
 
 
+_SEAM_ENDS = ((1, 2), (0, 2), (0, 1))
+
+
 def _seam_ends(k: int):
     """Slots joined by seam k, in increasing order."""
-    return tuple(sorted(m for m in range(3) if m != k))
+    return _SEAM_ENDS[k]
 
 
 @lru_cache(maxsize=4096)

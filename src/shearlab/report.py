@@ -1,8 +1,14 @@
 """End-to-end pipeline runs and machine-readable reports.
 
-A single surface run goes: pants graph + Fenchel-Nielsen data -> holonomy
--> seam decomposition -> spiralling triangulation -> developed shears ->
-relation residuals, shortness certification, and the shear-point audit.
+A single surface run is a loop over pants.  Each pants is built in
+standard position from its boundary-length triple and developed once in
+its own frame by the per-pants kernel (spiralling.pants_kernel): six
+spiral corners, then per arc the shear, the raw and truncated lengths and
+the shear-point margins.  The record is put together from the kernels:
+relation residuals per slot, shortness certification and the audit
+minimum.  No global holonomy is built; the global pipeline (holonomy ->
+seam decomposition -> spiralling triangulation -> developed shears) runs
+the same per-pants primitives and stays as the test oracle.
 Reports are deterministic: records are assembled in sample order and
 contain no wall-clock data (timings go to a side channel).
 """
@@ -11,12 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 from . import decomposition, spiralling
-from .constants import (Signature, constants_audit, main_bound,
+from .constants import (Signature, area, constants_audit, main_bound,
                         shear_free_params, topology_constants)
-from .surface import (FNCoordinates, PantsGraph, holonomy_from_fn,
-                      sample_fn, sample_seed)
+from .pants import build_pants
+from .surface import (FNCoordinates, PantsGraph, check_curve_holonomy,
+                      check_surface, sample_fn, sample_seed, slot_lengths)
 
 SCHEMA = "shearlab-report/1"
 
@@ -51,20 +59,39 @@ def parse_surface(data: dict):
     for row in data.get("fn", []):
         lengths[row["curve"]] = float(row["length"])
         twists[row["curve"]] = float(row.get("twist", 0.0))
+    for cid, refs in pg.curve_ends().items():
+        if len(refs) != 2:
+            raise ValueError(f"curve {cid} glues {len(refs)} slots, "
+                             f"expected 2")
+        if cid not in lengths:
+            raise ValueError(f"curve {cid} has no fn row")
     fn = FNCoordinates(lengths, twists)
     return sig, pg, fn
 
 
 def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
-    """Full pipeline on one surface; returns the per-surface record."""
-    hol = holonomy_from_fn(pg, fn)
-    hd = decomposition.seam_decomposition(hol)
-    st = spiralling.spiral(hd)
-    dc = spiralling.develop(hol, st)
-    sv = spiralling.shear_vector(dc)
-    relations = spiralling.shear_relations(sv, hd)
-    shortness = decomposition.certify_short(hd, sig)
-    audit = spiralling.shear_point_free_audit(dc, shear_free_params())
+    """Per-pants pipeline on one surface; returns the per-surface record."""
+    check_surface(pg, fn)
+    std = [build_pants(*slot_lengths(pg, fn, p)) for p in range(pg.num_pants)]
+    ends = pg.curve_ends()
+    curves = {cid: fn.length(cid) for cid in sorted(ends)}
+    for cid, length in curves.items():
+        # the curve-length check of the global holonomy, which reads the
+        # curve's first slot
+        p, s = min(ends[cid])
+        check_curve_holonomy(std[p].slot_hol[s], cid, length)
+    log4a = math.log(4.0 * area(sig))
+    params = shear_free_params()
+    kernels = [spiralling.pants_kernel(sp, p, pg.pants[p], log4a, params)
+               for p, sp in enumerate(std)]
+    surface = spiralling.LocalSurface(
+        graph=pg, curves=curves,
+        slot_sides=decomposition.slot_sides(pg, std), kernels=kernels)
+    sv = surface.shear_vector()
+    relations = spiralling.shear_relations(sv, surface)
+    shortness = decomposition.curve_rows(curves, log4a)
+    shortness += [row for kern in kernels for row in kern.shortness]
+    margins = [row.margin for kern in kernels for row in kern.margins]
     bound = main_bound(sig)
     max_shear = sv.max_abs()
     record = {
@@ -76,11 +103,11 @@ def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
         "max_shear": max_shear,
         "bound": bound,
         "ratio": max_shear / bound,
-        "certified": shortness.certified,
+        "certified": all(row.passed for row in shortness),
         "cusp_residual": relations.max_cusp_residual,
         "spiral_residual": relations.max_side_residual,
         "relations_ok": relations.ok(),
-        "min_margin": audit.min_margin if audit.rows else None,
+        "min_margin": min(margins) if margins else None,
         "bound_satisfied": max_shear < bound,
     }
     return record
@@ -166,7 +193,8 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
 
 
 def constants_report(sig: Signature, rho_prime=None) -> dict:
-    params = shear_free_params(rho_prime) if rho_prime else shear_free_params()
+    params = (shear_free_params() if rho_prime is None
+              else shear_free_params(rho_prime))
     tc = topology_constants(sig, params)
     audit = constants_audit(params)
     return {

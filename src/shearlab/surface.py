@@ -101,23 +101,43 @@ def validate(pg: PantsGraph, sig: Signature):
         n_cusps = -1
     if n_cusps != sig.n:
         problems.append(f"expected {sig.n} cusps, found {n_cusps}")
-    if pg.num_pants > 0:
-        seen = {0}
-        frontier = [0]
-        adj = {p: set() for p in range(pg.num_pants)}
-        for refs in ends.values():
-            if len(refs) == 2:
-                adj[refs[0][0]].add(refs[1][0])
-                adj[refs[1][0]].add(refs[0][0])
-        while frontier:
-            p = frontier.pop()
-            for q in adj[p]:
-                if q not in seen:
-                    seen.add(q)
-                    frontier.append(q)
-        if len(seen) != pg.num_pants:
-            problems.append("gluing graph is not connected")
+    if not _connected(pg):
+        problems.append("gluing graph is not connected")
     return problems
+
+
+def _connected(pg: PantsGraph) -> bool:
+    """Whether the curves that glue two slots connect every pants."""
+    if pg.num_pants == 0:
+        return True
+    seen = {0}
+    frontier = [0]
+    adj = {p: set() for p in range(pg.num_pants)}
+    for refs in pg.curve_ends().values():
+        if len(refs) == 2:
+            adj[refs[0][0]].add(refs[1][0])
+            adj[refs[1][0]].add(refs[0][0])
+    while frontier:
+        p = frontier.pop()
+        for q in adj[p]:
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return len(seen) == pg.num_pants
+
+
+def check_surface(pg: PantsGraph, fn: FNCoordinates):
+    """Reject Fenchel-Nielsen data that no surface can be built from.
+
+    Every curve needs a positive finite length, no cusp id may be used
+    twice, and the gluing graph must be connected; raises ValueError.
+    """
+    for cid in pg.curve_ids():
+        if not (0.0 < fn.length(cid) < math.inf):
+            raise ValueError(f"curve {cid} needs a positive finite length")
+    pg.cusp_slots()
+    if not _connected(pg):
+        raise ValueError("gluing graph is not connected")
 
 
 def canonical_pants_graph(sig: Signature) -> PantsGraph:
@@ -213,7 +233,8 @@ def curve_length(hol: Holonomy, word) -> float:
     return geom.translation_length(f)
 
 
-def _slot_lengths(pg: PantsGraph, fn: FNCoordinates, p: int):
+def slot_lengths(pg: PantsGraph, fn: FNCoordinates, p: int):
+    """Boundary lengths of pants p, a cusp counting as 0."""
     out = []
     for kind, ident in pg.pants[p]:
         out.append(fn.length(ident) if kind == "curve" else 0.0)
@@ -230,11 +251,8 @@ def _gluing_map(parent_std: StdPants, parent_slot: int,
 
 
 def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
-    for cid in pg.curve_ids():
-        if not (0.0 < fn.length(cid) < math.inf):
-            raise ValueError(f"curve {cid} needs a positive finite length")
-
-    std = [build_pants(*_slot_lengths(pg, fn, p)) for p in range(pg.num_pants)]
+    check_surface(pg, fn)
+    std = [build_pants(*slot_lengths(pg, fn, p)) for p in range(pg.num_pants)]
     ends = pg.curve_ends()
     root_paths = [None] * pg.num_pants
     root_paths[0] = []
@@ -256,8 +274,6 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
                     tree_curves.add(cid)
                     nxt.append(qq)
         frontier = nxt
-    if len(placed) != pg.num_pants:
-        raise ValueError("gluing graph is not connected")
 
     table = {}
     curve_primary = {}
@@ -285,16 +301,20 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
     return hol
 
 
+def check_curve_holonomy(g: Isometry, cid, length: float):
+    """The holonomy of a curve must translate by its requested length."""
+    if geom.classify(g) != "hyperbolic":
+        raise geom.GeometryError(f"curve {cid} holonomy is not hyperbolic")
+    got = geom.translation_length(g)
+    if abs(got - length) > 1e-9 * max(1.0, length):
+        raise geom.GeometryError(
+            f"curve {cid} length {got} != requested {length}")
+
+
 def _check_holonomy(hol: Holonomy):
-    fn = hol.fn
     for cid in hol.graph.curve_ids():
-        g = hol.evaluate_class([(f"curve:{cid}", 1)])
-        if geom.classify(g) != "hyperbolic":
-            raise geom.GeometryError(f"curve {cid} holonomy is not hyperbolic")
-        got = geom.translation_length(g)
-        if abs(got - fn.length(cid)) > 1e-9 * max(1.0, fn.length(cid)):
-            raise geom.GeometryError(
-                f"curve {cid} length {got} != requested {fn.length(cid)}")
+        check_curve_holonomy(hol.evaluate_class([(f"curve:{cid}", 1)]), cid,
+                             hol.fn.length(cid))
     for cusp_id in hol.graph.cusp_slots():
         g = hol.evaluate_class([(f"cusp:{cusp_id}", 1)])
         if abs(abs(g.trace()) - 2.0) > 1e-9:

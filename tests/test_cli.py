@@ -61,6 +61,17 @@ class TestConstantsCommand:
             cli.main(["constants", "--g", "0", "--n", "2"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("rho_prime", ["0", "-0.1"])
+    def test_rho_prime_out_of_range(self, capsys, rho_prime):
+        # 0 is a value, not "use the default"; both are rejected by name
+        code = cli.main(["constants", "--g", "1", "--n", "1",
+                         "--rho-prime", rho_prime])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "rho_prime" in captured.err
+        assert captured.err.count("\n") == 1
+
 
 class TestComputeCommand:
     def test_three_cusped_sphere(self, tmp_path, capsys):
@@ -113,6 +124,60 @@ class TestComputeCommand:
         assert cli.main(["compute", path]) == 3
 
 
+def one_line_error(capsys, argv, code, needle):
+    """The command exits with code and one stderr line naming needle."""
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert needle in captured.err
+    assert captured.err.count("\n") == 1
+
+
+class TestMalformedSurface:
+    """Gluing data that no surface is built from fails with one line."""
+
+    def test_curve_without_fn_row(self, tmp_path, capsys):
+        bad = dict(SURFACE_04, fn=[])
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, ["compute", path], 1, "curve 0 has no fn row")
+
+    def test_curve_on_one_slot(self, tmp_path, capsys):
+        bad = dict(SURFACE_04, pants=[
+            {"slots": [{"cusp": 0}, {"cusp": 1}, {"curve": 0}]},
+            {"slots": [{"curve": 1}, {"cusp": 2}, {"cusp": 3}]}],
+            fn=SURFACE_04["fn"] + [{"curve": 1, "length": 1.0}])
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, ["compute", path], 1,
+                       "curve 0 glues 1 slots, expected 2")
+
+    def test_curve_on_three_slots(self, tmp_path, capsys):
+        bad = dict(SURFACE_04, pants=[
+            {"slots": [{"curve": 0}, {"cusp": 1}, {"curve": 0}]},
+            {"slots": [{"curve": 0}, {"cusp": 2}, {"cusp": 3}]}])
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, ["compute", path], 1,
+                       "curve 0 glues 3 slots, expected 2")
+
+    def test_non_finite_length(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(SURFACE_11))
+        bad["fn"][0]["length"] = math.inf
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, ["compute", path], 3,
+                       "curve 0 needs a positive finite length")
+
+    def test_disconnected_gluing_graph(self, tmp_path, capsys):
+        bad = {"signature": {"g": 0, "n": 4},
+               "pants": [{"slots": [{"curve": 0}, {"curve": 0},
+                                    {"cusp": 0}]},
+                         {"slots": [{"cusp": 1}, {"cusp": 2},
+                                    {"cusp": 3}]}],
+               "fn": [{"curve": 0, "length": 1.0, "twist": 0.0}]}
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, ["compute", path], 3,
+                       "gluing graph is not connected")
+
+
 class TestSampleCommand:
     def test_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.json"
@@ -138,6 +203,17 @@ class TestSampleCommand:
         assert data["summary"]["max_ratio_certified"] < 1.0
         assert data["summary"]["bound_violations_certified"] == 0
         assert code == 0
+
+    def test_negative_count(self, capsys):
+        one_line_error(capsys, ["sample", "--g", "1", "--n", "1",
+                                "--count", "-3"], 1, "--count")
+
+    def test_zero_count(self, capsys):
+        code, out = run(["sample", "--g", "1", "--n", "1", "--count", "0"],
+                        capsys)
+        data = json.loads(out)
+        assert code == 0
+        assert data["records"] == [] and data["summary"]["samples"] == 0
 
     def test_config_hash_present(self, capsys):
         _, out = run(["sample", "--g", "1", "--n", "1", "--count", "2",

@@ -114,7 +114,7 @@ class TestTruncation:
         # mutually tangent, so nothing of the seam survives
         _, hd = build(Signature(0, 3))
         for arc in hd.arcs:
-            t = D.truncate_arc(hd, arc)
+            t = D.truncate_arc(hd.hol.std[arc.ident[0]], arc.ident[1])
             assert t.truncated_length <= 1e-9
             assert not t.overlap_diagnostic
 
@@ -123,7 +123,7 @@ class TestTruncation:
         lengths = {c: 3.0 for c in range(3)}
         hol, hd = build(sig, lengths=lengths)
         for arc in hd.arcs:
-            t = D.truncate_arc(hd, arc)
+            t = D.truncate_arc(hd.hol.std[arc.ident[0]], arc.ident[1])
             assert math.isclose(t.truncated_length, arc.length,
                                 rel_tol=1e-12)
             assert t.removed == []
@@ -138,7 +138,7 @@ class TestTruncation:
         for arc in hd.arcs:
             ends_on_short = sum(1 for e in arc.endpoints
                                 if e.curve == 0)
-            t = D.truncate_arc(hd, arc)
+            t = D.truncate_arc(hd.hol.std[arc.ident[0]], arc.ident[1])
             want = arc.length - ends_on_short * w
             if ends_on_short and arc.length != math.inf:
                 assert abs(t.truncated_length - want) <= 1e-9
@@ -149,7 +149,7 @@ class TestTruncation:
         for L in (2.0, 1.0, 0.6, 0.3):
             hol, hd = build(sig, lengths={0: L})
             arc = hd.arc((0, 2))
-            t = D.truncate_arc(hd, arc)
+            t = D.truncate_arc(hd.hol.std[arc.ident[0]], arc.ident[1])
             if prev is not None and L <= INTERMEDIATE_CURVE_MAX:
                 assert t.truncated_length <= prev + 1e-9
             prev = t.truncated_length
@@ -159,7 +159,7 @@ class TestTruncation:
             sig = Signature(*[(1, 1), (0, 4), (2, 1)][trial % 3])
             hol, hd = build(sig, seed=S.sample_seed(31, trial))
             for arc in hd.arcs:
-                t = D.truncate_arc(hd, arc)
+                t = D.truncate_arc(hd.hol.std[arc.ident[0]], arc.ident[1])
                 assert not t.overlap_diagnostic
                 assert not t.clamped
                 assert t.truncated_length >= 0.0

@@ -3,16 +3,22 @@
 No module may define the same top-level name twice (the later definition
 silently replaces the earlier one), and no module may import a name it
 never uses.  The package ``__init__`` re-exports names, so its imports
-are exempt.
+are exempt.  Every UPPER_CASE constant the library defines at top level
+must be read somewhere in the library or its tests.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "shearlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "shearlab"
 MODULES = sorted(SRC.glob("*.py"))
+READERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
+    (ROOT / "tests").rglob("*.py"))
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
 def _parse(path):
@@ -54,6 +60,33 @@ def unused_imports(tree):
     return [name for name in imported if name not in used]
 
 
+def unread_constants(defining, reading):
+    """UPPER_CASE top-level assignments in defining never read in reading.
+
+    A read is a name or attribute load; an import alone is not one.
+    """
+    defined = []
+    for tree in defining:
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            defined += [t.id for t in targets if isinstance(t, ast.Name)
+                        and CONSTANT.fullmatch(t.id)]
+    read = set()
+    for tree in reading:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+    return [name for name in defined if name not in read]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_duplicate_top_level_names(path):
     assert duplicate_definitions(_parse(path)) == []
@@ -66,9 +99,19 @@ def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
 
 
+def test_every_constant_is_read():
+    assert unread_constants([_parse(p) for p in MODULES],
+                            [_parse(p) for p in READERS]) == []
+
+
 def test_checks_catch_their_targets():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "def f():\n    return tau\n"
                      "def f():\n    return 1\n")
     assert duplicate_definitions(tree) == ["f"]
     assert unused_imports(tree) == ["os", "pi"]
+    lib = ast.parse("A_TOL = 1\n_B = 2\nC: int = 3\nUNREAD = 4\n"
+                    "lower = 5\nStyle = 6\n")
+    reader = ast.parse("from lib import UNREAD\nimport lib\n"
+                       "x = A_TOL + lib._B + lib.C\nUNREAD = 7\n")
+    assert unread_constants([lib], [reader]) == ["UNREAD"]

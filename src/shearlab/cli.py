@@ -7,15 +7,18 @@ Subcommands:
   rho' outside (0, rho).
 * ``shear compute SURFACE.json``: full pipeline on one surface file.
   Exit 1 on a parse error (including a curve without an fn row or not
-  glued to exactly two slots), 3 on a geometry-invariant failure
-  (including a non-positive or non-finite length and a disconnected
-  gluing graph).
+  glued to exactly two slots, and a pants graph that does not match the
+  declared signature), 3 on a geometry-invariant failure (including a
+  non-positive or non-finite length and a disconnected gluing graph).
 * ``shear sample --g G --n N --count K --seed S``: seeded sampling
   campaign; exit 5 if any certified sample violates the shear bound,
   1 for a negative count.
 * ``shear optimize SURFACE.json --budget B --seed S``: flip search on a
-  cusped chain surface (genus 0, up to five punctures); exit 4 for
-  surfaces without a supported start triangulation.
+  cusped chain surface (genus 0, up to five punctures).  Each of the B
+  steps scores every flippable edge in closed form and builds only the
+  one flip it takes.  Exit 1 on a parse error (as for ``compute``) or a
+  negative budget, 4 for surfaces without a supported start
+  triangulation.
 
 Boundary lengths too long for float64 (about 76 and up) fail the pants
 construction: ``compute`` exits 3 and ``optimize`` exits 4.
@@ -124,6 +127,10 @@ def cmd_sample(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.budget < 0:
+        print(f"error: --budget must be non-negative, got {args.budget}",
+              file=sys.stderr)
+        return 1
     try:
         with open(args.surface) as fh:
             data = json.load(fh)

@@ -123,12 +123,49 @@ def flippable(cx: CuspedTriangulation, edge) -> bool:
     return shared == 1
 
 
+def _flipped_shears(cx: CuspedTriangulation, sigma: dict, edge) -> dict:
+    """The shears a flip of the edge changes, keyed by the old edge keys.
+
+    Penner's rule: the flipped shear negates; in the stored sign
+    convention the side following the flipped edge in each adjacent
+    triangle's cyclic order gains -log(1 + e^-s) and the preceding side
+    gains +log(1 + e^s).  An edge met twice (two sides of the
+    quadrilateral glued together) sums both gains before they are added
+    to its shear.  The edge must be an edge key.
+    """
+    f1, s1 = edge
+    f2, s2 = cx.glue[edge]
+    s_val = sigma[edge]
+    gain_prev = math.log1p(math.exp(s_val)) if s_val < 30 else s_val
+    gain_next = math.log1p(math.exp(-s_val)) if s_val > -30 else -s_val
+    delta = {}
+    for face, side, amount in ((f1, (s1 + 1) % 3, -gain_next),
+                               (f1, (s1 + 2) % 3, +gain_prev),
+                               (f2, (s2 + 1) % 3, -gain_next),
+                               (f2, (s2 + 2) % 3, +gain_prev)):
+        key = cx.edge_key(face, side)
+        delta[key] = delta.get(key, 0.0) + amount
+    out = {key: sigma[key] + amount for key, amount in delta.items()}
+    out[edge] = -s_val
+    return out
+
+
+def _flip_score(cx: CuspedTriangulation, sigma: dict, edge) -> float:
+    """max_abs_shear of the shears flip(cx, sigma, edge) would return.
+
+    Nothing is copied or re-glued; the value is bit-equal to the one read
+    from the flipped shear vector.  The edge must be a flippable edge key.
+    """
+    changed = _flipped_shears(cx, sigma, edge)
+    kept = max((abs(v) for k, v in sigma.items() if k not in changed),
+               default=0.0)
+    return max(kept, max(abs(v) for v in changed.values()))
+
+
 def flip(cx: CuspedTriangulation, sigma: dict, edge):
     """Flip the edge; returns the new triangulation and shear vector.
 
-    The flipped shear negates; in the stored sign convention the side
-    following the flipped edge in each adjacent triangle's cyclic order
-    gains -log(1 + e^-s) and the preceding side gains +log(1 + e^s).
+    The shears change by Penner's rule (see _flipped_shears).
     """
     edge = cx.edge_key(*edge)
     if not flippable(cx, edge):
@@ -139,21 +176,7 @@ def flip(cx: CuspedTriangulation, sigma: dict, edge):
     y = cx.verts[f1][(s1 + 1) % 3]
     z = cx.verts[f1][(s1 + 2) % 3]
     w = cx.verts[f2][(s2 + 2) % 3]
-
-    s_val = sigma[edge]
-    gain_prev = math.log1p(math.exp(s_val)) if s_val < 30 else s_val
-    gain_next = math.log1p(math.exp(-s_val)) if s_val > -30 else -s_val
-    delta = {}
-
-    def add(face, side, amount):
-        key = cx.edge_key(face, side)
-        delta[key] = delta.get(key, 0.0) + amount
-
-    # sides following / preceding the flipped edge in each triangle
-    add(f1, (s1 + 1) % 3, -gain_next)
-    add(f1, (s1 + 2) % 3, +gain_prev)
-    add(f2, (s2 + 1) % 3, -gain_next)
-    add(f2, (s2 + 2) % 3, +gain_prev)
+    changed = _flipped_shears(cx, sigma, edge)
 
     # outer side partners, before rebuilding the quadrilateral
     outer = {
@@ -209,10 +232,8 @@ def flip(cx: CuspedTriangulation, sigma: dict, edge):
     for key, val in sigma.items():
         if key == edge:
             continue
-        final[renamed.get(key, key)] = val
-    for old_key, amount in delta.items():
-        final[renamed.get(old_key, old_key)] += amount
-    final[new.edge_key(*diag1)] = -s_val
+        final[renamed.get(key, key)] = changed.get(key, val)
+    final[new.edge_key(*diag1)] = changed[edge]
     for e in new.edges():
         if e not in final:
             raise RuntimeError(f"missing shear for edge {e} after flip")
@@ -566,39 +587,34 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
                         seed: int):
     """Greedy descent on the maximum absolute shear with random kicks.
 
-    Each accepted flip consumes one unit of budget.  Returns the best
-    triangulation, its shear vector, the best maximum and the flip trail.
+    Each step scores every flippable edge by the maximum absolute shear
+    its flip would give, in closed form and without building the flipped
+    complex.  The lowest (value, edge) is flipped if it improves on the
+    current maximum by more than 1e-12; otherwise a seeded random kick
+    flips a uniformly drawn flippable edge.  Only the chosen edge goes
+    through flip (and its check), and every step, kick or descent, uses
+    one unit of budget.  Returns the best triangulation, its shear
+    vector, the best maximum and the flip trail.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    best = (cx, dict(sigma), max_abs_shear(sigma))
-    cur_cx, cur_sigma = cx, dict(sigma)
+    cur_max = max_abs_shear(sigma)
+    best = (cx, dict(sigma), cur_max)
+    cur_cx, cur_sigma = cx, sigma
     trail = []
-    spent = 0
-    while spent < budget:
-        cur_max = max_abs_shear(cur_sigma)
-        candidates = []
-        for e in cur_cx.edges():
-            if not flippable(cur_cx, e):
-                continue
-            try:
-                nxt_cx, nxt_sigma = flip(cur_cx, cur_sigma, e)
-            except (ValueError, RuntimeError):
-                continue
-            candidates.append((max_abs_shear(nxt_sigma), e, nxt_cx, nxt_sigma))
-        improving = [c for c in candidates if c[0] < cur_max - 1e-12]
-        if improving:
-            improving.sort(key=lambda c: (c[0], c[1]))
-            val, e, cur_cx, cur_sigma = improving[0]
-            trail.append(e)
-            spent += 1
-            if val < best[2]:
-                best = (cur_cx, dict(cur_sigma), val)
-            continue
-        if not candidates:
+    while len(trail) < budget:
+        scored = [(_flip_score(cur_cx, cur_sigma, e), e)
+                  for e in cur_cx.edges() if flippable(cur_cx, e)]
+        if not scored:
             break
-        # stuck at a local minimum: random kick
-        idx = int(rng.integers(0, len(candidates)))
-        _, e, cur_cx, cur_sigma = candidates[idx]
+        improving = [c for c in scored if c[0] < cur_max - 1e-12]
+        if improving:
+            val, e = min(improving)
+        else:
+            # stuck at a local minimum: random kick
+            val, e = scored[int(rng.integers(0, len(scored)))]
+        cur_cx, cur_sigma = flip(cur_cx, cur_sigma, e)
+        cur_max = val
         trail.append(e)
-        spent += 1
+        if improving and val < best[2]:
+            best = (cur_cx, cur_sigma, val)
     return best[0], best[1], best[2], trail

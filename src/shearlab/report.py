@@ -23,8 +23,9 @@ from . import decomposition, spiralling
 from .constants import (Signature, area, constants_audit, main_bound,
                         shear_free_params, topology_constants)
 from .pants import build_pants
-from .surface import (FNCoordinates, PantsGraph, check_curve_holonomy,
-                      check_surface, sample_fn, sample_seed, slot_lengths)
+from .surface import (DISCONNECTED, FNCoordinates, PantsGraph,
+                      check_curve_holonomy, check_surface, sample_fn,
+                      sample_seed, slot_lengths, validate)
 
 SCHEMA = "shearlab-report/1"
 
@@ -38,6 +39,10 @@ def parse_surface(data: dict):
     {"signature": {"g": g, "n": n},
      "pants": [{"slots": [{"curve": id} | {"cusp": id}, x3]}, ...],
      "fn": [{"curve": id, "length": l, "twist": t}, ...]}
+
+    Raises ValueError for a malformed slot, a curve without an fn row, or
+    a pants graph that contradicts the declared signature (the first
+    problem surface.validate names).
     """
     sig = Signature(int(data["signature"]["g"]), int(data["signature"]["n"]))
     pants = []
@@ -59,10 +64,12 @@ def parse_surface(data: dict):
     for row in data.get("fn", []):
         lengths[row["curve"]] = float(row["length"])
         twists[row["curve"]] = float(row.get("twist", 0.0))
-    for cid, refs in pg.curve_ends().items():
-        if len(refs) != 2:
-            raise ValueError(f"curve {cid} glues {len(refs)} slots, "
-                             f"expected 2")
+    # a disconnected gluing graph is left to check_surface, which fails it
+    # as a geometry invariant
+    problems = [p for p in validate(pg, sig) if p != DISCONNECTED]
+    if problems:
+        raise ValueError(problems[0])
+    for cid in pg.curve_ends():
         if cid not in lengths:
             raise ValueError(f"curve {cid} has no fn row")
     fn = FNCoordinates(lengths, twists)

@@ -77,6 +77,9 @@ class FNCoordinates:
         return self.twists[cid]
 
 
+DISCONNECTED = "gluing graph is not connected"
+
+
 def validate(pg: PantsGraph, sig: Signature):
     """Check the pants graph against the signature; returns diagnostics."""
     problems = []
@@ -102,7 +105,7 @@ def validate(pg: PantsGraph, sig: Signature):
     if n_cusps != sig.n:
         problems.append(f"expected {sig.n} cusps, found {n_cusps}")
     if not _connected(pg):
-        problems.append("gluing graph is not connected")
+        problems.append(DISCONNECTED)
     return problems
 
 
@@ -137,7 +140,7 @@ def check_surface(pg: PantsGraph, fn: FNCoordinates):
             raise ValueError(f"curve {cid} needs a positive finite length")
     pg.cusp_slots()
     if not _connected(pg):
-        raise ValueError("gluing graph is not connected")
+        raise ValueError(DISCONNECTED)
 
 
 def canonical_pants_graph(sig: Signature) -> PantsGraph:

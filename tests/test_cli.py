@@ -166,6 +166,15 @@ class TestMalformedSurface:
         one_line_error(capsys, ["compute", path], 3,
                        "curve 0 needs a positive finite length")
 
+    @pytest.mark.parametrize("command", ["compute", "optimize"])
+    def test_signature_mismatch(self, tmp_path, capsys, command):
+        # one three-cusped pants declared as (5,5) would otherwise be
+        # certified against the (5,5) bound
+        bad = dict(SURFACE_03, signature={"g": 5, "n": 5})
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, [command, path], 1,
+                       "expected 13 pants for signature, found 1")
+
     def test_disconnected_gluing_graph(self, tmp_path, capsys):
         bad = {"signature": {"g": 0, "n": 4},
                "pants": [{"slots": [{"curve": 0}, {"curve": 0},
@@ -234,8 +243,15 @@ class TestOptimizeCommand:
     def test_budget_zero_echoes(self, tmp_path, capsys):
         path = write_surface(tmp_path, SURFACE_04)
         code, out = run(["optimize", path, "--budget", "0"], capsys)
+        assert code == 0
         rec = json.loads(out)["records"][0]
         assert rec["best_max_shear"] == rec["start_max_shear"]
+        assert rec["flips"] == []
+
+    def test_negative_budget(self, tmp_path, capsys):
+        path = write_surface(tmp_path, SURFACE_04)
+        one_line_error(capsys, ["optimize", path, "--budget", "-5"], 1,
+                       "--budget")
 
     def test_descent_contract(self, tmp_path, capsys):
         path = write_surface(tmp_path, SURFACE_04)

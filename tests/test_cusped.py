@@ -214,7 +214,109 @@ class TestWalksThroughFlips:
             CU.rewrite_walk(walk, cx, e)
 
 
+def _reference_search(cx, sigma, budget, seed):
+    """The search as it was before closed-form scoring: every candidate
+    flip is built and checked.  Returns minimax_flip_search's four values
+    and the number of random kicks."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    best = (cx, dict(sigma), CU.max_abs_shear(sigma))
+    cur_cx, cur_sigma = cx, dict(sigma)
+    trail = []
+    kicks = 0
+    spent = 0
+    while spent < budget:
+        cur_max = CU.max_abs_shear(cur_sigma)
+        candidates = []
+        for e in cur_cx.edges():
+            if not CU.flippable(cur_cx, e):
+                continue
+            try:
+                nxt_cx, nxt_sigma = CU.flip(cur_cx, cur_sigma, e)
+            except (ValueError, RuntimeError):
+                continue
+            candidates.append((CU.max_abs_shear(nxt_sigma), e, nxt_cx,
+                               nxt_sigma))
+        improving = [c for c in candidates if c[0] < cur_max - 1e-12]
+        if improving:
+            improving.sort(key=lambda c: (c[0], c[1]))
+            val, e, cur_cx, cur_sigma = improving[0]
+            trail.append(e)
+            spent += 1
+            if val < best[2]:
+                best = (cur_cx, dict(cur_sigma), val)
+            continue
+        if not candidates:
+            break
+        idx = int(rng.integers(0, len(candidates)))
+        _, e, cur_cx, cur_sigma = candidates[idx]
+        trail.append(e)
+        spent += 1
+        kicks += 1
+    return best[0], best[1], best[2], trail, kicks
+
+
+# (n, chain seed, budget, search seed): 24 runs at (0,4) and (0,5)
+SEARCH_RUNS = [(4 + i % 2, i // 2, (25, 50, 75, 100)[i % 4], 3 * i + 1)
+               for i in range(24)]
+
+
+@pytest.fixture(scope="module")
+def search_runs():
+    runs = []
+    for n, chain_seed, budget, seed in SEARCH_RUNS:
+        _, (cx, sigma, _) = chain(Signature(0, n), seed=chain_seed)
+        runs.append((cx, sigma, budget, seed,
+                     _reference_search(cx, sigma, budget, seed)))
+    return runs
+
+
 class TestMinimaxSearch:
+    def test_matches_reference_search(self, search_runs):
+        for cx, sigma, budget, seed, want in search_runs:
+            got = CU.minimax_flip_search(cx, sigma, budget, seed)
+            assert got[3] == want[3]
+            assert got[2] == want[2]
+            assert got[1] == want[1]
+            assert got[0].verts == want[0].verts
+            assert got[0].glue == want[0].glue
+        kicks = [want[4] for *_, want in search_runs]
+        assert max(kicks) >= 50, kicks
+
+    def test_scores_equal_built_flips(self, search_runs):
+        # every state the search visits, every flippable edge: the closed
+        # form score is bit-equal to the maximum of the built flip, and
+        # flip accepts every edge flippable() admits, so the search and
+        # the reference consider the same candidates
+        scored = 0
+        for cx, sigma, _, _, want in search_runs:
+            states = [(cx, sigma)]
+            for e in want[3]:
+                states.append(CU.flip(*states[-1], e))
+            for cx, sigma in states:
+                cx.check()
+                for cand in cx.edges():
+                    if not CU.flippable(cx, cand):
+                        continue
+                    _, flipped = CU.flip(cx, sigma, cand)
+                    assert (CU._flip_score(cx, sigma, cand)
+                            == CU.max_abs_shear(flipped))
+                    scored += 1
+        assert scored >= 5000
+
+    def test_builds_one_flip_per_step(self, monkeypatch):
+        _, (cx, sigma, _) = chain(Signature(0, 5), seed=4)
+        calls = []
+        real_flip = CU.flip
+
+        def counting_flip(*args):
+            calls.append(args[2])
+            return real_flip(*args)
+
+        monkeypatch.setattr(CU, "flip", counting_flip)
+        _, _, _, trail = CU.minimax_flip_search(cx, sigma, 100, 7)
+        assert len(trail) == 100
+        assert calls == trail
+
     def test_budget_zero_returns_input(self):
         fn, (cx, sigma, _) = chain(Signature(0, 4), seed=3)
         _, best_sigma, best, trail = CU.minimax_flip_search(cx, sigma, 0, 1)

@@ -1,10 +1,11 @@
 """Shear coordinates of ideal triangulations on hyperbolic surfaces.
 
-Builds hyperbolic surfaces from Fenchel-Nielsen data, decomposes them
-into right-angled hexagons, spins the seams into spiralling ideal
-triangulations, and measures the shear coordinates, whose maximum is
-checked against the logarithmic topology bound.  Cusped triangulations
-of chain surfaces support flip moves and a minimax flip search.
+Builds hyperbolic surfaces from Fenchel-Nielsen data one pair of pants
+at a time, cuts each pants into right-angled hexagons, spins the seams
+into spiralling ideal triangulations, and measures the shear
+coordinates, whose maximum is checked against the logarithmic topology
+bound.  Cusped triangulations of chain surfaces support flip moves and a
+minimax flip search.
 """
 
 from .constants import (RHO, Signature, ShearFreeParams, area, bavard_bound,
@@ -18,9 +19,8 @@ from .geom import (IDEAL_INRADIUS, INF, Geodesic, GeometryError, IdealTriangle,
 from .surface import (FNCoordinates, Holonomy, PantsGraph,
                       canonical_pants_graph, curve_length, holonomy_from_fn,
                       sample_fn, sample_seed, validate)
-from .decomposition import certify_short, seam_decomposition, truncate_arc
-from .spiralling import (develop, shear_point_free_audit, shear_relations,
-                         shear_vector, spiral)
+from .decomposition import truncate_arc
+from .spiralling import shear_relations
 from .chains import build_cusped_chain, is_chain
 from .cusped import (CuspedTriangulation, cusp_sums, develop_from_shears,
                      develop_walk, flip, flippable, hyperbolic_walk_lengths,

@@ -252,11 +252,15 @@ class AuditReport:
         return {"ok": self.ok, "rows": [r.as_dict() for r in self.rows]}
 
 
-def _admissible_grid(points: int = 10_000):
+# points of the grid the audit scans the admissible lengths on
+_GRID_POINTS = 10_000
+
+
+def _admissible_grid():
     """Log-spaced grid over (0, 2 tanh rho], densest near zero."""
     lo, hi = 1e-8, SHORT_CURVE_MAX
-    step = (math.log(hi) - math.log(lo)) / (points - 1)
-    return [math.exp(math.log(lo) + i * step) for i in range(points)]
+    step = (math.log(hi) - math.log(lo)) / (_GRID_POINTS - 1)
+    return [math.exp(math.log(lo) + i * step) for i in range(_GRID_POINTS)]
 
 
 def _sup_collar_gap(params: ShearFreeParams):

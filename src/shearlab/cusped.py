@@ -219,9 +219,6 @@ def flip(cx: CuspedTriangulation, sigma: dict, edge):
         reglue(label)
     new.glue[diag1] = diag2
     new.glue[diag2] = diag1
-    # drop stale keys no longer used as sides
-    valid = {(f, s) for f in range(new.num_faces()) for s in range(3)}
-    new.glue = {k: v for k, v in new.glue.items() if k in valid and v in valid}
     new.check()
 
     # edge keys of the outer sides may change identity with the new slots
@@ -324,12 +321,11 @@ class DevelopedCusped:
     generators: list        # face-pairing deck elements of co-tree gluings
 
 
-def develop_from_shears(cx: CuspedTriangulation, sigma: dict,
-                        tol: float = RELATION_TOL) -> DevelopedCusped:
+def develop_from_shears(cx: CuspedTriangulation, sigma: dict) -> DevelopedCusped:
     """Develop the triangulation; cusp sums must vanish (completeness)."""
     sums = cusp_sums(cx, sigma)
     worst = max(abs(v) for v in sums.values())
-    if worst > tol:
+    if worst > RELATION_TOL:
         raise IncompleteStructure(
             f"incomplete structure: cusp sums reach {worst}")
     places = [None] * cx.num_faces()
@@ -542,14 +538,18 @@ def test_curves(cx: CuspedTriangulation, sigma: dict, count: int = 5):
     return picked
 
 
+# largest |shear| a random flip sequence may reach
+RANDOM_FLIP_SHEAR_CAP = 10.0
+
+
 def random_flip_sequence(cx: CuspedTriangulation, sigma: dict, count: int,
-                         seed: int, shear_cap: float = 10.0, walks=None):
+                         seed: int, walks=None):
     """Apply seeded random flips, transporting the given dual walks.
 
     Flips are drawn uniformly among the flippable edges whose result
-    keeps every shear at most shear_cap in absolute value: runaway flip
-    sequences make shears grow exponentially, which floating point
-    cannot carry through the developing map.  Returns the final
+    keeps every shear at most RANDOM_FLIP_SHEAR_CAP in absolute value:
+    runaway flip sequences make shears grow exponentially, which floating
+    point cannot carry through the developing map.  Returns the final
     triangulation, shears, transported walks and the flip trail.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -567,7 +567,7 @@ def random_flip_sequence(cx: CuspedTriangulation, sigma: dict, count: int,
             nxt_cx, nxt_sigma = flip(cx, sigma, e)
         except (ValueError, RuntimeError):
             continue
-        if max_abs_shear(nxt_sigma) > shear_cap:
+        if max_abs_shear(nxt_sigma) > RANDOM_FLIP_SHEAR_CAP:
             continue
         try:
             nxt_walks = [rewrite_walk(w, cx, e) for w in walks]

@@ -1,13 +1,14 @@
-"""Hexagon decompositions of pants-glued surfaces.
+"""Seam arcs of a pair of pants: sides, lengths, truncation, shortness.
 
-Cutting each pair of pants along its three seams (the mutual
-perpendiculars between boundary components) decomposes the surface into
-two right-angled hexagons per pants; the decomposition data is the pants
-curves, the seams as orthogeodesic arcs, and the hexagon faces.  Arcs
-with a cusp endpoint are infinite; their truncated lengths are measured
-after removing standard cusp neighborhoods and thin collars.  Arc
-lengths, truncations and shortness rows are computed per pants from its
-standard position alone (arc_length, truncate_arc, arc_rows).
+Cutting a pair of pants along its three seams (the mutual perpendiculars
+between boundary components) gives two right-angled hexagons.  Everything
+here is read from one pants in standard position: the side of its curve
+each glued slot lies on (slot_sides), the length of each seam arc
+(arc_length; infinite at a cusp end), its length after removing standard
+cusp neighborhoods and thin collars (truncate_arc), and the rows of the
+shortness certificate (curve_rows, arc_rows).  The doubled-loop bound has
+no row: the seam word X_i X_j is conjugate to the third boundary of its
+pants (X1 X2 X3 = 1), so a row on it would only repeat that curve's row.
 """
 
 from __future__ import annotations
@@ -16,41 +17,10 @@ import math
 from dataclasses import dataclass
 
 from . import geom
-from .constants import INTERMEDIATE_CURVE_MAX, Signature, area, collar_width
+from .constants import INTERMEDIATE_CURVE_MAX, collar_width
 from .geom import INF, Geodesic, Isometry, mobius_two_point
 from .pants import StdPants, _seam_ends
-from .surface import Holonomy, PantsGraph
-
-
-@dataclass(frozen=True)
-class ArcEndpoint:
-    kind: str            # "on-curve" | "at-cusp"
-    curve: object = None
-    side: str = None     # "left" | "right" relative to the curve orientation
-    cusp: object = None
-    slot_ref: tuple = None
-
-
-@dataclass(frozen=True)
-class OrthoArc:
-    ident: tuple         # (pants index, seam index)
-    endpoints: tuple
-    length: float        # math.inf when an endpoint is a cusp
-
-
-@dataclass
-class HexagonDecomposition:
-    hol: Holonomy
-    curves: dict         # curve id -> length
-    slot_sides: dict     # glued slot (p, s) -> side of its curve
-    arcs: list
-    faces: list          # alternating (kind, ref) cycles, 2 per pants
-
-    def arc(self, ident) -> OrthoArc:
-        return self._index[ident]
-
-    def __post_init__(self):
-        self._index = {a.ident: a for a in self.arcs}
+from .surface import PantsGraph
 
 
 def _slot_side(sp: StdPants, s: int) -> str:
@@ -79,47 +49,6 @@ def slot_sides(pg: PantsGraph, std) -> dict:
     return sides
 
 
-def _endpoint(pg: PantsGraph, p: int, s: int, sides) -> ArcEndpoint:
-    kind, ident = pg.pants[p][s]
-    if kind == "cusp":
-        return ArcEndpoint(kind="at-cusp", cusp=ident, slot_ref=(p, s))
-    return ArcEndpoint(kind="on-curve", curve=ident, side=sides[(p, s)],
-                       slot_ref=(p, s))
-
-
-def seam_decomposition(hol: Holonomy) -> HexagonDecomposition:
-    pg = hol.graph
-    sides = slot_sides(pg, hol.std)
-    curves = {cid: hol.fn.length(cid) for cid in pg.curve_ids()}
-
-    arcs = []
-    faces = []
-    for p in range(pg.num_pants):
-        sp = hol.std[p]
-        for k in range(3):
-            i, j = _seam_ends(k)
-            e1 = _endpoint(pg, p, i, sides)
-            e2 = _endpoint(pg, p, j, sides)
-            arcs.append(OrthoArc(ident=(p, k), endpoints=(e1, e2),
-                                 length=arc_length(sp, k)))
-        # hexagon boundary cycle: slot side, seam, slot side, seam, ...
-        for face_side in ("front", "back"):
-            cycle = []
-            for s, k in ((0, 2), (1, 0), (2, 1)):
-                kind, ident = pg.pants[p][s]
-                if kind == "cusp":
-                    cycle.append(("ideal", ident))
-                else:
-                    cycle.append(("seg", (p, s)))
-                cycle.append(("arc", (p, k)))
-            faces.append((face_side, p, tuple(cycle)))
-
-    hd = HexagonDecomposition(hol=hol, curves=curves, slot_sides=sides,
-                              arcs=arcs, faces=faces)
-    _check_decomposition(hd)
-    return hd
-
-
 def arc_length(sp: StdPants, k: int) -> float:
     """Length of seam arc k between its feet; math.inf at a cusp end."""
     (i, foot_i), (j, foot_j) = sp.seam_feet[k]
@@ -128,40 +57,23 @@ def arc_length(sp: StdPants, k: int) -> float:
     return geom.dist(foot_i, foot_j)
 
 
-def _check_decomposition(hd: HexagonDecomposition):
-    pg = hd.hol.graph
-    m = pg.num_pants
-    if len(hd.faces) != 2 * m:
-        raise ValueError("hexagon decomposition must have 2 faces per pants")
-    if len(hd.arcs) != 3 * m:
-        raise ValueError("hexagon decomposition must have 3 arcs per pants")
-    borders = {}
-    for face in hd.faces:
-        for kind, ref in face[2]:
-            if kind == "arc":
-                borders[ref] = borders.get(ref, 0) + 1
-    if any(count != 2 for count in borders.values()):
-        raise ValueError("every arc must border exactly two hexagons")
-
-
 # ---------------------------------------------------------------------------
 # truncation of arcs at thin parts
 
 
-def _cusp_height(sp: StdPants, slot: int, boundary_length: float = 2.0):
-    """Horoball at the slot's cusp bounded by a horocycle of given length.
+# length of the horocycle bounding a standard cusp neighborhood
+CUSP_HOROCYCLE_LENGTH = 2.0
+
+
+def _cusp_height(sp: StdPants, slot: int):
+    """Standard horoball at the slot's cusp.
 
     Returned as (normalizer to the point at infinity, height): the ball is
-    y >= height in the normalized frame.
+    y >= height in the normalized frame, bounded by a horocycle of length
+    CUSP_HOROCYCLE_LENGTH.
     """
-    q = sp.slot_point[slot]
-    if q == INF:
-        m = Isometry.identity()
-    else:
-        m = Isometry.from_matrix(0.0, -1.0, 1.0, -q)
-    g = m @ sp.slot_hol[slot] @ m.inverse()
-    shift = abs(g.a * g.b)
-    return m, shift / boundary_length
+    m, shift = geom.parabolic_shift(sp.slot_hol[slot], sp.slot_point[slot])
+    return m, shift / CUSP_HOROCYCLE_LENGTH
 
 
 def _seam_coordinate(seam: Geodesic):
@@ -306,22 +218,6 @@ class ShortnessRow:
     passed: bool
 
 
-@dataclass
-class ShortnessReport:
-    rows: list
-
-    @property
-    def certified(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-    def as_dict(self):
-        return {
-            "certified": self.certified,
-            "rows": [{"name": r.name, "value": r.value, "bound": r.bound,
-                      "passed": r.passed} for r in self.rows],
-        }
-
-
 def curve_rows(curves: dict, log4a: float) -> list:
     """Rows of the curve-length bound, in curve id order."""
     return [ShortnessRow(f"curve {cid} length <= 2 log(4 area)",
@@ -350,17 +246,3 @@ def arc_rows(sp: StdPants, arc: tuple, log4a: float) -> list:
         f"arc {arc} truncated length <= 6 log(4 area)",
         trunc, 6.0 * log4a, trunc <= 6.0 * log4a))
     return rows
-
-
-def certify_short(hd: HexagonDecomposition, sig: Signature) -> ShortnessReport:
-    """Check the curve, raw arc and truncated-arc length bounds.
-
-    The doubled-loop bound is not checked: the word X_i X_j of a seam is
-    conjugate to the third boundary of its pants (X1 X2 X3 = 1), so a row
-    on it would only repeat that curve's row.
-    """
-    log4a = math.log(4.0 * area(sig))
-    rows = curve_rows(hd.curves, log4a)
-    for arc in hd.arcs:
-        rows += arc_rows(hd.hol.std[arc.ident[0]], arc.ident, log4a)
-    return ShortnessReport(rows=rows)

@@ -523,17 +523,23 @@ def parabolic_fixing(q, x, y) -> Isometry:
     return Isometry(1.0 + c * q, -c * q * q, c, 1.0 - c * q)
 
 
-def horocycle_length_through(parabolic: Isometry, z: complex) -> float:
-    """Length, in the cusp cylinder of a parabolic, of the horocycle through z."""
-    (fix,) = fixed_points(parabolic)
+def parabolic_shift(parabolic: Isometry, fix):
+    """Conjugate a parabolic so that its fixed point fix goes to infinity.
+
+    Returns (m, shift): m sends fix to infinity, and m parabolic m^-1 is
+    z -> z +- shift.  For (a, b; 0, d) with ad = 1 the action is
+    z -> (a/d) z + b/d with a/d = 1, so shift = |a b|.
+    """
     if fix == INF:
         m = Isometry.identity()
     else:
-        # send the fixed point to infinity
         m = Isometry.from_matrix(0.0, -1.0, 1.0, -fix)
     g = m @ parabolic @ m.inverse()
-    # g is z -> z + shift up to an overall sign; for (a, b; 0, d) with ad = 1
-    # the action is z -> (a/d) z + b/d with a/d = 1, so shift = a * b.
-    shift = g.a * g.b
-    w = m(z)
-    return abs(shift) / w.imag
+    return m, abs(g.a * g.b)
+
+
+def horocycle_length_through(parabolic: Isometry, z: complex) -> float:
+    """Length, in the cusp cylinder of a parabolic, of the horocycle through z."""
+    (fix,) = fixed_points(parabolic)
+    m, shift = parabolic_shift(parabolic, fix)
+    return shift / m(z).imag

@@ -6,9 +6,7 @@ its own frame by the per-pants kernel (spiralling.pants_kernel): six
 spiral corners, then per arc the shear, the raw and truncated lengths and
 the shear-point margins.  The record is put together from the kernels:
 relation residuals per slot, shortness certification and the audit
-minimum.  No global holonomy is built; the global pipeline (holonomy ->
-seam decomposition -> spiralling triangulation -> developed shears) runs
-the same per-pants primitives and stays as the test oracle.
+minimum.  No global holonomy is built.
 Reports are deterministic: records are assembled in sample order and
 contain no wall-clock data (timings go to a side channel).
 """
@@ -92,10 +90,10 @@ def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
     kernels = [spiralling.pants_kernel(sp, p, pg.pants[p], log4a, params)
                for p, sp in enumerate(std)]
     surface = spiralling.LocalSurface(
-        graph=pg, curves=curves,
-        slot_sides=decomposition.slot_sides(pg, std), kernels=kernels)
+        graph=pg, slot_sides=decomposition.slot_sides(pg, std),
+        kernels=kernels)
     sv = surface.shear_vector()
-    relations = spiralling.shear_relations(sv, surface)
+    relations = spiralling.shear_relations(sv, curves)
     shortness = decomposition.curve_rows(curves, log4a)
     shortness += [row for kern in kernels for row in kern.shortness]
     margins = [row.margin for kern in kernels for row in kern.margins]

@@ -1,26 +1,25 @@
 """Spiralling ideal triangulations and their shear coordinates.
 
-Replacing every seam of a hexagon decomposition by the complete geodesic
-that spirals onto the boundary curves at its endpoints (or runs out the
-cusps) turns the two hexagons of each pants into two ideal triangles.
-Each arc is developed as an ideal quadrilateral in the standard frame of
-its pants: the shared edge joins the spiral limit points at its two end
-slots, the first apex is the limit point at the opposite slot, and the
-second apex is its mirror image across the seam, which is exactly the
-development of the neighbouring hexagon.
+Replacing every seam of a pants by the complete geodesic that spirals
+onto the boundary curves at its endpoints (or runs out the cusps) turns
+the two hexagons of each pants into two ideal triangles.  Each arc is
+developed as an ideal quadrilateral in the standard frame of its pants
+(develop_pants): the shared edge joins the spiral limit points at its
+two end slots, the first apex is the limit point at the opposite slot,
+and the second apex is its mirror image across the seam, which is
+exactly the development of the neighbouring hexagon.
 
 The shear of the two triangles across each edge gives the shear vector.
-Its entries satisfy two families of relations that serve as the main
-correctness oracle: the shears of the arc-ends at each cusp sum to zero,
-and the shears of the arc-ends spiralling on one side of a closed curve
-sum to the curve's length.
+Its entries satisfy two families of relations: the shears of the
+arc-ends at each cusp sum to zero, and the shears of the arc-ends
+spiralling on one side of a closed curve sum to the curve's length.
 
 Everything an edge needs lies in the frame of its own pants, so the
 per-pants kernel (pants_kernel) develops one pants at a time and reads
 off its shears, arc lengths and shear-point margins; LocalSurface puts
-the kernels of a surface together.  develop, shear_vector and
-shear_point_free_audit run the same primitives over the global pipeline
-and serve as its oracle.
+the kernels of a surface together into its shear vector.  No global
+frame is built.  The tests check the kernel against closed forms that
+do not depend on the developed geometry (tests/test_kernel.py).
 """
 
 from __future__ import annotations
@@ -30,77 +29,10 @@ from dataclasses import dataclass
 
 from . import geom
 from .constants import ShearFreeParams, truncated_collar_width
-from .decomposition import HexagonDecomposition, arc_rows
+from .decomposition import arc_rows
 from .geom import RELATION_TOL, Geodesic, IdealTriangle, Isometry
 from .pants import StdPants, _seam_ends, spiral_endpoint
-from .surface import Holonomy, PantsGraph
-
-
-@dataclass(frozen=True)
-class SpiralEnd:
-    kind: str                 # "cusp" | "curve"
-    cusp: object = None
-    curve: object = None
-    side: str = None          # relative to the declared orientation
-    direction: str = None     # "with" | "against" the declared orientation
-    slot_ref: tuple = None
-
-
-@dataclass(frozen=True)
-class SpiralEdge:
-    arc: tuple
-    ends: tuple
-
-
-@dataclass
-class SpirallingTriangulation:
-    hd: HexagonDecomposition
-    orientation_flips: dict   # curve id -> bool, False = canonical orientation
-    edges: list
-    triangles: list           # (pants, "front"/"back", arc triple)
-    closed_leaves: set
-
-
-def spiral(hd: HexagonDecomposition, orientation_flips=None) -> SpirallingTriangulation:
-    """Spin the arcs of the decomposition around their endpoint curves.
-
-    Arc ends on the left of an oriented curve spiral with the orientation,
-    ends on the right against it.  Flipping a curve's orientation swaps
-    the recorded side and direction of the ends at that curve but moves no
-    geometry: both choices single out the same limit points.
-    """
-    orientation_flips = dict(orientation_flips or {})
-    edges = []
-    closed = set()
-    for arc in hd.arcs:
-        ends = []
-        for ep in arc.endpoints:
-            if ep.kind == "at-cusp":
-                ends.append(SpiralEnd(kind="cusp", cusp=ep.cusp,
-                                      slot_ref=ep.slot_ref))
-                continue
-            flip = orientation_flips.get(ep.curve, False)
-            side = ep.side if not flip else \
-                ("left" if ep.side == "right" else "right")
-            ends.append(SpiralEnd(
-                kind="curve", curve=ep.curve, side=side,
-                direction="with" if side == "left" else "against",
-                slot_ref=ep.slot_ref))
-            closed.add(ep.curve)
-        edges.append(SpiralEdge(arc=arc.ident, ends=tuple(ends)))
-
-    triangles = []
-    num_pants = hd.hol.graph.num_pants
-    for p in range(num_pants):
-        for face in ("front", "back"):
-            triangles.append((p, face, ((p, 0), (p, 1), (p, 2))))
-
-    st = SpirallingTriangulation(hd=hd, orientation_flips=orientation_flips,
-                                 edges=edges, triangles=triangles,
-                                 closed_leaves=closed)
-    if len(st.edges) != 3 * num_pants or len(st.triangles) != 2 * num_pants:
-        raise ValueError("spiralling triangulation has wrong face counts")
-    return st
+from .surface import PantsGraph
 
 
 @dataclass(frozen=True)
@@ -128,12 +60,6 @@ class DevelopedEdge:
     def quadrilateral(self):
         return (self.edge.p, self.apex_front.point, self.edge.q,
                 self.apex_back.point)
-
-
-@dataclass
-class DevelopedComplex:
-    st: SpirallingTriangulation
-    edges: dict               # arc id -> DevelopedEdge
 
 
 class DevelopError(geom.GeometryError):
@@ -216,15 +142,6 @@ def develop_pants(sp: StdPants, p: int, slots) -> list:
     return edges
 
 
-def develop(hol: Holonomy, st: SpirallingTriangulation) -> DevelopedComplex:
-    """Realize each edge's ideal quadrilateral in its pants frame."""
-    edges = {}
-    for p in range(hol.graph.num_pants):
-        for de in develop_pants(hol.std[p], p, hol.graph.pants[p]):
-            edges[de.arc] = de
-    return DevelopedComplex(st=st, edges=edges)
-
-
 @dataclass
 class ShearVector:
     values: dict              # arc id -> shear
@@ -235,27 +152,7 @@ class ShearVector:
         return max((abs(v) for v in self.values.values()), default=0.0)
 
 
-def shear_vector(dc: DevelopedComplex, method: str = "cross_ratio") -> ShearVector:
-    """Per-edge shears of the developed triangulation, with their ends.
-
-    Each entry is edge_shear of the developed edge; the ends are grouped
-    by cusp and by (curve, side) as the spiralling recorded them.
-    """
-    values = {arc: edge_shear(de, method) for arc, de in dc.edges.items()}
-    cusp_ends = {}
-    side_ends = {}
-    for edge in dc.st.edges:
-        for idx, end in enumerate(edge.ends):
-            if end.kind == "cusp":
-                cusp_ends.setdefault(end.cusp, []).append((edge.arc, idx))
-            else:
-                side_ends.setdefault((end.curve, end.side), []).append(
-                    (edge.arc, idx))
-    return ShearVector(values=values, cusp_ends=cusp_ends,
-                       side_ends=side_ends)
-
-
-def edge_shear(de: DevelopedEdge, method: str = "cross_ratio") -> float:
+def edge_shear(de: DevelopedEdge) -> float:
     """Shear across one developed edge.
 
     The signed distance along the oriented edge from the tangency point
@@ -265,14 +162,10 @@ def edge_shear(de: DevelopedEdge, method: str = "cross_ratio") -> float:
     was pinned against those relations.
     """
     if geom.side_of(de.edge, de.apex_front.point) == "left":
-        t_left, t_right = de.front, de.back
         left, right = de.apex_front, de.apex_back
     else:
-        t_left, t_right = de.back, de.front
         left, right = de.apex_back, de.apex_front
-    if method == "cross_ratio":
-        return -geom.apex_shear(de.edge, right.point, left.point)
-    return geom.shear(t_right, t_left, de.edge, method=method)
+    return -geom.apex_shear(de.edge, right.point, left.point)
 
 
 @dataclass
@@ -288,17 +181,17 @@ class RelationReport:
     def max_side_residual(self):
         return max(self.side_residuals.values(), default=0.0)
 
-    def ok(self, tol: float = RELATION_TOL) -> bool:
-        return (self.max_cusp_residual <= tol
-                and self.max_side_residual <= tol)
+    def ok(self) -> bool:
+        return (self.max_cusp_residual <= RELATION_TOL
+                and self.max_side_residual <= RELATION_TOL)
 
 
-def shear_relations(sv: ShearVector, hd: HexagonDecomposition) -> RelationReport:
+def shear_relations(sv: ShearVector, curves: dict) -> RelationReport:
     """Residuals of the cusp-sum and curve-side-sum identities.
 
     Each group is the two arc-ends at one slot: they sum to 0 at a cusp
-    and to the curve's length at a glued slot.  Only ``hd.curves`` is
-    read, so a LocalSurface serves as well as a HexagonDecomposition.
+    and to the curve's length (curves maps curve id to length) at a
+    glued slot.
     """
     cusp_res = {}
     for cusp_id, ends in sv.cusp_ends.items():
@@ -306,7 +199,7 @@ def shear_relations(sv: ShearVector, hd: HexagonDecomposition) -> RelationReport
     side_res = {}
     for (cid, side), ends in sv.side_ends.items():
         total = sum(sv.values[a] for a, _ in ends)
-        side_res[(cid, side)] = abs(total - hd.curves[cid])
+        side_res[(cid, side)] = abs(total - curves[cid])
     return RelationReport(cusp_residuals=cusp_res, side_residuals=side_res)
 
 
@@ -324,15 +217,6 @@ class MarginRow:
     corner_kind: str
     margin: float
     detail: str
-
-
-@dataclass
-class ShearFreeReport:
-    rows: list
-
-    @property
-    def min_margin(self):
-        return min((r.margin for r in self.rows), default=math.inf)
 
 
 def margin_rows(de: DevelopedEdge, params: ShearFreeParams) -> list:
@@ -372,18 +256,6 @@ def margin_rows(de: DevelopedEdge, params: ShearFreeParams) -> list:
     return rows
 
 
-def shear_point_free_audit(dc: DevelopedComplex,
-                           params: ShearFreeParams) -> ShearFreeReport:
-    """Check that no shear point enters a thin cusp region or safe collar.
-
-    Collects margin_rows over every developed edge.
-    """
-    rows = []
-    for de in dc.edges.values():
-        rows += margin_rows(de, params)
-    return ShearFreeReport(rows=rows)
-
-
 # ---------------------------------------------------------------------------
 # the per-pants kernel
 
@@ -401,9 +273,7 @@ def pants_kernel(sp: StdPants, p: int, slots, log4a: float,
                  params: ShearFreeParams) -> PantsKernel:
     """Develop pants p once and read off its shears, lengths and margins.
 
-    Uses the primitives of the developed pipeline (develop_pants,
-    edge_shear, arc_rows, margin_rows) on this pants alone, so its
-    results equal the global ones; the global holonomy is never built.
+    develop_pants, then per arc edge_shear, arc_rows and margin_rows.
     """
     edges = develop_pants(sp, p, slots)
     shears = [edge_shear(de) for de in edges]
@@ -416,19 +286,17 @@ def pants_kernel(sp: StdPants, p: int, slots, log4a: float,
 class LocalSurface:
     """A surface put together from per-pants kernels, without a global frame.
 
-    ``curves`` maps curve id to length as HexagonDecomposition.curves
-    does, so shear_relations reads it in place of a decomposition.
     ``slot_sides`` gives, per glued slot (p, s), the side of its curve
     that the arc-ends there spiral on (decomposition.slot_sides).
     """
 
     graph: PantsGraph
-    curves: dict
     slot_sides: dict
     kernels: list
 
     def shear_vector(self) -> ShearVector:
-        """The ShearVector of the developed pipeline, from the kernels."""
+        """The shears of the kernels, with their arc-ends grouped by cusp
+        and by (curve, side)."""
         values = {}
         cusp_ends = {}
         side_ends = {}

@@ -17,10 +17,8 @@ import pytest
 from shearlab import chains as CH
 from shearlab import cli
 from shearlab import cusped as CU
-from shearlab import decomposition as D
 from shearlab import geom as G
 from shearlab import report
-from shearlab import spiralling as SP
 from shearlab import surface as S
 from shearlab.constants import (SHORT_CURVE_MAX, Signature,
                                 constants_audit, delta1, shear_free_params)
@@ -101,13 +99,9 @@ class TestT4:
             g, n = SIGS_T4[idx % len(SIGS_T4)]
             sig = Signature(g, n)
             pg, fn = S.sample_fn(sig, S.sample_seed(20240 + idx, idx))
-            hol = S.holonomy_from_fn(pg, fn)
-            hd = D.seam_decomposition(hol)
-            dc = SP.develop(hol, SP.spiral(hd))
-            sv = SP.shear_vector(dc)
-            rel = SP.shear_relations(sv, hd)
-            worst_cusp = max(worst_cusp, rel.max_cusp_residual)
-            worst_side = max(worst_side, rel.max_side_residual)
+            rec = report.run_surface(sig, pg, fn)
+            worst_cusp = max(worst_cusp, rec["cusp_residual"])
+            worst_side = max(worst_side, rec["spiral_residual"])
         ok = worst_cusp < 1e-6 and worst_side < 1e-6
         assert announce("T4 shear-sum relations (200 samples)", ok,
                         f"worst cusp {worst_cusp:.2e}, "

@@ -298,7 +298,8 @@ class TestRelationCheck:
         pg = canonical_pants_graph(sig)
         fn = FNCoordinates({0: 1.0}, {0: 0.2})
         assert report.run_surface(sig, pg, fn)["relations_ok"]
-        monkeypatch.setattr(spiralling, "shear_relations", lambda sv, hd: bad)
+        monkeypatch.setattr(spiralling, "shear_relations",
+                            lambda sv, curves: bad)
         rec = report.run_surface(sig, pg, fn)
         assert not rec["relations_ok"]
         assert rec["cusp_residual"] == 2 * RELATION_TOL

@@ -23,6 +23,12 @@ def chain(sig, seed=None, lengths=None, twists=None):
     return fn, CH.build_cusped_chain(hol)
 
 
+def assert_glue_keys(cx):
+    """A flip re-glues all six sides it touches: no stale or missing key."""
+    assert set(cx.glue) == {(f, s) for f in range(cx.num_faces())
+                            for s in range(3)}
+
+
 class TestChainConstruction:
     def test_three_cusps(self):
         fn, (cx, sigma, walks) = chain(Signature(0, 3))
@@ -119,6 +125,8 @@ class TestFlips:
             cx2, s2 = CU.flip(cx, sigma, e)
             f1, _ = e
             cx3, s3 = CU.flip(cx2, s2, (f1, 1))
+            assert_glue_keys(cx2)
+            assert_glue_keys(cx3)
             v1 = sorted(sigma.values())
             v3 = sorted(s3.values())
             assert all(abs(a - b) <= 1e-12 for a, b in zip(v1, v3))
@@ -297,7 +305,8 @@ class TestMinimaxSearch:
                 for cand in cx.edges():
                     if not CU.flippable(cx, cand):
                         continue
-                    _, flipped = CU.flip(cx, sigma, cand)
+                    flipped_cx, flipped = CU.flip(cx, sigma, cand)
+                    assert_glue_keys(flipped_cx)
                     assert (CU._flip_score(cx, sigma, cand)
                             == CU.max_abs_shear(flipped))
                     scored += 1

@@ -1,11 +1,14 @@
-"""Seam decompositions: combinatorics, seam words, truncation."""
+"""Seam arcs: combinatorics, seam words, truncation, certification."""
 
 import math
 
 from shearlab import decomposition as D
 from shearlab import geom as G
+from shearlab import report
 from shearlab import surface as S
-from shearlab.constants import INTERMEDIATE_CURVE_MAX, Signature, area
+from shearlab.constants import (INTERMEDIATE_CURVE_MAX, Signature, area,
+                                collar_width)
+from shearlab.pants import _seam_ends
 
 
 def build(sig, seed=None, lengths=None, twists=None):
@@ -17,66 +20,99 @@ def build(sig, seed=None, lengths=None, twists=None):
         fn = S.FNCoordinates({}, {})
     else:
         pg, fn = S.sample_fn(sig, seed)
-    hol = S.holonomy_from_fn(pg, fn)
-    return hol, D.seam_decomposition(hol)
+    return S.holonomy_from_fn(pg, fn)
+
+
+def arcs(hol):
+    """(p, k), the pants and the slot kinds at both ends of every seam arc."""
+    out = []
+    for p, sp in enumerate(hol.std):
+        for k in range(3):
+            ends = [hol.graph.pants[p][s] for s in _seam_ends(k)]
+            out.append(((p, k), sp, ends))
+    return out
+
+
+def shortness_rows(hol, sig):
+    """The rows run_surface certifies: curve rows, then per arc its rows."""
+    log4a = math.log(4.0 * area(sig))
+    curves = {cid: hol.fn.length(cid) for cid in hol.graph.curve_ids()}
+    rows = D.curve_rows(curves, log4a)
+    for arc, sp, _ in arcs(hol):
+        rows += D.arc_rows(sp, arc, log4a)
+    return rows
 
 
 class TestCombinatorics:
     def test_three_cusped_sphere(self):
-        _, hd = build(Signature(0, 3))
-        assert len(hd.faces) == 2
-        assert len(hd.arcs) == 3
-        assert hd.curves == {}
-        for arc in hd.arcs:
-            assert all(e.kind == "at-cusp" for e in arc.endpoints)
-            assert arc.length == math.inf
+        hol = build(Signature(0, 3))
+        rec = report.run_surface(Signature(0, 3), hol.graph, hol.fn)
+        assert len(rec["shears"]) == 3
+        assert 2 * hol.graph.num_pants == 2
+        assert hol.graph.curve_ids() == []
+        for arc, sp, ends in arcs(hol):
+            assert all(kind == "cusp" for kind, _ in ends)
+            assert D.arc_length(sp, arc[1]) == math.inf
 
     def test_genus_two(self):
-        _, hd = build(Signature(2, 0), seed=4)
-        assert len(hd.curves) == 3
-        assert len(hd.arcs) == 6
-        assert len(hd.faces) == 4
+        hol = build(Signature(2, 0), seed=4)
+        rec = report.run_surface(Signature(2, 0), hol.graph, hol.fn)
+        assert len(hol.graph.curve_ids()) == 3
+        assert len(rec["shears"]) == 6
+        assert 2 * hol.graph.num_pants == 4
 
     def test_arc_count_formula(self):
         for g, n, seed in [(1, 1, 0), (1, 2, 1), (0, 4, 2), (2, 1, 3)]:
             sig = Signature(g, n)
-            _, hd = build(sig, seed=seed)
-            assert len(hd.arcs) == 3 * (2 * g - 2 + n)
-            assert len(hd.arcs) == 6 * g - 6 + 3 * n
+            hol = build(sig, seed=seed)
+            rec = report.run_surface(sig, hol.graph, hol.fn)
+            assert len(rec["shears"]) == 3 * (2 * g - 2 + n)
+            assert len(rec["shears"]) == 6 * g - 6 + 3 * n
 
     def test_arcs_border_two_faces(self):
-        _, hd = build(Signature(2, 1), seed=9)
-        count = {}
-        for face in hd.faces:
-            for kind, ref in face[2]:
-                if kind == "arc":
-                    count[ref] = count.get(ref, 0) + 1
-        assert all(v == 2 for v in count.values())
+        # each arc is the shared edge of the front and the back triangle
+        # of its pants, and the three front triangles are one triangle
+        from shearlab.spiralling import develop_pants
+        hol = build(Signature(2, 1), seed=9)
+        for p, sp in enumerate(hol.std):
+            edges = develop_pants(sp, p, hol.graph.pants[p])
+            fronts = {frozenset(de.front.vertices()) for de in edges}
+            assert len(fronts) == 1
+            for de in edges:
+                ends = {de.edge.p, de.edge.q}
+                assert ends < set(de.front.vertices())
+                assert ends < set(de.back.vertices())
+                assert set(de.front.vertices()) != set(de.back.vertices())
 
     def test_sides_recorded_relative_to_orientation(self):
-        _, hd = build(Signature(1, 1), seed=2)
-        sides = [e.side for a in hd.arcs for e in a.endpoints
-                 if e.kind == "on-curve"]
-        assert set(sides) == {"left", "right"}
+        hol = build(Signature(1, 1), seed=2)
+        sides = D.slot_sides(hol.graph, hol.std)
+        assert sorted(sides) == [(0, 0), (0, 1)]
+        assert set(sides.values()) == {"left", "right"}
 
 
 class TestTwistIndependence:
     def test_arc_lengths_do_not_move(self):
         sig = Signature(1, 2)
         lengths = {0: 1.4, 1: 0.8}
-        _, hd0 = build(sig, lengths=lengths, twists={0: 0.0, 1: 0.0})
-        _, hd1 = build(sig, lengths=lengths, twists={0: 0.9, 1: -2.3})
-        for a0, a1 in zip(hd0.arcs, hd1.arcs):
-            if a0.length == math.inf:
-                assert a1.length == math.inf
+        hol0 = build(sig, lengths=lengths, twists={0: 0.0, 1: 0.0})
+        hol1 = build(sig, lengths=lengths, twists={0: 0.9, 1: -2.3})
+        for (arc, sp0, _), (_, sp1, _) in zip(arcs(hol0), arcs(hol1)):
+            l0, l1 = D.arc_length(sp0, arc[1]), D.arc_length(sp1, arc[1])
+            if l0 == math.inf:
+                assert l1 == math.inf
             else:
-                assert abs(a0.length - a1.length) <= 1e-12 * max(1, a0.length)
+                assert abs(l0 - l1) <= 1e-12 * max(1, l0)
+        rec0 = report.run_surface(sig, hol0.graph, hol0.fn)
+        rec1 = report.run_surface(sig, hol1.graph, hol1.fn)
+        assert {k: v for k, v in rec0.items() if k != "fn"} == {
+            k: v for k, v in rec1.items() if k != "fn"}
 
 
 def seam_word(hol, arc):
     """The word X_i X_j of the two boundary slots a seam joins."""
-    p, k = arc.ident
-    i, j = (m for m in range(3) if m != k)
+    p, k = arc
+    i, j = _seam_ends(k)
     return hol.evaluate_class([(f"bnd:{p}:{i}", 1), (f"bnd:{p}:{j}", 1)])
 
 
@@ -84,14 +120,15 @@ class TestGammaA:
     """The seam word X_i X_j is conjugate to the third boundary X_k^-1.
 
     X1 X2 X3 = 1 forces this, so a doubled-loop row on that word would
-    only repeat the curve row of slot k; certify_short has no such row.
+    only repeat the curve row of slot k; the shortness rows have no such
+    row.
     """
 
     def test_equals_third_boundary_class(self):
         sig = Signature(2, 0)
-        hol, hd = build(sig, seed=6)
-        for arc in hd.arcs:
-            p, k = arc.ident
+        hol = build(sig, seed=6)
+        for arc, _, _ in arcs(hol):
+            p, k = arc
             third = hol.graph.pants[p][k]
             f = seam_word(hol, arc)
             assert third[0] == "curve"
@@ -101,10 +138,10 @@ class TestGammaA:
 
     def test_once_punctured_torus_gamma_is_cusp(self):
         sig = Signature(1, 1)
-        hol, hd = build(sig, lengths={0: 1.0})
-        arc = hd.arc((0, 2))  # the seam joining the two glued slots
-        ends = [e.kind for e in arc.endpoints]
-        assert ends == ["on-curve", "on-curve"]
+        hol = build(sig, lengths={0: 1.0})
+        arc = (0, 2)  # the seam joining the two glued slots
+        ends = [hol.graph.pants[0][s][0] for s in _seam_ends(arc[1])]
+        assert ends == ["curve", "curve"]
         assert G.classify(seam_word(hol, arc)) == "parabolic"
 
 
@@ -112,19 +149,19 @@ class TestTruncation:
     def test_three_cusped_sphere_vanishes(self):
         # the standard cusp regions of the three-cusped sphere are
         # mutually tangent, so nothing of the seam survives
-        _, hd = build(Signature(0, 3))
-        for arc in hd.arcs:
-            t = D.truncate_arc(hd.hol.std[arc.ident[0]], arc.ident[1])
+        hol = build(Signature(0, 3))
+        for arc, sp, _ in arcs(hol):
+            t = D.truncate_arc(sp, arc[1])
             assert t.truncated_length <= 1e-9
             assert not t.overlap_diagnostic
 
     def test_long_curves_keep_everything(self):
         sig = Signature(2, 0)
         lengths = {c: 3.0 for c in range(3)}
-        hol, hd = build(sig, lengths=lengths)
-        for arc in hd.arcs:
-            t = D.truncate_arc(hd.hol.std[arc.ident[0]], arc.ident[1])
-            assert math.isclose(t.truncated_length, arc.length,
+        hol = build(sig, lengths=lengths)
+        for arc, sp, _ in arcs(hol):
+            t = D.truncate_arc(sp, arc[1])
+            assert math.isclose(t.truncated_length, D.arc_length(sp, arc[1]),
                                 rel_tol=1e-12)
             assert t.removed == []
 
@@ -132,24 +169,22 @@ class TestTruncation:
         sig = Signature(2, 0)
         short = 0.4
         lengths = {0: short, 1: 3.0, 2: 3.0}
-        hol, hd = build(sig, lengths=lengths)
-        from shearlab.constants import collar_width
+        hol = build(sig, lengths=lengths)
         w = collar_width(short)
-        for arc in hd.arcs:
-            ends_on_short = sum(1 for e in arc.endpoints
-                                if e.curve == 0)
-            t = D.truncate_arc(hd.hol.std[arc.ident[0]], arc.ident[1])
-            want = arc.length - ends_on_short * w
-            if ends_on_short and arc.length != math.inf:
+        for arc, sp, ends in arcs(hol):
+            ends_on_short = sum(1 for end in ends if end == ("curve", 0))
+            length = D.arc_length(sp, arc[1])
+            t = D.truncate_arc(sp, arc[1])
+            want = length - ends_on_short * w
+            if ends_on_short and length != math.inf:
                 assert abs(t.truncated_length - want) <= 1e-9
 
     def test_shrinking_curve_shrinks_arc(self):
         sig = Signature(1, 1)
         prev = None
         for L in (2.0, 1.0, 0.6, 0.3):
-            hol, hd = build(sig, lengths={0: L})
-            arc = hd.arc((0, 2))
-            t = D.truncate_arc(hd.hol.std[arc.ident[0]], arc.ident[1])
+            hol = build(sig, lengths={0: L})
+            t = D.truncate_arc(hol.std[0], 2)
             if prev is not None and L <= INTERMEDIATE_CURVE_MAX:
                 assert t.truncated_length <= prev + 1e-9
             prev = t.truncated_length
@@ -157,9 +192,9 @@ class TestTruncation:
     def test_no_overlaps_on_samples(self):
         for trial in range(30):
             sig = Signature(*[(1, 1), (0, 4), (2, 1)][trial % 3])
-            hol, hd = build(sig, seed=S.sample_seed(31, trial))
-            for arc in hd.arcs:
-                t = D.truncate_arc(hd.hol.std[arc.ident[0]], arc.ident[1])
+            hol = build(sig, seed=S.sample_seed(31, trial))
+            for arc, sp, _ in arcs(hol):
+                t = D.truncate_arc(sp, arc[1])
                 assert not t.overlap_diagnostic
                 assert not t.clamped
                 assert t.truncated_length >= 0.0
@@ -167,33 +202,32 @@ class TestTruncation:
 
 class TestCertification:
     def test_three_cusped_sphere_certified(self):
-        _, hd = build(Signature(0, 3))
-        rep = D.certify_short(hd, Signature(0, 3))
-        assert rep.certified
+        sig = Signature(0, 3)
+        hol = build(sig)
+        assert all(row.passed for row in shortness_rows(hol, sig))
+        assert report.run_surface(sig, hol.graph, hol.fn)["certified"]
 
     def test_sampled_surfaces_certified(self):
         for trial in range(20):
             sig = Signature(*[(1, 1), (1, 2), (2, 0), (0, 5)][trial % 4])
-            hol, hd = build(sig, seed=S.sample_seed(17, trial))
-            rep = D.certify_short(hd, sig)
-            assert rep.certified, [r.name for r in rep.rows if not r.passed]
+            hol = build(sig, seed=S.sample_seed(17, trial))
+            rows = shortness_rows(hol, sig)
+            assert all(r.passed for r in rows), [r.name for r in rows
+                                                 if not r.passed]
+            assert report.run_surface(sig, hol.graph, hol.fn)["certified"]
 
     def test_adversarial_long_curve_fails(self):
         sig = Signature(1, 2)
         bad = 3.0 * math.log(4 * area(sig))
-        hol, hd = build(sig, lengths={0: bad, 1: 1.0})
-        rep = D.certify_short(hd, sig)
-        assert not rep.certified
-        failing = [r.name for r in rep.rows if not r.passed]
+        hol = build(sig, lengths={0: bad, 1: 1.0})
+        assert not report.run_surface(sig, hol.graph, hol.fn)["certified"]
+        failing = [r.name for r in shortness_rows(hol, sig) if not r.passed]
         assert any("curve 0" in name for name in failing)
 
     def test_report_shape(self):
-        hol, hd = build(Signature(1, 1), lengths={0: 1.0})
-        rep = D.certify_short(hd, Signature(1, 1))
-        data = rep.as_dict()
-        assert data["certified"] == rep.certified
+        hol = build(Signature(1, 1), lengths={0: 1.0})
         # curve lengths, raw lengths of curve-to-curve arcs, truncated arcs
-        assert [row["name"] for row in data["rows"]] == [
+        assert [row.name for row in shortness_rows(hol, Signature(1, 1))] == [
             "curve 0 length <= 2 log(4 area)",
             "arc (0, 0) truncated length <= 6 log(4 area)",
             "arc (0, 1) truncated length <= 6 log(4 area)",

@@ -4,10 +4,14 @@ No module may define the same top-level name twice (the later definition
 silently replaces the earlier one), and no module may import a name it
 never uses.  The package ``__init__`` re-exports names, so its imports
 are exempt.  Every UPPER_CASE constant the library defines at top level
-must be read somewhere in the library or its tests.
+must be read somewhere in the library or its tests.  Every defaulted
+parameter of a library function must be passed by some call in the
+library, its tests, demos or benchmark: a default nothing overrides is a
+constant.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -18,6 +22,8 @@ SRC = ROOT / "src" / "shearlab"
 MODULES = sorted(SRC.glob("*.py"))
 READERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
     (ROOT / "tests").rglob("*.py"))
+CALLERS = READERS + sorted((ROOT / "demos").rglob("*.py")) + sorted(
+    (ROOT / "perfbench").rglob("*.py"))
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
@@ -87,6 +93,60 @@ def unread_constants(defining, reading):
     return [name for name in defined if name not in read]
 
 
+def _defaulted(fn, is_method):
+    """(parameter, position among the call's positional arguments or None)."""
+    positional = fn.args.posonlyargs + fn.args.args
+    if is_method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list):
+        positional = positional[1:]
+    out = [(arg.arg, pos) for pos, arg in enumerate(positional)
+           if pos >= len(positional) - len(fn.args.defaults)]
+    out += [(arg.arg, None) for arg, default
+            in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def unset_defaults(defining, calling):
+    """Defaulted parameters that no call passes, by keyword or by position.
+
+    Calls are matched by the called name alone (``f(...)`` or
+    ``x.f(...)``; a class name calls its ``__init__``), so a parameter
+    passed to any function of the same name counts as passed.
+    """
+    params = []
+    for tree in defining:
+        methods = {id(fn): cls.name for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = fn.name
+                if name == "__init__" and id(fn) in methods:
+                    name = methods[id(fn)]
+                params += [(name, arg, pos) for arg, pos
+                           in _defaulted(fn, id(fn) in methods)]
+    calls = {}
+    for tree in calling:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keys = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (math.inf if starred else len(node.args), keys))
+
+    def passed(name, arg, pos):
+        return any(arg in keys or None in keys
+                   or (pos is not None and npos > pos)
+                   for npos, keys in calls.get(name, ()))
+
+    return [f"{name}({arg}=)" for name, arg, pos in params
+            if not passed(name, arg, pos)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_duplicate_top_level_names(path):
     assert duplicate_definitions(_parse(path)) == []
@@ -104,6 +164,11 @@ def test_every_constant_is_read():
                             [_parse(p) for p in READERS]) == []
 
 
+def test_every_default_is_set_somewhere():
+    assert unset_defaults([_parse(p) for p in MODULES],
+                          [_parse(p) for p in CALLERS]) == []
+
+
 def test_checks_catch_their_targets():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "def f():\n    return tau\n"
@@ -115,3 +180,11 @@ def test_checks_catch_their_targets():
     reader = ast.parse("from lib import UNREAD\nimport lib\n"
                        "x = A_TOL + lib._B + lib.C\nUNREAD = 7\n")
     assert unread_constants([lib], [reader]) == ["UNREAD"]
+    lib = ast.parse("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+                    "def g(x=1):\n    pass\n"
+                    "def h(y=1):\n    pass\n"
+                    "class K:\n    def __init__(self, z=1, w=2):\n"
+                    "        pass\n    def m(self, u=1, v=2):\n        pass\n")
+    caller = ast.parse("f(0, 1, e=5)\nmod.g(*xs)\nh(**kw)\n"
+                       "K(1)\nK().m(1)\nobj.m(v=2)\n")
+    assert unset_defaults([lib], [caller]) == ["f(c=)", "f(d=)", "K(w=)"]

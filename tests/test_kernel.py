@@ -1,24 +1,33 @@
-"""The per-pants kernel of run_surface against the global pipeline.
+"""The per-pants kernel of run_surface against closed forms.
 
 run_surface develops each pants once in its own frame and never builds
-the global holonomy.  The oracle here is the developed pipeline:
-holonomy_from_fn -> seam_decomposition -> spiral -> develop ->
-shear_vector / shear_relations / certify_short / shear_point_free_audit.
+the global holonomy.  Every value a record takes from the developed
+geometry is a function of the pants' boundary-length triple (a cusp
+counts as length 0), with closed forms that do not depend on the
+developed geometry; a_k is pants.seam_lengths and w is collar_width,
+counted only at ends with l <= 2 asinh 1:
+
+* the shear of seam arc k joining slots i < j is (l_i + l_j - l_k)/2;
+* the raw length of a curve-to-curve arc is a_k;
+* its truncated length is max(0, a_k - w(l_i) - w(l_j)).
+
+The shear-points method of geom.shear (the incircle tangency points of
+the two triangles) is the second, independent way to read each shear.
 """
 
 import math
-import re
 
 import pytest
 
-from shearlab import decomposition as D
+from shearlab import geom as G
 from shearlab import report
 from shearlab import spiralling as SP
 from shearlab import surface as S
-from shearlab.constants import Signature, main_bound, shear_free_params
+from shearlab.constants import (INTERMEDIATE_CURVE_MAX, Signature, area,
+                                collar_width, main_bound, shear_free_params)
 from shearlab.geom import GeometryError
+from shearlab.pants import _seam_ends, build_pants, seam_lengths
 
-REL = 1e-12
 SIGS = ((1, 1), (0, 5), (3, 2), (5, 5))
 COUNT = 20
 BASE_SEED = 2024
@@ -27,78 +36,73 @@ BASE_SEED = 2024
 TREE_GLUING = (9, 12, 58, 96)
 
 
-def oracle_record(sig, pg, fn):
-    hol = S.holonomy_from_fn(pg, fn)
-    hd = D.seam_decomposition(hol)
-    dc = SP.develop(hol, SP.spiral(hd))
-    sv = SP.shear_vector(dc)
-    rel = SP.shear_relations(sv, hd)
-    shortness = D.certify_short(hd, sig)
-    audit = SP.shear_point_free_audit(dc, shear_free_params())
-    return sv, {
-        "shears": {str(k): v for k, v in sorted(sv.values.items())},
-        "max_shear": sv.max_abs(),
-        "certified": shortness.certified,
-        "cusp_residual": rel.max_cusp_residual,
-        "spiral_residual": rel.max_side_residual,
-        "relations_ok": rel.ok(),
-        "min_margin": audit.min_margin if audit.rows else None,
-        "bound_satisfied": sv.max_abs() < main_bound(sig),
-    }
+def closed_form_shear(ls, k):
+    i, j = _seam_ends(k)
+    return (ls[i] + ls[j] - ls[k]) / 2.0
 
 
-def close(a, b):
-    return abs(a - b) <= REL * max(1.0, abs(b))
+def collar(length):
+    return collar_width(length) if length <= INTERMEDIATE_CURVE_MAX else 0.0
 
 
-def kernel_run(monkeypatch, sig, pg, fn):
-    """run_surface's record and the ShearVector it checked the relations on."""
-    seen = {}
-    original = SP.shear_relations
+def shear_points_shear(de):
+    """The shear of a developed edge read from the incircle tangency points."""
+    if G.side_of(de.edge, de.apex_front.point) == "left":
+        return G.shear(de.back, de.front, de.edge, method="shear_points")
+    return G.shear(de.front, de.back, de.edge, method="shear_points")
 
-    def spy(sv, hd):
-        seen["sv"] = sv
-        return original(sv, hd)
 
-    monkeypatch.setattr(SP, "shear_relations", spy)
-    return report.run_surface(sig, pg, fn), seen["sv"]
+def check_pants(sig, pg, fn, p, rec):
+    """Check the kernel of pants p and the record's shears against closed forms."""
+    ls = S.slot_lengths(pg, fn, p)
+    scale = max(1.0, max(ls))
+    sp = build_pants(*ls)
+    kern = SP.pants_kernel(sp, p, pg.pants[p], math.log(4.0 * area(sig)),
+                           shear_free_params())
+    seams = seam_lengths(*ls)
+    rows = iter(kern.shortness)
+    for k, de in enumerate(SP.develop_pants(sp, p, pg.pants[p])):
+        got = rec["shears"][str((p, k))]
+        assert got == kern.shears[k] == SP.edge_shear(de)
+        assert abs(got - closed_form_shear(ls, k)) <= 1e-10 * scale, (p, k)
+        dual = shear_points_shear(de)
+        assert abs(got - dual) <= 1e-10 * max(1.0, abs(dual)), (p, k)
+        i, j = _seam_ends(k)
+        if sp.slot_is_cusp[i] or sp.slot_is_cusp[j]:
+            next(rows)             # the truncated row alone
+            continue
+        a_k = seams[k]
+        raw, trunc = next(rows), next(rows)
+        assert raw.name.startswith(f"arc {(p, k)} length")
+        assert trunc.name.startswith(f"arc {(p, k)} truncated length")
+        assert abs(raw.value - a_k) <= 1e-9 * max(1.0, a_k), (p, k)
+        want = max(0.0, a_k - collar(ls[i]) - collar(ls[j]))
+        assert abs(trunc.value - want) <= 1e-9 * max(1.0, a_k), (p, k)
+    assert next(rows, None) is None
 
 
 @pytest.mark.parametrize("gn", SIGS, ids=lambda gn: f"{gn[0]}-{gn[1]}")
-def test_records_match_global_pipeline(monkeypatch, gn):
+def test_records_match_closed_forms(gn):
     sig = Signature(*gn)
     compared = 0
     for i in range(COUNT):
         pg, fn = S.sample_fn(sig, S.sample_seed(BASE_SEED, i))
         try:
-            sv_ref, want = oracle_record(sig, pg, fn)
+            rec = report.run_surface(sig, pg, fn)
         except GeometryError as err:
-            if "tree gluing" in str(err):
-                continue          # the kernel does not build that frame
-            with pytest.raises(GeometryError, match=re.escape(str(err))):
-                report.run_surface(sig, pg, fn)
+            # long boundaries crowd together in build_pants' frame (a
+            # known conditioning defect): no record to check
+            assert "pants relation" in str(err), i
             continue
-        got, sv = kernel_run(monkeypatch, sig, pg, fn)
         compared += 1
-        # the kernel groups the arc-ends exactly as the spiralling does
-        assert sv.cusp_ends == sv_ref.cusp_ends
-        assert sv.side_ends == sv_ref.side_ends
-        for key in ("certified", "relations_ok", "bound_satisfied"):
-            assert got[key] == want[key], key
-        assert got["shears"].keys() == want["shears"].keys()
-        for key, value in want["shears"].items():
-            assert close(got["shears"][key], value), key
-        for key in ("max_shear", "cusp_residual", "spiral_residual"):
-            assert close(got[key], want[key]), key
-        if want["min_margin"] is None:
-            assert got["min_margin"] is None
-        else:
-            assert close(got["min_margin"], want["min_margin"])
+        assert rec["relations_ok"], i
+        assert len(rec["shears"]) == 3 * pg.num_pants
+        for p in range(pg.num_pants):
+            check_pants(sig, pg, fn, p, rec)
     assert compared >= COUNT * 3 // 4
 
 
 def test_tree_gluing_samples_match_closed_form():
-    # the shear of seam arc k joining slots i < j is (l_i + l_j - l_k)/2
     sig = Signature(5, 5)
     for i in TREE_GLUING:
         pg, fn = S.sample_fn(sig, S.sample_seed(3, i))
@@ -109,21 +113,43 @@ def test_tree_gluing_samples_match_closed_form():
         for p in range(pg.num_pants):
             ls = S.slot_lengths(pg, fn, p)
             for k in range(3):
-                a, b = (s for s in range(3) if s != k)
-                want = (ls[a] + ls[b] - ls[k]) / 2.0
                 got = rec["shears"][str((p, k))]
-                assert abs(got - want) <= 1e-9 * max(1.0, max(ls))
+                assert abs(got - closed_form_shear(ls, k)) <= 1e-9 * max(
+                    1.0, max(ls))
 
 
 def test_sampling_never_builds_the_global_frame(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("global pipeline called on the sampling path")
+        raise AssertionError("global holonomy built on the sampling path")
 
     monkeypatch.setattr(S, "holonomy_from_fn", refuse)
     monkeypatch.setattr(report, "holonomy_from_fn", refuse, raising=False)
-    monkeypatch.setattr(D, "seam_decomposition", refuse)
-    for name in ("spiral", "develop", "shear_vector"):
-        monkeypatch.setattr(SP, name, refuse)
     records, summary = report.run_sample_campaign(Signature(2, 1), 5, 6)
     assert summary["failures"] == 0, [r.get("error") for r in records]
     assert all(math.isfinite(r["max_shear"]) for r in records)
+
+
+@pytest.mark.parametrize("gn", ((2, 1), (5, 5), (10, 0)),
+                         ids=lambda gn: f"{gn[0]}-{gn[1]}")
+def test_shears_within_boundary_lengths(gn):
+    # |(l_i + l_j - l_k)/2| <= max(l_i, l_j, l_k), and a certified record
+    # has every curve at most 2 log(4 area): so its max |shear| is at most
+    # 2 log(4 area), far below the main bound, and exit 5 cannot fire on
+    # a certified record
+    sig = Signature(*gn)
+    cap = 2.0 * math.log(4.0 * area(sig))
+    assert cap < main_bound(sig)
+    records, summary = report.run_sample_campaign(sig, 42, 20)
+    good = [rec for rec in records if not rec.get("error")]
+    assert len(good) >= len(records) // 2
+    for rec in good:
+        pg, fn = S.sample_fn(sig, rec["seed"])
+        for p in range(pg.num_pants):
+            ls = S.slot_lengths(pg, fn, p)
+            top = max(ls)
+            for k in range(3):
+                got = abs(rec["shears"][str((p, k))])
+                assert got <= top + 1e-9 * max(1.0, top), (p, k)
+        if rec["certified"]:
+            assert rec["max_shear"] <= cap < rec["bound"]
+    assert summary["bound_violations_certified"] == 0

@@ -1,15 +1,19 @@
 """Spiralling triangulations: developing, shears, relations, audits."""
 
+import math
+
 import numpy as np
 
 from shearlab import decomposition as D
 from shearlab import geom as G
+from shearlab import report
 from shearlab import spiralling as SP
 from shearlab import surface as S
-from shearlab.constants import Signature, main_bound, shear_free_params
+from shearlab.constants import Signature, area, main_bound, shear_free_params
+from shearlab.pants import _seam_ends
 
 
-def pipeline(sig, seed=None, lengths=None, twists=None, flips=None):
+def surface(sig, seed=None, lengths=None, twists=None):
     if lengths is not None:
         pg = S.canonical_pants_graph(sig)
         fn = S.FNCoordinates(lengths, twists or {k: 0.0 for k in lengths})
@@ -18,71 +22,124 @@ def pipeline(sig, seed=None, lengths=None, twists=None, flips=None):
         fn = S.FNCoordinates({}, {})
     else:
         pg, fn = S.sample_fn(sig, seed)
+    return pg, fn
+
+
+def record(sig, **kwargs):
+    return report.run_surface(sig, *surface(sig, **kwargs))
+
+
+def developed(sig, **kwargs):
+    """The developed edges of every pants, each in its own frame."""
+    pg, fn = surface(sig, **kwargs)
     hol = S.holonomy_from_fn(pg, fn)
-    hd = D.seam_decomposition(hol)
-    st = SP.spiral(hd, flips)
-    dc = SP.develop(hol, st)
-    return hol, hd, st, dc
+    return hol, [de for p, sp in enumerate(hol.std)
+                 for de in SP.develop_pants(sp, p, pg.pants[p])]
+
+
+def local_surface(sig, slot_sides=None, **kwargs):
+    """The LocalSurface run_surface builds, and its curve lengths."""
+    pg, fn = surface(sig, **kwargs)
+    hol = S.holonomy_from_fn(pg, fn)
+    log4a = math.log(4.0 * area(sig))
+    kernels = [SP.pants_kernel(sp, p, pg.pants[p], log4a, shear_free_params())
+               for p, sp in enumerate(hol.std)]
+    sides = D.slot_sides(pg, hol.std) if slot_sides is None else slot_sides
+    ls = SP.LocalSurface(graph=pg, slot_sides=sides, kernels=kernels)
+    return ls, {cid: fn.length(cid) for cid in pg.curve_ids()}
+
+
+def margins(edges, kind=None):
+    params = shear_free_params()
+    return [row.margin for de in edges for row in SP.margin_rows(de, params)
+            if kind is None or row.corner_kind == kind]
+
+
+def flipped(sides, refs=None):
+    """The slot sides with the sides at refs (default: all) swapped."""
+    other = {"left": "right", "right": "left"}
+    return {ref: other[side] if refs is None or ref in refs else side
+            for ref, side in sides.items()}
 
 
 class TestSpiral:
     def test_three_cusped_sphere_no_leaves(self):
-        _, _, st, _ = pipeline(Signature(0, 3))
-        assert st.closed_leaves == set()
-        assert len(st.edges) == 3 and len(st.triangles) == 2
+        ls, _ = local_surface(Signature(0, 3))
+        sv = ls.shear_vector()
+        assert sv.side_ends == {}
+        assert len(sv.values) == 3 and len(sv.cusp_ends) == 3
 
     def test_once_punctured_torus_counts(self):
-        _, _, st, _ = pipeline(Signature(1, 1), lengths={0: 1.0})
-        assert len(st.edges) == 3
-        assert len(st.triangles) == 2
-        assert st.closed_leaves == {0}
+        ls, _ = local_surface(Signature(1, 1), lengths={0: 1.0})
+        sv = ls.shear_vector()
+        assert len(sv.values) == 3
+        assert {cid for cid, _ in sv.side_ends} == {0}
+        assert set(sv.cusp_ends) == {0}
 
     def test_edge_counts_match_formula(self):
         for g, n, seed in [(1, 2, 1), (2, 0, 2), (0, 5, 3)]:
             sig = Signature(g, n)
-            _, _, st, _ = pipeline(sig, seed=seed)
-            assert len(st.edges) == 6 * g - 6 + 3 * n
-            assert len(st.triangles) == 4 * g - 4 + 2 * n
+            pg, _ = surface(sig, seed=seed)
+            assert len(record(sig, seed=seed)["shears"]) == 6 * g - 6 + 3 * n
+            assert 2 * pg.num_pants == 4 * g - 4 + 2 * n
 
     def test_left_side_spirals_with_orientation(self):
-        _, _, st, _ = pipeline(Signature(1, 1), lengths={0: 1.0})
-        for edge in st.edges:
-            for end in edge.ends:
-                if end.kind == "curve":
-                    want = "with" if end.side == "left" else "against"
-                    assert end.direction == want
+        # a curve is oriented from the repelling to the attracting fixed
+        # point of its slot holonomy; an arc-end on its left spirals with
+        # the orientation, onto the attracting point
+        for seed in range(4):
+            hol, edges = developed(Signature(2, 1), seed=seed)
+            seen = 0
+            for de in edges:
+                p, k = de.arc
+                sp = hol.std[p]
+                ends = zip(_seam_ends(k), de.end_corners)
+                for s, corner in (*ends, (k, de.apex_front)):
+                    if corner.kind != "curve":
+                        continue
+                    att, rep = G.fixed_points(sp.slot_hol[s])
+                    want = att if D._slot_side(sp, s) == "left" else rep
+                    assert corner.point == want
+                    seen += 1
+            assert seen > 0
 
     def test_orientation_flip_is_local(self):
+        # reversing one curve's orientation swaps the side labels of that
+        # curve's arc-ends only
         sig = Signature(1, 2)
-        _, _, st0, _ = pipeline(sig, seed=5)
-        _, _, st1, _ = pipeline(sig, seed=5, flips={0: True})
-        for e0, e1 in zip(st0.edges, st1.edges):
-            for a, b in zip(e0.ends, e1.ends):
-                if a.kind == "curve" and a.curve == 0:
-                    assert a.side != b.side and a.direction != b.direction
-                else:
-                    assert a == b
+        ls0, _ = local_surface(sig, seed=5)
+        refs = ls0.graph.curve_ends()[0]
+        ls1, _ = local_surface(sig, seed=5,
+                               slot_sides=flipped(ls0.slot_sides, refs))
+        sv0, sv1 = ls0.shear_vector(), ls1.shear_vector()
+        assert sv0.values == sv1.values and sv0.cusp_ends == sv1.cusp_ends
+        for (cid, side), ends in sv0.side_ends.items():
+            if cid == 0:
+                other = "left" if side == "right" else "right"
+                assert sv1.side_ends[(cid, other)] == ends
+            else:
+                assert sv1.side_ends[(cid, side)] == ends
 
 
 class TestDevelop:
     def test_three_cusped_sphere_is_square(self):
-        _, _, _, dc = pipeline(Signature(0, 3))
-        for de in dc.edges.values():
+        _, edges = developed(Signature(0, 3))
+        for de in edges:
             quad = de.quadrilateral()
             assert len(set(quad)) == 4
 
     def test_quadrilateral_points_interleave(self):
         for trial in range(20):
             sig = Signature(*[(1, 1), (2, 0), (0, 4), (2, 1)][trial % 4])
-            _, _, _, dc = pipeline(sig, seed=S.sample_seed(23, trial))
-            for de in dc.edges.values():
+            _, edges = developed(sig, seed=S.sample_seed(23, trial))
+            for de in edges:
                 left = G.side_of(de.edge, de.apex_front.point)
                 right = G.side_of(de.edge, de.apex_back.point)
                 assert {left, right} == {"left", "right"}
 
     def test_fixed_point_residuals(self):
-        _, _, _, dc = pipeline(Signature(2, 1), seed=12)
-        for de in dc.edges.values():
+        _, edges = developed(Signature(2, 1), seed=12)
+        for de in edges:
             for corner in (*de.end_corners, de.apex_front, de.apex_back):
                 img = corner.stabilizer.apply_boundary(corner.point)
                 if corner.point == G.INF or img == G.INF:
@@ -92,61 +149,57 @@ class TestDevelop:
                         1.0, abs(corner.point))
 
     def test_orientation_flip_does_not_move_geometry(self):
-        # both spiral conventions single out the same limit points, so the
-        # developed edges agree whatever orientations are declared, and
-        # the sum relations hold under either labelling of the sides
+        # the shears come from the developed pants alone, so they agree
+        # whatever orientations are declared, and the sum relations hold
+        # under either labelling of the sides
         sig = Signature(1, 2)
-        _, hd0, _, dc0 = pipeline(sig, seed=5)
-        _, hd1, _, dc1 = pipeline(sig, seed=5, flips={0: True, 1: True})
-        for arc in dc0.edges:
-            q0 = dc0.edges[arc].quadrilateral()
-            q1 = dc1.edges[arc].quadrilateral()
-            assert q0 == q1
-        rel = SP.shear_relations(SP.shear_vector(dc1), hd1)
-        assert rel.ok()
+        ls0, curves = local_surface(sig, seed=5)
+        ls1, _ = local_surface(sig, seed=5,
+                               slot_sides=flipped(ls0.slot_sides))
+        sv0, sv1 = ls0.shear_vector(), ls1.shear_vector()
+        assert sv0.values == sv1.values
+        assert SP.shear_relations(sv1, curves).ok()
 
 
 class TestShearVector:
     def test_three_cusped_sphere_zero(self):
-        _, _, _, dc = pipeline(Signature(0, 3))
-        sv = SP.shear_vector(dc)
-        assert all(abs(v) <= 1e-12 for v in sv.values.values())
-        assert sv.max_abs() <= 1e-12
+        rec = record(Signature(0, 3))
+        assert all(abs(v) <= 1e-12 for v in rec["shears"].values())
+        assert rec["max_shear"] <= 1e-12
 
     def test_once_punctured_torus_forced_values(self):
         # relations force the two cusp-ended arcs to zero shear and the
         # self-seam arc to the curve length, whatever the twist
         for twist in (0.0, 0.4, 0.9):
-            _, hd, _, dc = pipeline(Signature(1, 1), lengths={0: 1.0},
-                                    twists={0: twist})
-            sv = SP.shear_vector(dc)
-            assert abs(sv.values[(0, 2)] - 1.0) <= 1e-9
-            assert abs(sv.values[(0, 0)]) <= 1e-9
-            assert abs(sv.values[(0, 1)]) <= 1e-9
+            shears = record(Signature(1, 1), lengths={0: 1.0},
+                            twists={0: twist})["shears"]
+            assert abs(shears["(0, 2)"] - 1.0) <= 1e-9
+            assert abs(shears["(0, 0)"]) <= 1e-9
+            assert abs(shears["(0, 1)"]) <= 1e-9
 
     def test_relations_on_samples(self):
         for trial in range(40):
             sig = Signature(*[(1, 1), (1, 2), (0, 4), (0, 5)][trial % 4])
-            _, hd, _, dc = pipeline(sig, seed=S.sample_seed(29, trial))
-            sv = SP.shear_vector(dc)
-            rel = SP.shear_relations(sv, hd)
-            assert rel.max_cusp_residual <= 1e-6
-            assert rel.max_side_residual <= 1e-6
+            rec = record(sig, seed=S.sample_seed(29, trial))
+            assert rec["cusp_residual"] <= 1e-6
+            assert rec["spiral_residual"] <= 1e-6
 
     def test_dual_method_agreement(self):
-        _, _, _, dc = pipeline(Signature(2, 0), seed=3)
-        sv1 = SP.shear_vector(dc)
-        sv2 = SP.shear_vector(dc, method="shear_points")
-        for arc in sv1.values:
-            assert abs(sv1.values[arc] - sv2.values[arc]) <= 1e-9
+        _, edges = developed(Signature(2, 0), seed=3)
+        for de in edges:
+            if G.side_of(de.edge, de.apex_front.point) == "left":
+                left, right = de.front, de.back
+            else:
+                left, right = de.back, de.front
+            dual = G.shear(right, left, de.edge, method="shear_points")
+            assert abs(SP.edge_shear(de) - dual) <= 1e-9
 
     def test_base_lift_independence(self):
         # transporting a quadrilateral by any deck element leaves the
         # shear unchanged
         rng = np.random.default_rng(31)
-        _, _, _, dc = pipeline(Signature(1, 2), seed=8)
-        sv = SP.shear_vector(dc)
-        for arc, de in dc.edges.items():
+        _, edges = developed(Signature(1, 2), seed=8)
+        for de in edges:
             while True:
                 a, b, c, d = rng.uniform(-2, 2, size=4)
                 if a * d - b * c > 0.1:
@@ -156,26 +209,21 @@ class TestShearVector:
                    (de.edge.p, de.edge.q, de.apex_front.point,
                     de.apex_back.point)]
             edge = G.Geodesic(pts[0], pts[1])
-            t1 = _tri(pts[0], pts[1], pts[2])
-            t2 = _tri(pts[0], pts[1], pts[3])
+            t1 = G.IdealTriangle(*G.oriented(pts[0], pts[1], pts[2]))
+            t2 = G.IdealTriangle(*G.oriented(pts[0], pts[1], pts[3]))
             left, right = ((t1, t2) if G.side_of(edge, pts[2]) == "left"
                            else (t2, t1))
             moved = G.shear(right, left, edge)
-            assert abs(moved - sv.values[arc]) <= 1e-9 * max(
+            assert abs(moved - SP.edge_shear(de)) <= 1e-9 * max(
                 1.0, abs(moved))
 
     def test_index_sets_partition_ends(self):
-        _, _, st, dc = pipeline(Signature(2, 1), seed=14)
-        sv = SP.shear_vector(dc)
-        total = sum(len(v) for v in sv.cusp_ends.values())
-        total += sum(len(v) for v in sv.side_ends.values())
-        assert total == 2 * len(st.edges)
-
-
-def _tri(a, b, c):
-    if G.cyclically_ordered(a, b, c):
-        return G.IdealTriangle(a, b, c)
-    return G.IdealTriangle(a, c, b)
+        ls, _ = local_surface(Signature(2, 1), seed=14)
+        sv = ls.shear_vector()
+        ends = [end for group in (*sv.cusp_ends.values(),
+                                  *sv.side_ends.values()) for end in group]
+        assert sorted(ends) == sorted((arc, idx) for arc in sv.values
+                                      for idx in (0, 1))
 
 
 class TestTheoremAtSmallScale:
@@ -183,11 +231,9 @@ class TestTheoremAtSmallScale:
         for trial in range(25):
             sig = Signature(*[(1, 1), (2, 0), (0, 4), (2, 1), (1, 2)]
                             [trial % 5])
-            hol, hd, st, dc = pipeline(sig, seed=S.sample_seed(37, trial))
-            sv = SP.shear_vector(dc)
-            rep = D.certify_short(hd, sig)
-            if rep.certified:
-                assert sv.max_abs() < main_bound(sig)
+            rec = record(sig, seed=S.sample_seed(37, trial))
+            if rec["certified"]:
+                assert rec["max_shear"] < main_bound(sig)
 
 
 class TestHolonomyCocycle:
@@ -196,7 +242,7 @@ class TestHolonomyCocycle:
         # returns to the start: X1 X2 X3 = 1 up to machine error
         for trial in range(10):
             sig = Signature(*[(1, 2), (2, 1), (0, 5)][trial % 3])
-            hol, _, _, _ = pipeline(sig, seed=S.sample_seed(43, trial))
+            hol, _ = developed(sig, seed=S.sample_seed(43, trial))
             for sp in hol.std:
                 prod = sp.slot_hol[0] @ sp.slot_hol[1] @ sp.slot_hol[2]
                 assert abs(abs(prod.trace()) - 2.0) <= 1e-8
@@ -205,36 +251,30 @@ class TestHolonomyCocycle:
 
 class TestShearPointFreeAudit:
     def test_three_cusped_sphere(self):
-        _, _, _, dc = pipeline(Signature(0, 3))
-        rep = SP.shear_point_free_audit(dc, shear_free_params())
-        assert rep.min_margin > 0
+        _, edges = developed(Signature(0, 3))
+        assert min(margins(edges)) > 0
 
     def test_short_curve_margins_positive(self):
-        _, _, _, dc = pipeline(Signature(1, 1), lengths={0: 0.05})
-        rep = SP.shear_point_free_audit(dc, shear_free_params())
-        assert rep.min_margin > 0
+        _, edges = developed(Signature(1, 1), lengths={0: 0.05})
+        assert min(margins(edges)) > 0
 
     def test_margin_trend_along_shrinking_curve(self):
         # the guaranteed floor of the collar margin tends to
         # log(sinh(rho)/rho') as the curve shrinks; the measured margins
         # stay positive and drift monotonically toward their own limit
         # (upward, for this family: the shear points sit well clear)
-        params = shear_free_params()
-        margins = []
+        trend = []
         for L in (0.2, 0.1, 0.05, 0.02, 0.01):
-            _, _, _, dc = pipeline(Signature(1, 1), lengths={0: L})
-            rep = SP.shear_point_free_audit(dc, params)
-            collar_rows = [r.margin for r in rep.rows
-                           if r.corner_kind == "curve"]
+            _, edges = developed(Signature(1, 1), lengths={0: L})
+            collar_rows = margins(edges, "curve")
             assert min(collar_rows) > 0
-            margins.append(min(collar_rows))
-        diffs = [b - a for a, b in zip(margins, margins[1:])]
+            trend.append(min(collar_rows))
+        diffs = [b - a for a, b in zip(trend, trend[1:])]
         assert all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
-        assert max(margins) < 2.0
+        assert max(trend) < 2.0
 
     def test_sampled_audits(self):
         for trial in range(20):
             sig = Signature(*[(1, 1), (1, 2), (0, 4), (2, 1)][trial % 4])
-            _, _, _, dc = pipeline(sig, seed=S.sample_seed(41, trial))
-            rep = SP.shear_point_free_audit(dc, shear_free_params())
-            assert rep.min_margin > 0
+            rec = record(sig, seed=S.sample_seed(41, trial))
+            assert rec["min_margin"] > 0

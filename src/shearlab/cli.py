@@ -9,16 +9,19 @@ Subcommands:
   Exit 1 on a parse error (including a curve without an fn row or not
   glued to exactly two slots, and a pants graph that does not match the
   declared signature), 3 on a geometry-invariant failure (including a
-  non-positive or non-finite length and a disconnected gluing graph).
+  non-positive or non-finite length, a non-finite twist and a
+  disconnected gluing graph).
 * ``shear sample --g G --n N --count K --seed S``: seeded sampling
   campaign; exit 5 if any certified sample violates the shear bound,
-  1 for a negative count.
+  1 for a negative count, a non-finite or negative ``--twist-max``, a
+  non-finite or non-positive length bound, or a length maximum below
+  the length minimum (the defaults count: 0.05 and 2 log(4 area)).
 * ``shear optimize SURFACE.json --budget B --seed S``: flip search on a
   cusped chain surface (genus 0, up to five punctures).  Each of the B
   steps scores every flippable edge in closed form and builds only the
   one flip it takes.  Exit 1 on a parse error (as for ``compute``) or a
   negative budget, 4 for surfaces without a supported start
-  triangulation.
+  triangulation or that fail a geometry invariant (as for ``compute``).
 
 Boundary lengths too long for float64 (about 76 and up) fail the pants
 construction: ``compute`` exits 3 and ``optimize`` exits 4.
@@ -96,18 +99,37 @@ def cmd_compute(args) -> int:
     return 0
 
 
+def _sample_problem(args, length_range):
+    """What makes the flags of ``shear sample`` invalid, or None."""
+    if args.count < 0:
+        return f"--count must be non-negative, got {args.count}"
+    for flag in ("length_min", "length_max", "twist_max"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            return f"--{flag.replace('_', '-')} must be finite, got {value}"
+    if args.twist_max < 0:
+        return f"--twist-max must be non-negative, got {args.twist_max}"
+    if length_range:
+        lo, hi = length_range
+        if lo <= 0:
+            return f"--length-min must be positive, got {lo}"
+        if hi < lo:
+            return f"length maximum {hi} is below length minimum {lo}"
+    return None
+
+
 def cmd_sample(args) -> int:
     sig = _signature(args)
-    if args.count < 0:
-        print(f"error: --count must be non-negative, got {args.count}",
-              file=sys.stderr)
-        return 1
     length_range = None
     if args.length_min is not None or args.length_max is not None:
         lo = args.length_min if args.length_min is not None else 0.05
         hi = (args.length_max if args.length_max is not None
               else 2.0 * math.log(4.0 * area(sig)))
         length_range = (lo, hi)
+    problem = _sample_problem(args, length_range)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
     records, summary = report.run_sample_campaign(
         sig, args.seed, args.count, length_range=length_range,

@@ -1,12 +1,15 @@
-"""Seam arcs of a pair of pants: sides, lengths, truncation, shortness.
+"""Seam arcs of a pair of pants: slot sides and the shortness certificate.
 
 Cutting a pair of pants along its three seams (the mutual perpendiculars
-between boundary components) gives two right-angled hexagons.  Everything
-here is read from one pants in standard position: the side of its curve
-each glued slot lies on (slot_sides), the length of each seam arc
-(arc_length; infinite at a cusp end), its length after removing standard
-cusp neighborhoods and thin collars (truncate_arc), and the rows of the
-shortness certificate (curve_rows, arc_rows).  The doubled-loop bound has
+between boundary components) gives two right-angled hexagons.  The side
+of its curve that each glued slot lies on is read from the gluing order
+(slot_sides), and the rows of the shortness certificate from the
+boundary lengths alone (curve_rows, arc_rows): the raw and truncated
+lengths of each seam arc, after removing standard cusp neighborhoods
+(bounded by horocycles of length 2) and the collars of curves no longer
+than 2 asinh 1, have closed forms in the pants' length triple.  The
+geometric measurement these replace, in the developed pants, is the
+tests' oracle (tests/geometric_oracle.py).  The doubled-loop bound has
 no row: the seam word X_i X_j is conjugate to the third boundary of its
 pants (X1 X2 X3 = 1), so a row on it would only repeat that curve's row.
 """
@@ -16,194 +19,56 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import geom
 from .constants import INTERMEDIATE_CURVE_MAX, collar_width
-from .geom import INF, Geodesic, Isometry, mobius_two_point
-from .pants import StdPants, _seam_ends
+from .pants import _seam_ends, seam_lengths
 from .surface import PantsGraph
 
 
-def _slot_side(sp: StdPants, s: int) -> str:
-    """Side of the boundary curve at slot s that the pants lies on.
-
-    The curve is oriented from the repelling to the attracting fixed
-    point of its holonomy in the pants' own frame.
-    """
-    att, rep = geom.fixed_points(sp.slot_hol[s])
-    return geom.side_of_point(Geodesic(rep, att), sp.slot_probe[s])
-
-
-def slot_sides(pg: PantsGraph, std) -> dict:
+def slot_sides(pg: PantsGraph) -> dict:
     """Side of its curve that each glued slot (p, s) lies on.
 
-    A curve takes its orientation from its first slot in (pants, slot)
-    order, measured by _slot_side in that pants' frame; its other slot
-    lies on the opposite side.
+    A curve is oriented so that the pants at its first slot in (pants,
+    slot) order lies on its left; the pants at its other slot lies on
+    its right.
     """
     sides = {}
     for refs in pg.curve_ends().values():
         first, second = sorted(refs)
-        side = _slot_side(std[first[0]], first[1])
-        sides[first] = side
-        sides[second] = "left" if side == "right" else "right"
+        sides[first] = "left"
+        sides[second] = "right"
     return sides
 
 
-def arc_length(sp: StdPants, k: int) -> float:
-    """Length of seam arc k between its feet; math.inf at a cusp end."""
-    (i, foot_i), (j, foot_j) = sp.seam_feet[k]
-    if sp.slot_is_cusp[i] or sp.slot_is_cusp[j]:
-        return math.inf
-    return geom.dist(foot_i, foot_j)
+def _collar(length: float) -> float:
+    """Width removed at a curve end: the collar of an intermediate curve."""
+    return collar_width(length) if length <= INTERMEDIATE_CURVE_MAX else 0.0
 
 
-# ---------------------------------------------------------------------------
-# truncation of arcs at thin parts
-
-
-# length of the horocycle bounding a standard cusp neighborhood
-CUSP_HOROCYCLE_LENGTH = 2.0
-
-
-def _cusp_height(sp: StdPants, slot: int):
-    """Standard horoball at the slot's cusp.
-
-    Returned as (normalizer to the point at infinity, height): the ball is
-    y >= height in the normalized frame, bounded by a horocycle of length
-    CUSP_HOROCYCLE_LENGTH.
-    """
-    m, shift = geom.parabolic_shift(sp.slot_hol[slot], sp.slot_point[slot])
-    return m, shift / CUSP_HOROCYCLE_LENGTH
-
-
-def _seam_coordinate(seam: Geodesic):
-    """Arclength coordinate along the seam: t(z) = log Im(M z)."""
-    m = mobius_two_point(seam.p, seam.q)
-
-    def coord(z: complex) -> float:
-        return math.log(m(z).imag)
-
-    return m, coord
-
-
-def _horoball_interval(seam: Geodesic, coord, m_cusp: Isometry, height: float):
-    """t-interval where the seam runs inside the horoball, or None."""
-    a = m_cusp.apply_boundary(seam.p)
-    b = m_cusp.apply_boundary(seam.q)
-    if a == INF or b == INF:
-        # the seam ends in this cusp: vertical line x = const in cusp frame.
-        # The seam coordinate runs to -inf at seam.p and +inf at seam.q.
-        x0 = b if a == INF else a
-        entry = m_cusp.inverse()(complex(x0, height))
-        t0 = coord(entry)
-        return (-math.inf, t0) if a == INF else (t0, math.inf)
-    r = abs(b - a) / 2.0
-    if r <= height:
-        return None
-    c0 = (a + b) / 2.0
-    spread = math.acosh(r / height)
-    inv = m_cusp.inverse()
-    top = coord(inv(complex(c0, r)))
-    return (top - spread, top + spread)
-
-
-def _collar_interval(seam: Geodesic, coord, axis: Geodesic, width: float):
-    """t-interval where the seam runs inside the collar, or None."""
-    try:
-        cross = geom.geodesic_intersection(seam, axis)
-    except geom.GeometryError:
-        cross = None
-    if cross is not None:
-        # perpendicular crossing: distance grows as |t - t_cross|
-        t0 = coord(cross)
-        return (t0 - width, t0 + width)
-    d_min = geom.dist_between_geodesics(seam, axis)
-    if d_min >= width or d_min == 0.0:
-        return None
-    perp = geom.common_perpendicular(seam, axis)
-    foot = geom.geodesic_intersection(seam, perp)
-    t0 = coord(foot)
-    spread = math.acosh(math.sinh(width) / math.sinh(d_min))
-    return (t0 - spread, t0 + spread)
-
-
-@dataclass
-class Truncation:
-    seam: int
-    full_length: float
-    truncated_length: float
-    removed: list            # (slot, lo, hi) intervals in seam coordinates
-    overlap_diagnostic: bool
-    clamped: bool
-
-
-def truncate_arc(sp: StdPants, k: int) -> Truncation:
+def truncated_length(lengths: tuple, k: int) -> float:
     """Length of seam arc k outside cusp neighborhoods and thin collars.
 
-    Removes, along the seam in the pants' own frame, the standard cusp
-    neighborhoods (boundary length 2) and the collars of width w(l)
-    around boundary curves of length at most 2 arcsinh(1).  All three
-    slots of the pants are scanned, so a thin third boundary crossing the
-    arc's interior is removed as well.  Disjointness of the removed
-    regions is checked and reported; negative leftovers are clamped to
-    zero with a diagnostic.
+    lengths is the pants' boundary-length triple (0 = cusp); the arc
+    joins slots i < j and t = k is the third boundary.  By the collar
+    lemma the collar or cusp region of the third boundary never meets
+    the arc, so only its two ends are cut:
+
+    * curve to curve: a_k - w(l_i) - w(l_j), a_k the seam length;
+    * cusp to curve o: log((cosh(l_t/2) + cosh(l_o/2)) / sinh(l_o/2))
+      - w(l_o);
+    * cusp to cusp: log((1 + cosh(l_t/2)) / 2);
+
+    each clamped at 0.
     """
-    seam = sp.seams[k]
-    m, coord = _seam_coordinate(seam)
     i, j = _seam_ends(k)
-
-    # the arc segment in seam coordinates
-    bounds = []
-    feet = dict(sp.seam_feet[k])
-    for s in (i, j):
-        if sp.slot_is_cusp[s]:
-            # seam escapes to the cusp: the segment is infinite on this side
-            bounds.append(math.inf if m.apply_boundary(feet[s]) == INF
-                          else -math.inf)
-        else:
-            bounds.append(coord(feet[s]))
-    lo, hi = sorted(bounds)
-
-    removed = []
-    for s in range(3):
-        if sp.slot_is_cusp[s]:
-            m_cusp, height = _cusp_height(sp, s)
-            interval = _horoball_interval(seam, coord, m_cusp, height)
-        else:
-            length = sp.lengths[s]
-            if length > INTERMEDIATE_CURVE_MAX:
-                continue
-            interval = _collar_interval(seam, coord, sp.slot_axis[s],
-                                        collar_width(length))
-        if interval is None:
-            continue
-        a, b = max(interval[0], lo), min(interval[1], hi)
-        if a < b:
-            removed.append((s, a, b))
-
-    removed.sort(key=lambda r: r[1])
-    overlap = any(r1[2] > r2[1] + 1e-12 for r1, r2 in zip(removed, removed[1:]))
-    # measure the complement of the removed set within [lo, hi]; the cusp
-    # horoballs cover the infinite ends, so the leftover is finite
-    left = 0.0
-    clamped = False
-    cursor = lo
-    for _, a, b in removed:
-        if a > cursor:
-            left += a - cursor
-        cursor = max(cursor, b)
-    if hi > cursor:
-        left += hi - cursor
-    if not math.isfinite(left):
-        raise geom.GeometryError(
-            f"truncation of seam {k} in the pants with boundary lengths "
-            f"{sp.lengths} left an unbounded segment")
-    if left < 0.0:
-        left = 0.0
-        clamped = True
-    return Truncation(seam=k, full_length=hi - lo,
-                      truncated_length=left, removed=removed,
-                      overlap_diagnostic=overlap, clamped=clamped)
+    li, lj, lt = lengths[i], lengths[j], lengths[k]
+    if li and lj:
+        return max(0.0, seam_lengths(*lengths)[k] - _collar(li) - _collar(lj))
+    lo = li or lj
+    if lo:
+        depth = math.log((math.cosh(lt / 2.0) + math.cosh(lo / 2.0))
+                         / math.sinh(lo / 2.0))
+        return max(0.0, depth - _collar(lo))
+    return math.log((1.0 + math.cosh(lt / 2.0)) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +90,24 @@ def curve_rows(curves: dict, log4a: float) -> list:
             for cid, length in sorted(curves.items())]
 
 
-def arc_rows(sp: StdPants, arc: tuple, log4a: float) -> list:
+def arc_rows(lengths: tuple, arc: tuple, log4a: float) -> list:
     """Rows of the raw and truncated length bounds of seam arc (p, k).
 
-    The raw length is bounded only between two curves, per regime: the
-    collar widths of the intermediate curves at its ends are added.
+    lengths is the boundary-length triple of pants p (0 = cusp).  The
+    raw length, the seam length a_k, is bounded only between two curves,
+    per regime: the collar widths of the intermediate curves at its ends
+    are added.
     """
     k = arc[1]
     i, j = _seam_ends(k)
     rows = []
-    if not (sp.slot_is_cusp[i] or sp.slot_is_cusp[j]):
-        length = arc_length(sp, k)
-        slack = sum(collar_width(l) for l in (sp.lengths[i], sp.lengths[j])
-                    if l <= INTERMEDIATE_CURVE_MAX)
+    if lengths[i] and lengths[j]:
+        length = seam_lengths(*lengths)[k]
+        slack = _collar(lengths[i]) + _collar(lengths[j])
         rows.append(ShortnessRow(
             f"arc {arc} length <= 6 log(4 area) + collar widths",
             length, 6.0 * log4a + slack, length <= 6.0 * log4a + slack))
-    trunc = truncate_arc(sp, k).truncated_length
+    trunc = truncated_length(lengths, k)
     rows.append(ShortnessRow(
         f"arc {arc} truncated length <= 6 log(4 area)",
         trunc, 6.0 * log4a, trunc <= 6.0 * log4a))

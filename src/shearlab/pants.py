@@ -13,7 +13,12 @@ circle with feet derived from tanh^2(a1/2); seam 1 is solved for from the
 two remaining distance constraints.  The boundary holonomies are the
 products of reflections in adjacent seams, so the pants group relation
 X1 X2 X3 = 1 holds by construction, cusps degenerating to parabolics
-without any special casing.
+without any special casing.  This ordering puts the pants on the left
+of each boundary axis oriented from the repelling to the attracting
+fixed point of its holonomy, which is what lets the spiral corners and
+slot sides be read without a side test.  The seam lengths have a closed
+form (seam_lengths); the probe point of each glued slot only orients
+its gluing normalizer (slot_normalizer).
 """
 
 from __future__ import annotations
@@ -268,14 +273,3 @@ def slot_normalizer(pants: StdPants, slot: int) -> Isometry:
             scale = Isometry.from_matrix(1.0 / s, 0.0, 0.0, s)
             return scale @ m
     raise GeometryError("could not orient slot axis with body on the right")
-
-
-def spiral_endpoint(axis_p, axis_q, probe: complex):
-    """Ideal endpoint a spiralling arc converges to at this boundary corner.
-
-    The arc spirals toward the endpoint for which the corner's body lies
-    on the left of the axis oriented toward that endpoint.
-    """
-    if geom.side_of_point(Geodesic(axis_p, axis_q), probe) == "left":
-        return axis_q
-    return axis_p

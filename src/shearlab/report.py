@@ -3,9 +3,11 @@
 A single surface run is a loop over pants.  Each pants is built in
 standard position from its boundary-length triple and developed once in
 its own frame by the per-pants kernel (spiralling.pants_kernel): six
-spiral corners, then per arc the shear, the raw and truncated lengths and
-the shear-point margins.  The record is put together from the kernels:
-relation residuals per slot, shortness certification and the audit
+spiral corners, then per arc the shear and the shear-point margins; the
+raw and truncated arc lengths are closed forms in the length triple
+(decomposition.arc_rows).  The record is put together from the kernels:
+relation residuals per slot, with slot sides read from the gluing order
+(decomposition.slot_sides), shortness certification and the audit
 minimum.  No global holonomy is built.
 Reports are deterministic: records are assembled in sample order and
 contain no wall-clock data (timings go to a side channel).
@@ -90,7 +92,7 @@ def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
     kernels = [spiralling.pants_kernel(sp, p, pg.pants[p], log4a, params)
                for p, sp in enumerate(std)]
     surface = spiralling.LocalSurface(
-        graph=pg, slot_sides=decomposition.slot_sides(pg, std),
+        graph=pg, slot_sides=decomposition.slot_sides(pg),
         kernels=kernels)
     sv = surface.shear_vector()
     relations = spiralling.shear_relations(sv, curves)

@@ -7,7 +7,10 @@ developed as an ideal quadrilateral in the standard frame of its pants
 (develop_pants): the shared edge joins the spiral limit points at its
 two end slots, the first apex is the limit point at the opposite slot,
 and the second apex is its mirror image across the seam, which is
-exactly the development of the neighbouring hexagon.
+exactly the development of the neighbouring hexagon.  Each limit point
+at a closed curve is a fixed point of the slot holonomy, read off
+without a side test: the attracting one in the pants' own hexagon, the
+repelling one of the reflected holonomy in the mirrored hexagon.
 
 The shear of the two triangles across each edge gives the shear vector.
 Its entries satisfy two families of relations: the shears of the
@@ -16,7 +19,8 @@ spiralling on one side of a closed curve sum to the curve's length.
 
 Everything an edge needs lies in the frame of its own pants, so the
 per-pants kernel (pants_kernel) develops one pants at a time and reads
-off its shears, arc lengths and shear-point margins; LocalSurface puts
+off its shears and shear-point margins, with the shortness rows of its
+arcs from the closed forms of decomposition.arc_rows; LocalSurface puts
 the kernels of a surface together into its shear vector.  No global
 frame is built.  The tests check the kernel against closed forms that
 do not depend on the developed geometry (tests/test_kernel.py).
@@ -31,7 +35,7 @@ from . import geom
 from .constants import ShearFreeParams, truncated_collar_width
 from .decomposition import arc_rows
 from .geom import RELATION_TOL, Geodesic, IdealTriangle, Isometry
-from .pants import StdPants, _seam_ends, spiral_endpoint
+from .pants import StdPants, _seam_ends
 from .surface import PantsGraph
 
 
@@ -70,28 +74,37 @@ _FIX_TOL = 1e-6
 
 
 def _front_corner(sp: StdPants, slot, s: int) -> Corner:
-    """The spiral limit point at slot s of the front hexagon."""
+    """The spiral limit point at slot s of the front hexagon.
+
+    A spiralling arc converges to the endpoint of the boundary axis for
+    which its pants lies on the left of the axis oriented toward it.
+    Standard position puts every pants on the left of its boundary
+    oriented from the repelling to the attracting fixed point of the
+    slot holonomy, so the limit is the attracting fixed point.
+    """
     if sp.slot_is_cusp[s]:
         return Corner(point=sp.slot_point[s], kind="cusp",
                       stabilizer=sp.slot_hol[s])
     att, rep = geom.fixed_points(sp.slot_hol[s])
-    v = spiral_endpoint(att, rep, sp.slot_probe[s])
-    return Corner(point=v, kind="curve", curve=slot[1],
+    return Corner(point=att, kind="curve", curve=slot[1],
                   length=sp.lengths[s], axis=Geodesic(att, rep),
                   stabilizer=sp.slot_hol[s])
 
 
 def _back_apex(sp: StdPants, slot, k: int) -> Corner:
-    """The opposite-slot corner of the hexagon mirrored across seam k."""
+    """The opposite-slot corner of the hexagon mirrored across seam k.
+
+    The reflection reverses orientation: the mirrored pants lies on the
+    right of the reflected holonomy's axis oriented toward its
+    attracting fixed point, so the limit is the repelling one.
+    """
     refl = geom.geodesic_reflection(sp.seams[k])
     stab = refl.conjugate_isometry(sp.slot_hol[k])
     if sp.slot_is_cusp[k]:
         return Corner(point=refl.apply_boundary(sp.slot_point[k]),
                       kind="cusp", stabilizer=stab)
     att, rep = geom.fixed_points(stab)
-    probe = refl.apply(sp.slot_probe[k])
-    v = spiral_endpoint(att, rep, probe)
-    return Corner(point=v, kind="curve", curve=slot[1],
+    return Corner(point=rep, kind="curve", curve=slot[1],
                   length=sp.lengths[k], axis=Geodesic(att, rep),
                   stabilizer=stab)
 
@@ -273,11 +286,13 @@ def pants_kernel(sp: StdPants, p: int, slots, log4a: float,
                  params: ShearFreeParams) -> PantsKernel:
     """Develop pants p once and read off its shears, lengths and margins.
 
-    develop_pants, then per arc edge_shear, arc_rows and margin_rows.
+    develop_pants, then per arc edge_shear and margin_rows; arc_rows
+    reads the lengths from the boundary-length triple alone.
     """
     edges = develop_pants(sp, p, slots)
     shears = [edge_shear(de) for de in edges]
-    shortness = [row for de in edges for row in arc_rows(sp, de.arc, log4a)]
+    shortness = [row for de in edges
+                 for row in arc_rows(sp.lengths, de.arc, log4a)]
     margins = [row for de in edges for row in margin_rows(de, params)]
     return PantsKernel(shears=shears, shortness=shortness, margins=margins)
 
@@ -287,7 +302,8 @@ class LocalSurface:
     """A surface put together from per-pants kernels, without a global frame.
 
     ``slot_sides`` gives, per glued slot (p, s), the side of its curve
-    that the arc-ends there spiral on (decomposition.slot_sides).
+    that the arc-ends there spiral on (decomposition.slot_sides, read
+    from the gluing order).
     """
 
     graph: PantsGraph

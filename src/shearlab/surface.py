@@ -132,12 +132,15 @@ def _connected(pg: PantsGraph) -> bool:
 def check_surface(pg: PantsGraph, fn: FNCoordinates):
     """Reject Fenchel-Nielsen data that no surface can be built from.
 
-    Every curve needs a positive finite length, no cusp id may be used
-    twice, and the gluing graph must be connected; raises ValueError.
+    Every curve needs a positive finite length and a finite twist, no
+    cusp id may be used twice, and the gluing graph must be connected;
+    raises ValueError.
     """
     for cid in pg.curve_ids():
         if not (0.0 < fn.length(cid) < math.inf):
             raise ValueError(f"curve {cid} needs a positive finite length")
+        if not math.isfinite(fn.twist(cid)):
+            raise ValueError(f"curve {cid} needs a finite twist")
     pg.cusp_slots()
     if not _connected(pg):
         raise ValueError(DISCONNECTED)

@@ -1,0 +1,200 @@
+"""The geometric seam-arc code that the closed forms replaced.
+
+decomposition.slot_sides and decomposition.arc_rows read the side of
+each glued slot and the raw and truncated seam-arc lengths from the
+pants graph and the boundary-length triple alone; the kernel's spiral
+corners take fixed points of the slot holonomies without a probe test.
+This module keeps the geometric versions they replaced, measured in the
+developed pants itself, as the oracle the tests check those rules and
+formulas against: the side of the slot's probe point, the distance
+between seam feet, and the seam minus its intersections with the
+standard cusp horoballs and thin collars.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+from shearlab import geom
+from shearlab.constants import INTERMEDIATE_CURVE_MAX, collar_width
+from shearlab.geom import INF, Geodesic, Isometry, mobius_two_point
+from shearlab.pants import StdPants, _seam_ends
+
+
+def _slot_side(sp: StdPants, s: int) -> str:
+    """Side of the boundary curve at slot s that the pants lies on.
+
+    The curve is oriented from the repelling to the attracting fixed
+    point of its holonomy in the pants' own frame.
+    """
+    att, rep = geom.fixed_points(sp.slot_hol[s])
+    return geom.side_of_point(Geodesic(rep, att), sp.slot_probe[s])
+
+
+def spiral_endpoint(axis_p, axis_q, probe: complex):
+    """Ideal endpoint a spiralling arc converges to at this boundary corner.
+
+    The arc spirals toward the endpoint for which the corner's body lies
+    on the left of the axis oriented toward that endpoint.
+    """
+    if geom.side_of_point(Geodesic(axis_p, axis_q), probe) == "left":
+        return axis_q
+    return axis_p
+
+
+def arc_length(sp: StdPants, k: int) -> float:
+    """Length of seam arc k between its feet; math.inf at a cusp end."""
+    (i, foot_i), (j, foot_j) = sp.seam_feet[k]
+    if sp.slot_is_cusp[i] or sp.slot_is_cusp[j]:
+        return math.inf
+    return geom.dist(foot_i, foot_j)
+
+
+# ---------------------------------------------------------------------------
+# truncation of arcs at thin parts
+
+
+# length of the horocycle bounding a standard cusp neighborhood
+CUSP_HOROCYCLE_LENGTH = 2.0
+
+
+def _cusp_height(sp: StdPants, slot: int):
+    """Standard horoball at the slot's cusp.
+
+    Returned as (normalizer to the point at infinity, height): the ball is
+    y >= height in the normalized frame, bounded by a horocycle of length
+    CUSP_HOROCYCLE_LENGTH.
+    """
+    m, shift = geom.parabolic_shift(sp.slot_hol[slot], sp.slot_point[slot])
+    return m, shift / CUSP_HOROCYCLE_LENGTH
+
+
+def _seam_coordinate(seam: Geodesic):
+    """Arclength coordinate along the seam: t(z) = log Im(M z)."""
+    m = mobius_two_point(seam.p, seam.q)
+
+    def coord(z: complex) -> float:
+        return math.log(m(z).imag)
+
+    return m, coord
+
+
+def _horoball_interval(seam: Geodesic, coord, m_cusp: Isometry, height: float):
+    """t-interval where the seam runs inside the horoball, or None."""
+    a = m_cusp.apply_boundary(seam.p)
+    b = m_cusp.apply_boundary(seam.q)
+    if a == INF or b == INF:
+        # the seam ends in this cusp: vertical line x = const in cusp frame.
+        # The seam coordinate runs to -inf at seam.p and +inf at seam.q.
+        x0 = b if a == INF else a
+        entry = m_cusp.inverse()(complex(x0, height))
+        t0 = coord(entry)
+        return (-math.inf, t0) if a == INF else (t0, math.inf)
+    r = abs(b - a) / 2.0
+    if r <= height:
+        return None
+    c0 = (a + b) / 2.0
+    spread = math.acosh(r / height)
+    inv = m_cusp.inverse()
+    top = coord(inv(complex(c0, r)))
+    return (top - spread, top + spread)
+
+
+def _collar_interval(seam: Geodesic, coord, axis: Geodesic, width: float):
+    """t-interval where the seam runs inside the collar, or None."""
+    try:
+        cross = geom.geodesic_intersection(seam, axis)
+    except geom.GeometryError:
+        cross = None
+    if cross is not None:
+        # perpendicular crossing: distance grows as |t - t_cross|
+        t0 = coord(cross)
+        return (t0 - width, t0 + width)
+    d_min = geom.dist_between_geodesics(seam, axis)
+    if d_min >= width or d_min == 0.0:
+        return None
+    perp = geom.common_perpendicular(seam, axis)
+    foot = geom.geodesic_intersection(seam, perp)
+    t0 = coord(foot)
+    spread = math.acosh(math.sinh(width) / math.sinh(d_min))
+    return (t0 - spread, t0 + spread)
+
+
+@dataclass
+class Truncation:
+    seam: int
+    full_length: float
+    truncated_length: float
+    removed: list            # (slot, lo, hi) intervals in seam coordinates
+    overlap_diagnostic: bool
+    clamped: bool
+
+
+def truncate_arc(sp: StdPants, k: int) -> Truncation:
+    """Length of seam arc k outside cusp neighborhoods and thin collars.
+
+    Removes, along the seam in the pants' own frame, the standard cusp
+    neighborhoods (boundary length 2) and the collars of width w(l)
+    around boundary curves of length at most 2 arcsinh(1).  All three
+    slots of the pants are scanned, so a thin third boundary crossing the
+    arc's interior is removed as well.  Disjointness of the removed
+    regions is checked and reported; negative leftovers are clamped to
+    zero with a diagnostic.
+    """
+    seam = sp.seams[k]
+    m, coord = _seam_coordinate(seam)
+    i, j = _seam_ends(k)
+
+    # the arc segment in seam coordinates
+    bounds = []
+    feet = dict(sp.seam_feet[k])
+    for s in (i, j):
+        if sp.slot_is_cusp[s]:
+            # seam escapes to the cusp: the segment is infinite on this side
+            bounds.append(math.inf if m.apply_boundary(feet[s]) == INF
+                          else -math.inf)
+        else:
+            bounds.append(coord(feet[s]))
+    lo, hi = sorted(bounds)
+
+    removed = []
+    for s in range(3):
+        if sp.slot_is_cusp[s]:
+            m_cusp, height = _cusp_height(sp, s)
+            interval = _horoball_interval(seam, coord, m_cusp, height)
+        else:
+            length = sp.lengths[s]
+            if length > INTERMEDIATE_CURVE_MAX:
+                continue
+            interval = _collar_interval(seam, coord, sp.slot_axis[s],
+                                        collar_width(length))
+        if interval is None:
+            continue
+        a, b = max(interval[0], lo), min(interval[1], hi)
+        if a < b:
+            removed.append((s, a, b))
+
+    removed.sort(key=lambda r: r[1])
+    overlap = any(r1[2] > r2[1] + 1e-12 for r1, r2 in zip(removed, removed[1:]))
+    # measure the complement of the removed set within [lo, hi]; the cusp
+    # horoballs cover the infinite ends, so the leftover is finite
+    left = 0.0
+    clamped = False
+    cursor = lo
+    for _, a, b in removed:
+        if a > cursor:
+            left += a - cursor
+        cursor = max(cursor, b)
+    if hi > cursor:
+        left += hi - cursor
+    if not math.isfinite(left):
+        raise geom.GeometryError(
+            f"truncation of seam {k} in the pants with boundary lengths "
+            f"{sp.lengths} left an unbounded segment")
+    if left < 0.0:
+        left = 0.0
+        clamped = True
+    return Truncation(seam=k, full_length=hi - lo,
+                      truncated_length=left, removed=removed,
+                      overlap_diagnostic=overlap, clamped=clamped)

@@ -166,6 +166,18 @@ class TestMalformedSurface:
         one_line_error(capsys, ["compute", path], 3,
                        "curve 0 needs a positive finite length")
 
+    @pytest.mark.parametrize("command, code", [("compute", 3),
+                                               ("optimize", 4)])
+    @pytest.mark.parametrize("twist", [math.inf, math.nan])
+    def test_non_finite_twist(self, tmp_path, capsys, command, code, twist):
+        # json writes these as the non-JSON tokens Infinity and NaN, which
+        # json.load reads back
+        bad = json.loads(json.dumps(SURFACE_04))
+        bad["fn"][0]["twist"] = twist
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, [command, path], code,
+                       "curve 0 needs a finite twist")
+
     @pytest.mark.parametrize("command", ["compute", "optimize"])
     def test_signature_mismatch(self, tmp_path, capsys, command):
         # one three-cusped pants declared as (5,5) would otherwise be
@@ -216,6 +228,34 @@ class TestSampleCommand:
     def test_negative_count(self, capsys):
         one_line_error(capsys, ["sample", "--g", "1", "--n", "1",
                                 "--count", "-3"], 1, "--count")
+
+    @pytest.mark.parametrize("flags, needle", [
+        (["--length-min", "nan"], "--length-min must be finite"),
+        (["--length-max", "inf"], "--length-max must be finite"),
+        (["--twist-max", "nan"], "--twist-max must be finite"),
+        (["--length-min", "0"], "--length-min must be positive"),
+        (["--length-min", "-1"], "--length-min must be positive"),
+        (["--length-min", "3", "--length-max", "2"],
+         "length maximum 2.0 is below length minimum 3.0"),
+        # against the default minimum 0.05
+        (["--length-max", "0.01"],
+         "length maximum 0.01 is below length minimum 0.05"),
+        # against the default maximum 2 log(4 area), about 6.45 at (1,1)
+        (["--length-min", "20"], "is below length minimum 20.0"),
+        (["--twist-max", "-1"], "--twist-max must be non-negative"),
+    ])
+    def test_empty_or_invalid_ranges(self, capsys, flags, needle):
+        one_line_error(capsys, ["sample", "--g", "1", "--n", "1",
+                                "--count", "2", *flags], 1, needle)
+
+    def test_degenerate_ranges_sample(self, capsys):
+        code, out = run(["sample", "--g", "1", "--n", "1", "--count", "2",
+                         "--length-min", "1", "--length-max", "1",
+                         "--twist-max", "0"], capsys)
+        data = json.loads(out)
+        assert code == 0 and data["summary"]["failures"] == 0
+        for rec in data["records"]:
+            assert rec["fn"] == {"lengths": {"0": 1.0}, "twists": {"0": 0.0}}
 
     def test_zero_count(self, capsys):
         code, out = run(["sample", "--g", "1", "--n", "1", "--count", "0"],

@@ -2,6 +2,7 @@
 
 import math
 
+import geometric_oracle as O
 from shearlab import decomposition as D
 from shearlab import geom as G
 from shearlab import report
@@ -33,13 +34,18 @@ def arcs(hol):
     return out
 
 
+def truncated(sp, arc):
+    """The truncated length run_surface certifies for seam arc (p, k)."""
+    return D.arc_rows(sp.lengths, arc, 1.0)[-1].value
+
+
 def shortness_rows(hol, sig):
     """The rows run_surface certifies: curve rows, then per arc its rows."""
     log4a = math.log(4.0 * area(sig))
     curves = {cid: hol.fn.length(cid) for cid in hol.graph.curve_ids()}
     rows = D.curve_rows(curves, log4a)
     for arc, sp, _ in arcs(hol):
-        rows += D.arc_rows(sp, arc, log4a)
+        rows += D.arc_rows(sp.lengths, arc, log4a)
     return rows
 
 
@@ -52,7 +58,7 @@ class TestCombinatorics:
         assert hol.graph.curve_ids() == []
         for arc, sp, ends in arcs(hol):
             assert all(kind == "cusp" for kind, _ in ends)
-            assert D.arc_length(sp, arc[1]) == math.inf
+            assert O.arc_length(sp, arc[1]) == math.inf
 
     def test_genus_two(self):
         hol = build(Signature(2, 0), seed=4)
@@ -86,9 +92,8 @@ class TestCombinatorics:
 
     def test_sides_recorded_relative_to_orientation(self):
         hol = build(Signature(1, 1), seed=2)
-        sides = D.slot_sides(hol.graph, hol.std)
-        assert sorted(sides) == [(0, 0), (0, 1)]
-        assert set(sides.values()) == {"left", "right"}
+        # the first slot of a curve is its left side
+        assert D.slot_sides(hol.graph) == {(0, 0): "left", (0, 1): "right"}
 
 
 class TestTwistIndependence:
@@ -98,7 +103,7 @@ class TestTwistIndependence:
         hol0 = build(sig, lengths=lengths, twists={0: 0.0, 1: 0.0})
         hol1 = build(sig, lengths=lengths, twists={0: 0.9, 1: -2.3})
         for (arc, sp0, _), (_, sp1, _) in zip(arcs(hol0), arcs(hol1)):
-            l0, l1 = D.arc_length(sp0, arc[1]), D.arc_length(sp1, arc[1])
+            l0, l1 = O.arc_length(sp0, arc[1]), O.arc_length(sp1, arc[1])
             if l0 == math.inf:
                 assert l1 == math.inf
             else:
@@ -146,24 +151,25 @@ class TestGammaA:
 
 
 class TestTruncation:
+    """Truncated lengths from arc_rows; the removed intervals, overlap and
+    clamp diagnostics from the geometric oracle."""
+
     def test_three_cusped_sphere_vanishes(self):
         # the standard cusp regions of the three-cusped sphere are
         # mutually tangent, so nothing of the seam survives
         hol = build(Signature(0, 3))
         for arc, sp, _ in arcs(hol):
-            t = D.truncate_arc(sp, arc[1])
-            assert t.truncated_length <= 1e-9
-            assert not t.overlap_diagnostic
+            assert truncated(sp, arc) <= 1e-9
+            assert not O.truncate_arc(sp, arc[1]).overlap_diagnostic
 
     def test_long_curves_keep_everything(self):
         sig = Signature(2, 0)
         lengths = {c: 3.0 for c in range(3)}
         hol = build(sig, lengths=lengths)
         for arc, sp, _ in arcs(hol):
-            t = D.truncate_arc(sp, arc[1])
-            assert math.isclose(t.truncated_length, D.arc_length(sp, arc[1]),
+            assert math.isclose(truncated(sp, arc), O.arc_length(sp, arc[1]),
                                 rel_tol=1e-12)
-            assert t.removed == []
+            assert O.truncate_arc(sp, arc[1]).removed == []
 
     def test_endpoint_collar_removal_is_width(self):
         sig = Signature(2, 0)
@@ -173,31 +179,30 @@ class TestTruncation:
         w = collar_width(short)
         for arc, sp, ends in arcs(hol):
             ends_on_short = sum(1 for end in ends if end == ("curve", 0))
-            length = D.arc_length(sp, arc[1])
-            t = D.truncate_arc(sp, arc[1])
+            length = O.arc_length(sp, arc[1])
             want = length - ends_on_short * w
             if ends_on_short and length != math.inf:
-                assert abs(t.truncated_length - want) <= 1e-9
+                assert abs(truncated(sp, arc) - want) <= 1e-9
 
     def test_shrinking_curve_shrinks_arc(self):
         sig = Signature(1, 1)
         prev = None
         for L in (2.0, 1.0, 0.6, 0.3):
             hol = build(sig, lengths={0: L})
-            t = D.truncate_arc(hol.std[0], 2)
+            t = truncated(hol.std[0], (0, 2))
             if prev is not None and L <= INTERMEDIATE_CURVE_MAX:
-                assert t.truncated_length <= prev + 1e-9
-            prev = t.truncated_length
+                assert t <= prev + 1e-9
+            prev = t
 
     def test_no_overlaps_on_samples(self):
         for trial in range(30):
             sig = Signature(*[(1, 1), (0, 4), (2, 1)][trial % 3])
             hol = build(sig, seed=S.sample_seed(31, trial))
             for arc, sp, _ in arcs(hol):
-                t = D.truncate_arc(sp, arc[1])
+                t = O.truncate_arc(sp, arc[1])
                 assert not t.overlap_diagnostic
                 assert not t.clamped
-                assert t.truncated_length >= 0.0
+                assert truncated(sp, arc) >= 0.0
 
 
 class TestCertification:

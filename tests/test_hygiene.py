@@ -7,12 +7,15 @@ are exempt.  Every UPPER_CASE constant the library defines at top level
 must be read somewhere in the library or its tests.  Every defaulted
 parameter of a library function must be passed by some call in the
 library, its tests, demos or benchmark: a default nothing overrides is a
-constant.
+constant.  Every top-level function of the library must be named
+somewhere in the library, its tests, demos or benchmark outside its own
+definition: a function nothing names is dead.
 """
 
 import ast
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,34 @@ def unset_defaults(defining, calling):
             if not passed(name, arg, pos)]
 
 
+def _names(node):
+    """Every name a node reads, looks up as an attribute or imports."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.append(sub.name.split(".")[-1])
+    return out
+
+
+def unreferenced_functions(defining, referring):
+    """Top-level defs in defining whose name no tree in referring uses.
+
+    A use inside the function's own body (recursion) does not count.
+    """
+    uses = Counter(name for tree in referring for name in _names(tree))
+    dead = []
+    for tree in defining:
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and uses[node.name] == _names(node).count(node.name)):
+                dead.append(node.name)
+    return dead
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_duplicate_top_level_names(path):
     assert duplicate_definitions(_parse(path)) == []
@@ -169,6 +200,12 @@ def test_every_default_is_set_somewhere():
                           [_parse(p) for p in CALLERS]) == []
 
 
+def test_every_function_is_referenced():
+    trees = {path: _parse(path) for path in CALLERS}
+    assert unreferenced_functions([trees[p] for p in MODULES],
+                                  trees.values()) == []
+
+
 def test_checks_catch_their_targets():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "def f():\n    return tau\n"
@@ -188,3 +225,11 @@ def test_checks_catch_their_targets():
     caller = ast.parse("f(0, 1, e=5)\nmod.g(*xs)\nh(**kw)\n"
                        "K(1)\nK().m(1)\nobj.m(v=2)\n")
     assert unset_defaults([lib], [caller]) == ["f(c=)", "f(d=)", "K(w=)"]
+    lib = ast.parse("def used():\n    pass\n"
+                    "def recursive(n):\n    return recursive(n - 1)\n"
+                    "def imported():\n    pass\n"
+                    "def dead():\n    pass\n"
+                    "class Dead:\n    pass\n")
+    caller = ast.parse("from lib import imported\nlib.used()\n")
+    assert unreferenced_functions([lib], [lib, caller]) == ["recursive",
+                                                            "dead"]

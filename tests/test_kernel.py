@@ -8,8 +8,13 @@ developed geometry; a_k is pants.seam_lengths and w is collar_width,
 counted only at ends with l <= 2 asinh 1:
 
 * the shear of seam arc k joining slots i < j is (l_i + l_j - l_k)/2;
-* the raw length of a curve-to-curve arc is a_k;
+* the raw length of a curve-to-curve arc is a_k, bounded by
+  6 log(4 area) + w(l_i) + w(l_j);
 * its truncated length is max(0, a_k - w(l_i) - w(l_j)).
+
+The kernel reads the lengths from these closed forms
+(decomposition.arc_rows); tests/test_geometric_oracle.py checks them
+against the developed geometry.
 
 The shear-points method of geom.shear (the incircle tangency points of
 the two triangles) is the second, independent way to read each shear.
@@ -57,8 +62,8 @@ def check_pants(sig, pg, fn, p, rec):
     ls = S.slot_lengths(pg, fn, p)
     scale = max(1.0, max(ls))
     sp = build_pants(*ls)
-    kern = SP.pants_kernel(sp, p, pg.pants[p], math.log(4.0 * area(sig)),
-                           shear_free_params())
+    log4a = math.log(4.0 * area(sig))
+    kern = SP.pants_kernel(sp, p, pg.pants[p], log4a, shear_free_params())
     seams = seam_lengths(*ls)
     rows = iter(kern.shortness)
     for k, de in enumerate(SP.develop_pants(sp, p, pg.pants[p])):
@@ -76,6 +81,8 @@ def check_pants(sig, pg, fn, p, rec):
         assert raw.name.startswith(f"arc {(p, k)} length")
         assert trunc.name.startswith(f"arc {(p, k)} truncated length")
         assert abs(raw.value - a_k) <= 1e-9 * max(1.0, a_k), (p, k)
+        assert math.isclose(raw.bound, 6.0 * log4a + collar(ls[i])
+                            + collar(ls[j]), rel_tol=1e-15), (p, k)
         want = max(0.0, a_k - collar(ls[i]) - collar(ls[j]))
         assert abs(trunc.value - want) <= 1e-9 * max(1.0, a_k), (p, k)
     assert next(rows, None) is None

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+import geometric_oracle as O
 from shearlab import decomposition as D
 from shearlab import geom as G
 from shearlab import report
@@ -44,7 +45,7 @@ def local_surface(sig, slot_sides=None, **kwargs):
     log4a = math.log(4.0 * area(sig))
     kernels = [SP.pants_kernel(sp, p, pg.pants[p], log4a, shear_free_params())
                for p, sp in enumerate(hol.std)]
-    sides = D.slot_sides(pg, hol.std) if slot_sides is None else slot_sides
+    sides = D.slot_sides(pg) if slot_sides is None else slot_sides
     ls = SP.LocalSurface(graph=pg, slot_sides=sides, kernels=kernels)
     return ls, {cid: fn.length(cid) for cid in pg.curve_ids()}
 
@@ -98,7 +99,7 @@ class TestSpiral:
                     if corner.kind != "curve":
                         continue
                     att, rep = G.fixed_points(sp.slot_hol[s])
-                    want = att if D._slot_side(sp, s) == "left" else rep
+                    want = att if O._slot_side(sp, s) == "left" else rep
                     assert corner.point == want
                     seen += 1
             assert seen > 0

@@ -13,15 +13,17 @@ Subcommands:
   disconnected gluing graph).
 * ``shear sample --g G --n N --count K --seed S``: seeded sampling
   campaign; exit 5 if any certified sample violates the shear bound,
-  1 for a negative count, a non-finite or negative ``--twist-max``, a
-  non-finite or non-positive length bound, or a length maximum below
-  the length minimum (the defaults count: 0.05 and 2 log(4 area)).
+  1 for a seed outside [0, 2^64), a negative count, a non-finite or
+  negative ``--twist-max``, a non-finite or non-positive length bound,
+  or a length maximum below the length minimum (the defaults count:
+  0.05 and 2 log(4 area)).
 * ``shear optimize SURFACE.json --budget B --seed S``: flip search on a
   cusped chain surface (genus 0, up to five punctures).  Each of the B
-  steps scores every flippable edge in closed form and builds only the
-  one flip it takes.  Exit 1 on a parse error (as for ``compute``) or a
-  negative budget, 4 for surfaces without a supported start
-  triangulation or that fail a geometry invariant (as for ``compute``).
+  steps scores every flippable edge in closed form and flips only the
+  edge it takes, in place.  Exit 1 on a parse error (as for
+  ``compute``), a negative budget or a seed outside [0, 2^64), 4 for
+  surfaces without a supported start triangulation or that fail a
+  geometry invariant (as for ``compute``).
 
 Boundary lengths too long for float64 (about 76 and up) fail the pants
 construction: ``compute`` exits 3 and ``optimize`` exits 4.
@@ -99,6 +101,13 @@ def cmd_compute(args) -> int:
     return 0
 
 
+def _seed_problem(seed):
+    """Why a ``--seed`` is not an unsigned 64-bit integer, or None."""
+    if not 0 <= seed < 2 ** 64:
+        return f"--seed must be in [0, 2**64), got {seed}"
+    return None
+
+
 def _sample_problem(args, length_range):
     """What makes the flags of ``shear sample`` invalid, or None."""
     if args.count < 0:
@@ -115,7 +124,7 @@ def _sample_problem(args, length_range):
             return f"--length-min must be positive, got {lo}"
         if hi < lo:
             return f"length maximum {hi} is below length minimum {lo}"
-    return None
+    return _seed_problem(args.seed)
 
 
 def cmd_sample(args) -> int:
@@ -149,9 +158,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    problem = _seed_problem(args.seed)
     if args.budget < 0:
-        print(f"error: --budget must be non-negative, got {args.budget}",
-              file=sys.stderr)
+        problem = f"--budget must be non-negative, got {args.budget}"
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 1
     try:
         with open(args.surface) as fh:

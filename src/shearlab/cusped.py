@@ -5,6 +5,12 @@ vertices are the cusps, together with one shear per edge.  Edges can be
 flipped, the shears transforming by the standard local rule; the whole
 structure can be rebuilt into a holonomy representation by developing
 triangle by triangle, which provides the round-trip oracle.
+
+A flip changes only its two faces and the five edges they carry.  The
+in-place core re-glues those faces, renames those shears and checks
+those faces and their neighbours; the public flip runs it on a copy and
+checks the whole result, and the minimax search runs it on one working
+copy, checked whole once on entry.
 """
 
 from __future__ import annotations
@@ -34,39 +40,39 @@ class CuspedTriangulation:
         return len(self.verts)
 
     def edges(self):
-        seen = set()
-        out = []
-        for key, partner in self.glue.items():
-            if key in seen or partner in seen:
-                continue
-            seen.add(key)
-            seen.add(partner)
-            out.append(min(key, partner))
-        return sorted(out)
+        return sorted(k for k, p in self.glue.items() if k <= p)
 
     def edge_key(self, face, side):
-        return min((face, side), self.glue[(face, side)])
+        key = (face, side)
+        partner = self.glue[key]
+        return partner if partner < key else key
 
     def copy(self):
         return CuspedTriangulation(verts=list(self.verts),
                                    glue=dict(self.glue))
 
     def check(self):
-        for f, vs in enumerate(self.verts):
+        self.check_faces(range(len(self.verts)))
+
+    def check_faces(self, faces):
+        """Check the given faces: triangles, glued by an involution, and
+        carrying the same cusps as their partners across each side."""
+        glue, verts = self.glue, self.verts
+        for f in faces:
+            vs = verts[f]
             if len(vs) != 3:
                 raise ValueError(f"face {f} is not a triangle")
-            for s in range(3):
+            for s, t in ((0, 1), (1, 2), (2, 0)):
                 key = (f, s)
-                if key not in self.glue:
+                partner = glue.get(key)
+                if partner is None:
                     raise ValueError(f"side {key} is unglued")
-                back = self.glue[self.glue[key]]
-                if back != key:
+                if glue.get(partner) != key:
                     raise ValueError(f"gluing is not an involution at {key}")
-                f2, s2 = self.glue[key]
                 # glued sides carry the same cusps, traversed oppositely
-                a, b = vs[s], vs[(s + 1) % 3]
-                b2, a2 = self.verts[f2][s2], self.verts[f2][(s2 + 1) % 3]
-                if (a, b) != (a2, b2):
+                f2, s2 = partner
+                vs2 = verts[f2]
+                if vs[s] != vs2[(s2 + 1) % 3] or vs[t] != vs2[s2]:
                     raise ValueError(f"cusp labels disagree across {key}")
 
     def vertex_links(self):
@@ -119,8 +125,9 @@ def flippable(cx: CuspedTriangulation, edge) -> bool:
     f2, s2 = cx.glue[edge]
     if f1 == f2:
         return False
-    shared = sum(1 for s in range(3) if cx.glue[(f1, s)][0] == f2)
-    return shared == 1
+    glue = cx.glue
+    shared = (glue[(f1, 0)][0], glue[(f1, 1)][0], glue[(f1, 2)][0])
+    return shared.count(f2) == 1
 
 
 def _flipped_shears(cx: CuspedTriangulation, sigma: dict, edge) -> dict:
@@ -133,108 +140,112 @@ def _flipped_shears(cx: CuspedTriangulation, sigma: dict, edge) -> dict:
     quadrilateral glued together) sums both gains before they are added
     to its shear.  The edge must be an edge key.
     """
+    glue = cx.glue
     f1, s1 = edge
-    f2, s2 = cx.glue[edge]
+    f2, s2 = glue[edge]
     s_val = sigma[edge]
     gain_prev = math.log1p(math.exp(s_val)) if s_val < 30 else s_val
     gain_next = math.log1p(math.exp(-s_val)) if s_val > -30 else -s_val
     delta = {}
-    for face, side, amount in ((f1, (s1 + 1) % 3, -gain_next),
-                               (f1, (s1 + 2) % 3, +gain_prev),
-                               (f2, (s2 + 1) % 3, -gain_next),
-                               (f2, (s2 + 2) % 3, +gain_prev)):
-        key = cx.edge_key(face, side)
+    for side, amount in zip(((f1, (s1 + 1) % 3), (f1, (s1 + 2) % 3),
+                             (f2, (s2 + 1) % 3), (f2, (s2 + 2) % 3)),
+                            (-gain_next, +gain_prev, -gain_next, +gain_prev)):
+        partner = glue[side]
+        key = partner if partner < side else side   # the edge key
         delta[key] = delta.get(key, 0.0) + amount
     out = {key: sigma[key] + amount for key, amount in delta.items()}
     out[edge] = -s_val
     return out
 
 
-def _flip_score(cx: CuspedTriangulation, sigma: dict, edge) -> float:
-    """max_abs_shear of the shears flip(cx, sigma, edge) would return.
+def _flip_score(ranking: list, changed: dict) -> float:
+    """max_abs_shear of the shears a flip would give.
 
-    Nothing is copied or re-glued; the value is bit-equal to the one read
-    from the flipped shear vector.  The edge must be a flippable edge key.
+    changed is _flipped_shears of the flip; ranking holds (|shear|, edge)
+    for the current shears in decreasing order, so the largest unchanged
+    shear is the first ranked edge the flip leaves alone.  Nothing is
+    copied or re-glued; the value is bit-equal to the one read from the
+    flipped shear vector.
     """
-    changed = _flipped_shears(cx, sigma, edge)
-    kept = max((abs(v) for k, v in sigma.items() if k not in changed),
-               default=0.0)
-    return max(kept, max(abs(v) for v in changed.values()))
+    for kept, key in ranking:
+        if key not in changed:
+            break
+    else:
+        kept = 0.0
+    return max(kept, *map(abs, changed.values()))
 
 
-def flip(cx: CuspedTriangulation, sigma: dict, edge):
-    """Flip the edge; returns the new triangulation and shear vector.
+def _flip_in_place(cx: CuspedTriangulation, sigma: dict, edge, changed):
+    """Flip the flippable edge key in place, given its _flipped_shears.
 
-    The shears change by Penner's rule (see _flipped_shears).
+    Re-glues the six sides of the two faces, moves the changed shears to
+    the keys of the edges those sides now carry, and checks the two faces
+    and their neighbours: the only faces whose gluing or labels a flip
+    changes.  Returns the new key of each changed edge, by old key.
     """
-    edge = cx.edge_key(*edge)
-    if not flippable(cx, edge):
-        raise ValueError(f"edge {edge} is not flippable")
     f1, s1 = edge
     f2, s2 = cx.glue[edge]
     x = cx.verts[f1][s1]
     y = cx.verts[f1][(s1 + 1) % 3]
     z = cx.verts[f1][(s1 + 2) % 3]
     w = cx.verts[f2][(s2 + 2) % 3]
-    changed = _flipped_shears(cx, sigma, edge)
+    # outer sides P, Q of f1 and R, S of f2, and the slots they move to:
+    # U1 = (x, w, z) replaces f1, U2 = (w, y, z) replaces f2
+    outer = ((f1, (s1 + 1) % 3), (f1, (s1 + 2) % 3),
+             (f2, (s2 + 1) % 3), (f2, (s2 + 2) % 3))
+    slots = ((f2, 1), (f1, 2), (f1, 0), (f2, 0))
+    partners = [cx.glue[side] for side in outer]
+    if edge in partners or (f2, s2) in partners:
+        raise ValueError("flip would glue a side to the removed edge")
+    moved = dict(zip(outer, slots))
+    # a new side of each changed edge, with the edge's old key; the new
+    # diagonal (w, z), sides (f1, 1) and (f2, 2), replaces the edge
+    sides = [((f1, 1), edge)]
+    sides += [(me, min(side, p))
+              for me, side, p in zip(slots, outer, partners)]
 
-    # outer side partners, before rebuilding the quadrilateral
-    outer = {
-        "P": cx.glue[(f1, (s1 + 1) % 3)],
-        "Q": cx.glue[(f1, (s1 + 2) % 3)],
-        "R": cx.glue[(f2, (s2 + 1) % 3)],
-        "S": cx.glue[(f2, (s2 + 2) % 3)],
-    }
-    old_keys = {
-        "P": cx.edge_key(f1, (s1 + 1) % 3),
-        "Q": cx.edge_key(f1, (s1 + 2) % 3),
-        "R": cx.edge_key(f2, (s2 + 1) % 3),
-        "S": cx.edge_key(f2, (s2 + 2) % 3),
-    }
+    cx.verts[f1] = (x, w, z)
+    cx.verts[f2] = (w, y, z)
+    for me, partner in zip(slots, partners):
+        partner = moved.get(partner, partner)
+        cx.glue[me] = partner
+        cx.glue[partner] = me
+    cx.glue[(f1, 1)] = (f2, 2)
+    cx.glue[(f2, 2)] = (f1, 1)
+    cx.check_faces({f1, f2} | {p[0] for p in partners})
 
-    new = cx.copy()
-    # U1 = (x, w, z) replaces f1; U2 = (w, y, z) replaces f2
-    new.verts[f1] = (x, w, z)
-    new.verts[f2] = (w, y, z)
-    new_side = {
-        "R": (f1, 0), "Q": (f1, 2),   # (x,w) and (z,x)
-        "S": (f2, 0), "P": (f2, 1),   # (w,y) and (y,z)
-    }
-    diag1, diag2 = (f1, 1), (f2, 2)   # (w,z) and (z,w)
+    renamed = {old: cx.edge_key(*me) for me, old in sides}
+    for key in changed:
+        del sigma[key]
+    for old, new in renamed.items():
+        sigma[new] = changed[old]
+    if len(sigma) != len(cx.glue) // 2:
+        raise RuntimeError(f"{len(sigma)} shears for {len(cx.glue) // 2} "
+                           f"edges after flipping {edge}")
+    return renamed
 
-    def reglue(label):
-        partner = outer[label]
-        if partner == edge or partner == (f2, s2):
-            raise ValueError("flip would glue a side to the removed edge")
-        for lab, old in (("P", (f1, (s1 + 1) % 3)), ("Q", (f1, (s1 + 2) % 3)),
-                         ("R", (f2, (s2 + 1) % 3)), ("S", (f2, (s2 + 2) % 3))):
-            if partner == old:
-                partner = new_side[lab]
-                break
-        me = new_side[label]
-        new.glue[me] = partner
-        new.glue[partner] = me
 
-    for label in ("P", "Q", "R", "S"):
-        reglue(label)
-    new.glue[diag1] = diag2
-    new.glue[diag2] = diag1
+def flip(cx: CuspedTriangulation, sigma: dict, edge):
+    """Flip the edge; returns a new triangulation and shear vector.
+
+    The inputs are left unchanged.  The shears change by Penner's rule
+    (see _flipped_shears); the result passes the whole-complex check()
+    and carries a shear on every edge.  It lists the edges in the order
+    of sigma, each under its new key, with the new diagonal last.
+    """
+    edge = cx.edge_key(*edge)
+    if not flippable(cx, edge):
+        raise ValueError(f"edge {edge} is not flippable")
+    new, shears = cx.copy(), dict(sigma)
+    renamed = _flip_in_place(new, shears, edge,
+                             _flipped_shears(cx, sigma, edge))
     new.check()
-
-    # edge keys of the outer sides may change identity with the new slots
-    renamed = {}
-    for label in ("P", "Q", "R", "S"):
-        renamed[old_keys[label]] = new.edge_key(*new_side[label])
-    final = {}
-    for key, val in sigma.items():
-        if key == edge:
-            continue
-        final[renamed.get(key, key)] = changed.get(key, val)
-    final[new.edge_key(*diag1)] = changed[edge]
+    order = [renamed.get(k, k) for k in sigma if k != edge] + [renamed[edge]]
+    new_sigma = {k: shears[k] for k in order}
     for e in new.edges():
-        if e not in final:
+        if e not in new_sigma:
             raise RuntimeError(f"missing shear for edge {e} after flip")
-    return new, final
+    return new, new_sigma
 
 
 # ---------------------------------------------------------------------------
@@ -591,19 +602,26 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
     its flip would give, in closed form and without building the flipped
     complex.  The lowest (value, edge) is flipped if it improves on the
     current maximum by more than 1e-12; otherwise a seeded random kick
-    flips a uniformly drawn flippable edge.  Only the chosen edge goes
-    through flip (and its check), and every step, kick or descent, uses
-    one unit of budget.  Returns the best triangulation, its shear
-    vector, the best maximum and the flip trail.
+    flips a uniformly drawn flippable edge.  Every step, kick or descent,
+    uses one unit of budget.  The search checks the whole complex once,
+    then flips one private copy in place with a check of only the faces
+    each flip touches; the inputs are left unchanged, and the state is
+    copied only when the best maximum improves.  Returns the best
+    triangulation, its shear vector, the best maximum and the flip trail.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     cur_max = max_abs_shear(sigma)
     best = (cx, dict(sigma), cur_max)
-    cur_cx, cur_sigma = cx, sigma
+    cur_cx, cur_sigma = cx.copy(), dict(sigma)
+    cur_cx.check()
     trail = []
     while len(trail) < budget:
-        scored = [(_flip_score(cur_cx, cur_sigma, e), e)
-                  for e in cur_cx.edges() if flippable(cur_cx, e)]
+        ranking = sorted(((abs(v), k) for k, v in cur_sigma.items()),
+                         reverse=True)
+        flipped = {e: _flipped_shears(cur_cx, cur_sigma, e)
+                   for e in cur_cx.edges() if flippable(cur_cx, e)}
+        scored = [(_flip_score(ranking, changed), e)
+                  for e, changed in flipped.items()]
         if not scored:
             break
         improving = [c for c in scored if c[0] < cur_max - 1e-12]
@@ -612,9 +630,9 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
         else:
             # stuck at a local minimum: random kick
             val, e = scored[int(rng.integers(0, len(scored)))]
-        cur_cx, cur_sigma = flip(cur_cx, cur_sigma, e)
+        _flip_in_place(cur_cx, cur_sigma, e, flipped[e])
         cur_max = val
         trail.append(e)
         if improving and val < best[2]:
-            best = (cur_cx, cur_sigma, val)
+            best = (cur_cx.copy(), dict(cur_sigma), val)
     return best[0], best[1], best[2], trail

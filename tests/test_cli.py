@@ -229,6 +229,17 @@ class TestSampleCommand:
         one_line_error(capsys, ["sample", "--g", "1", "--n", "1",
                                 "--count", "-3"], 1, "--count")
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range(self, capsys, seed):
+        one_line_error(capsys, ["sample", "--g", "1", "--n", "1",
+                                "--count", "2", "--seed", str(seed)], 1,
+                       "--seed")
+
+    def test_largest_seed(self, capsys):
+        code, out = run(["sample", "--g", "1", "--n", "1", "--count", "1",
+                         "--seed", str(2 ** 64 - 1)], capsys)
+        assert code == 0 and json.loads(out)["summary"]["samples"] == 1
+
     @pytest.mark.parametrize("flags, needle", [
         (["--length-min", "nan"], "--length-min must be finite"),
         (["--length-max", "inf"], "--length-max must be finite"),
@@ -292,6 +303,18 @@ class TestOptimizeCommand:
         path = write_surface(tmp_path, SURFACE_04)
         one_line_error(capsys, ["optimize", path, "--budget", "-5"], 1,
                        "--budget")
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range(self, tmp_path, capsys, seed):
+        path = write_surface(tmp_path, SURFACE_04)
+        one_line_error(capsys, ["optimize", path, "--seed", str(seed)], 1,
+                       "--seed")
+
+    def test_largest_seed(self, tmp_path, capsys):
+        path = write_surface(tmp_path, SURFACE_04)
+        code, out = run(["optimize", path, "--budget", "5",
+                         "--seed", str(2 ** 64 - 1)], capsys)
+        assert code == 0 and len(json.loads(out)["records"][0]["flips"]) == 5
 
     def test_descent_contract(self, tmp_path, capsys):
         path = write_surface(tmp_path, SURFACE_04)

@@ -268,6 +268,20 @@ SEARCH_RUNS = [(4 + i % 2, i // 2, (25, 50, 75, 100)[i % 4], 3 * i + 1)
                for i in range(24)]
 
 
+def replay(cx, sigma, trail):
+    """The states along a flip trail, built with the public flip."""
+    states = [(cx, sigma)]
+    for e in trail:
+        states.append(CU.flip(*states[-1], e))
+    return states
+
+
+def trail_states(search_runs):
+    """Every state on the reference trails of the search runs."""
+    for cx, sigma, _, _, want in search_runs:
+        yield from replay(cx, sigma, want[3])
+
+
 @pytest.fixture(scope="module")
 def search_runs():
     runs = []
@@ -296,35 +310,81 @@ class TestMinimaxSearch:
         # flip accepts every edge flippable() admits, so the search and
         # the reference consider the same candidates
         scored = 0
-        for cx, sigma, _, _, want in search_runs:
-            states = [(cx, sigma)]
-            for e in want[3]:
-                states.append(CU.flip(*states[-1], e))
-            for cx, sigma in states:
-                cx.check()
-                for cand in cx.edges():
-                    if not CU.flippable(cx, cand):
-                        continue
-                    flipped_cx, flipped = CU.flip(cx, sigma, cand)
-                    assert_glue_keys(flipped_cx)
-                    assert (CU._flip_score(cx, sigma, cand)
-                            == CU.max_abs_shear(flipped))
-                    scored += 1
+        for cx, sigma in trail_states(search_runs):
+            cx.check()
+            ranking = sorted(((abs(v), k) for k, v in sigma.items()),
+                             reverse=True)
+            for cand in cx.edges():
+                if not CU.flippable(cx, cand):
+                    continue
+                flipped_cx, flipped = CU.flip(cx, sigma, cand)
+                assert_glue_keys(flipped_cx)
+                changed = CU._flipped_shears(cx, sigma, cand)
+                assert (CU._flip_score(ranking, changed)
+                        == CU.max_abs_shear(flipped))
+                scored += 1
         assert scored >= 5000
 
     def test_builds_one_flip_per_step(self, monkeypatch):
+        # the search flips its working state in place, once per trail
+        # entry; it checks the whole complex once and copies it only on
+        # entry and when the best maximum improves
         _, (cx, sigma, _) = chain(Signature(0, 5), seed=4)
-        calls = []
-        real_flip = CU.flip
+        _, _, _, want = CU.minimax_flip_search(cx, sigma, 100, 7)
+        states = replay(cx, sigma, want)
+        improvements, best = 0, CU.max_abs_shear(sigma)
+        for prev, cur in zip(states, states[1:]):
+            value = CU.max_abs_shear(cur[1])
+            if value < CU.max_abs_shear(prev[1]) - 1e-12 and value < best:
+                improvements, best = improvements + 1, value
 
-        def counting_flip(*args):
-            calls.append(args[2])
-            return real_flip(*args)
+        calls = {"flip": [], "check": 0, "copy": 0}
+        real_in_place = CU._flip_in_place
+        real_check = CU.CuspedTriangulation.check
+        real_copy = CU.CuspedTriangulation.copy
 
-        monkeypatch.setattr(CU, "flip", counting_flip)
+        def counting_in_place(cx, sigma, edge, changed):
+            calls["flip"].append(edge)
+            return real_in_place(cx, sigma, edge, changed)
+
+        def counting_check(self):
+            calls["check"] += 1
+            return real_check(self)
+
+        def counting_copy(self):
+            calls["copy"] += 1
+            return real_copy(self)
+
+        monkeypatch.setattr(CU, "_flip_in_place", counting_in_place)
+        monkeypatch.setattr(CU.CuspedTriangulation, "check", counting_check)
+        monkeypatch.setattr(CU.CuspedTriangulation, "copy", counting_copy)
         _, _, _, trail = CU.minimax_flip_search(cx, sigma, 100, 7)
-        assert len(trail) == 100
-        assert calls == trail
+        assert trail == want and len(trail) == 100
+        assert calls["flip"] == trail
+        assert calls["check"] == 1
+        assert improvements >= 1
+        assert calls["copy"] == 1 + improvements
+
+    @pytest.mark.parametrize("n, chain_seed, budget, seed",
+                             [(4, 1, 40, 2), (5, 0, 40, 0)])
+    def test_inputs_untouched_and_best_not_aliased(self, n, chain_seed,
+                                                   budget, seed):
+        _, (cx, sigma, _) = chain(Signature(0, n), seed=chain_seed)
+        verts, glue, shears = list(cx.verts), dict(cx.glue), dict(sigma)
+        best_cx, best_sigma, best, trail = CU.minimax_flip_search(
+            cx, sigma, budget, seed)
+        assert cx.verts == verts and cx.glue == glue and sigma == shears
+        # the run ends on a random kick made after the best state, so a
+        # best state that aliased the working state would have moved on
+        states = replay(cx, sigma, trail)
+        values = [CU.max_abs_shear(s) for _, s in states]
+        assert len(trail) == budget
+        assert values[-1] >= values[-2] - 1e-12
+        assert values[-1] > best
+        k = values.index(best)
+        assert best_cx.verts == states[k][0].verts
+        assert best_cx.glue == states[k][0].glue
+        assert best_sigma == states[k][1]
 
     def test_budget_zero_returns_input(self):
         fn, (cx, sigma, _) = chain(Signature(0, 4), seed=3)
@@ -350,3 +410,110 @@ class TestMinimaxSearch:
         out1 = CU.minimax_flip_search(cx, sigma, 25, 7)
         out2 = CU.minimax_flip_search(cx, sigma, 25, 7)
         assert out1[2] == out2[2] and out1[3] == out2[3]
+
+
+class TestFlipInPlace:
+    def test_matches_flip(self, search_runs):
+        flipped = 0
+        for cx, sigma in trail_states(search_runs):
+            for cand in cx.edges():
+                if not CU.flippable(cx, cand):
+                    continue
+                want_cx, want_sigma = CU.flip(cx, sigma, cand)
+                got_cx, got_sigma = cx.copy(), dict(sigma)
+                changed = CU._flipped_shears(cx, sigma, cand)
+                CU._flip_in_place(got_cx, got_sigma, cand, changed)
+                assert got_cx.verts == want_cx.verts
+                assert got_cx.glue == want_cx.glue
+                assert got_sigma == want_sigma
+                got_cx.check()
+                # flip keeps the order of the edges it leaves alone and
+                # lists the new diagonal last
+                kept = [k for k in sigma if k not in changed]
+                assert [k for k in want_sigma if k in kept] == kept
+                assert list(want_sigma)[-1] == want_cx.edge_key(cand[0], 1)
+                flipped += 1
+        assert flipped >= 5000
+
+    def test_local_check_catches_broken_sides(self, search_runs):
+        # after an in-place flip, break one side of a flipped face or of a
+        # neighbour: the check of those faces must name it
+        broken = 0
+        for cx, sigma, *_ in search_runs:
+            for cand in cx.edges():
+                if not CU.flippable(cx, cand):
+                    continue
+                f1, _ = cand
+                f2, _ = cx.glue[cand]
+                base, base_sigma = cx.copy(), dict(sigma)
+                CU._flip_in_place(base, base_sigma, cand,
+                                  CU._flipped_shears(cx, sigma, cand))
+                faces = {f1, f2} | {base.glue[(f, s)][0]
+                                    for f in (f1, f2) for s in range(3)}
+                fresh = 1 + max(max(vs) for vs in base.verts)
+                for f in faces:
+                    for s in range(3):
+                        for mutate in (break_involution, relabel_cusp,
+                                       relabel_partner_first,
+                                       relabel_partner_second):
+                            bad = base.copy()
+                            mutate(bad, (f, s), fresh)
+                            # also when the partner face is not checked
+                            for checked in (faces, {f}):
+                                with pytest.raises(ValueError):
+                                    bad.check_faces(checked)
+                            broken += 1
+        assert broken >= 1000
+
+    def test_in_place_flip_checks_neighbours(self, search_runs):
+        # a bad label on a neighbouring face, which the flip does not
+        # rewrite, must stop the in-place flip
+        stopped = 0
+        for cx, sigma, *_ in search_runs:
+            fresh = 1 + max(max(vs) for vs in cx.verts)
+            for cand in cx.edges():
+                if not CU.flippable(cx, cand):
+                    continue
+                f1, _ = cand
+                f2, _ = cx.glue[cand]
+                changed = CU._flipped_shears(cx, sigma, cand)
+                neighbours = {cx.glue[(f, s)][0]
+                              for f in (f1, f2) for s in range(3)}
+                for g in neighbours - {f1, f2}:
+                    for s in range(3):
+                        bad = cx.copy()
+                        relabel_cusp(bad, (g, s), fresh)
+                        with pytest.raises(ValueError):
+                            CU._flip_in_place(bad, dict(sigma), cand,
+                                              changed)
+                        stopped += 1
+        assert stopped >= 300
+
+
+def break_involution(cx, side, _):
+    """Glue side to a side whose partner is some other side."""
+    other = next(k for k in sorted(cx.glue)
+                 if k != side and cx.glue[k] != side)
+    cx.glue[side] = other
+
+
+def relabel(cx, face, corner, label):
+    vs = list(cx.verts[face])
+    vs[corner] = label
+    cx.verts[face] = tuple(vs)
+
+
+def relabel_cusp(cx, side, fresh):
+    """Give the first cusp of side a label no face carries."""
+    relabel(cx, *side, fresh)
+
+
+def relabel_partner_first(cx, side, fresh):
+    """Give the first cusp of side a new label in the partner face."""
+    f2, s2 = cx.glue[side]
+    relabel(cx, f2, (s2 + 1) % 3, fresh)
+
+
+def relabel_partner_second(cx, side, fresh):
+    """Give the second cusp of side a new label in the partner face."""
+    relabel(cx, *cx.glue[side], fresh)

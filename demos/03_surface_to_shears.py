@@ -23,9 +23,10 @@ print("pants graph:", graph.pants)
 fn = FNCoordinates({0: 1.0}, {0: 0.3})
 lengths = slot_lengths(graph, fn, 0)
 print("boundary lengths:", lengths, " seam lengths:", seam_lengths(*lengths))
-for de in develop_pants(build_pants(*lengths), 0, graph.pants[0]):
+for de in develop_pants(build_pants(*lengths)):
     quad = ", ".join(f"{x:.4f}" for x in de.quadrilateral())
-    print(f"arc {de.arc}: quadrilateral ({quad}), shear {edge_shear(de):.9f}")
+    arc = (0, de.seam)
+    print(f"arc {arc}: quadrilateral ({quad}), shear {edge_shear(de):.9f}")
 
 rec = run_surface(sig, graph, fn)
 print("max |shear|:", rec["max_shear"], " bound:", rec["bound"])

@@ -19,7 +19,6 @@ from .geom import (IDEAL_INRADIUS, INF, Geodesic, GeometryError, IdealTriangle,
 from .surface import (FNCoordinates, Holonomy, PantsGraph,
                       canonical_pants_graph, curve_length, holonomy_from_fn,
                       sample_fn, sample_seed, validate)
-from .spiralling import shear_relations
 from .chains import build_cusped_chain, is_chain
 from .cusped import (CuspedTriangulation, cusp_sums, develop_from_shears,
                      develop_walk, flip, flippable, hyperbolic_walk_lengths,

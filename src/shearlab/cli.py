@@ -9,8 +9,9 @@ Subcommands:
   Exit 1 on a parse error (including a curve without an fn row or not
   glued to exactly two slots, and a pants graph that does not match the
   declared signature), 3 on a geometry-invariant failure (including a
-  non-positive or non-finite length, a non-finite twist and a
-  disconnected gluing graph).
+  non-positive or non-finite length, a non-finite twist, a
+  disconnected gluing graph and a shear point inside a shear-point-free
+  part).
 * ``shear sample --g G --n N --count K --seed S``: seeded sampling
   campaign; exit 5 if any certified sample violates the shear bound,
   1 for a seed outside [0, 2^64), a negative count, a non-finite or

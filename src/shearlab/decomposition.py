@@ -1,13 +1,12 @@
-"""Seam arcs of a pair of pants: slot sides and the shortness certificate.
+"""Seam arcs of a pair of pants and the shortness certificate.
 
 Cutting a pair of pants along its three seams (the mutual perpendiculars
-between boundary components) gives two right-angled hexagons.  The side
-of its curve that each glued slot lies on is read from the gluing order
-(slot_sides), and the rows of the shortness certificate from the
-boundary lengths alone (curve_rows, arc_rows): the raw and truncated
-lengths of each seam arc, after removing standard cusp neighborhoods
-(bounded by horocycles of length 2) and the collars of curves no longer
-than 2 asinh 1, have closed forms in the pants' length triple.  The
+between boundary components) gives two right-angled hexagons.  The rows
+of the shortness certificate are read from the boundary lengths alone
+(curve_rows, arc_rows): the raw and truncated lengths of each seam arc,
+after removing standard cusp neighborhoods (bounded by horocycles of
+length 2) and the collars of curves no longer than 2 asinh 1, have
+closed forms in the pants' length triple.  The
 geometric measurement these replace, in the developed pants, is the
 tests' oracle (tests/geometric_oracle.py).  The doubled-loop bound has
 no row: the seam word X_i X_j is conjugate to the third boundary of its
@@ -21,22 +20,6 @@ from dataclasses import dataclass
 
 from .constants import INTERMEDIATE_CURVE_MAX, collar_width
 from .pants import _seam_ends, seam_lengths
-from .surface import PantsGraph
-
-
-def slot_sides(pg: PantsGraph) -> dict:
-    """Side of its curve that each glued slot (p, s) lies on.
-
-    A curve is oriented so that the pants at its first slot in (pants,
-    slot) order lies on its left; the pants at its other slot lies on
-    its right.
-    """
-    sides = {}
-    for refs in pg.curve_ends().values():
-        first, second = sorted(refs)
-        sides[first] = "left"
-        sides[second] = "right"
-    return sides
 
 
 def _collar(length: float) -> float:

@@ -539,7 +539,14 @@ def parabolic_shift(parabolic: Isometry, fix):
 
 
 def horocycle_length_through(parabolic: Isometry, z: complex) -> float:
-    """Length, in the cusp cylinder of a parabolic, of the horocycle through z."""
-    (fix,) = fixed_points(parabolic)
+    """Length, in the cusp cylinder of a parabolic, of the horocycle through z.
+
+    A hyperbolic input, such as a cusp stabilizer that rounding pushed
+    past the parabolic tolerance, is rejected by name.
+    """
+    points = fixed_points(parabolic)
+    if len(points) != 1:
+        raise GeometryError("no horocycle for hyperbolic isometry")
+    (fix,) = points
     m, shift = parabolic_shift(parabolic, fix)
     return shift / m(z).imag

@@ -3,11 +3,13 @@
 A single surface run is a loop over pants.  Each pants is built in
 standard position from its boundary-length triple and developed once in
 its own frame by the per-pants kernel (spiralling.pants_kernel): six
-spiral corners, then per arc the shear and the shear-point margins; the
-raw and truncated arc lengths are closed forms in the length triple
-(decomposition.arc_rows).  The record is put together from the kernels:
-relation residuals per slot, with slot sides read from the gluing order
-(decomposition.slot_sides), shortness certification and the audit
+spiral corners, then per arc the shear and the shear-point margins, and
+per slot the residual of its relation (the two arc-ends at a slot sum
+to 0 at a cusp and to the curve's length at a glued slot).  The raw and
+truncated arc lengths are closed forms in the length triple
+(decomposition.arc_rows).  The record is put together directly from
+these: the shears keyed by arc (pants, seam), the largest residual over
+cusp slots and over curve slots, shortness certification and the audit
 minimum.  No global holonomy is built.
 Reports are deterministic: records are assembled in sample order and
 contain no wall-clock data (timings go to a side channel).
@@ -22,6 +24,7 @@ import math
 from . import decomposition, spiralling
 from .constants import (Signature, area, constants_audit, main_bound,
                         shear_free_params, topology_constants)
+from .geom import RELATION_TOL
 from .pants import build_pants
 from .surface import (DISCONNECTED, FNCoordinates, PantsGraph,
                       check_curve_holonomy, check_surface, sample_fn,
@@ -89,31 +92,37 @@ def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
         check_curve_holonomy(std[p].slot_hol[s], cid, length)
     log4a = math.log(4.0 * area(sig))
     params = shear_free_params()
-    kernels = [spiralling.pants_kernel(sp, p, pg.pants[p], log4a, params)
-               for p, sp in enumerate(std)]
-    surface = spiralling.LocalSurface(
-        graph=pg, slot_sides=decomposition.slot_sides(pg),
-        kernels=kernels)
-    sv = surface.shear_vector()
-    relations = spiralling.shear_relations(sv, curves)
     shortness = decomposition.curve_rows(curves, log4a)
-    shortness += [row for kern in kernels for row in kern.shortness]
-    margins = [row.margin for kern in kernels for row in kern.margins]
+    shears = {}
+    cusp_res, side_res, margins = [], [], []
+    for p, sp in enumerate(std):
+        try:
+            kern = spiralling.pants_kernel(sp, params)
+        except spiralling.DevelopError as err:
+            raise type(err)((p, err.edge), err.problem) from err
+        for k, value in enumerate(kern.shears):
+            shears[(p, k)] = value
+            shortness += decomposition.arc_rows(sp.lengths, (p, k), log4a)
+        for s, res in enumerate(kern.residuals):
+            (cusp_res if sp.slot_is_cusp[s] else side_res).append(res)
+        margins += kern.margins
+    cusp = max(cusp_res, default=0.0)
+    side = max(side_res, default=0.0)
     bound = main_bound(sig)
-    max_shear = sv.max_abs()
+    max_shear = max((abs(v) for v in shears.values()), default=0.0)
     record = {
         "fn": {
             "lengths": {str(k): v for k, v in sorted(fn.lengths.items())},
             "twists": {str(k): v for k, v in sorted(fn.twists.items())},
         },
-        "shears": {str(k): v for k, v in sorted(sv.values.items())},
+        "shears": {str(k): v for k, v in shears.items()},
         "max_shear": max_shear,
         "bound": bound,
         "ratio": max_shear / bound,
         "certified": all(row.passed for row in shortness),
-        "cusp_residual": relations.max_cusp_residual,
-        "spiral_residual": relations.max_side_residual,
-        "relations_ok": relations.ok(),
+        "cusp_residual": cusp,
+        "spiral_residual": side,
+        "relations_ok": cusp <= RELATION_TOL and side <= RELATION_TOL,
         "min_margin": min(margins) if margins else None,
         "bound_satisfied": max_shear < bound,
     }

@@ -1,14 +1,15 @@
 """The geometric seam-arc code that the closed forms replaced.
 
-decomposition.slot_sides and decomposition.arc_rows read the side of
-each glued slot and the raw and truncated seam-arc lengths from the
-pants graph and the boundary-length triple alone; the kernel's spiral
-corners take fixed points of the slot holonomies without a probe test.
-This module keeps the geometric versions they replaced, measured in the
-developed pants itself, as the oracle the tests check those rules and
-formulas against: the side of the slot's probe point, the distance
-between seam feet, and the seam minus its intersections with the
-standard cusp horoballs and thin collars.
+decomposition.arc_rows reads the raw and truncated seam-arc lengths
+from the boundary-length triple alone; the kernel's spiral corners take
+fixed points of the slot holonomies without a probe test, and its
+relation residuals group the arc-ends one slot at a time, since every
+glued slot lies on the left of its curve in its own frame.  This module
+keeps the geometric versions these replaced, measured in the developed
+pants itself, as the oracle the tests check those rules and formulas
+against: the side of the slot's probe point, the distance between seam
+feet, and the seam minus its intersections with the standard cusp
+horoballs and thin collars.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 
 from shearlab import cli, report
 from shearlab.constants import Signature
+from shearlab.geom import RELATION_TOL
 
 
 def run(argv, capsys):
@@ -349,20 +350,64 @@ class TestLongBoundary:
 
 
 class TestRelationCheck:
-    def test_relations_ok_follows_relation_tol(self, monkeypatch):
+    """relations_ok follows RELATION_TOL at cusp slots and at curve slots.
+
+    On the (1,1) surface slots 0 and 1 of the one pants are the two sides
+    of curve 0 and slot 2 is the cusp.
+    """
+
+    @staticmethod
+    def run_with_residual(monkeypatch, slot, value):
         from shearlab import spiralling
-        from shearlab.geom import RELATION_TOL
         from shearlab.surface import FNCoordinates, canonical_pants_graph
-        bad = spiralling.RelationReport({0: 2 * RELATION_TOL}, {})
-        bad_side = spiralling.RelationReport({}, {(0, "left"): 2 * RELATION_TOL})
-        assert not bad.ok() and not bad_side.ok()
-        assert spiralling.RelationReport({0: RELATION_TOL}, {}).ok()
+        monkeypatch.undo()
+        kernel = spiralling.pants_kernel
+
+        def patched(sp, params):
+            kern = kernel(sp, params)
+            kern.residuals[slot] = value
+            return kern
+
+        monkeypatch.setattr(spiralling, "pants_kernel", patched)
         sig = Signature(1, 1)
         pg = canonical_pants_graph(sig)
-        fn = FNCoordinates({0: 1.0}, {0: 0.2})
-        assert report.run_surface(sig, pg, fn)["relations_ok"]
-        monkeypatch.setattr(spiralling, "shear_relations",
-                            lambda sv, curves: bad)
-        rec = report.run_surface(sig, pg, fn)
+        assert pg.pants[0][slot][0] == ("cusp" if slot == 2 else "curve")
+        return report.run_surface(sig, pg, FNCoordinates({0: 1.0}, {0: 0.2}))
+
+    def test_relations_ok_follows_relation_tol(self, monkeypatch):
+        rec = self.run_with_residual(monkeypatch, 2, 2 * RELATION_TOL)
         assert not rec["relations_ok"]
         assert rec["cusp_residual"] == 2 * RELATION_TOL
+        rec = self.run_with_residual(monkeypatch, 0, 2 * RELATION_TOL)
+        assert not rec["relations_ok"]
+        assert rec["spiral_residual"] == 2 * RELATION_TOL
+        for slot in (0, 2):
+            rec = self.run_with_residual(monkeypatch, slot, RELATION_TOL)
+            assert rec["relations_ok"]
+            key = "cusp_residual" if slot == 2 else "spiral_residual"
+            assert rec[key] == RELATION_TOL
+
+    def test_nan_side_residual_fails(self, monkeypatch):
+        # max(cusp, side) <= RELATION_TOL would pass a NaN side residual
+        rec = self.run_with_residual(monkeypatch, 0, math.nan)
+        assert rec["cusp_residual"] <= RELATION_TOL
+        assert not rec["relations_ok"]
+
+
+class TestAuditFailure:
+    def test_compute_exits_three_naming_the_edge(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # an AuditError is a geometry-invariant failure like any develop
+        # check: one stderr line naming the edge, exit 3
+        import dataclasses
+        from shearlab.constants import shear_free_params
+        strict = dataclasses.replace(shear_free_params(), delta2=1e9)
+        monkeypatch.setattr(report, "shear_free_params", lambda: strict)
+        path = write_surface(tmp_path, SURFACE_03)
+        assert cli.main(["compute", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: geometry invariant failure: edge (0, 0): shear point "
+            "inside a shear-point-free part: horocycle length ")
+        assert captured.err.count("\n") == 1

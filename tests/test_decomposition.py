@@ -80,8 +80,8 @@ class TestCombinatorics:
         # of its pants, and the three front triangles are one triangle
         from shearlab.spiralling import develop_pants
         hol = build(Signature(2, 1), seed=9)
-        for p, sp in enumerate(hol.std):
-            edges = develop_pants(sp, p, hol.graph.pants[p])
+        for sp in hol.std:
+            edges = develop_pants(sp)
             fronts = {frozenset(de.front.vertices()) for de in edges}
             assert len(fronts) == 1
             for de in edges:
@@ -89,11 +89,6 @@ class TestCombinatorics:
                 assert ends < set(de.front.vertices())
                 assert ends < set(de.back.vertices())
                 assert set(de.front.vertices()) != set(de.back.vertices())
-
-    def test_sides_recorded_relative_to_orientation(self):
-        hol = build(Signature(1, 1), seed=2)
-        # the first slot of a curve is its left side
-        assert D.slot_sides(hol.graph) == {(0, 0): "left", (0, 1): "right"}
 
 
 class TestTwistIndependence:

@@ -456,6 +456,14 @@ class TestHorocycles:
             G.horocycle_length_through(shift, complex(0.3, 2.0)), 0.5,
             rel_tol=1e-12)
 
+    def test_horocycle_length_through_rejects_hyperbolic(self):
+        # a cusp stabilizer that rounding made hyperbolic has two fixed
+        # points: the error names its kind instead of failing to unpack
+        near = G.Isometry.from_matrix(1.001, 1.0, 0.0, 1.0 / 1.001)
+        assert G.classify(near) == "hyperbolic"
+        with pytest.raises(G.GeometryError, match="hyperbolic isometry"):
+            G.horocycle_length_through(near, complex(0.3, 2.0))
+
 
 class TestParabolicFixing:
     def test_constructs_requested_map(self):

@@ -1,9 +1,10 @@
 """The combinatorial and closed-form rules against the geometric oracle.
 
-run_surface reads the side of each glued slot from the gluing order,
-takes the attracting (front) and repelling (back) fixed points as spiral
-corners, and reads the seam-arc lengths from closed forms in the
-boundary-length triple.  tests/geometric_oracle.py keeps the geometric
+run_surface checks each relation at one slot, which is one side of a
+curve (every glued slot lies on the left of its curve in its own frame,
+so a curve's first slot is its left side), takes the attracting (front)
+and repelling (back) fixed points as spiral corners, and reads the
+seam-arc lengths from closed forms in the boundary-length triple.  tests/geometric_oracle.py keeps the geometric
 measurements these replaced; here they are compared over random pants,
 and the float closed forms are compared with the same formulas at 50
 digits.
@@ -64,12 +65,12 @@ def test_sides_and_corners_follow_the_gluing_order():
             assert O._slot_side(sp, s) == "left", (ls, s)
             att, rep = G.fixed_points(sp.slot_hol[s])
             assert O.spiral_endpoint(att, rep, sp.slot_probe[s]) == att
-            assert SP._front_corner(sp, ("curve", 0), s).point == att
+            assert SP._front_corner(sp, s).point == att
             refl = G.geodesic_reflection(sp.seams[s])
             att, rep = G.fixed_points(refl.conjugate_isometry(sp.slot_hol[s]))
             probe = refl.apply(sp.slot_probe[s])
             assert O.spiral_endpoint(att, rep, probe) == rep
-            assert SP._back_apex(sp, ("curve", 0), s).point == rep
+            assert SP._back_apex(sp, s).point == rep
     assert built >= PANTS * 99 // 100
     assert slots >= 2 * built
 

@@ -9,7 +9,10 @@ parameter of a library function must be passed by some call in the
 library, its tests, demos or benchmark: a default nothing overrides is a
 constant.  Every top-level function of the library must be named
 somewhere in the library, its tests, demos or benchmark outside its own
-definition: a function nothing names is dead.
+definition: a function nothing names is dead.  Every field of a library
+dataclass must be read as an attribute somewhere in the library, its
+tests, demos or benchmark: a field nothing reads is dead weight carried
+by every instance.
 """
 
 import ast
@@ -178,6 +181,36 @@ def unreferenced_functions(defining, referring):
     return dead
 
 
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        func = dec.func if isinstance(dec, ast.Call) else dec
+        name = (func.id if isinstance(func, ast.Name) else
+                func.attr if isinstance(func, ast.Attribute) else None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(defining, reading):
+    """Fields of the dataclasses in defining that no attribute load reads.
+
+    A read is an attribute load (``x.field``) in any tree of reading,
+    matched by the field name alone; constructing an instance with the
+    field as a keyword is not a read.
+    """
+    fields = []
+    for tree in defining:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                fields += [(cls.name, node.target.id) for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and isinstance(node.target, ast.Name)]
+    read = {node.attr for tree in reading for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [f"{cls}.{name}" for cls, name in fields if name not in read]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_duplicate_top_level_names(path):
     assert duplicate_definitions(_parse(path)) == []
@@ -204,6 +237,11 @@ def test_every_function_is_referenced():
     trees = {path: _parse(path) for path in CALLERS}
     assert unreferenced_functions([trees[p] for p in MODULES],
                                   trees.values()) == []
+
+
+def test_every_dataclass_field_is_read():
+    trees = {path: _parse(path) for path in CALLERS}
+    assert unread_fields([trees[p] for p in MODULES], trees.values()) == []
 
 
 def test_checks_catch_their_targets():
@@ -233,3 +271,13 @@ def test_checks_catch_their_targets():
     caller = ast.parse("from lib import imported\nlib.used()\n")
     assert unreferenced_functions([lib], [lib, caller]) == ["recursive",
                                                             "dead"]
+    lib = ast.parse("from dataclasses import dataclass\n"
+                    "import dataclasses\n"
+                    "@dataclass\nclass Row:\n    name: str\n"
+                    "    detail: str\n    KIND = 1\n"
+                    "@dataclasses.dataclass(frozen=True)\nclass Pt:\n"
+                    "    x: float\n    y: float\n"
+                    "class Plain:\n    z: int\n")
+    caller = ast.parse("r = Row(name='a', detail='b')\nprint(r.name)\n"
+                       "p = Pt(1, 2)\np.x = p.y\n")
+    assert unread_fields([lib], [lib, caller]) == ["Row.detail", "Pt.x"]

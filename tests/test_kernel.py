@@ -12,9 +12,15 @@ counted only at ends with l <= 2 asinh 1:
   6 log(4 area) + w(l_i) + w(l_j);
 * its truncated length is max(0, a_k - w(l_i) - w(l_j)).
 
-The kernel reads the lengths from these closed forms
+run_surface reads the lengths from these closed forms
 (decomposition.arc_rows); tests/test_geometric_oracle.py checks them
 against the developed geometry.
+
+The kernel checks the relations one slot at a time: residual s is
+|shear_i + shear_j - l_s| over the two arcs i, j that end at slot s.
+The grouping it replaced, arc-ends summed per cusp and per (curve,
+side) across the whole surface, is the oracle of the record's residuals
+(regrouped_residuals).
 
 The shear-points method of geom.shear (the incircle tangency points of
 the two triangles) is the second, independent way to read each shear.
@@ -24,13 +30,14 @@ import math
 
 import pytest
 
+from shearlab import decomposition as D
 from shearlab import geom as G
 from shearlab import report
 from shearlab import spiralling as SP
 from shearlab import surface as S
 from shearlab.constants import (INTERMEDIATE_CURVE_MAX, Signature, area,
                                 collar_width, main_bound, shear_free_params)
-from shearlab.geom import GeometryError
+from shearlab.geom import RELATION_TOL, GeometryError
 from shearlab.pants import _seam_ends, build_pants, seam_lengths
 
 SIGS = ((1, 1), (0, 5), (3, 2), (5, 5))
@@ -63,21 +70,25 @@ def check_pants(sig, pg, fn, p, rec):
     scale = max(1.0, max(ls))
     sp = build_pants(*ls)
     log4a = math.log(4.0 * area(sig))
-    kern = SP.pants_kernel(sp, p, pg.pants[p], log4a, shear_free_params())
+    kern = SP.pants_kernel(sp, shear_free_params())
     seams = seam_lengths(*ls)
-    rows = iter(kern.shortness)
-    for k, de in enumerate(SP.develop_pants(sp, p, pg.pants[p])):
+    for s in range(3):
+        i, j = _seam_ends(s)
+        want = abs(kern.shears[i] + kern.shears[j] - ls[s])
+        assert kern.residuals[s] == want, (p, s)
+    for k, de in enumerate(SP.develop_pants(sp)):
         got = rec["shears"][str((p, k))]
         assert got == kern.shears[k] == SP.edge_shear(de)
         assert abs(got - closed_form_shear(ls, k)) <= 1e-10 * scale, (p, k)
         dual = shear_points_shear(de)
         assert abs(got - dual) <= 1e-10 * max(1.0, abs(dual)), (p, k)
+        rows = D.arc_rows(ls, (p, k), log4a)
         i, j = _seam_ends(k)
         if sp.slot_is_cusp[i] or sp.slot_is_cusp[j]:
-            next(rows)             # the truncated row alone
+            assert len(rows) == 1, (p, k)     # the truncated row alone
             continue
         a_k = seams[k]
-        raw, trunc = next(rows), next(rows)
+        raw, trunc = rows
         assert raw.name.startswith(f"arc {(p, k)} length")
         assert trunc.name.startswith(f"arc {(p, k)} truncated length")
         assert abs(raw.value - a_k) <= 1e-9 * max(1.0, a_k), (p, k)
@@ -85,7 +96,60 @@ def check_pants(sig, pg, fn, p, rec):
                             + collar(ls[j]), rel_tol=1e-15), (p, k)
         want = max(0.0, a_k - collar(ls[i]) - collar(ls[j]))
         assert abs(trunc.value - want) <= 1e-9 * max(1.0, a_k), (p, k)
-    assert next(rows, None) is None
+
+
+def regrouped_residuals(pg, fn, rec, first_is_left=True):
+    """The record's residuals with the arc-ends grouped across the surface.
+
+    The arc-ends are summed per cusp and per (curve, side), a curve's
+    first slot in (pants, slot) order being its left side (its right
+    side if not first_is_left), in the order the arcs are numbered.
+    Returns (cusp residual, side residual, relations ok).
+    """
+    sides = {}
+    for refs in pg.curve_ends().values():
+        first, second = sorted(refs)
+        sides[first] = "left" if first_is_left else "right"
+        sides[second] = "right" if first_is_left else "left"
+    cusp_ends, side_ends = {}, {}
+    for p, slots in enumerate(pg.pants):
+        for k in range(3):
+            shear = rec["shears"][str((p, k))]
+            for s in _seam_ends(k):
+                kind, ident = slots[s]
+                if kind == "cusp":
+                    cusp_ends.setdefault(ident, []).append(shear)
+                else:
+                    side_ends.setdefault((ident, sides[(p, s)]),
+                                         []).append(shear)
+    cusp = max((abs(sum(group)) for group in cusp_ends.values()),
+               default=0.0)
+    side = max((abs(sum(group) - fn.length(cid))
+                for (cid, _), group in side_ends.items()), default=0.0)
+    return cusp, side, cusp <= RELATION_TOL and side <= RELATION_TOL
+
+
+@pytest.mark.parametrize("gn", SIGS + ((10, 0),),
+                         ids=lambda gn: f"{gn[0]}-{gn[1]}")
+def test_residuals_match_the_surface_grouping(gn):
+    # each group of the surface grouping is the two arc-ends at one slot,
+    # so the per-slot residuals give the same maxima to the bit, under
+    # either orientation of the curves
+    sig = Signature(*gn)
+    compared = 0
+    for i in range(COUNT):
+        pg, fn = S.sample_fn(sig, S.sample_seed(BASE_SEED, i))
+        try:
+            rec = report.run_surface(sig, pg, fn)
+        except GeometryError as err:
+            assert "pants relation" in str(err), i
+            continue
+        compared += 1
+        got = (rec["cusp_residual"], rec["spiral_residual"],
+               rec["relations_ok"])
+        assert got == regrouped_residuals(pg, fn, rec), i
+        assert got == regrouped_residuals(pg, fn, rec, first_is_left=False)
+    assert compared >= COUNT // 2
 
 
 @pytest.mark.parametrize("gn", SIGS, ids=lambda gn: f"{gn[0]}-{gn[1]}")

@@ -3,8 +3,26 @@
 import json
 import math
 
+import pytest
+
 from shearlab import report
-from shearlab.constants import Signature
+from shearlab import spiralling as SP
+from shearlab import surface as S
+from shearlab.constants import Signature, shear_free_params
+from shearlab.geom import GeometryError
+from shearlab.pants import build_pants
+
+
+def long_05(i):
+    """Sample i of the (0,5) campaign at seed 3 with lengths in (0.01, 30).
+
+    Sample 5 fails the develop check at seam 2 of pants 1, and the cusp
+    stabilizer of sample 7's pants (16.01..., 0, 19.09...) rounds to a
+    hyperbolic isometry.
+    """
+    sig = Signature(0, 5)
+    pg, fn = S.sample_fn(sig, S.sample_seed(3, i), length_range=(0.01, 30.0))
+    return sig, pg, fn
 
 
 class TestRunSurface:
@@ -47,6 +65,26 @@ class TestRunSurface:
             pass
         else:
             raise AssertionError("malformed slot accepted")
+
+    def test_kernel_errors_name_the_seam_and_records_the_edge(self):
+        sig, pg, fn = long_05(5)
+        sp = build_pants(*S.slot_lengths(pg, fn, 1))
+        with pytest.raises(SP.DevelopError) as kernel_err:
+            SP.pants_kernel(sp, shear_free_params())
+        assert kernel_err.value.edge == 2
+        assert str(kernel_err.value) == (
+            "edge 2: developed endpoint is not fixed by its holonomy")
+        with pytest.raises(SP.DevelopError) as record_err:
+            report.run_surface(sig, pg, fn)
+        assert str(record_err.value) == (
+            "edge (1, 2): developed endpoint is not fixed by its holonomy")
+
+    def test_hyperbolic_cusp_stabilizer_is_named(self):
+        sig, pg, fn = long_05(7)
+        assert S.slot_lengths(pg, fn, 1)[1] == 0.0
+        with pytest.raises(GeometryError,
+                           match="^no horocycle for hyperbolic isometry$"):
+            report.run_surface(sig, pg, fn)
 
 
 class TestCampaign:

@@ -1,17 +1,14 @@
 """Spiralling triangulations: developing, shears, relations, audits."""
 
-import math
-
 import numpy as np
 
 import geometric_oracle as O
-from shearlab import decomposition as D
 from shearlab import geom as G
 from shearlab import report
 from shearlab import spiralling as SP
 from shearlab import surface as S
-from shearlab.constants import Signature, area, main_bound, shear_free_params
-from shearlab.pants import _seam_ends
+from shearlab.constants import Signature, main_bound, shear_free_params
+from shearlab.pants import _seam_ends, build_pants
 
 
 def surface(sig, seed=None, lengths=None, twists=None):
@@ -34,48 +31,34 @@ def developed(sig, **kwargs):
     """The developed edges of every pants, each in its own frame."""
     pg, fn = surface(sig, **kwargs)
     hol = S.holonomy_from_fn(pg, fn)
-    return hol, [de for p, sp in enumerate(hol.std)
-                 for de in SP.develop_pants(sp, p, pg.pants[p])]
-
-
-def local_surface(sig, slot_sides=None, **kwargs):
-    """The LocalSurface run_surface builds, and its curve lengths."""
-    pg, fn = surface(sig, **kwargs)
-    hol = S.holonomy_from_fn(pg, fn)
-    log4a = math.log(4.0 * area(sig))
-    kernels = [SP.pants_kernel(sp, p, pg.pants[p], log4a, shear_free_params())
-               for p, sp in enumerate(hol.std)]
-    sides = D.slot_sides(pg) if slot_sides is None else slot_sides
-    ls = SP.LocalSurface(graph=pg, slot_sides=sides, kernels=kernels)
-    return ls, {cid: fn.length(cid) for cid in pg.curve_ids()}
+    return hol, [de for sp in hol.std for de in SP.develop_pants(sp)]
 
 
 def margins(edges, kind=None):
     params = shear_free_params()
-    return [row.margin for de in edges for row in SP.margin_rows(de, params)
-            if kind is None or row.corner_kind == kind]
-
-
-def flipped(sides, refs=None):
-    """The slot sides with the sides at refs (default: all) swapped."""
-    other = {"left": "right", "right": "left"}
-    return {ref: other[side] if refs is None or ref in refs else side
-            for ref, side in sides.items()}
+    return [margin for de in edges
+            for corner_kind, margin in SP.margin_rows(de, params)
+            if kind is None or corner_kind == kind]
 
 
 class TestSpiral:
     def test_three_cusped_sphere_no_leaves(self):
-        ls, _ = local_surface(Signature(0, 3))
-        sv = ls.shear_vector()
-        assert sv.side_ends == {}
-        assert len(sv.values) == 3 and len(sv.cusp_ends) == 3
+        # three arcs and three cusp slots; no curve slot, so no side sum
+        rec = record(Signature(0, 3))
+        assert len(rec["shears"]) == 3
+        assert rec["spiral_residual"] == 0.0
+        sp = build_pants(0.0, 0.0, 0.0)
+        assert sp.slot_is_cusp == (True, True, True)
+        assert len(SP.pants_kernel(sp, shear_free_params()).residuals) == 3
 
     def test_once_punctured_torus_counts(self):
-        ls, _ = local_surface(Signature(1, 1), lengths={0: 1.0})
-        sv = ls.shear_vector()
-        assert len(sv.values) == 3
-        assert {cid for cid, _ in sv.side_ends} == {0}
-        assert set(sv.cusp_ends) == {0}
+        # curve 0 fills slots 0 and 1 (its two sides), cusp 0 slot 2
+        pg, fn = surface(Signature(1, 1), lengths={0: 1.0})
+        assert pg.pants == ((("curve", 0), ("curve", 0), ("cusp", 0)),)
+        sp = build_pants(*S.slot_lengths(pg, fn, 0))
+        kern = SP.pants_kernel(sp, shear_free_params())
+        assert len(kern.shears) == 3 and len(kern.residuals) == 3
+        assert max(kern.residuals) <= 1e-9
 
     def test_edge_counts_match_formula(self):
         for g, n, seed in [(1, 2, 1), (2, 0, 2), (0, 5, 3)]:
@@ -89,37 +72,20 @@ class TestSpiral:
         # point of its slot holonomy; an arc-end on its left spirals with
         # the orientation, onto the attracting point
         for seed in range(4):
-            hol, edges = developed(Signature(2, 1), seed=seed)
+            hol, _ = developed(Signature(2, 1), seed=seed)
             seen = 0
-            for de in edges:
-                p, k = de.arc
-                sp = hol.std[p]
-                ends = zip(_seam_ends(k), de.end_corners)
-                for s, corner in (*ends, (k, de.apex_front)):
-                    if corner.kind != "curve":
-                        continue
-                    att, rep = G.fixed_points(sp.slot_hol[s])
-                    want = att if O._slot_side(sp, s) == "left" else rep
-                    assert corner.point == want
-                    seen += 1
+            for sp in hol.std:
+                for de in SP.develop_pants(sp):
+                    k = de.seam
+                    ends = zip(_seam_ends(k), de.end_corners)
+                    for s, corner in (*ends, (k, de.apex_front)):
+                        if corner.kind != "curve":
+                            continue
+                        att, rep = G.fixed_points(sp.slot_hol[s])
+                        want = att if O._slot_side(sp, s) == "left" else rep
+                        assert corner.point == want
+                        seen += 1
             assert seen > 0
-
-    def test_orientation_flip_is_local(self):
-        # reversing one curve's orientation swaps the side labels of that
-        # curve's arc-ends only
-        sig = Signature(1, 2)
-        ls0, _ = local_surface(sig, seed=5)
-        refs = ls0.graph.curve_ends()[0]
-        ls1, _ = local_surface(sig, seed=5,
-                               slot_sides=flipped(ls0.slot_sides, refs))
-        sv0, sv1 = ls0.shear_vector(), ls1.shear_vector()
-        assert sv0.values == sv1.values and sv0.cusp_ends == sv1.cusp_ends
-        for (cid, side), ends in sv0.side_ends.items():
-            if cid == 0:
-                other = "left" if side == "right" else "right"
-                assert sv1.side_ends[(cid, other)] == ends
-            else:
-                assert sv1.side_ends[(cid, side)] == ends
 
 
 class TestDevelop:
@@ -148,18 +114,6 @@ class TestDevelop:
                 else:
                     assert abs(img - corner.point) <= 1e-9 * max(
                         1.0, abs(corner.point))
-
-    def test_orientation_flip_does_not_move_geometry(self):
-        # the shears come from the developed pants alone, so they agree
-        # whatever orientations are declared, and the sum relations hold
-        # under either labelling of the sides
-        sig = Signature(1, 2)
-        ls0, curves = local_surface(sig, seed=5)
-        ls1, _ = local_surface(sig, seed=5,
-                               slot_sides=flipped(ls0.slot_sides))
-        sv0, sv1 = ls0.shear_vector(), ls1.shear_vector()
-        assert sv0.values == sv1.values
-        assert SP.shear_relations(sv1, curves).ok()
 
 
 class TestShearVector:
@@ -218,14 +172,14 @@ class TestShearVector:
             assert abs(moved - SP.edge_shear(de)) <= 1e-9 * max(
                 1.0, abs(moved))
 
-    def test_index_sets_partition_ends(self):
-        ls, _ = local_surface(Signature(2, 1), seed=14)
-        sv = ls.shear_vector()
-        ends = [end for group in (*sv.cusp_ends.values(),
-                                  *sv.side_ends.values()) for end in group]
-        assert sorted(ends) == sorted((arc, idx) for arc in sv.values
-                                      for idx in (0, 1))
-
+    def test_slot_groups_partition_ends(self):
+        # arc k ends at the slots _seam_ends(k), and slot s is the end of
+        # the arcs _seam_ends(s): the three per-slot relation groups take
+        # each of the six arc-ends of a pants exactly once
+        ends = sorted((k, idx) for s in range(3)
+                      for k in _seam_ends(s)
+                      for idx, t in enumerate(_seam_ends(k)) if t == s)
+        assert ends == [(k, idx) for k in range(3) for idx in (0, 1)]
 
 class TestTheoremAtSmallScale:
     def test_bound_holds_on_certified_samples(self):

@@ -27,13 +27,14 @@ def _collar(length: float) -> float:
     return collar_width(length) if length <= INTERMEDIATE_CURVE_MAX else 0.0
 
 
-def truncated_length(lengths: tuple, k: int) -> float:
+def truncated_length(lengths: tuple, seams: tuple, k: int) -> float:
     """Length of seam arc k outside cusp neighborhoods and thin collars.
 
-    lengths is the pants' boundary-length triple (0 = cusp); the arc
-    joins slots i < j and t = k is the third boundary.  By the collar
-    lemma the collar or cusp region of the third boundary never meets
-    the arc, so only its two ends are cut:
+    lengths is the pants' boundary-length triple (0 = cusp) and seams its
+    seam lengths (pants.seam_lengths); the arc joins slots i < j and
+    t = k is the third boundary.  By the collar lemma the collar or cusp
+    region of the third boundary never meets the arc, so only its two
+    ends are cut:
 
     * curve to curve: a_k - w(l_i) - w(l_j), a_k the seam length;
     * cusp to curve o: log((cosh(l_t/2) + cosh(l_o/2)) / sinh(l_o/2))
@@ -45,7 +46,7 @@ def truncated_length(lengths: tuple, k: int) -> float:
     i, j = _seam_ends(k)
     li, lj, lt = lengths[i], lengths[j], lengths[k]
     if li and lj:
-        return max(0.0, seam_lengths(*lengths)[k] - _collar(li) - _collar(lj))
+        return max(0.0, seams[k] - _collar(li) - _collar(lj))
     lo = li or lj
     if lo:
         depth = math.log((math.cosh(lt / 2.0) + math.cosh(lo / 2.0))
@@ -73,25 +74,28 @@ def curve_rows(curves: dict, log4a: float) -> list:
             for cid, length in sorted(curves.items())]
 
 
-def arc_rows(lengths: tuple, arc: tuple, log4a: float) -> list:
-    """Rows of the raw and truncated length bounds of seam arc (p, k).
+def arc_rows(lengths: tuple, p: int, log4a: float) -> list:
+    """Rows of the raw and truncated length bounds of the seam arcs of pants p.
 
-    lengths is the boundary-length triple of pants p (0 = cusp).  The
-    raw length, the seam length a_k, is bounded only between two curves,
-    per regime: the collar widths of the intermediate curves at its ends
-    are added.
+    lengths is the boundary-length triple of pants p (0 = cusp); the rows
+    of arc (p, k) come in seam order k = 0, 1, 2, and the seam lengths
+    are computed once for all three.  The raw length, the seam length
+    a_k, is bounded only between two curves, per regime: the collar
+    widths of the intermediate curves at its ends are added.
     """
-    k = arc[1]
-    i, j = _seam_ends(k)
+    seams = seam_lengths(*lengths)
     rows = []
-    if lengths[i] and lengths[j]:
-        length = seam_lengths(*lengths)[k]
-        slack = _collar(lengths[i]) + _collar(lengths[j])
+    for k in range(3):
+        arc = (p, k)
+        i, j = _seam_ends(k)
+        if lengths[i] and lengths[j]:
+            length = seams[k]
+            slack = _collar(lengths[i]) + _collar(lengths[j])
+            rows.append(ShortnessRow(
+                f"arc {arc} length <= 6 log(4 area) + collar widths",
+                length, 6.0 * log4a + slack, length <= 6.0 * log4a + slack))
+        trunc = truncated_length(lengths, seams, k)
         rows.append(ShortnessRow(
-            f"arc {arc} length <= 6 log(4 area) + collar widths",
-            length, 6.0 * log4a + slack, length <= 6.0 * log4a + slack))
-    trunc = truncated_length(lengths, k)
-    rows.append(ShortnessRow(
-        f"arc {arc} truncated length <= 6 log(4 area)",
-        trunc, 6.0 * log4a, trunc <= 6.0 * log4a))
+            f"arc {arc} truncated length <= 6 log(4 area)",
+            trunc, 6.0 * log4a, trunc <= 6.0 * log4a))
     return rows

@@ -17,8 +17,13 @@ without any special casing.  This ordering puts the pants on the left
 of each boundary axis oriented from the repelling to the attracting
 fixed point of its holonomy, which is what lets the spiral corners and
 slot sides be read without a side test.  The seam lengths have a closed
-form (seam_lengths); the probe point of each glued slot only orients
-its gluing normalizer (slot_normalizer).
+form (seam_lengths).
+
+A StdPants is cached per length triple and holds only what the sampling
+path reads: the seams, the slot axes, cusp points and holonomies.  The
+marker and probe of a glued slot, which orient its gluing normalizer,
+are built by slot_normalizer when a gluing asks for them; the seam feet
+are measured only by the tests' geometric oracle.
 """
 
 from __future__ import annotations
@@ -99,13 +104,10 @@ class StdPants:
     lengths: tuple            # boundary lengths (0.0 encodes a cusp)
     seams: tuple              # three Geodesics; seams[k] joins slots != k
     slot_is_cusp: tuple
-    slot_axis: tuple          # Geodesic or None per slot
+    slot_axis: tuple          # Geodesic or None per slot: the common
+                              # perpendicular of the two adjacent seams
     slot_point: tuple         # ideal point (cusp slots) or None
     slot_hol: tuple           # boundary holonomy per slot (X1, X2, X3)
-    slot_marker: tuple        # complex or None: gluing reference point
-    slot_probe: tuple         # complex or None: interior sample near the axis
-    seam_feet: tuple          # per seam k: (end_at_lower_slot, end_at_higher_slot)
-                              # each entry (slot, foot complex or ideal point)
 
 
 _SEAM_ENDS = ((1, 2), (0, 2), (0, 1))
@@ -162,37 +164,11 @@ def build_pants(l1: float, l2: float, l3: float) -> StdPants:
             slot_axis.append(None)
             slot_point.append(shared)
         else:
+            # only the gluing reads the axis, but building it is the check
+            # that rejects adjacent seams float64 can no longer tell apart
+            # ("geodesics are not disjoint"), so it stays with the pants
             slot_axis.append(common_perpendicular(adj[0], adj[1]))
             slot_point.append(None)
-
-    seam_feet = []
-    for k in range(3):
-        ends = []
-        for s in _seam_ends(k):
-            if slot_is_cusp[s]:
-                ends.append((s, _nearest_endpoint(seams[k], slot_point[s])))
-            else:
-                ends.append((s, geodesic_intersection(seams[k], slot_axis[s])))
-        seam_feet.append(tuple(ends))
-
-    # marker for slot i: foot of the seam joining slot i to slot i+1, which
-    # is the seam indexed by the remaining slot (i+2 mod 3).  The probe sits
-    # on that seam a little inside the hexagon, i.e. toward the other foot.
-    slot_marker = []
-    slot_probe = []
-    for i in range(3):
-        if slot_is_cusp[i]:
-            slot_marker.append(None)
-            slot_probe.append(None)
-            continue
-        k = (i + 2) % 3
-        seam = seams[k]
-        marker = geodesic_intersection(slot_axis[i], seam)
-        other = (i + 1) % 3
-        other_foot = dict(seam_feet[k])[other]
-        toward = _direction_toward(seam, marker, other_foot)
-        slot_marker.append(marker)
-        slot_probe.append(_point_along(seam, marker, toward, 1e-3))
 
     pants = StdPants(
         lengths=lengths,
@@ -201,9 +177,6 @@ def build_pants(l1: float, l2: float, l3: float) -> StdPants:
         slot_axis=tuple(slot_axis),
         slot_point=tuple(slot_point),
         slot_hol=slot_hol,
-        slot_marker=tuple(slot_marker),
-        slot_probe=tuple(slot_probe),
-        seam_feet=tuple(seam_feet),
     )
     _check_pants(pants)
     return pants
@@ -259,12 +232,27 @@ def _check_pants(pants: StdPants):
 
 
 def slot_normalizer(pants: StdPants, slot: int) -> Isometry:
-    """Map sending the slot axis to (0, inf), marker to i, body to Re > 0."""
+    """Map sending the slot axis to (0, inf), marker to i, body to Re > 0.
+
+    The marker is the foot on the slot axis of the seam joining the slot
+    to the next one, seam (slot + 2) mod 3.  The probe sits on that seam
+    1e-3 from the marker, toward the seam's other foot, so it lies in the
+    pants and tells which side of the axis the body is on.  Only the
+    gluing (surface.holonomy_from_fn) reads them, so they are built here
+    rather than with the pants.
+    """
     if pants.slot_is_cusp[slot]:
         raise GeometryError("cusp slots cannot be glued")
     axis = pants.slot_axis[slot]
-    probe = pants.slot_probe[slot]
-    marker = pants.slot_marker[slot]
+    seam = pants.seams[(slot + 2) % 3]
+    other = (slot + 1) % 3
+    marker = geodesic_intersection(axis, seam)
+    if pants.slot_is_cusp[other]:
+        other_foot = _nearest_endpoint(seam, pants.slot_point[other])
+    else:
+        other_foot = geodesic_intersection(seam, pants.slot_axis[other])
+    toward = _direction_toward(seam, marker, other_foot)
+    probe = _point_along(seam, marker, toward, 1e-3)
     for (x, y) in ((axis.p, axis.q), (axis.q, axis.p)):
         m = mobius_two_point(x, y)
         if m(probe).real > 0:

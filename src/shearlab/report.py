@@ -79,6 +79,18 @@ def parse_surface(data: dict):
     return sig, pg, fn
 
 
+def _max(values, default):
+    """max() of the values, NaN if any of them is NaN.
+
+    Python's max keeps a NaN only when it comes first, so a NaN residual
+    or shear later in the list would be dropped silently.
+    """
+    values = list(values)
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values, default=default)
+
+
 def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
     """Per-pants pipeline on one surface; returns the per-surface record."""
     check_surface(pg, fn)
@@ -102,14 +114,14 @@ def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
             raise type(err)((p, err.edge), err.problem) from err
         for k, value in enumerate(kern.shears):
             shears[(p, k)] = value
-            shortness += decomposition.arc_rows(sp.lengths, (p, k), log4a)
+        shortness += decomposition.arc_rows(sp.lengths, p, log4a)
         for s, res in enumerate(kern.residuals):
             (cusp_res if sp.slot_is_cusp[s] else side_res).append(res)
         margins += kern.margins
-    cusp = max(cusp_res, default=0.0)
-    side = max(side_res, default=0.0)
+    cusp = _max(cusp_res, 0.0)
+    side = _max(side_res, 0.0)
     bound = main_bound(sig)
-    max_shear = max((abs(v) for v in shears.values()), default=0.0)
+    max_shear = _max((abs(v) for v in shears.values()), 0.0)
     record = {
         "fn": {
             "lengths": {str(k): v for k, v in sorted(fn.lengths.items())},
@@ -192,16 +204,15 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
         "samples": count,
         "failures": len(records) - len(good),
         "certified": len(certified),
-        "max_ratio_certified": max((r["ratio"] for r in certified),
-                                   default=None),
-        "max_ratio_uncertified": max((r["ratio"] for r in good
-                                      if not r["certified"]), default=None),
+        "max_ratio_certified": _max((r["ratio"] for r in certified), None),
+        "max_ratio_uncertified": _max((r["ratio"] for r in good
+                                       if not r["certified"]), None),
         "bound_violations_certified": sum(1 for r in certified
                                           if not r["bound_satisfied"]),
-        "worst_cusp_residual": max((r["cusp_residual"] for r in good),
-                                   default=None),
-        "worst_spiral_residual": max((r["spiral_residual"] for r in good),
-                                     default=None),
+        "worst_cusp_residual": _max((r["cusp_residual"] for r in good),
+                                    None),
+        "worst_spiral_residual": _max((r["spiral_residual"] for r in good),
+                                      None),
         "min_margin": min((r["min_margin"] for r in good
                            if r["min_margin"] is not None), default=None),
     }

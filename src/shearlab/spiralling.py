@@ -189,22 +189,26 @@ def margin_rows(de: DevelopedEdge, params: ShearFreeParams) -> list:
     and corners on curves short enough to carry a truncated collar must
     be farther from the curve than the truncated width.  Returns
     (corner kind, margin) pairs; a non-positive margin raises AuditError.
+    The shear points are computed only when some corner carries a row.
     """
     short_max = 2.0 * math.tanh(params.rho)
+    thin = [corner for corner in (*de.end_corners, de.apex_front,
+                                  de.apex_back)
+            if corner.kind == "cusp" or corner.length <= short_max]
+    if not thin:
+        return []
     pts = (geom.shear_point_on(de.front, de.edge),
            geom.shear_point_on(de.back, de.edge))
     rows = []
-    for corner in (*de.end_corners, de.apex_front, de.apex_back):
+    for corner in thin:
         for s in pts:
             if corner.kind == "cusp":
                 horo = geom.horocycle_length_through(corner.stabilizer, s)
                 margin = horo - params.delta2
-            elif corner.length <= short_max:
+            else:
                 d = geom.dist_to_geodesic(s, corner.axis)
                 w_t = truncated_collar_width(corner.length, params)
                 margin = d - w_t
-            else:
-                continue
             rows.append((corner.kind, margin))
             if margin <= 0.0:
                 if corner.kind == "cusp":

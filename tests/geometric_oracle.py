@@ -10,6 +10,14 @@ pants itself, as the oracle the tests check those rules and formulas
 against: the side of the slot's probe point, the distance between seam
 feet, and the seam minus its intersections with the standard cusp
 horoballs and thin collars.
+
+It also keeps, as the oracle of slot_normalizer, the gluing data built
+from the feet of all three seams: the seam feet and the marker and probe
+of each glued slot (seam_feet, slot_marker_probe, build_time_normalizer).
+slot_normalizer builds only the marker, the one foot and the probe it
+needs, when it is called.  And it keeps the eager form of
+spiralling.margin_rows (eager_margin_rows), which computes both shear
+points of every edge whether or not a corner carries a row.
 """
 
 from __future__ import annotations
@@ -18,9 +26,60 @@ import math
 from dataclasses import dataclass
 
 from shearlab import geom
-from shearlab.constants import INTERMEDIATE_CURVE_MAX, collar_width
-from shearlab.geom import INF, Geodesic, Isometry, mobius_two_point
-from shearlab.pants import StdPants, _seam_ends
+from shearlab.constants import (INTERMEDIATE_CURVE_MAX, collar_width,
+                                truncated_collar_width)
+from shearlab.geom import (INF, Geodesic, GeometryError, Isometry,
+                           geodesic_intersection, mobius_two_point)
+from shearlab.pants import (StdPants, _direction_toward, _nearest_endpoint,
+                            _point_along, _seam_ends)
+from shearlab.spiralling import AuditError
+
+
+def seam_feet(sp: StdPants, k: int) -> tuple:
+    """Both ends of seam k, as (slot, foot) for its end slots in order.
+
+    The foot is the seam's crossing with the slot axis, or at a cusp
+    slot the seam's endpoint at the cusp.
+    """
+    seam = sp.seams[k]
+    ends = []
+    for s in _seam_ends(k):
+        if sp.slot_is_cusp[s]:
+            ends.append((s, _nearest_endpoint(seam, sp.slot_point[s])))
+        else:
+            ends.append((s, geodesic_intersection(seam, sp.slot_axis[s])))
+    return tuple(ends)
+
+
+def slot_marker_probe(sp: StdPants, i: int) -> tuple:
+    """Gluing marker and probe of the glued slot i, from the seam feet.
+
+    The marker is the foot of the seam joining slot i to slot i+1, which
+    is the seam indexed by the remaining slot (i+2 mod 3).  The probe
+    sits on that seam a little inside the hexagon, toward the other foot.
+    """
+    k = (i + 2) % 3
+    seam = sp.seams[k]
+    marker = geodesic_intersection(sp.slot_axis[i], seam)
+    other_foot = dict(seam_feet(sp, k))[(i + 1) % 3]
+    toward = _direction_toward(seam, marker, other_foot)
+    return marker, _point_along(seam, marker, toward, 1e-3)
+
+
+def build_time_normalizer(sp: StdPants, slot: int) -> Isometry:
+    """slot_normalizer, with the marker and probe of slot_marker_probe."""
+    if sp.slot_is_cusp[slot]:
+        raise GeometryError("cusp slots cannot be glued")
+    axis = sp.slot_axis[slot]
+    marker, probe = slot_marker_probe(sp, slot)
+    for (x, y) in ((axis.p, axis.q), (axis.q, axis.p)):
+        m = mobius_two_point(x, y)
+        if m(probe).real > 0:
+            y0 = m(marker).imag
+            s = math.sqrt(y0)
+            scale = Isometry.from_matrix(1.0 / s, 0.0, 0.0, s)
+            return scale @ m
+    raise GeometryError("could not orient slot axis with body on the right")
 
 
 def _slot_side(sp: StdPants, s: int) -> str:
@@ -30,7 +89,7 @@ def _slot_side(sp: StdPants, s: int) -> str:
     point of its holonomy in the pants' own frame.
     """
     att, rep = geom.fixed_points(sp.slot_hol[s])
-    return geom.side_of_point(Geodesic(rep, att), sp.slot_probe[s])
+    return geom.side_of_point(Geodesic(rep, att), slot_marker_probe(sp, s)[1])
 
 
 def spiral_endpoint(axis_p, axis_q, probe: complex):
@@ -46,7 +105,7 @@ def spiral_endpoint(axis_p, axis_q, probe: complex):
 
 def arc_length(sp: StdPants, k: int) -> float:
     """Length of seam arc k between its feet; math.inf at a cusp end."""
-    (i, foot_i), (j, foot_j) = sp.seam_feet[k]
+    (i, foot_i), (j, foot_j) = seam_feet(sp, k)
     if sp.slot_is_cusp[i] or sp.slot_is_cusp[j]:
         return math.inf
     return geom.dist(foot_i, foot_j)
@@ -149,7 +208,7 @@ def truncate_arc(sp: StdPants, k: int) -> Truncation:
 
     # the arc segment in seam coordinates
     bounds = []
-    feet = dict(sp.seam_feet[k])
+    feet = dict(seam_feet(sp, k))
     for s in (i, j):
         if sp.slot_is_cusp[s]:
             # seam escapes to the cusp: the segment is infinite on this side
@@ -199,3 +258,36 @@ def truncate_arc(sp: StdPants, k: int) -> Truncation:
     return Truncation(seam=k, full_length=hi - lo,
                       truncated_length=left, removed=removed,
                       overlap_diagnostic=overlap, clamped=clamped)
+
+
+# ---------------------------------------------------------------------------
+# the shear-point audit, computing both shear points of every edge
+
+
+def eager_margin_rows(de, params) -> list:
+    """spiralling.margin_rows with both shear points always computed."""
+    short_max = 2.0 * math.tanh(params.rho)
+    pts = (geom.shear_point_on(de.front, de.edge),
+           geom.shear_point_on(de.back, de.edge))
+    rows = []
+    for corner in (*de.end_corners, de.apex_front, de.apex_back):
+        for s in pts:
+            if corner.kind == "cusp":
+                horo = geom.horocycle_length_through(corner.stabilizer, s)
+                margin = horo - params.delta2
+            elif corner.length <= short_max:
+                d = geom.dist_to_geodesic(s, corner.axis)
+                w_t = truncated_collar_width(corner.length, params)
+                margin = d - w_t
+            else:
+                continue
+            rows.append((corner.kind, margin))
+            if margin <= 0.0:
+                if corner.kind == "cusp":
+                    detail = f"horocycle length {horo:.6g} vs delta2"
+                else:
+                    detail = (f"distance {d:.6g} vs truncated width "
+                              f"{w_t:.6g} (curve length {corner.length:.6g})")
+                raise AuditError(de.seam, "shear point inside a "
+                                 f"shear-point-free part: {detail}")
+    return rows

@@ -357,22 +357,34 @@ class TestRelationCheck:
     """
 
     @staticmethod
-    def run_with_residual(monkeypatch, slot, value):
+    def patch_kernel(monkeypatch, field, index, value, call=0):
+        """Set kernel field[index] to value in the call-th kernel run."""
         from shearlab import spiralling
-        from shearlab.surface import FNCoordinates, canonical_pants_graph
         monkeypatch.undo()
         kernel = spiralling.pants_kernel
+        calls = []
 
         def patched(sp, params):
             kern = kernel(sp, params)
-            kern.residuals[slot] = value
+            if len(calls) == call:
+                getattr(kern, field)[index] = value
+            calls.append(sp)
             return kern
 
         monkeypatch.setattr(spiralling, "pants_kernel", patched)
+
+    def run_with(self, monkeypatch, field, index, value):
+        from shearlab.surface import FNCoordinates, canonical_pants_graph
+        self.patch_kernel(monkeypatch, field, index, value)
         sig = Signature(1, 1)
         pg = canonical_pants_graph(sig)
-        assert pg.pants[0][slot][0] == ("cusp" if slot == 2 else "curve")
         return report.run_surface(sig, pg, FNCoordinates({0: 1.0}, {0: 0.2}))
+
+    def run_with_residual(self, monkeypatch, slot, value):
+        from shearlab.surface import canonical_pants_graph
+        pg = canonical_pants_graph(Signature(1, 1))
+        assert pg.pants[0][slot][0] == ("cusp" if slot == 2 else "curve")
+        return self.run_with(monkeypatch, "residuals", slot, value)
 
     def test_relations_ok_follows_relation_tol(self, monkeypatch):
         rec = self.run_with_residual(monkeypatch, 2, 2 * RELATION_TOL)
@@ -392,6 +404,31 @@ class TestRelationCheck:
         rec = self.run_with_residual(monkeypatch, 0, math.nan)
         assert rec["cusp_residual"] <= RELATION_TOL
         assert not rec["relations_ok"]
+
+    def test_nan_residual_after_the_first_fails(self, monkeypatch):
+        # max() drops a NaN unless it comes first; slot 1 is the second
+        # curve slot
+        rec = self.run_with_residual(monkeypatch, 1, math.nan)
+        assert math.isnan(rec["spiral_residual"])
+        assert not rec["relations_ok"]
+
+    def test_nan_shear_after_the_first_is_kept(self, monkeypatch):
+        rec = self.run_with(monkeypatch, "shears", 1, math.nan)
+        assert math.isnan(rec["max_shear"]) and math.isnan(rec["ratio"])
+        assert not rec["bound_satisfied"]
+
+    def test_nan_reaches_the_campaign_maxima(self, monkeypatch):
+        # a NaN in the second of three samples, one pants each; the first
+        # sample falls in the same maximum, so the NaN does not come first
+        self.patch_kernel(monkeypatch, "residuals", 1, math.nan, call=1)
+        _, summary = report.run_sample_campaign(Signature(1, 1), 5, 3)
+        assert math.isnan(summary["worst_spiral_residual"])
+        assert summary["worst_cusp_residual"] <= RELATION_TOL
+        self.patch_kernel(monkeypatch, "shears", 1, math.nan, call=1)
+        records, summary = report.run_sample_campaign(Signature(1, 1), 5, 3)
+        assert records[0]["certified"] == records[1]["certified"]
+        kind = "certified" if records[1]["certified"] else "uncertified"
+        assert math.isnan(summary[f"max_ratio_{kind}"])
 
 
 class TestAuditFailure:

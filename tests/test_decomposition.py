@@ -36,7 +36,9 @@ def arcs(hol):
 
 def truncated(sp, arc):
     """The truncated length run_surface certifies for seam arc (p, k)."""
-    return D.arc_rows(sp.lengths, arc, 1.0)[-1].value
+    (row,) = [row for row in D.arc_rows(sp.lengths, arc[0], 1.0)
+              if row.name.startswith(f"arc {arc} truncated length")]
+    return row.value
 
 
 def shortness_rows(hol, sig):
@@ -44,8 +46,8 @@ def shortness_rows(hol, sig):
     log4a = math.log(4.0 * area(sig))
     curves = {cid: hol.fn.length(cid) for cid in hol.graph.curve_ids()}
     rows = D.curve_rows(curves, log4a)
-    for arc, sp, _ in arcs(hol):
-        rows += D.arc_rows(sp.lengths, arc, log4a)
+    for p, sp in enumerate(hol.std):
+        rows += D.arc_rows(sp.lengths, p, log4a)
     return rows
 
 

@@ -22,7 +22,8 @@ from shearlab import geom as G
 from shearlab import spiralling as SP
 from shearlab.constants import INTERMEDIATE_CURVE_MAX, Signature, area
 from shearlab.geom import GeometryError
-from shearlab.pants import _seam_ends, build_pants, seam_lengths
+from shearlab.pants import (_seam_ends, build_pants, seam_lengths,
+                            slot_normalizer)
 
 PANTS = 20000
 ARCS = 1200
@@ -64,15 +65,41 @@ def test_sides_and_corners_follow_the_gluing_order():
             slots += 1
             assert O._slot_side(sp, s) == "left", (ls, s)
             att, rep = G.fixed_points(sp.slot_hol[s])
-            assert O.spiral_endpoint(att, rep, sp.slot_probe[s]) == att
+            probe = O.slot_marker_probe(sp, s)[1]
+            assert O.spiral_endpoint(att, rep, probe) == att
             assert SP._front_corner(sp, s).point == att
             refl = G.geodesic_reflection(sp.seams[s])
             att, rep = G.fixed_points(refl.conjugate_isometry(sp.slot_hol[s]))
-            probe = refl.apply(sp.slot_probe[s])
+            probe = refl.apply(probe)
             assert O.spiral_endpoint(att, rep, probe) == rep
             assert SP._back_apex(sp, s).point == rep
     assert built >= PANTS * 99 // 100
     assert slots >= 2 * built
+
+
+def test_slot_normalizer_matches_the_build_time_construction():
+    # slot_normalizer builds the marker and probe of its slot when called;
+    # it must give, to the bit, the normalizer that the marker and probe
+    # built with every pants gave
+    rng = np.random.default_rng(11)
+    compared = 0
+    for _ in range(2000):
+        ls = tuple(0.0 if rng.random() < 0.25 else rng.uniform(0.01, 12.0)
+                   for _ in range(3))
+        sp = sound_pants(ls)
+        if sp is None:
+            continue
+        for s in range(3):
+            if sp.slot_is_cusp[s]:
+                with pytest.raises(GeometryError, match="cusp slots"):
+                    slot_normalizer(sp, s)
+                continue
+            got = slot_normalizer(sp, s)
+            want = O.build_time_normalizer(sp, s)
+            assert (got.a, got.b, got.c, got.d) == (want.a, want.b, want.c,
+                                                    want.d), (ls, s)
+            compared += 1
+    assert compared >= 2000
 
 
 def random_arcs(kind, count, seed):
@@ -128,7 +155,7 @@ def test_closed_forms_match_the_oracle(kind):
         if sp is None:
             continue
         compared += 1
-        got = D.truncated_length(ls, k)
+        got = D.truncated_length(ls, seam_lengths(*ls), k)
         want = O.truncate_arc(sp, k).truncated_length
         assert abs(got - want) <= 1e-9 * max(1.0, want), (ls, k)
         if kind == "curve-curve":
@@ -142,7 +169,7 @@ def test_closed_forms_match_fifty_digits(kind):
     with mp.workdps(50):
         for ls, k in random_arcs(kind, ARCS, 10 + KINDS.index(kind)):
             raw, trunc = mp_truncated(ls, k)
-            got = D.truncated_length(ls, k)
+            got = D.truncated_length(ls, seam_lengths(*ls), k)
             assert abs(got - trunc) <= 1e-12 * max(1, trunc), (ls, k)
             if raw is not None:
                 got = seam_lengths(*ls)[k]

@@ -12,7 +12,10 @@ somewhere in the library, its tests, demos or benchmark outside its own
 definition: a function nothing names is dead.  Every field of a library
 dataclass must be read as an attribute somewhere in the library, its
 tests, demos or benchmark: a field nothing reads is dead weight carried
-by every instance.
+by every instance.  Every field of StdPants, the pants cached per length
+triple on the sampling path, must be read inside the library itself:
+data only the tests read belongs to the tests' oracle, not to every
+pants the sampling path builds.
 """
 
 import ast
@@ -26,8 +29,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "shearlab"
 MODULES = sorted(SRC.glob("*.py"))
-READERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
-    (ROOT / "tests").rglob("*.py"))
+LIBRARY = sorted((ROOT / "src").rglob("*.py"))
+READERS = LIBRARY + sorted((ROOT / "tests").rglob("*.py"))
 CALLERS = READERS + sorted((ROOT / "demos").rglob("*.py")) + sorted(
     (ROOT / "perfbench").rglob("*.py"))
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
@@ -244,6 +247,17 @@ def test_every_dataclass_field_is_read():
     assert unread_fields([trees[p] for p in MODULES], trees.values()) == []
 
 
+def fields_unread_in_library(cls_name, library):
+    """Fields of the dataclass cls_name that no attribute load in library reads."""
+    return [field for field in unread_fields(library, library)
+            if field.startswith(f"{cls_name}.")]
+
+
+def test_std_pants_fields_are_read_in_the_library():
+    assert fields_unread_in_library(
+        "StdPants", [_parse(p) for p in LIBRARY]) == []
+
+
 def test_checks_catch_their_targets():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "def f():\n    return tau\n"
@@ -281,3 +295,11 @@ def test_checks_catch_their_targets():
     caller = ast.parse("r = Row(name='a', detail='b')\nprint(r.name)\n"
                        "p = Pt(1, 2)\np.x = p.y\n")
     assert unread_fields([lib], [lib, caller]) == ["Row.detail", "Pt.x"]
+    lib = ast.parse("from dataclasses import dataclass\n"
+                    "@dataclass(frozen=True)\nclass StdPants:\n"
+                    "    lengths: tuple\n    probe: tuple\n"
+                    "@dataclass\nclass Other:\n    unread: int\n"
+                    "def kernel(sp):\n    return sp.lengths\n")
+    test = ast.parse("assert sp.probe and sp.unread\n")
+    assert unread_fields([lib], [lib, test]) == []
+    assert fields_unread_in_library("StdPants", [lib]) == ["StdPants.probe"]

@@ -1,5 +1,7 @@
 """Spiralling triangulations: developing, shears, relations, audits."""
 
+import math
+
 import numpy as np
 
 import geometric_oracle as O
@@ -227,6 +229,49 @@ class TestShearPointFreeAudit:
         diffs = [b - a for a, b in zip(trend, trend[1:])]
         assert all(d > 0 for d in diffs) or all(d < 0 for d in diffs)
         assert max(trend) < 2.0
+
+    def test_long_pants_compute_no_shear_point(self, monkeypatch):
+        # no corner of a pants whose boundaries all exceed 2 tanh(rho)
+        # carries a row, so its shear points are never computed
+        params = shear_free_params()
+        sp = build_pants(1.0, 2.0, 3.0)
+        assert min(sp.lengths) > 2.0 * math.tanh(params.rho)
+
+        def refuse(*args):
+            raise AssertionError("shear point computed")
+
+        monkeypatch.setattr(G, "shear_point_on", refuse)
+        assert SP.pants_kernel(sp, params).margins == []
+
+    def test_rows_match_the_eager_audit(self):
+        # cusps, curves that carry a collar row and curves that do not:
+        # the same rows in the same order, or the same error
+        params = shear_free_params()
+        short_max = 2.0 * math.tanh(params.rho)
+        rng = np.random.default_rng(17)
+
+        def outcome(audit, de):
+            try:
+                return audit(de, params)
+            except G.GeometryError as err:
+                return type(err), str(err)
+
+        edges = empty = 0
+        for _ in range(2000):
+            ls = tuple((0.0, rng.uniform(0.001, short_max),
+                        rng.uniform(short_max, 12.0))[rng.integers(3)]
+                       for _ in range(3))
+            try:
+                developed = SP.develop_pants(build_pants(*ls))
+            except G.GeometryError:
+                continue
+            for de in developed:
+                got = outcome(SP.margin_rows, de)
+                assert got == outcome(O.eager_margin_rows, de), ls
+                edges += 1
+                empty += got == []
+        assert edges >= 3 * 1900
+        assert 0 < empty < edges
 
     def test_sampled_audits(self):
         for trial in range(20):

@@ -208,7 +208,7 @@ class _Assembler:
             raise ChainError(
                 f"assembled complex has {len(links)} cusps, expected {n_cusps}")
         sigma = {}
-        for (k1, k2), vals in self.probes.items():
+        for (k1, _), vals in self.probes.items():
             if max(vals) - min(vals) > 1e-6:
                 raise ChainError(f"shear disagreement on {k1}: {vals}")
             sigma[cx.edge_key(*k1)] = sum(vals) / len(vals)
@@ -406,13 +406,12 @@ def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
     for i in right:
         s = _side_with_role(faces[i], "outer")
         sides[i] = (faces[i].points[s], faces[i].points[(s + 1) % 3],
-                    faces[i].labels[s], faces[i].labels[(s + 1) % 3],
                     faces[i].points[(s + 2) % 3])
     (iA, iB) = right
     chainings = []
     for (first, second) in ((iA, iB), (iB, iA)):
-        a0, a1, la0, la1, _ = sides[first]
-        b0, b1, lb0, lb1, _ = sides[second]
+        a0, a1, _ = sides[first]
+        b0, b1, _ = sides[second]
         for (x0, x1) in ((a0, a1), (a1, a0)):
             for (y0, y1) in ((b0, b1), (b1, b0)):
                 if (geom.boundary_close(x1, y0, _MATCH_TOL)
@@ -427,8 +426,8 @@ def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
             first, second, r0, r1, r2 = chaining
             lab_r0 = _label_of(faces[first], r0)
             lab_r1 = _label_of(faces[first], r1)
-            zA = sides[first][4]
-            zB = sides[second][4]
+            zA = sides[first][2]
+            zB = sides[second][2]
             for c4, pi in _window_cusp_lifts(gen_table, w_point[last_cusp],
                                              last_cusp, r0, r1, zA,
                                              limit=limit):

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``shear constants --g G --n N [--rho-prime X]``: every named constant
   plus the self-audit, as JSON.  Exit 2 if the audit fails, 1 for a
-  rho' outside (0, rho).
+  rho' outside [tanh(rho), rho).
 * ``shear compute SURFACE.json``: full pipeline on one surface file.
   Exit 1 on a parse error (including a curve without an fn row or not
   glued to exactly two slots, and a pants graph that does not match the

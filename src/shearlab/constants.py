@@ -5,12 +5,18 @@ constants of ideal triangles, truncated collar widths, the per-regime
 spike constant, and the headline bound on the maximum shear.  A self
 audit re-derives the numeric inequalities these constants are supposed
 to satisfy and reports each one with its witness.
+
+Each fact is derived once: one pass over the audit grid per set of
+shear-free parameters gives the audit's three extrema, and one
+per-regime side map gives every spike constant and their table.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 #: Half the inradius of an ideal triangle; the inradius itself is 2*rho.
 RHO = math.log(3.0) / 4.0
@@ -150,9 +156,16 @@ def curve_regime(length) -> str:
     return "long"
 
 
-def _collar_gap(length: float, params: ShearFreeParams) -> float:
-    """w(l) - w^T(l) for a short curve: collar depth outside the safe collar."""
-    return collar_width(length) - truncated_collar_width(length, params)
+#: Endpoint regimes of an arc, in the order of the spike-constant table.
+_REGIMES = ("cusp", "short", "intermediate", "long")
+
+
+def _sides(params: ShearFreeParams, short_gap) -> dict:
+    """Per-regime side of the spike constant; short_gap is w - w^T."""
+    return {"cusp": math.log(2.0 / params.delta2),
+            "short": short_gap,
+            "intermediate": collar_width(SHORT_CURVE_MAX),
+            "long": 0.0}
 
 
 def spike_constant(end1, end2, params: ShearFreeParams) -> float:
@@ -162,23 +175,17 @@ def spike_constant(end1, end2, params: ShearFreeParams) -> float:
     None or length) or ("long", None or length).  Short endpoints must
     carry their curve length.
     """
-    def one_side(end):
+    def side(end):
         kind, length = end
-        if kind == "cusp":
-            return ("cusp", math.log(2.0 / params.delta2))
-        if kind == "short":
-            if length is None:
-                raise ValueError("short-curve regime requires the curve length")
-            return ("short", _collar_gap(length, params))
-        if kind == "intermediate":
-            return ("intermediate", collar_width(SHORT_CURVE_MAX))
-        if kind == "long":
-            return ("long", 0.0)
-        raise ValueError(f"unknown endpoint regime {kind!r}")
+        if kind not in _REGIMES:
+            raise ValueError(f"unknown endpoint regime {kind!r}")
+        if kind != "short":
+            return _sides(params, None)[kind]
+        if length is None:
+            raise ValueError("short-curve regime requires the curve length")
+        return collar_width(length) - truncated_collar_width(length, params)
 
-    k1, v1 = one_side(end1)
-    k2, v2 = one_side(end2)
-    return v1 + v2
+    return side(end1) + side(end2)
 
 
 @dataclass(frozen=True)
@@ -197,28 +204,13 @@ def topology_constants(sig: Signature,
                        params: ShearFreeParams | None = None) -> TopologyConstants:
     params = params or shear_free_params()
     a = area(sig)
-    gap_sup = _sup_collar_gap(params)[0]
-    w_inter = collar_width(SHORT_CURVE_MAX)
-    log_term = math.log(2.0 / params.delta2)
-    table = {
-        ("cusp", "cusp"): 2.0 * log_term,
-        ("cusp", "short"): log_term + gap_sup,
-        ("cusp", "intermediate"): log_term + w_inter,
-        ("cusp", "long"): log_term,
-        ("short", "short"): 2.0 * gap_sup,
-        ("short", "intermediate"): gap_sup + w_inter,
-        ("short", "long"): gap_sup,
-        ("intermediate", "intermediate"): 2.0 * w_inter,
-        ("intermediate", "long"): w_inter,
-        ("long", "long"): 0.0,
-    }
     return TopologyConstants(
         area=a,
         R=bavard_bound(sig),
         D=16.0 * math.log(4.0 * a) + 8.7,
         B=main_bound(sig),
         delta1=delta1(),
-        C_table=table,
+        C_table=_spike_table(params),
     )
 
 
@@ -263,29 +255,35 @@ def _admissible_grid():
     return [math.exp(math.log(lo) + i * step) for i in range(_GRID_POINTS)]
 
 
-def _sup_collar_gap(params: ShearFreeParams):
-    """Supremum of w - w^T over admissible lengths, with its witness.
+@lru_cache(maxsize=128)
+def _grid_scan(params: ShearFreeParams):
+    """One pass over the admissible lengths, with w and w^T at each.
 
-    The gap is increasing in the length, so the supremum sits at the right
-    endpoint; the grid scan is kept as a guard against that monotonicity
-    assumption failing for unusual parameters.
+    Returns (sup(w - w^T), witness), (sup(l cosh w^T), witness) and
+    (min(w - (w^T + rho)), witness).  The gap is increasing in the
+    length, so its supremum sits at the right endpoint; the scan is kept
+    as a guard against that monotonicity failing for unusual parameters.
     """
-    best, arg = -math.inf, None
+    gap = boundary = (-math.inf, None)
+    margin = (math.inf, None)
     for ell in _admissible_grid() + [SHORT_CURVE_MAX]:
-        gap = _collar_gap(ell, params)
-        if gap > best:
-            best, arg = gap, ell
-    return best, arg
+        w = collar_width(ell)
+        w_t = truncated_collar_width(ell, params)
+        g, b, m = w - w_t, ell * math.cosh(w_t), w - (w_t + RHO)
+        if g > gap[0]:
+            gap = (g, ell)
+        if b > boundary[0]:
+            boundary = (b, ell)
+        if m < margin[0]:
+            margin = (m, ell)
+    return gap, boundary, margin
 
 
-def _sup_truncated_boundary(params: ShearFreeParams):
-    """Supremum of l*cosh(w^T(l)) over admissible lengths, with witness."""
-    best, arg = -math.inf, None
-    for ell in _admissible_grid() + [SHORT_CURVE_MAX]:
-        val = ell * math.cosh(truncated_collar_width(ell, params))
-        if val > best:
-            best, arg = val, ell
-    return best, arg
+def _spike_table(params: ShearFreeParams) -> dict:
+    """Spike constant per pair of regimes, a short side at its sup gap."""
+    side = _sides(params, _grid_scan(params)[0][0])
+    return {(a, b): side[a] + side[b]
+            for a, b in itertools.combinations_with_replacement(_REGIMES, 2)}
 
 
 def constants_audit(params: ShearFreeParams | None = None) -> AuditReport:
@@ -304,18 +302,18 @@ def constants_audit(params: ShearFreeParams | None = None) -> AuditReport:
     v = SHORT_CURVE_MAX
     rows.append(AuditRow("two_tanh_rho < 0.536", v, 0.536, v < 0.536))
 
-    gap_sup, gap_arg = _sup_collar_gap(params)
+    (gap_sup, gap_arg), (bd_sup, bd_arg), (worst, worst_arg) = (
+        _grid_scan(params))
     claimed = math.asinh(1.0 / math.sinh(math.tanh(RHO)))
     rows.append(AuditRow("sup(w - w^T) <= asinh(1/sinh(tanh rho))",
                          gap_sup, claimed, gap_sup <= claimed + 1e-12, gap_arg))
     rows.append(AuditRow("sup(w - w^T) < 2.02", gap_sup, 2.02,
                          gap_sup < 2.02, gap_arg))
 
-    bd_sup, bd_arg = _sup_truncated_boundary(params)
     rows.append(AuditRow("sup(l cosh w^T) < 0.54", bd_sup, 0.54,
                          bd_sup < 0.54, bd_arg))
 
-    c_max = max(topology_constants(Signature(0, 3), params).C_table.values())
+    c_max = max(_spike_table(params).values())
     rows.append(AuditRow("max spike constant <= 4.04", c_max, 4.04,
                          c_max <= 4.04))
 
@@ -330,12 +328,6 @@ def constants_audit(params: ShearFreeParams | None = None) -> AuditReport:
 
     # w^T + rho < w on the admissible range (checked despite being enforced
     # pointwise in truncated_collar_width, so the report carries a witness).
-    worst = math.inf
-    worst_arg = None
-    for ell in _admissible_grid() + [SHORT_CURVE_MAX]:
-        margin = collar_width(ell) - (truncated_collar_width(ell, params) + RHO)
-        if margin < worst:
-            worst, worst_arg = margin, ell
     rows.append(AuditRow("min(w - (w^T + rho)) > 0", worst, 0.0,
                          worst > 0.0, worst_arg))
 

@@ -121,8 +121,8 @@ def max_abs_shear(sigma: dict) -> float:
 
 
 def flippable(cx: CuspedTriangulation, edge) -> bool:
-    f1, s1 = edge
-    f2, s2 = cx.glue[edge]
+    f1, _ = edge
+    f2, _ = cx.glue[edge]
     if f1 == f2:
         return False
     glue = cx.glue

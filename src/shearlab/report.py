@@ -22,8 +22,9 @@ import json
 import math
 
 from . import decomposition, spiralling
-from .constants import (Signature, area, constants_audit, main_bound,
-                        shear_free_params, topology_constants)
+from .constants import (RHO, SHORT_CURVE_MAX, Signature, area,
+                        constants_audit, main_bound, shear_free_params,
+                        topology_constants)
 from .geom import RELATION_TOL
 from .pants import build_pants
 from .surface import (DISCONNECTED, FNCoordinates, PantsGraph,
@@ -93,9 +94,8 @@ def _max(values, default):
 
 def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
     """Per-pants pipeline on one surface; returns the per-surface record."""
-    check_surface(pg, fn)
+    ends = check_surface(pg, fn)
     std = [build_pants(*slot_lengths(pg, fn, p)) for p in range(pg.num_pants)]
-    ends = pg.curve_ends()
     curves = {cid: fn.length(cid) for cid in sorted(ends)}
     for cid, length in curves.items():
         # the curve-length check of the global holonomy, which reads the
@@ -220,8 +220,17 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
 
 
 def constants_report(sig: Signature, rho_prime=None) -> dict:
+    """Every named constant and the self-audit at one rho'.
+
+    The truncated collar needs 2 sinh(delta3) >= 2 tanh(rho) to be
+    defined on every short length, so a rho' below tanh(rho) is rejected
+    by name (ValueError), as is one outside (0, rho).
+    """
     params = (shear_free_params() if rho_prime is None
               else shear_free_params(rho_prime))
+    if 2.0 * math.sinh(params.delta3) < SHORT_CURVE_MAX:
+        raise ValueError(f"rho_prime must lie in [tanh(rho), rho) = "
+                         f"[{math.tanh(RHO)}, {RHO})")
     tc = topology_constants(sig, params)
     audit = constants_audit(params)
     return {

@@ -188,7 +188,8 @@ def margin_rows(de: DevelopedEdge, params: ShearFreeParams) -> list:
     corners must see a horocycle longer than delta2 through the point,
     and corners on curves short enough to carry a truncated collar must
     be farther from the curve than the truncated width.  Returns
-    (corner kind, margin) pairs; a non-positive margin raises AuditError.
+    (corner kind, margin) pairs; a margin that is not positive (NaN
+    included) raises AuditError.
     The shear points are computed only when some corner carries a row.
     """
     short_max = 2.0 * math.tanh(params.rho)
@@ -210,7 +211,7 @@ def margin_rows(de: DevelopedEdge, params: ShearFreeParams) -> list:
                 w_t = truncated_collar_width(corner.length, params)
                 margin = d - w_t
             rows.append((corner.kind, margin))
-            if margin <= 0.0:
+            if not margin > 0.0:
                 if corner.kind == "cusp":
                     detail = f"horocycle length {horo:.6g} vs delta2"
                 else:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,19 +105,22 @@ def validate(pg: PantsGraph, sig: Signature):
         n_cusps = -1
     if n_cusps != sig.n:
         problems.append(f"expected {sig.n} cusps, found {n_cusps}")
-    if not _connected(pg):
+    if not _connected(pg, ends):
         problems.append(DISCONNECTED)
     return problems
 
 
-def _connected(pg: PantsGraph) -> bool:
-    """Whether the curves that glue two slots connect every pants."""
+def _connected(pg: PantsGraph, ends: dict) -> bool:
+    """Whether the curves that glue two slots connect every pants.
+
+    ends is the curve index pg.curve_ends().
+    """
     if pg.num_pants == 0:
         return True
     seen = {0}
     frontier = [0]
     adj = {p: set() for p in range(pg.num_pants)}
-    for refs in pg.curve_ends().values():
+    for refs in ends.values():
         if len(refs) == 2:
             adj[refs[0][0]].add(refs[1][0])
             adj[refs[1][0]].add(refs[0][0])
@@ -129,25 +133,31 @@ def _connected(pg: PantsGraph) -> bool:
     return len(seen) == pg.num_pants
 
 
-def check_surface(pg: PantsGraph, fn: FNCoordinates):
+def check_surface(pg: PantsGraph, fn: FNCoordinates) -> dict:
     """Reject Fenchel-Nielsen data that no surface can be built from.
 
     Every curve needs a positive finite length and a finite twist, no
     cusp id may be used twice, and the gluing graph must be connected;
-    raises ValueError.
+    raises ValueError.  Returns the curve index pg.curve_ends() it builds.
     """
-    for cid in pg.curve_ids():
+    ends = pg.curve_ends()
+    for cid in sorted(ends):
         if not (0.0 < fn.length(cid) < math.inf):
             raise ValueError(f"curve {cid} needs a positive finite length")
         if not math.isfinite(fn.twist(cid)):
             raise ValueError(f"curve {cid} needs a finite twist")
     pg.cusp_slots()
-    if not _connected(pg):
+    if not _connected(pg, ends):
         raise ValueError(DISCONNECTED)
+    return ends
 
 
+@lru_cache(maxsize=128)
 def canonical_pants_graph(sig: Signature) -> PantsGraph:
-    """Linear chain of pants with handles attached in index order."""
+    """Linear chain of pants with handles attached in index order.
+
+    Built and validated once per signature; the graph is immutable.
+    """
     m = sig.complexity
     slots = [[None, None, None] for _ in range(m)]
     next_curve = 0
@@ -257,9 +267,8 @@ def _gluing_map(parent_std: StdPants, parent_slot: int,
 
 
 def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
-    check_surface(pg, fn)
+    ends = check_surface(pg, fn)
     std = [build_pants(*slot_lengths(pg, fn, p)) for p in range(pg.num_pants)]
-    ends = pg.curve_ends()
     root_paths = [None] * pg.num_pants
     root_paths[0] = []
     tree_curves = set()
@@ -318,7 +327,7 @@ def check_curve_holonomy(g: Isometry, cid, length: float):
 
 
 def _check_holonomy(hol: Holonomy):
-    for cid in hol.graph.curve_ids():
+    for cid in sorted(hol.curve_primary):
         check_curve_holonomy(hol.evaluate_class([(f"curve:{cid}", 1)]), cid,
                              hol.fn.length(cid))
     for cusp_id in hol.graph.cusp_slots():
@@ -358,9 +367,10 @@ def sample_fn(sig: Signature, seed: int, length_range=None,
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     lengths = {}
     twists = {}
-    for cid in pg.curve_ids():
+    cids = pg.curve_ids()
+    for cid in cids:
         lengths[cid] = float(rng.uniform(length_range[0], length_range[1]))
-    for cid in pg.curve_ids():
+    for cid in cids:
         u = float(rng.uniform(twist_range[0], twist_range[1]))
         twists[cid] = u * lengths[cid]
     return pg, FNCoordinates(lengths, twists)

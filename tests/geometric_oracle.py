@@ -282,7 +282,7 @@ def eager_margin_rows(de, params) -> list:
             else:
                 continue
             rows.append((corner.kind, margin))
-            if margin <= 0.0:
+            if not margin > 0.0:
                 if corner.kind == "cusp":
                     detail = f"horocycle length {horo:.6g} vs delta2"
                 else:

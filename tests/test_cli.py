@@ -62,7 +62,7 @@ class TestConstantsCommand:
             cli.main(["constants", "--g", "0", "--n", "2"])
         assert err.value.code == 1
 
-    @pytest.mark.parametrize("rho_prime", ["0", "-0.1"])
+    @pytest.mark.parametrize("rho_prime", ["0", "-0.1", "0.2"])
     def test_rho_prime_out_of_range(self, capsys, rho_prime):
         # 0 is a value, not "use the default"; both are rejected by name
         code = cli.main(["constants", "--g", "1", "--n", "1",
@@ -72,6 +72,18 @@ class TestConstantsCommand:
         assert captured.err.startswith("error: ")
         assert "rho_prime" in captured.err
         assert captured.err.count("\n") == 1
+
+
+    def test_rho_prime_below_tanh_rho_names_the_range(self, capsys):
+        # below tanh(rho) the truncated collar is undefined at 2 tanh(rho)
+        code = cli.main(["constants", "--g", "1", "--n", "1",
+                         "--rho-prime", "0.2"])
+        assert code == 1
+        assert "[tanh(rho), rho)" in capsys.readouterr().err
+        tanh_rho = repr(math.tanh(math.log(3.0) / 4.0))
+        code, _ = run(["constants", "--g", "1", "--n", "1",
+                       "--rho-prime", tanh_rho], capsys)
+        assert code == 2
 
 
 class TestComputeCommand:
@@ -448,3 +460,22 @@ class TestAuditFailure:
             "error: geometry invariant failure: edge (0, 0): shear point "
             "inside a shear-point-free part: horocycle length ")
         assert captured.err.count("\n") == 1
+
+    def test_nan_margin_fails_the_audit(self, monkeypatch):
+        # margin <= 0 is false for a NaN; the audit must still fail it
+        from shearlab import spiralling
+        from shearlab.surface import FNCoordinates, canonical_pants_graph
+        real = spiralling.truncated_collar_width
+        calls = []
+
+        def patched(length, params):
+            calls.append(length)
+            return math.nan if len(calls) == 2 else real(length, params)
+
+        monkeypatch.setattr(spiralling, "truncated_collar_width", patched)
+        sig = Signature(1, 1)
+        pg = canonical_pants_graph(sig)
+        with pytest.raises(spiralling.AuditError,
+                           match="truncated width nan"):
+            report.run_surface(sig, pg, FNCoordinates({0: 0.3}, {0: 0.0}))
+        assert len(calls) == 2

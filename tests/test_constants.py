@@ -294,6 +294,35 @@ def _row(report, prefix):
     raise AssertionError(f"no audit row starting with {prefix!r}")
 
 
+class TestOneDerivation:
+    """The spike table and the audit rest on one side map and one scan."""
+
+    def test_table_is_the_spike_constant_at_the_gap_witness(self):
+        p = C.shear_free_params()
+        ell = _row(C.constants_audit(p), "sup(w - w^T) < 2.02").witness
+        table = C.topology_constants(C.Signature(1, 1), p).C_table
+        assert len(table) == 10
+        for (a, b), value in table.items():
+            assert value == C.spike_constant((a, ell), (b, ell), p), (a, b)
+
+    def test_one_scan_per_constants_report(self, monkeypatch):
+        from shearlab import report
+        real = C.truncated_collar_width
+        calls = []
+
+        def counted(length, params):
+            calls.append(length)
+            return real(length, params)
+
+        monkeypatch.setattr(C, "truncated_collar_width", counted)
+        C._grid_scan.cache_clear()
+        try:
+            report.constants_report(C.Signature(2, 1))
+        finally:
+            C._grid_scan.cache_clear()
+        assert len(calls) == C._GRID_POINTS + 1 == 10_001
+
+
 class TestTopologyConstants:
     def test_assembles(self):
         tc = C.topology_constants(C.Signature(1, 1))

@@ -15,7 +15,9 @@ tests, demos or benchmark: a field nothing reads is dead weight carried
 by every instance.  Every field of StdPants, the pants cached per length
 triple on the sampling path, must be read inside the library itself:
 data only the tests read belongs to the tests' oracle, not to every
-pants the sampling path builds.
+pants the sampling path builds.  Every local a library function binds
+must be read in that function (or a function nested in it); a name
+starting with ``_`` marks a value bound only to be discarded.
 """
 
 import ast
@@ -214,6 +216,41 @@ def unread_fields(defining, reading):
     return [f"{cls}.{name}" for cls, name in fields if name not in read]
 
 
+def _own_scope(fn):
+    """Nodes of fn's own scope: nested functions and classes are left out."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(tree):
+    """Names a function binds in its own scope and never reads.
+
+    A read anywhere in the function counts, nested functions included
+    (a closure reads its enclosing locals).  Names declared global or
+    nonlocal, and names starting with an underscore, are exempt.
+    """
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        scope = list(_own_scope(fn))
+        declared = {name for node in scope
+                    if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for name in node.names}
+        bound = {node.id for node in scope if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Store)}
+        read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        out += [f"{fn.name}: {name}" for name in sorted(bound - read - declared)
+                if not name.startswith("_")]
+    return out
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_duplicate_top_level_names(path):
     assert duplicate_definitions(_parse(path)) == []
@@ -224,6 +261,11 @@ def test_no_duplicate_top_level_names(path):
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(_parse(path)) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    assert unread_locals(_parse(path)) == []
 
 
 def test_every_constant_is_read():
@@ -303,3 +345,15 @@ def test_checks_catch_their_targets():
     test = ast.parse("assert sp.probe and sp.unread\n")
     assert unread_fields([lib], [lib, test]) == []
     assert fields_unread_in_library("StdPants", [lib]) == ["StdPants.probe"]
+    lib = ast.parse("N = 0\n"
+                    "def f(pair):\n"
+                    "    a, b = pair\n    _, c = pair\n"
+                    "    for i, j in pair:\n        print(i)\n"
+                    "    with open(a) as fh:\n        pass\n"
+                    "    def g():\n        return c\n"
+                    "    def h():\n        dead = 1\n"
+                    "    global N\n    N = 1\n"
+                    "    total = 0\n    total += 1\n"
+                    "    return g, h\n")
+    assert unread_locals(lib) == ["f: b", "f: fh", "f: j", "f: total",
+                                  "h: dead"]

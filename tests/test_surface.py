@@ -168,6 +168,12 @@ class TestHolonomy:
 
 
 class TestSampler:
+    def test_graph_built_once_per_signature(self):
+        sig = Signature(2, 1)
+        pg1, _ = S.sample_fn(sig, 1)
+        pg2, _ = S.sample_fn(sig, 2)
+        assert pg1 is pg2
+
     def test_deterministic(self):
         a = S.sample_fn(Signature(1, 1), 42)
         b = S.sample_fn(Signature(1, 1), 42)

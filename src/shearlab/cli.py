@@ -20,8 +20,9 @@ Subcommands:
   0.05 and 2 log(4 area)).
 * ``shear optimize SURFACE.json --budget B --seed S``: flip search on a
   cusped chain surface (genus 0, up to five punctures).  Each of the B
-  steps scores every flippable edge in closed form and flips only the
-  edge it takes, in place.  Exit 1 on a parse error (as for
+  steps scores in closed form the flips that can improve the maximum
+  (those of the edges of the two faces at the largest |shear|) and
+  flips only the edge it takes, in place.  Exit 1 on a parse error (as for
   ``compute``), a negative budget or a seed outside [0, 2^64), 4 for
   surfaces without a supported start triangulation or that fail a
   geometry invariant (as for ``compute``).

@@ -598,16 +598,22 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
                         seed: int):
     """Greedy descent on the maximum absolute shear with random kicks.
 
-    Each step scores every flippable edge by the maximum absolute shear
-    its flip would give, in closed form and without building the flipped
+    Each step scores flippable edges by the maximum absolute shear their
+    flip would give, in closed form and without building the flipped
     complex.  The lowest (value, edge) is flipped if it improves on the
     current maximum by more than 1e-12; otherwise a seeded random kick
-    flips a uniformly drawn flippable edge.  Every step, kick or descent,
-    uses one unit of budget.  The search checks the whole complex once,
-    then flips one private copy in place with a check of only the faces
-    each flip touches; the inputs are left unchanged, and the state is
-    copied only when the best maximum improves.  Returns the best
-    triangulation, its shear vector, the best maximum and the flip trail.
+    flips an edge drawn uniformly from the sorted flippable edges.  Only
+    a flip that changes the shear of the top-ranked edge can improve,
+    since any other keeps that shear, the current maximum; and a flip
+    changes only the edges of its own two faces.  So while the maximum
+    is finite a step scores only the flippable edges of the two faces
+    of the top-ranked edge, and a kick also scores the edge it draws.
+    Every step, kick or descent, uses one unit of budget.  The search
+    checks the whole complex once, then flips one private copy in place
+    with a check of only the faces each flip touches; the inputs are
+    left unchanged, and the state is copied only when the best maximum
+    improves.  Returns the best triangulation, its shear vector, the best
+    maximum and the flip trail.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     cur_max = max_abs_shear(sigma)
@@ -618,18 +624,33 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
     while len(trail) < budget:
         ranking = sorted(((abs(v), k) for k, v in cur_sigma.items()),
                          reverse=True)
+        # a NaN shear can leave the ranking's head below a finite maximum
+        if (ranking and math.isfinite(cur_max)
+                and ranking[0][0] == cur_max):
+            top = ranking[0][1]
+            faces = (top[0], cur_cx.glue[top][0])
+            near = {cur_cx.edge_key(f, s) for f in faces for s in range(3)}
+        else:
+            near = set(cur_cx.edges())
         flipped = {e: _flipped_shears(cur_cx, cur_sigma, e)
-                   for e in cur_cx.edges() if flippable(cur_cx, e)}
+                   for e in near if flippable(cur_cx, e)}
         scored = [(_flip_score(ranking, changed), e)
                   for e, changed in flipped.items()]
-        if not scored:
-            break
         improving = [c for c in scored if c[0] < cur_max - 1e-12]
         if improving:
             val, e = min(improving)
         else:
             # stuck at a local minimum: random kick
-            val, e = scored[int(rng.integers(0, len(scored)))]
+            # the near edges were tested already: flippable iff scored
+            candidates = [e for e in cur_cx.edges()
+                          if (e in flipped if e in near
+                              else flippable(cur_cx, e))]
+            if not candidates:
+                break
+            e = candidates[int(rng.integers(0, len(candidates)))]
+            if e not in flipped:
+                flipped[e] = _flipped_shears(cur_cx, cur_sigma, e)
+            val = _flip_score(ranking, flipped[e])
         _flip_in_place(cur_cx, cur_sigma, e, flipped[e])
         cur_max = val
         trail.append(e)

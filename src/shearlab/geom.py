@@ -9,6 +9,13 @@ Conventions used throughout the package:
   transformations; the matrix and its negative act identically.
 * Geodesics are stored by their pair of ideal endpoints and are oriented
   from ``p`` to ``q`` when the orientation flag is set.
+* The value types (Isometry, Reflection, Geodesic, IdealTriangle) are
+  slotted dataclasses, which are much cheaper to build than frozen
+  ones.  They are immutable by convention, and tests/test_hygiene.py
+  rejects any store to one of their fields outside the class's own
+  methods: the pants cache shares them across records.  They compare
+  by value, an Isometry never equal to a Reflection, and are not
+  hashable.
 
 The shear of two ideal triangles across a common edge is the signed
 distance along the oriented edge between the tangency points of their
@@ -50,7 +57,7 @@ class GeometryError(ValueError):
     """Raised when an operation receives geometrically invalid input."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Isometry:
     """Orientation-preserving isometry of the half-plane, det normalized to 1."""
 
@@ -115,7 +122,7 @@ class Isometry:
         return self.apply_boundary(z)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Reflection:
     """Orientation-reversing isometry z -> (a conj(z) + b)/(c conj(z) + d), det -1."""
 
@@ -211,12 +218,13 @@ def fixed_points(f: Isometry):
 
 def cross_ratio(p1, p2, p3, p4):
     """cr = ((p1-p3)(p2-p4)) / ((p1-p4)(p2-p3)), with inf handled by limits."""
-    pts = [normalize_boundary(p) for p in (p1, p2, p3, p4)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if boundary_close(pts[i], pts[j], tol=0.0):
-                raise GeometryError("cross-ratio of coincident points")
-    p1, p2, p3, p4 = pts
+    p1 = normalize_boundary(p1)
+    p2 = normalize_boundary(p2)
+    p3 = normalize_boundary(p3)
+    p4 = normalize_boundary(p4)
+    if (p1 == p2 or p1 == p3 or p1 == p4 or p2 == p3 or p2 == p4
+            or p3 == p4):
+        raise GeometryError("cross-ratio of coincident points")
     if p1 == INF:
         return (p2 - p4) / (p2 - p3)
     if p2 == INF:
@@ -233,7 +241,9 @@ def cyclically_ordered(a, b, c) -> bool:
 
     The circle is the real line plus inf, traversed in increasing direction.
     """
-    a, b, c = (normalize_boundary(x) for x in (a, b, c))
+    a = normalize_boundary(a)
+    b = normalize_boundary(b)
+    c = normalize_boundary(c)
     if a == INF:
         return b < c
     if b == INF:
@@ -248,7 +258,7 @@ def oriented(a, b, c):
     return (a, b, c) if cyclically_ordered(a, b, c) else (a, c, b)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Geodesic:
     """Complete geodesic with ideal endpoints p, q; oriented from p to q."""
 
@@ -257,8 +267,8 @@ class Geodesic:
     oriented: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "p", normalize_boundary(self.p))
-        object.__setattr__(self, "q", normalize_boundary(self.q))
+        self.p = normalize_boundary(self.p)
+        self.q = normalize_boundary(self.q)
         if self.p == self.q:
             raise GeometryError("geodesic endpoints must be distinct")
 
@@ -383,7 +393,7 @@ def geodesic_reflection(g: Geodesic) -> Reflection:
     return Reflection(c / r, (r * r - c * c) / r, 1.0 / r, -c / r)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IdealTriangle:
     """Ideal triangle with vertices in positive cyclic order."""
 
@@ -392,13 +402,12 @@ class IdealTriangle:
     v3: float
 
     def __post_init__(self):
-        vs = [normalize_boundary(v) for v in (self.v1, self.v2, self.v3)]
-        object.__setattr__(self, "v1", vs[0])
-        object.__setattr__(self, "v2", vs[1])
-        object.__setattr__(self, "v3", vs[2])
-        if len({vs[0], vs[1], vs[2]}) != 3:
+        self.v1 = v1 = normalize_boundary(self.v1)
+        self.v2 = v2 = normalize_boundary(self.v2)
+        self.v3 = v3 = normalize_boundary(self.v3)
+        if len({v1, v2, v3}) != 3:
             raise GeometryError("ideal triangle needs three distinct vertices")
-        if not cyclically_ordered(*vs):
+        if not cyclically_ordered(v1, v2, v3):
             raise GeometryError("vertices must be in positive cyclic order")
 
     def vertices(self):

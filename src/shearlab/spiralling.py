@@ -40,7 +40,7 @@ from .geom import Geodesic, IdealTriangle, Isometry
 from .pants import StdPants, _seam_ends
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Corner:
     """One ideal vertex of a developed triangle, with its thin-part data."""
 

@@ -18,6 +18,14 @@ slot_normalizer builds only the marker, the one foot and the probe it
 needs, when it is called.  And it keeps the eager form of
 spiralling.margin_rows (eager_margin_rows), which computes both shear
 points of every edge whether or not a corner carries a row.
+
+Last, it keeps the boundary primitives and value types of geom as they
+were written with frozen dataclasses, a generator per normalisation and
+boundary_close(..., tol=0.0) per pair of points: reference_cross_ratio,
+reference_cyclically_ordered, ReferenceGeodesic and
+ReferenceIdealTriangle.  geom now normalises each input once, compares
+the points with ==, and uses slotted dataclasses; the tests require the
+same result bits or the same exception from both.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ from shearlab import geom
 from shearlab.constants import (INTERMEDIATE_CURVE_MAX, collar_width,
                                 truncated_collar_width)
 from shearlab.geom import (INF, Geodesic, GeometryError, Isometry,
-                           geodesic_intersection, mobius_two_point)
+                           boundary_close, geodesic_intersection,
+                           mobius_two_point, normalize_boundary)
 from shearlab.pants import (StdPants, _direction_toward, _nearest_endpoint,
                             _point_along, _seam_ends)
 from shearlab.spiralling import AuditError
@@ -291,3 +300,75 @@ def eager_margin_rows(de, params) -> list:
                 raise AuditError(de.seam, "shear point inside a "
                                  f"shear-point-free part: {detail}")
     return rows
+
+
+# ---------------------------------------------------------------------------
+# boundary primitives and value types, as first written
+
+
+def reference_cross_ratio(p1, p2, p3, p4):
+    """cr = ((p1-p3)(p2-p4)) / ((p1-p4)(p2-p3)), with inf handled by limits."""
+    pts = [normalize_boundary(p) for p in (p1, p2, p3, p4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if boundary_close(pts[i], pts[j], tol=0.0):
+                raise GeometryError("cross-ratio of coincident points")
+    p1, p2, p3, p4 = pts
+    if p1 == INF:
+        return (p2 - p4) / (p2 - p3)
+    if p2 == INF:
+        return (p1 - p3) / (p1 - p4)
+    if p3 == INF:
+        return (p2 - p4) / (p1 - p4)
+    if p4 == INF:
+        return (p1 - p3) / (p2 - p3)
+    return ((p1 - p3) * (p2 - p4)) / ((p1 - p4) * (p2 - p3))
+
+
+def reference_cyclically_ordered(a, b, c) -> bool:
+    """True if (a, b, c) are in positive cyclic order on the boundary circle.
+
+    The circle is the real line plus inf, traversed in increasing direction.
+    """
+    a, b, c = (normalize_boundary(x) for x in (a, b, c))
+    if a == INF:
+        return b < c
+    if b == INF:
+        return c < a
+    if c == INF:
+        return a < b
+    return (a < b < c) or (b < c < a) or (c < a < b)
+
+
+@dataclass(frozen=True)
+class ReferenceGeodesic:
+    """Complete geodesic with ideal endpoints p, q; oriented from p to q."""
+
+    p: float
+    q: float
+    oriented: bool = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", normalize_boundary(self.p))
+        object.__setattr__(self, "q", normalize_boundary(self.q))
+        if self.p == self.q:
+            raise GeometryError("geodesic endpoints must be distinct")
+
+
+@dataclass(frozen=True)
+class ReferenceIdealTriangle:
+    """Ideal triangle with vertices in positive cyclic order."""
+
+    v1: float
+    v2: float
+    v3: float
+
+    def __post_init__(self):
+        vs = [normalize_boundary(v) for v in (self.v1, self.v2, self.v3)]
+        object.__setattr__(self, "v1", vs[0])
+        object.__setattr__(self, "v2", vs[1])
+        object.__setattr__(self, "v3", vs[2])
+        if len({vs[0], vs[1], vs[2]}) != 3:
+            raise GeometryError("ideal triangle needs three distinct vertices")
+        if not reference_cyclically_ordered(*vs):
+            raise GeometryError("vertices must be in positive cyclic order")

@@ -1,5 +1,7 @@
 """Cusped triangulations: chain construction, flips, developing maps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,43 @@ def search_runs():
     return runs
 
 
+def doubled_polygon(n):
+    """A sphere with n cusps: two fan-triangulated n-gons glued along
+    their boundary, with 2(n - 2) faces and 3(n - 2) edges."""
+    m = n - 2
+    verts = ([(0, k + 1, k + 2) for k in range(m)]
+             + [(0, k + 2, k + 1) for k in range(m)])
+    glue = {}
+    pairs = [((0, 0), (m, 2)), ((m - 1, 2), (2 * m - 1, 0))]
+    pairs += [((k, 1), (m + k, 1)) for k in range(m)]
+    pairs += [((k, 0), (k - 1, 2)) for k in range(1, m)]
+    pairs += [((m + k, 2), (m + k - 1, 0)) for k in range(1, m)]
+    for a, b in pairs:
+        glue[a], glue[b] = b, a
+    cx = CU.CuspedTriangulation(verts=verts, glue=glue)
+    cx.check()
+    return cx
+
+
+def count_scores_per_step(monkeypatch):
+    """Patch the search's flip scoring; returns the list of _flipped_shears
+    calls per step, each step closed by its in-place flip."""
+    per_step = [0]
+    real_shears, real_in_place = CU._flipped_shears, CU._flip_in_place
+
+    def counting_shears(cx, sigma, edge):
+        per_step[-1] += 1
+        return real_shears(cx, sigma, edge)
+
+    def closing_in_place(cx, sigma, edge, changed):
+        per_step.append(0)
+        return real_in_place(cx, sigma, edge, changed)
+
+    monkeypatch.setattr(CU, "_flipped_shears", counting_shears)
+    monkeypatch.setattr(CU, "_flip_in_place", closing_in_place)
+    return per_step
+
+
 class TestMinimaxSearch:
     def test_matches_reference_search(self, search_runs):
         for cx, sigma, budget, seed, want in search_runs:
@@ -364,6 +403,33 @@ class TestMinimaxSearch:
         assert calls["check"] == 1
         assert improvements >= 1
         assert calls["copy"] == 1 + improvements
+
+    @pytest.mark.parametrize("n", [4, 7, 12, 24])
+    def test_step_scores_at_most_six_flips(self, n, monkeypatch):
+        # only the flips of the edges of the two faces of the top-ranked
+        # edge can improve, so a step scores at most those five edges and
+        # the edge a kick draws, whatever the number of edges
+        cx = doubled_polygon(n)
+        rng = np.random.default_rng(n)
+        sigma = {e: float(rng.normal(0.0, 3.0)) for e in cx.edges()}
+        want = _reference_search(cx, sigma, 40, n)
+        per_step = count_scores_per_step(monkeypatch)
+        got = CU.minimax_flip_search(cx, sigma, 40, n)
+        assert got[3] == want[3] and got[2] == want[2] and got[1] == want[1]
+        assert len(per_step) == 41 and per_step[-1] == 0
+        assert max(per_step) <= 6
+        assert 1 <= want[4] < 40        # descents and kicks both ran
+
+    def test_infinite_maximum_scans_every_edge(self, monkeypatch):
+        cx = doubled_polygon(6)
+        sigma = {e: 0.5 for e in cx.edges()}
+        sigma[cx.edges()[3]] = math.inf
+        want = _reference_search(cx, sigma, 3, 1)
+        per_step = count_scores_per_step(monkeypatch)
+        got = CU.minimax_flip_search(cx, sigma, 3, 1)
+        assert got[3] == want[3]
+        flippable = sum(CU.flippable(cx, e) for e in cx.edges())
+        assert per_step[0] == flippable > 6
 
     @pytest.mark.parametrize("n, chain_seed, budget, seed",
                              [(4, 1, 40, 2), (5, 0, 40, 0)])

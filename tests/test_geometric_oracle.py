@@ -8,13 +8,22 @@ seam-arc lengths from closed forms in the boundary-length triple.  tests/geometr
 measurements these replaced; here they are compared over random pants,
 and the float closed forms are compared with the same formulas at 50
 digits.
+
+The boundary primitives and value types of geom are compared with their
+first form (the reference_* names of the oracle) over drawn floats that
+include signed zeros, infinities, NaN, huge and subnormal values and
+repeated points: the same result bits, or the same exception.
 """
 
+import itertools
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geometric_oracle as O
 from shearlab import decomposition as D
@@ -175,3 +184,133 @@ def test_closed_forms_match_fifty_digits(kind):
                 got = seam_lengths(*ls)[k]
                 assert abs(got - raw) <= 1e-12 * max(1, raw), (ls, k)
 
+
+# ---------------------------------------------------------------------------
+# boundary primitives and value types against their first form
+
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 0.5,
+           1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310)
+BOUNDARY = st.one_of(st.sampled_from(SPECIAL), st.floats(),
+                     st.integers(-3, 3))
+DRAWS = settings(max_examples=300, derandomize=True, database=None,
+                      deadline=None)
+
+
+@st.composite
+def points(draw, k):
+    """k boundary values drawn from a pool of at most k, so that repeats,
+    the same NaN object among them, are common."""
+    pool = draw(st.lists(BOUNDARY, min_size=1, max_size=k))
+    return [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(k)]
+
+
+def bits(value):
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as err:
+        return "raise", type(err), str(err)
+
+
+def same_outcome(got, want, fields=None):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raise":
+        assert got[1:] == want[1:]
+        return
+    got, want = got[1], want[1]
+    if fields is None:
+        assert type(got) is type(want) and bits(got) == bits(want)
+        return
+    for name in fields:
+        assert bits(getattr(got, name)) == bits(getattr(want, name)), name
+    assert repr(got) == repr(want).replace("Reference", "")
+
+
+@DRAWS
+@given(points(4))
+def test_cross_ratio_matches_reference(pts):
+    same_outcome(outcome(G.cross_ratio, *pts),
+                 outcome(O.reference_cross_ratio, *pts))
+
+
+@DRAWS
+@given(points(3))
+def test_cyclic_order_matches_reference(pts):
+    same_outcome(outcome(G.cyclically_ordered, *pts),
+                 outcome(O.reference_cyclically_ordered, *pts))
+
+
+@DRAWS
+@given(points(4), st.booleans())
+def test_geodesic_matches_reference(pts, oriented):
+    fields = ("p", "q", "oriented")
+    pairs = []
+    for ends in (pts[:2], pts[2:]):
+        got = outcome(G.Geodesic, *ends, oriented)
+        want = outcome(O.ReferenceGeodesic, *ends, oriented)
+        same_outcome(got, want, fields)
+        pairs.append((got, want))
+    (g1, r1), (g2, r2) = pairs
+    if g1[0] == g2[0] == "value":
+        assert (g1[1] == g2[1]) == (r1[1] == r2[1])
+
+
+@DRAWS
+@given(points(6))
+def test_ideal_triangle_matches_reference(pts):
+    fields = ("v1", "v2", "v3")
+    pairs = []
+    for vs in (pts[:3], pts[3:]):
+        got = outcome(G.IdealTriangle, *vs)
+        want = outcome(O.ReferenceIdealTriangle, *vs)
+        same_outcome(got, want, fields)
+        pairs.append((got, want))
+    (t1, r1), (t2, r2) = pairs
+    if t1[0] == t2[0] == "value":
+        assert (t1[1] == t2[1]) == (r1[1] == r2[1])
+
+
+def test_special_values_match_reference_exhaustively():
+    for pts in itertools.product(SPECIAL, repeat=3):
+        same_outcome(outcome(G.cyclically_ordered, *pts),
+                     outcome(O.reference_cyclically_ordered, *pts))
+        same_outcome(outcome(G.IdealTriangle, *pts),
+                     outcome(O.ReferenceIdealTriangle, *pts),
+                     ("v1", "v2", "v3"))
+        same_outcome(outcome(G.Geodesic, *pts[:2], pts[2] > 0),
+                     outcome(O.ReferenceGeodesic, *pts[:2], pts[2] > 0),
+                     ("p", "q", "oriented"))
+    for pts in itertools.product(SPECIAL, repeat=4):
+        same_outcome(outcome(G.cross_ratio, *pts),
+                     outcome(O.reference_cross_ratio, *pts))
+
+
+def test_value_types_print_and_compare_as_before():
+    iso = G.Isometry(1.0, 0.0, 0.0, 1.0)
+    refl = G.Reflection(1.0, 0.0, 0.0, 1.0)
+    assert repr(iso) == "Isometry(a=1.0, b=0.0, c=0.0, d=1.0)"
+    assert repr(refl) == "Reflection(a=1.0, b=0.0, c=0.0, d=1.0)"
+    assert repr(G.Geodesic(-math.inf, 2)) == (
+        "Geodesic(p=inf, q=2.0, oriented=True)")
+    assert repr(G.IdealTriangle(0, 1, math.inf)) == (
+        "IdealTriangle(v1=0.0, v2=1.0, v3=inf)")
+    assert repr(SP.Corner(point=0.0, kind="cusp")) == (
+        "Corner(point=0.0, kind='cusp', length=None, axis=None, "
+        "stabilizer=None)")
+    # equal entries of one class compare equal; an isometry never equals
+    # the reflection with the same entries, either way round
+    assert iso == G.Isometry(1.0, 0.0, 0.0, 1.0) == G.Isometry.identity()
+    assert iso != refl and refl != iso
+    assert G.Geodesic(0.0, 1.0) != G.Geodesic(0.0, 1.0, oriented=False)
+    # slotted and mutable, so neither hashable nor open to new attributes
+    for value in (iso, refl, G.Geodesic(0.0, 1.0),
+                  G.IdealTriangle(0.0, 1.0, 2.0), SP.Corner(0.0, "cusp")):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(TypeError):
+            hash(value)
+        with pytest.raises(AttributeError):
+            value.extra = 1

@@ -17,7 +17,12 @@ triple on the sampling path, must be read inside the library itself:
 data only the tests read belongs to the tests' oracle, not to every
 pants the sampling path builds.  Every local a library function binds
 must be read in that function (or a function nested in it); a name
-starting with ``_`` marks a value bound only to be discarded.
+starting with ``_`` marks a value bound only to be discarded.  The
+geometry value types are ``slots=True`` dataclasses, immutable by
+convention only, and the pants cache shares their instances across
+records: no code may store to or delete a field of a ``slots=True``
+library dataclass, plainly, augmented or through ``setattr``, outside
+that class's own methods.
 """
 
 import ast
@@ -186,14 +191,80 @@ def unreferenced_functions(defining, referring):
     return dead
 
 
+def _called_name(func):
+    return (func.id if isinstance(func, ast.Name) else
+            func.attr if isinstance(func, ast.Attribute) else None)
+
+
 def _is_dataclass(cls):
     for dec in cls.decorator_list:
         func = dec.func if isinstance(dec, ast.Call) else dec
-        name = (func.id if isinstance(func, ast.Name) else
-                func.attr if isinstance(func, ast.Attribute) else None)
-        if name == "dataclass":
+        if _called_name(func) == "dataclass":
             return True
     return False
+
+
+def _is_slotted_dataclass(cls):
+    return any(isinstance(dec, ast.Call)
+               and _called_name(dec.func) == "dataclass"
+               and any(k.arg == "slots" and isinstance(k.value, ast.Constant)
+                       and k.value.value is True for k in dec.keywords)
+               for dec in cls.decorator_list)
+
+
+SETTERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def _field_writes(node):
+    """(target, attribute name) of a store, augmented store or delete of
+    an attribute, or of a setattr/delattr call with a literal name."""
+    if (isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, (ast.Store, ast.Del))):
+        return node.value, node.attr
+    if (isinstance(node, ast.Call) and _called_name(node.func) in SETTERS
+            and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+        return node.args[0], node.args[1].value
+    return None
+
+
+def slotted_field_writes(defining, writing):
+    """Writes to a field of a slots=True dataclass of defining, in writing,
+    made outside that class's own methods.
+
+    Fields are matched by name.  A method's write through its first
+    parameter, also inside a function nested in the method, goes to an
+    instance of the method's own class and is not counted.
+    """
+    owners = {}
+    for tree in defining:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _is_slotted_dataclass(cls):
+                for node in cls.body:
+                    if (isinstance(node, ast.AnnAssign)
+                            and isinstance(node.target, ast.Name)):
+                        owners.setdefault(node.target.id, set()).add(cls.name)
+    found = []
+    for tree in writing:
+        stack = [(tree, None, None)]
+        while stack:
+            node, cls, me = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if (isinstance(node, ast.ClassDef) and isinstance(
+                        child, (ast.FunctionDef, ast.AsyncFunctionDef))):
+                    args = child.args.posonlyargs + child.args.args
+                    stack.append((child, node.name,
+                                  args[0].arg if args else None))
+                else:
+                    stack.append((child, cls, me))
+            write = _field_writes(node)
+            if write is None or write[1] not in owners:
+                continue
+            target, name = write
+            own = isinstance(target, ast.Name) and target.id == me
+            if cls not in owners[name] and not own:
+                found.append(f"{'/'.join(sorted(owners[name]))}.{name} "
+                             f"at line {node.lineno}")
+    return sorted(found)
 
 
 def unread_fields(defining, reading):
@@ -300,6 +371,11 @@ def test_std_pants_fields_are_read_in_the_library():
         "StdPants", [_parse(p) for p in LIBRARY]) == []
 
 
+def test_slotted_fields_are_written_only_by_their_class():
+    assert slotted_field_writes([_parse(p) for p in MODULES],
+                                [_parse(p) for p in CALLERS]) == []
+
+
 def test_checks_catch_their_targets():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "def f():\n    return tau\n"
@@ -357,3 +433,23 @@ def test_checks_catch_their_targets():
                     "    return g, h\n")
     assert unread_locals(lib) == ["f: b", "f: fh", "f: j", "f: total",
                                   "h: dead"]
+    lib = ast.parse("from dataclasses import dataclass\n"
+                    "@dataclass(slots=True)\nclass Pt:\n"
+                    "    x: float\n    y: float\n"
+                    "    def __post_init__(self):\n"
+                    "        self.x = float(self.x)\n"
+                    "    def bump(self, other):\n"
+                    "        other.y += 1\n"
+                    "@dataclass(frozen=True)\nclass Row:\n    name: str\n"
+                    "class Mat:\n    __slots__ = ('x',)\n"
+                    "    def __init__(self, x):\n        self.x = x\n"
+                    "        def reset():\n            self.x = 0\n")
+    writer = ast.parse("def shift(p, r):\n"
+                       "    p.x = 0\n    p.y += 1\n"
+                       "    setattr(p, 'x', 1)\n"
+                       "    object.__setattr__(p, 'y', 2)\n"
+                       "    del p.x\n    r.name = 'b'\n"
+                       "    a, p.y = 1, 2\n")
+    assert slotted_field_writes([lib], [lib, writer]) == [
+        "Pt.x at line 2", "Pt.x at line 4", "Pt.x at line 6",
+        "Pt.y at line 3", "Pt.y at line 5", "Pt.y at line 8"]

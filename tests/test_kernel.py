@@ -283,3 +283,37 @@ def test_shears_within_boundary_lengths(gn):
         if rec["certified"]:
             assert rec["max_shear"] <= cap < rec["bound"]
     assert summary["bound_violations_certified"] == 0
+
+
+# Open conditioning defects of the float64 standard position:
+# exact triples, found by seeded sampling, on which the float64 pants
+# rejects a sound pants.  Each builds and matches the closed forms once
+# the construction is precise enough; until then it fails with the named
+# GeometryError, and a strict xfail also flags a change that moves the
+# geometry.
+CONDITIONING_DEFECTS = [
+    ((10.74420829684859, 0.001103196614204424, 0.0),
+     "cusp slot 2 holonomy is hyperbolic"),
+    ((11.245138847401341, 0.0024989091686441235, 0.0),
+     "cusp slot 2 holonomy is elliptic"),
+    ((16.011164890637986, 0.0, 19.099576096709853),
+     "no horocycle for hyperbolic isometry"),
+]
+
+
+@pytest.mark.xfail(strict=True, raises=GeometryError,
+                   reason="float64 rounding in the standard position")
+@pytest.mark.parametrize("ls, message", CONDITIONING_DEFECTS,
+                         ids=("hyperbolic-cusp", "elliptic-cusp",
+                              "mirrored-stabilizer"))
+def test_conditioning_defects(ls, message):
+    try:
+        kern = SP.pants_kernel(build_pants(*ls), shear_free_params())
+    except GeometryError as err:
+        assert message in str(err)
+        raise
+    scale = max(1.0, max(ls))
+    for k in range(3):
+        assert abs(kern.shears[k] - closed_form_shear(ls, k)) <= 1e-9 * scale
+    assert max(kern.residuals) <= RELATION_TOL
+    assert all(margin > 0.0 for margin in kern.margins)

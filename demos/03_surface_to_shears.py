@@ -12,8 +12,9 @@
 
 from shearlab import FNCoordinates, Signature, canonical_pants_graph, sample_fn
 from shearlab.pants import build_pants, seam_lengths
+from shearlab.constants import shear_free_params
 from shearlab.report import run_surface
-from shearlab.spiralling import develop_pants, edge_shear
+from shearlab.spiralling import pants_kernel
 from shearlab.surface import slot_lengths
 
 sig = Signature(1, 1)
@@ -23,10 +24,10 @@ print("pants graph:", graph.pants)
 fn = FNCoordinates({0: 1.0}, {0: 0.3})
 lengths = slot_lengths(graph, fn, 0)
 print("boundary lengths:", lengths, " seam lengths:", seam_lengths(*lengths))
-for de in develop_pants(build_pants(*lengths)):
-    quad = ", ".join(f"{x:.4f}" for x in de.quadrilateral())
-    arc = (0, de.seam)
-    print(f"arc {arc}: quadrilateral ({quad}), shear {edge_shear(de):.9f}")
+kern = pants_kernel(build_pants(*lengths), shear_free_params())
+for k, (quad, shear) in enumerate(zip(kern.quadrilaterals, kern.shears)):
+    quad = ", ".join(f"{x:.4f}" for x in quad)
+    print(f"arc {(0, k)}: quadrilateral ({quad}), shear {shear:.9f}")
 
 rec = run_surface(sig, graph, fn)
 print("max |shear|:", rec["max_shear"], " bound:", rec["bound"])

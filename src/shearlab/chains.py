@@ -340,13 +340,13 @@ def _centered_frames(hol: Holonomy):
     center = (hol.graph.num_pants - 1) // 2
     to_center = _exact(Isometry.identity())
     for e in hol.root_paths[center]:
-        to_center = geom._mat_mul(to_center, _exact(e))
+        to_center = geom.mat_mul(to_center, _exact(e))
     base = _exact_inverse(to_center)
     frames = []
     for p in range(hol.graph.num_pants):
         out = base
         for e in hol.root_paths[p]:
-            out = geom._mat_mul(out, _exact(e))
+            out = geom.mat_mul(out, _exact(e))
         frames.append(out)
     return frames
 
@@ -382,7 +382,7 @@ def _frame_conj(frame, iso: Isometry) -> Isometry:
     cancel from products thousands of times larger; float64 alone leaves
     absolute errors big enough to spoil downstream cross-ratios.
     """
-    m = geom._mat_mul(geom._mat_mul(frame, _exact(iso)),
+    m = geom.mat_mul(geom.mat_mul(frame, _exact(iso)),
                       _exact_inverse(frame))
     return Isometry(*(float(v) for v in m))
 
@@ -513,7 +513,7 @@ def _evaluate_exact(gens, seq, base_point, base_parab):
     """Exact-rational point and conjugated parabolic of a generator word."""
     word = _exact(Isometry.identity())
     for gi in reversed(seq):
-        word = geom._mat_mul(_exact(gens[gi]), word)
+        word = geom.mat_mul(_exact(gens[gi]), word)
     return _frame_apply(word, base_point), _frame_conj(word, base_parab)
 
 

@@ -59,18 +59,30 @@ def truncated_length(lengths: tuple, seams: tuple, k: int) -> float:
 # certification of the shortness bounds
 
 
-@dataclass
+_CURVE_ROW = "curve {} length <= 2 log(4 area)"
+_RAW_ARC_ROW = "arc {} length <= 6 log(4 area) + collar widths"
+_TRUNCATED_ARC_ROW = "arc {} truncated length <= 6 log(4 area)"
+
+
+@dataclass(slots=True)
 class ShortnessRow:
-    name: str
+    """One bound of the certificate; its name is formatted when read."""
+
+    label: str                # the name, with {} for the curve id or arc
+    subject: object           # curve id or arc (p, k)
     value: float
     bound: float
     passed: bool
 
+    @property
+    def name(self) -> str:
+        return self.label.format(self.subject)
+
 
 def curve_rows(curves: dict, log4a: float) -> list:
     """Rows of the curve-length bound, in curve id order."""
-    return [ShortnessRow(f"curve {cid} length <= 2 log(4 area)",
-                         length, 2.0 * log4a, length <= 2.0 * log4a)
+    return [ShortnessRow(_CURVE_ROW, cid, length, 2.0 * log4a,
+                         length <= 2.0 * log4a)
             for cid, length in sorted(curves.items())]
 
 
@@ -92,10 +104,9 @@ def arc_rows(lengths: tuple, p: int, log4a: float) -> list:
             length = seams[k]
             slack = _collar(lengths[i]) + _collar(lengths[j])
             rows.append(ShortnessRow(
-                f"arc {arc} length <= 6 log(4 area) + collar widths",
-                length, 6.0 * log4a + slack, length <= 6.0 * log4a + slack))
+                _RAW_ARC_ROW, arc, length, 6.0 * log4a + slack,
+                length <= 6.0 * log4a + slack))
         trunc = truncated_length(lengths, seams, k)
-        rows.append(ShortnessRow(
-            f"arc {arc} truncated length <= 6 log(4 area)",
-            trunc, 6.0 * log4a, trunc <= 6.0 * log4a))
+        rows.append(ShortnessRow(_TRUNCATED_ARC_ROW, arc, trunc, 6.0 * log4a,
+                                 trunc <= 6.0 * log4a))
     return rows

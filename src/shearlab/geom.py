@@ -16,6 +16,13 @@ Conventions used throughout the package:
   methods: the pants cache shares them across records.  They compare
   by value, an Isometry never equal to a Reflection, and are not
   hashable.
+* Each primitive the per-pants kernel and the pants construction need
+  also has a tuple form, which holds its formula: a matrix is a tuple
+  (a, b, c, d) and a geodesic a pair of normalized endpoints
+  (mat_classify, mat_fixed_points, mat_apply_boundary, two_point_mat,
+  three_point_mat, reflection_mat, ...).  The object functions and
+  methods call it, so the two give the same bits and raise the same
+  errors.
 
 The shear of two ideal triangles across a common edge is the signed
 distance along the oriented edge between the tangency points of their
@@ -57,6 +64,41 @@ class GeometryError(ValueError):
     """Raised when an operation receives geometrically invalid input."""
 
 
+def _unit_det(a, b, c, d):
+    """The matrix scaled to determinant one; a non-positive one is rejected."""
+    det = a * d - b * c
+    if det <= 0:
+        raise GeometryError(f"matrix determinant {det} is not positive")
+    s = math.sqrt(det)
+    return (a / s, b / s, c / s, d / s)
+
+
+def mat_mul(m, n):
+    """Product of 2x2 matrices given as (a, b, c, d) rows; any number type."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def mat_apply(m, z: complex) -> complex:
+    """The Mobius action of the matrix m on an interior point."""
+    a, b, c, d = m
+    return (a * z + b) / (c * z + d)
+
+
+def mat_apply_boundary(m, x):
+    """The Mobius action of the matrix m on a boundary point."""
+    a, b, c, d = m
+    if x == INF:
+        if abs(c) == 0.0:
+            return INF
+        return a / c
+    den = c * x + d
+    if den == 0.0:
+        return INF
+    return normalize_boundary((a * x + b) / den)
+
+
 @dataclass(slots=True)
 class Isometry:
     """Orientation-preserving isometry of the half-plane, det normalized to 1."""
@@ -68,11 +110,7 @@ class Isometry:
 
     @classmethod
     def from_matrix(cls, a, b, c, d):
-        det = a * d - b * c
-        if det <= 0:
-            raise GeometryError(f"matrix determinant {det} is not positive")
-        s = math.sqrt(det)
-        return cls(a / s, b / s, c / s, d / s)
+        return cls(*_unit_det(a, b, c, d))
 
     @classmethod
     def identity(cls):
@@ -100,21 +138,14 @@ class Isometry:
         # matrices drift from det 1 only at machine precision, while the
         # float determinant of a large-entry product is dominated by
         # cancellation noise, so "fixing" it would inject error.
-        return Isometry(*_mat_mul((self.a, self.b, self.c, self.d),
-                                  (other.a, other.b, other.c, other.d)))
+        return Isometry(*mat_mul((self.a, self.b, self.c, self.d),
+                                 (other.a, other.b, other.c, other.d)))
 
     def apply(self, z: complex) -> complex:
-        return (self.a * z + self.b) / (self.c * z + self.d)
+        return mat_apply((self.a, self.b, self.c, self.d), z)
 
     def apply_boundary(self, x):
-        if x == INF:
-            if abs(self.c) == 0.0:
-                return INF
-            return self.a / self.c
-        den = self.c * x + self.d
-        if den == 0.0:
-            return INF
-        return normalize_boundary((self.a * x + self.b) / den)
+        return mat_apply_boundary((self.a, self.b, self.c, self.d), x)
 
     def __call__(self, z):
         if isinstance(z, complex):
@@ -136,42 +167,29 @@ class Reflection:
         return (self.a * w + self.b) / (self.c * w + self.d)
 
     def apply_boundary(self, x):
-        if x == INF:
-            if abs(self.c) == 0.0:
-                return INF
-            return self.a / self.c
-        den = self.c * x + self.d
-        if den == 0.0:
-            return INF
-        return normalize_boundary((self.a * x + self.b) / den)
+        return mat_apply_boundary((self.a, self.b, self.c, self.d), x)
 
     def conjugate_isometry(self, f: Isometry) -> Isometry:
         """Return R f R (again orientation preserving)."""
-        m = _mat_mul(_mat_mul((self.a, self.b, self.c, self.d), (f.a, f.b, f.c, f.d)),
-                     (self.a, self.b, self.c, self.d))
+        m = mat_mul(mat_mul((self.a, self.b, self.c, self.d), (f.a, f.b, f.c, f.d)),
+                    (self.a, self.b, self.c, self.d))
         return Isometry(*m)
-
-
-def _mat_mul(m, n):
-    """Product of 2x2 matrices given as (a, b, c, d) rows; any number type."""
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
 def compose_reflections(r1: Reflection, r2: Reflection) -> Isometry:
     """The product of two reflections is orientation preserving."""
-    m = _mat_mul((r1.a, r1.b, r1.c, r1.d), (r2.a, r2.b, r2.c, r2.d))
+    m = mat_mul((r1.a, r1.b, r1.c, r1.d), (r2.a, r2.b, r2.c, r2.d))
     return Isometry(*m)
 
 
-def classify(f: Isometry) -> str:
-    if (abs(f.b) <= CLASSIFY_TOL and abs(f.c) <= CLASSIFY_TOL
-            and abs(abs(f.a) - 1.0) <= CLASSIFY_TOL
-            and abs(abs(f.d) - 1.0) <= CLASSIFY_TOL
-            and f.a * f.d > 0):
+def mat_classify(m) -> str:
+    a, b, c, d = m
+    if (abs(b) <= CLASSIFY_TOL and abs(c) <= CLASSIFY_TOL
+            and abs(abs(a) - 1.0) <= CLASSIFY_TOL
+            and abs(abs(d) - 1.0) <= CLASSIFY_TOL
+            and a * d > 0):
         return "identity"
-    t = abs(f.trace())
+    t = abs(a + d)
     if t < 2.0 - CLASSIFY_TOL:
         return "elliptic"
     if t <= 2.0 + CLASSIFY_TOL:
@@ -179,41 +197,58 @@ def classify(f: Isometry) -> str:
     return "hyperbolic"
 
 
+def classify(f: Isometry) -> str:
+    return mat_classify((f.a, f.b, f.c, f.d))
+
+
+def mat_translation_length(m) -> float:
+    """Translation length of a matrix that mat_classify calls hyperbolic."""
+    return 2.0 * math.acosh(abs(m[0] + m[3]) / 2.0)
+
+
 def translation_length(f: Isometry) -> float:
-    kind = classify(f)
+    m = (f.a, f.b, f.c, f.d)
+    kind = mat_classify(m)
     if kind != "hyperbolic":
         raise GeometryError(f"translation length undefined for {kind} isometry")
-    return 2.0 * math.acosh(abs(f.trace()) / 2.0)
+    return mat_translation_length(m)
+
+
+def mat_fixed_points(m, kind: str):
+    """Fixed points on the boundary of the matrix m of the given kind.
+
+    kind is mat_classify(m).  Hyperbolic: ordered pair (attracting,
+    repelling).  Parabolic: a single point.  Elliptic and identity
+    inputs are rejected.
+    """
+    a, b, c, d = m
+    if kind == "parabolic":
+        if abs(c) <= CLASSIFY_TOL * max(1.0, abs(a), abs(d)):
+            return (INF,)
+        return ((a - d) / (2.0 * c),)
+    if kind != "hyperbolic":
+        raise GeometryError(f"no boundary fixed points for {kind} isometry")
+    tr = a + d
+    disc = math.sqrt(tr * tr - 4.0)
+    if abs(c) < 1e-14 * max(1.0, abs(a), abs(d)):
+        # one fixed point is inf; the other solves (a - d) x + b = 0
+        other = b / (d - a) if a != d else INF
+        # inf is attracting iff |a| > |d| (derivative at inf is (a/d)^... < 1 test)
+        if abs(a) > abs(d):
+            return (INF, other)
+        return (other, INF)
+    x1 = ((a - d) + disc) / (2.0 * c)
+    x2 = ((a - d) - disc) / (2.0 * c)
+    # attracting fixed point has |c x + d| > 1 (eigenvalue of modulus > 1)
+    if abs(c * x1 + d) > 1.0:
+        return (x1, x2)
+    return (x2, x1)
 
 
 def fixed_points(f: Isometry):
-    """Fixed points on the boundary.
-
-    Hyperbolic: ordered pair (attracting, repelling).  Parabolic: a single
-    point.  Elliptic and identity inputs are rejected.
-    """
-    kind = classify(f)
-    if kind == "parabolic":
-        if abs(f.c) <= CLASSIFY_TOL * max(1.0, abs(f.a), abs(f.d)):
-            return (INF,)
-        return ((f.a - f.d) / (2.0 * f.c),)
-    if kind != "hyperbolic":
-        raise GeometryError(f"no boundary fixed points for {kind} isometry")
-    tr = f.trace()
-    disc = math.sqrt(tr * tr - 4.0)
-    if abs(f.c) < 1e-14 * max(1.0, abs(f.a), abs(f.d)):
-        # one fixed point is inf; the other solves (a - d) x + b = 0
-        other = f.b / (f.d - f.a) if f.a != f.d else INF
-        # inf is attracting iff |a| > |d| (derivative at inf is (a/d)^... < 1 test)
-        if abs(f.a) > abs(f.d):
-            return (INF, other)
-        return (other, INF)
-    x1 = ((f.a - f.d) + disc) / (2.0 * f.c)
-    x2 = ((f.a - f.d) - disc) / (2.0 * f.c)
-    # attracting fixed point has |c x + d| > 1 (eigenvalue of modulus > 1)
-    if abs(f.c * x1 + f.d) > 1.0:
-        return (x1, x2)
-    return (x2, x1)
+    """Fixed points on the boundary (mat_fixed_points of its matrix)."""
+    m = (f.a, f.b, f.c, f.d)
+    return mat_fixed_points(m, mat_classify(m))
 
 
 def cross_ratio(p1, p2, p3, p4):
@@ -267,32 +302,43 @@ class Geodesic:
     oriented: bool = True
 
     def __post_init__(self):
-        self.p = normalize_boundary(self.p)
-        self.q = normalize_boundary(self.q)
-        if self.p == self.q:
-            raise GeometryError("geodesic endpoints must be distinct")
+        self.p, self.q = geodesic_ends(self.p, self.q)
 
     def reversed(self):
         return Geodesic(self.q, self.p, self.oriented)
 
 
-def mobius_two_point(p, q) -> Isometry:
-    """Orientation-preserving map sending p -> 0 and q -> inf."""
+def geodesic_ends(p, q):
+    """The normalized endpoints (p, q) of a geodesic; they must differ."""
+    p = normalize_boundary(p)
+    q = normalize_boundary(q)
+    if p == q:
+        raise GeometryError("geodesic endpoints must be distinct")
+    return p, q
+
+
+def two_point_mat(p, q):
+    """Matrix of the orientation-preserving map sending p -> 0, q -> inf."""
     p = normalize_boundary(p)
     q = normalize_boundary(q)
     if p == q:
         raise GeometryError("points must be distinct")
     if p == INF:
-        return Isometry.from_matrix(0.0, -1.0, 1.0, -q)
+        return _unit_det(0.0, -1.0, 1.0, -q)
     if q == INF:
-        return Isometry.from_matrix(1.0, -p, 0.0, 1.0)
+        return _unit_det(1.0, -p, 0.0, 1.0)
     if p < q:
-        return Isometry.from_matrix(1.0, -p, -1.0, q)
-    return Isometry.from_matrix(1.0, -p, 1.0, -q)
+        return _unit_det(1.0, -p, -1.0, q)
+    return _unit_det(1.0, -p, 1.0, -q)
 
 
-def mobius_three_point(p, q, r) -> Isometry:
-    """Orientation-preserving map with 0 -> p, 1 -> q, inf -> r.
+def mobius_two_point(p, q) -> Isometry:
+    """Orientation-preserving map sending p -> 0 and q -> inf."""
+    return Isometry(*two_point_mat(p, q))
+
+
+def three_point_mat(p, q, r):
+    """Matrix of the orientation-preserving map with 0 -> p, 1 -> q, inf -> r.
 
     Requires (p, q, r) in positive cyclic order.
     """
@@ -302,12 +348,20 @@ def mobius_three_point(p, q, r) -> Isometry:
     q = normalize_boundary(q)
     r = normalize_boundary(r)
     if r == INF:
-        return Isometry.from_matrix(q - p, p, 0.0, 1.0)
+        return _unit_det(q - p, p, 0.0, 1.0)
     if p == INF:
-        return Isometry.from_matrix(r, q - r, 1.0, 0.0)
+        return _unit_det(r, q - r, 1.0, 0.0)
     if q == INF:
-        return Isometry.from_matrix(r, -p, 1.0, -1.0)
-    return Isometry.from_matrix(r * (q - p), p * (r - q), q - p, r - q)
+        return _unit_det(r, -p, 1.0, -1.0)
+    return _unit_det(r * (q - p), p * (r - q), q - p, r - q)
+
+
+def mobius_three_point(p, q, r) -> Isometry:
+    """Orientation-preserving map with 0 -> p, 1 -> q, inf -> r.
+
+    Requires (p, q, r) in positive cyclic order.
+    """
+    return Isometry(*three_point_mat(p, q, r))
 
 
 def dist(z: complex, w: complex) -> float:
@@ -317,10 +371,14 @@ def dist(z: complex, w: complex) -> float:
     return math.acosh(1.0 + d2 / (2.0 * z.imag * w.imag))
 
 
-def dist_to_geodesic(z: complex, g: Geodesic) -> float:
-    m = mobius_two_point(g.p, g.q)
-    w = m(z)
+def axis_distance(m, z: complex) -> float:
+    """Distance from z to the geodesic that the matrix m sends to (0, inf)."""
+    w = mat_apply(m, z)
     return math.asinh(abs(w.real) / w.imag)
+
+
+def dist_to_geodesic(z: complex, g: Geodesic) -> float:
+    return axis_distance(two_point_mat(g.p, g.q), z)
 
 
 def side_of(g: Geodesic, x) -> str:
@@ -338,10 +396,16 @@ def side_of_point(g: Geodesic, z: complex) -> str:
     return "left" if w.real < 0 else "right"
 
 
+def perpendicular_foot(z: complex, p, q) -> complex:
+    """Foot of the perpendicular from z to the geodesic from p to q."""
+    m = two_point_mat(p, q)
+    w = mat_apply(m, z)
+    a, b, c, d = m
+    return mat_apply((d, -b, -c, a), complex(0.0, abs(w)))
+
+
 def foot_of_perpendicular(z: complex, g: Geodesic) -> complex:
-    m = mobius_two_point(g.p, g.q)
-    w = m(z)
-    return m.inverse()(complex(0.0, abs(w)))
+    return perpendicular_foot(z, g.p, g.q)
 
 
 def geodesic_intersection(g1: Geodesic, g2: Geodesic) -> complex:
@@ -356,24 +420,32 @@ def geodesic_intersection(g1: Geodesic, g2: Geodesic) -> complex:
     return m.inverse()(complex(0.0, math.sqrt(-a * b)))
 
 
-def common_perpendicular(g1: Geodesic, g2: Geodesic) -> Geodesic:
-    """Common perpendicular of two disjoint geodesics."""
-    m = mobius_two_point(g1.p, g1.q)
-    a = m.apply_boundary(g2.p)
-    b = m.apply_boundary(g2.q)
+def common_perpendicular_ends(p1, q1, p2, q2):
+    """Endpoints of the common perpendicular of the geodesics (p1, q1), (p2, q2)."""
+    m = two_point_mat(p1, q1)
+    a = mat_apply_boundary(m, p2)
+    b = mat_apply_boundary(m, q2)
     if a == INF or b == INF or a * b <= 0:
         raise GeometryError("geodesics are not disjoint")
     r = math.sqrt(a * b)
     if a < 0:
         r = -r
-    inv = m.inverse()
-    return Geodesic(inv.apply_boundary(-r), inv.apply_boundary(r))
+    ma, mb, mc, md = m
+    inv = (md, -mb, -mc, ma)
+    return geodesic_ends(mat_apply_boundary(inv, -r),
+                         mat_apply_boundary(inv, r))
 
 
-def dist_between_geodesics(g1: Geodesic, g2: Geodesic) -> float:
-    m = mobius_two_point(g1.p, g1.q)
-    a = m.apply_boundary(g2.p)
-    b = m.apply_boundary(g2.q)
+def common_perpendicular(g1: Geodesic, g2: Geodesic) -> Geodesic:
+    """Common perpendicular of two disjoint geodesics."""
+    return Geodesic(*common_perpendicular_ends(g1.p, g1.q, g2.p, g2.q))
+
+
+def ends_distance(p1, q1, p2, q2) -> float:
+    """Distance between the disjoint geodesics (p1, q1) and (p2, q2)."""
+    m = two_point_mat(p1, q1)
+    a = mat_apply_boundary(m, p2)
+    b = mat_apply_boundary(m, q2)
     if a == INF or b == INF:
         # shares an endpoint with (0, inf) after mapping: asymptotic
         return 0.0
@@ -384,13 +456,22 @@ def dist_between_geodesics(g1: Geodesic, g2: Geodesic) -> float:
     return math.asinh(2.0 * math.sqrt(a * b) / abs(b - a))
 
 
+def dist_between_geodesics(g1: Geodesic, g2: Geodesic) -> float:
+    return ends_distance(g1.p, g1.q, g2.p, g2.q)
+
+
+def reflection_mat(p, q):
+    """Matrix of the reflection in the geodesic with normalized ends p, q."""
+    if p == INF or q == INF:
+        x0 = q if p == INF else p
+        return (-1.0, 2.0 * x0, 0.0, 1.0)
+    c = (p + q) / 2.0
+    r = abs(q - p) / 2.0
+    return (c / r, (r * r - c * c) / r, 1.0 / r, -c / r)
+
+
 def geodesic_reflection(g: Geodesic) -> Reflection:
-    if g.p == INF or g.q == INF:
-        x0 = g.q if g.p == INF else g.p
-        return Reflection(-1.0, 2.0 * x0, 0.0, 1.0)
-    c = (g.p + g.q) / 2.0
-    r = abs(g.q - g.p) / 2.0
-    return Reflection(c / r, (r * r - c * c) / r, 1.0 / r, -c / r)
+    return Reflection(*reflection_mat(g.p, g.q))
 
 
 @dataclass(slots=True)
@@ -423,10 +504,14 @@ class IdealTriangle:
 _STD_CENTER = complex(0.5, math.sqrt(3.0) / 2.0)
 
 
+def incircle_center(v1, v2, v3) -> complex:
+    """Center of the circle inscribed in the ideal triangle (v1, v2, v3)."""
+    return mat_apply(three_point_mat(v1, v2, v3), _STD_CENTER)
+
+
 def incircle(t: IdealTriangle):
     """Center and radius of the inscribed circle; the radius is log(3)/2 always."""
-    m = mobius_three_point(t.v1, t.v2, t.v3)
-    return m(_STD_CENTER), IDEAL_INRADIUS
+    return incircle_center(t.v1, t.v2, t.v3), IDEAL_INRADIUS
 
 
 def shear_points(t: IdealTriangle):
@@ -444,11 +529,11 @@ def shear_point_on(t: IdealTriangle, edge: Geodesic) -> complex:
     The side is taken with the orientation ``t.sides()`` gives it, so the
     point equals the matching entry of ``shear_points(t)`` to the bit.
     """
-    center, _ = incircle(t)
+    center = incircle_center(t.v1, t.v2, t.v3)
     ends = {edge.p, edge.q}
     for a, b in ((t.v1, t.v2), (t.v2, t.v3), (t.v3, t.v1)):
         if {a, b} == ends:
-            return foot_of_perpendicular(center, Geodesic(a, b))
+            return perpendicular_foot(center, a, b)
     raise GeometryError("edge is not a side of the triangle")
 
 
@@ -480,8 +565,8 @@ def shear(t_a: IdealTriangle, t_b: IdealTriangle, edge: Geodesic,
     apex_a, apex_b = _shared_edge_apexes(t_a, t_b, edge)
     if method == "cross_ratio":
         if side_of(edge, apex_b) == "right":
-            return apex_shear(edge, apex_b, apex_a)
-        return -apex_shear(edge, apex_a, apex_b)
+            return apex_shear(edge.p, edge.q, apex_b, apex_a)
+        return -apex_shear(edge.p, edge.q, apex_a, apex_b)
     if method == "shear_points":
         m = mobius_two_point(edge.p, edge.q)
         coord = {}
@@ -496,14 +581,14 @@ def shear(t_a: IdealTriangle, t_b: IdealTriangle, edge: Geodesic,
     raise ValueError(f"unknown shear method {method!r}")
 
 
-def apex_shear(edge: Geodesic, right, left) -> float:
-    """Shear across the edge of the quadrilateral with these two apexes.
+def apex_shear(p, q, right, left) -> float:
+    """Shear across the edge from p to q of the quadrilateral with these apexes.
 
     The signed distance along the oriented edge from the shear point of
     the triangle with apex ``left`` (left of the edge) to that of the
     triangle with apex ``right``: log(-cr(p, q, right, left)).
     """
-    cr = cross_ratio(edge.p, edge.q, right, left)
+    cr = cross_ratio(p, q, right, left)
     if cr >= 0:
         raise GeometryError("degenerate quadrilateral in shear computation")
     return math.log(-cr)
@@ -532,6 +617,17 @@ def parabolic_fixing(q, x, y) -> Isometry:
     return Isometry(1.0 + c * q, -c * q * q, c, 1.0 - c * q)
 
 
+def parabolic_shift_mat(parabolic, fix):
+    """parabolic_shift of the parabolic matrix, with m as a matrix."""
+    if fix == INF:
+        m = (1.0, 0.0, 0.0, 1.0)
+    else:
+        m = _unit_det(0.0, -1.0, 1.0, -fix)
+    a, b, c, d = m
+    g = mat_mul(mat_mul(m, parabolic), (d, -b, -c, a))
+    return m, abs(g[0] * g[1])
+
+
 def parabolic_shift(parabolic: Isometry, fix):
     """Conjugate a parabolic so that its fixed point fix goes to infinity.
 
@@ -539,23 +635,34 @@ def parabolic_shift(parabolic: Isometry, fix):
     z -> z +- shift.  For (a, b; 0, d) with ad = 1 the action is
     z -> (a/d) z + b/d with a/d = 1, so shift = |a b|.
     """
-    if fix == INF:
-        m = Isometry.identity()
-    else:
-        m = Isometry.from_matrix(0.0, -1.0, 1.0, -fix)
-    g = m @ parabolic @ m.inverse()
-    return m, abs(g.a * g.b)
+    m, shift = parabolic_shift_mat(
+        (parabolic.a, parabolic.b, parabolic.c, parabolic.d), fix)
+    return Isometry(*m), shift
+
+
+def horocycle_frame(parabolic):
+    """The cusp frame (m, shift) of a parabolic matrix (parabolic_shift_mat).
+
+    A hyperbolic input, such as a cusp stabilizer that rounding pushed
+    past the parabolic tolerance, is rejected by name.
+    """
+    points = mat_fixed_points(parabolic, mat_classify(parabolic))
+    if len(points) != 1:
+        raise GeometryError("no horocycle for hyperbolic isometry")
+    (fix,) = points
+    return parabolic_shift_mat(parabolic, fix)
+
+
+def horocycle_length(frame, z: complex) -> float:
+    """Length of the horocycle through z in the cusp frame (m, shift)."""
+    m, shift = frame
+    return shift / mat_apply(m, z).imag
 
 
 def horocycle_length_through(parabolic: Isometry, z: complex) -> float:
     """Length, in the cusp cylinder of a parabolic, of the horocycle through z.
 
-    A hyperbolic input, such as a cusp stabilizer that rounding pushed
-    past the parabolic tolerance, is rejected by name.
+    A hyperbolic input is rejected by name (horocycle_frame).
     """
-    points = fixed_points(parabolic)
-    if len(points) != 1:
-        raise GeometryError("no horocycle for hyperbolic isometry")
-    (fix,) = points
-    m, shift = parabolic_shift(parabolic, fix)
-    return shift / m(z).imag
+    return horocycle_length(horocycle_frame(
+        (parabolic.a, parabolic.b, parabolic.c, parabolic.d)), z)

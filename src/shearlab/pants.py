@@ -19,11 +19,16 @@ fixed point of its holonomy, which is what lets the spiral corners and
 slot sides be read without a side test.  The seam lengths have a closed
 form (seam_lengths).
 
-A StdPants is cached per length triple and holds only what the sampling
-path reads: the seams, the slot axes, cusp points and holonomies.  The
-marker and probe of a glued slot, which orient its gluing normalizer,
-are built by slot_normalizer when a gluing asks for them; the seam feet
-are measured only by the tests' geometric oracle.
+build_pants computes on floats and matrix tuples (the tuple forms of
+geom), and builds the StdPants value objects once, after every check
+has passed.  A StdPants is cached per length triple and holds what the
+kernel, the gluing and the chains read: the seams, the slot axes, cusp
+points and holonomies, and the reflection matrix in each seam, from
+which the kernel mirrors the hexagon.  The marker and probe of a glued
+slot, which orient its gluing normalizer, are built by slot_normalizer
+when a gluing asks for them; the seam feet are measured only by the
+tests' geometric oracle, which also keeps the construction on geometry
+objects that this one replaced (tests/geometric_oracle.py).
 """
 
 from __future__ import annotations
@@ -32,18 +37,20 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import geom
 from .geom import (
     INF,
     Geodesic,
     GeometryError,
     Isometry,
-    common_perpendicular,
-    compose_reflections,
-    dist_between_geodesics,
+    common_perpendicular_ends,
+    ends_distance,
+    geodesic_ends,
     geodesic_intersection,
-    geodesic_reflection,
+    mat_classify,
+    mat_mul,
+    mat_translation_length,
     mobius_two_point,
+    reflection_mat,
 )
 
 _CONSTRUCTION_TOL = 1e-9
@@ -60,15 +67,18 @@ def seam_lengths(l1: float, l2: float, l3: float):
     if any(l < 0 for l in ls):
         raise ValueError("boundary lengths must be nonnegative")
     half = [l / 2.0 for l in ls]
+    if half.count(0.0) > 1:
+        # every seam has a cusp end; no cosh is taken, so none can overflow
+        return (math.inf, math.inf, math.inf)
+    ch = [math.cosh(h) for h in half]
+    sh = [math.sinh(h) for h in half]
     out = []
     for k in range(3):
-        i, j = [m for m in range(3) if m != k]
+        i, j = _SEAM_ENDS[k]
         if half[i] == 0.0 or half[j] == 0.0:
             out.append(math.inf)
             continue
-        num = math.cosh(half[i]) * math.cosh(half[j]) + math.cosh(half[k])
-        den = math.sinh(half[i]) * math.sinh(half[j])
-        out.append(math.acosh(num / den))
+        out.append(math.acosh((ch[i] * ch[j] + ch[k]) / (sh[i] * sh[j])))
     return tuple(out)
 
 
@@ -108,6 +118,7 @@ class StdPants:
                               # perpendicular of the two adjacent seams
     slot_point: tuple         # ideal point (cusp slots) or None
     slot_hol: tuple           # boundary holonomy per slot (X1, X2, X3)
+    seam_refl: tuple          # reflection matrix (a, b, c, d) in each seam
 
 
 _SEAM_ENDS = ((1, 2), (0, 2), (0, 1))
@@ -130,61 +141,57 @@ def build_pants(l1: float, l2: float, l3: float) -> StdPants:
             f"pants construction failed: boundary lengths {lengths} are too "
             f"long for float64 (tanh^2(l/4) rounds to 1)")
 
-    g3 = Geodesic(0.0, INF)
     p = ts[0]
-    g2 = Geodesic(p, 1.0)
-    u, v = _solve_third_seam(p, ts[1], ts[2])
-    g1 = Geodesic(u, v)
-    seams = (g1, g2, g3)
+    seams = (geodesic_ends(*_solve_third_seam(p, ts[1], ts[2])), (p, 1.0),
+             (0.0, INF))
 
-    # verify the three pairwise distances against the requested half-lengths
-    for (ga, gb, alpha) in ((g2, g3, alphas[0]), (g1, g3, alphas[1]),
-                            (g1, g2, alphas[2])):
-        d = dist_between_geodesics(ga, gb)
-        if abs(d - alpha) > _CONSTRUCTION_TOL * max(1.0, alpha):
-            raise GeometryError(
-                f"pants construction inconsistent: seam distance {d} != {alpha}")
+    # verify the three pairwise distances against the requested half-lengths:
+    # the seams adjacent to slot s are seams[i], seams[j], (i, j) = _SEAM_ENDS[s]
+    for s in range(3):
+        i, j = _SEAM_ENDS[s]
+        d = ends_distance(*seams[i], *seams[j])
+        if abs(d - alphas[s]) > _CONSTRUCTION_TOL * max(1.0, alphas[s]):
+            raise GeometryError(f"pants construction inconsistent: seam "
+                                f"distance {d} != {alphas[s]}")
 
-    refl = tuple(geodesic_reflection(g) for g in seams)
+    refl = tuple(reflection_mat(*g) for g in seams)
     # X_i is the product of reflections in the two seams adjacent to slot i,
     # ordered so that X1 X2 X3 = 1 exactly.
-    slot_hol = (
-        compose_reflections(refl[1], refl[2]),
-        compose_reflections(refl[2], refl[0]),
-        compose_reflections(refl[0], refl[1]),
-    )
+    slot_hol = (mat_mul(refl[1], refl[2]), mat_mul(refl[2], refl[0]),
+                mat_mul(refl[0], refl[1]))
 
     slot_is_cusp = tuple(a == 0.0 for a in alphas)
     slot_axis = []
     slot_point = []
-    for i in range(3):
-        adj = [seams[m] for m in range(3) if m != i]
-        if slot_is_cusp[i]:
-            shared = _shared_endpoint(adj[0], adj[1])
+    for s in range(3):
+        i, j = _SEAM_ENDS[s]
+        if slot_is_cusp[s]:
             slot_axis.append(None)
-            slot_point.append(shared)
+            slot_point.append(_shared_endpoint(seams[i], seams[j]))
         else:
             # only the gluing reads the axis, but building it is the check
             # that rejects adjacent seams float64 can no longer tell apart
             # ("geodesics are not disjoint"), so it stays with the pants
-            slot_axis.append(common_perpendicular(adj[0], adj[1]))
+            slot_axis.append(common_perpendicular_ends(*seams[i], *seams[j]))
             slot_point.append(None)
 
-    pants = StdPants(
+    _check_pants(lengths, slot_is_cusp, slot_hol)
+    return StdPants(
         lengths=lengths,
-        seams=seams,
+        seams=tuple(Geodesic(*g) for g in seams),
         slot_is_cusp=slot_is_cusp,
-        slot_axis=tuple(slot_axis),
+        slot_axis=tuple(None if a is None else Geodesic(*a)
+                        for a in slot_axis),
         slot_point=tuple(slot_point),
-        slot_hol=slot_hol,
+        slot_hol=tuple(Isometry(*h) for h in slot_hol),
+        seam_refl=refl,
     )
-    _check_pants(pants)
-    return pants
 
 
-def _shared_endpoint(ga: Geodesic, gb: Geodesic):
-    for x in (ga.p, ga.q):
-        for y in (gb.p, gb.q):
+def _shared_endpoint(ga, gb):
+    """The ideal point shared by two geodesics given by their endpoints."""
+    for x in ga:
+        for y in gb:
             if x == y:
                 return x
     raise GeometryError("adjacent seams of a cusp slot must share an endpoint")
@@ -211,23 +218,24 @@ def _direction_toward(seam: Geodesic, start: complex, target) -> float:
     return seam.q if m(target).imag > m(start).imag else seam.p
 
 
-def _check_pants(pants: StdPants):
+def _check_pants(lengths: tuple, slot_is_cusp: tuple, slot_hol: tuple):
+    """Slot kinds and lengths, and the relation, of the holonomy matrices."""
     for i in range(3):
-        x = pants.slot_hol[i]
-        kind = geom.classify(x)
-        if pants.slot_is_cusp[i]:
+        x = slot_hol[i]
+        kind = mat_classify(x)
+        if slot_is_cusp[i]:
             if kind != "parabolic":
                 raise GeometryError(f"cusp slot {i} holonomy is {kind}")
         else:
             if kind != "hyperbolic":
                 raise GeometryError(f"slot {i} holonomy is {kind}")
-            got = geom.translation_length(x)
-            want = pants.lengths[i]
+            got = mat_translation_length(x)
+            want = lengths[i]
             if abs(got - want) > 1e-8 * max(1.0, want):
                 raise GeometryError(
                     f"slot {i} length {got} differs from requested {want}")
-    prod = pants.slot_hol[0] @ pants.slot_hol[1] @ pants.slot_hol[2]
-    if geom.classify(prod) != "identity":
+    prod = mat_mul(mat_mul(slot_hol[0], slot_hol[1]), slot_hol[2])
+    if mat_classify(prod) != "identity":
         raise GeometryError("pants relation X1 X2 X3 = 1 violated")
 
 

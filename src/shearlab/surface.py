@@ -318,9 +318,10 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
 
 def check_curve_holonomy(g: Isometry, cid, length: float):
     """The holonomy of a curve must translate by its requested length."""
-    if geom.classify(g) != "hyperbolic":
+    m = (g.a, g.b, g.c, g.d)
+    if geom.mat_classify(m) != "hyperbolic":
         raise geom.GeometryError(f"curve {cid} holonomy is not hyperbolic")
-    got = geom.translation_length(g)
+    got = geom.mat_translation_length(m)
     if abs(got - length) > 1e-9 * max(1.0, length):
         raise geom.GeometryError(
             f"curve {cid} length {got} != requested {length}")
@@ -359,20 +360,22 @@ def sample_fn(sig: Signature, seed: int, length_range=None,
 
     Lengths are uniform in length_range, which defaults to
     (0.05, 2 log(4 area)].  The twist of each curve is u * length for u
-    uniform in twist_range.
+    uniform in twist_range.  The lengths are drawn first, in curve id
+    order, then the u; one vector draw each gives the same values as
+    one scalar draw per curve.
     """
     pg = canonical_pants_graph(sig)
     if length_range is None:
         length_range = (0.05, 2.0 * math.log(4.0 * area(sig)))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    lengths = {}
-    twists = {}
     cids = pg.curve_ids()
-    for cid in cids:
-        lengths[cid] = float(rng.uniform(length_range[0], length_range[1]))
-    for cid in cids:
-        u = float(rng.uniform(twist_range[0], twist_range[1]))
-        twists[cid] = u * lengths[cid]
+    if not cids:
+        # nothing is drawn, so nothing checks the ranges
+        return pg, FNCoordinates({}, {})
+    drawn = rng.uniform(length_range[0], length_range[1], len(cids)).tolist()
+    us = rng.uniform(twist_range[0], twist_range[1], len(cids)).tolist()
+    lengths = dict(zip(cids, drawn))
+    twists = {cid: u * length for cid, u, length in zip(cids, us, drawn)}
     return pg, FNCoordinates(lengths, twists)
 
 

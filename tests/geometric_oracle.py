@@ -19,6 +19,16 @@ needs, when it is called.  And it keeps the eager form of
 spiralling.margin_rows (eager_margin_rows), which computes both shear
 points of every edge whether or not a corner carries a row.
 
+It keeps the construction and the develop of a pants on geometry
+objects, as the bit-exact oracle of the float build_pants and
+spiralling.pants_kernel: reference_build_pants builds the seams,
+reflections, holonomies and slot axes as Geodesic, Reflection and
+Isometry values; Corner, DevelopedEdge and develop_pants develop the
+three seam arcs with IdealTriangle values; edge_shear and margin_rows
+read each arc's shear and shear-point margins; and reference_kernel
+puts them together as the kernel did.  The tests require the same
+result bits or the same exception type and message from both.
+
 Last, it keeps the boundary primitives and value types of geom as they
 were written with frozen dataclasses, a generator per normalisation and
 boundary_close(..., tol=0.0) per pair of points: reference_cross_ratio,
@@ -34,14 +44,280 @@ import math
 from dataclasses import dataclass
 
 from shearlab import geom
-from shearlab.constants import (INTERMEDIATE_CURVE_MAX, collar_width,
-                                truncated_collar_width)
-from shearlab.geom import (INF, Geodesic, GeometryError, Isometry,
-                           boundary_close, geodesic_intersection,
+from shearlab.constants import (INTERMEDIATE_CURVE_MAX, ShearFreeParams,
+                                collar_width, truncated_collar_width)
+from shearlab.geom import (INF, Geodesic, GeometryError, IdealTriangle,
+                           Isometry, boundary_close, common_perpendicular,
+                           compose_reflections, dist_between_geodesics,
+                           geodesic_intersection, geodesic_reflection,
                            mobius_two_point, normalize_boundary)
-from shearlab.pants import (StdPants, _direction_toward, _nearest_endpoint,
-                            _point_along, _seam_ends)
-from shearlab.spiralling import AuditError
+from shearlab.pants import (_CONSTRUCTION_TOL, StdPants, _direction_toward,
+                            _nearest_endpoint, _point_along, _seam_ends,
+                            _shared_endpoint, _solve_third_seam)
+from shearlab.spiralling import _FIX_TOL, AuditError, DevelopError
+
+
+# ---------------------------------------------------------------------------
+# the pants construction on geometry objects
+
+
+def reference_build_pants(l1: float, l2: float, l3: float) -> StdPants:
+    """build_pants with Geodesic, Reflection and Isometry values throughout."""
+    lengths = (float(l1), float(l2), float(l3))
+    alphas = [l / 2.0 for l in lengths]
+    ts = [math.tanh(a / 2.0) ** 2 for a in alphas]
+    if 1.0 in ts:
+        raise GeometryError(
+            f"pants construction failed: boundary lengths {lengths} are too "
+            f"long for float64 (tanh^2(l/4) rounds to 1)")
+
+    g3 = Geodesic(0.0, INF)
+    p = ts[0]
+    g2 = Geodesic(p, 1.0)
+    u, v = _solve_third_seam(p, ts[1], ts[2])
+    g1 = Geodesic(u, v)
+    seams = (g1, g2, g3)
+
+    for (ga, gb, alpha) in ((g2, g3, alphas[0]), (g1, g3, alphas[1]),
+                            (g1, g2, alphas[2])):
+        d = dist_between_geodesics(ga, gb)
+        if abs(d - alpha) > _CONSTRUCTION_TOL * max(1.0, alpha):
+            raise GeometryError(
+                f"pants construction inconsistent: seam distance {d} != {alpha}")
+
+    refl = tuple(geodesic_reflection(g) for g in seams)
+    slot_hol = (
+        compose_reflections(refl[1], refl[2]),
+        compose_reflections(refl[2], refl[0]),
+        compose_reflections(refl[0], refl[1]),
+    )
+
+    slot_is_cusp = tuple(a == 0.0 for a in alphas)
+    slot_axis = []
+    slot_point = []
+    for i in range(3):
+        adj = [seams[m] for m in range(3) if m != i]
+        if slot_is_cusp[i]:
+            shared = _shared_endpoint((adj[0].p, adj[0].q),
+                                      (adj[1].p, adj[1].q))
+            slot_axis.append(None)
+            slot_point.append(shared)
+        else:
+            slot_axis.append(common_perpendicular(adj[0], adj[1]))
+            slot_point.append(None)
+
+    pants = StdPants(
+        lengths=lengths,
+        seams=seams,
+        slot_is_cusp=slot_is_cusp,
+        slot_axis=tuple(slot_axis),
+        slot_point=tuple(slot_point),
+        slot_hol=slot_hol,
+        seam_refl=tuple((r.a, r.b, r.c, r.d) for r in refl),
+    )
+    _reference_check_pants(pants)
+    return pants
+
+
+def _reference_check_pants(pants: StdPants):
+    for i in range(3):
+        x = pants.slot_hol[i]
+        kind = geom.classify(x)
+        if pants.slot_is_cusp[i]:
+            if kind != "parabolic":
+                raise GeometryError(f"cusp slot {i} holonomy is {kind}")
+        else:
+            if kind != "hyperbolic":
+                raise GeometryError(f"slot {i} holonomy is {kind}")
+            got = geom.translation_length(x)
+            want = pants.lengths[i]
+            if abs(got - want) > 1e-8 * max(1.0, want):
+                raise GeometryError(
+                    f"slot {i} length {got} differs from requested {want}")
+    prod = pants.slot_hol[0] @ pants.slot_hol[1] @ pants.slot_hol[2]
+    if geom.classify(prod) != "identity":
+        raise GeometryError("pants relation X1 X2 X3 = 1 violated")
+
+
+# ---------------------------------------------------------------------------
+# the develop on geometry objects
+
+
+@dataclass(slots=True)
+class Corner:
+    """One ideal vertex of a developed triangle, with its thin-part data."""
+
+    point: float              # boundary point
+    kind: str                 # "cusp" | "curve"
+    length: float = None
+    axis: Geodesic = None     # lift of the curve (curve corners)
+    stabilizer: Isometry = None  # parabolic (cusp) or hyperbolic (curve)
+
+
+@dataclass
+class DevelopedEdge:
+    seam: int                 # k: the arc along seam k of its pants
+    edge: Geodesic            # oriented from the lower to the higher slot end
+    end_corners: tuple        # corners at the two edge endpoints
+    apex_front: Corner
+    apex_back: Corner
+    front: IdealTriangle      # the triangle on the edge with apex_front
+    back: IdealTriangle       # the triangle on the edge with apex_back
+
+    def quadrilateral(self):
+        return (self.edge.p, self.apex_front.point, self.edge.q,
+                self.apex_back.point)
+
+
+def _front_corner(sp: StdPants, s: int) -> Corner:
+    """The spiral limit point at slot s of the front hexagon.
+
+    A spiralling arc converges to the endpoint of the boundary axis for
+    which its pants lies on the left of the axis oriented toward it.
+    Standard position puts every pants on the left of its boundary
+    oriented from the repelling to the attracting fixed point of the
+    slot holonomy, so the limit is the attracting fixed point.
+    """
+    if sp.slot_is_cusp[s]:
+        return Corner(point=sp.slot_point[s], kind="cusp",
+                      stabilizer=sp.slot_hol[s])
+    att, rep = geom.fixed_points(sp.slot_hol[s])
+    return Corner(point=att, kind="curve", length=sp.lengths[s],
+                  axis=Geodesic(att, rep), stabilizer=sp.slot_hol[s])
+
+
+def _back_apex(sp: StdPants, k: int) -> Corner:
+    """The opposite-slot corner of the hexagon mirrored across seam k.
+
+    The reflection reverses orientation: the mirrored pants lies on the
+    right of the reflected holonomy's axis oriented toward its
+    attracting fixed point, so the limit is the repelling one.
+    """
+    refl = geom.geodesic_reflection(sp.seams[k])
+    stab = refl.conjugate_isometry(sp.slot_hol[k])
+    if sp.slot_is_cusp[k]:
+        return Corner(point=refl.apply_boundary(sp.slot_point[k]),
+                      kind="cusp", stabilizer=stab)
+    att, rep = geom.fixed_points(stab)
+    return Corner(point=rep, kind="curve", length=sp.lengths[k],
+                  axis=Geodesic(att, rep), stabilizer=stab)
+
+
+def _check_corner(corner: Corner, k: int):
+    img = corner.stabilizer.apply_boundary(corner.point)
+    if corner.point == geom.INF or img == geom.INF:
+        ok = img == corner.point
+    else:
+        ok = abs(img - corner.point) <= _FIX_TOL * max(1.0, abs(corner.point))
+    if not ok:
+        raise DevelopError(
+            k, "developed endpoint is not fixed by its holonomy")
+
+
+def develop_pants(sp: StdPants) -> list:
+    """The ideal quadrilaterals of the three seam arcs, in the pants' frame.
+
+    The six spiral corners are built once: the front corner at each slot
+    and, for each seam k, the back apex mirrored across it.  Edge k
+    joins the front corners at the end slots of seam k; its apexes are
+    the front corner at slot k and the back apex of seam k.  Every edge
+    uses all three front corners, so they are checked as part of the
+    first edge.
+    """
+    front = [_front_corner(sp, s) for s in range(3)]
+    for c in front:
+        _check_corner(c, 0)
+    edges = []
+    for k in range(3):
+        i, j = _seam_ends(k)
+        c1, c2, apex1 = front[i], front[j], front[k]
+        apex2 = _back_apex(sp, k)
+        _check_corner(apex2, k)
+        pts = [c.point for c in (c1, c2, apex1, apex2)]
+        if len({geom.normalize_boundary(x) for x in pts}) != 4:
+            raise DevelopError(k, "degenerate quadrilateral")
+        e = Geodesic(c1.point, c2.point)
+        if geom.side_of(e, apex1.point) == geom.side_of(e, apex2.point):
+            raise DevelopError(k, "triangle apexes on the same side")
+        edges.append(DevelopedEdge(
+            seam=k, edge=e, end_corners=(c1, c2),
+            apex_front=apex1, apex_back=apex2,
+            front=IdealTriangle(*geom.oriented(e.p, e.q, apex1.point)),
+            back=IdealTriangle(*geom.oriented(e.p, e.q, apex2.point))))
+    return edges
+
+
+def edge_shear(de: DevelopedEdge) -> float:
+    """Shear across one developed edge.
+
+    The signed distance along the oriented edge from the tangency point
+    of the triangle on its right to the one on its left.  This is the
+    sign convention for which the arc-ends spiralling on one side of a
+    closed curve sum to +length (and cusp sums vanish); the calibration
+    was pinned against those relations.
+    """
+    if geom.side_of(de.edge, de.apex_front.point) == "left":
+        left, right = de.apex_front, de.apex_back
+    else:
+        left, right = de.apex_back, de.apex_front
+    return -geom.apex_shear(de.edge.p, de.edge.q, right.point, left.point)
+
+
+def margin_rows(de: DevelopedEdge, params: ShearFreeParams) -> list:
+    """Margins of one edge's two shear points against its thin corners.
+
+    The shear point of each adjacent triangle on the edge is tested
+    against the four thin objects visible in the quadrilateral: cusp
+    corners must see a horocycle longer than delta2 through the point,
+    and corners on curves short enough to carry a truncated collar must
+    be farther from the curve than the truncated width.  Returns
+    (corner kind, margin) pairs; a margin that is not positive (NaN
+    included) raises AuditError.
+    The shear points are computed only when some corner carries a row.
+    """
+    short_max = 2.0 * math.tanh(params.rho)
+    thin = [corner for corner in (*de.end_corners, de.apex_front,
+                                  de.apex_back)
+            if corner.kind == "cusp" or corner.length <= short_max]
+    if not thin:
+        return []
+    pts = (geom.shear_point_on(de.front, de.edge),
+           geom.shear_point_on(de.back, de.edge))
+    rows = []
+    for corner in thin:
+        for s in pts:
+            if corner.kind == "cusp":
+                horo = geom.horocycle_length_through(corner.stabilizer, s)
+                margin = horo - params.delta2
+            else:
+                d = geom.dist_to_geodesic(s, corner.axis)
+                w_t = truncated_collar_width(corner.length, params)
+                margin = d - w_t
+            rows.append((corner.kind, margin))
+            if not margin > 0.0:
+                if corner.kind == "cusp":
+                    detail = f"horocycle length {horo:.6g} vs delta2"
+                else:
+                    detail = (f"distance {d:.6g} vs truncated width "
+                              f"{w_t:.6g} (curve length {corner.length:.6g})")
+                raise AuditError(de.seam, "shear point inside a "
+                                 f"shear-point-free part: {detail}")
+    return rows
+
+
+def reference_kernel(sp: StdPants, params: ShearFreeParams):
+    """pants_kernel on the develop above: (shears, residuals, margins,
+    quadrilaterals)."""
+    edges = develop_pants(sp)
+    shears = [edge_shear(de) for de in edges]
+    residuals = []
+    for s in range(3):
+        i, j = _seam_ends(s)
+        residuals.append(abs(shears[i] + shears[j] - sp.lengths[s]))
+    margins = [margin for de in edges
+               for _, margin in margin_rows(de, params)]
+    return (shears, residuals, margins,
+            [de.quadrilateral() for de in edges])
 
 
 def seam_feet(sp: StdPants, k: int) -> tuple:

@@ -80,7 +80,7 @@ class TestCombinatorics:
     def test_arcs_border_two_faces(self):
         # each arc is the shared edge of the front and the back triangle
         # of its pants, and the three front triangles are one triangle
-        from shearlab.spiralling import develop_pants
+        from geometric_oracle import develop_pants
         hol = build(Signature(2, 1), seed=9)
         for sp in hol.std:
             edges = develop_pants(sp)

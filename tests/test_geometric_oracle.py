@@ -76,12 +76,12 @@ def test_sides_and_corners_follow_the_gluing_order():
             att, rep = G.fixed_points(sp.slot_hol[s])
             probe = O.slot_marker_probe(sp, s)[1]
             assert O.spiral_endpoint(att, rep, probe) == att
-            assert SP._front_corner(sp, s).point == att
+            assert O._front_corner(sp, s).point == att
             refl = G.geodesic_reflection(sp.seams[s])
             att, rep = G.fixed_points(refl.conjugate_isometry(sp.slot_hol[s]))
             probe = refl.apply(probe)
             assert O.spiral_endpoint(att, rep, probe) == rep
-            assert SP._back_apex(sp, s).point == rep
+            assert O._back_apex(sp, s).point == rep
     assert built >= PANTS * 99 // 100
     assert slots >= 2 * built
 
@@ -298,7 +298,7 @@ def test_value_types_print_and_compare_as_before():
         "Geodesic(p=inf, q=2.0, oriented=True)")
     assert repr(G.IdealTriangle(0, 1, math.inf)) == (
         "IdealTriangle(v1=0.0, v2=1.0, v3=inf)")
-    assert repr(SP.Corner(point=0.0, kind="cusp")) == (
+    assert repr(O.Corner(point=0.0, kind="cusp")) == (
         "Corner(point=0.0, kind='cusp', length=None, axis=None, "
         "stabilizer=None)")
     # equal entries of one class compare equal; an isometry never equals
@@ -308,7 +308,7 @@ def test_value_types_print_and_compare_as_before():
     assert G.Geodesic(0.0, 1.0) != G.Geodesic(0.0, 1.0, oriented=False)
     # slotted and mutable, so neither hashable nor open to new attributes
     for value in (iso, refl, G.Geodesic(0.0, 1.0),
-                  G.IdealTriangle(0.0, 1.0, 2.0), SP.Corner(0.0, "cusp")):
+                  G.IdealTriangle(0.0, 1.0, 2.0), O.Corner(0.0, "cusp")):
         assert not hasattr(value, "__dict__")
         with pytest.raises(TypeError):
             hash(value)

@@ -24,12 +24,27 @@ side) across the whole surface, is the oracle of the record's residuals
 
 The shear-points method of geom.shear (the incircle tangency points of
 the two triangles) is the second, independent way to read each shear.
+
+build_pants and pants_kernel compute on floats and matrix tuples.  The
+construction and develop on geometry objects that they replaced
+(geometric_oracle.reference_build_pants and reference_kernel) are their
+bit-exact oracle: the same result bits, or the same exception type and
+message, over drawn and gridded length triples and the triples of a
+campaign that fails in every way the float64 standard position fails.
 """
 
+import dataclasses
+import itertools
 import math
+import struct
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import geometric_oracle as O
 from shearlab import decomposition as D
 from shearlab import geom as G
 from shearlab import pants as P
@@ -78,9 +93,9 @@ def check_pants(sig, pg, fn, p, rec):
         i, j = _seam_ends(s)
         want = abs(kern.shears[i] + kern.shears[j] - ls[s])
         assert kern.residuals[s] == want, (p, s)
-    for k, de in enumerate(SP.develop_pants(sp)):
+    for k, de in enumerate(O.develop_pants(sp)):
         got = rec["shears"][str((p, k))]
-        assert got == kern.shears[k] == SP.edge_shear(de)
+        assert got == kern.shears[k] == O.edge_shear(de)
         assert abs(got - closed_form_shear(ls, k)) <= 1e-10 * scale, (p, k)
         dual = shear_points_shear(de)
         assert abs(got - dual) <= 1e-10 * max(1.0, abs(dual)), (p, k)
@@ -317,3 +332,138 @@ def test_conditioning_defects(ls, message):
         assert abs(kern.shears[k] - closed_form_shear(ls, k)) <= 1e-9 * scale
     assert max(kern.residuals) <= RELATION_TOL
     assert all(margin > 0.0 for margin in kern.margins)
+
+
+# ---------------------------------------------------------------------------
+# the float construction and kernel against the object oracle
+
+
+def bits(value):
+    """value with every float as its bits, value objects as their fields."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if isinstance(value, complex):
+        return bits(value.real), bits(value.imag)
+    if isinstance(value, (tuple, list)):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, G.Geodesic):
+        return "geodesic", bits(value.p), bits(value.q), value.oriented
+    if isinstance(value, G.Isometry):
+        return "isometry", bits((value.a, value.b, value.c, value.d))
+    return value
+
+
+def outcome(fn, *args):
+    """("value", result) or ("raise", exception type, message)."""
+    try:
+        return "value", fn(*args)
+    except Exception as err:
+        return "raise", type(err), str(err)
+
+
+def pants_bits(sp):
+    return bits([getattr(sp, field.name)
+                 for field in dataclasses.fields(sp)])
+
+
+# margins stay above 0.5 on every sampled pants at the default
+# constants, so the audit's failures are reached with larger thresholds
+AUDIT_PARAMS = (shear_free_params(),
+                dataclasses.replace(shear_free_params(), delta2=1.2,
+                                    delta3=0.6))
+
+
+def compare_with_oracle(ls, seen):
+    """Both constructions and both kernels of one triple agree to the bit.
+
+    seen counts the messages of the failures, to show which are reached.
+    """
+    got = outcome(build_pants, *ls)
+    want = outcome(O.reference_build_pants, *ls)
+    assert got[0] == want[0], (ls, got, want)
+    if got[0] == "raise":
+        assert got[1:] == want[1:], ls
+        seen[got[2]] += 1
+        return
+    assert pants_bits(got[1]) == pants_bits(want[1]), ls
+    for params in AUDIT_PARAMS:
+        kern = outcome(SP.pants_kernel, got[1], params)
+        ref = outcome(O.reference_kernel, want[1], params)
+        assert kern[0] == ref[0], (ls, kern, ref)
+        if kern[0] == "raise":
+            assert kern[1:] == ref[1:], ls
+            seen[kern[2]] += 1
+            continue
+        k = kern[1]
+        assert bits((k.shears, k.residuals, k.margins,
+                     k.quadrilaterals)) == bits(ref[1]), ls
+
+
+LENGTH = st.one_of(st.just(0.0), st.floats(1e-3, 0.05),
+                   st.floats(0.05, 20.0))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.tuples(LENGTH, LENGTH, LENGTH))
+def test_float_pipeline_matches_the_oracle_on_drawn_triples(ls):
+    compare_with_oracle(ls, Counter())
+
+
+def campaign_triples():
+    """Every pants triple of the (0,5) seed-3 campaign at lengths 0.01-30."""
+    sig = Signature(0, 5)
+    out = []
+    for i in range(200):
+        pg, fn = S.sample_fn(sig, S.sample_seed(3, i),
+                             length_range=(0.01, 30.0))
+        out += [S.slot_lengths(pg, fn, p) for p in range(pg.num_pants)]
+    return out
+
+
+def test_float_pipeline_matches_the_oracle_on_a_grid():
+    # cusps, curves in (1e-3, 0.05) and lengths up to 20, the campaign
+    # and the pinned conditioning defects: the float64 failures of the
+    # construction, the develop and the audit are all reached
+    values = ([0.0] + list(np.geomspace(1e-3, 0.05, 4))
+              + list(np.linspace(0.05, 20.0, 10)))
+    grid = [tuple(float(v) for v in ls)
+            for ls in itertools.product(values, repeat=3)]
+    seen = Counter()
+    for ls in (grid + campaign_triples()
+               + [ls for ls, _ in CONDITIONING_DEFECTS]):
+        compare_with_oracle(ls, seen)
+    for message in ("pants relation X1 X2 X3 = 1 violated",
+                    "developed endpoint is not fixed by its holonomy",
+                    "no horocycle for hyperbolic isometry",
+                    "shear point inside a shear-point-free part"):
+        assert any(message in text for text in seen), message
+
+
+def test_kernel_builds_no_geometry_objects(monkeypatch):
+    # cusps, curves short enough to carry margin rows and long curves
+    params = shear_free_params()
+    pants = [build_pants(*ls) for ls in
+             ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.03, 2.0, 0.0),
+              (0.01, 0.02, 0.04), (1.0, 2.0, 3.0), (0.5, 7.0, 0.0))]
+    built = Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        return counted
+
+    for cls in (G.Isometry, G.Reflection, G.Geodesic, G.IdealTriangle):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    margins = 0
+    for sp in pants:
+        margins += len(SP.pants_kernel(sp, params).margins)
+    assert margins > 0
+    assert built == Counter()
+    # the count sees what the object develop builds
+    O.reference_kernel(pants[1], params)
+    assert built["Isometry"] and built["Reflection"]
+    assert built["Geodesic"] and built["IdealTriangle"]

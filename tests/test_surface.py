@@ -195,6 +195,41 @@ class TestSampler:
             assert S.validate(pg, sig) == []
             S.holonomy_from_fn(pg, fn)
 
+    def test_draws_match_one_scalar_draw_per_curve(self):
+        # sample_fn draws the lengths, then the twist factors, with one
+        # vector draw each; the loop it replaced drew one scalar per curve.
+        # Same bits in the same curve order, from 0 to 40 curves; with no
+        # curve nothing is drawn, so not even a bad range is rejected
+        def scalar_draws(sig, seed, length_range, twist_range):
+            if length_range is None:
+                length_range = (0.05, 2.0 * math.log(4.0 * area(sig)))
+            rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+            cids = S.canonical_pants_graph(sig).curve_ids()
+            lengths = {cid: float(rng.uniform(*length_range)) for cid in cids}
+            twists = {cid: float(rng.uniform(*twist_range)) * lengths[cid]
+                      for cid in cids}
+            return lengths, twists
+
+        def bits(table):
+            return [(cid, value.hex()) for cid, value in table.items()]
+
+        sigs = [Signature(*gn) for gn in ((0, 3), (1, 1), (0, 5), (2, 1),
+                                          (5, 5), (10, 0), (14, 1))]
+        assert [len(S.canonical_pants_graph(sig).curve_ids())
+                for sig in sigs] == [0, 1, 2, 4, 17, 27, 40]
+        ranges = ((None, (0.0, 1.0)), ((1e-12, 1e-9), (-2.0, 3.0)),
+                  ((3.0, 3.0), (0.0, 0.0)))
+        for seed in range(100):
+            for sig in sigs:
+                for length_range, twist_range in ranges:
+                    _, fn = S.sample_fn(sig, seed, length_range, twist_range)
+                    lengths, twists = scalar_draws(sig, seed, length_range,
+                                                   twist_range)
+                    assert bits(fn.lengths) == bits(lengths), (seed, sig)
+                    assert bits(fn.twists) == bits(twists), (seed, sig)
+        _, fn = S.sample_fn(Signature(0, 3), 1, (5.0, 1.0), (0.0, math.inf))
+        assert fn.lengths == fn.twists == {}
+
     def test_seed_splitting_changes_streams(self):
         seeds = {S.sample_seed(42, i) for i in range(100)}
         assert len(seeds) == 100

@@ -29,6 +29,13 @@ slot, which orient its gluing normalizer, are built by slot_normalizer
 when a gluing asks for them; the seam feet are measured only by the
 tests' geometric oracle, which also keeps the construction on geometry
 objects that this one replaced (tests/geometric_oracle.py).
+
+On the sampling path build_pants is the scalar route: it builds every
+pants with a cusp or a curve no longer than 2 tanh(rho), and every
+thick compact pants that the numpy batch (thick.thick_batch) does not
+handle.  The batch repeats this construction's formulas in the same
+operation order, so build_pants is its reference, and it names every
+failure of the construction.
 """
 
 from __future__ import annotations
@@ -82,6 +89,11 @@ def seam_lengths(l1: float, l2: float, l3: float):
     return tuple(out)
 
 
+def _seam_param(alpha: float) -> float:
+    """tanh^2(alpha/2) for the half-length alpha of a boundary."""
+    return math.tanh(alpha / 2.0) ** 2
+
+
 def _solve_third_seam(p: float, t2: float, t3: float):
     """Endpoints (u, v) of seam 1 given seam 3 = (0, inf), seam 2 = (p, 1)."""
     if t2 == 0.0:
@@ -133,7 +145,7 @@ def _seam_ends(k: int):
 def build_pants(l1: float, l2: float, l3: float) -> StdPants:
     lengths = (float(l1), float(l2), float(l3))
     alphas = [l / 2.0 for l in lengths]
-    ts = [math.tanh(a / 2.0) ** 2 for a in alphas]
+    ts = [_seam_param(a) for a in alphas]
     if 1.0 in ts:
         # standard position puts the seams at tanh^2(l/4), which can no
         # longer be told apart from 1 in float64

@@ -2,11 +2,20 @@
 
 A single surface run is a loop over pants.  Each pants is built in
 standard position from its boundary-length triple and developed once in
-its own frame by the per-pants kernel (spiralling.pants_kernel): six
-spiral corners, then per arc the shear and the shear-point margins, and
-per slot the residual of its relation (the two arc-ends at a slot sum
-to 0 at a cusp and to the curve's length at a glued slot).  The raw and
-truncated arc lengths are closed forms in the length triple
+its own frame: six spiral corners, then per arc the shear and the
+shear-point margins, and per slot the residual of its relation (the two
+arc-ends at a slot sum to 0 at a cusp and to the curve's length at a
+glued slot).  A pants takes one of two routes, with the same bits:
+
+* a thick compact pants (no cusp, every curve longer than 2 tanh(rho))
+  goes through thick.thick_batch, which builds and develops all such
+  pants of a block of samples at once in numpy;
+* every other pants, and every thick one the batch does not handle,
+  goes through the scalar pants.build_pants and
+  spiralling.pants_kernel.  They are the reference of the batch and
+  report every failure by name.
+
+The raw and truncated arc lengths are closed forms in the length triple
 (decomposition.arc_rows).  The record is put together directly from
 these: the shears keyed by arc (pants, seam), the largest residual over
 cusp slots and over curve slots, shortness certification and the audit
@@ -21,7 +30,7 @@ import hashlib
 import json
 import math
 
-from . import decomposition, spiralling
+from . import decomposition, spiralling, thick
 from .constants import (RHO, SHORT_CURVE_MAX, Signature, area,
                         constants_audit, main_bound, shear_free_params,
                         topology_constants)
@@ -32,6 +41,10 @@ from .surface import (DISCONNECTED, FNCoordinates, PantsGraph,
                       sample_seed, slot_lengths, validate)
 
 SCHEMA = "shearlab-report/1"
+
+#: Samples drawn and batched together; it bounds the memory a campaign
+#: holds besides its records.
+_BLOCK = 256
 
 CSV_HEADER = ("sample,gn,seed,certified,max_shear,bound,ratio,"
               "cusp_residual,spiral_residual,min_margin")
@@ -92,10 +105,23 @@ def _max(values, default):
     return max(values, default=default)
 
 
-def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
-    """Per-pants pipeline on one surface; returns the per-surface record."""
+def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates,
+                thick_pants=None) -> dict:
+    """Per-pants pipeline on one surface; returns the per-surface record.
+
+    thick_pants maps length triples to the batch's ThickPants
+    (thick.thick_batch); when it is not given, the surface's own triples
+    are batched here.  Every pants the batch did not handle is built and
+    developed by the scalar build_pants and pants_kernel.  The error
+    order is that of the scalar path: construction errors by pants, then
+    the curve checks by curve id, then kernel errors by pants.
+    """
     ends = check_surface(pg, fn)
-    std = [build_pants(*slot_lengths(pg, fn, p)) for p in range(pg.num_pants)]
+    params = shear_free_params()
+    triples = [slot_lengths(pg, fn, p) for p in range(pg.num_pants)]
+    if thick_pants is None:
+        thick_pants = thick.thick_batch(triples, params)
+    std = [thick_pants.get(ls) or build_pants(*ls) for ls in triples]
     curves = {cid: fn.length(cid) for cid in sorted(ends)}
     for cid, length in curves.items():
         # the curve-length check of the global holonomy, which reads the
@@ -103,15 +129,17 @@ def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
         p, s = min(ends[cid])
         check_curve_holonomy(std[p].slot_hol[s], cid, length)
     log4a = math.log(4.0 * area(sig))
-    params = shear_free_params()
     shortness = decomposition.curve_rows(curves, log4a)
     shears = {}
     cusp_res, side_res, margins = [], [], []
     for p, sp in enumerate(std):
-        try:
-            kern = spiralling.pants_kernel(sp, params)
-        except spiralling.DevelopError as err:
-            raise type(err)((p, err.edge), err.problem) from err
+        if isinstance(sp, thick.ThickPants):
+            kern = sp.kernel
+        else:
+            try:
+                kern = spiralling.pants_kernel(sp, params)
+            except spiralling.DevelopError as err:
+                raise type(err)((p, err.edge), err.problem) from err
         for k, value in enumerate(kern.shears):
             shears[(p, k)] = value
         shortness += decomposition.arc_rows(sp.lengths, p, log4a)
@@ -186,18 +214,33 @@ def sample_rows(report: dict):
 
 def run_sample_campaign(sig: Signature, seed: int, count: int,
                         length_range=None, twist_range=(0.0, 1.0)):
-    """Seeded sampling campaign; per-sample failures are recorded."""
+    """Seeded sampling campaign; per-sample failures are recorded.
+
+    The samples are drawn a block at a time; the thick compact pants of
+    a block are batched (thick.thick_batch), then each record is put
+    together in sample order by run_surface.
+    """
+    params = shear_free_params()
     records = []
-    for i in range(count):
-        sub = sample_seed(seed, i)
-        rec = {"seed": sub}
-        try:
-            pg, fn = sample_fn(sig, sub, length_range=length_range,
-                               twist_range=twist_range)
-            rec.update(run_surface(sig, pg, fn))
-        except Exception as err:   # recorded, campaign continues
-            rec["error"] = f"{type(err).__name__}: {err}"
-        records.append(rec)
+    for start in range(0, count, _BLOCK):
+        drawn = []
+        for i in range(start, min(count, start + _BLOCK)):
+            rec = {"seed": sample_seed(seed, i)}
+            try:
+                drawn.append((rec, sample_fn(sig, rec["seed"],
+                                             length_range=length_range,
+                                             twist_range=twist_range)))
+            except Exception as err:   # recorded, campaign continues
+                rec["error"] = f"{type(err).__name__}: {err}"
+            records.append(rec)
+        thick_pants = thick.thick_batch(
+            [slot_lengths(pg, fn, p) for _, (pg, fn) in drawn
+             for p in range(pg.num_pants)], params)
+        for rec, (pg, fn) in drawn:
+            try:
+                rec.update(run_surface(sig, pg, fn, thick_pants))
+            except Exception as err:   # recorded, campaign continues
+                rec["error"] = f"{type(err).__name__}: {err}"
     good = [r for r in records if not r.get("error")]
     certified = [r for r in good if r["certified"]]
     summary = {

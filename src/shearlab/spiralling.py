@@ -32,6 +32,12 @@ curve ids; its errors name the seam, and report.run_surface names the
 edge (pants, seam).  No global frame is built.  The tests also check
 the kernel against closed forms that do not depend on the developed
 geometry (tests/test_kernel.py).
+
+The kernel is the scalar route of report.run_surface: it develops every
+pants with a cusp or a curve no longer than 2 tanh(rho), and every
+thick compact pants that the numpy batch (thick.thick_batch) does not
+handle.  It is the batch's reference, which the batch matches bit for
+bit, and it reports the failures of both routes by name.
 """
 
 from __future__ import annotations
@@ -99,7 +105,9 @@ def pants_kernel(sp: StdPants, params: ShearFreeParams) -> PantsKernel:
     endpoint for which its pants lies on the left.  Corner 3 + k is the
     opposite-slot apex of the hexagon mirrored across seam k; the
     reflection reverses orientation, so at a curve it is the repelling
-    fixed point of the reflected holonomy.  Corner c sits on slot c % 3.
+    fixed point of the reflected holonomy, and a reflected holonomy that
+    rounding moved out of the hyperbolic class raises DevelopError for
+    its seam.  Corner c sits on slot c % 3.
 
     Arc k joins the front corners at the end slots i, j of seam k; its
     apexes are front corner k and back corner 3 + k.  Every develop
@@ -144,7 +152,11 @@ def pants_kernel(sp: StdPants, params: ShearFreeParams) -> PantsKernel:
         if cusp[k]:
             point = mat_apply_boundary(refl, sp.slot_point[k])
         else:
-            att, rep = mat_fixed_points(stab, mat_classify(stab))
+            kind = mat_classify(stab)
+            if kind != "hyperbolic":
+                raise DevelopError(k, f"slot {k} holonomy mirrored across "
+                                   f"the seam is {kind}")
+            att, rep = mat_fixed_points(stab, kind)
             point = rep
             axes[3 + k] = geodesic_ends(att, rep)
         _check_corner(point, stab, k)

@@ -198,6 +198,10 @@ def _back_apex(sp: StdPants, k: int) -> Corner:
     if sp.slot_is_cusp[k]:
         return Corner(point=refl.apply_boundary(sp.slot_point[k]),
                       kind="cusp", stabilizer=stab)
+    kind = geom.classify(stab)
+    if kind != "hyperbolic":
+        raise DevelopError(k, f"slot {k} holonomy mirrored across the seam "
+                           f"is {kind}")
     att, rep = geom.fixed_points(stab)
     return Corner(point=rep, kind="curve", length=sp.lengths[k],
                   axis=Geodesic(att, rep), stabilizer=stab)

@@ -137,6 +137,25 @@ class TestComputeCommand:
         assert cli.main(["compute", path]) == 3
 
 
+    def test_parabolic_mirrored_holonomy_names_the_edge(self, tmp_path,
+                                                        capsys):
+        # the (2,0) theta graph: both pants have the lengths of curves 0, 1
+        # and 2 in slot order, a triple on which the kernel's back corner
+        # of slot 0 sees a parabolic mirrored holonomy
+        lengths = (0.020754155195293427, 27.905176019206184,
+                   33.420381573877656)
+        theta = {
+            "signature": {"g": 2, "n": 0},
+            "pants": [{"slots": [{"curve": c} for c in range(3)]}] * 2,
+            "fn": [{"curve": c, "length": length, "twist": 0.0}
+                   for c, length in enumerate(lengths)],
+        }
+        one_line_error(
+            capsys, ["compute", write_surface(tmp_path, theta)], 3,
+            "error: geometry invariant failure: edge (0, 0): slot 0 "
+            "holonomy mirrored across the seam is parabolic")
+
+
 def one_line_error(capsys, argv, code, needle):
     """The command exits with code and one stderr line naming needle."""
     assert cli.main(argv) == code

@@ -22,7 +22,11 @@ geometry value types are ``slots=True`` dataclasses, immutable by
 convention only, and the pants cache shares their instances across
 records: no code may store to or delete a field of a ``slots=True``
 library dataclass, plainly, augmented or through ``setattr``, outside
-that class's own methods.
+that class's own methods.  The batch of thick pants (thick.py) must give
+the scalar path's bits, and numpy's transcendental and power ufuncs
+round differently from math (its SIMD tanh, cosh, asinh, exp and log,
+and ``arr ** 2``, differ in the last bit on a share of inputs): the
+batch names no such ufunc and uses no ``**``.
 """
 
 import ast
@@ -322,6 +326,35 @@ def unread_locals(tree):
     return out
 
 
+BATCH = SRC / "thick.py"
+NUMPY_INEXACT = {"tanh", "cosh", "sinh", "arctanh", "arccosh", "arcsinh",
+                 "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
+                 "power", "float_power", "square", "cbrt"}
+
+
+def inexact_numpy(tree):
+    """Uses of numpy transcendental or power ufuncs, and ``**`` anywhere.
+
+    A use is an attribute ``np.f`` or ``numpy.f``, or a name imported
+    from numpy; ``**`` and ``**=`` are flagged whatever their operands,
+    since the tree does not say which are arrays.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMPY_INEXACT
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            found.append((node, f"{node.value.id}.{node.attr}"))
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"):
+            found += [(node, f"numpy.{alias.name}") for alias in node.names
+                      if alias.name in NUMPY_INEXACT]
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, ast.Pow)):
+            found.append((node, "**"))
+    return [f"{text} at line {node.lineno}" for node, text in
+            sorted(found, key=lambda f: (f[0].lineno, f[0].col_offset))]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_duplicate_top_level_names(path):
     assert duplicate_definitions(_parse(path)) == []
@@ -337,6 +370,10 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_local_is_read(path):
     assert unread_locals(_parse(path)) == []
+
+
+def test_batch_rounds_as_the_scalar_path():
+    assert inexact_numpy(_parse(BATCH)) == []
 
 
 def test_every_constant_is_read():
@@ -453,3 +490,12 @@ def test_checks_catch_their_targets():
     assert slotted_field_writes([lib], [lib, writer]) == [
         "Pt.x at line 2", "Pt.x at line 4", "Pt.x at line 6",
         "Pt.y at line 3", "Pt.y at line 5", "Pt.y at line 8"]
+    batch = ast.parse("import numpy as np\nfrom numpy import log1p, sqrt\n"
+                      "def f(x, y):\n"
+                      "    a = np.sqrt(x) + np.tanh(x) * numpy.exp(y)\n"
+                      "    b = x ** 2\n    b **= 2\n"
+                      "    c = np.where(x > 0, x, 1.0) - abs(y) / 2.0\n"
+                      "    return np.power(a, b), c, math.tanh(1.0)\n")
+    assert inexact_numpy(batch) == [
+        "numpy.log1p at line 2", "np.tanh at line 4", "numpy.exp at line 4",
+        "** at line 5", "** at line 6", "np.power at line 8"]

@@ -439,6 +439,26 @@ def test_float_pipeline_matches_the_oracle_on_a_grid():
         assert any(message in text for text in seen), message
 
 
+# a triple of a random search up to length 40 on which rounding makes
+# the holonomy of curve slot 0, mirrored across seam 0, classify as
+# parabolic
+MIRRORED_PARABOLIC = (0.020754155195293427, 27.905176019206184,
+                      33.420381573877656)
+
+
+def test_parabolic_mirrored_curve_holonomy_is_named():
+    # the back corner of a curve slot needs two fixed points; a mirrored
+    # holonomy of another class fails as a develop error of its seam
+    with pytest.raises(SP.DevelopError) as err:
+        SP.pants_kernel(build_pants(*MIRRORED_PARABOLIC), shear_free_params())
+    assert err.value.edge == 0
+    assert str(err.value) == ("edge 0: slot 0 holonomy mirrored across the "
+                              "seam is parabolic")
+    seen = Counter()
+    compare_with_oracle(MIRRORED_PARABOLIC, seen)
+    assert sum(seen.values()) == len(AUDIT_PARAMS)
+
+
 def test_kernel_builds_no_geometry_objects(monkeypatch):
     # cusps, curves short enough to carry margin rows and long curves
     params = shear_free_params()

@@ -8,6 +8,7 @@ import pytest
 from shearlab import report
 from shearlab import spiralling as SP
 from shearlab import surface as S
+from shearlab import thick
 from shearlab.constants import Signature, shear_free_params
 from shearlab.geom import GeometryError
 from shearlab.pants import build_pants
@@ -145,3 +146,84 @@ class TestCampaign:
         text = report.to_json(rep)
         again = report.to_json(json.loads(text))
         assert text == again
+
+
+class TestBatchRouting:
+    """The thick compact pants of a campaign go through thick.thick_batch.
+
+    The scalar build_pants and pants_kernel are its reference: with the
+    batch handling nothing, every record and summary, error strings
+    included, must come out the same.
+    """
+
+    CAMPAIGNS = (((1, 2), 42, 30, None), ((2, 0), 42, 30, None),
+                 ((2, 1), 42, 30, None), ((5, 5), 42, 20, None),
+                 ((10, 0), 42, 20, None), ((20, 4), 42, 10, None),
+                 ((3, 0), 1, 20, (0.05, 16.0)))
+
+    @staticmethod
+    def campaign(gn, seed, count, lengths):
+        build_pants.cache_clear()
+        records, summary = report.run_sample_campaign(
+            Signature(*gn), seed, count, length_range=lengths)
+        return records, report.to_json({"records": records,
+                                        "summary": summary})
+
+    @pytest.mark.parametrize(
+        "gn, seed, count, lengths", CAMPAIGNS,
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_scalar_route_gives_the_same_campaign(self, monkeypatch, gn,
+                                                 seed, count, lengths):
+        records, batched = self.campaign(gn, seed, count, lengths)
+        monkeypatch.setattr(thick, "thick_batch", lambda triples, params: {})
+        _, scalar = self.campaign(gn, seed, count, lengths)
+        assert batched == scalar
+        if lengths:
+            # the long lengths reach both float64 failures of the sampling
+            # path, a pants relation and a develop check; (3,0) has no
+            # cusp, so the batch must leave the failing pants unhandled
+            errors = " ".join(rec.get("error", "") for rec in records)
+            assert "GeometryError: pants relation" in errors
+            assert "DevelopError: edge" in errors
+
+    def test_batch_handles_the_thick_compact_pants(self, monkeypatch):
+        # a count, not a speed: the thick compact triples the batch
+        # handles never reach the scalar build_pants or pants_kernel
+        params = shear_free_params()
+        short_max = 2.0 * math.tanh(params.rho)
+        real_batch, real_build = thick.thick_batch, report.build_pants
+        real_kernel = SP.pants_kernel
+        qualifying, handled, scalar = set(), set(), []
+
+        def batch(triples, params):
+            out = real_batch(triples, params)
+            qualifying.update(ls for ls in triples if min(ls) > short_max)
+            handled.update(out)
+            return out
+
+        def build(*ls):
+            scalar.append(ls)
+            return real_build(*ls)
+
+        def kernel(sp, params):
+            scalar.append(sp.lengths)
+            return real_kernel(sp, params)
+
+        monkeypatch.setattr(thick, "thick_batch", batch)
+        monkeypatch.setattr(report, "build_pants", build)
+        monkeypatch.setattr(SP, "pants_kernel", kernel)
+        build_pants.cache_clear()
+        records, _ = report.run_sample_campaign(Signature(5, 5), 11, 40)
+        assert any(not rec.get("error") for rec in records)
+        assert len(handled) >= 0.95 * len(qualifying) > 0
+        assert scalar and not handled & set(scalar)
+
+    def test_no_thick_compact_pants_no_numpy_work(self, monkeypatch):
+        # a cusp in every pants: the batch returns before any array work
+        def refuse(todo):
+            raise AssertionError("batched a surface with no thick pants")
+
+        monkeypatch.setattr(thick, "_batch", refuse)
+        for gn in ((1, 1), (0, 4), (0, 5)):
+            _, summary = report.run_sample_campaign(Signature(*gn), 42, 20)
+            assert summary["samples"] == 20

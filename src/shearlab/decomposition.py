@@ -6,7 +6,12 @@ of the shortness certificate are read from the boundary lengths alone
 (curve_rows, arc_rows): the raw and truncated lengths of each seam arc,
 after removing standard cusp neighborhoods (bounded by horocycles of
 length 2) and the collars of curves no longer than 2 asinh 1, have
-closed forms in the pants' length triple.  The
+closed forms in the pants' length triple (arc_lengths).  The sampling
+path builds no row: the numpy batch (thick.thick_batch) computes the
+arc lengths of the pants it handles with these formulas, arc_lengths
+measures the pants it leaves, and report.run_surface reads from the
+floats whether every row would pass (arcs_short).  The rows name the
+bounds, and are the batch's oracle with arc_lengths.  The
 geometric measurement these replace, in the developed pants, is the
 tests' oracle (tests/geometric_oracle.py).  The doubled-loop bound has
 no row: the seam word X_i X_j is conjugate to the third boundary of its
@@ -86,27 +91,51 @@ def curve_rows(curves: dict, log4a: float) -> list:
             for cid, length in sorted(curves.items())]
 
 
+def arc_lengths(lengths: tuple) -> tuple:
+    """The bounded lengths of the three seam arcs of a pants.
+
+    lengths is the pants' boundary-length triple (0 = cusp); the seam
+    lengths are computed once for all three arcs.  Per arc k, in seam
+    order: (raw, slack, truncated), where raw is the seam length a_k and
+    slack the collar widths of the intermediate curves at its two ends.
+    The raw length is bounded only between two curves: at an arc with a
+    cusp end, raw and slack are None.
+    """
+    seams = seam_lengths(*lengths)
+    arcs = []
+    for k in range(3):
+        i, j = _seam_ends(k)
+        if lengths[i] and lengths[j]:
+            raw, slack = seams[k], _collar(lengths[i]) + _collar(lengths[j])
+        else:
+            raw = slack = None
+        arcs.append((raw, slack, truncated_length(lengths, seams, k)))
+    return tuple(arcs)
+
+
+def arcs_short(arcs: tuple, log4a: float) -> bool:
+    """Whether every arc of arc_lengths meets its raw and truncated bound,
+    as every row of arc_rows passes."""
+    bound = 6.0 * log4a
+    return all((raw is None or raw <= bound + slack) and trunc <= bound
+               for raw, slack, trunc in arcs)
+
+
 def arc_rows(lengths: tuple, p: int, log4a: float) -> list:
     """Rows of the raw and truncated length bounds of the seam arcs of pants p.
 
-    lengths is the boundary-length triple of pants p (0 = cusp); the rows
-    of arc (p, k) come in seam order k = 0, 1, 2, and the seam lengths
-    are computed once for all three.  The raw length, the seam length
-    a_k, is bounded only between two curves, per regime: the collar
-    widths of the intermediate curves at its ends are added.
+    The rows of arc (p, k) come in seam order k = 0, 1, 2, with the
+    values of arc_lengths: the raw length is bounded per regime by
+    6 log(4 area) plus the collar widths of the intermediate curves at
+    its ends, the truncated length by 6 log(4 area).
     """
-    seams = seam_lengths(*lengths)
     rows = []
-    for k in range(3):
+    for k, (raw, slack, trunc) in enumerate(arc_lengths(lengths)):
         arc = (p, k)
-        i, j = _seam_ends(k)
-        if lengths[i] and lengths[j]:
-            length = seams[k]
-            slack = _collar(lengths[i]) + _collar(lengths[j])
+        if raw is not None:
             rows.append(ShortnessRow(
-                _RAW_ARC_ROW, arc, length, 6.0 * log4a + slack,
-                length <= 6.0 * log4a + slack))
-        trunc = truncated_length(lengths, seams, k)
+                _RAW_ARC_ROW, arc, raw, 6.0 * log4a + slack,
+                raw <= 6.0 * log4a + slack))
         rows.append(ShortnessRow(_TRUNCATED_ARC_ROW, arc, trunc, 6.0 * log4a,
                                  trunc <= 6.0 * log4a))
     return rows

@@ -30,12 +30,12 @@ when a gluing asks for them; the seam feet are measured only by the
 tests' geometric oracle, which also keeps the construction on geometry
 objects that this one replaced (tests/geometric_oracle.py).
 
-On the sampling path build_pants is the scalar route: it builds every
-pants with a cusp or a curve no longer than 2 tanh(rho), and every
-thick compact pants that the numpy batch (thick.thick_batch) does not
-handle.  The batch repeats this construction's formulas in the same
-operation order, so build_pants is its reference, and it names every
-failure of the construction.
+On the sampling path build_pants is the scalar route: it builds only
+the pants that the numpy batch (thick.thick_batch) does not handle,
+those where a check fails or a rare branch is taken.  The batch repeats
+this construction's formulas in the same operation order, cusp branches
+and points at infinity included, so build_pants is its reference, and
+it names every failure of the construction.
 """
 
 from __future__ import annotations

@@ -7,19 +7,22 @@ shear-point margins, and per slot the residual of its relation (the two
 arc-ends at a slot sum to 0 at a cusp and to the curve's length at a
 glued slot).  A pants takes one of two routes, with the same bits:
 
-* a thick compact pants (no cusp, every curve longer than 2 tanh(rho))
-  goes through thick.thick_batch, which builds and develops all such
-  pants of a block of samples at once in numpy;
-* every other pants, and every thick one the batch does not handle,
-  goes through the scalar pants.build_pants and
-  spiralling.pants_kernel.  They are the reference of the batch and
-  report every failure by name.
+* every finite pants, cusped and thin ones included, goes first through
+  thick.thick_batch, which builds and develops all the distinct triples
+  of a block of samples at once in numpy, and measures their seam arcs;
+* every pants the batch does not handle (a check fails, or a rare
+  branch is taken) goes through the scalar pants.build_pants,
+  spiralling.pants_kernel and decomposition.arc_lengths.  They are the
+  reference of the batch and report every failure by name.
 
 The raw and truncated arc lengths are closed forms in the length triple
-(decomposition.arc_rows).  The record is put together directly from
-these: the shears keyed by arc (pants, seam), the largest residual over
-cusp slots and over curve slots, shortness certification and the audit
-minimum.  No global holonomy is built.
+(decomposition.arc_lengths); the record reads from them, and from the
+curve lengths, whether every row of the shortness certificate passes,
+without building the rows (decomposition.arc_rows, curve_rows).  The
+record is put together directly from these: the shears keyed by arc
+(pants, seam), the largest residual over cusp slots and over curve
+slots, shortness certification and the audit minimum.  No global
+holonomy is built.
 Reports are deterministic: records are assembled in sample order and
 contain no wall-clock data (timings go to a side channel).
 """
@@ -106,22 +109,26 @@ def _max(values, default):
 
 
 def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates,
-                thick_pants=None) -> dict:
+                batched=None, triples=None) -> dict:
     """Per-pants pipeline on one surface; returns the per-surface record.
 
-    thick_pants maps length triples to the batch's ThickPants
-    (thick.thick_batch); when it is not given, the surface's own triples
-    are batched here.  Every pants the batch did not handle is built and
-    developed by the scalar build_pants and pants_kernel.  The error
-    order is that of the scalar path: construction errors by pants, then
-    the curve checks by curve id, then kernel errors by pants.
+    batched maps length triples to the batch's BatchPants
+    (thick.thick_batch), and triples are the surface's length triples
+    (surface.slot_lengths) per pants; when they are not given, they are
+    computed, and the surface's own triples batched, here.  Every pants
+    the batch did not handle is built and developed by the scalar
+    build_pants and pants_kernel, and its arcs measured by
+    decomposition.arc_lengths.  The error order is that of the scalar
+    path: construction errors by pants, then the curve checks by curve
+    id, then kernel errors by pants.
     """
     ends = check_surface(pg, fn)
     params = shear_free_params()
-    triples = [slot_lengths(pg, fn, p) for p in range(pg.num_pants)]
-    if thick_pants is None:
-        thick_pants = thick.thick_batch(triples, params)
-    std = [thick_pants.get(ls) or build_pants(*ls) for ls in triples]
+    if triples is None:
+        triples = [slot_lengths(pg, fn, p) for p in range(pg.num_pants)]
+    if batched is None:
+        batched = thick.thick_batch(triples, params)
+    std = [batched.get(ls) or build_pants(*ls) for ls in triples]
     curves = {cid: fn.length(cid) for cid in sorted(ends)}
     for cid, length in curves.items():
         # the curve-length check of the global holonomy, which reads the
@@ -129,20 +136,23 @@ def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates,
         p, s = min(ends[cid])
         check_curve_holonomy(std[p].slot_hol[s], cid, length)
     log4a = math.log(4.0 * area(sig))
-    shortness = decomposition.curve_rows(curves, log4a)
+    # the shortness certificate: every row of decomposition.curve_rows
+    # and arc_rows passes, read from the lengths without building them
+    certified = all(length <= 2.0 * log4a for length in curves.values())
     shears = {}
     cusp_res, side_res, margins = [], [], []
     for p, sp in enumerate(std):
-        if isinstance(sp, thick.ThickPants):
-            kern = sp.kernel
+        if isinstance(sp, thick.BatchPants):
+            kern, arcs = sp.kernel, sp.arcs
         else:
             try:
                 kern = spiralling.pants_kernel(sp, params)
             except spiralling.DevelopError as err:
                 raise type(err)((p, err.edge), err.problem) from err
+            arcs = decomposition.arc_lengths(sp.lengths)
         for k, value in enumerate(kern.shears):
             shears[(p, k)] = value
-        shortness += decomposition.arc_rows(sp.lengths, p, log4a)
+        certified = decomposition.arcs_short(arcs, log4a) and certified
         for s, res in enumerate(kern.residuals):
             (cusp_res if sp.slot_is_cusp[s] else side_res).append(res)
         margins += kern.margins
@@ -159,7 +169,7 @@ def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates,
         "max_shear": max_shear,
         "bound": bound,
         "ratio": max_shear / bound,
-        "certified": all(row.passed for row in shortness),
+        "certified": certified,
         "cusp_residual": cusp,
         "spiral_residual": side,
         "relations_ok": cusp <= RELATION_TOL and side <= RELATION_TOL,
@@ -216,9 +226,9 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
                         length_range=None, twist_range=(0.0, 1.0)):
     """Seeded sampling campaign; per-sample failures are recorded.
 
-    The samples are drawn a block at a time; the thick compact pants of
-    a block are batched (thick.thick_batch), then each record is put
-    together in sample order by run_surface.
+    The samples are drawn a block at a time; the length triples of a
+    block's pants are read once and batched (thick.thick_batch), then
+    each record is put together in sample order by run_surface.
     """
     params = shear_free_params()
     records = []
@@ -233,12 +243,13 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
             except Exception as err:   # recorded, campaign continues
                 rec["error"] = f"{type(err).__name__}: {err}"
             records.append(rec)
-        thick_pants = thick.thick_batch(
-            [slot_lengths(pg, fn, p) for _, (pg, fn) in drawn
-             for p in range(pg.num_pants)], params)
-        for rec, (pg, fn) in drawn:
+        triples = [[slot_lengths(pg, fn, p) for p in range(pg.num_pants)]
+                   for _, (pg, fn) in drawn]
+        batched = thick.thick_batch(
+            [ls for surface in triples for ls in surface], params)
+        for (rec, (pg, fn)), surface in zip(drawn, triples):
             try:
-                rec.update(run_surface(sig, pg, fn, thick_pants))
+                rec.update(run_surface(sig, pg, fn, batched, surface))
             except Exception as err:   # recorded, campaign continues
                 rec["error"] = f"{type(err).__name__}: {err}"
     good = [r for r in records if not r.get("error")]

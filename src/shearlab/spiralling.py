@@ -33,11 +33,12 @@ edge (pants, seam).  No global frame is built.  The tests also check
 the kernel against closed forms that do not depend on the developed
 geometry (tests/test_kernel.py).
 
-The kernel is the scalar route of report.run_surface: it develops every
-pants with a cusp or a curve no longer than 2 tanh(rho), and every
-thick compact pants that the numpy batch (thick.thick_batch) does not
-handle.  It is the batch's reference, which the batch matches bit for
-bit, and it reports the failures of both routes by name.
+The kernel is the scalar route of report.run_surface: it develops only
+the pants that the numpy batch (thick.thick_batch) leaves, those where a
+check fails or a rare branch is taken; the batch develops every other
+pants, cusped and thin ones included.  It is the batch's reference,
+which the batch matches bit for bit, margins and their order included,
+and it reports the failures of both routes by name.
 """
 
 from __future__ import annotations

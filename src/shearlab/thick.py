@@ -1,28 +1,38 @@
-"""The thick compact pants of a campaign, built and developed in one batch.
+"""Every pants of a campaign, built and developed in one numpy batch.
 
-A pants with no cusp and every boundary curve longer than 2 tanh(rho),
-the kernel's own thinness test, has no shear-point margin rows, and its
-construction (pants.build_pants) and develop (spiralling.pants_kernel)
-are plain real arithmetic.  thick_batch runs both over numpy arrays of
-all such length triples at once, with the same formulas in the same
-operation order as the scalar code, so a triple it handles gets the
-scalar path's bits: slot holonomies, shears, residuals and (empty)
-margins.
+thick_batch runs the construction (pants.build_pants), the develop and
+shear-point margins (spiralling.pants_kernel) and the seam-arc lengths
+(decomposition.arc_lengths) over numpy arrays of all the distinct
+finite length triples of a block of samples at once, cusped and thin
+pants included.  It uses the same formulas in the same operation order
+as the scalar code, so a triple it handles gets the scalar path's bits:
+slot holonomies, shears, residuals, margins in kernel order,
+quadrilaterals and arc lengths.  (The module keeps its name from when
+it batched only the thick compact pants.)
 
-Elementwise + - * /, abs, comparisons and np.sqrt round exactly as
-Python floats do.  numpy's transcendental and power ufuncs do not (its
-SIMD tanh, cosh, asinh, exp, log and ``arr ** 2`` differ from math in
-the last bit on a share of inputs), so tanh, asinh, acosh, log and the
-square of tanh are computed with math, one element at a time, and
-tests/test_hygiene.py rejects any numpy transcendental or ``**`` here.
+Elementwise + - * /, abs, comparisons, np.sqrt and np.hypot (libm's
+hypot, which abs(complex) calls) round exactly as CPython does.
+numpy's transcendental and power ufuncs do not (its SIMD tanh, cosh,
+asinh, exp, log and ``arr ** 2`` differ from math in the last bit on a
+share of inputs), so every transcendental is computed with math, one
+element at a time.  numpy's complex product, quotient and abs round
+differently from CPython's too, so the interior points of the kernel
+(incircle centres, perpendicular feet) are pairs of real arrays, and
+CPython's complex operations are written out in its order: a float
+times a complex is complex(a, 0) * z, and a quotient takes
+_Py_c_quot's branch on |re| >= |im|.  tests/test_hygiene.py rejects any
+numpy transcendental, ``**`` or complex number here.
 
-A triple is handled only when every check of the scalar path passes and
-only its common branches are taken.  Any failed check, point at
-infinity, zero denominator, near-vertical fixed-point branch, class
-other than the expected one, or non-finite value leaves the triple
-unhandled: it goes through the unchanged scalar build_pants and
-pants_kernel, which are the reference of this batch and report its
-errors by name.  Cusped and thin pants always take the scalar route.
+A cusp at slot 1 lies at infinity; the points at infinity of
+two_point_mat, three_point_mat, cross_ratio, mat_apply_boundary and
+reflection_mat are taken by masks, per element.  A triple is handled
+only when every check of the scalar path passes and only the branches
+written here are taken.  Any failed check (a margin that is not
+positive included), zero denominator, near-vertical fixed-point branch
+of a curve slot, class other than the expected one, or non-finite value
+leaves the triple unhandled: it goes through the unchanged scalar
+build_pants, pants_kernel and arc_lengths, which are the reference of
+this batch and report its errors by name.
 """
 
 from __future__ import annotations
@@ -32,68 +42,129 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ShearFreeParams
-from .geom import CLASSIFY_TOL, Isometry, mat_mul
+from .constants import (INTERMEDIATE_CURVE_MAX, ShearFreeParams,
+                        truncated_collar_width)
+from .geom import _STD_CENTER, CLASSIFY_TOL, INF, Isometry, mat_mul
 from .pants import _CONSTRUCTION_TOL, _SEAM_ENDS, _seam_param
 from .spiralling import _FIX_TOL, PantsKernel
 
 
 @dataclass(slots=True)
-class ThickPants:
+class BatchPants:
     """What report.run_surface reads of a pants the batch handled: the
-    fields of StdPants it reads, and the kernel of the pants."""
+    fields of StdPants it reads, the kernel of the pants and the lengths
+    of its seam arcs."""
 
     lengths: tuple
     slot_is_cusp: tuple
     slot_hol: tuple           # three Isometry values, as build_pants gives
     kernel: PantsKernel
+    arcs: tuple               # decomposition.arc_lengths of the triple
 
 
-_NOT_CUSP = (False, False, False)
 # the end slots i, j of each seam (pants._SEAM_ENDS), as row indices
 _I = [i for i, _ in _SEAM_ENDS]
 _J = [j for _, j in _SEAM_ENDS]
-# slots whose second seam, seams[2], ends at infinity
-_AT_INF = np.array([[True], [True], [False]])
+# the slot of corner c (i, j, k, 3 + k) of arc k, at [c, k]
+_SLOT = np.array([_I, _J, [0, 1, 2], [0, 1, 2]])
 
 
-def _each(fn, x):
-    """The math function fn applied to each element of the array x."""
-    return np.array(list(map(fn, x.ravel().tolist())),
-                    dtype=float).reshape(x.shape)
+def _each(fn, x, mask):
+    """fn (a math function) of each element of x where mask holds, NaN
+    elsewhere."""
+    out = np.full(x.shape, math.nan)
+    out[mask] = list(map(fn, x[mask].tolist()))
+    return out
+
+
+def _pick(cases, choices, default):
+    """np.select(cases, choices, default) as nested np.where, which costs
+    far less on arrays of a block's size: the first case that holds
+    picks its choice."""
+    out = default
+    for case, choice in zip(reversed(cases), reversed(choices)):
+        out = np.where(case, choice, out)
+    return out
+
+
+def _unit_det(a, b, c, d):
+    """geom._unit_det, and where the determinant is positive."""
+    det = a * d - b * c
+    s = np.sqrt(det)
+    return (a / s, b / s, c / s, d / s), det > 0
 
 
 def _two_point(p, q):
-    """geom.two_point_mat for finite p != q, and where det > 0."""
-    below = p < q
-    c = np.where(below, -1.0, 1.0)
-    d = np.where(below, q, -q)
-    b = -p
-    det = 1.0 * d - b * c
-    s = np.sqrt(det)
-    return (1.0 / s, b / s, c / s, d / s), (p != q) & (det > 0)
+    """geom.two_point_mat of normalized ends, and where p != q and its
+    determinant is positive."""
+    p_inf, q_inf = p == INF, q == INF
+    cases = [p_inf, q_inf, p < q]
+    m, good = _unit_det(np.where(p_inf, 0.0, 1.0), np.where(p_inf, -1.0, -p),
+                        _pick(cases, [1.0, 0.0, -1.0], 1.0),
+                        _pick(cases, [-q, 1.0, q], -q))
+    return m, good & (p != q)
+
+
+def _three_point(p, q, r):
+    """geom.three_point_mat of normalized points, and where its checks
+    pass."""
+    cases = [r == INF, p == INF, q == INF]
+    m, good = _unit_det(_pick(cases, [q - p, r, r], r * (q - p)),
+                        _pick(cases, [p, q - r, -p], p * (r - q)),
+                        _pick(cases, [0.0, 1.0, 1.0], q - p),
+                        _pick(cases, [1.0, 0.0, -1.0], r - q))
+    return m, good & _cyclic(p, q, r)
 
 
 def _apply(m, x):
-    """geom.mat_apply_boundary at a finite x, and where its den != 0."""
+    """geom.mat_apply_boundary, x possibly infinite."""
     a, b, c, d = m
     den = c * x + d
-    return (a * x + b) / den, den != 0.0
+    y = np.where(den == 0.0, INF, (a * x + b) / den)
+    return np.where(x == INF, np.where(abs(c) == 0.0, INF, a / c),
+                    np.where(y == -INF, INF, y))
 
 
-def _apply_inf(m):
-    """geom.mat_apply_boundary at infinity, and where c != 0."""
-    a, _, c, _ = m
-    return a / c, abs(c) != 0.0
+def _quotient(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) as CPython's _Py_c_quot computes it, and
+    where it raises no ZeroDivisionError."""
+    by_real = abs(br) >= abs(bi)
+    ratio = np.where(by_real, bi / br, br / bi)
+    denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+    re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+    im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return re, im, np.where(by_real, br != 0.0, abs(bi) >= abs(br))
+
+
+def _apply_point(m, zr, zi):
+    """geom.mat_apply at the interior point zr + i zi, in CPython's
+    complex arithmetic, and where it divides by no zero."""
+    a, b, c, d = m
+    return _quotient(a * zr - 0.0 * zi + b, a * zi + 0.0 * zr + 0.0,
+                     c * zr - 0.0 * zi + d, c * zi + 0.0 * zr + 0.0)
+
+
+def _foot(zr, zi, p, q):
+    """geom.perpendicular_foot of zr + i zi on the geodesic from p to q,
+    and where its steps are defined."""
+    m, good = _two_point(p, q)
+    wr, wi, fine = _apply_point(m, zr, zi)
+    a, b, c, d = m
+    fr, fi, ok = _apply_point((d, -b, -c, a), 0.0, np.hypot(wr, wi))
+    return fr, fi, good & fine & ok
 
 
 def _classify(m):
-    """Masks of the matrices geom.mat_classify calls identity, hyperbolic."""
+    """Masks of the matrices geom.mat_classify calls identity, parabolic,
+    hyperbolic."""
     a, b, c, d = m
     identity = ((abs(b) <= CLASSIFY_TOL) & (abs(c) <= CLASSIFY_TOL)
                 & (abs(abs(a) - 1.0) <= CLASSIFY_TOL)
                 & (abs(abs(d) - 1.0) <= CLASSIFY_TOL) & (a * d > 0))
-    return identity, ~identity & (abs(a + d) > 2.0 + CLASSIFY_TOL)
+    t = abs(a + d)
+    rest = ~identity & ~(t < 2.0 - CLASSIFY_TOL)
+    return identity, rest & (t <= 2.0 + CLASSIFY_TOL), rest & ~(
+        t <= 2.0 + CLASSIFY_TOL)
 
 
 def _fixed_points(m):
@@ -112,45 +183,62 @@ def _fixed_points(m):
 
 
 def _fixed(point, m):
-    """spiralling._check_corner at a finite point."""
-    img, ok = _apply(m, point)
-    return ok & (abs(img - point) <= _FIX_TOL * np.maximum(1.0,
-                                                           abs(point)))
+    """spiralling._check_corner passes."""
+    img = _apply(m, point)
+    return np.where((point == INF) | (img == INF), img == point,
+                    abs(img - point) <= _FIX_TOL * np.maximum(1.0,
+                                                              abs(point)))
 
 
 def _cyclic(a, b, c):
-    """geom.cyclically_ordered of finite points."""
+    """geom.cyclically_ordered of distinct normalized points, at most one
+    of them infinite (the finite test then reduces to its inf cases)."""
     return ((a < b) & (b < c)) | ((b < c) & (c < a)) | ((c < a) & (a < b))
 
 
+def _cross_ratio(p1, p2, p3, p4):
+    """geom.cross_ratio of distinct normalized points."""
+    return _pick([p1 == INF, p2 == INF, p3 == INF, p4 == INF],
+                 [(p2 - p4) / (p2 - p3), (p1 - p3) / (p1 - p4),
+                  (p2 - p4) / (p1 - p4), (p1 - p3) / (p2 - p3)],
+                 ((p1 - p3) * (p2 - p4)) / ((p1 - p4) * (p2 - p3)))
+
+
 def _reflection(p, q):
-    """geom.reflection_mat of finite ends."""
+    """geom.reflection_mat of the geodesic (p, q), p finite."""
+    at_inf = q == INF
     c = (p + q) / 2.0
     r = abs(q - p) / 2.0
-    return (c / r, (r * r - c * c) / r, 1.0 / r, -c / r)
+    return (np.where(at_inf, -1.0, c / r),
+            np.where(at_inf, 2.0 * p, (r * r - c * c) / r),
+            np.where(at_inf, 0.0, 1.0 / r), np.where(at_inf, 1.0, -c / r))
+
+
+def _corner(x, cusp):
+    """Where x is a corner the batch takes: finite, or the normalized
+    infinity at a cusp."""
+    return np.isfinite(x) | cusp & (x == INF)
 
 
 def thick_batch(triples, params: ShearFreeParams) -> dict:
-    """The ThickPants of every thick compact triple the batch handles.
+    """The BatchPants of every triple the batch handles.
 
     triples are boundary-length triples (0 = cusp); only the distinct
-    ones whose lengths all exceed 2 tanh(rho) are computed, and an empty
-    dict is returned, with no numpy work, when there are none.  The
-    result maps each handled triple to its ThickPants; every other
+    ones whose lengths are all finite and not negative are computed, and
+    an empty dict is returned, with no numpy work, when there are none.
+    The result maps each handled triple to its BatchPants; every other
     triple is left to the scalar route.
     """
-    short_max = 2.0 * math.tanh(params.rho)
     todo = list(dict.fromkeys(
-        ls for ls in triples
-        if all(short_max < length < math.inf for length in ls)))
+        ls for ls in triples if all(0.0 <= length < INF for length in ls)))
     if not todo:
         return {}
     with np.errstate(all="ignore"):
-        return _batch(todo)
+        return _batch(todo, params)
 
 
-def _batch(todo):
-    """thick_batch on the distinct thick compact triples todo.
+def _batch(todo, params):
+    """thick_batch on the distinct finite triples todo.
 
     Every array has a row per slot s, seam k or arc k (shape (3, n)):
     slot s lies between seams _SEAM_ENDS[s], and arc k joins the slots
@@ -158,69 +246,87 @@ def _batch(todo):
     """
     n = len(todo)
     lengths = np.array(todo, dtype=float).T
-    # pants.build_pants: seams[0] = (u, v), seams[1] = (p, 1), seams[2] =
-    # (0, inf), with p = ts[0] and (u, v) from pants._solve_third_seam
     alphas = lengths / 2.0
-    ts = _each(_seam_param, alphas)
+    cusp = alphas == 0.0
+    # pants.build_pants: seams[0] = (u, v), seams[1] = (p, 1), seams[2] =
+    # (0, inf), with p = ts[0] and (u, v) from pants._solve_third_seam,
+    # whose branch is the cusp pattern of slots 1 and 2
+    ts = _each(_seam_param, alphas, np.ones(lengths.shape, dtype=bool))
+    # a slot is a cusp for build_pants, for decomposition and for its
+    # seam branch alike
+    ok = ((ts != 1.0) & ((ts == 0.0) == cusp)
+          & ((lengths == 0.0) == cusp)).all(axis=0)
     p, t2, t3 = ts
-    ok = (ts != 1.0).all(axis=0) & (t2 != 0.0) & (t3 != 0.0)
+    _, c1, c2 = cusp
     b = (1.0 + p * t2 - t3 * (t2 + p)) / (t3 - 1.0)
     disc = b * b - 4.0 * t2 * p
-    ok &= disc > 0
-    v = (-b + np.sqrt(disc)) / (2.0 * t2)
-    u = t2 * v
-    ok &= (u != v) & np.isfinite(u) & np.isfinite(v)
-    # the distance between the two seams at each slot, and its common
-    # perpendicular (the slot axis): ends_distance and
-    # common_perpendicular_ends share the map m and the images x, y
-    zeros, ones = np.zeros(n), np.ones(n)
-    m, fine = _two_point(np.stack([p, u, u]), np.stack([ones, v, v]))
-    x, good = _apply(m, np.stack([zeros, zeros, p]))
-    fine &= good
-    y_far, good_far = _apply(m, 1.0)
-    y_inf, good_inf = _apply_inf(m)
-    y = np.where(_AT_INF, y_inf, y_far)
+    ok &= c1 | c2 | (disc > 0)
+    root = (-b + np.sqrt(disc)) / (2.0 * t2)
+    u = _pick([c1 & c2, c1, c2], [1.0, (1.0 - p * t3) / (1.0 - t3), 1.0],
+              t2 * root)
+    v = _pick([c1, c2], [INF, 1.0 / t2], root)
+    ok &= (u != v) & np.isfinite(u) & (np.isfinite(v) | c1)
+
+    # per slot s, between seams[i] and seams[j]: ends_distance, then the
+    # common perpendicular (the slot axis) of a curve slot or the shared
+    # endpoint (the cusp point) of a cusp slot; both read the map m of
+    # seams[i] and the images x, y of the ends of seams[j]
+    zeros, ones, infs = np.zeros(n), np.ones(n), np.full(n, INF)
+    ga = (np.stack([p, u, u]), np.stack([ones, v, v]))
+    gb = (np.stack([zeros, zeros, p]), np.stack([infs, infs, ones]))
+    m, fine = _two_point(*ga)
+    x, y = _apply(m, gb[0]), _apply(m, gb[1])
     xy = x * y
     gap = abs(y - x)
-    fine &= (np.where(_AT_INF, good_inf, good_far) & (xy > 0) & (gap != 0.0)
-             & np.isfinite(x) & np.isfinite(y))
-    dist = _each(math.asinh, 2.0 * np.sqrt(xy) / gap)
+    asymptotic = (x == INF) | (y == INF)
+    fine &= asymptotic | ~(xy < 0)
+    far = ~asymptotic & (x != 0.0) & (y != 0.0)
+    fine &= ~far | (gap != 0.0)
+    dist = np.where(far, _each(math.asinh, 2.0 * np.sqrt(xy) / gap, far),
+                    0.0)
     fine &= ~(abs(dist - alphas) > _CONSTRUCTION_TOL
               * np.maximum(1.0, alphas))
     r = np.sqrt(xy)
     r = np.where(x < 0, -r, r)
     ma, mb, mc, md = m
     inv = (md, -mb, -mc, ma)
-    e1, good = _apply(inv, -r)
-    fine &= good
-    e2, good = _apply(inv, r)
-    fine &= good & (e1 != e2) & np.isfinite(e1) & np.isfinite(e2)
+    fine &= cusp | (~asymptotic & (xy > 0)
+                    & (_apply(inv, -r) != _apply(inv, r)))
+    meets = [ga[0] == gb[0], ga[0] == gb[1], ga[1] == gb[0], ga[1] == gb[1]]
+    shared = _pick(meets, [ga[0], ga[0], ga[1], ga[1]], math.nan)
+    fine &= ~cusp | np.logical_or.reduce(meets)
+
     # the seam reflections and slot holonomies X1 = R1 R2, X2 = R2 R0,
     # X3 = R0 R1, and pants._check_pants
-    r0, r1, r2 = (_reflection(u, v), _reflection(p, 1.0),
-                  (-1.0, 0.0, 0.0, 1.0))
+    r0, r1 = _reflection(u, v), _reflection(p, ones)
+    r2 = (-1.0, 0.0, 0.0, 1.0)
     hol = tuple(np.stack(e) for e in zip(mat_mul(r1, r2), mat_mul(r2, r0),
                                          mat_mul(r0, r1)))
-    _, hyperbolic = _classify(hol)
-    got = 2.0 * _each(math.acosh, np.where(
-        hyperbolic, abs(hol[0] + hol[3]) / 2.0, 1.0))
-    fine &= hyperbolic & ~(abs(got - lengths) > 1e-8
-                           * np.maximum(1.0, lengths))
-    identity, _ = _classify(mat_mul(
+    _, parabolic, hyperbolic = _classify(hol)
+    got = 2.0 * _each(math.acosh, abs(hol[0] + hol[3]) / 2.0,
+                      hyperbolic & ~cusp)
+    fine &= np.where(cusp, parabolic, hyperbolic & ~(
+        abs(got - lengths) > 1e-8 * np.maximum(1.0, lengths)))
+    identity, _, _ = _classify(mat_mul(
         mat_mul(tuple(e[0] for e in hol), tuple(e[1] for e in hol)),
         tuple(e[2] for e in hol)))
     ok &= identity
 
-    # spiralling.pants_kernel: front corner s is the attracting fixed
-    # point of X_s, back corner k the repelling one of R_k X_k R_k
-    front, _, good = _fixed_points(hol)
-    fine &= good & _fixed(front, hol)
+    # spiralling.pants_kernel: front corner s is the cusp point or the
+    # attracting fixed point of X_s, back corner k the mirror of the cusp
+    # point or the repelling fixed point of R_k X_k R_k
+    att, rep, regular = _fixed_points(hol)
+    fine &= cusp | regular
+    front = np.where(cusp, shared, att)
+    fine &= _fixed(front, hol)
     refl = tuple(np.stack([e0, e1, np.full(n, e2)])
                  for e0, e1, e2 in zip(r0, r1, r2))
     stab = mat_mul(mat_mul(refl, hol), refl)
-    _, hyperbolic = _classify(stab)
-    _, back, good = _fixed_points(stab)
-    fine &= hyperbolic & good & _fixed(back, stab)
+    _, _, hyperbolic = _classify(stab)
+    back_att, back_rep, regular = _fixed_points(stab)
+    fine &= cusp | (hyperbolic & regular)
+    back = np.where(cusp, _apply(refl, shared), back_rep)
+    fine &= _fixed(back, stab) & _corner(front, cusp) & _corner(back, cusp)
     # arc k: edge from front corner i to front corner j, apexes front
     # corner k and back corner k
     pk, qk = front[_I], front[_J]
@@ -228,30 +334,144 @@ def _batch(todo):
              & (qk != back) & (front != back))
     front_left = _cyclic(pk, qk, front)
     fine &= front_left != _cyclic(pk, qk, back)
-    right = np.where(front_left, back, front)
-    left = np.where(front_left, front, back)
-    cr = ((pk - right) * (qk - left)) / ((pk - left) * (qk - right))
+    cr = _cross_ratio(pk, qk, np.where(front_left, back, front),
+                      np.where(front_left, front, back))
     fine &= cr < 0
-    shears = -_each(math.log, np.where(cr < 0, -cr, 1.0))
+    shears = -_each(math.log, -cr, cr < 0)
     residuals = abs(shears[_I] + shears[_J] - lengths)
-    for value in (front, back, shears, residuals, *hol):
+
+    # the shear-point margins, of the arcs with a thin corner: per arc k
+    # its corners i, j, k, 3 + k (on the slots _SLOT[:, k]), per corner
+    # the shear points of the front and the back triangle
+    short_max = 2.0 * math.tanh(params.rho)
+    thin = cusp | (lengths <= short_max)
+    thin_corner = thin[_SLOT]                 # (corner, arc, n)
+    arc, col = np.nonzero(thin_corner.any(axis=0))
+    # the shear points of arc k of triple i are at [:, z_index[k, i]]
+    z_index = np.zeros((3, n), dtype=int)
+    z_index[arc, col] = np.arange(len(arc))
+    arc_p, arc_q, left = pk[arc, col], qk[arc, col], front_left[arc, col]
+    apex = np.stack([front[arc, col], back[arc, col]])
+    on_left = np.stack([left, ~left])         # (triangle, arc with margins)
+    tri, good = _three_point(arc_p, np.where(on_left, arc_q, apex),
+                             np.where(on_left, apex, arc_q))
+    centre_r, centre_i, fine_centre = _apply_point(
+        tri, _STD_CENTER.real, _STD_CENTER.imag)
+    zr, zi, fine_foot = _foot(centre_r, centre_i,
+                              np.where(on_left, arc_p, arc_q),
+                              np.where(on_left, arc_q, arc_p))
+    bad = np.zeros((3, n), dtype=bool)
+    bad[arc, col] = ~(good & fine_centre & fine_foot).all(axis=0)
+    fine &= ~bad
+    # one entry per margin, ordered as the kernel appends them: by triple,
+    # arc, corner, triangle
+    col, arc, corner, tri = np.nonzero(np.broadcast_to(
+        thin_corner.transpose(2, 1, 0)[..., None], (n, 3, 4, 2)))
+    slot = _SLOT[corner, arc]
+    at_cusp = cusp[slot, col]
+    zr, zi = zr[tri, z_index[arc, col]], zi[tri, z_index[arc, col]]
+    # a cusp corner: the horocycle through the point, in the frame of the
+    # corner's stabilizer (X_s at a front corner, R_k X_k R_k at a back one)
+    back_corner = corner == 3
+    a, b, c, d = (np.where(back_corner, s[arc, col], e[slot, col])
+                  for e, s in zip(hol, stab))
+    _, parabolic, _ = _classify((a, b, c, d))
+    at_inf = abs(c) <= CLASSIFY_TOL * np.maximum(np.maximum(1.0, abs(a)),
+                                                  abs(d))
+    shift_map, _ = _unit_det(0.0, -1.0, 1.0, -np.where(
+        at_inf, INF, (a - d) / (2.0 * c)))
+    hm = tuple(np.where(at_inf, e0, e)
+               for e0, e in zip((1.0, 0.0, 0.0, 1.0), shift_map))
+    g = mat_mul(mat_mul(hm, (a, b, c, d)), (hm[3], -hm[1], -hm[2], hm[0]))
+    _, hi, fine_horo = _apply_point(hm, zr, zi)
+    horo = abs(g[0] * g[1]) / hi - params.delta2
+    # a curve corner: the distance to the corner's axis, against the
+    # truncated collar width of its curve
+    frame, fine_frame = _two_point(
+        np.where(back_corner, back_att[arc, col], att[slot, col]),
+        np.where(back_corner, back_rep[arc, col], rep[slot, col]))
+    wr, wi, fine_axis = _apply_point(frame, zr, zi)
+    widths = _each(_truncated_width(params), lengths, thin & ~cusp)
+    margins = np.where(at_cusp, horo,
+                       _each(math.asinh, abs(wr) / wi, ~at_cusp)
+                       - widths[slot, col])
+    passed = (np.where(at_cusp, parabolic & fine_horo,
+                       fine_frame & fine_axis)
+              & (margins > 0.0) & np.isfinite(margins))
+    ok &= np.bincount(col[~passed], minlength=n) == 0
+    for value in (shears, residuals, *hol):
         fine &= np.isfinite(value)
     ok &= fine.all(axis=0)
 
     rows = np.flatnonzero(ok)
+    arcs, finite = _arc_lengths(lengths[:, rows], cusp[:, rows])
+    rows = rows[finite]
+    arcs = [arc for arc, keep in zip(arcs, finite.tolist()) if keep]
+    # the margins of triple i are margins[first[i]:first[i + 1]]
+    first = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
+    margins = margins.tolist()
     # per handled triple: its lengths, X_s as (a, b, c, d) per slot, arc
     # k's quadrilateral (p, front apex, q, back apex) per arc, the shears
     # and the residuals
     table = np.concatenate([
         lengths, np.stack(hol, axis=1).reshape(12, n),
         np.stack([pk, front, qk, back], axis=1).reshape(12, n),
-        shears, residuals])
+        shears, residuals])[:, rows]
     out = {}
-    for i, row in zip(rows.tolist(), zip(*table[:, rows].tolist())):
-        out[todo[i]] = ThickPants(
-            row[0:3], _NOT_CUSP,
+    for i, row, arc in zip(rows.tolist(), zip(*table.tolist()), arcs):
+        out[todo[i]] = BatchPants(
+            row[0:3], (row[0] == 0.0, row[1] == 0.0, row[2] == 0.0),
             (Isometry(*row[3:7]), Isometry(*row[7:11]),
              Isometry(*row[11:15])),
-            PantsKernel(list(row[27:30]), list(row[30:33]), [],
-                        [row[15:19], row[19:23], row[23:27]]))
+            PantsKernel(list(row[27:30]), list(row[30:33]),
+                        margins[first[i]:first[i + 1]],
+                        [row[15:19], row[19:23], row[23:27]]), arc)
     return out
+
+
+def _truncated_width(params):
+    """constants.truncated_collar_width at params, NaN where it raises
+    (the scalar kernel raises it by name)."""
+    def width(length):
+        try:
+            return truncated_collar_width(length, params)
+        except (ValueError, AssertionError):
+            return math.nan
+    return width
+
+
+def _arc_lengths(lengths, cusp):
+    """decomposition.arc_lengths of each triple in lengths, and a mask of
+    the triples where they are finite."""
+    every = np.ones(lengths.shape, dtype=bool)
+    half = lengths / 2.0
+    ch = _each(math.cosh, half, every)
+    sh = _each(math.sinh, half, every)
+    # decomposition._collar: constants.collar_width of an intermediate
+    # curve, asinh(1 / sinh(l / 2)), and 0 for a longer one
+    intermediate = ~cusp & (lengths <= INTERMEDIATE_CURVE_MAX)
+    collar = np.where(intermediate, _each(math.asinh, 1.0 / sh, intermediate),
+                      np.where(cusp, math.nan, 0.0))
+    both = ~cusp[_I] & ~cusp[_J]
+    arg = (ch[_I] * ch[_J] + ch) / (sh[_I] * sh[_J])
+    raw = _each(math.acosh, arg, both & (arg >= 1.0))
+    slack = collar[_I] + collar[_J]
+    # the curve end o of an arc with one cusp end, by row
+    one = cusp[_I] != cusp[_J]
+    o = np.where(cusp[_I], np.array(_J)[:, None], np.array(_I)[:, None])
+    ch_o, sh_o = (np.take_along_axis(e, o, axis=0) for e in (ch, sh))
+    collar_o = np.take_along_axis(collar, o, axis=0)
+    arg = (ch + ch_o) / sh_o
+    depth = _each(math.log, arg, one & (arg > 0.0))
+    cusps = _each(math.log, (1.0 + ch) / 2.0, cusp[_I] & cusp[_J])
+    cut = _pick([both, one], [raw - collar[_I] - collar[_J],
+                                  depth - collar_o], cusps)
+    trunc = np.where(both | one, np.where(cut > 0.0, cut, 0.0), cusps)
+    finite = np.isfinite(trunc) & (~both | np.isfinite(raw) & np.isfinite(
+        slack))
+    # per triple, (raw, slack, truncated) per arc, with None for the raw
+    # length and slack of an arc with a cusp end
+    arcs = [tuple(zip(*arc)) for arc in zip(
+        np.where(both, raw, None).T.tolist(),
+        np.where(both, slack, None).T.tolist(), trunc.T.tolist())]
+    return arcs, finite.all(axis=0)

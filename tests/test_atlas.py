@@ -3,29 +3,36 @@
 Every check on the sampling path is a function of one pants' ordered
 boundary-length triple, with 0 for a cusp.  This file runs a seeded grid
 over (0.05, 14], the lengths of the default (20,4) campaigns, with every
-cusp pattern (0 to 3 cusps), and a derandomized hypothesis search over
-the same domain.  Every triple goes through both routes of
-report.run_surface:
+cusp pattern (0 to 3 cusps); a thin band, the same cells crossed with
+lengths in (1e-3, 2 tanh(rho)] and every cusp pattern; and a
+derandomized hypothesis search over the grid's domain.  Every triple
+goes through both routes of report.run_surface:
 
-* the batch of thick compact pants (thick.thick_batch): a triple it
-  handles must pass every check of the scalar path and give its bits;
-* the scalar build_pants and pants_kernel: every failure must be a named
-  GeometryError (DevelopError and AuditError included).
+* the batch (thick.thick_batch): a triple it handles must pass every
+  check of the scalar path and give its bits, margins in kernel order,
+  quadrilaterals and arc lengths included;
+* the scalar build_pants, pants_kernel and decomposition.arc_lengths:
+  every failure must be a named GeometryError (DevelopError and
+  AuditError included).
 
-The counts of failures per check kind and the handled share are printed
+The counts of failures per check kind and the handled share per class
+of pants (thick, thin, one cusp, two or three cusps) are printed
 (``pytest -s``), not pinned: the failures are the open conditioning
 defects of the float64 standard position.
 """
 
+import cmath
 import math
 import random
 import re
 import struct
 from collections import Counter
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shearlab import decomposition as D
 from shearlab import spiralling as SP
 from shearlab import thick
 from shearlab.constants import shear_free_params
@@ -34,19 +41,20 @@ from shearlab.pants import build_pants
 
 LOW, HIGH = 0.05, 14.0
 CELLS = 20                    # grid cells per axis
+THIN_CELLS = 3                # thin-band cells per axis
 
 
-def bits(value):
-    """value with every float as its bits."""
-    if isinstance(value, float):
-        return struct.pack("<d", value)
-    if isinstance(value, (tuple, list)):
-        return tuple(bits(v) for v in value)
-    return value
-
-
-def matrices(slot_hol):
-    return bits([(h.a, h.b, h.c, h.d) for h in slot_hol])
+def fingerprint(lengths, slot_is_cusp, slot_hol, kern, arcs):
+    """Everything a route gives for one triple: its floats as bits, its
+    cusp flags, its margin count and the places of the unbounded raw
+    arc lengths (None)."""
+    floats = [*lengths,
+              *(x for h in slot_hol for x in (h.a, h.b, h.c, h.d)),
+              *kern.shears, *kern.residuals, *kern.margins,
+              *(x for quad in kern.quadrilaterals for x in quad),
+              *(0.0 if x is None else x for arc in arcs for x in arc)]
+    return (np.array(floats, dtype=float).tobytes(), tuple(slot_is_cusp),
+            len(kern.margins), tuple(x is None for arc in arcs for x in arc))
 
 
 def scalar(ls, params):
@@ -67,74 +75,152 @@ def kind(err):
     return f"{type(err).__name__}: {text}"
 
 
-def check_routes(triples, params, kinds):
+def pants_class(ls, short_max):
+    cusps = ls.count(0.0)
+    if cusps:
+        return "one cusp" if cusps == 1 else "two or three cusps"
+    return "thin" if min(ls) <= short_max else "thick"
+
+
+CLASSES = ("thick", "thin", "one cusp", "two or three cusps")
+
+
+def check_routes(triples, params, kinds, shares):
     """Run both routes on the triples; returns the handled count.
 
-    kinds counts the scalar failures by check kind.
+    kinds counts the scalar failures by check kind, and shares the
+    triples per class as [total, passed by the scalar path, handled].
     """
     handled = thick.thick_batch(triples, params)
     short_max = 2.0 * math.tanh(params.rho)
-    for ls in triples:
+    for ls in dict.fromkeys(triples):
         want = scalar(ls, params)
+        share = shares.setdefault(pants_class(ls, short_max), [0, 0, 0])
+        share[0] += 1
         if isinstance(want, GeometryError):
             kinds[kind(want)] += 1
+        else:
+            share[1] += 1
         got = handled.get(ls)
         if got is None:
             continue
-        assert min(ls) > short_max, ls
+        share[2] += 1
         assert not isinstance(want, GeometryError), (ls, want)
         sp, kern = want
-        assert bits(got.lengths) == bits(sp.lengths), ls
-        assert got.slot_is_cusp == sp.slot_is_cusp, ls
-        assert matrices(got.slot_hol) == matrices(sp.slot_hol), ls
-        k = got.kernel
-        assert bits((k.shears, k.residuals, k.margins, k.quadrilaterals)) \
-            == bits((kern.shears, kern.residuals, kern.margins,
-                     kern.quadrilaterals)), ls
+        assert fingerprint(got.lengths, got.slot_is_cusp, got.slot_hol,
+                           got.kernel, got.arcs) == fingerprint(
+            sp.lengths, sp.slot_is_cusp, sp.slot_hol, kern,
+            D.arc_lengths(ls)), ls
     return len(handled)
 
 
-def seeded_grid(seed):
-    """One seeded draw per grid cell and axis, in (LOW, HIGH]."""
+def seeded_grid(seed, low=LOW, high=HIGH, cells=CELLS):
+    """One seeded draw per grid cell and axis, in (low, high]."""
     rng = random.Random(seed)
-    width = (HIGH - LOW) / CELLS
-    return [HIGH - (c + rng.random()) * width for c in range(CELLS)]
+    width = (high - low) / cells
+    return [high - (c + rng.random()) * width for c in range(cells)]
 
 
-def grid_triples():
-    """Every ordered triple of the grid values and cusps (0.0)."""
-    values = seeded_grid(2025)
+def thin_band(seed):
+    """One seeded draw per cell of THIN_CELLS log-spaced cells over
+    (1e-3, 2 tanh(rho)]."""
+    top = math.log(2.0 * math.tanh(shear_free_params().rho))
+    return [math.exp(v) for v in seeded_grid(seed, math.log(1e-3), top,
+                                             THIN_CELLS)]
+
+
+def pattern_triples(values, keep=lambda ls: True):
+    """Every ordered triple of the values and cusps (0.0) that keep
+    accepts, per cusp pattern."""
     out = []
     for pattern in range(8):          # bit s set: slot s is a cusp
         axes = [[0.0] if pattern >> s & 1 else values for s in range(3)]
         out += [(a, b, c) for a in axes[0] for b in axes[1]
-                for c in axes[2]]
+                for c in axes[2] if keep((a, b, c))]
     return out
 
 
-def report_counts(title, total, handled, thick_count, kinds):
-    print(f"\n{title}: {total} triples, {thick_count} thick compact, "
-          f"{handled} handled by the batch "
-          f"({handled / max(1, thick_count):.1%} of the thick compact)")
+def grid_triples():
+    return pattern_triples(seeded_grid(2025))
+
+
+def thin_triples():
+    """The grid cells crossed with the thin band: every triple of both
+    value sets with at least one thin length."""
+    thin = thin_band(2026)
+    return pattern_triples(seeded_grid(2025) + thin,
+                           lambda ls: any(v in thin for v in ls))
+
+
+def report_counts(title, total, handled, kinds, shares):
+    print(f"\n{title}: {total} triples, {handled} handled by the batch")
+    for name in CLASSES:
+        if name not in shares:
+            continue
+        count, passed, got = shares[name]
+        print(f"  {name:20s} {count:6d} triples, {passed:6d} pass the "
+              f"scalar path, {got:6d} handled "
+              f"({got / max(1, passed):.1%} of those)")
     for name, count in kinds.most_common():
         print(f"  {count:6d}  {name}")
 
 
-def thick_compact(triples, params):
-    short_max = 2.0 * math.tanh(params.rho)
-    return sum(1 for ls in triples if min(ls) > short_max)
+def run_atlas(title, triples):
+    params = shear_free_params()
+    kinds, shares = Counter(), {}
+    handled = check_routes(triples, params, kinds, shares)
+    report_counts(title, len(triples), handled, kinds, shares)
+    return handled, shares
 
 
 def test_seeded_grid():
-    params = shear_free_params()
     triples = grid_triples()
     assert len(triples) == (CELLS + 1) ** 3
-    kinds = Counter()
-    handled = check_routes(triples, params, kinds)
-    count = thick_compact(triples, params)
-    report_counts("seeded grid over (0.05, 14]", len(triples), handled,
-                  count, kinds)
+    handled, shares = run_atlas("seeded grid over (0.05, 14]", triples)
     assert handled > 0
+    assert all(shares[name][2] for name in CLASSES)
+
+
+def test_thin_band():
+    triples = thin_triples()
+    handled, shares = run_atlas(
+        "seeded grid crossed with the thin band (1e-3, 2 tanh(rho)]",
+        triples)
+    assert handled > 0
+    assert all(shares[name][2] for name in CLASSES if name != "thick")
+
+
+def test_complex_arithmetic_rounds_as_cpython():
+    # the batch's real forms of CPython's complex product, sum, quotient
+    # and abs, bit for bit, over a wide exponent range and signed zeros
+    rng = random.Random(7)
+
+    def value():
+        r = rng.random()
+        if r < 0.05:
+            return rng.choice([0.0, -0.0])
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-30, 30)
+
+    count = 20000
+    a, b, c, d, zr, zi = (np.array([value() for _ in range(count)])
+                          for _ in range(6))
+    with np.errstate(all="ignore"):
+        wr, wi, good = thick._apply_point((a, b, c, d), zr, zi)
+        hyp = np.hypot(zr, zi)
+    for i in range(count):
+        z = complex(zr[i], zi[i])
+        assert hyp[i].tobytes() == struct.pack("<d", abs(z)), z
+        try:
+            w = (float(a[i]) * z + float(b[i])) / (float(c[i]) * z
+                                                   + float(d[i]))
+        except ZeroDivisionError:
+            assert not good[i]
+            continue
+        assert good[i]
+        if cmath.isnan(w):
+            continue
+        assert wr[i].tobytes() + wi[i].tobytes() == struct.pack(
+            "<2d", w.real, w.imag), i
 
 
 LENGTH = st.one_of(st.just(0.0), st.floats(LOW, HIGH))
@@ -145,4 +231,4 @@ LENGTH = st.one_of(st.just(0.0), st.floats(LOW, HIGH))
 def test_search(triples):
     # a batch of up to 8 triples, repeats included: each triple's route
     # and result must not depend on the others in its batch
-    check_routes(triples, shear_free_params(), Counter())
+    check_routes(triples, shear_free_params(), Counter(), {})

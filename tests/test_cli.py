@@ -389,9 +389,14 @@ class TestRelationCheck:
 
     @staticmethod
     def patch_kernel(monkeypatch, field, index, value, call=0):
-        """Set kernel field[index] to value in the call-th kernel run."""
-        from shearlab import spiralling
+        """Set kernel field[index] to value in the call-th kernel run.
+
+        The batch (thick.thick_batch) is patched to handle nothing, so
+        that every pants takes the scalar route through the kernel.
+        """
+        from shearlab import spiralling, thick
         monkeypatch.undo()
+        monkeypatch.setattr(thick, "thick_batch", lambda triples, params: {})
         kernel = spiralling.pants_kernel
         calls = []
 
@@ -481,8 +486,9 @@ class TestAuditFailure:
         assert captured.err.count("\n") == 1
 
     def test_nan_margin_fails_the_audit(self, monkeypatch):
-        # margin <= 0 is false for a NaN; the audit must still fail it
-        from shearlab import spiralling
+        # margin <= 0 is false for a NaN; the audit must still fail it.
+        # The pants takes the scalar route (the batch handles nothing).
+        from shearlab import spiralling, thick
         from shearlab.surface import FNCoordinates, canonical_pants_graph
         real = spiralling.truncated_collar_width
         calls = []
@@ -492,6 +498,7 @@ class TestAuditFailure:
             return math.nan if len(calls) == 2 else real(length, params)
 
         monkeypatch.setattr(spiralling, "truncated_collar_width", patched)
+        monkeypatch.setattr(thick, "thick_batch", lambda triples, params: {})
         sig = Signature(1, 1)
         pg = canonical_pants_graph(sig)
         with pytest.raises(spiralling.AuditError,

@@ -22,11 +22,14 @@ geometry value types are ``slots=True`` dataclasses, immutable by
 convention only, and the pants cache shares their instances across
 records: no code may store to or delete a field of a ``slots=True``
 library dataclass, plainly, augmented or through ``setattr``, outside
-that class's own methods.  The batch of thick pants (thick.py) must give
+that class's own methods.  The batch of pants (thick.py) must give
 the scalar path's bits, and numpy's transcendental and power ufuncs
 round differently from math (its SIMD tanh, cosh, asinh, exp and log,
 and ``arr ** 2``, differ in the last bit on a share of inputs): the
-batch names no such ufunc and uses no ``**``.
+batch names no such ufunc and uses no ``**``.  numpy's complex product,
+quotient and abs round differently from CPython's too, so the batch
+uses no complex number at all, numpy's or Python's: no ``1j`` literal,
+no ``complex``, no numpy complex type or complex dtype name.
 """
 
 import ast
@@ -355,6 +358,45 @@ def inexact_numpy(tree):
             sorted(found, key=lambda f: (f[0].lineno, f[0].col_offset))]
 
 
+NUMPY_COMPLEX = {"complex64", "complex128", "complex256", "complex_",
+                 "cdouble", "csingle", "clongdouble", "cfloat",
+                 "complexfloating"}
+
+
+def complex_numbers(tree):
+    """Uses of numpy or Python complex numbers.
+
+    A use is a complex literal (``1j``), the name ``complex`` (a call,
+    ``dtype=complex`` or ``astype(complex)``), a numpy complex type
+    ``np.t`` or ``numpy.t`` or one imported from numpy, or a string
+    naming a complex dtype (``"complex128"``, ``"c16"``, ``"D"``) as an
+    argument.
+    """
+    found = []
+    dtype_names = re.compile(r"complex\d*|c8|c16|c32|[FDG]")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value,
+                                                         complex):
+            found.append((node, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id == "complex":
+            found.append((node, "complex"))
+        elif (isinstance(node, ast.Attribute) and node.attr in NUMPY_COMPLEX
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy")):
+            found.append((node, f"{node.value.id}.{node.attr}"))
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"):
+            found += [(node, f"numpy.{alias.name}") for alias in node.names
+                      if alias.name in NUMPY_COMPLEX]
+        elif isinstance(node, ast.Call):
+            args = node.args + [kw.value for kw in node.keywords]
+            found += [(arg, repr(arg.value)) for arg in args
+                      if isinstance(arg, ast.Constant)
+                      and isinstance(arg.value, str)
+                      and dtype_names.fullmatch(arg.value)]
+    return [f"{text} at line {node.lineno}" for node, text in
+            sorted(found, key=lambda f: (f[0].lineno, f[0].col_offset))]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_duplicate_top_level_names(path):
     assert duplicate_definitions(_parse(path)) == []
@@ -373,7 +415,9 @@ def test_every_local_is_read(path):
 
 
 def test_batch_rounds_as_the_scalar_path():
-    assert inexact_numpy(_parse(BATCH)) == []
+    tree = _parse(BATCH)
+    assert inexact_numpy(tree) == []
+    assert complex_numbers(tree) == []
 
 
 def test_every_constant_is_read():
@@ -499,3 +543,15 @@ def test_checks_catch_their_targets():
     assert inexact_numpy(batch) == [
         "numpy.log1p at line 2", "np.tanh at line 4", "numpy.exp at line 4",
         "** at line 5", "** at line 6", "np.power at line 8"]
+    batch = ast.parse("import numpy as np\nfrom numpy import cdouble, hypot\n"
+                      "def f(x, y, m):\n"
+                      "    z = x + 1j * y\n    w = complex(x, y)\n"
+                      "    a = np.zeros(3, dtype=complex)\n"
+                      "    b = x.astype(complex) + np.complex128(1)\n"
+                      "    c = np.empty(2, dtype='c16'), numpy.csingle\n"
+                      "    d = np.hypot(x, y), m.real, z.imag, 'D'\n"
+                      "    return z, w, a, b, c, d\n")
+    assert complex_numbers(batch) == [
+        "numpy.cdouble at line 2", "1j at line 4", "complex at line 5",
+        "complex at line 6", "complex at line 7", "np.complex128 at line 7",
+        "'c16' at line 8", "numpy.csingle at line 8"]

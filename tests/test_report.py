@@ -149,17 +149,27 @@ class TestCampaign:
 
 
 class TestBatchRouting:
-    """The thick compact pants of a campaign go through thick.thick_batch.
+    """Every finite pants of a campaign goes through thick.thick_batch.
 
     The scalar build_pants and pants_kernel are its reference: with the
     batch handling nothing, every record and summary, error strings
     included, must come out the same.
     """
 
-    CAMPAIGNS = (((1, 2), 42, 30, None), ((2, 0), 42, 30, None),
-                 ((2, 1), 42, 30, None), ((5, 5), 42, 20, None),
-                 ((10, 0), 42, 20, None), ((20, 4), 42, 10, None),
-                 ((3, 0), 1, 20, (0.05, 16.0)))
+    CAMPAIGNS = (((1, 1), 42, 30, None), ((0, 4), 42, 30, None),
+                 ((0, 5), 42, 30, None), ((1, 2), 42, 30, None),
+                 ((2, 0), 42, 30, None), ((2, 1), 42, 30, None),
+                 ((5, 5), 42, 20, None), ((10, 0), 42, 20, None),
+                 ((20, 4), 42, 10, None), ((3, 0), 1, 20, (0.05, 16.0)),
+                 ((0, 5), 3, 200, (0.01, 30.0)))
+
+    # the errors the long campaigns must reach: relation and develop
+    # failures of compact pants, and at (0,5) the mirrored cusp whose
+    # stabilizer rounds to a hyperbolic isometry
+    ERRORS = {(3, 0): ("GeometryError: pants relation", "DevelopError: edge"),
+              (0, 5): ("GeometryError: pants relation", "DevelopError: edge",
+                       "GeometryError: no horocycle for hyperbolic "
+                       "isometry")}
 
     @staticmethod
     def campaign(gn, seed, count, lengths):
@@ -179,25 +189,23 @@ class TestBatchRouting:
         _, scalar = self.campaign(gn, seed, count, lengths)
         assert batched == scalar
         if lengths:
-            # the long lengths reach both float64 failures of the sampling
-            # path, a pants relation and a develop check; (3,0) has no
-            # cusp, so the batch must leave the failing pants unhandled
+            # the long lengths reach the float64 failures of the sampling
+            # path; the batch must leave the failing pants unhandled
             errors = " ".join(rec.get("error", "") for rec in records)
-            assert "GeometryError: pants relation" in errors
-            assert "DevelopError: edge" in errors
+            for error in self.ERRORS[gn]:
+                assert error in errors
 
-    def test_batch_handles_the_thick_compact_pants(self, monkeypatch):
-        # a count, not a speed: the thick compact triples the batch
-        # handles never reach the scalar build_pants or pants_kernel
-        params = shear_free_params()
-        short_max = 2.0 * math.tanh(params.rho)
+    @staticmethod
+    def routes(monkeypatch, sig, seed, count):
+        """The triples a campaign batches, those the batch handles, and
+        those the scalar build_pants and pants_kernel see."""
         real_batch, real_build = thick.thick_batch, report.build_pants
         real_kernel = SP.pants_kernel
-        qualifying, handled, scalar = set(), set(), []
+        batched, handled, scalar = set(), set(), []
 
         def batch(triples, params):
             out = real_batch(triples, params)
-            qualifying.update(ls for ls in triples if min(ls) > short_max)
+            batched.update(triples)
             handled.update(out)
             return out
 
@@ -213,17 +221,40 @@ class TestBatchRouting:
         monkeypatch.setattr(report, "build_pants", build)
         monkeypatch.setattr(SP, "pants_kernel", kernel)
         build_pants.cache_clear()
-        records, _ = report.run_sample_campaign(Signature(5, 5), 11, 40)
+        records, _ = report.run_sample_campaign(sig, seed, count)
         assert any(not rec.get("error") for rec in records)
-        assert len(handled) >= 0.95 * len(qualifying) > 0
         assert scalar and not handled & set(scalar)
+        return batched, handled
 
-    def test_no_thick_compact_pants_no_numpy_work(self, monkeypatch):
-        # a cusp in every pants: the batch returns before any array work
-        def refuse(todo):
-            raise AssertionError("batched a surface with no thick pants")
+    def test_batch_handles_the_thick_compact_pants(self, monkeypatch):
+        # a count, not a speed: the thick compact triples the batch
+        # handles never reach the scalar build_pants or pants_kernel
+        short_max = 2.0 * math.tanh(shear_free_params().rho)
+        batched, handled = self.routes(monkeypatch, Signature(5, 5), 11, 40)
+        qualifying = {ls for ls in batched if min(ls) > short_max}
+        assert len(handled & qualifying) >= 0.95 * len(qualifying) > 0
+
+    def test_batch_handles_the_cusped_and_thin_pants(self, monkeypatch):
+        # the pants with shear-point margins: a cusp or a short curve
+        short_max = 2.0 * math.tanh(shear_free_params().rho)
+        batched, handled = self.routes(monkeypatch, Signature(5, 5), 11, 40)
+        for thin in ({ls for ls in batched if 0.0 in ls},
+                     {ls for ls in batched if 0.0 < min(ls) <= short_max}):
+            assert len(handled & thin) >= 0.95 * len(thin) > 0
+
+    def test_no_finite_triple_no_numpy_work(self, monkeypatch):
+        # a block with no finite triple returns before any array work:
+        # an empty block, every sample failed to draw, or a length that
+        # check_surface rejects before any pants is built
+        def refuse(todo, params):
+            raise AssertionError("batched a block with no finite triple")
 
         monkeypatch.setattr(thick, "_batch", refuse)
-        for gn in ((1, 1), (0, 4), (0, 5)):
-            _, summary = report.run_sample_campaign(Signature(*gn), 42, 20)
-            assert summary["samples"] == 20
+        params = shear_free_params()
+        assert thick.thick_batch([], params) == {}
+        assert thick.thick_batch([(math.inf, 1.0, 0.0), (math.nan, 1.0, 1.0),
+                                  (-1.0, 2.0, 0.0)], params) == {}
+        records, summary = report.run_sample_campaign(
+            Signature(1, 1), 42, 20, length_range=(2.0, 1.0))
+        assert summary["failures"] == 20
+        assert all(rec["error"].startswith("ValueError") for rec in records)

@@ -21,8 +21,7 @@ from .surface import (FNCoordinates, Holonomy, PantsGraph,
                       sample_fn, sample_seed, validate)
 from .chains import build_cusped_chain, is_chain
 from .cusped import (CuspedTriangulation, cusp_sums, develop_from_shears,
-                     develop_walk, flip, flippable, hyperbolic_walk_lengths,
-                     minimax_flip_search, project_to_complete,
-                     random_flip_sequence, rewrite_walk, test_curves)
+                     develop_walk, flip, flippable, minimax_flip_search,
+                     rewrite_walk)
 
 __version__ = "0.1.0"

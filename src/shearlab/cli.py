@@ -243,8 +243,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of main, built on its first call: building one costs about
+#: twenty parses, most of it argparse's lookups of message translations
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     return args.func(args)
 
 

@@ -143,19 +143,6 @@ def rough_cusped_bound(sig: Signature, sys: float) -> float:
     return num / (2.0 * math.sinh(sys / 4.0))
 
 
-def curve_regime(length) -> str:
-    """Classify a curve length as short / intermediate / long; None is a cusp."""
-    if length is None:
-        return "cusp"
-    if length <= 0:
-        raise ValueError("curve length must be positive")
-    if length <= SHORT_CURVE_MAX:
-        return "short"
-    if length <= INTERMEDIATE_CURVE_MAX:
-        return "intermediate"
-    return "long"
-
-
 #: Endpoint regimes of an arc, in the order of the spike-constant table.
 _REGIMES = ("cusp", "short", "intermediate", "long")
 

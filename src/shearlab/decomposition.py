@@ -2,26 +2,24 @@
 
 Cutting a pair of pants along its three seams (the mutual perpendiculars
 between boundary components) gives two right-angled hexagons.  The rows
-of the shortness certificate are read from the boundary lengths alone
-(curve_rows, arc_rows): the raw and truncated lengths of each seam arc,
-after removing standard cusp neighborhoods (bounded by horocycles of
-length 2) and the collars of curves no longer than 2 asinh 1, have
-closed forms in the pants' length triple (arc_lengths).  The sampling
-path builds no row: the numpy batch (thick.thick_batch) computes the
-arc lengths of the pants it handles with these formulas, arc_lengths
-measures the pants it leaves, and report.run_surface reads from the
-floats whether every row would pass (arcs_short).  The rows name the
-bounds, and are the batch's oracle with arc_lengths.  The
-geometric measurement these replace, in the developed pants, is the
-tests' oracle (tests/geometric_oracle.py).  The doubled-loop bound has
-no row: the seam word X_i X_j is conjugate to the third boundary of its
-pants (X1 X2 X3 = 1), so a row on it would only repeat that curve's row.
+of the shortness certificate are read from the boundary lengths alone:
+the raw and truncated lengths of each seam arc, after removing standard
+cusp neighborhoods (bounded by horocycles of length 2) and the collars
+of curves no longer than 2 asinh 1, have closed forms in the pants'
+length triple (arc_lengths).  No code builds the rows: the numpy batch
+(thick.thick_batch) computes the arc lengths of the pants it handles
+with these formulas, arc_lengths measures the pants it leaves, and the
+report reads from the floats whether every row would pass (arcs_short).
+The named rows (curve_rows, arc_rows) and the geometric measurement
+these replace, in the developed pants, are the tests' oracle
+(tests/geometric_oracle.py).  The doubled-loop bound has no row: the
+seam word X_i X_j is conjugate to the third boundary of its pants
+(X1 X2 X3 = 1), so a row on it would only repeat that curve's row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import INTERMEDIATE_CURVE_MAX, collar_width
 from .pants import _seam_ends, seam_lengths
@@ -60,37 +58,6 @@ def truncated_length(lengths: tuple, seams: tuple, k: int) -> float:
     return math.log((1.0 + math.cosh(lt / 2.0)) / 2.0)
 
 
-# ---------------------------------------------------------------------------
-# certification of the shortness bounds
-
-
-_CURVE_ROW = "curve {} length <= 2 log(4 area)"
-_RAW_ARC_ROW = "arc {} length <= 6 log(4 area) + collar widths"
-_TRUNCATED_ARC_ROW = "arc {} truncated length <= 6 log(4 area)"
-
-
-@dataclass(slots=True)
-class ShortnessRow:
-    """One bound of the certificate; its name is formatted when read."""
-
-    label: str                # the name, with {} for the curve id or arc
-    subject: object           # curve id or arc (p, k)
-    value: float
-    bound: float
-    passed: bool
-
-    @property
-    def name(self) -> str:
-        return self.label.format(self.subject)
-
-
-def curve_rows(curves: dict, log4a: float) -> list:
-    """Rows of the curve-length bound, in curve id order."""
-    return [ShortnessRow(_CURVE_ROW, cid, length, 2.0 * log4a,
-                         length <= 2.0 * log4a)
-            for cid, length in sorted(curves.items())]
-
-
 def arc_lengths(lengths: tuple) -> tuple:
     """The bounded lengths of the three seam arcs of a pants.
 
@@ -114,28 +81,11 @@ def arc_lengths(lengths: tuple) -> tuple:
 
 
 def arcs_short(arcs: tuple, log4a: float) -> bool:
-    """Whether every arc of arc_lengths meets its raw and truncated bound,
-    as every row of arc_rows passes."""
+    """Whether every arc of arc_lengths meets its raw and truncated bound:
+    6 log(4 area), plus the slack for the raw length between two curves.
+    """
     bound = 6.0 * log4a
     return all((raw is None or raw <= bound + slack) and trunc <= bound
                for raw, slack, trunc in arcs)
 
 
-def arc_rows(lengths: tuple, p: int, log4a: float) -> list:
-    """Rows of the raw and truncated length bounds of the seam arcs of pants p.
-
-    The rows of arc (p, k) come in seam order k = 0, 1, 2, with the
-    values of arc_lengths: the raw length is bounded per regime by
-    6 log(4 area) plus the collar widths of the intermediate curves at
-    its ends, the truncated length by 6 log(4 area).
-    """
-    rows = []
-    for k, (raw, slack, trunc) in enumerate(arc_lengths(lengths)):
-        arc = (p, k)
-        if raw is not None:
-            rows.append(ShortnessRow(
-                _RAW_ARC_ROW, arc, raw, 6.0 * log4a + slack,
-                raw <= 6.0 * log4a + slack))
-        rows.append(ShortnessRow(_TRUNCATED_ARC_ROW, arc, trunc, 6.0 * log4a,
-                                 trunc <= 6.0 * log4a))
-    return rows

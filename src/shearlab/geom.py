@@ -9,13 +9,13 @@ Conventions used throughout the package:
   transformations; the matrix and its negative act identically.
 * Geodesics are stored by their pair of ideal endpoints and are oriented
   from ``p`` to ``q`` when the orientation flag is set.
-* The value types (Isometry, Reflection, Geodesic, IdealTriangle) are
-  slotted dataclasses, which are much cheaper to build than frozen
-  ones.  They are immutable by convention, and tests/test_hygiene.py
-  rejects any store to one of their fields outside the class's own
-  methods: the pants cache shares them across records.  They compare
-  by value, an Isometry never equal to a Reflection, and are not
-  hashable.
+* The value types (Isometry, Geodesic, IdealTriangle) are slotted
+  dataclasses, which are much cheaper to build than frozen ones.  They
+  are immutable by convention, and tests/test_hygiene.py rejects any
+  store to one of their fields outside the class's own methods: the
+  pants cache shares them across records.  They compare by value and
+  are not hashable.  The reflections and the object forms that only
+  the tests' oracle uses live in tests/geometric_oracle.py.
 * Each primitive the per-pants kernel and the pants construction need
   also has a tuple form, which holds its formula: a matrix is a tuple
   (a, b, c, d) and a geodesic a pair of normalized endpoints
@@ -151,35 +151,6 @@ class Isometry:
         if isinstance(z, complex):
             return self.apply(z)
         return self.apply_boundary(z)
-
-
-@dataclass(slots=True)
-class Reflection:
-    """Orientation-reversing isometry z -> (a conj(z) + b)/(c conj(z) + d), det -1."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def apply(self, z: complex) -> complex:
-        w = z.conjugate()
-        return (self.a * w + self.b) / (self.c * w + self.d)
-
-    def apply_boundary(self, x):
-        return mat_apply_boundary((self.a, self.b, self.c, self.d), x)
-
-    def conjugate_isometry(self, f: Isometry) -> Isometry:
-        """Return R f R (again orientation preserving)."""
-        m = mat_mul(mat_mul((self.a, self.b, self.c, self.d), (f.a, f.b, f.c, f.d)),
-                    (self.a, self.b, self.c, self.d))
-        return Isometry(*m)
-
-
-def compose_reflections(r1: Reflection, r2: Reflection) -> Isometry:
-    """The product of two reflections is orientation preserving."""
-    m = mat_mul((r1.a, r1.b, r1.c, r1.d), (r2.a, r2.b, r2.c, r2.d))
-    return Isometry(*m)
 
 
 def mat_classify(m) -> str:
@@ -388,14 +359,6 @@ def side_of(g: Geodesic, x) -> str:
     return "left" if cyclically_ordered(g.p, g.q, x) else "right"
 
 
-def side_of_point(g: Geodesic, z: complex) -> str:
-    """Which side of the oriented geodesic an interior point lies on."""
-    m = mobius_two_point(g.p, g.q)
-    w = m(z)
-    # travelling upward along the imaginary axis, the left side is Re < 0
-    return "left" if w.real < 0 else "right"
-
-
 def perpendicular_foot(z: complex, p, q) -> complex:
     """Foot of the perpendicular from z to the geodesic from p to q."""
     m = two_point_mat(p, q)
@@ -436,11 +399,6 @@ def common_perpendicular_ends(p1, q1, p2, q2):
                          mat_apply_boundary(inv, r))
 
 
-def common_perpendicular(g1: Geodesic, g2: Geodesic) -> Geodesic:
-    """Common perpendicular of two disjoint geodesics."""
-    return Geodesic(*common_perpendicular_ends(g1.p, g1.q, g2.p, g2.q))
-
-
 def ends_distance(p1, q1, p2, q2) -> float:
     """Distance between the disjoint geodesics (p1, q1) and (p2, q2)."""
     m = two_point_mat(p1, q1)
@@ -456,10 +414,6 @@ def ends_distance(p1, q1, p2, q2) -> float:
     return math.asinh(2.0 * math.sqrt(a * b) / abs(b - a))
 
 
-def dist_between_geodesics(g1: Geodesic, g2: Geodesic) -> float:
-    return ends_distance(g1.p, g1.q, g2.p, g2.q)
-
-
 def reflection_mat(p, q):
     """Matrix of the reflection in the geodesic with normalized ends p, q."""
     if p == INF or q == INF:
@@ -468,10 +422,6 @@ def reflection_mat(p, q):
     c = (p + q) / 2.0
     r = abs(q - p) / 2.0
     return (c / r, (r * r - c * c) / r, 1.0 / r, -c / r)
-
-
-def geodesic_reflection(g: Geodesic) -> Reflection:
-    return Reflection(*reflection_mat(g.p, g.q))
 
 
 @dataclass(slots=True)
@@ -521,20 +471,6 @@ def shear_points(t: IdealTriangle):
     """
     center, _ = incircle(t)
     return tuple(foot_of_perpendicular(center, side) for side in t.sides())
-
-
-def shear_point_on(t: IdealTriangle, edge: Geodesic) -> complex:
-    """Tangency point of the incircle on the side of t along the edge.
-
-    The side is taken with the orientation ``t.sides()`` gives it, so the
-    point equals the matching entry of ``shear_points(t)`` to the bit.
-    """
-    center = incircle_center(t.v1, t.v2, t.v3)
-    ends = {edge.p, edge.q}
-    for a, b in ((t.v1, t.v2), (t.v2, t.v3), (t.v3, t.v1)):
-        if {a, b} == ends:
-            return perpendicular_foot(center, a, b)
-    raise GeometryError("edge is not a side of the triangle")
 
 
 def _shared_edge_apexes(t_a: IdealTriangle, t_b: IdealTriangle, edge: Geodesic):
@@ -628,18 +564,6 @@ def parabolic_shift_mat(parabolic, fix):
     return m, abs(g[0] * g[1])
 
 
-def parabolic_shift(parabolic: Isometry, fix):
-    """Conjugate a parabolic so that its fixed point fix goes to infinity.
-
-    Returns (m, shift): m sends fix to infinity, and m parabolic m^-1 is
-    z -> z +- shift.  For (a, b; 0, d) with ad = 1 the action is
-    z -> (a/d) z + b/d with a/d = 1, so shift = |a b|.
-    """
-    m, shift = parabolic_shift_mat(
-        (parabolic.a, parabolic.b, parabolic.c, parabolic.d), fix)
-    return Isometry(*m), shift
-
-
 def horocycle_frame(parabolic):
     """The cusp frame (m, shift) of a parabolic matrix (parabolic_shift_mat).
 
@@ -659,10 +583,3 @@ def horocycle_length(frame, z: complex) -> float:
     return shift / mat_apply(m, z).imag
 
 
-def horocycle_length_through(parabolic: Isometry, z: complex) -> float:
-    """Length, in the cusp cylinder of a parabolic, of the horocycle through z.
-
-    A hyperbolic input is rejected by name (horocycle_frame).
-    """
-    return horocycle_length(horocycle_frame(
-        (parabolic.a, parabolic.b, parabolic.c, parabolic.d)), z)

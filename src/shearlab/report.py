@@ -1,43 +1,55 @@
 """End-to-end pipeline runs and machine-readable reports.
 
-A single surface run is a loop over pants.  Each pants is built in
-standard position from its boundary-length triple and developed once in
-its own frame: six spiral corners, then per arc the shear and the
-shear-point margins, and per slot the residual of its relation (the two
-arc-ends at a slot sum to 0 at a cusp and to the curve's length at a
-glued slot).  A pants takes one of two routes, with the same bits:
+A campaign runs a block of samples at a time as one array program.  Each
+pants is built in standard position from its boundary-length triple and
+developed once in its own frame: six spiral corners, then per arc the
+shear and the shear-point margins, and per slot the residual of its
+relation (the two arc-ends at a slot sum to 0 at a cusp and to the
+curve's length at a glued slot).  Every sample of a campaign lies on the
+canonical pants graph of its signature, so the graph's curve-to-slot
+map, its curve checks and the record keys are fixed once per graph; the
+block's curve lengths are a (samples, curves) array and its length
+triples one gather of it, (samples, pants, 3).  A pants takes one of two
+routes, with the same bits:
 
 * every finite pants, cusped and thin ones included, goes first through
   thick.thick_batch, which builds and develops all the distinct triples
-  of a block of samples at once in numpy, and measures their seam arcs;
+  of the block at once in numpy, measures their seam arcs and checks the
+  curve holonomies, and returns arrays by distinct triple;
 * every pants the batch does not handle (a check fails, or a rare
   branch is taken) goes through the scalar pants.build_pants,
   spiralling.pants_kernel and decomposition.arc_lengths.  They are the
-  reference of the batch and report every failure by name.
+  reference of the batch and report every failure by name, in the
+  scalar order: construction errors by pants, then the curve checks by
+  curve id, then kernel errors by pants.
 
-The raw and truncated arc lengths are closed forms in the length triple
-(decomposition.arc_lengths); the record reads from them, and from the
-curve lengths, whether every row of the shortness certificate passes,
-without building the rows (decomposition.arc_rows, curve_rows).  The
-record is put together directly from these: the shears keyed by arc
-(pants, seam), the largest residual over cusp slots and over curve
-slots, shortness certification and the audit minimum.  No global
-holonomy is built.
+Each surface's values are gathered from the batch's rows (or written by
+the scalar route) and reduced per block in numpy: the largest |shear|,
+the largest residual over cusp slots and over curve slots, the least
+margin, and whether every row of the shortness certificate passes, read
+from the curve lengths and decomposition.arcs_short without building the
+rows.  The record holds these and the shears keyed by arc (pants, seam).
+run_surface is a campaign of one surface.  No global holonomy is built.
 Reports are deterministic: records are assembled in sample order and
-contain no wall-clock data (timings go to a side channel).
+contain no wall-clock data (timings go to a side channel).  to_json
+writes json.dumps' indented bytes with the C encoder.
 """
-
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, repeat
+
+import numpy as np
 
 from . import decomposition, spiralling, thick
 from .constants import (RHO, SHORT_CURVE_MAX, Signature, area,
                         constants_audit, main_bound, shear_free_params,
                         topology_constants)
-from .geom import RELATION_TOL
+from .geom import RELATION_TOL, Isometry
 from .pants import build_pants
 from .surface import (DISCONNECTED, FNCoordinates, PantsGraph,
                       check_curve_holonomy, check_surface, sample_fn,
@@ -108,75 +120,185 @@ def _max(values, default):
     return max(values, default=default)
 
 
-def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates,
-                batched=None, triples=None) -> dict:
-    """Per-pants pipeline on one surface; returns the per-surface record.
+@dataclass(slots=True)
+class _Layout:
+    """What a pants graph fixes for every surface on it."""
 
-    batched maps length triples to the batch's BatchPants
-    (thick.thick_batch), and triples are the surface's length triples
-    (surface.slot_lengths) per pants; when they are not given, they are
-    computed, and the surface's own triples batched, here.  Every pants
-    the batch did not handle is built and developed by the scalar
-    build_pants and pants_kernel, and its arcs measured by
-    decomposition.arc_lengths.  The error order is that of the scalar
-    path: construction errors by pants, then the curve checks by curve
-    id, then kernel errors by pants.
+    cids: list                # curve ids, sorted
+    cid_keys: list            # str(cid) per curve id
+    columns: np.ndarray       # (pants, 3) column of each slot in a row of
+                              # curve lengths and a 0.0 for the cusps
+    slots: np.ndarray         # (2, pants, 3) the cusp slots, the curve
+                              # slots
+    first_slot: tuple         # per curve, the (pants, slot) arrays of the
+                              # first slot, where check_curve_holonomy reads
+    shear_keys: list          # str((p, k)) per arc
+    sound: bool               # cusp ids distinct and the graph connected
+
+
+@lru_cache(maxsize=128)
+def _layout(pg: PantsGraph) -> _Layout:
+    ends = pg.curve_ends()
+    cids = sorted(ends)
+    column = {cid: c for c, cid in enumerate(cids)}
+    columns = np.array([[column[ident] if kind == "curve" else len(cids)
+                         for kind, ident in slots] for slots in pg.pants],
+                       dtype=int).reshape(-1, 3)
+    first = np.array([min(ends[cid]) for cid in cids],
+                     dtype=int).reshape(-1, 2)
+    try:
+        check_surface(pg, FNCoordinates(dict.fromkeys(cids, 1.0),
+                                        dict.fromkeys(cids, 0.0)))
+        sound = True
+    except ValueError:
+        sound = False
+    cusp = columns == len(cids)
+    return _Layout(cids, [str(cid) for cid in cids], columns,
+                   np.stack([cusp, ~cusp]), tuple(first.T),
+                   [str((p, k)) for p in range(pg.num_pants)
+                    for k in range(3)], sound)
+
+
+def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
+    """Per-pants pipeline on one surface, as a campaign of one; returns
+    its record, or raises the error its scalar route names."""
+    (out,) = _surfaces(sig, pg, [fn], shear_free_params())
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _surfaces(sig: Signature, pg: PantsGraph, fns: list, params) -> list:
+    """The record of each surface on pg, or the error it fails with.
+
+    The surfaces' curve lengths and twists are read into (surfaces,
+    curves) arrays and their length triples gathered into (surfaces,
+    pants, 3) and batched (thick.thick_batch).  A surface whose data and
+    graph pass check_surface, whose pants the batch all handled and
+    whose curves pass check_curve_holonomy is read from the batch's rows
+    alone; every other one takes the scalar route (_scalar).
     """
-    ends = check_surface(pg, fn)
-    params = shear_free_params()
-    if triples is None:
-        triples = [slot_lengths(pg, fn, p) for p in range(pg.num_pants)]
-    if batched is None:
-        batched = thick.thick_batch(triples, params)
-    std = [batched.get(ls) or build_pants(*ls) for ls in triples]
-    curves = {cid: fn.length(cid) for cid in sorted(ends)}
-    for cid, length in curves.items():
-        # the curve-length check of the global holonomy, which reads the
-        # curve's first slot
-        p, s = min(ends[cid])
-        check_curve_holonomy(std[p].slot_hol[s], cid, length)
+    layout = _layout(pg)
     log4a = math.log(4.0 * area(sig))
-    # the shortness certificate: every row of decomposition.curve_rows
-    # and arc_rows passes, read from the lengths without building them
-    certified = all(length <= 2.0 * log4a for length in curves.values())
-    shears = {}
-    cusp_res, side_res, margins = [], [], []
+    lengths = _table([fn.lengths for fn in fns], layout.cids)
+    twists = _table([fn.twists for fn in fns], layout.cids)
+    # check_surface's checks; a missing length or twist reads as NaN, so
+    # that check_surface raises its KeyError
+    bad = ~(((lengths > 0.0) & (lengths < math.inf)
+             & np.isfinite(twists)).all(axis=1) & layout.sound)
+    triples = np.concatenate([lengths, np.zeros((len(fns), 1))],
+                             axis=1)[:, layout.columns]
+    batch = thick.thick_batch(triples.reshape(-1, 3), params, log4a)
+    rows = batch.row.reshape(triples.shape[:2])
+    # the least margin per row, NaN where a row has none: reduceat gives
+    # an empty row the next row's first margin (or the NaN appended)
+    least = np.where(np.diff(batch.first) > 0, np.minimum.reduceat(
+        np.append(batch.margins, math.nan), batch.first[:-1]), math.nan)
+    p, s = layout.first_slot
+    fast = ~bad & batch.handled[rows].all(axis=1) & batch.curve_ok[
+        rows[:, p], s].all(axis=1)
+    # per surface and pants: the shears and residuals, the least margin
+    # and arcs_short
+    values = (batch.shears[rows], batch.residuals[rows], least[rows],
+              batch.arcs_short[rows])
+    out = {}
+    for i in np.flatnonzero(~fast).tolist():
+        try:
+            if bad[i]:
+                check_surface(pg, fns[i])
+            _scalar(layout, pg, fns[i], batch, rows[i], params, log4a,
+                    [v[i] for v in values])
+        except Exception as err:   # the surface's error, raised or recorded
+            out[i] = err
+    good = [i for i in range(len(fns)) if i not in out]
+    out.update(zip(good, _records(sig, layout, log4a, fns, lengths, values,
+                                  good)))
+    return [out[i] for i in range(len(fns))]
+
+
+def _table(dicts: list, keys: list) -> np.ndarray:
+    """(dicts, keys) array of the dicts' values, NaN where one is missing.
+    sample_fn's dicts hold exactly the keys, in order."""
+    return np.fromiter(chain.from_iterable(
+        d.values() if list(d) == keys else map(d.get, keys, repeat(math.nan))
+        for d in dicts), float, len(dicts) * len(keys)).reshape(
+            len(dicts), len(keys))
+
+
+def _scalar(layout, pg, fn, batch, rows, params, log4a, values):
+    """Write into values (_surfaces' per-pants values of one surface) those
+    of the pants the batch did not handle, from the scalar build_pants,
+    pants_kernel and decomposition.arc_lengths.
+
+    The errors come in the order of the scalar path: construction errors
+    by pants, then the curve checks by curve id, then kernel errors by
+    pants.
+    """
+    shears, residuals, least, short = values
+    handled = batch.handled[rows].tolist()
+    std = [None if done else build_pants(*slot_lengths(pg, fn, p))
+           for p, done in enumerate(handled)]
+    pants, slots = (e.tolist() for e in layout.first_slot)
+    for cid, p, s in zip(layout.cids, pants, slots):
+        hol = (Isometry(*batch.hol[rows[p], s].tolist()) if handled[p]
+               else std[p].slot_hol[s])
+        check_curve_holonomy(hol, cid, fn.length(cid))
     for p, sp in enumerate(std):
-        if isinstance(sp, thick.BatchPants):
-            kern, arcs = sp.kernel, sp.arcs
-        else:
-            try:
-                kern = spiralling.pants_kernel(sp, params)
-            except spiralling.DevelopError as err:
-                raise type(err)((p, err.edge), err.problem) from err
-            arcs = decomposition.arc_lengths(sp.lengths)
-        for k, value in enumerate(kern.shears):
-            shears[(p, k)] = value
-        certified = decomposition.arcs_short(arcs, log4a) and certified
-        for s, res in enumerate(kern.residuals):
-            (cusp_res if sp.slot_is_cusp[s] else side_res).append(res)
-        margins += kern.margins
-    cusp = _max(cusp_res, 0.0)
-    side = _max(side_res, 0.0)
+        if sp is None:
+            continue
+        try:
+            kern = spiralling.pants_kernel(sp, params)
+        except spiralling.DevelopError as err:
+            raise type(err)((p, err.edge), err.problem) from err
+        shears[p], residuals[p] = kern.shears, kern.residuals
+        least[p] = min(kern.margins, default=math.nan)
+        short[p] = decomposition.arcs_short(
+            decomposition.arc_lengths(sp.lengths), log4a)
+
+
+def _by_key(values: dict, layout: _Layout) -> dict:
+    """The values by str(key), in key order; sample_fn gives them in
+    curve id order."""
+    if list(values) == layout.cids:
+        return dict(zip(layout.cid_keys, values.values()))
+    return {str(k): v for k, v in sorted(values.items())}
+
+
+def _records(sig, layout, log4a, fns, lengths, values, good) -> list:
+    """The records of the surfaces good on one graph, from _surfaces'
+    values.
+
+    certified reads the shortness certificate from the floats: every
+    curve is at most 2 log(4 area) long and every pants passes
+    decomposition.arcs_short.
+    """
+    shears, residuals, least, short = values
     bound = main_bound(sig)
-    max_shear = _max((abs(v) for v in shears.values()), 0.0)
-    record = {
-        "fn": {
-            "lengths": {str(k): v for k, v in sorted(fn.lengths.items())},
-            "twists": {str(k): v for k, v in sorted(fn.twists.items())},
-        },
-        "shears": {str(k): v for k, v in shears.items()},
-        "max_shear": max_shear,
+    top = np.abs(shears).max(axis=(1, 2)).tolist()
+    # _max of the residuals at the cusp and at the curve slots, 0.0 at
+    # none: a residual is an abs, so a 0.0 in the other slots is never
+    # larger, and np.max keeps NaN
+    cusp, side = np.where(layout.slots, residuals[:, None],
+                          0.0).max(axis=(2, 3)).T.tolist()
+    # a margin is never NaN (the audit fails it), so NaN is "no margin"
+    margin = np.fmin.reduce(least, axis=1).tolist()
+    certified = ((lengths <= 2.0 * log4a).all(axis=1)
+                 & short.all(axis=1)).tolist()
+    flat = shears.reshape(len(fns), len(layout.shear_keys)).tolist()
+    return [{
+        "fn": {"lengths": _by_key(fns[i].lengths, layout),
+               "twists": _by_key(fns[i].twists, layout)},
+        "shears": dict(zip(layout.shear_keys, flat[i])),
+        "max_shear": top[i],
         "bound": bound,
-        "ratio": max_shear / bound,
-        "certified": certified,
-        "cusp_residual": cusp,
-        "spiral_residual": side,
-        "relations_ok": cusp <= RELATION_TOL and side <= RELATION_TOL,
-        "min_margin": min(margins) if margins else None,
-        "bound_satisfied": max_shear < bound,
-    }
-    return record
+        "ratio": top[i] / bound,
+        "certified": certified[i],
+        "cusp_residual": cusp[i],
+        "spiral_residual": side[i],
+        "relations_ok": cusp[i] <= RELATION_TOL and side[i] <= RELATION_TOL,
+        "min_margin": None if math.isnan(margin[i]) else margin[i],
+        "bound_satisfied": top[i] < bound,
+    } for i in good]
 
 
 def config_hash(config: dict) -> str:
@@ -197,7 +319,57 @@ def assemble(config: dict, records: list, summary: dict) -> dict:
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2) + "\\n", byte for byte.
+
+    json.dumps runs its pure-Python encoder when it indents.  Here the C
+    encoder writes the scalars of every container, with the line break
+    and indentation of its items as item separator, and the containers
+    are joined around them (_encode).  Keys must be strings.
+    """
+    return _encode(report, "\n") + "\n"
+
+
+#: the types the C encoder writes as scalars
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@lru_cache(maxsize=None)
+def _flat(newline: str) -> json.JSONEncoder:
+    """The C encoder of the scalars of a container whose items start on
+    a line that ends in newline."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + newline, ": "))
+
+
+def _encode(value, newline: str) -> str:
+    """value as json.dumps(sort_keys=True, indent=2) writes it on a line
+    that ends in newline (a line break and the line's indentation).
+
+    The C encoder writes the items whose values are scalars at once, and
+    they are split at the item separator: an encoded string escapes
+    every line break, so a line break is only ever a separator.
+    """
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
+        return _flat(newline).encode(value)
+    if not value:
+        return "{}" if is_dict else "[]"
+    inner = newline + "  "
+    sep = "," + inner
+    if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
+        body = _flat(inner).encode(value)[1:-1]
+    elif is_dict:
+        flat = {k: v for k, v in value.items() if type(v) in _SCALARS}
+        parts = dict(zip(sorted(flat), _flat(inner).encode(flat)[1:-1].split(
+            sep))) if flat else {}
+        for key, item in value.items():
+            if key not in flat:
+                parts[key] = (f"{json.encoder.encode_basestring_ascii(key)}: "
+                              f"{_encode(item, inner)}")
+        body = sep.join(parts[k] for k in sorted(value))
+    else:
+        body = sep.join(_encode(v, inner) for v in value)
+    return ("{" if is_dict else "[") + inner + body + newline + (
+        "}" if is_dict else "]")
 
 
 def sample_rows(report: dict):
@@ -226,32 +398,31 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
                         length_range=None, twist_range=(0.0, 1.0)):
     """Seeded sampling campaign; per-sample failures are recorded.
 
-    The samples are drawn a block at a time; the length triples of a
-    block's pants are read once and batched (thick.thick_batch), then
-    each record is put together in sample order by run_surface.
+    The samples are drawn a block at a time, and each block runs as one
+    array program (_surfaces): one batch of its pants, then per-surface
+    reductions in numpy.
     """
     params = shear_free_params()
     records = []
     for start in range(0, count, _BLOCK):
-        drawn = []
+        drawn, fns = [], []
         for i in range(start, min(count, start + _BLOCK)):
             rec = {"seed": sample_seed(seed, i)}
             try:
-                drawn.append((rec, sample_fn(sig, rec["seed"],
-                                             length_range=length_range,
-                                             twist_range=twist_range)))
+                # every sample lies on the canonical graph of sig
+                pg, fn = sample_fn(sig, rec["seed"], length_range=length_range,
+                                   twist_range=twist_range)
+                drawn.append(rec)
+                fns.append(fn)
             except Exception as err:   # recorded, campaign continues
                 rec["error"] = f"{type(err).__name__}: {err}"
             records.append(rec)
-        triples = [[slot_lengths(pg, fn, p) for p in range(pg.num_pants)]
-                   for _, (pg, fn) in drawn]
-        batched = thick.thick_batch(
-            [ls for surface in triples for ls in surface], params)
-        for (rec, (pg, fn)), surface in zip(drawn, triples):
-            try:
-                rec.update(run_surface(sig, pg, fn, batched, surface))
-            except Exception as err:   # recorded, campaign continues
-                rec["error"] = f"{type(err).__name__}: {err}"
+        if fns:
+            for rec, out in zip(drawn, _surfaces(sig, pg, fns, params)):
+                if isinstance(out, Exception):
+                    rec["error"] = f"{type(out).__name__}: {out}"
+                else:
+                    rec.update(out)
     good = [r for r in records if not r.get("error")]
     certified = [r for r in good if r["certified"]]
     summary = {

@@ -28,12 +28,12 @@ geometry object.  The develop on geometry objects that it replaced
 (Corner, DevelopedEdge, develop_pants, edge_shear, margin_rows) is kept
 in tests/geometric_oracle.py as its oracle, which the kernel matches
 bit for bit, errors included.  The kernel knows no pants index and no
-curve ids; its errors name the seam, and report.run_surface names the
-edge (pants, seam).  No global frame is built.  The tests also check
+curve ids; its errors name the seam, and the report names the edge
+(pants, seam).  No global frame is built.  The tests also check
 the kernel against closed forms that do not depend on the developed
 geometry (tests/test_kernel.py).
 
-The kernel is the scalar route of report.run_surface: it develops only
+The kernel is the scalar route of the report: it develops only
 the pants that the numpy batch (thick.thick_batch) leaves, those where a
 check fails or a rare branch is taken; the batch develops every other
 pants, cusped and thin ones included.  It is the batch's reference,

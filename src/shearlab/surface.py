@@ -28,9 +28,6 @@ from .constants import Signature, area
 from .geom import Isometry
 from .pants import StdPants, build_pants, slot_normalizer
 
-SlotRef = tuple  # (pants index, slot index)
-
-
 @dataclass(frozen=True)
 class PantsGraph:
     """Gluing pattern: per pants, three slots marked cusp or internal curve."""

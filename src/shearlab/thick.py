@@ -1,14 +1,17 @@
 """Every pants of a campaign, built and developed in one numpy batch.
 
 thick_batch runs the construction (pants.build_pants), the develop and
-shear-point margins (spiralling.pants_kernel) and the seam-arc lengths
-(decomposition.arc_lengths) over numpy arrays of all the distinct
-finite length triples of a block of samples at once, cusped and thin
-pants included.  It uses the same formulas in the same operation order
-as the scalar code, so a triple it handles gets the scalar path's bits:
-slot holonomies, shears, residuals, margins in kernel order,
-quadrilaterals and arc lengths.  (The module keeps its name from when
-it batched only the thick compact pants.)
+shear-point margins (spiralling.pants_kernel), the seam-arc lengths
+(decomposition.arc_lengths and arcs_short) and the curve-length check
+of each slot's holonomy (surface.check_curve_holonomy) over numpy arrays
+of all the distinct finite length triples of a block of samples at
+once, cusped and thin pants included.  It uses the same formulas in the
+same operation order as the scalar code, so a triple it handles gets the
+scalar path's bits: slot holonomies, shears, residuals, margins in
+kernel order, quadrilaterals and arc lengths.  It returns them as
+arrays indexed by distinct-triple row (Batch), with no object per
+triple; report reduces them per surface.  (The module keeps its name
+from when it batched only the thick compact pants.)
 
 Elementwise + - * /, abs, comparisons, np.sqrt and np.hypot (libm's
 hypot, which abs(complex) calls) round exactly as CPython does.
@@ -44,22 +47,39 @@ import numpy as np
 
 from .constants import (INTERMEDIATE_CURVE_MAX, ShearFreeParams,
                         truncated_collar_width)
-from .geom import _STD_CENTER, CLASSIFY_TOL, INF, Isometry, mat_mul
+from .geom import _STD_CENTER, CLASSIFY_TOL, INF, mat_mul
 from .pants import _CONSTRUCTION_TOL, _SEAM_ENDS, _seam_param
-from .spiralling import _FIX_TOL, PantsKernel
+from .spiralling import _FIX_TOL
 
 
 @dataclass(slots=True)
-class BatchPants:
-    """What report.run_surface reads of a pants the batch handled: the
-    fields of StdPants it reads, the kernel of the pants and the lengths
-    of its seam arcs."""
+class Batch:
+    """The batch's results, as arrays indexed by distinct-triple row.
 
-    lengths: tuple
-    slot_is_cusp: tuple
-    slot_hol: tuple           # three Isometry values, as build_pants gives
-    kernel: PantsKernel
-    arcs: tuple               # decomposition.arc_lengths of the triple
+    row gives the row of each input triple.  The last row is a sentinel,
+    not handled, for the inputs the batch does not compute (a length
+    that is not finite, or negative).  Only the rows where handled holds
+    carry the scalar path's values; every other triple is left to the
+    scalar route.
+    """
+
+    row: np.ndarray           # (inputs,) row per input triple
+    handled: np.ndarray       # (rows,) every check passed
+    shears: np.ndarray        # (rows, 3) shear of seam arc k
+    residuals: np.ndarray     # (rows, 3) relation residual at slot s
+    margins: np.ndarray       # every margin, row after row, kernel order
+    first: np.ndarray         # (rows + 1,) margins of row r are
+                              # margins[first[r]:first[r + 1]]
+    arcs_short: np.ndarray    # (rows,) decomposition.arcs_short at log4a
+    translation: np.ndarray   # (rows, 3) geom.mat_translation_length of
+                              # X_s at a curve slot, NaN at a cusp
+    curve_ok: np.ndarray      # (rows, 3) surface.check_curve_holonomy
+                              # passes at a curve slot
+    hol: np.ndarray           # (rows, 3, 4) X_s as (a, b, c, d)
+    quadrilaterals: np.ndarray  # (rows, 3, 4) per arc k: (p, front apex,
+                                # q, back apex)
+    arcs: np.ndarray          # (rows, 3, 3) decomposition.arc_lengths,
+                              # NaN for None
 
 
 # the end slots i, j of each seam (pants._SEAM_ENDS), as row indices
@@ -220,32 +240,58 @@ def _corner(x, cusp):
     return np.isfinite(x) | cusp & (x == INF)
 
 
-def thick_batch(triples, params: ShearFreeParams) -> dict:
-    """The BatchPants of every triple the batch handles.
+def thick_batch(triples, params: ShearFreeParams, log4a: float) -> Batch:
+    """The Batch of the distinct triples, arcs_short at log4a.
 
-    triples are boundary-length triples (0 = cusp); only the distinct
-    ones whose lengths are all finite and not negative are computed, and
-    an empty dict is returned, with no numpy work, when there are none.
-    The result maps each handled triple to its BatchPants; every other
-    triple is left to the scalar route.
+    triples are boundary-length triples (0 = cusp), as a sequence or an
+    (inputs, 3) array; only the distinct ones whose lengths are all
+    finite and not negative are computed.  When there are none, only
+    the sentinel row is returned, and _batch does no array work.
     """
-    todo = list(dict.fromkeys(
-        ls for ls in triples if all(0.0 <= length < INF for length in ls)))
-    if not todo:
-        return {}
+    lengths = np.asarray(triples, dtype=float).reshape(-1, 3)
+    finite = ((lengths >= 0.0) & (lengths < INF)).all(axis=1)
+    # distinct triples by their bytes
+    todo, inverse = np.unique(
+        np.ascontiguousarray(lengths[finite]).view(_TRIPLE).ravel(),
+        return_inverse=True)
+    n = len(todo)
+    row = np.full(len(lengths), n)
+    row[finite] = inverse
+    if not n:
+        return _unhandled(row)
     with np.errstate(all="ignore"):
-        return _batch(todo, params)
+        return _batch(todo.view(float).reshape(n, 3).T, row, params, log4a)
 
 
-def _batch(todo, params):
-    """thick_batch on the distinct finite triples todo.
+_TRIPLE = np.dtype((np.void, 24))
+
+
+def _unhandled(row):
+    """The Batch of the sentinel row alone."""
+    nan = math.nan
+    return Batch(row, np.zeros(1, dtype=bool), np.full((1, 3), nan),
+                 np.full((1, 3), nan), np.zeros(0), np.zeros(2, dtype=int),
+                 np.zeros(1, dtype=bool), np.full((1, 3), nan),
+                 np.zeros((1, 3), dtype=bool), np.full((1, 3, 4), nan),
+                 np.full((1, 3, 4), nan), np.full((1, 3, 3), nan))
+
+
+def _rows(x, fill=math.nan):
+    """x, with one entry per triple along its last axis, as rows, and the
+    sentinel row fill."""
+    x = np.moveaxis(x, -1, 0)
+    return np.concatenate([x, np.full((1,) + x.shape[1:], fill,
+                                      dtype=x.dtype)])
+
+
+def _batch(lengths, row, params, log4a):
+    """thick_batch on the distinct finite triples, lengths[:, i] the i-th.
 
     Every array has a row per slot s, seam k or arc k (shape (3, n)):
     slot s lies between seams _SEAM_ENDS[s], and arc k joins the slots
     _SEAM_ENDS[k].
     """
-    n = len(todo)
-    lengths = np.array(todo, dtype=float).T
+    n = lengths.shape[1]
     alphas = lengths / 2.0
     cusp = alphas == 0.0
     # pants.build_pants: seams[0] = (u, v), seams[1] = (p, 1), seams[2] =
@@ -307,6 +353,10 @@ def _batch(todo, params):
                       hyperbolic & ~cusp)
     fine &= np.where(cusp, parabolic, hyperbolic & ~(
         abs(got - lengths) > 1e-8 * np.maximum(1.0, lengths)))
+    # surface.check_curve_holonomy on the same translation length
+    # (geom.mat_translation_length), at its own tolerance
+    curve_ok = hyperbolic & ~cusp & ~(
+        abs(got - lengths) > 1e-9 * np.maximum(1.0, lengths))
     identity, _, _ = _classify(mat_mul(
         mat_mul(tuple(e[0] for e in hol), tuple(e[1] for e in hol)),
         tuple(e[2] for e in hol)))
@@ -404,29 +454,21 @@ def _batch(todo, params):
     ok &= fine.all(axis=0)
 
     rows = np.flatnonzero(ok)
-    arcs, finite = _arc_lengths(lengths[:, rows], cusp[:, rows])
-    rows = rows[finite]
-    arcs = [arc for arc, keep in zip(arcs, finite.tolist()) if keep]
-    # the margins of triple i are margins[first[i]:first[i + 1]]
-    first = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
-    margins = margins.tolist()
-    # per handled triple: its lengths, X_s as (a, b, c, d) per slot, arc
-    # k's quadrilateral (p, front apex, q, back apex) per arc, the shears
-    # and the residuals
-    table = np.concatenate([
-        lengths, np.stack(hol, axis=1).reshape(12, n),
-        np.stack([pk, front, qk, back], axis=1).reshape(12, n),
-        shears, residuals])[:, rows]
-    out = {}
-    for i, row, arc in zip(rows.tolist(), zip(*table.tolist()), arcs):
-        out[todo[i]] = BatchPants(
-            row[0:3], (row[0] == 0.0, row[1] == 0.0, row[2] == 0.0),
-            (Isometry(*row[3:7]), Isometry(*row[7:11]),
-             Isometry(*row[11:15])),
-            PantsKernel(list(row[27:30]), list(row[30:33]),
-                        margins[first[i]:first[i + 1]],
-                        [row[15:19], row[19:23], row[23:27]]), arc)
-    return out
+    raw, slack, trunc, short, finite = _arc_lengths(
+        lengths[:, rows], cusp[:, rows], log4a)
+    ok[rows[~finite]] = False
+    arcs = np.full((3, 3, n), math.nan)
+    arcs[:, :, rows] = np.stack([raw, slack, trunc], axis=1)
+    arcs_short = np.zeros(n, dtype=bool)
+    arcs_short[rows] = short
+    # the margins of triple i are margins[first[i]:first[i + 1]]; the
+    # sentinel row has none
+    counts = np.bincount(col, minlength=n + 1)
+    first = np.concatenate([[0], np.cumsum(counts)])
+    return Batch(row, _rows(ok, False), _rows(shears), _rows(residuals),
+                 margins, first, _rows(arcs_short, False), _rows(got),
+                 _rows(curve_ok, False), _rows(np.stack(hol, axis=1)),
+                 _rows(np.stack([pk, front, qk, back], axis=1)), _rows(arcs))
 
 
 def _truncated_width(params):
@@ -440,9 +482,11 @@ def _truncated_width(params):
     return width
 
 
-def _arc_lengths(lengths, cusp):
-    """decomposition.arc_lengths of each triple in lengths, and a mask of
-    the triples where they are finite."""
+def _arc_lengths(lengths, cusp, log4a):
+    """decomposition.arc_lengths of each triple in lengths, as the raw
+    lengths, slacks and truncated lengths per arc, with NaN for the raw
+    length and slack of an arc with a cusp end; and per triple,
+    decomposition.arcs_short at log4a and whether they are finite."""
     every = np.ones(lengths.shape, dtype=bool)
     half = lengths / 2.0
     ch = _each(math.cosh, half, every)
@@ -469,9 +513,8 @@ def _arc_lengths(lengths, cusp):
     trunc = np.where(both | one, np.where(cut > 0.0, cut, 0.0), cusps)
     finite = np.isfinite(trunc) & (~both | np.isfinite(raw) & np.isfinite(
         slack))
-    # per triple, (raw, slack, truncated) per arc, with None for the raw
-    # length and slack of an arc with a cusp end
-    arcs = [tuple(zip(*arc)) for arc in zip(
-        np.where(both, raw, None).T.tolist(),
-        np.where(both, slack, None).T.tolist(), trunc.T.tolist())]
-    return arcs, finite.all(axis=0)
+    bound = 6.0 * log4a
+    short = (np.where(both, raw <= bound + slack, True)
+             & (trunc <= bound)).all(axis=0)
+    return (np.where(both, raw, math.nan), np.where(both, slack, math.nan),
+            trunc, short, finite.all(axis=0))

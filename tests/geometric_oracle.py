@@ -1,6 +1,6 @@
 """The geometric seam-arc code that the closed forms replaced.
 
-decomposition.arc_rows reads the raw and truncated seam-arc lengths
+decomposition.arc_lengths reads the raw and truncated seam-arc lengths
 from the boundary-length triple alone; the kernel's spiral corners take
 fixed points of the slot holonomies without a probe test, and its
 relation residuals group the arc-ends one slot at a time, since every
@@ -36,6 +36,15 @@ reference_cyclically_ordered, ReferenceGeodesic and
 ReferenceIdealTriangle.  geom now normalises each input once, compares
 the points with ==, and uses slotted dataclasses; the tests require the
 same result bits or the same exception from both.
+
+It also holds the code that only the tests reach, moved out of the
+library: the reflections and the object geometry built on them
+(Reflection, compose_reflections, geodesic_reflection, side_of_point,
+common_perpendicular, dist_between_geodesics, shear_point_on,
+parabolic_shift, horocycle_length_through), curve_regime,
+shears_from_places (the cusped develop read back), and the named rows
+of the shortness certificate (ShortnessRow, curve_rows, arc_rows), which
+decomposition.arcs_short must agree with.
 """
 
 from __future__ import annotations
@@ -43,18 +52,112 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from shearlab import geom
-from shearlab.constants import (INTERMEDIATE_CURVE_MAX, ShearFreeParams,
-                                collar_width, truncated_collar_width)
+from shearlab import cusped, geom
+from shearlab.constants import (INTERMEDIATE_CURVE_MAX, SHORT_CURVE_MAX,
+                                ShearFreeParams, collar_width,
+                                truncated_collar_width)
+from shearlab.decomposition import arc_lengths
 from shearlab.geom import (INF, Geodesic, GeometryError, IdealTriangle,
-                           Isometry, boundary_close, common_perpendicular,
-                           compose_reflections, dist_between_geodesics,
-                           geodesic_intersection, geodesic_reflection,
-                           mobius_two_point, normalize_boundary)
+                           Isometry, boundary_close, geodesic_intersection,
+                           mat_apply_boundary, mat_mul, mobius_two_point,
+                           normalize_boundary)
 from shearlab.pants import (_CONSTRUCTION_TOL, StdPants, _direction_toward,
                             _nearest_endpoint, _point_along, _seam_ends,
                             _shared_endpoint, _solve_third_seam)
 from shearlab.spiralling import _FIX_TOL, AuditError, DevelopError
+
+
+# ---------------------------------------------------------------------------
+# geometry on objects that only the oracle uses
+
+
+@dataclass(slots=True)
+class Reflection:
+    """Orientation-reversing isometry z -> (a conj(z) + b)/(c conj(z) + d),
+    det -1."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+
+    def apply(self, z: complex) -> complex:
+        w = z.conjugate()
+        return (self.a * w + self.b) / (self.c * w + self.d)
+
+    def apply_boundary(self, x):
+        return mat_apply_boundary((self.a, self.b, self.c, self.d), x)
+
+    def conjugate_isometry(self, f: Isometry) -> Isometry:
+        """Return R f R (again orientation preserving)."""
+        m = mat_mul(mat_mul((self.a, self.b, self.c, self.d),
+                            (f.a, f.b, f.c, f.d)),
+                    (self.a, self.b, self.c, self.d))
+        return Isometry(*m)
+
+
+def compose_reflections(r1: Reflection, r2: Reflection) -> Isometry:
+    """The product of two reflections is orientation preserving."""
+    m = mat_mul((r1.a, r1.b, r1.c, r1.d), (r2.a, r2.b, r2.c, r2.d))
+    return Isometry(*m)
+
+
+def geodesic_reflection(g: Geodesic) -> Reflection:
+    return Reflection(*geom.reflection_mat(g.p, g.q))
+
+
+def side_of_point(g: Geodesic, z: complex) -> str:
+    """Which side of the oriented geodesic an interior point lies on."""
+    m = mobius_two_point(g.p, g.q)
+    w = m(z)
+    # travelling upward along the imaginary axis, the left side is Re < 0
+    return "left" if w.real < 0 else "right"
+
+
+def common_perpendicular(g1: Geodesic, g2: Geodesic) -> Geodesic:
+    """Common perpendicular of two disjoint geodesics."""
+    return Geodesic(*geom.common_perpendicular_ends(g1.p, g1.q, g2.p, g2.q))
+
+
+def dist_between_geodesics(g1: Geodesic, g2: Geodesic) -> float:
+    return geom.ends_distance(g1.p, g1.q, g2.p, g2.q)
+
+
+def shear_point_on(t: IdealTriangle, edge: Geodesic) -> complex:
+    """Tangency point of the incircle on the side of t along the edge.
+
+    The side is taken with the orientation ``t.sides()`` gives it, so the
+    point equals the matching entry of ``geom.shear_points(t)`` to the
+    bit.
+    """
+    center = geom.incircle_center(t.v1, t.v2, t.v3)
+    ends = {edge.p, edge.q}
+    for a, b in ((t.v1, t.v2), (t.v2, t.v3), (t.v3, t.v1)):
+        if {a, b} == ends:
+            return geom.perpendicular_foot(center, a, b)
+    raise GeometryError("edge is not a side of the triangle")
+
+
+def parabolic_shift(parabolic: Isometry, fix):
+    """Conjugate a parabolic so that its fixed point fix goes to infinity.
+
+    Returns (m, shift): m sends fix to infinity, and m parabolic m^-1 is
+    z -> z +- shift.  For (a, b; 0, d) with ad = 1 the action is
+    z -> (a/d) z + b/d with a/d = 1, so shift = |a b|.
+    """
+    m, shift = geom.parabolic_shift_mat(
+        (parabolic.a, parabolic.b, parabolic.c, parabolic.d), fix)
+    return Isometry(*m), shift
+
+
+def horocycle_length_through(parabolic: Isometry, z: complex) -> float:
+    """Length, in the cusp cylinder of a parabolic, of the horocycle
+    through z.
+
+    A hyperbolic input is rejected by name (geom.horocycle_frame).
+    """
+    return geom.horocycle_length(geom.horocycle_frame(
+        (parabolic.a, parabolic.b, parabolic.c, parabolic.d)), z)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +296,7 @@ def _back_apex(sp: StdPants, k: int) -> Corner:
     right of the reflected holonomy's axis oriented toward its
     attracting fixed point, so the limit is the repelling one.
     """
-    refl = geom.geodesic_reflection(sp.seams[k])
+    refl = geodesic_reflection(sp.seams[k])
     stab = refl.conjugate_isometry(sp.slot_hol[k])
     if sp.slot_is_cusp[k]:
         return Corner(point=refl.apply_boundary(sp.slot_point[k]),
@@ -285,13 +388,13 @@ def margin_rows(de: DevelopedEdge, params: ShearFreeParams) -> list:
             if corner.kind == "cusp" or corner.length <= short_max]
     if not thin:
         return []
-    pts = (geom.shear_point_on(de.front, de.edge),
-           geom.shear_point_on(de.back, de.edge))
+    pts = (shear_point_on(de.front, de.edge),
+           shear_point_on(de.back, de.edge))
     rows = []
     for corner in thin:
         for s in pts:
             if corner.kind == "cusp":
-                horo = geom.horocycle_length_through(corner.stabilizer, s)
+                horo = horocycle_length_through(corner.stabilizer, s)
                 margin = horo - params.delta2
             else:
                 d = geom.dist_to_geodesic(s, corner.axis)
@@ -378,7 +481,7 @@ def _slot_side(sp: StdPants, s: int) -> str:
     point of its holonomy in the pants' own frame.
     """
     att, rep = geom.fixed_points(sp.slot_hol[s])
-    return geom.side_of_point(Geodesic(rep, att), slot_marker_probe(sp, s)[1])
+    return side_of_point(Geodesic(rep, att), slot_marker_probe(sp, s)[1])
 
 
 def spiral_endpoint(axis_p, axis_q, probe: complex):
@@ -387,7 +490,7 @@ def spiral_endpoint(axis_p, axis_q, probe: complex):
     The arc spirals toward the endpoint for which the corner's body lies
     on the left of the axis oriented toward that endpoint.
     """
-    if geom.side_of_point(Geodesic(axis_p, axis_q), probe) == "left":
+    if side_of_point(Geodesic(axis_p, axis_q), probe) == "left":
         return axis_q
     return axis_p
 
@@ -415,7 +518,7 @@ def _cusp_height(sp: StdPants, slot: int):
     y >= height in the normalized frame, bounded by a horocycle of length
     CUSP_HOROCYCLE_LENGTH.
     """
-    m, shift = geom.parabolic_shift(sp.slot_hol[slot], sp.slot_point[slot])
+    m, shift = parabolic_shift(sp.slot_hol[slot], sp.slot_point[slot])
     return m, shift / CUSP_HOROCYCLE_LENGTH
 
 
@@ -460,10 +563,10 @@ def _collar_interval(seam: Geodesic, coord, axis: Geodesic, width: float):
         # perpendicular crossing: distance grows as |t - t_cross|
         t0 = coord(cross)
         return (t0 - width, t0 + width)
-    d_min = geom.dist_between_geodesics(seam, axis)
+    d_min = dist_between_geodesics(seam, axis)
     if d_min >= width or d_min == 0.0:
         return None
-    perp = geom.common_perpendicular(seam, axis)
+    perp = common_perpendicular(seam, axis)
     foot = geom.geodesic_intersection(seam, perp)
     t0 = coord(foot)
     spread = math.acosh(math.sinh(width) / math.sinh(d_min))
@@ -556,13 +659,13 @@ def truncate_arc(sp: StdPants, k: int) -> Truncation:
 def eager_margin_rows(de, params) -> list:
     """spiralling.margin_rows with both shear points always computed."""
     short_max = 2.0 * math.tanh(params.rho)
-    pts = (geom.shear_point_on(de.front, de.edge),
-           geom.shear_point_on(de.back, de.edge))
+    pts = (shear_point_on(de.front, de.edge),
+           shear_point_on(de.back, de.edge))
     rows = []
     for corner in (*de.end_corners, de.apex_front, de.apex_back):
         for s in pts:
             if corner.kind == "cusp":
-                horo = geom.horocycle_length_through(corner.stabilizer, s)
+                horo = horocycle_length_through(corner.stabilizer, s)
                 margin = horo - params.delta2
             elif corner.length <= short_max:
                 d = geom.dist_to_geodesic(s, corner.axis)
@@ -652,3 +755,86 @@ class ReferenceIdealTriangle:
             raise GeometryError("ideal triangle needs three distinct vertices")
         if not reference_cyclically_ordered(*vs):
             raise GeometryError("vertices must be in positive cyclic order")
+
+
+# ---------------------------------------------------------------------------
+# curve regimes, the cusped develop read back, and the certificate rows
+
+
+def curve_regime(length) -> str:
+    """Classify a curve length as short / intermediate / long; None is a
+    cusp."""
+    if length is None:
+        return "cusp"
+    if length <= 0:
+        raise ValueError("curve length must be positive")
+    if length <= SHORT_CURVE_MAX:
+        return "short"
+    if length <= INTERMEDIATE_CURVE_MAX:
+        return "intermediate"
+    return "long"
+
+
+def shears_from_places(dev: cusped.DevelopedCusped) -> dict:
+    """Recompute the shear of every edge from the developed placements."""
+    out = {}
+    for f in range(dev.cx.num_faces()):
+        for s in range(3):
+            key = dev.cx.edge_key(f, s)
+            if key in out:
+                continue
+            x = dev.places[f][s]
+            y = dev.places[f][(s + 1) % 3]
+            z = dev.places[f][(s + 2) % 3]
+            w = cusped._develop_apex(x, y, z, dev.sigma[key])
+            out[key] = cusped._shear_of_quad(x, y, z, w)
+    return out
+
+
+_CURVE_ROW = "curve {} length <= 2 log(4 area)"
+_RAW_ARC_ROW = "arc {} length <= 6 log(4 area) + collar widths"
+_TRUNCATED_ARC_ROW = "arc {} truncated length <= 6 log(4 area)"
+
+
+@dataclass(slots=True)
+class ShortnessRow:
+    """One bound of the certificate; its name is formatted when read."""
+
+    label: str                # the name, with {} for the curve id or arc
+    subject: object           # curve id or arc (p, k)
+    value: float
+    bound: float
+    passed: bool
+
+    @property
+    def name(self) -> str:
+        return self.label.format(self.subject)
+
+
+def curve_rows(curves: dict, log4a: float) -> list:
+    """Rows of the curve-length bound, in curve id order."""
+    return [ShortnessRow(_CURVE_ROW, cid, length, 2.0 * log4a,
+                         length <= 2.0 * log4a)
+            for cid, length in sorted(curves.items())]
+
+
+def arc_rows(lengths: tuple, p: int, log4a: float) -> list:
+    """Rows of the raw and truncated length bounds of the seam arcs of
+    pants p.
+
+    The rows of arc (p, k) come in seam order k = 0, 1, 2, with the
+    values of decomposition.arc_lengths: the raw length is bounded per
+    regime by 6 log(4 area) plus the collar widths of the intermediate
+    curves at its ends, the truncated length by 6 log(4 area).
+    decomposition.arcs_short passes exactly when every row does.
+    """
+    rows = []
+    for k, (raw, slack, trunc) in enumerate(arc_lengths(lengths)):
+        arc = (p, k)
+        if raw is not None:
+            rows.append(ShortnessRow(
+                _RAW_ARC_ROW, arc, raw, 6.0 * log4a + slack,
+                raw <= 6.0 * log4a + slack))
+        rows.append(ShortnessRow(_TRUNCATED_ARC_ROW, arc, trunc, 6.0 * log4a,
+                                 trunc <= 6.0 * log4a))
+    return rows

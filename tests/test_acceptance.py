@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import flip_harness as F
 from shearlab import chains as CH
 from shearlab import cli
 from shearlab import cusped as CU
@@ -200,7 +201,7 @@ class TestT8:
                     # locate the remaining pants curves in the sampled
                     # length spectrum of the rebuilt surface
                     want = fn.length(cid)
-                    spec = CU.hyperbolic_walk_lengths(dev.cx, dev.sigma,
+                    spec = F.hyperbolic_walk_lengths(dev.cx, dev.sigma,
                                                       max_len=6, limit=80)
                     err = min(abs(s - want) for s in spec) / max(1, want)
                     worst = max(worst, err)
@@ -234,13 +235,13 @@ class TestT9:
             pg, fn = S.sample_fn(Signature(0, n), 55 + n)
             hol = S.holonomy_from_fn(pg, fn)
             cx, raw, _ = CH.build_cusped_chain(hol)
-            sigma = CU.project_to_complete(cx, raw)
-            curves = CU.test_curves(cx, sigma, 5)
+            sigma = F.project_to_complete(cx, raw)
+            curves = F.test_curves(cx, sigma, 5)
             base_lengths = [
                 G.translation_length(CU.develop_walk(cx, sigma, w))
                 for w in curves]
             for trial in range(25):
-                c2, s2, ws, trail = CU.random_flip_sequence(
+                c2, s2, ws, trail = F.random_flip_sequence(
                     cx, sigma, 20, seed=base + trial, walks=curves)
                 assert len(trail) == 20
                 sums = CU.cusp_sums(c2, s2)

@@ -10,7 +10,8 @@ goes through both routes of report.run_surface:
 
 * the batch (thick.thick_batch): a triple it handles must pass every
   check of the scalar path and give its bits, margins in kernel order,
-  quadrilaterals and arc lengths included;
+  quadrilaterals and arc lengths included, and at every slot the
+  scalar translation length and curve-holonomy check;
 * the scalar build_pants, pants_kernel and decomposition.arc_lengths:
   every failure must be a named GeometryError (DevelopError and
   AuditError included).
@@ -36,25 +37,62 @@ from shearlab import decomposition as D
 from shearlab import spiralling as SP
 from shearlab import thick
 from shearlab.constants import shear_free_params
-from shearlab.geom import GeometryError
+from shearlab.geom import GeometryError, mat_translation_length
 from shearlab.pants import build_pants
+from shearlab.surface import check_curve_holonomy
 
 LOW, HIGH = 0.05, 14.0
+LOG4A = 2.0                   # log(4 area) of arcs_short; the grid's
+                              # arcs reach both sides of its bounds
 CELLS = 20                    # grid cells per axis
 THIN_CELLS = 3                # thin-band cells per axis
 
 
-def fingerprint(lengths, slot_is_cusp, slot_hol, kern, arcs):
+def fingerprint(hol, shears, residuals, margins, quadrilaterals, arcs):
     """Everything a route gives for one triple: its floats as bits, its
-    cusp flags, its margin count and the places of the unbounded raw
-    arc lengths (None)."""
-    floats = [*lengths,
-              *(x for h in slot_hol for x in (h.a, h.b, h.c, h.d)),
-              *kern.shears, *kern.residuals, *kern.margins,
-              *(x for quad in kern.quadrilaterals for x in quad),
-              *(0.0 if x is None else x for arc in arcs for x in arc)]
-    return (np.array(floats, dtype=float).tobytes(), tuple(slot_is_cusp),
-            len(kern.margins), tuple(x is None for arc in arcs for x in arc))
+    margin count and the places of the unbounded raw arc lengths (None).
+    hol, quadrilaterals and arcs are flat."""
+    floats = [*hol, *shears, *residuals, *margins, *quadrilaterals,
+              *(0.0 if x is None else x for x in arcs)]
+    return (np.array(floats, dtype=float).tobytes(), len(margins),
+            tuple(x is None for x in arcs))
+
+
+def batch_fingerprint(batch, r):
+    """fingerprint of row r of a thick.Batch."""
+    margins = batch.margins[batch.first[r]:batch.first[r + 1]]
+    return fingerprint(
+        batch.hol[r].ravel().tolist(), batch.shears[r].tolist(),
+        batch.residuals[r].tolist(), margins.tolist(),
+        batch.quadrilaterals[r].ravel().tolist(),
+        [None if math.isnan(x) else x for x in batch.arcs[r].ravel().tolist()])
+
+
+def scalar_fingerprint(sp, kern):
+    """fingerprint of the scalar build_pants, pants_kernel and
+    decomposition.arc_lengths."""
+    return fingerprint(
+        [x for h in sp.slot_hol for x in (h.a, h.b, h.c, h.d)], kern.shears,
+        kern.residuals, kern.margins,
+        [x for quad in kern.quadrilaterals for x in quad],
+        [x for arc in D.arc_lengths(sp.lengths) for x in arc])
+
+
+def curve_checks(sp):
+    """Per slot, the bits of geom.mat_translation_length of its holonomy
+    (NaN at a cusp), and whether surface.check_curve_holonomy passes on
+    it (False at a cusp)."""
+    lengths, passed = [], []
+    for hol, length in zip(sp.slot_hol, sp.lengths):
+        m = (hol.a, hol.b, hol.c, hol.d)
+        lengths.append(mat_translation_length(m) if length else math.nan)
+        try:
+            check_curve_holonomy(hol, 0, length)
+        except GeometryError:
+            passed.append(False)
+        else:
+            passed.append(length > 0.0)
+    return np.array(lengths).tobytes(), passed
 
 
 def scalar(ls, params):
@@ -91,9 +129,10 @@ def check_routes(triples, params, kinds, shares):
     kinds counts the scalar failures by check kind, and shares the
     triples per class as [total, passed by the scalar path, handled].
     """
-    handled = thick.thick_batch(triples, params)
+    batch = thick.thick_batch(triples, params, LOG4A)
     short_max = 2.0 * math.tanh(params.rho)
-    for ls in dict.fromkeys(triples):
+    rows = dict(zip(map(tuple, triples), batch.row.tolist()))
+    for ls, r in rows.items():
         want = scalar(ls, params)
         share = shares.setdefault(pants_class(ls, short_max), [0, 0, 0])
         share[0] += 1
@@ -101,17 +140,16 @@ def check_routes(triples, params, kinds, shares):
             kinds[kind(want)] += 1
         else:
             share[1] += 1
-        got = handled.get(ls)
-        if got is None:
+        if not batch.handled[r]:
             continue
         share[2] += 1
         assert not isinstance(want, GeometryError), (ls, want)
         sp, kern = want
-        assert fingerprint(got.lengths, got.slot_is_cusp, got.slot_hol,
-                           got.kernel, got.arcs) == fingerprint(
-            sp.lengths, sp.slot_is_cusp, sp.slot_hol, kern,
-            D.arc_lengths(ls)), ls
-    return len(handled)
+        assert batch_fingerprint(batch, r) == scalar_fingerprint(sp, kern), ls
+        assert batch.arcs_short[r] == D.arcs_short(D.arc_lengths(ls), LOG4A)
+        assert (batch.translation[r].tobytes(),
+                batch.curve_ok[r].tolist()) == curve_checks(sp), ls
+    return int(batch.handled.sum())
 
 
 def seeded_grid(seed, low=LOW, high=HIGH, cells=CELLS):

@@ -8,6 +8,7 @@ import pytest
 from shearlab import cli, report
 from shearlab.constants import Signature
 from shearlab.geom import RELATION_TOL
+from test_report import handle_nothing
 
 
 def run(argv, capsys):
@@ -362,6 +363,47 @@ class TestOptimizeCommand:
         assert cli.main(["optimize", path]) == 4
 
 
+class TestOneParser:
+    """main builds its parser once per process, and no flag or default of
+    one call leaks into the next."""
+
+    def test_calls_in_one_process_match_calls_alone(self, tmp_path, capsys,
+                                                    monkeypatch):
+        surface = write_surface(tmp_path, SURFACE_11)
+        chain = write_surface(tmp_path, SURFACE_04, "chain.json")
+        sig = ["--g", "1", "--n", "1"]
+        sequence = [
+            ["sample", *sig, "--count", "3", "--length-min", "0.1",
+             "--format", "csv"],
+            ["sample", *sig, "--count", "3"],
+            ["constants", *sig, "--rho-prime", "0.27"],
+            ["constants", *sig],
+            ["compute", surface],
+            ["optimize", chain, "--budget", "5"],
+        ]
+        built = []
+        real = cli.build_parser
+
+        def build():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", build)
+        monkeypatch.setattr(cli, "_parser", None)
+        together = [run(argv, capsys) for argv in sequence]
+        assert len(built) == 1
+        alone = []
+        for argv in sequence:
+            monkeypatch.setattr(cli, "_parser", None)
+            alone.append(run(argv, capsys))
+        assert together == alone
+        # every call wrote its report (constants exits 2 while the audit
+        # finds the claimed constants false)
+        assert all(out for _, out in together)
+        # the calls differ where their flags do
+        assert together[0] != together[1] and together[2] != together[3]
+
+
 class TestLongBoundary:
     """Lengths whose tanh^2(l/4) rounds to 1 in float64 fail by name."""
 
@@ -393,28 +435,52 @@ class TestRelationCheck:
 
         The batch (thick.thick_batch) is patched to handle nothing, so
         that every pants takes the scalar route through the kernel.
+        Returns the (pants, kernel) of every kernel run.
         """
-        from shearlab import spiralling, thick
+        from shearlab import spiralling
         monkeypatch.undo()
-        monkeypatch.setattr(thick, "thick_batch", lambda triples, params: {})
+        handle_nothing(monkeypatch)
         kernel = spiralling.pants_kernel
-        calls = []
+        runs = []
 
         def patched(sp, params):
             kern = kernel(sp, params)
-            if len(calls) == call:
+            if len(runs) == call:
                 getattr(kern, field)[index] = value
-            calls.append(sp)
+            runs.append((sp, kern))
             return kern
 
         monkeypatch.setattr(spiralling, "pants_kernel", patched)
+        return runs
+
+    @staticmethod
+    def check_reductions(rec, runs):
+        """The record's numpy maxima and checks are those report._max
+        gives on the kernels' values, NaN included."""
+        def same(got, want):
+            return got == want or math.isnan(got) and math.isnan(want)
+
+        res = [(r, cusp) for sp, kern in runs
+               for r, cusp in zip(kern.residuals, sp.slot_is_cusp)]
+        cusp = report._max((r for r, at_cusp in res if at_cusp), 0.0)
+        side = report._max((r for r, at_cusp in res if not at_cusp), 0.0)
+        top = report._max((abs(v) for _, kern in runs for v in kern.shears),
+                          0.0)
+        assert same(rec["cusp_residual"], cusp)
+        assert same(rec["spiral_residual"], side)
+        assert same(rec["max_shear"], top)
+        assert rec["relations_ok"] == (cusp <= RELATION_TOL
+                                       and side <= RELATION_TOL)
+        assert rec["bound_satisfied"] == (top < rec["bound"])
 
     def run_with(self, monkeypatch, field, index, value):
         from shearlab.surface import FNCoordinates, canonical_pants_graph
-        self.patch_kernel(monkeypatch, field, index, value)
+        runs = self.patch_kernel(monkeypatch, field, index, value)
         sig = Signature(1, 1)
         pg = canonical_pants_graph(sig)
-        return report.run_surface(sig, pg, FNCoordinates({0: 1.0}, {0: 0.2}))
+        rec = report.run_surface(sig, pg, FNCoordinates({0: 1.0}, {0: 0.2}))
+        self.check_reductions(rec, runs)
+        return rec
 
     def run_with_residual(self, monkeypatch, slot, value):
         from shearlab.surface import canonical_pants_graph
@@ -456,12 +522,18 @@ class TestRelationCheck:
     def test_nan_reaches_the_campaign_maxima(self, monkeypatch):
         # a NaN in the second of three samples, one pants each; the first
         # sample falls in the same maximum, so the NaN does not come first
-        self.patch_kernel(monkeypatch, "residuals", 1, math.nan, call=1)
-        _, summary = report.run_sample_campaign(Signature(1, 1), 5, 3)
+        runs = self.patch_kernel(monkeypatch, "residuals", 1, math.nan,
+                                 call=1)
+        records, summary = report.run_sample_campaign(Signature(1, 1), 5, 3)
         assert math.isnan(summary["worst_spiral_residual"])
         assert summary["worst_cusp_residual"] <= RELATION_TOL
-        self.patch_kernel(monkeypatch, "shears", 1, math.nan, call=1)
+        # one pants per sample: the kernel's run i is record i's
+        for rec, run in zip(records, runs, strict=True):
+            self.check_reductions(rec, [run])
+        runs = self.patch_kernel(monkeypatch, "shears", 1, math.nan, call=1)
         records, summary = report.run_sample_campaign(Signature(1, 1), 5, 3)
+        for rec, run in zip(records, runs, strict=True):
+            self.check_reductions(rec, [run])
         assert records[0]["certified"] == records[1]["certified"]
         kind = "certified" if records[1]["certified"] else "uncertified"
         assert math.isnan(summary[f"max_ratio_{kind}"])
@@ -488,7 +560,7 @@ class TestAuditFailure:
     def test_nan_margin_fails_the_audit(self, monkeypatch):
         # margin <= 0 is false for a NaN; the audit must still fail it.
         # The pants takes the scalar route (the batch handles nothing).
-        from shearlab import spiralling, thick
+        from shearlab import spiralling
         from shearlab.surface import FNCoordinates, canonical_pants_graph
         real = spiralling.truncated_collar_width
         calls = []
@@ -498,7 +570,7 @@ class TestAuditFailure:
             return math.nan if len(calls) == 2 else real(length, params)
 
         monkeypatch.setattr(spiralling, "truncated_collar_width", patched)
-        monkeypatch.setattr(thick, "thick_batch", lambda triples, params: {})
+        handle_nothing(monkeypatch)
         sig = Signature(1, 1)
         pg = canonical_pants_graph(sig)
         with pytest.raises(spiralling.AuditError,

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import geometric_oracle as O
 from shearlab import constants as C
 
 mp.mp.dps = 40
@@ -219,12 +220,12 @@ class TestSpikeConstant:
             gap + w_int, rel_tol=1e-14)
 
     def test_regime_classifier(self):
-        assert C.curve_regime(None) == "cusp"
-        assert C.curve_regime(0.3) == "short"
-        assert C.curve_regime(C.SHORT_CURVE_MAX) == "short"
-        assert C.curve_regime(1.0) == "intermediate"
-        assert C.curve_regime(2 * math.asinh(1.0)) == "intermediate"
-        assert C.curve_regime(2.0) == "long"
+        assert O.curve_regime(None) == "cusp"
+        assert O.curve_regime(0.3) == "short"
+        assert O.curve_regime(C.SHORT_CURVE_MAX) == "short"
+        assert O.curve_regime(1.0) == "intermediate"
+        assert O.curve_regime(2 * math.asinh(1.0)) == "intermediate"
+        assert O.curve_regime(2.0) == "long"
 
 
 class TestAudit:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import flip_harness as F
+import geometric_oracle as O
 from shearlab import chains as CH
 from shearlab import cusped as CU
 from shearlab import geom as G
@@ -78,7 +80,7 @@ class TestDevelopFromShears:
     def test_round_trip_sigma(self):
         fn, (cx, sigma, _) = chain(Signature(0, 4), seed=3)
         dev = CU.develop_from_shears(cx, sigma)
-        back = CU.shears_from_places(dev)
+        back = O.shears_from_places(dev)
         for k, v in sigma.items():
             assert abs(back[k] - v) <= 1e-9 * max(1.0, abs(v))
 
@@ -87,7 +89,7 @@ class TestDevelopFromShears:
         dev = CU.develop_from_shears(cx, sigma)
         for g in dev.generators:
             assert G.classify(g) in ("parabolic", "hyperbolic")
-        back = CU.shears_from_places(dev)
+        back = O.shears_from_places(dev)
         assert all(abs(v) < 1e-12 for v in back.values())
 
     def test_incomplete_structure_rejected(self):
@@ -108,7 +110,7 @@ class TestDevelopFromShears:
         cx.check()
         sigma = {e: 0.0 for e in cx.edges()}
         dev = CU.develop_from_shears(cx, sigma)
-        back = CU.shears_from_places(dev)
+        back = O.shears_from_places(dev)
         assert all(abs(v) < 1e-12 for v in back.values())
 
 
@@ -135,8 +137,8 @@ class TestFlips:
             assert sorted(map(sorted, cx.verts)) == \
                 sorted(map(sorted, cx3.verts))
             # and the geometry is untouched: the length spectrum sample
-            l1 = CU.hyperbolic_walk_lengths(cx, sigma, max_len=4, limit=10)
-            l3 = CU.hyperbolic_walk_lengths(cx3, s3, max_len=4, limit=10)
+            l1 = F.hyperbolic_walk_lengths(cx, sigma, max_len=4, limit=10)
+            l3 = F.hyperbolic_walk_lengths(cx3, s3, max_len=4, limit=10)
             for a in l1[:5]:
                 assert min(abs(a - b) for b in l3) <= 1e-9
 
@@ -198,13 +200,13 @@ class TestWalksThroughFlips:
         worst = 0.0
         for n, base_seed in ((4, 100), (5, 200)):
             fn, (cx, raw, _) = chain(Signature(0, n), seed=base_seed % 37)
-            sigma = CU.project_to_complete(cx, raw)
-            curves = CU.test_curves(cx, sigma, 5)
+            sigma = F.project_to_complete(cx, raw)
+            curves = F.test_curves(cx, sigma, 5)
             assert len(curves) == 5
             base = [G.translation_length(CU.develop_walk(cx, sigma, w))
                     for w in curves]
             for trial in range(25):
-                c2, s2, ws, trail = CU.random_flip_sequence(
+                c2, s2, ws, trail = F.random_flip_sequence(
                     cx, sigma, 20, seed=base_seed + trial, walks=curves)
                 assert len(trail) == 20
                 sums = CU.cusp_sums(c2, s2)

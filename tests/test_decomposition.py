@@ -36,7 +36,7 @@ def arcs(hol):
 
 def truncated(sp, arc):
     """The truncated length run_surface certifies for seam arc (p, k)."""
-    (row,) = [row for row in D.arc_rows(sp.lengths, arc[0], 1.0)
+    (row,) = [row for row in O.arc_rows(sp.lengths, arc[0], 1.0)
               if row.name.startswith(f"arc {arc} truncated length")]
     return row.value
 
@@ -45,9 +45,9 @@ def shortness_rows(hol, sig):
     """The rows run_surface certifies: curve rows, then per arc its rows."""
     log4a = math.log(4.0 * area(sig))
     curves = {cid: hol.fn.length(cid) for cid in hol.graph.curve_ids()}
-    rows = D.curve_rows(curves, log4a)
+    rows = O.curve_rows(curves, log4a)
     for p, sp in enumerate(hol.std):
-        rows += D.arc_rows(sp.lengths, p, log4a)
+        rows += O.arc_rows(sp.lengths, p, log4a)
     return rows
 
 

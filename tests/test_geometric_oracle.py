@@ -77,7 +77,7 @@ def test_sides_and_corners_follow_the_gluing_order():
             probe = O.slot_marker_probe(sp, s)[1]
             assert O.spiral_endpoint(att, rep, probe) == att
             assert O._front_corner(sp, s).point == att
-            refl = G.geodesic_reflection(sp.seams[s])
+            refl = O.geodesic_reflection(sp.seams[s])
             att, rep = G.fixed_points(refl.conjugate_isometry(sp.slot_hol[s]))
             probe = refl.apply(probe)
             assert O.spiral_endpoint(att, rep, probe) == rep
@@ -291,7 +291,7 @@ def test_special_values_match_reference_exhaustively():
 
 def test_value_types_print_and_compare_as_before():
     iso = G.Isometry(1.0, 0.0, 0.0, 1.0)
-    refl = G.Reflection(1.0, 0.0, 0.0, 1.0)
+    refl = O.Reflection(1.0, 0.0, 0.0, 1.0)
     assert repr(iso) == "Isometry(a=1.0, b=0.0, c=0.0, d=1.0)"
     assert repr(refl) == "Reflection(a=1.0, b=0.0, c=0.0, d=1.0)"
     assert repr(G.Geodesic(-math.inf, 2)) == (

@@ -9,7 +9,11 @@ parameter of a library function must be passed by some call in the
 library, its tests, demos or benchmark: a default nothing overrides is a
 constant.  Every top-level function of the library must be named
 somewhere in the library, its tests, demos or benchmark outside its own
-definition: a function nothing names is dead.  Every field of a library
+definition: a function nothing names is dead.  Every public top-level
+name of the library (a function, class or assignment) must be used by
+the library outside its own definition, by a demo or by the benchmark:
+code that only the tests reach belongs to the tests' oracle
+(tests/geometric_oracle.py).  Every field of a library
 dataclass must be read as an attribute somewhere in the library, its
 tests, demos or benchmark: a field nothing reads is dead weight carried
 by every instance.  Every field of StdPants, the pants cached per length
@@ -54,21 +58,23 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
+def bound_names(node):
+    """The names a top-level def, class or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def duplicate_definitions(tree):
     """Top-level names bound by more than one def, class or assignment."""
     seen, dups = set(), []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
-                                                            ast.Name):
-            names = [node.target.id]
-        else:
-            continue
-        for name in names:
+        for name in bound_names(node):
             if name in seen:
                 dups.append(name)
             seen.add(name)
@@ -196,6 +202,16 @@ def unreferenced_functions(defining, referring):
                     and uses[node.name] == _names(node).count(node.name)):
                 dead.append(node.name)
     return dead
+
+
+def unexported_names(defining, referring):
+    """Public top-level names of defining (a def, class or assignment
+    whose name does not start with ``_``) that no tree in referring uses
+    outside the name's own definition."""
+    uses = Counter(name for tree in referring for name in _names(tree))
+    return [name for tree in defining for node in tree.body
+            for name in bound_names(node) if not name.startswith("_")
+            and uses[name] == _names(node).count(name)]
 
 
 def _called_name(func):
@@ -436,6 +452,15 @@ def test_every_function_is_referenced():
                                   trees.values()) == []
 
 
+def test_every_public_name_is_used_outside_the_tests():
+    # code that only the tests reach belongs to the tests' oracle
+    program = LIBRARY + sorted((ROOT / "demos").rglob("*.py")) + sorted(
+        (ROOT / "perfbench").rglob("*.py"))
+    trees = {path: _parse(path) for path in program}
+    assert unexported_names([trees[p] for p in MODULES],
+                            trees.values()) == []
+
+
 def test_every_dataclass_field_is_read():
     trees = {path: _parse(path) for path in CALLERS}
     assert unread_fields([trees[p] for p in MODULES], trees.values()) == []
@@ -484,6 +509,14 @@ def test_checks_catch_their_targets():
     caller = ast.parse("from lib import imported\nlib.used()\n")
     assert unreferenced_functions([lib], [lib, caller]) == ["recursive",
                                                             "dead"]
+    lib = ast.parse("LIMIT = 1\n_PRIVATE = 2\nUSED: int = 3\n"
+                    "def helper():\n    return USED\n"
+                    "def only_tests():\n    return only_tests()\n"
+                    "class Row:\n    pass\n"
+                    "def _hidden():\n    pass\n")
+    demo = ast.parse("from lib import helper\n")
+    assert unexported_names([lib], [lib, demo]) == ["LIMIT", "only_tests",
+                                                    "Row"]
     lib = ast.parse("from dataclasses import dataclass\n"
                     "import dataclasses\n"
                     "@dataclass\nclass Row:\n    name: str\n"

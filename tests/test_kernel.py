@@ -13,7 +13,7 @@ counted only at ends with l <= 2 asinh 1:
 * its truncated length is max(0, a_k - w(l_i) - w(l_j)).
 
 run_surface reads the lengths from these closed forms
-(decomposition.arc_rows); tests/test_geometric_oracle.py checks them
+(geometric_oracle.arc_rows); tests/test_geometric_oracle.py checks them
 against the developed geometry.
 
 The kernel checks the relations one slot at a time: residual s is
@@ -88,7 +88,7 @@ def check_pants(sig, pg, fn, p, rec):
     log4a = math.log(4.0 * area(sig))
     kern = SP.pants_kernel(sp, shear_free_params())
     seams = seam_lengths(*ls)
-    pants_rows = D.arc_rows(ls, p, log4a)
+    pants_rows = O.arc_rows(ls, p, log4a)
     for s in range(3):
         i, j = _seam_ends(s)
         want = abs(kern.shears[i] + kern.shears[j] - ls[s])
@@ -476,7 +476,7 @@ def test_kernel_builds_no_geometry_objects(monkeypatch):
 
         return counted
 
-    for cls in (G.Isometry, G.Reflection, G.Geodesic, G.IdealTriangle):
+    for cls in (G.Isometry, O.Reflection, G.Geodesic, G.IdealTriangle):
         monkeypatch.setattr(cls, "__init__", counting(cls))
     margins = 0
     for sp in pants:

@@ -2,9 +2,13 @@
 
 import json
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shearlab import geom as G
 from shearlab import report
 from shearlab import spiralling as SP
 from shearlab import surface as S
@@ -24,6 +28,19 @@ def long_05(i):
     sig = Signature(0, 5)
     pg, fn = S.sample_fn(sig, S.sample_seed(3, i), length_range=(0.01, 30.0))
     return sig, pg, fn
+
+
+def handle_nothing(monkeypatch):
+    """Patch thick.thick_batch to handle no triple, so that every pants
+    takes the scalar route."""
+    real = thick.thick_batch
+
+    def batch(triples, params, log4a):
+        out = real(triples, params, log4a)
+        out.handled[:] = False
+        return out
+
+    monkeypatch.setattr(thick, "thick_batch", batch)
 
 
 class TestRunSurface:
@@ -161,23 +178,28 @@ class TestBatchRouting:
                  ((2, 0), 42, 30, None), ((2, 1), 42, 30, None),
                  ((5, 5), 42, 20, None), ((10, 0), 42, 20, None),
                  ((20, 4), 42, 10, None), ((3, 0), 1, 20, (0.05, 16.0)),
-                 ((0, 5), 3, 200, (0.01, 30.0)))
+                 ((0, 5), 3, 200, (0.01, 30.0)), ((0, 3), 42, 30, None),
+                 ((5, 5), 42, 0, None), ((50, 0), 1, 3, (0.05, 8.0)))
 
     # the errors the long campaigns must reach: relation and develop
     # failures of compact pants, and at (0,5) the mirrored cusp whose
     # stabilizer rounds to a hyperbolic isometry
-    ERRORS = {(3, 0): ("GeometryError: pants relation", "DevelopError: edge"),
-              (0, 5): ("GeometryError: pants relation", "DevelopError: edge",
-                       "GeometryError: no horocycle for hyperbolic "
-                       "isometry")}
+    ERRORS = {((3, 0), (0.05, 16.0)): ("GeometryError: pants relation",
+                                       "DevelopError: edge"),
+              ((0, 5), (0.01, 30.0)): (
+                  "GeometryError: pants relation", "DevelopError: edge",
+                  "GeometryError: no horocycle for hyperbolic isometry")}
 
     @staticmethod
     def campaign(gn, seed, count, lengths):
         build_pants.cache_clear()
         records, summary = report.run_sample_campaign(
             Signature(*gn), seed, count, length_range=lengths)
-        return records, report.to_json({"records": records,
-                                        "summary": summary})
+        rep = {"records": records, "summary": summary}
+        text = report.to_json(rep)
+        # the writer's bytes are json.dumps'
+        assert text == json.dumps(rep, sort_keys=True, indent=2) + "\n"
+        return records, text
 
     @pytest.mark.parametrize(
         "gn, seed, count, lengths", CAMPAIGNS,
@@ -185,15 +207,14 @@ class TestBatchRouting:
     def test_scalar_route_gives_the_same_campaign(self, monkeypatch, gn,
                                                  seed, count, lengths):
         records, batched = self.campaign(gn, seed, count, lengths)
-        monkeypatch.setattr(thick, "thick_batch", lambda triples, params: {})
+        handle_nothing(monkeypatch)
         _, scalar = self.campaign(gn, seed, count, lengths)
         assert batched == scalar
-        if lengths:
-            # the long lengths reach the float64 failures of the sampling
-            # path; the batch must leave the failing pants unhandled
-            errors = " ".join(rec.get("error", "") for rec in records)
-            for error in self.ERRORS[gn]:
-                assert error in errors
+        # the long lengths reach the float64 failures of the sampling
+        # path; the batch must leave the failing pants unhandled
+        errors = " ".join(rec.get("error", "") for rec in records)
+        for error in self.ERRORS.get((gn, lengths), ()):
+            assert error in errors
 
     @staticmethod
     def routes(monkeypatch, sig, seed, count):
@@ -203,10 +224,12 @@ class TestBatchRouting:
         real_kernel = SP.pants_kernel
         batched, handled, scalar = set(), set(), []
 
-        def batch(triples, params):
-            out = real_batch(triples, params)
+        def batch(triples, params, log4a):
+            out = real_batch(triples, params, log4a)
+            triples = list(map(tuple, triples.tolist()))
             batched.update(triples)
-            handled.update(out)
+            handled.update(ls for ls, r in zip(triples, out.row)
+                           if out.handled[r])
             return out
 
         def build(*ls):
@@ -251,10 +274,101 @@ class TestBatchRouting:
 
         monkeypatch.setattr(thick, "_batch", refuse)
         params = shear_free_params()
-        assert thick.thick_batch([], params) == {}
-        assert thick.thick_batch([(math.inf, 1.0, 0.0), (math.nan, 1.0, 1.0),
-                                  (-1.0, 2.0, 0.0)], params) == {}
+        for triples in ([], [(math.inf, 1.0, 0.0), (math.nan, 1.0, 1.0),
+                             (-1.0, 2.0, 0.0)]):
+            batch = thick.thick_batch(triples, params, 1.0)
+            # every input reads the sentinel row, which is not handled
+            assert batch.row.tolist() == [0] * len(triples)
+            assert not batch.handled.any()
         records, summary = report.run_sample_campaign(
             Signature(1, 1), 42, 20, length_range=(2.0, 1.0))
         assert summary["failures"] == 20
         assert all(rec["error"].startswith("ValueError") for rec in records)
+
+    def test_batch_route_builds_no_object_per_triple(self, monkeypatch):
+        # every sample of this campaign passes, so every pants takes the
+        # batch route, which reads arrays: no Isometry (three per pants
+        # as build_pants gives them) and no PantsKernel is built
+        built = Counter()
+
+        def counting(cls):
+            init = cls.__init__
+
+            def counted(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                init(self, *args, **kwargs)
+
+            return counted
+
+        for cls in (G.Isometry, SP.PantsKernel):
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        build_pants.cache_clear()
+        records, summary = report.run_sample_campaign(Signature(3, 2), 42, 20)
+        assert summary["failures"] == 0
+        assert built == Counter()
+        # the count sees what the scalar route builds
+        SP.pants_kernel(build_pants(1.0, 2.0, 0.0), shear_free_params())
+        assert built["Isometry"] and built["PantsKernel"]
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30)
+
+
+class TestToJson:
+    """report.to_json gives json.dumps(sort_keys=True, indent=2)'s bytes
+    with a newline; the campaigns of TestBatchRouting check it too."""
+
+    @staticmethod
+    def same(value):
+        want = json.dumps(value, sort_keys=True, indent=2) + "\n"
+        assert report.to_json(value) == want
+
+    def test_planted_values(self):
+        self.same({
+            "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+            "zero": -0.0, "mixed": [1, 1.0, -2, 2.5e-300, True, None],
+            "bools": {"t": True, "f": False}, "none": None,
+            "empty": {}, "nested": {"a": {}, "b": [], "c": [[], [{}]]},
+            "error": "GeometryError: caf\u00e9 \u2603\n\t\x00 \"q\" \\",
+            "shears": {"(10, 2)": 1.5, "(2, 0)": -0.0, "(1, 1)": math.nan},
+            "list": [{"b": 1, "a": [1, {"z": []}]}, "x", [None]]})
+        for value in ({}, [], [[]], [{}], math.nan, -0.0, "\u00e9", 7, None,
+                      (1, (2.0, {"k": ()}))):
+            self.same(value)
+
+    def test_command_reports(self, tmp_path, capsys):
+        from shearlab import cli
+        from shearlab.surface import canonical_pants_graph, sample_fn
+        chain = tmp_path / "chain.json"
+        pg, fn = sample_fn(Signature(0, 4), 5)
+        chain.write_text(json.dumps({
+            "signature": {"g": 0, "n": 4},
+            "pants": [{"slots": [{kind: ident} for kind, ident in slots]}
+                      for slots in pg.pants],
+            "fn": [{"curve": c, "length": fn.lengths[c],
+                    "twist": fn.twists[c]} for c in pg.curve_ids()]}))
+        surface = tmp_path / "surface.json"
+        pg = canonical_pants_graph(Signature(1, 1))
+        surface.write_text(json.dumps({
+            "signature": {"g": 1, "n": 1},
+            "pants": [{"slots": [{kind: ident} for kind, ident in slots]}
+                      for slots in pg.pants],
+            "fn": [{"curve": 0, "length": 1.3, "twist": 0.4}]}))
+        for argv in (["constants", "--g", "2", "--n", "1"],
+                     ["compute", str(surface)],
+                     ["optimize", str(chain), "--budget", "20"]):
+            cli.main(argv)
+            text = capsys.readouterr().out
+            assert text and text == json.dumps(
+                json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(JSON)
+    def test_search(self, value):
+        self.same(value)

@@ -7,11 +7,12 @@ Subcommands:
   rho' outside [tanh(rho), rho).
 * ``shear compute SURFACE.json``: full pipeline on one surface file.
   Exit 1 on a parse error (including a curve without an fn row or not
-  glued to exactly two slots, and a pants graph that does not match the
-  declared signature), 3 on a geometry-invariant failure (including a
-  non-positive or non-finite length, a non-finite twist, a
-  disconnected gluing graph and a shear point inside a shear-point-free
-  part).
+  glued to exactly two slots, an fn row of a curve that no slot glues,
+  curve or cusp ids that cannot be ordered together, and a pants graph
+  that does not match the declared signature), 3 on a geometry-invariant
+  failure (including a non-positive or non-finite length, a non-finite
+  twist, a disconnected gluing graph and a shear point inside a
+  shear-point-free part).
 * ``shear sample --g G --n N --count K --seed S``: seeded sampling
   campaign; exit 5 if any certified sample violates the shear bound,
   1 for a seed outside [0, 2^64), a negative count, a non-finite or
@@ -43,9 +44,9 @@ import sys
 import time
 
 from . import chains, cusped, report
-from .constants import Signature, area
+from .constants import Signature
 from .geom import GeometryError
-from .surface import holonomy_from_fn
+from .surface import default_length_range, holonomy_from_fn
 
 
 def _write(text: str, out_path):
@@ -133,10 +134,9 @@ def cmd_sample(args) -> int:
     sig = _signature(args)
     length_range = None
     if args.length_min is not None or args.length_max is not None:
-        lo = args.length_min if args.length_min is not None else 0.05
-        hi = (args.length_max if args.length_max is not None
-              else 2.0 * math.log(4.0 * area(sig)))
-        length_range = (lo, hi)
+        lo, hi = default_length_range(sig)
+        length_range = (lo if args.length_min is None else args.length_min,
+                        hi if args.length_max is None else args.length_max)
     problem = _sample_problem(args, length_range)
     if problem:
         print(f"error: {problem}", file=sys.stderr)

@@ -7,15 +7,16 @@ shear and the shear-point margins, and per slot the residual of its
 relation (the two arc-ends at a slot sum to 0 at a cusp and to the
 curve's length at a glued slot).  Every sample of a campaign lies on the
 canonical pants graph of its signature, so the graph's curve-to-slot
-map, its curve checks and the record keys are fixed once per graph; the
-block's curve lengths are a (samples, curves) array and its length
-triples one gather of it, (samples, pants, 3).  A pants takes one of two
-routes, with the same bits:
+map, its curve checks and the record keys are fixed once per graph.  The
+samples are drawn straight into the block's (samples, curves) arrays of
+curve lengths and twists, and its length triples are one gather of them,
+(samples, pants, 3).  A pants takes one of two routes, with the same
+bits:
 
-* every finite pants, cusped and thin ones included, goes first through
-  thick.thick_batch, which builds and develops all the distinct triples
-  of the block at once in numpy, measures their seam arcs and checks the
-  curve holonomies, and returns arrays by distinct triple;
+* every pants goes first through thick.thick_batch, which builds and
+  develops all the triples of the block at once in numpy, in input
+  order, measures their seam arcs and checks the curve holonomies, and
+  returns arrays with a row per triple;
 * every pants the batch does not handle (a check fails, or a rare
   branch is taken) goes through the scalar pants.build_pants,
   spiralling.pants_kernel and decomposition.arc_lengths.  They are the
@@ -23,16 +24,18 @@ routes, with the same bits:
   scalar order: construction errors by pants, then the curve checks by
   curve id, then kernel errors by pants.
 
-Each surface's values are gathered from the batch's rows (or written by
-the scalar route) and reduced per block in numpy: the largest |shear|,
-the largest residual over cusp slots and over curve slots, the least
-margin, and whether every row of the shortness certificate passes, read
-from the curve lengths and decomposition.arcs_short without building the
-rows.  The record holds these and the shears keyed by arc (pants, seam).
-run_surface is a campaign of one surface.  No global holonomy is built.
-Reports are deterministic: records are assembled in sample order and
-contain no wall-clock data (timings go to a side channel).  to_json
-writes json.dumps' indented bytes with the C encoder.
+The batch's arrays are reshaped to (samples, pants), the scalar route
+writes the values of the pants it builds into them, and they are
+reduced per block in numpy: the largest |shear|, the largest residual
+over cusp slots and over curve slots, the least margin, and whether
+every row of the shortness certificate passes, read from the curve
+lengths and decomposition.arcs_short without building the rows.  The
+record holds these, the curve lengths and twists keyed by curve id and
+the shears keyed by arc (pants, seam).  run_surface is a campaign of
+one surface.  No global holonomy is built.  Reports are deterministic:
+records are assembled in sample order and contain no wall-clock data
+(timings go to a side channel).  to_json writes json.dumps' indented
+bytes with the C encoder.
 """
 from __future__ import annotations
 
@@ -41,7 +44,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -51,9 +53,10 @@ from .constants import (RHO, SHORT_CURVE_MAX, Signature, area,
                         topology_constants)
 from .geom import RELATION_TOL, Isometry
 from .pants import build_pants
-from .surface import (DISCONNECTED, FNCoordinates, PantsGraph,
-                      check_curve_holonomy, check_surface, sample_fn,
-                      sample_seed, slot_lengths, validate)
+from .surface import (DISCONNECTED, FNCoordinates, PantsGraph, _draw,
+                      canonical_pants_graph, check_curve_holonomy,
+                      check_surface, default_length_range, sample_seed,
+                      validate)
 
 SCHEMA = "shearlab-report/1"
 
@@ -72,9 +75,11 @@ def parse_surface(data: dict):
      "pants": [{"slots": [{"curve": id} | {"cusp": id}, x3]}, ...],
      "fn": [{"curve": id, "length": l, "twist": t}, ...]}
 
-    Raises ValueError for a malformed slot, a curve without an fn row, or
-    a pants graph that contradicts the declared signature (the first
-    problem surface.validate names).
+    Raises ValueError for a malformed slot, a pants graph that
+    contradicts the declared signature (the first problem
+    surface.validate names), curve or cusp ids that cannot be ordered
+    together (such as 0 and "b"), a curve without an fn row, or an fn
+    row of a curve that no slot glues.
     """
     sig = Signature(int(data["signature"]["g"]), int(data["signature"]["n"]))
     pants = []
@@ -101,9 +106,19 @@ def parse_surface(data: dict):
     problems = [p for p in validate(pg, sig) if p != DISCONNECTED]
     if problems:
         raise ValueError(problems[0])
-    for cid in pg.curve_ends():
+    ends = pg.curve_ends()
+    for kind, ids in (("curve", ends), ("cusp", pg.cusp_slots())):
+        try:
+            sorted(ids)
+        except TypeError:
+            raise ValueError(f"{kind} ids cannot be ordered together: "
+                             + ", ".join(map(repr, ids))) from None
+    for cid in ends:
         if cid not in lengths:
             raise ValueError(f"curve {cid} has no fn row")
+    for cid in lengths:
+        if cid not in ends:
+            raise ValueError(f"fn row of curve {cid}, which no slot glues")
     fn = FNCoordinates(lengths, twists)
     return sig, pg, fn
 
@@ -161,88 +176,93 @@ def _layout(pg: PantsGraph) -> _Layout:
 
 def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
     """Per-pants pipeline on one surface, as a campaign of one; returns
-    its record, or raises the error its scalar route names."""
-    (out,) = _surfaces(sig, pg, [fn], shear_free_params())
+    its record, or raises the error its scalar route names.  A curve
+    that fn gives no length or twist reads as NaN, which check_surface
+    rejects."""
+    cids = _layout(pg).cids
+    lengths = np.array([[fn.lengths.get(c, math.nan) for c in cids]], float)
+    twists = np.array([[fn.twists.get(c, math.nan) for c in cids]], float)
+    (out,) = _surfaces(sig, pg, lengths, twists, shear_free_params())
     if isinstance(out, Exception):
         raise out
     return out
 
 
-def _surfaces(sig: Signature, pg: PantsGraph, fns: list, params) -> list:
+def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists,
+              params) -> list:
     """The record of each surface on pg, or the error it fails with.
 
-    The surfaces' curve lengths and twists are read into (surfaces,
-    curves) arrays and their length triples gathered into (surfaces,
-    pants, 3) and batched (thick.thick_batch).  A surface whose data and
-    graph pass check_surface, whose pants the batch all handled and
-    whose curves pass check_curve_holonomy is read from the batch's rows
-    alone; every other one takes the scalar route (_scalar).
+    lengths and twists are (surfaces, curves) arrays, a column per curve
+    id in _layout order.  The surfaces' length triples are gathered into
+    (surfaces, pants, 3) and batched (thick.thick_batch).  A surface
+    whose data and graph pass check_surface, whose pants the batch all
+    handled and whose curves pass check_curve_holonomy is read from the
+    batch alone; every other one takes the scalar route (_scalar).
     """
     layout = _layout(pg)
     log4a = math.log(4.0 * area(sig))
-    lengths = _table([fn.lengths for fn in fns], layout.cids)
-    twists = _table([fn.twists for fn in fns], layout.cids)
-    # check_surface's checks; a missing length or twist reads as NaN, so
-    # that check_surface raises its KeyError
+    count, pants = len(lengths), pg.num_pants
+    # check_surface's checks
     bad = ~(((lengths > 0.0) & (lengths < math.inf)
              & np.isfinite(twists)).all(axis=1) & layout.sound)
-    triples = np.concatenate([lengths, np.zeros((len(fns), 1))],
+    triples = np.concatenate([lengths, np.zeros((count, 1))],
                              axis=1)[:, layout.columns]
     batch = thick.thick_batch(triples.reshape(-1, 3), params, log4a)
-    rows = batch.row.reshape(triples.shape[:2])
-    # the least margin per row, NaN where a row has none: reduceat gives
-    # an empty row the next row's first margin (or the NaN appended)
+    # the least margin per pants, NaN where a pants has none: reduceat
+    # gives an empty row the next row's first margin, and the last row
+    # every margin up to the +inf appended
     least = np.where(np.diff(batch.first) > 0, np.minimum.reduceat(
-        np.append(batch.margins, math.nan), batch.first[:-1]), math.nan)
+        np.append(batch.margins, math.inf), batch.first[:-1]), math.nan)
+    handled = batch.handled.reshape(count, pants)
+    hol = batch.hol.reshape(count, pants, 3, 4)
     p, s = layout.first_slot
-    fast = ~bad & batch.handled[rows].all(axis=1) & batch.curve_ok[
-        rows[:, p], s].all(axis=1)
+    fast = ~bad & handled.all(axis=1) & batch.curve_ok.reshape(
+        count, pants, 3)[:, p, s].all(axis=1)
     # per surface and pants: the shears and residuals, the least margin
-    # and arcs_short
-    values = (batch.shears[rows], batch.residuals[rows], least[rows],
-              batch.arcs_short[rows])
+    # and arcs_short; _scalar writes into them, and so into the batch,
+    # which is read no further
+    values = (batch.shears.reshape(count, pants, 3),
+              batch.residuals.reshape(count, pants, 3),
+              least.reshape(count, pants),
+              batch.arcs_short.reshape(count, pants))
     out = {}
     for i in np.flatnonzero(~fast).tolist():
         try:
             if bad[i]:
-                check_surface(pg, fns[i])
-            _scalar(layout, pg, fns[i], batch, rows[i], params, log4a,
-                    [v[i] for v in values])
+                check_surface(pg, FNCoordinates(
+                    dict(zip(layout.cids, lengths[i].tolist())),
+                    dict(zip(layout.cids, twists[i].tolist()))))
+            _scalar(layout, triples[i], lengths[i], handled[i], hol[i],
+                    params, log4a, [v[i] for v in values])
         except Exception as err:   # the surface's error, raised or recorded
             out[i] = err
-    good = [i for i in range(len(fns)) if i not in out]
-    out.update(zip(good, _records(sig, layout, log4a, fns, lengths, values,
-                                  good)))
-    return [out[i] for i in range(len(fns))]
+    good = [i for i in range(count) if i not in out]
+    out.update(zip(good, _records(sig, layout, log4a, lengths, twists,
+                                  values, good)))
+    return [out[i] for i in range(count)]
 
 
-def _table(dicts: list, keys: list) -> np.ndarray:
-    """(dicts, keys) array of the dicts' values, NaN where one is missing.
-    sample_fn's dicts hold exactly the keys, in order."""
-    return np.fromiter(chain.from_iterable(
-        d.values() if list(d) == keys else map(d.get, keys, repeat(math.nan))
-        for d in dicts), float, len(dicts) * len(keys)).reshape(
-            len(dicts), len(keys))
-
-
-def _scalar(layout, pg, fn, batch, rows, params, log4a, values):
+def _scalar(layout, triples, lengths, handled, hol, params, log4a, values):
     """Write into values (_surfaces' per-pants values of one surface) those
     of the pants the batch did not handle, from the scalar build_pants,
-    pants_kernel and decomposition.arc_lengths.
+    pants_kernel and decomposition.arc_lengths.  The surface's length
+    triples, curve lengths, and the batch's handled and hol of its pants
+    are its rows of _surfaces' arrays.
 
     The errors come in the order of the scalar path: construction errors
     by pants, then the curve checks by curve id, then kernel errors by
     pants.
     """
     shears, residuals, least, short = values
-    handled = batch.handled[rows].tolist()
-    std = [None if done else build_pants(*slot_lengths(pg, fn, p))
-           for p, done in enumerate(handled)]
+    handled = handled.tolist()
+    std = [None if done else build_pants(*ls)
+           for ls, done in zip(triples.tolist(), handled)]
     pants, slots = (e.tolist() for e in layout.first_slot)
-    for cid, p, s in zip(layout.cids, pants, slots):
-        hol = (Isometry(*batch.hol[rows[p], s].tolist()) if handled[p]
-               else std[p].slot_hol[s])
-        check_curve_holonomy(hol, cid, fn.length(cid))
+    for cid, length, p, s in zip(layout.cids, lengths.tolist(), pants,
+                                 slots):
+        m = (Isometry(*hol[p, s].tolist()) if handled[p]
+             else std[p].slot_hol[s])
+        check_curve_holonomy(m, cid, length)
     for p, sp in enumerate(std):
         if sp is None:
             continue
@@ -256,17 +276,9 @@ def _scalar(layout, pg, fn, batch, rows, params, log4a, values):
             decomposition.arc_lengths(sp.lengths), log4a)
 
 
-def _by_key(values: dict, layout: _Layout) -> dict:
-    """The values by str(key), in key order; sample_fn gives them in
-    curve id order."""
-    if list(values) == layout.cids:
-        return dict(zip(layout.cid_keys, values.values()))
-    return {str(k): v for k, v in sorted(values.items())}
-
-
-def _records(sig, layout, log4a, fns, lengths, values, good) -> list:
+def _records(sig, layout, log4a, lengths, twists, values, good) -> list:
     """The records of the surfaces good on one graph, from _surfaces'
-    values.
+    arrays.
 
     certified reads the shortness certificate from the floats: every
     curve is at most 2 log(4 area) long and every pants passes
@@ -284,10 +296,11 @@ def _records(sig, layout, log4a, fns, lengths, values, good) -> list:
     margin = np.fmin.reduce(least, axis=1).tolist()
     certified = ((lengths <= 2.0 * log4a).all(axis=1)
                  & short.all(axis=1)).tolist()
-    flat = shears.reshape(len(fns), len(layout.shear_keys)).tolist()
+    flat = shears.reshape(len(lengths), len(layout.shear_keys)).tolist()
+    fn_lengths, fn_twists = lengths.tolist(), twists.tolist()
     return [{
-        "fn": {"lengths": _by_key(fns[i].lengths, layout),
-               "twists": _by_key(fns[i].twists, layout)},
+        "fn": {"lengths": dict(zip(layout.cid_keys, fn_lengths[i])),
+               "twists": dict(zip(layout.cid_keys, fn_twists[i]))},
         "shears": dict(zip(layout.shear_keys, flat[i])),
         "max_shear": top[i],
         "bound": bound,
@@ -398,27 +411,35 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
                         length_range=None, twist_range=(0.0, 1.0)):
     """Seeded sampling campaign; per-sample failures are recorded.
 
-    The samples are drawn a block at a time, and each block runs as one
-    array program (_surfaces): one batch of its pants, then per-surface
-    reductions in numpy.
+    The samples are drawn a block at a time, each straight into its row
+    of the block's (samples, curves) arrays with sample_fn's draw, and
+    each block runs as one array program (_surfaces): one batch of its
+    pants, then per-surface reductions in numpy.
     """
     params = shear_free_params()
+    # every sample lies on the canonical graph of sig
+    pg = canonical_pants_graph(sig)
+    curves = len(_layout(pg).cids)
+    if length_range is None:
+        length_range = default_length_range(sig)
     records = []
     for start in range(0, count, _BLOCK):
-        drawn, fns = [], []
-        for i in range(start, min(count, start + _BLOCK)):
+        size = min(count, start + _BLOCK) - start
+        lengths, twists = np.empty((2, size, curves))
+        drawn = []
+        for i in range(start, start + size):
             rec = {"seed": sample_seed(seed, i)}
             try:
-                # every sample lies on the canonical graph of sig
-                pg, fn = sample_fn(sig, rec["seed"], length_range=length_range,
-                                   twist_range=twist_range)
+                lengths[len(drawn)], twists[len(drawn)] = _draw(
+                    rec["seed"], curves, length_range, twist_range)
                 drawn.append(rec)
-                fns.append(fn)
             except Exception as err:   # recorded, campaign continues
                 rec["error"] = f"{type(err).__name__}: {err}"
             records.append(rec)
-        if fns:
-            for rec, out in zip(drawn, _surfaces(sig, pg, fns, params)):
+        if drawn:
+            k = len(drawn)
+            for rec, out in zip(drawn, _surfaces(sig, pg, lengths[:k],
+                                                 twists[:k], params)):
                 if isinstance(out, Exception):
                     rec["error"] = f"{type(out).__name__}: {out}"
                 else:

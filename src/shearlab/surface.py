@@ -351,29 +351,41 @@ def _check_holonomy(hol: Holonomy):
                 f"tree gluing along curve {cid} is inconsistent")
 
 
+def default_length_range(sig: Signature) -> tuple:
+    """sample_fn's default length range, (0.05, 2 log(4 area)]."""
+    return 0.05, 2.0 * math.log(4.0 * area(sig))
+
+
 def sample_fn(sig: Signature, seed: int, length_range=None,
               twist_range=(0.0, 1.0)):
     """Seeded random surface on the canonical pants graph.
 
     Lengths are uniform in length_range, which defaults to
-    (0.05, 2 log(4 area)].  The twist of each curve is u * length for u
-    uniform in twist_range.  The lengths are drawn first, in curve id
-    order, then the u; one vector draw each gives the same values as
-    one scalar draw per curve.
+    default_length_range(sig); the draw is _draw's, in curve id order.
     """
     pg = canonical_pants_graph(sig)
     if length_range is None:
-        length_range = (0.05, 2.0 * math.log(4.0 * area(sig)))
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        length_range = default_length_range(sig)
     cids = pg.curve_ids()
-    if not cids:
-        # nothing is drawn, so nothing checks the ranges
-        return pg, FNCoordinates({}, {})
-    drawn = rng.uniform(length_range[0], length_range[1], len(cids)).tolist()
-    us = rng.uniform(twist_range[0], twist_range[1], len(cids)).tolist()
-    lengths = dict(zip(cids, drawn))
-    twists = {cid: u * length for cid, u, length in zip(cids, us, drawn)}
-    return pg, FNCoordinates(lengths, twists)
+    lengths, twists = _draw(seed, len(cids), length_range, twist_range)
+    return pg, FNCoordinates(dict(zip(cids, lengths.tolist())),
+                             dict(zip(cids, twists.tolist())))
+
+
+def _draw(seed: int, curves: int, length_range, twist_range):
+    """The lengths and twists of the curves of a seeded sample, as arrays.
+
+    The lengths are uniform in length_range, and the twist of each curve
+    is u * length for u uniform in twist_range.  The lengths are drawn
+    first, then the u; one vector draw each gives the same values as one
+    scalar draw per curve.  With no curve nothing is drawn, so nothing
+    checks the ranges.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    if not curves:
+        return np.zeros(0), np.zeros(0)
+    lengths = rng.uniform(*length_range, curves)
+    return lengths, rng.uniform(*twist_range, curves) * lengths
 
 
 def sample_seed(base_seed: int, index: int) -> int:

@@ -4,13 +4,15 @@ thick_batch runs the construction (pants.build_pants), the develop and
 shear-point margins (spiralling.pants_kernel), the seam-arc lengths
 (decomposition.arc_lengths and arcs_short) and the curve-length check
 of each slot's holonomy (surface.check_curve_holonomy) over numpy arrays
-of all the distinct finite length triples of a block of samples at
-once, cusped and thin pants included.  It uses the same formulas in the
-same operation order as the scalar code, so a triple it handles gets the
+of every length triple of a block of samples at once, in input order,
+cusped and thin pants included.  It uses the same formulas in the same
+operation order as the scalar code, so a triple it handles gets the
 scalar path's bits: slot holonomies, shears, residuals, margins in
-kernel order, quadrilaterals and arc lengths.  It returns them as
-arrays indexed by distinct-triple row (Batch), with no object per
-triple; report reduces them per surface.  (The module keeps its name
+kernel order, quadrilaterals and arc lengths.  Every operation is
+elementwise, so a triple's bits do not depend on the others in its
+batch, and a repeated triple gets the same bits each time.  It returns
+them as arrays with one row per input triple (Batch), with no object
+per triple; report reduces them per surface.  (The module keeps its name
 from when it batched only the thick compact pants.)
 
 Elementwise + - * /, abs, comparisons, np.sqrt and np.hypot (libm's
@@ -29,13 +31,14 @@ numpy transcendental, ``**`` or complex number here.
 A cusp at slot 1 lies at infinity; the points at infinity of
 two_point_mat, three_point_mat, cross_ratio, mat_apply_boundary and
 reflection_mat are taken by masks, per element.  A triple is handled
-only when every check of the scalar path passes and only the branches
-written here are taken.  Any failed check (a margin that is not
-positive included), zero denominator, near-vertical fixed-point branch
-of a curve slot, class other than the expected one, or non-finite value
-leaves the triple unhandled: it goes through the unchanged scalar
-build_pants, pants_kernel and arc_lengths, which are the reference of
-this batch and report its errors by name.
+only when its lengths are finite and not negative, every check of the
+scalar path passes and only the branches written here are taken.  Any
+failed check (a margin that is not positive included), zero
+denominator, near-vertical fixed-point branch of a curve slot, class
+other than the expected one, or non-finite value leaves the triple
+unhandled: it goes through the unchanged scalar build_pants,
+pants_kernel and arc_lengths, which are the reference of this batch and
+report its errors by name.
 """
 
 from __future__ import annotations
@@ -54,16 +57,12 @@ from .spiralling import _FIX_TOL
 
 @dataclass(slots=True)
 class Batch:
-    """The batch's results, as arrays indexed by distinct-triple row.
+    """The batch's results, as arrays with one row per input triple.
 
-    row gives the row of each input triple.  The last row is a sentinel,
-    not handled, for the inputs the batch does not compute (a length
-    that is not finite, or negative).  Only the rows where handled holds
-    carry the scalar path's values; every other triple is left to the
-    scalar route.
+    Only the rows where handled holds carry the scalar path's values;
+    every other triple is left to the scalar route.
     """
 
-    row: np.ndarray           # (inputs,) row per input triple
     handled: np.ndarray       # (rows,) every check passed
     shears: np.ndarray        # (rows, 3) shear of seam arc k
     residuals: np.ndarray     # (rows, 3) relation residual at slot s
@@ -240,57 +239,17 @@ def _corner(x, cusp):
     return np.isfinite(x) | cusp & (x == INF)
 
 
+@np.errstate(all="ignore")
 def thick_batch(triples, params: ShearFreeParams, log4a: float) -> Batch:
-    """The Batch of the distinct triples, arcs_short at log4a.
+    """The Batch of the triples, arcs_short at log4a: its row r is
+    triples[r], a boundary-length triple (0 = cusp).  triples is a
+    sequence or an (inputs, 3) array.
 
-    triples are boundary-length triples (0 = cusp), as a sequence or an
-    (inputs, 3) array; only the distinct ones whose lengths are all
-    finite and not negative are computed.  When there are none, only
-    the sentinel row is returned, and _batch does no array work.
+    Every array below has a row per slot s, seam k or arc k (shape (3,
+    inputs)): slot s lies between seams _SEAM_ENDS[s], and arc k joins
+    the slots _SEAM_ENDS[k].
     """
-    lengths = np.asarray(triples, dtype=float).reshape(-1, 3)
-    finite = ((lengths >= 0.0) & (lengths < INF)).all(axis=1)
-    # distinct triples by their bytes
-    todo, inverse = np.unique(
-        np.ascontiguousarray(lengths[finite]).view(_TRIPLE).ravel(),
-        return_inverse=True)
-    n = len(todo)
-    row = np.full(len(lengths), n)
-    row[finite] = inverse
-    if not n:
-        return _unhandled(row)
-    with np.errstate(all="ignore"):
-        return _batch(todo.view(float).reshape(n, 3).T, row, params, log4a)
-
-
-_TRIPLE = np.dtype((np.void, 24))
-
-
-def _unhandled(row):
-    """The Batch of the sentinel row alone."""
-    nan = math.nan
-    return Batch(row, np.zeros(1, dtype=bool), np.full((1, 3), nan),
-                 np.full((1, 3), nan), np.zeros(0), np.zeros(2, dtype=int),
-                 np.zeros(1, dtype=bool), np.full((1, 3), nan),
-                 np.zeros((1, 3), dtype=bool), np.full((1, 3, 4), nan),
-                 np.full((1, 3, 4), nan), np.full((1, 3, 3), nan))
-
-
-def _rows(x, fill=math.nan):
-    """x, with one entry per triple along its last axis, as rows, and the
-    sentinel row fill."""
-    x = np.moveaxis(x, -1, 0)
-    return np.concatenate([x, np.full((1,) + x.shape[1:], fill,
-                                      dtype=x.dtype)])
-
-
-def _batch(lengths, row, params, log4a):
-    """thick_batch on the distinct finite triples, lengths[:, i] the i-th.
-
-    Every array has a row per slot s, seam k or arc k (shape (3, n)):
-    slot s lies between seams _SEAM_ENDS[s], and arc k joins the slots
-    _SEAM_ENDS[k].
-    """
+    lengths = np.asarray(triples, dtype=float).reshape(-1, 3).T
     n = lengths.shape[1]
     alphas = lengths / 2.0
     cusp = alphas == 0.0
@@ -300,8 +259,8 @@ def _batch(lengths, row, params, log4a):
     ts = _each(_seam_param, alphas, np.ones(lengths.shape, dtype=bool))
     # a slot is a cusp for build_pants, for decomposition and for its
     # seam branch alike
-    ok = ((ts != 1.0) & ((ts == 0.0) == cusp)
-          & ((lengths == 0.0) == cusp)).all(axis=0)
+    ok = ((lengths >= 0.0) & (lengths < INF) & (ts != 1.0)
+          & ((ts == 0.0) == cusp) & ((lengths == 0.0) == cusp)).all(axis=0)
     p, t2, t3 = ts
     _, c1, c2 = cusp
     b = (1.0 + p * t2 - t3 * (t2 + p)) / (t3 - 1.0)
@@ -461,14 +420,12 @@ def _batch(lengths, row, params, log4a):
     arcs[:, :, rows] = np.stack([raw, slack, trunc], axis=1)
     arcs_short = np.zeros(n, dtype=bool)
     arcs_short[rows] = short
-    # the margins of triple i are margins[first[i]:first[i + 1]]; the
-    # sentinel row has none
-    counts = np.bincount(col, minlength=n + 1)
-    first = np.concatenate([[0], np.cumsum(counts)])
-    return Batch(row, _rows(ok, False), _rows(shears), _rows(residuals),
-                 margins, first, _rows(arcs_short, False), _rows(got),
-                 _rows(curve_ok, False), _rows(np.stack(hol, axis=1)),
-                 _rows(np.stack([pk, front, qk, back], axis=1)), _rows(arcs))
+    # the margins of triple i are margins[first[i]:first[i + 1]]
+    first = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
+    return Batch(ok, shears.T, residuals.T, margins, first, arcs_short,
+                 got.T, curve_ok.T, np.moveaxis(np.stack(hol, axis=1), -1, 0),
+                 np.moveaxis(np.stack([pk, front, qk, back], axis=1), -1, 0),
+                 np.moveaxis(arcs, -1, 0))
 
 
 def _truncated_width(params):

@@ -124,15 +124,15 @@ CLASSES = ("thick", "thin", "one cusp", "two or three cusps")
 
 
 def check_routes(triples, params, kinds, shares):
-    """Run both routes on the triples; returns the handled count.
+    """Run both routes on every triple, repeats included (row r of the
+    batch is triple r); returns the handled count.
 
     kinds counts the scalar failures by check kind, and shares the
     triples per class as [total, passed by the scalar path, handled].
     """
     batch = thick.thick_batch(triples, params, LOG4A)
     short_max = 2.0 * math.tanh(params.rho)
-    rows = dict(zip(map(tuple, triples), batch.row.tolist()))
-    for ls, r in rows.items():
+    for r, ls in enumerate(map(tuple, triples)):
         want = scalar(ls, params)
         share = shares.setdefault(pants_class(ls, short_max), [0, 0, 0])
         share[0] += 1

@@ -220,6 +220,32 @@ class TestMalformedSurface:
         one_line_error(capsys, [command, path], 1,
                        "expected 13 pants for signature, found 1")
 
+    @pytest.mark.parametrize("command", ["compute", "optimize"])
+    def test_fn_row_of_no_curve(self, tmp_path, capsys, command):
+        # the row would otherwise be written into the record's fn
+        bad = json.loads(json.dumps(SURFACE_11))
+        bad["fn"].append({"curve": 7, "length": 99.0})
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, [command, path], 1,
+                       "fn row of curve 7, which no slot glues")
+
+    @pytest.mark.parametrize("command", ["compute", "optimize"])
+    @pytest.mark.parametrize("kind", ["curve", "cusp"])
+    def test_ids_that_cannot_be_ordered(self, tmp_path, capsys, command,
+                                        kind):
+        # the record keys and the curve checks follow the order of the ids
+        bad = json.loads(json.dumps(SURFACE_04))
+        slot = bad["pants"][0]["slots"][2 if kind == "curve" else 1]
+        slot[kind] = "b"
+        if kind == "curve":
+            bad["pants"].insert(1, {"slots": [{"curve": "b"}, {"cusp": 4},
+                                              {"curve": 0}]})
+            bad["signature"]["n"] = 5
+            bad["fn"].append({"curve": "b", "length": 1.0})
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, [command, path], 1,
+                       f"{kind} ids cannot be ordered together")
+
     def test_disconnected_gluing_graph(self, tmp_path, capsys):
         bad = {"signature": {"g": 0, "n": 4},
                "pants": [{"slots": [{"curve": 0}, {"curve": 0},
@@ -291,6 +317,19 @@ class TestSampleCommand:
     def test_empty_or_invalid_ranges(self, capsys, flags, needle):
         one_line_error(capsys, ["sample", "--g", "1", "--n", "1",
                                 "--count", "2", *flags], 1, needle)
+
+    @pytest.mark.parametrize("flags, want", [
+        ([], None),
+        (["--length-min", "1.5"], [1.5, 2.0 * math.log(8.0 * math.pi)]),
+        (["--length-max", "3.5"], [0.05, 3.5]),
+    ])
+    def test_config_length_range(self, capsys, flags, want):
+        # a flag left out takes its default; with neither flag the config
+        # records no range
+        code, out = run(["sample", "--g", "1", "--n", "1", "--count", "2",
+                         *flags], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["length_range"] == want
 
     def test_degenerate_ranges_sample(self, capsys):
         code, out = run(["sample", "--g", "1", "--n", "1", "--count", "2",

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,24 @@ class TestCampaign:
         for rec in good:
             assert rec["shears"]  # shears still reported
 
+    @pytest.mark.parametrize("gn, count", [((0, 3), 5), ((1, 1), 30),
+                                           ((5, 5), 40)])
+    def test_records_are_run_surface_records(self, gn, count):
+        # a campaign's record, or its error, is run_surface's on the
+        # sample_fn surface of the record's seed
+        sig = Signature(*gn)
+        records, _ = report.run_sample_campaign(sig, 42, count)
+        for rec in records:
+            pg, fn = S.sample_fn(sig, rec["seed"])
+            try:
+                want = dict(report.run_surface(sig, pg, fn), seed=rec["seed"])
+            except Exception as err:
+                want = {"seed": rec["seed"],
+                        "error": f"{type(err).__name__}: {err}"}
+            assert report.to_json(rec) == report.to_json(want)
+        if gn == (5, 5):
+            assert any("error" in rec for rec in records)
+
     def test_json_roundtrip_stable(self):
         records, summary = report.run_sample_campaign(Signature(1, 1), 3, 2)
         rep = report.assemble({"command": "sample", "g": 1, "n": 1,
@@ -166,7 +185,7 @@ class TestCampaign:
 
 
 class TestBatchRouting:
-    """Every finite pants of a campaign goes through thick.thick_batch.
+    """Every pants of a campaign goes through thick.thick_batch.
 
     The scalar build_pants and pants_kernel are its reference: with the
     batch handling nothing, every record and summary, error strings
@@ -228,8 +247,8 @@ class TestBatchRouting:
             out = real_batch(triples, params, log4a)
             triples = list(map(tuple, triples.tolist()))
             batched.update(triples)
-            handled.update(ls for ls, r in zip(triples, out.row)
-                           if out.handled[r])
+            handled.update(ls for ls, done in zip(triples, out.handled)
+                           if done)
             return out
 
         def build(*ls):
@@ -265,21 +284,44 @@ class TestBatchRouting:
                      {ls for ls in batched if 0.0 < min(ls) <= short_max}):
             assert len(handled & thin) >= 0.95 * len(thin) > 0
 
-    def test_no_finite_triple_no_numpy_work(self, monkeypatch):
-        # a block with no finite triple returns before any array work:
-        # an empty block, every sample failed to draw, or a length that
-        # check_surface rejects before any pants is built
-        def refuse(todo, params):
-            raise AssertionError("batched a block with no finite triple")
-
-        monkeypatch.setattr(thick, "_batch", refuse)
+    def test_batch_rows_are_the_input_triples(self):
+        # row r of the batch is triple r: a handled row has the bits of
+        # a batch of its triple alone, so a repeated triple gets the same
+        # bits at each of its rows; a length that is not finite, or
+        # negative, leaves its triple unhandled (the sign of a NaN the
+        # unhandled rows carry is not pinned)
         params = shear_free_params()
-        for triples in ([], [(math.inf, 1.0, 0.0), (math.nan, 1.0, 1.0),
-                             (-1.0, 2.0, 0.0)]):
-            batch = thick.thick_batch(triples, params, 1.0)
-            # every input reads the sentinel row, which is not handled
-            assert batch.row.tolist() == [0] * len(triples)
-            assert not batch.handled.any()
+        good = [(1.0, 2.0, 0.0), (0.3, 0.0, 0.0), (2.5, 1.5, 3.0)]
+        bad = [(math.inf, 1.0, 0.0), (math.nan, 1.0, 1.0),
+               (-1.0, 2.0, 0.0), (1.0, 1.0, -math.inf)]
+        triples = [good[0], bad[0], good[1], good[0], bad[1], good[2],
+                   bad[2], good[1], bad[3], good[2]]
+        batch = thick.thick_batch(triples, params, 1.0)
+        assert batch.handled.tolist() == [ls in good for ls in triples]
+
+        def bits(batch, r):
+            return [getattr(batch, f.name)[r].tobytes()
+                    for f in fields(thick.Batch)
+                    if f.name not in ("margins", "first")] + [
+                batch.margins[batch.first[r]:batch.first[r + 1]].tobytes()]
+
+        for r, ls in enumerate(triples):
+            alone = thick.thick_batch([ls], params, 1.0)
+            assert alone.handled.tolist() == [batch.handled[r]]
+            if batch.handled[r]:
+                assert bits(batch, r) == bits(alone, 0), ls
+        assert bits(batch, 0) == bits(batch, 3)
+        assert bits(batch, 5) == bits(batch, 9)
+        empty = thick.thick_batch([], params, 1.0)
+        assert empty.handled.shape == (0,) and empty.first.tolist() == [0]
+
+    def test_no_finite_triple_no_numpy_work(self, monkeypatch):
+        # a block in which every sample failed to draw has no triple, and
+        # runs no array work
+        def refuse(triples, params, log4a):
+            raise AssertionError("batched a block with no triple")
+
+        monkeypatch.setattr(thick, "thick_batch", refuse)
         records, summary = report.run_sample_campaign(
             Signature(1, 1), 42, 20, length_range=(2.0, 1.0))
         assert summary["failures"] == 20

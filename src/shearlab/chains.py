@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import geom
 from .cusped import CuspedTriangulation, _shear_of_quad
@@ -293,9 +292,10 @@ def build_cusped_chain(hol: Holonomy):
     snake += [cusp_at[(a, 1)] for a in range(m)]
     snake.append(cusp_at[(m - 1, 2)])
 
-    # Work in the frame of the middle pants with exact-rational placement
-    # products: far-frame conjugates of parabolics are otherwise too large
-    # for float64 to carry their fixed points at the window scale.
+    # Work in the frame of the middle pants with exact placement products
+    # on integers (see _exact), each entry rounded once: far-frame
+    # conjugates of parabolics are otherwise too large for float64 to
+    # carry their fixed points at the window scale.
     frames = _centered_frames(hol)
     w_point = {}
     for ident, (p, s) in pg.cusp_slots().items():
@@ -334,57 +334,78 @@ def build_cusped_chain(hol: Holonomy):
 def _centered_frames(hol: Holonomy):
     """Exact placement of every pants relative to the middle one.
 
-    Returned as tuples of Fractions (a, b, c, d); the root paths hold one
+    Returned as exact matrices (see _exact); the root paths hold one
     float gluing map per tree edge, so each frame is a short exact product.
     """
     center = (hol.graph.num_pants - 1) // 2
     to_center = _exact(Isometry.identity())
     for e in hol.root_paths[center]:
-        to_center = geom.mat_mul(to_center, _exact(e))
-    base = _exact_inverse(to_center)
+        to_center = _mul(to_center, _exact(e))
+    base = _inverse(to_center)
     frames = []
     for p in range(hol.graph.num_pants):
         out = base
         for e in hol.root_paths[p]:
-            out = geom.mat_mul(out, _exact(e))
+            out = _mul(out, _exact(e))
         frames.append(out)
     return frames
 
 
 def _exact(iso: Isometry):
-    """The entries of an isometry as exact Fractions (a, b, c, d)."""
-    return (Fraction(iso.a), Fraction(iso.b), Fraction(iso.c),
-            Fraction(iso.d))
+    """An isometry as an exact matrix: integers (a, b, c, d, den) with
+    the entries (a, b, c, d) / den, den > 0."""
+    ratios = [v.as_integer_ratio() for v in (iso.a, iso.b, iso.c, iso.d)]
+    den = max(q for _, q in ratios)     # each q is a power of two
+    return (*(p * (den // q) for p, q in ratios), den)
 
 
-def _exact_inverse(m):
-    a, b, c, d = m
+def _mul(m, n):
+    """Product of exact matrices: the numerator matrices and the
+    denominators multiply, with no reduction."""
+    return (*geom.mat_mul(m[:4], n[:4]), m[4] * n[4])
+
+
+def _inverse(m):
+    """Inverse of an exact matrix: den adj / det, denominator made positive."""
+    a, b, c, d, k = m
     det = a * d - b * c
-    return (d / det, -b / det, -c / det, a / det)
+    if det < 0:
+        k, det = -k, -det
+    return (k * d, -k * b, -k * c, k * a, det)
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den rounded once to float, a zero to +0.0.
+
+    CPython's int true division rounds correctly, so the bits depend
+    only on the value of the ratio, not on how it is reduced.
+    """
+    if den < 0:
+        num, den = -num, -den
+    return num / den
 
 
 def _frame_apply(frame, pt):
     """Boundary action of an exact frame, rounded once to float."""
-    a, b, c, d = frame
+    a, b, c, d, _ = frame
     if pt == INF:
-        return INF if c == 0 else float(a / c)
-    x = Fraction(pt)
-    den = c * x + d
+        return INF if c == 0 else _quotient(a, c)
+    p, q = pt.as_integer_ratio()
+    den = c * p + d * q
     if den == 0:
         return INF
-    return float((a * x + b) / den)
+    return _quotient(a * p + b * q, den)
 
 
 def _frame_conj(frame, iso: Isometry) -> Isometry:
-    """frame iso frame^-1 in exact rationals, rounded once to float.
+    """frame iso frame^-1 in exact arithmetic, each entry rounded once.
 
     The conjugate of a parabolic by a large-entry frame has entries that
     cancel from products thousands of times larger; float64 alone leaves
     absolute errors big enough to spoil downstream cross-ratios.
     """
-    m = geom.mat_mul(geom.mat_mul(frame, _exact(iso)),
-                      _exact_inverse(frame))
-    return Isometry(*(float(v) for v in m))
+    *m, den = _mul(_mul(frame, _exact(iso)), _inverse(frame))
+    return Isometry(*(_quotient(v, den) for v in m))
 
 
 def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
@@ -483,7 +504,7 @@ def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
     # search tree small, and two words reaching the same lift conjugate
     # the cusp parabolic identically.  Floating point is used to steer the
     # search; a candidate's point and parabolic are then re-evaluated in
-    # exact rational arithmetic from its generator sequence, since words
+    # exact integer arithmetic from its generator sequence, since words
     # of large-entry matrices drift by far more than the window scale.
     seen = set()
     frontier = [(base_point, ())]
@@ -510,10 +531,10 @@ def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
 
 
 def _evaluate_exact(gens, seq, base_point, base_parab):
-    """Exact-rational point and conjugated parabolic of a generator word."""
+    """Exact point and conjugated parabolic of a generator word."""
     word = _exact(Isometry.identity())
     for gi in reversed(seq):
-        word = geom.mat_mul(_exact(gens[gi]), word)
+        word = _mul(_exact(gens[gi]), word)
     return _frame_apply(word, base_point), _frame_conj(word, base_parab)
 
 

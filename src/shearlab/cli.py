@@ -6,10 +6,11 @@ Subcommands:
   plus the self-audit, as JSON.  Exit 2 if the audit fails, 1 for a
   rho' outside [tanh(rho), rho).
 * ``shear compute SURFACE.json``: full pipeline on one surface file.
-  Exit 1 on a parse error (including a curve without an fn row or not
-  glued to exactly two slots, an fn row of a curve that no slot glues,
-  curve or cusp ids that cannot be ordered together, and a pants graph
-  that does not match the declared signature), 3 on a geometry-invariant
+  Exit 1 on a parse error (including a curve without an fn row, with
+  two fn rows or not glued to exactly two slots, an fn row of a curve
+  that no slot glues, curve or cusp ids that cannot be ordered
+  together, and a pants graph that does not match the declared
+  signature), 3 on a geometry-invariant
   failure (including a non-positive or non-finite length, a non-finite
   twist, a disconnected gluing graph and a shear point inside a
   shear-point-free part).
@@ -26,7 +27,8 @@ Subcommands:
   flips only the edge it takes, in place.  Exit 1 on a parse error (as for
   ``compute``), a negative budget or a seed outside [0, 2^64), 4 for
   surfaces without a supported start triangulation or that fail a
-  geometry invariant (as for ``compute``).
+  geometry invariant (as for ``compute``, and a twist so large that a
+  gluing map is not finite in float64).
 
 Boundary lengths too long for float64 (about 76 and up) fail the pants
 construction: ``compute`` exits 3 and ``optimize`` exits 4.

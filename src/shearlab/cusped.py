@@ -6,11 +6,15 @@ flipped, the shears transforming by the standard local rule; the whole
 structure can be rebuilt into a holonomy representation by developing
 triangle by triangle, which provides the round-trip oracle.
 
-A flip changes only its two faces and the five edges they carry.  The
-in-place core re-glues those faces, renames those shears and checks
-those faces and their neighbours; the public flip runs it on a copy and
-checks the whole result, and the minimax search runs it on one working
-copy, checked whole once on entry.
+Flips run on one flat encoding of the complex: side s of face f is the
+integer 3f + s, the gluing and the cusp labels are lists indexed by
+side, and the shears a dict keyed by integer edge keys.  A flip changes
+only its two faces and the five edges they carry.  The one in-place
+flip kernel re-glues those faces, renames those shears and checks those
+faces and their neighbours, with the one face check that check() also
+runs.  The public flip encodes its inputs, flips and checks the whole
+result; the minimax search encodes once, checks the whole complex once
+and flips its encoding in place, decoding only the best state.
 """
 
 from __future__ import annotations
@@ -52,28 +56,14 @@ class CuspedTriangulation:
                                    glue=dict(self.glue))
 
     def check(self):
-        self.check_faces(range(len(self.verts)))
+        """Check every face (see check_faces)."""
+        _check(*_encode(self))
 
     def check_faces(self, faces):
-        """Check the given faces: triangles, glued by an involution, and
-        carrying the same cusps as their partners across each side."""
-        glue, verts = self.glue, self.verts
-        for f in faces:
-            vs = verts[f]
-            if len(vs) != 3:
-                raise ValueError(f"face {f} is not a triangle")
-            for s, t in ((0, 1), (1, 2), (2, 0)):
-                key = (f, s)
-                partner = glue.get(key)
-                if partner is None:
-                    raise ValueError(f"side {key} is unglued")
-                if glue.get(partner) != key:
-                    raise ValueError(f"gluing is not an involution at {key}")
-                # glued sides carry the same cusps, traversed oppositely
-                f2, s2 = partner
-                vs2 = verts[f2]
-                if vs[s] != vs2[(s2 + 1) % 3] or vs[t] != vs2[s2]:
-                    raise ValueError(f"cusp labels disagree across {key}")
+        """Check the given faces: glued by an involution, and carrying the
+        same cusps as their partners across each side.  Every face must
+        be a triangle and every side glued."""
+        _check_faces(*_encode(self), faces)
 
     def vertex_links(self):
         """cusp id -> list of (face, corner) in cyclic order around it."""
@@ -117,55 +107,123 @@ def max_abs_shear(sigma: dict) -> float:
 
 
 # ---------------------------------------------------------------------------
-# flips
+# flips, on a flat encoding
+#
+# Side s of face f is the integer i = 3f + s, so integer order is (face,
+# side) order.  glue[i] is the side glued to side i and labels[i] the
+# cusp at the start of side i; the shears are a dict keyed by the edge
+# key min(i, glue[i]), in the order of the shear vector they encode.
+
+_NEXT = (1, 1, -2)      # side i + _NEXT[i % 3] follows side i in its face
+_PREV = (2, -1, -1)     # side i + _PREV[i % 3] precedes it
 
 
-def flippable(cx: CuspedTriangulation, edge) -> bool:
-    f1, _ = edge
-    f2, _ = cx.glue[edge]
+def _encode(cx: CuspedTriangulation):
+    """The flat glue and labels of a triangulation.
+
+    Raises ValueError for a face that is not a triangle, an unglued side
+    or a side glued to something that is not a side.
+    """
+    labels = []
+    for f, vs in enumerate(cx.verts):
+        if len(vs) != 3:
+            raise ValueError(f"face {f} is not a triangle")
+        labels.extend(vs)
+    glue = []
+    for i in range(len(labels)):
+        side = divmod(i, 3)
+        partner = cx.glue.get(side)
+        if partner is None:
+            raise ValueError(f"side {side} is unglued")
+        f2, s2 = partner
+        j = 3 * f2 + s2
+        if not (0 <= s2 < 3 and 0 <= j < len(labels)):
+            raise ValueError(f"gluing is not an involution at {side}")
+        glue.append(j)
+    return glue, labels
+
+
+def _encode_shears(sigma: dict) -> dict:
+    return {3 * f + s: v for (f, s), v in sigma.items()}
+
+
+def _decode(glue, labels, shears):
+    """The triangulation and shear vector of a flat encoding."""
+    cx = CuspedTriangulation(
+        verts=[tuple(labels[i:i + 3]) for i in range(0, len(labels), 3)],
+        glue={divmod(i, 3): divmod(j, 3) for i, j in enumerate(glue)})
+    return cx, {divmod(k, 3): v for k, v in shears.items()}
+
+
+def _copy(glue, labels, shears):
+    return glue[:], labels[:], dict(shears)
+
+
+def _check(glue, labels):
+    _check_faces(glue, labels, range(len(glue) // 3))
+
+
+def _check_faces(glue, labels, faces):
+    """Check that the given faces are glued by an involution and carry
+    the same cusps as their partners across each side."""
+    for f in faces:
+        for i in range(3 * f, 3 * f + 3):
+            j = glue[i]
+            if glue[j] != i:
+                raise ValueError(
+                    f"gluing is not an involution at {divmod(i, 3)}")
+            # glued sides carry the same cusps, traversed oppositely
+            if (labels[i] != labels[j + _NEXT[j % 3]]
+                    or labels[i + _NEXT[i % 3]] != labels[j]):
+                raise ValueError(f"cusp labels disagree across {divmod(i, 3)}")
+
+
+def _edge_keys(glue):
+    return [i for i, j in enumerate(glue) if i <= j]
+
+
+def _flippable(glue, i) -> bool:
+    f1, f2 = i // 3, glue[i] // 3
     if f1 == f2:
         return False
-    glue = cx.glue
-    shared = (glue[(f1, 0)][0], glue[(f1, 1)][0], glue[(f1, 2)][0])
-    return shared.count(f2) == 1
+    b = 3 * f1
+    return (glue[b] // 3, glue[b + 1] // 3, glue[b + 2] // 3).count(f2) == 1
 
 
-def _flipped_shears(cx: CuspedTriangulation, sigma: dict, edge) -> dict:
-    """The shears a flip of the edge changes, keyed by the old edge keys.
+def _flip_changes(glue, shears, e) -> dict:
+    """The shears a flip of the edge key e changes, by their old keys.
 
     Penner's rule: the flipped shear negates; in the stored sign
     convention the side following the flipped edge in each adjacent
     triangle's cyclic order gains -log(1 + e^-s) and the preceding side
     gains +log(1 + e^s).  An edge met twice (two sides of the
     quadrilateral glued together) sums both gains before they are added
-    to its shear.  The edge must be an edge key.
+    to its shear.  The flipped edge comes last.
     """
-    glue = cx.glue
-    f1, s1 = edge
-    f2, s2 = glue[edge]
-    s_val = sigma[edge]
+    e2 = glue[e]
+    s_val = shears[e]
     gain_prev = math.log1p(math.exp(s_val)) if s_val < 30 else s_val
     gain_next = math.log1p(math.exp(-s_val)) if s_val > -30 else -s_val
     delta = {}
-    for side, amount in zip(((f1, (s1 + 1) % 3), (f1, (s1 + 2) % 3),
-                             (f2, (s2 + 1) % 3), (f2, (s2 + 2) % 3)),
-                            (-gain_next, +gain_prev, -gain_next, +gain_prev)):
+    for side, amount in ((e + _NEXT[e % 3], -gain_next),
+                         (e + _PREV[e % 3], +gain_prev),
+                         (e2 + _NEXT[e2 % 3], -gain_next),
+                         (e2 + _PREV[e2 % 3], +gain_prev)):
         partner = glue[side]
         key = partner if partner < side else side   # the edge key
         delta[key] = delta.get(key, 0.0) + amount
-    out = {key: sigma[key] + amount for key, amount in delta.items()}
-    out[edge] = -s_val
+    out = {key: shears[key] + amount for key, amount in delta.items()}
+    out[e] = -s_val
     return out
 
 
 def _flip_score(ranking: list, changed: dict) -> float:
     """max_abs_shear of the shears a flip would give.
 
-    changed is _flipped_shears of the flip; ranking holds (|shear|, edge)
-    for the current shears in decreasing order, so the largest unchanged
-    shear is the first ranked edge the flip leaves alone.  Nothing is
-    copied or re-glued; the value is bit-equal to the one read from the
-    flipped shear vector.
+    changed is _flip_changes of the flip; ranking holds (|shear|, edge
+    key) for the current shears in decreasing order, so the largest
+    unchanged shear is the first ranked edge the flip leaves alone.  The
+    value is bit-equal to the one read from the flipped shear vector.
     """
     for kept, key in ranking:
         if key not in changed:
@@ -175,77 +233,86 @@ def _flip_score(ranking: list, changed: dict) -> float:
     return max(kept, *map(abs, changed.values()))
 
 
-def _flip_in_place(cx: CuspedTriangulation, sigma: dict, edge, changed):
-    """Flip the flippable edge key in place, given its _flipped_shears.
+def _flip_flat(glue, labels, shears, e, changed) -> dict:
+    """Flip the flippable edge key e in place, given its _flip_changes.
 
     Re-glues the six sides of the two faces, moves the changed shears to
     the keys of the edges those sides now carry, and checks the two faces
     and their neighbours: the only faces whose gluing or labels a flip
     changes.  Returns the new key of each changed edge, by old key.
     """
-    f1, s1 = edge
-    f2, s2 = cx.glue[edge]
-    x = cx.verts[f1][s1]
-    y = cx.verts[f1][(s1 + 1) % 3]
-    z = cx.verts[f1][(s1 + 2) % 3]
-    w = cx.verts[f2][(s2 + 2) % 3]
+    e2 = glue[e]
+    b1, b2 = e - e % 3, e2 - e2 % 3
     # outer sides P, Q of f1 and R, S of f2, and the slots they move to:
     # U1 = (x, w, z) replaces f1, U2 = (w, y, z) replaces f2
-    outer = ((f1, (s1 + 1) % 3), (f1, (s1 + 2) % 3),
-             (f2, (s2 + 1) % 3), (f2, (s2 + 2) % 3))
-    slots = ((f2, 1), (f1, 2), (f1, 0), (f2, 0))
-    partners = [cx.glue[side] for side in outer]
-    if edge in partners or (f2, s2) in partners:
+    outer = (e + _NEXT[e % 3], e + _PREV[e % 3],
+             e2 + _NEXT[e2 % 3], e2 + _PREV[e2 % 3])
+    x, y, z = labels[e], labels[outer[0]], labels[outer[1]]
+    w = labels[outer[3]]
+    slots = (b2 + 1, b1 + 2, b1, b2)
+    partners = [glue[i] for i in outer]
+    if e in partners or e2 in partners:
         raise ValueError("flip would glue a side to the removed edge")
     moved = dict(zip(outer, slots))
     # a new side of each changed edge, with the edge's old key; the new
-    # diagonal (w, z), sides (f1, 1) and (f2, 2), replaces the edge
-    sides = [((f1, 1), edge)]
+    # diagonal (w, z), sides b1 + 1 and b2 + 2, replaces the edge
+    sides = [(b1 + 1, e)]
     sides += [(me, min(side, p))
               for me, side, p in zip(slots, outer, partners)]
 
-    cx.verts[f1] = (x, w, z)
-    cx.verts[f2] = (w, y, z)
+    labels[b1:b1 + 3] = (x, w, z)
+    labels[b2:b2 + 3] = (w, y, z)
     for me, partner in zip(slots, partners):
         partner = moved.get(partner, partner)
-        cx.glue[me] = partner
-        cx.glue[partner] = me
-    cx.glue[(f1, 1)] = (f2, 2)
-    cx.glue[(f2, 2)] = (f1, 1)
-    cx.check_faces({f1, f2} | {p[0] for p in partners})
+        glue[me] = partner
+        glue[partner] = me
+    glue[b1 + 1] = b2 + 2
+    glue[b2 + 2] = b1 + 1
+    _check_faces(glue, labels, {b1 // 3, b2 // 3} | {p // 3 for p in partners})
 
-    renamed = {old: cx.edge_key(*me) for me, old in sides}
+    renamed = {old: min(me, glue[me]) for me, old in sides}
     for key in changed:
-        del sigma[key]
+        del shears[key]
     for old, new in renamed.items():
-        sigma[new] = changed[old]
-    if len(sigma) != len(cx.glue) // 2:
-        raise RuntimeError(f"{len(sigma)} shears for {len(cx.glue) // 2} "
-                           f"edges after flipping {edge}")
+        shears[new] = changed[old]
+    if len(shears) != len(glue) // 2:
+        raise RuntimeError(f"{len(shears)} shears for {len(glue) // 2} "
+                           f"edges after flipping {divmod(e, 3)}")
     return renamed
+
+
+def flippable(cx: CuspedTriangulation, edge) -> bool:
+    """Whether the edge's two faces differ and share only this edge."""
+    glue, _ = _encode(cx)
+    f, s = cx.edge_key(*edge)
+    return _flippable(glue, 3 * f + s)
 
 
 def flip(cx: CuspedTriangulation, sigma: dict, edge):
     """Flip the edge; returns a new triangulation and shear vector.
 
     The inputs are left unchanged.  The shears change by Penner's rule
-    (see _flipped_shears); the result passes the whole-complex check()
-    and carries a shear on every edge.  It lists the edges in the order
-    of sigma, each under its new key, with the new diagonal last.
+    (see _flip_changes); the result passes the whole-complex check and
+    carries a shear on every edge.  It lists the edges in the order of
+    sigma, each under its new key, with the new diagonal last.
     """
-    edge = cx.edge_key(*edge)
-    if not flippable(cx, edge):
-        raise ValueError(f"edge {edge} is not flippable")
-    new, shears = cx.copy(), dict(sigma)
-    renamed = _flip_in_place(new, shears, edge,
-                             _flipped_shears(cx, sigma, edge))
-    new.check()
-    order = [renamed.get(k, k) for k in sigma if k != edge] + [renamed[edge]]
-    new_sigma = {k: shears[k] for k in order}
-    for e in new.edges():
-        if e not in new_sigma:
-            raise RuntimeError(f"missing shear for edge {e} after flip")
-    return new, new_sigma
+    glue, labels = _encode(cx)
+    f, s = cx.edge_key(*edge)
+    e = 3 * f + s
+    if not _flippable(glue, e):
+        raise ValueError(f"edge {divmod(e, 3)} is not flippable")
+    before = _encode_shears(sigma)
+    shears = dict(before)
+    renamed = _flip_flat(glue, labels, shears, e,
+                         _flip_changes(glue, before, e))
+    _check(glue, labels)
+    order = [renamed.get(k, k) for k in before if k != e] + [renamed[e]]
+    shears = {k: shears[k] for k in order}
+    for i in _edge_keys(glue):
+        if i not in shears:
+            raise RuntimeError(f"missing shear for edge {divmod(i, 3)} "
+                               f"after flip")
+    return _decode(glue, labels, shears)
 
 
 # ---------------------------------------------------------------------------
@@ -468,31 +535,36 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
     is finite a step scores only the flippable edges of the two faces
     of the top-ranked edge, and a kick also scores the edge it draws.
     Every step, kick or descent, uses one unit of budget.  The search
-    checks the whole complex once, then flips one private copy in place
-    with a check of only the faces each flip touches; the inputs are
-    left unchanged, and the state is copied only when the best maximum
-    improves.  Returns the best triangulation, its shear vector, the best
-    maximum and the flip trail.
+    encodes the inputs once (see _encode), checks the whole complex once,
+    then flips the encoding in place with a check of only the faces each
+    flip touches; the inputs are left unchanged, the encoding is copied
+    only when the best maximum improves, and the best state is decoded
+    once, at the end.  Returns the best triangulation, its shear vector,
+    the best maximum and the flip trail.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     cur_max = max_abs_shear(sigma)
-    best = (cx, dict(sigma), cur_max)
-    cur_cx, cur_sigma = cx.copy(), dict(sigma)
-    cur_cx.check()
+    glue, labels = _encode(cx)
+    shears = _encode_shears(sigma)
+    _check(glue, labels)
+    best, best_max = None, cur_max      # None: the input state
     trail = []
     while len(trail) < budget:
-        ranking = sorted(((abs(v), k) for k, v in cur_sigma.items()),
+        ranking = sorted(zip(map(abs, shears.values()), shears),
                          reverse=True)
         # a NaN shear can leave the ranking's head below a finite maximum
         if (ranking and math.isfinite(cur_max)
                 and ranking[0][0] == cur_max):
             top = ranking[0][1]
-            faces = (top[0], cur_cx.glue[top][0])
-            near = {cur_cx.edge_key(f, s) for f in faces for s in range(3)}
+            near = set()
+            for b in (top - top % 3, glue[top] - glue[top] % 3):
+                for i in (b, b + 1, b + 2):
+                    j = glue[i]
+                    near.add(j if j < i else i)
         else:
-            near = set(cur_cx.edges())
-        flipped = {e: _flipped_shears(cur_cx, cur_sigma, e)
-                   for e in near if flippable(cur_cx, e)}
+            near = set(_edge_keys(glue))
+        flipped = {e: _flip_changes(glue, shears, e)
+                   for e in near if _flippable(glue, e)}
         scored = [(_flip_score(ranking, changed), e)
                   for e, changed in flipped.items()]
         improving = [c for c in scored if c[0] < cur_max - 1e-12]
@@ -501,18 +573,20 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
         else:
             # stuck at a local minimum: random kick
             # the near edges were tested already: flippable iff scored
-            candidates = [e for e in cur_cx.edges()
+            candidates = [e for e in _edge_keys(glue)
                           if (e in flipped if e in near
-                              else flippable(cur_cx, e))]
+                              else _flippable(glue, e))]
             if not candidates:
                 break
             e = candidates[int(rng.integers(0, len(candidates)))]
             if e not in flipped:
-                flipped[e] = _flipped_shears(cur_cx, cur_sigma, e)
+                flipped[e] = _flip_changes(glue, shears, e)
             val = _flip_score(ranking, flipped[e])
-        _flip_in_place(cur_cx, cur_sigma, e, flipped[e])
+        _flip_flat(glue, labels, shears, e, flipped[e])
         cur_max = val
-        trail.append(e)
-        if improving and val < best[2]:
-            best = (cur_cx.copy(), dict(cur_sigma), val)
-    return best[0], best[1], best[2], trail
+        trail.append(divmod(e, 3))
+        if improving and val < best_max:
+            best, best_max = _copy(glue, labels, shears), val
+    if best is None:
+        return cx, dict(sigma), best_max, trail
+    return (*_decode(*best), best_max, trail)

@@ -78,8 +78,8 @@ def parse_surface(data: dict):
     Raises ValueError for a malformed slot, a pants graph that
     contradicts the declared signature (the first problem
     surface.validate names), curve or cusp ids that cannot be ordered
-    together (such as 0 and "b"), a curve without an fn row, or an fn
-    row of a curve that no slot glues.
+    together (such as 0 and "b"), a curve without an fn row or with
+    two, or an fn row of a curve that no slot glues.
     """
     sig = Signature(int(data["signature"]["g"]), int(data["signature"]["n"]))
     pants = []
@@ -99,6 +99,8 @@ def parse_surface(data: dict):
     lengths = {}
     twists = {}
     for row in data.get("fn", []):
+        if row["curve"] in lengths:
+            raise ValueError(f"curve {row['curve']} has two fn rows")
         lengths[row["curve"]] = float(row["length"])
         twists[row["curve"]] = float(row.get("twist", 0.0))
     # a disconnected gluing graph is left to check_surface, which fails it

@@ -255,12 +255,25 @@ def slot_lengths(pg: PantsGraph, fn: FNCoordinates, p: int):
 
 
 def _gluing_map(parent_std: StdPants, parent_slot: int,
-                child_std: StdPants, child_slot: int, twist: float) -> Isometry:
-    """Map placing the child pants across the parent's slot axis."""
+                child_std: StdPants, child_slot: int, cid,
+                twist: float) -> Isometry:
+    """Map placing the child pants across the parent's slot axis, with
+    the twist of curve cid.
+
+    A twist too large for float64 to carry the map (from about 1419 in
+    absolute value) raises GeometryError naming the curve and the twist.
+    """
     n_parent = slot_normalizer(parent_std, parent_slot)
     n_child = slot_normalizer(child_std, child_slot)
-    return (n_parent.inverse() @ Isometry.translation(twist)
-            @ Isometry.half_turn() @ n_child)
+    try:
+        g = (n_parent.inverse() @ Isometry.translation(twist)
+             @ Isometry.half_turn() @ n_child)
+    except (OverflowError, ZeroDivisionError):
+        g = None
+    if g is None or not all(map(math.isfinite, (g.a, g.b, g.c, g.d))):
+        raise geom.GeometryError(f"gluing map of curve {cid} at twist "
+                                 f"{twist} is not finite in float64")
+    return g
 
 
 def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
@@ -280,7 +293,8 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
                     (qq, tt) = refs[0] if refs[1] == (pp, ss) else refs[1]
                     if qq in placed:
                         continue
-                    edge = _gluing_map(std[pp], ss, std[qq], tt, fn.twist(cid))
+                    edge = _gluing_map(std[pp], ss, std[qq], tt, cid,
+                                       fn.twist(cid))
                     root_paths[qq] = root_paths[pp] + [edge]
                     placed.add(qq)
                     tree_curves.add(cid)
@@ -301,7 +315,8 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
         curve_secondary[cid] = (p2, s2)
         table[f"curve:{cid}"] = table[f"bnd:{p1}:{s1}"]
         if cid not in tree_curves:
-            raw = _gluing_map(std[p1], s1, std[p2], s2, fn.twist(cid))
+            raw = _gluing_map(std[p1], s1, std[p2], s2, cid,
+                                     fn.twist(cid))
             table[f"glue:{cid}"] = Generator(p1, raw, p2)
 
     hol = Holonomy(

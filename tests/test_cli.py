@@ -1,5 +1,6 @@
 """Command line contract: exit codes, schemas, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from shearlab import cli, report
 from shearlab.constants import Signature
 from shearlab.geom import RELATION_TOL
+from shearlab.surface import sample_fn
 from test_report import handle_nothing
 
 
@@ -246,6 +248,26 @@ class TestMalformedSurface:
         one_line_error(capsys, [command, path], 1,
                        f"{kind} ids cannot be ordered together")
 
+    @pytest.mark.parametrize("command", ["compute", "optimize"])
+    def test_two_fn_rows_of_one_curve(self, tmp_path, capsys, command):
+        # the second row would otherwise replace the first, twist included
+        bad = json.loads(json.dumps(SURFACE_04))
+        bad["fn"].append({"curve": 0, "length": 3.0})
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, [command, path], 1,
+                       "curve 0 has two fn rows")
+
+    @pytest.mark.parametrize("twist", [1420.0, -1500.0, 1419.0])
+    def test_twist_too_large_for_float64(self, tmp_path, capsys, twist):
+        # the gluing map overflows, divides by a zero translation or
+        # holds inf * 0; each names the curve and its twist
+        bad = json.loads(json.dumps(SURFACE_04))
+        bad["fn"][0]["twist"] = twist
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, ["optimize", path], 4,
+                       f"gluing map of curve 0 at twist {twist} is not "
+                       f"finite in float64")
+
     def test_disconnected_gluing_graph(self, tmp_path, capsys):
         bad = {"signature": {"g": 0, "n": 4},
                "pants": [{"slots": [{"curve": 0}, {"curve": 0},
@@ -400,6 +422,114 @@ class TestOptimizeCommand:
     def test_unsupported_surface(self, tmp_path, capsys):
         path = write_surface(tmp_path, SURFACE_11)
         assert cli.main(["optimize", path]) == 4
+
+
+#: (n, sample_fn seed, budget, search seed) -> (exit code, sha256 of the
+#: stdout of ``optimize surface.json``), for (0,n) surfaces from sample_fn
+OPTIMIZE_DIGESTS = {
+    (4, 0, 100, 0): (
+        0, "1c56d4818bd1d8e340707d08ebf5e051f30ad78b50a5a8da7b59d3686be82184"),
+    (4, 0, 37, 1): (
+        0, "b8ec181d7c9adef27c2e3daef5735f9e64a635b271a7477ad35e1633a3d557b5"),
+    (4, 1, 100, 1): (
+        0, "b274dc005db8637c9664182148a4e9fe071b6dddfa53b364f26e67211b123014"),
+    (4, 1, 37, 4): (
+        0, "f966e3434367dce3fec97c637c6da67fcfa287a7845a3e24ae574219c1013eaa"),
+    (4, 2, 100, 2): (
+        0, "dd598d46bb88ea9445900ab9330717ba3c6180e8fbf8653ae80fb7f41219389e"),
+    (4, 2, 37, 7): (
+        0, "ffc1fefde7d395d36fbb300c38e048d3783600fb871b5dca2c89af457b421a11"),
+    (4, 3, 100, 3): (
+        0, "d0cf256e18d5f557193d7439faca485d75b254409ee49d02fa789b2c40f5a8e0"),
+    (4, 3, 37, 10): (
+        0, "4a97a92dcde0a116473bd449f02d9f2d95632b977146fb9a05401da9e3c92544"),
+    (4, 4, 100, 4): (
+        0, "fdc8f7ed337435d8cd1811fd4485eb7c83db722e0f4f96ef043542a4335d2d51"),
+    (4, 4, 37, 13): (
+        0, "d2e722de4f256f339eddf64ce04041baa04842bf5297dd432676e50759c0b338"),
+    (4, 5, 100, 5): (
+        0, "0db2b358321da1755531953cddef68803f90d166f031fba5afedb7b96a2bf3b5"),
+    (4, 5, 37, 16): (
+        0, "62215bd0e0918df3493303c95f980fcecf38d657039ea191b15b4531a74f1131"),
+    (4, 6, 100, 6): (
+        0, "5bf6a87d1bd6ac9426e760b55ca799da24fa5b9439348a155c3952eea20ddaea"),
+    (4, 6, 37, 19): (
+        0, "f557e674533a31f9848101d49e4dcc2817fb7bf4b979e4c8b936fa34aa57489f"),
+    (4, 7, 100, 7): (
+        0, "5ade7486a0095ed87aa4dbff188dac9303d61a8417fca7ebe695e39be931bcf0"),
+    (4, 7, 37, 22): (
+        0, "1b52e6096de351bea16abdbf6436aa9836896afb9408deecb62a09210209654f"),
+    (4, 8, 100, 8): (
+        0, "e001ad51dbfad2050872f028ca566d212c763be37877c7d24289696e70228a88"),
+    (4, 8, 37, 25): (
+        0, "0905bd0d3b8788994bfa405ded2306a74f61e3c6c38b13372f4d43096a55b641"),
+    (4, 9, 100, 9): (
+        0, "ea8fa338918edb0903ec2adcc0a2fcbcec9d1d54874f8686e978cdd172b0f01e"),
+    (4, 9, 37, 28): (
+        0, "afd6936881d2603f92208ad878baf046acbb710be559078ce878b305647c8841"),
+    (5, 0, 100, 0): (
+        0, "b0705f9c7d99fb8d0420962f268c1dbee4723ea159da88e046399d6f604bf5fe"),
+    (5, 0, 37, 1): (
+        0, "21f61ced89a97bc94d84ae66e3d3ec753a1fc2906732e967485c7580e88936fd"),
+    (5, 1, 100, 1): (
+        0, "7e35c0258f8a228b59aee252f9b6e33f033c807845af1fa7fa5e36ed602fae55"),
+    (5, 1, 37, 4): (
+        0, "f22957a14842f949bf7f3c842359c62b463d4c446ffb226cd91c667ec9295d4d"),
+    (5, 2, 100, 2): (
+        0, "597be85fa9b8af19ed7c9c8da2986acc8ac2d3e036a0ef3e9b4eb08bea4624fb"),
+    (5, 2, 37, 7): (
+        0, "15cf6b959fcfaf2fc8a755551e545094eeb3b068306017d0085ff7a27571bb06"),
+    (5, 3, 100, 3): (
+        0, "fd30473d5e16dd1e46cafe3dd385c3d312c1f7706a57a16eb1a72c55ee360974"),
+    (5, 3, 37, 10): (
+        0, "a88ba557736de732176618c465e3476718a136bc5d60192c9344dd09c2dbd9bc"),
+    (5, 4, 100, 4): (
+        0, "4c8c5bce565c98274b2dd13b17db8c92145e6ff4159cb841cc24a1fba22c735c"),
+    (5, 4, 37, 13): (
+        0, "9a054121336f5c32dfbb22cc61403b64c51bdc67681b44d721856f01e06bb015"),
+    (5, 5, 100, 5): (
+        0, "17893b114e69763902ac3ffc20220e6c185eb18b88385b190281d51571ecc86e"),
+    (5, 5, 37, 16): (
+        0, "465cb774577c3afcdfc0d20df6290b442be5a2e81d876fea6ee8618350379723"),
+    (5, 6, 100, 6): (
+        0, "60782b7f9375ac812899cf709fd4e82691064ecff2c0e4f15b038b8e0c623eb8"),
+    (5, 6, 37, 19): (
+        0, "63bed4a7e67cb79e002765140a09099f29f46a87b2f9ddc7bad9dc42d3497987"),
+    (5, 7, 100, 7): (
+        0, "9edd056148cd58fceb4926f4c6b20a04d6168a9183f730bb8de4097cc3463ad4"),
+    (5, 7, 37, 22): (
+        0, "a7c174ac92eeeb5a8aa4809e3fa4674fa6559d1d03322ccf7e04d1bd54d26194"),
+    (5, 8, 100, 8): (
+        0, "4978ea7b83bdb6eae87f1a74d3e6eeedc79fa105c83d027f6427fbab627e90a6"),
+    (5, 8, 37, 25): (
+        0, "45dca79893ea6130e522d1e7fc657fa076be8133efd902b2d95e15ae17370419"),
+    (5, 9, 100, 9): (
+        0, "a7bf6cabaf751c35823ad315e26de9fcaee00d998c84e98fb654bf2d1fbc0074"),
+    (5, 9, 37, 28): (
+        0, "dc2cf98ac36f96a8fe6f9d992d33ccb159f390ffcf1b9055cc982a08d30e4d70"),
+}
+
+
+class TestOptimizeBytes:
+    """optimize writes the same bytes for fixed surfaces and seeds."""
+
+    def test_digests(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for (n, seed, budget, search_seed), want in OPTIMIZE_DIGESTS.items():
+            pg, fn = sample_fn(Signature(0, n), seed)
+            data = {"signature": {"g": 0, "n": n},
+                    "pants": [{"slots": [{kind: ident}
+                                         for kind, ident in slots]}
+                              for slots in pg.pants],
+                    "fn": [{"curve": cid, "length": fn.lengths[cid],
+                            "twist": fn.twists[cid]}
+                           for cid in pg.curve_ids()]}
+            write_surface(tmp_path, data)
+            code, out = run(["optimize", "surface.json", "--budget",
+                             str(budget), "--seed", str(search_seed)],
+                            capsys)
+            got = (code, hashlib.sha256(out.encode()).hexdigest())
+            assert got == want, (n, seed, budget, search_seed)
 
 
 class TestOneParser:

@@ -1,11 +1,14 @@
 """Cusped triangulations: chain construction, flips, developing maps."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 
 import flip_harness as F
+import fraction_frames as FF
 import geometric_oracle as O
 from shearlab import chains as CH
 from shearlab import cusped as CU
@@ -314,22 +317,33 @@ def doubled_polygon(n):
     return cx
 
 
+def flat(cx, sigma):
+    """The flat encoding the search runs on: glue, labels and shears."""
+    glue, labels = CU._encode(cx)
+    return glue, labels, CU._encode_shears(sigma)
+
+
+def index(side):
+    """The flat index 3f + s of side (f, s)."""
+    return 3 * side[0] + side[1]
+
+
 def count_scores_per_step(monkeypatch):
-    """Patch the search's flip scoring; returns the list of _flipped_shears
+    """Patch the search's flip scoring; returns the list of _flip_changes
     calls per step, each step closed by its in-place flip."""
     per_step = [0]
-    real_shears, real_in_place = CU._flipped_shears, CU._flip_in_place
+    real_changes, real_flip = CU._flip_changes, CU._flip_flat
 
-    def counting_shears(cx, sigma, edge):
+    def counting_changes(glue, shears, e):
         per_step[-1] += 1
-        return real_shears(cx, sigma, edge)
+        return real_changes(glue, shears, e)
 
-    def closing_in_place(cx, sigma, edge, changed):
+    def closing_flip(glue, labels, shears, e, changed):
         per_step.append(0)
-        return real_in_place(cx, sigma, edge, changed)
+        return real_flip(glue, labels, shears, e, changed)
 
-    monkeypatch.setattr(CU, "_flipped_shears", counting_shears)
-    monkeypatch.setattr(CU, "_flip_in_place", closing_in_place)
+    monkeypatch.setattr(CU, "_flip_changes", counting_changes)
+    monkeypatch.setattr(CU, "_flip_flat", closing_flip)
     return per_step
 
 
@@ -353,23 +367,25 @@ class TestMinimaxSearch:
         scored = 0
         for cx, sigma in trail_states(search_runs):
             cx.check()
-            ranking = sorted(((abs(v), k) for k, v in sigma.items()),
+            glue, _, shears = flat(cx, sigma)
+            ranking = sorted(((abs(v), k) for k, v in shears.items()),
                              reverse=True)
             for cand in cx.edges():
                 if not CU.flippable(cx, cand):
                     continue
                 flipped_cx, flipped = CU.flip(cx, sigma, cand)
                 assert_glue_keys(flipped_cx)
-                changed = CU._flipped_shears(cx, sigma, cand)
+                changed = CU._flip_changes(glue, shears, index(cand))
                 assert (CU._flip_score(ranking, changed)
                         == CU.max_abs_shear(flipped))
                 scored += 1
         assert scored >= 5000
 
     def test_builds_one_flip_per_step(self, monkeypatch):
-        # the search flips its working state in place, once per trail
-        # entry; it checks the whole complex once and copies it only on
-        # entry and when the best maximum improves
+        # the search flips its flat working state in place, once per
+        # trail entry; it checks the whole complex once, copies the state
+        # only on entry (the encoding) and when the best maximum
+        # improves, and decodes the best state once
         _, (cx, sigma, _) = chain(Signature(0, 5), seed=4)
         _, _, _, want = CU.minimax_flip_search(cx, sigma, 100, 7)
         states = replay(cx, sigma, want)
@@ -379,32 +395,32 @@ class TestMinimaxSearch:
             if value < CU.max_abs_shear(prev[1]) - 1e-12 and value < best:
                 improvements, best = improvements + 1, value
 
-        calls = {"flip": [], "check": 0, "copy": 0}
-        real_in_place = CU._flip_in_place
-        real_check = CU.CuspedTriangulation.check
-        real_copy = CU.CuspedTriangulation.copy
+        calls = {"flip": [], "check": 0, "encode": 0, "copy": 0,
+                 "decode": 0}
+        real = {name: getattr(CU, name) for name in
+                ("_flip_flat", "_check", "_encode", "_copy", "_decode")}
 
-        def counting_in_place(cx, sigma, edge, changed):
-            calls["flip"].append(edge)
-            return real_in_place(cx, sigma, edge, changed)
+        def counting_flip(glue, labels, shears, e, changed):
+            calls["flip"].append(divmod(e, 3))
+            return real["_flip_flat"](glue, labels, shears, e, changed)
 
-        def counting_check(self):
-            calls["check"] += 1
-            return real_check(self)
+        def counting(name, key):
+            def patched(*args):
+                calls[key] += 1
+                return real[name](*args)
+            return patched
 
-        def counting_copy(self):
-            calls["copy"] += 1
-            return real_copy(self)
-
-        monkeypatch.setattr(CU, "_flip_in_place", counting_in_place)
-        monkeypatch.setattr(CU.CuspedTriangulation, "check", counting_check)
-        monkeypatch.setattr(CU.CuspedTriangulation, "copy", counting_copy)
+        monkeypatch.setattr(CU, "_flip_flat", counting_flip)
+        for name, key in (("_check", "check"), ("_encode", "encode"),
+                          ("_copy", "copy"), ("_decode", "decode")):
+            monkeypatch.setattr(CU, name, counting(name, key))
         _, _, _, trail = CU.minimax_flip_search(cx, sigma, 100, 7)
         assert trail == want and len(trail) == 100
         assert calls["flip"] == trail
         assert calls["check"] == 1
         assert improvements >= 1
-        assert calls["copy"] == 1 + improvements
+        assert calls["encode"] == 1 and calls["decode"] == 1
+        assert calls["encode"] + calls["copy"] == 1 + improvements
 
     @pytest.mark.parametrize("n", [4, 7, 12, 24])
     def test_step_scores_at_most_six_flips(self, n, monkeypatch):
@@ -488,16 +504,17 @@ class TestFlipInPlace:
                 if not CU.flippable(cx, cand):
                     continue
                 want_cx, want_sigma = CU.flip(cx, sigma, cand)
-                got_cx, got_sigma = cx.copy(), dict(sigma)
-                changed = CU._flipped_shears(cx, sigma, cand)
-                CU._flip_in_place(got_cx, got_sigma, cand, changed)
+                glue, labels, shears = flat(cx, sigma)
+                changed = CU._flip_changes(glue, shears, index(cand))
+                CU._flip_flat(glue, labels, shears, index(cand), changed)
+                got_cx, got_sigma = CU._decode(glue, labels, shears)
                 assert got_cx.verts == want_cx.verts
                 assert got_cx.glue == want_cx.glue
                 assert got_sigma == want_sigma
                 got_cx.check()
                 # flip keeps the order of the edges it leaves alone and
                 # lists the new diagonal last
-                kept = [k for k in sigma if k not in changed]
+                kept = [k for k in sigma if index(k) not in changed]
                 assert [k for k in want_sigma if k in kept] == kept
                 assert list(want_sigma)[-1] == want_cx.edge_key(cand[0], 1)
                 flipped += 1
@@ -513,9 +530,10 @@ class TestFlipInPlace:
                     continue
                 f1, _ = cand
                 f2, _ = cx.glue[cand]
-                base, base_sigma = cx.copy(), dict(sigma)
-                CU._flip_in_place(base, base_sigma, cand,
-                                  CU._flipped_shears(cx, sigma, cand))
+                glue, labels, shears = flat(cx, sigma)
+                CU._flip_flat(glue, labels, shears, index(cand),
+                              CU._flip_changes(glue, shears, index(cand)))
+                base, _ = CU._decode(glue, labels, shears)
                 faces = {f1, f2} | {base.glue[(f, s)][0]
                                     for f in (f1, f2) for s in range(3)}
                 fresh = 1 + max(max(vs) for vs in base.verts)
@@ -544,7 +562,8 @@ class TestFlipInPlace:
                     continue
                 f1, _ = cand
                 f2, _ = cx.glue[cand]
-                changed = CU._flipped_shears(cx, sigma, cand)
+                glue, _, shears = flat(cx, sigma)
+                changed = CU._flip_changes(glue, shears, index(cand))
                 neighbours = {cx.glue[(f, s)][0]
                               for f in (f1, f2) for s in range(3)}
                 for g in neighbours - {f1, f2}:
@@ -552,8 +571,8 @@ class TestFlipInPlace:
                         bad = cx.copy()
                         relabel_cusp(bad, (g, s), fresh)
                         with pytest.raises(ValueError):
-                            CU._flip_in_place(bad, dict(sigma), cand,
-                                              changed)
+                            CU._flip_flat(*flat(bad, sigma), index(cand),
+                                          changed)
                         stopped += 1
         assert stopped >= 300
 
@@ -585,3 +604,121 @@ def relabel_partner_first(cx, side, fresh):
 def relabel_partner_second(cx, side, fresh):
     """Give the second cusp of side a new label in the partner face."""
     relabel(cx, *cx.glue[side], fresh)
+
+
+class TestFlatEncoding:
+    def test_round_trip_and_order(self, search_runs):
+        # integer order is (face, side) order, and the shears keep the
+        # order of the vector they encode
+        for cx, sigma in trail_states(search_runs):
+            glue, labels, shears = flat(cx, sigma)
+            back_cx, back_sigma = CU._decode(glue, labels, shears)
+            assert back_cx.verts == cx.verts and back_cx.glue == cx.glue
+            assert list(back_sigma.items()) == list(sigma.items())
+            assert [divmod(k, 3) for k in CU._edge_keys(glue)] == cx.edges()
+
+    @pytest.mark.parametrize("breakage, needle", [
+        ("square", "face 1 is not a triangle"),
+        ("unglued", "side (1, 2) is unglued"),
+        ("no side", "gluing is not an involution at (1, 2)"),
+    ])
+    def test_encoder_names_the_problem(self, breakage, needle):
+        _, (cx, sigma, _) = chain(Signature(0, 4), seed=2)
+        bad = cx.copy()
+        if breakage == "square":
+            bad.verts[1] = bad.verts[1] + (9,)
+        elif breakage == "unglued":
+            del bad.glue[(1, 2)]
+        else:
+            bad.glue[(1, 2)] = (0, 3)      # 3 * 0 + 3 would alias (1, 0)
+        for run in (bad.check, lambda: bad.check_faces([0]),
+                    lambda: CU.flip(bad, sigma, bad.edges()[0]),
+                    lambda: CU.minimax_flip_search(bad, sigma, 5, 1)):
+            with pytest.raises(ValueError, match=re.escape(needle)):
+                run()
+
+
+def same_bits(x, y):
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def same_isometry(g, h):
+    return all(same_bits(u, v) for u, v in zip((g.a, g.b, g.c, g.d),
+                                               (h.a, h.b, h.c, h.d)))
+
+
+class TestExactFrames:
+    """The integer frames equal the Fraction oracle bit for bit."""
+
+    @staticmethod
+    def compare_with_fractions(monkeypatch):
+        """Check every frame action, conjugation and candidate word of
+        the chain builder against the oracle; returns the call counts."""
+        real_apply, real_conj = CH._frame_apply, CH._frame_conj
+        real_evaluate = CH._evaluate_exact
+        seen = {"apply": 0, "conj": 0, "evaluate": 0}
+
+        def apply(frame, pt):
+            got = real_apply(frame, pt)
+            assert same_bits(got, FF.frame_apply(FF.as_fractions(frame), pt))
+            seen["apply"] += 1
+            return got
+
+        def conj(frame, iso):
+            got = real_conj(frame, iso)
+            assert same_isometry(
+                got, FF.frame_conj(FF.as_fractions(frame), iso))
+            seen["conj"] += 1
+            return got
+
+        def evaluate(gens, seq, base_point, base_parab):
+            got = real_evaluate(gens, seq, base_point, base_parab)
+            want = FF.evaluate_exact(gens, seq, base_point, base_parab)
+            assert same_bits(got[0], want[0])
+            assert same_isometry(got[1], want[1])
+            seen["evaluate"] += 1
+            return got
+
+        monkeypatch.setattr(CH, "_frame_apply", apply)
+        monkeypatch.setattr(CH, "_frame_conj", conj)
+        monkeypatch.setattr(CH, "_evaluate_exact", evaluate)
+        return seen
+
+    def test_bit_equal_to_fractions(self, monkeypatch):
+        seen = self.compare_with_fractions(monkeypatch)
+        surfaces = 0
+        for n in (4, 5):
+            for seed in range(30):
+                pg, fn = S.sample_fn(Signature(0, n), seed)
+                hol = S.holonomy_from_fn(pg, fn)
+                frames = CH._centered_frames(hol)
+                want = FF.centered_frames(hol)
+                assert [FF.as_fractions(f) for f in frames] == want
+                assert all(f[4] > 0 for f in frames)
+                CH.build_cusped_chain(hol)
+                surfaces += 1
+        assert surfaces >= 50
+        assert seen["evaluate"] >= 30, seen
+        assert seen["apply"] >= 300 and seen["conj"] >= 300, seen
+
+    def test_every_window_candidate(self, monkeypatch):
+        # the fan search stops at the first candidate that closes up;
+        # drawing each window's candidates in full evaluates all of them
+        seen = self.compare_with_fractions(monkeypatch)
+        real_lifts = CH._window_cusp_lifts
+        monkeypatch.setattr(CH, "_window_cusp_lifts",
+                            lambda *args, **kw: iter(list(
+                                real_lifts(*args, **kw))))
+        for seed in range(10):
+            pg, fn = S.sample_fn(Signature(0, 5), seed)
+            CH.build_cusped_chain(S.holonomy_from_fn(pg, fn))
+        assert seen["evaluate"] >= 1000, seen
+
+    def test_zero_keeps_fractions_sign(self):
+        # an exact zero rounds to +0.0 whatever the sign of its denominator
+        flip_sign = (1, 0, 0, -1, 1)        # x -> -x: 0 / -1 at x = 0
+        assert same_bits(CH._frame_apply(flip_sign, 0.0), 0.0)
+        assert same_bits(FF.frame_apply(FF.as_fractions(flip_sign), 0.0), 0.0)
+        half_turn = (0, 1, -1, 0, 1)        # x -> -1/x: 0 / -1 at inf
+        assert same_bits(CH._frame_apply(half_turn, G.INF), 0.0)
+        assert same_bits(CH._quotient(0, -3), 0.0)

@@ -11,7 +11,8 @@ fan around the remaining cusp, built in the same developed frame.
 
 Supported signatures: (0,3), (0,4) and (0,5).  Larger chains would need
 an inductively propagated frontier; the structures exercised by the
-round-trip and flip tests stop at five punctures.
+round-trip and flip tests stop at five punctures.  The holonomies, the
+frames and the deck words are matrix tuples, as the surface holds them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ from dataclasses import dataclass
 
 from . import geom
 from .cusped import CuspedTriangulation, _shear_of_quad
-from .geom import INF, Isometry, mobius_two_point
+from .geom import (IDENTITY, INF, cyclically_ordered, geodesic_ends,
+                   mat_apply_boundary, mat_classify, mat_fixed_points,
+                   mat_inverse, mat_mul, parabolic_fixing, two_point_mat)
 from .surface import Holonomy
 
 _MATCH_TOL = 1e-7
@@ -62,17 +65,17 @@ class _LadderFace:
     outer_side_kind: str  # "L" | "R"
 
 
-def _build_ladder(h_curve: Isometry, length: float, base_points):
-    """Triangulated strip around one curve.
+def _build_ladder(h_curve, length: float, base_points):
+    """Triangulated strip around one curve, of holonomy matrix h_curve.
 
     base_points: list of (side, cusp id, global point), two per side.
     Returns the four faces of one period, ordered along the curve.
     """
-    att, rep = geom.fixed_points(h_curve)
-    m = mobius_two_point(rep, att)
+    att, rep = mat_fixed_points(h_curve, mat_classify(h_curve))
+    m = two_point_mat(rep, att)
 
     def position(x):
-        y = m.apply_boundary(x)
+        y = mat_apply_boundary(m, x)
         if y == INF or y == 0.0:
             raise ChainError("cusp lift sits on the curve axis")
         return math.log(abs(y)), (y > 0)
@@ -91,9 +94,9 @@ def _build_ladder(h_curve: Isometry, length: float, base_points):
         for k in (-1, 0, 1, 2):
             moved = pt
             steps = k - shift
-            g = h_curve if steps >= 0 else h_curve.inverse()
+            g = h_curve if steps >= 0 else mat_inverse(h_curve)
             for _ in range(abs(steps)):
-                moved = g.apply_boundary(moved)
+                moved = mat_apply_boundary(g, moved)
             events.append(_Event(t=t0 + (k - shift) * length, side=side,
                                  cusp=cusp, point=moved))
     events.sort(key=lambda e: e.t)
@@ -217,7 +220,7 @@ class _Assembler:
         return cx, sigma
 
 
-def _emit_ladder(asm: _Assembler, faces, h_curve: Isometry):
+def _emit_ladder(asm: _Assembler, faces, h_curve):
     """Add a ladder's faces, rung gluings and rung shears; returns face ids."""
     ids = [asm.add_face(f.labels, f.points) for f in faces]
     walk = []
@@ -232,9 +235,9 @@ def _emit_ladder(asm: _Assembler, faces, h_curve: Isometry):
             w = faces[j].points[(s_prev + 2) % 3]
             chord = (faces[j].points[s_prev], faces[j].points[(s_prev + 1) % 3])
         else:
-            w = h_curve.apply_boundary(faces[0].points[(s_prev + 2) % 3])
-            chord = (h_curve.apply_boundary(faces[0].points[s_prev]),
-                     h_curve.apply_boundary(faces[0].points[(s_prev + 1) % 3]))
+            pts = [mat_apply_boundary(h_curve, v) for v in faces[0].points]
+            w = pts[(s_prev + 2) % 3]
+            chord = (pts[s_prev], pts[(s_prev + 1) % 3])
         for v in (x, y):
             if not any(geom.boundary_close(c, v, _MATCH_TOL) for c in chord):
                 raise ChainError(f"rung {i} chords do not line up")
@@ -266,8 +269,8 @@ def _close_outer(asm: _Assembler, faces, ids, kind):
         raise ChainError("outer sides of an end closure share no endpoint")
     other1 = y1 if geom.boundary_close(shared, x1, _MATCH_TOL) else x1
     other2 = y2 if geom.boundary_close(shared, x2, _MATCH_TOL) else x2
-    g = geom.parabolic_fixing(shared, other2, other1)
-    shear = _shear_of_quad(shared, other1, z1, g.apply_boundary(z2))
+    g = parabolic_fixing(shared, other2, other1)
+    shear = _shear_of_quad(shared, other1, z1, mat_apply_boundary(g, z2))
     asm.add_glue((ids[i1], s1), (ids[i2], s2), shear)
 
 
@@ -338,7 +341,7 @@ def _centered_frames(hol: Holonomy):
     float gluing map per tree edge, so each frame is a short exact product.
     """
     center = (hol.graph.num_pants - 1) // 2
-    to_center = _exact(Isometry.identity())
+    to_center = _exact(IDENTITY)
     for e in hol.root_paths[center]:
         to_center = _mul(to_center, _exact(e))
     base = _inverse(to_center)
@@ -351,10 +354,10 @@ def _centered_frames(hol: Holonomy):
     return frames
 
 
-def _exact(iso: Isometry):
-    """An isometry as an exact matrix: integers (a, b, c, d, den) with
+def _exact(m):
+    """A float matrix as an exact one: integers (a, b, c, d, den) with
     the entries (a, b, c, d) / den, den > 0."""
-    ratios = [v.as_integer_ratio() for v in (iso.a, iso.b, iso.c, iso.d)]
+    ratios = [v.as_integer_ratio() for v in m]
     den = max(q for _, q in ratios)     # each q is a power of two
     return (*(p * (den // q) for p, q in ratios), den)
 
@@ -362,7 +365,7 @@ def _exact(iso: Isometry):
 def _mul(m, n):
     """Product of exact matrices: the numerator matrices and the
     denominators multiply, with no reduction."""
-    return (*geom.mat_mul(m[:4], n[:4]), m[4] * n[4])
+    return (*mat_mul(m[:4], n[:4]), m[4] * n[4])
 
 
 def _inverse(m):
@@ -397,15 +400,15 @@ def _frame_apply(frame, pt):
     return _quotient(a * p + b * q, den)
 
 
-def _frame_conj(frame, iso: Isometry) -> Isometry:
-    """frame iso frame^-1 in exact arithmetic, each entry rounded once.
+def _frame_conj(frame, m):
+    """frame m frame^-1 in exact arithmetic, each entry rounded once.
 
     The conjugate of a parabolic by a large-entry frame has entries that
     cancel from products thousands of times larger; float64 alone leaves
     absolute errors big enough to spoil downstream cross-ratios.
     """
-    *m, den = _mul(_mul(frame, _exact(iso)), _inverse(frame))
-    return Isometry(*(_quotient(v, den) for v in m))
+    *entries, den = _mul(_mul(frame, _exact(m)), _inverse(frame))
+    return tuple(_quotient(v, den) for v in entries)
 
 
 def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
@@ -488,17 +491,17 @@ def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
     Breadth-first search over short words in the holonomy generators;
     yields (point, parabolic stabilizing it), shallowest words first.
     """
-    gens = [g for pair in ((g, g.inverse()) for g in gen_table.values())
+    gens = [g for pair in ((g, mat_inverse(g)) for g in gen_table.values())
             for g in pair]
     base_parab = gen_table[f"cusp:{last_cusp}"]
-    window = geom.Geodesic(r0, r1)
-    far_side = geom.side_of(window, far)
+    window = geodesic_ends(r0, r1)
+    far_side = cyclically_ordered(*window, far)
 
     def in_window(x):
         if (x == INF or geom.boundary_close(x, r0, _MATCH_TOL)
                 or geom.boundary_close(x, r1, _MATCH_TOL)):
             return False
-        return geom.side_of(window, x) != far_side
+        return cyclically_ordered(*window, x) != far_side
 
     # breadth-first over the cusp's orbit: expanding by point keeps the
     # search tree small, and two words reaching the same lift conjugate
@@ -523,7 +526,7 @@ def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
                 if in_window(exact_pt):
                     yield exact_pt, exact_pi
             for gi, g in enumerate(gens):
-                moved = g.apply_boundary(pt)
+                moved = mat_apply_boundary(g, pt)
                 mkey = round(moved, 9) if moved != INF else INF
                 if mkey not in seen:
                     nxt.append((moved, (gi,) + seq))
@@ -532,7 +535,7 @@ def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
 
 def _evaluate_exact(gens, seq, base_point, base_parab):
     """Exact point and conjugated parabolic of a generator word."""
-    word = _exact(Isometry.identity())
+    word = _exact(IDENTITY)
     for gi in reversed(seq):
         word = _mul(_exact(gens[gi]), word)
     return _frame_apply(word, base_point), _frame_conj(word, base_parab)
@@ -543,12 +546,12 @@ def _emit_fan_faces(asm, faces, ids, first, second, r0, r1, r2,
     """Add the two fan faces at the last cusp and their gluings."""
     # direction of the parabolic: the second fan face is (c4, r1, pi r0)
     # with pi r0 beyond r1 as seen from r0
-    pr0 = pi.apply_boundary(r0)
-    diag = geom.Geodesic(r1, c4)
-    if geom.side_of(diag, r0) == geom.side_of(diag, pr0):
-        pi = pi.inverse()
-        pr0 = pi.apply_boundary(r0)
-        if geom.side_of(diag, r0) == geom.side_of(diag, pr0):
+    pr0 = mat_apply_boundary(pi, r0)
+    diag = geodesic_ends(r1, c4)
+    if cyclically_ordered(*diag, r0) == cyclically_ordered(*diag, pr0):
+        pi = mat_inverse(pi)
+        pr0 = mat_apply_boundary(pi, r0)
+        if cyclically_ordered(*diag, r0) == cyclically_ordered(*diag, pr0):
             raise ChainError("fan parabolic does not cross the diagonal")
 
     fan1 = asm.add_face(*_orient((last_cusp, lab_r0, lab_r1), (c4, r0, r1)))
@@ -563,8 +566,7 @@ def _emit_fan_faces(asm, faces, ids, first, second, r0, r1, r2,
     if geom.boundary_close(pr0, r2, tol=1e-12):
         w = zB
     else:
-        trans = geom.parabolic_fixing(r1, r2, pr0)
-        w = trans.apply_boundary(zB)
+        w = mat_apply_boundary(parabolic_fixing(r1, r2, pr0), zB)
     asm.add_glue((ids[second], s_lad2), (fan2, asm.side_of(fan2, r1, pr0)),
                  _shear_of_quad(r1, pr0, c4, w))
     # the diagonal (c4, r1): shared by the two fan faces
@@ -574,4 +576,5 @@ def _emit_fan_faces(asm, faces, ids, first, second, r0, r1, r2,
     # the remaining edge (c4, r0) ~ (c4, pi r0): glued through pi
     asm.add_glue((fan1, asm.side_of(fan1, c4, r0)),
                  (fan2, asm.side_of(fan2, c4, pr0)),
-                 _shear_of_quad(c4, r0, r1, pi.inverse().apply_boundary(r1)))
+                 _shear_of_quad(c4, r0, r1,
+                                mat_apply_boundary(mat_inverse(pi), r1)))

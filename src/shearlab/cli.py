@@ -31,7 +31,10 @@ Subcommands:
   gluing map is not finite in float64).
 
 Boundary lengths too long for float64 (about 76 and up) fail the pants
-construction: ``compute`` exits 3 and ``optimize`` exits 4.
+construction: ``compute`` exits 3 and ``optimize`` exits 4.  A surface
+file whose signature ``g`` or ``n`` is not a JSON integer is a parse
+error.  Every subcommand exits 1 with one error line if its ``--out``
+file cannot be written.
 
 Reports are byte-deterministic for a fixed configuration; timings are
 written to stderr only.  All tolerances are fixed.
@@ -51,12 +54,19 @@ from .geom import GeometryError
 from .surface import default_length_range, holonomy_from_fn
 
 
-def _write(text: str, out_path):
-    if out_path:
+def _write(text: str, out_path) -> bool:
+    """Write text to the ``--out`` file, or to stdout without one; False,
+    after one error line, if the file cannot be written."""
+    if not out_path:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        print(f"error: cannot write --out file: {err}", file=sys.stderr)
+        return False
+    return True
 
 
 def _signature(args) -> Signature:
@@ -77,7 +87,8 @@ def cmd_constants(args) -> int:
     config = {"command": "constants", "g": sig.g, "n": sig.n,
               "rho_prime": data["rho_prime"]}
     out = report.assemble(config, [data], {"audit_ok": data["audit"]["ok"]})
-    _write(report.to_json(out), args.out)
+    if not _write(report.to_json(out), args.out):
+        return 1
     return 0 if data["audit"]["ok"] else 2
 
 
@@ -101,7 +112,8 @@ def cmd_compute(args) -> int:
     out = report.assemble(config, [record],
                           {"certified": record["certified"],
                            "bound_satisfied": record["bound_satisfied"]})
-    _write(report.to_json(out), args.out)
+    if not _write(report.to_json(out), args.out):
+        return 1
     print(f"computed in {elapsed:.3f}s", file=sys.stderr)
     return 0
 
@@ -153,10 +165,10 @@ def cmd_sample(args) -> int:
               "length_range": list(length_range) if length_range else None,
               "twist_max": args.twist_max, "format": args.format}
     out = report.assemble(config, records, summary)
-    if args.format == "csv":
-        _write(report.sample_rows(out), args.out)
-    else:
-        _write(report.to_json(out), args.out)
+    text = (report.sample_rows(out) if args.format == "csv"
+            else report.to_json(out))
+    if not _write(text, args.out):
+        return 1
     print(f"{args.count} samples in {elapsed:.3f}s", file=sys.stderr)
     return 5 if summary["bound_violations_certified"] else 0
 
@@ -197,8 +209,7 @@ def cmd_optimize(args) -> int:
     out = report.assemble(config, [record],
                           {"improved": best_val < start - 1e-12,
                            "best_max_shear": best_val})
-    _write(report.to_json(out), args.out)
-    return 0
+    return 0 if _write(report.to_json(out), args.out) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

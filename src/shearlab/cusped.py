@@ -4,7 +4,10 @@ A cusped triangulation is a combinatorial surface triangulation whose
 vertices are the cusps, together with one shear per edge.  Edges can be
 flipped, the shears transforming by the standard local rule; the whole
 structure can be rebuilt into a holonomy representation by developing
-triangle by triangle, which provides the round-trip oracle.
+triangle by triangle, which provides the round-trip oracle.  The
+develop computes on matrix tuples and boundary points; an Isometry is
+built only where a public function returns one (develop_walk and
+DevelopedCusped.generators).
 
 Flips run on one flat encoding of the complex: side s of face f is the
 integer 3f + s, the gluing and the cusp labels are lists indexed by
@@ -24,8 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geom
-from .geom import INF, RELATION_TOL, Geodesic, Isometry, mobius_two_point
+from .geom import (IDENTITY, INF, RELATION_TOL, GeometryError, Isometry,
+                   apex_shear, cyclically_ordered, geodesic_ends,
+                   mat_apply_boundary, mat_classify, mat_inverse, mat_mul,
+                   normalize_boundary, three_point_mat, two_point_mat)
 
 
 @dataclass
@@ -323,34 +328,33 @@ class IncompleteStructure(ValueError):
     pass
 
 
-def _mobius_to(x, y, z) -> Isometry:
-    """Map with x -> 0, y -> inf, z -> -1 (z on the left of x -> y)."""
-    m0 = mobius_two_point(x, y)
-    z0 = m0.apply_boundary(z)
+def _mobius_to(x, y, z):
+    """Matrix with x -> 0, y -> inf, z -> -1 (z on the left of x -> y)."""
+    m0 = two_point_mat(x, y)
+    z0 = mat_apply_boundary(m0, z)
     if z0 == INF or z0 >= 0:
-        raise geom.GeometryError("apex is not on the left of the edge")
+        raise GeometryError("apex is not on the left of the edge")
     k = math.sqrt(-1.0 / z0)
-    return Isometry(k, 0.0, 0.0, 1.0 / k) @ m0
+    return mat_mul((k, 0.0, 0.0, 1.0 / k), m0)
 
 
 def _develop_apex(x, y, z, shear: float):
     """Apex across edge (x, y) from the triangle with apex z, given shear."""
-    if geom.cyclically_ordered(x, y, z):
+    if cyclically_ordered(x, y, z):
         m = _mobius_to(x, y, z)
-        return m.inverse().apply_boundary(math.exp(-shear))
-    m = _mobius_to(y, x, z)
-    return m.inverse().apply_boundary(math.exp(-shear))
+    else:
+        m = _mobius_to(y, x, z)
+    return mat_apply_boundary(mat_inverse(m), math.exp(-shear))
 
 
-_EXIT_FRAME = {
-    # inverse of the map sending (side, side+1, apex) to (0, inf, -1)
-    0: Isometry(1.0, 0.0, 1.0, 1.0),
-    1: Isometry(1.0, 1.0, 0.0, 1.0),
-    2: Isometry(0.0, 1.0, -1.0, 0.0),
-}
+#: per side, the inverse of the map sending (side, side+1, apex) to
+#: (0, inf, -1)
+_EXIT_FRAME = ((1.0, 0.0, 1.0, 1.0),
+               (1.0, 1.0, 0.0, 1.0),
+               (0.0, 1.0, -1.0, 0.0))
 
 
-def _step_matrix(side: int, s2: int, shear: float) -> Isometry:
+def _step_matrix(side: int, s2: int, shear: float):
     """Transition from a face's standard frame to its neighbour's.
 
     Both faces are normalized to vertices (0, 1, inf); the matrix is
@@ -360,12 +364,12 @@ def _step_matrix(side: int, s2: int, shear: float) -> Isometry:
     r = math.exp(-shear / 2.0)   # sqrt of the normalized apex position
     ri = 1.0 / r
     if s2 == 0:
-        inner = Isometry(r, -r, ri, 0.0)
+        inner = (r, -r, ri, 0.0)
     elif s2 == 1:
-        inner = Isometry(0.0, -r, ri, -ri)
+        inner = (0.0, -r, ri, -ri)
     else:
-        inner = Isometry(r, 0.0, 0.0, ri)
-    return _EXIT_FRAME[side] @ inner
+        inner = (r, 0.0, 0.0, ri)
+    return mat_mul(_EXIT_FRAME[side], inner)
 
 
 def develop_walk(cx: CuspedTriangulation, sigma: dict, walk) -> Isometry:
@@ -378,17 +382,18 @@ def develop_walk(cx: CuspedTriangulation, sigma: dict, walk) -> Isometry:
     accumulated; each step stays well conditioned however large the
     shears have become.
     """
-    hol = Isometry.identity()
+    hol = IDENTITY
     cur_face = walk[0][0]
     for face, side in walk:
         if face != cur_face:
             raise ValueError("walk steps do not chain")
         f2, s2 = cx.glue[(face, side)]
-        hol = hol @ _step_matrix(side, s2, sigma[cx.edge_key(face, side)])
+        hol = mat_mul(hol, _step_matrix(side, s2,
+                                        sigma[cx.edge_key(face, side)]))
         cur_face = f2
     if cur_face != walk[0][0]:
         raise ValueError("walk does not close up")
-    return hol
+    return Isometry(*hol)
 
 
 @dataclass
@@ -401,9 +406,10 @@ class DevelopedCusped:
 
 def develop_from_shears(cx: CuspedTriangulation, sigma: dict) -> DevelopedCusped:
     """Develop the triangulation; cusp sums must vanish (completeness)."""
-    sums = cusp_sums(cx, sigma)
-    worst = max(abs(v) for v in sums.values())
-    if worst > RELATION_TOL:
+    residuals = [abs(v) for v in cusp_sums(cx, sigma).values()]
+    # a NaN sum is never complete, and max keeps it only when it is first
+    worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)
+    if not worst <= RELATION_TOL:
         raise IncompleteStructure(
             f"incomplete structure: cusp sums reach {worst}")
     places = [None] * cx.num_faces()
@@ -431,35 +437,47 @@ def develop_from_shears(cx: CuspedTriangulation, sigma: dict) -> DevelopedCusped
                 else:
                     new_map = _span_map(places[f2], tuple(pts2))
                     if new_map is not None:
-                        generators.append(new_map)
+                        generators.append(Isometry(*new_map))
         frontier = nxt
     return DevelopedCusped(cx=cx, sigma=sigma, places=places,
                            generators=generators)
 
 
 def _span_map(old_pts, new_pts):
-    """Deck element taking the stored placement to the redeveloped one."""
+    """Matrix of the deck element taking the stored placement to the
+    redeveloped one, or None if it is the identity or a placement is
+    degenerate."""
     try:
-        m_old = geom.mobius_three_point(*old_pts)
-        m_new = geom.mobius_three_point(*new_pts)
-    except geom.GeometryError:
+        m_old = three_point_mat(*old_pts)
+        m_new = three_point_mat(*new_pts)
+    except GeometryError:
         return None
-    g = m_new @ m_old.inverse()
-    if geom.classify(g) == "identity":
+    g = mat_mul(m_new, mat_inverse(m_old))
+    if mat_classify(g) == "identity":
         return None
     return g
 
 
 def _shear_of_quad(x, y, z, w) -> float:
-    """Stored-convention shear of edge (x, y) with apexes z and w."""
-    e = Geodesic(x, y)
-    tz = geom.IdealTriangle(*geom.oriented(x, y, z))
-    tw = geom.IdealTriangle(*geom.oriented(x, y, w))
-    if geom.side_of(e, z) == "left":
-        t_left, t_right = tz, tw
-    else:
-        t_left, t_right = tw, tz
-    return geom.shear(t_right, t_left, e)
+    """Stored-convention shear of edge (x, y) with apexes z and w.
+
+    It is -apex_shear of the edge with its right apex, then its left one,
+    after the checks that a Geodesic of the edge, the two IdealTriangles
+    and geom.shear of them make, in that order and with their errors.
+    """
+    p, q = geodesic_ends(x, y)
+    left = []
+    for apex in (z, w):
+        if len({p, q, normalize_boundary(apex)}) != 3:
+            raise GeometryError("ideal triangle needs three distinct vertices")
+        left.append(cyclically_ordered(p, q, apex))
+        if not (left[-1] or cyclically_ordered(p, apex, q)):
+            raise GeometryError("vertices must be in positive cyclic order")
+    if left[0] == left[1]:
+        raise GeometryError("triangle apexes lie on the same side of the edge")
+    if left[0]:
+        return -apex_shear(p, q, w, z)
+    return -apex_shear(p, q, z, w)
 
 
 def rewrite_walk(walk, cx: CuspedTriangulation, edge):

@@ -7,22 +7,21 @@ Conventions used throughout the package:
   ``math.inf`` (negative infinity is normalized to it on input).
 * Isometries are real 2x2 matrices of determinant one acting by Mobius
   transformations; the matrix and its negative act identically.
-* Geodesics are stored by their pair of ideal endpoints and are oriented
-  from ``p`` to ``q`` when the orientation flag is set.
-* The value types (Isometry, Geodesic, IdealTriangle) are slotted
-  dataclasses, which are much cheaper to build than frozen ones.  They
-  are immutable by convention, and tests/test_hygiene.py rejects any
-  store to one of their fields outside the class's own methods: the
-  pants cache shares them across records.  They compare by value and
-  are not hashable.  The reflections and the object forms that only
-  the tests' oracle uses live in tests/geometric_oracle.py.
-* Each primitive the per-pants kernel and the pants construction need
-  also has a tuple form, which holds its formula: a matrix is a tuple
-  (a, b, c, d) and a geodesic a pair of normalized endpoints
-  (mat_classify, mat_fixed_points, mat_apply_boundary, two_point_mat,
-  three_point_mat, reflection_mat, ...).  The object functions and
-  methods call it, so the two give the same bits and raise the same
-  errors.
+* Geodesics are given by their pair of ideal endpoints (p, q), oriented
+  from p to q; a Geodesic value can drop the orientation.
+* Inside the library these are the one geometry format: a matrix is a
+  tuple (a, b, c, d) and a geodesic a pair of normalized endpoints, and
+  the functions on them (mat_mul, mat_inverse, mat_apply_boundary,
+  mat_fixed_points, two_point_mat, three_point_mat, geodesic_ends, ...)
+  hold every formula.
+* The value types Isometry, Geodesic and IdealTriangle are the public
+  API's values: a public function that returns a matrix returns an
+  Isometry of it, and the exported object functions (classify, shear,
+  incircle, ...) read them.  Outside this module the library builds one
+  only where a public function returns it.  They are slotted
+  dataclasses, immutable by convention, compare by value and are not
+  hashable; tests/test_hygiene.py checks both rules.  The object forms
+  that only the tests' oracle uses live in tests/geometric_oracle.py.
 
 The shear of two ideal triangles across a common edge is the signed
 distance along the oriented edge between the tangency points of their
@@ -45,6 +44,8 @@ RELATION_TOL = 1e-6
 
 #: Radius of the circle inscribed in any ideal triangle.
 IDEAL_INRADIUS = math.log(3.0) / 2.0
+
+IDENTITY = (1.0, 0.0, 0.0, 1.0)
 
 
 def normalize_boundary(x):
@@ -74,7 +75,13 @@ def _unit_det(a, b, c, d):
 
 
 def mat_mul(m, n):
-    """Product of 2x2 matrices given as (a, b, c, d) rows; any number type."""
+    """Product of 2x2 matrices given as (a, b, c, d) rows; any number type.
+
+    The determinant is not renormalized: products of unit-determinant
+    matrices drift from det 1 only at machine precision, while the float
+    determinant of a large-entry product is dominated by cancellation
+    noise, so "fixing" it would inject error.
+    """
     a, b, c, d = m
     e, f, g, h = n
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
@@ -99,58 +106,24 @@ def mat_apply_boundary(m, x):
     return normalize_boundary((a * x + b) / den)
 
 
+def mat_inverse(m):
+    """Inverse of a matrix of determinant one."""
+    a, b, c, d = m
+    return (d, -b, -c, a)
+
+
 @dataclass(slots=True)
 class Isometry:
-    """Orientation-preserving isometry of the half-plane, det normalized to 1."""
+    """Orientation-preserving isometry of the half-plane, det normalized to 1.
+
+    The public value of a matrix tuple (a, b, c, d); the library computes
+    on the tuple.
+    """
 
     a: float
     b: float
     c: float
     d: float
-
-    @classmethod
-    def from_matrix(cls, a, b, c, d):
-        return cls(*_unit_det(a, b, c, d))
-
-    @classmethod
-    def identity(cls):
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def translation(cls, t):
-        """Hyperbolic translation by length t along the imaginary axis (0 -> inf)."""
-        e = math.exp(t / 2.0)
-        return cls(e, 0.0, 0.0, 1.0 / e)
-
-    @classmethod
-    def half_turn(cls):
-        """z -> -1/z: swaps the two sides of the imaginary axis, reversing it."""
-        return cls(0.0, -1.0, 1.0, 0.0)
-
-    def trace(self):
-        return self.a + self.d
-
-    def inverse(self):
-        return Isometry(self.d, -self.b, -self.c, self.a)
-
-    def __matmul__(self, other):
-        # No determinant renormalization here: products of unit-determinant
-        # matrices drift from det 1 only at machine precision, while the
-        # float determinant of a large-entry product is dominated by
-        # cancellation noise, so "fixing" it would inject error.
-        return Isometry(*mat_mul((self.a, self.b, self.c, self.d),
-                                 (other.a, other.b, other.c, other.d)))
-
-    def apply(self, z: complex) -> complex:
-        return mat_apply((self.a, self.b, self.c, self.d), z)
-
-    def apply_boundary(self, x):
-        return mat_apply_boundary((self.a, self.b, self.c, self.d), x)
-
-    def __call__(self, z):
-        if isinstance(z, complex):
-            return self.apply(z)
-        return self.apply_boundary(z)
 
 
 def mat_classify(m) -> str:
@@ -303,11 +276,6 @@ def two_point_mat(p, q):
     return _unit_det(1.0, -p, 1.0, -q)
 
 
-def mobius_two_point(p, q) -> Isometry:
-    """Orientation-preserving map sending p -> 0 and q -> inf."""
-    return Isometry(*two_point_mat(p, q))
-
-
 def three_point_mat(p, q, r):
     """Matrix of the orientation-preserving map with 0 -> p, 1 -> q, inf -> r.
 
@@ -325,14 +293,6 @@ def three_point_mat(p, q, r):
     if q == INF:
         return _unit_det(r, -p, 1.0, -1.0)
     return _unit_det(r * (q - p), p * (r - q), q - p, r - q)
-
-
-def mobius_three_point(p, q, r) -> Isometry:
-    """Orientation-preserving map with 0 -> p, 1 -> q, inf -> r.
-
-    Requires (p, q, r) in positive cyclic order.
-    """
-    return Isometry(*three_point_mat(p, q, r))
 
 
 def dist(z: complex, w: complex) -> float:
@@ -363,24 +323,20 @@ def perpendicular_foot(z: complex, p, q) -> complex:
     """Foot of the perpendicular from z to the geodesic from p to q."""
     m = two_point_mat(p, q)
     w = mat_apply(m, z)
-    a, b, c, d = m
-    return mat_apply((d, -b, -c, a), complex(0.0, abs(w)))
+    return mat_apply(mat_inverse(m), complex(0.0, abs(w)))
 
 
-def foot_of_perpendicular(z: complex, g: Geodesic) -> complex:
-    return perpendicular_foot(z, g.p, g.q)
-
-
-def geodesic_intersection(g1: Geodesic, g2: Geodesic) -> complex:
-    """The crossing point of two intersecting geodesics."""
-    m = mobius_two_point(g1.p, g1.q)
-    a = m.apply_boundary(g2.p)
-    b = m.apply_boundary(g2.q)
+def geodesic_intersection(g1, g2) -> complex:
+    """The crossing point of two intersecting geodesics, given by their
+    pairs of normalized endpoints."""
+    m = two_point_mat(*g1)
+    a = mat_apply_boundary(m, g2[0])
+    b = mat_apply_boundary(m, g2[1])
     if a == INF or b == INF:
         raise GeometryError("geodesics do not cross")
     if a * b >= 0:
         raise GeometryError("geodesics do not cross")
-    return m.inverse()(complex(0.0, math.sqrt(-a * b)))
+    return mat_apply(mat_inverse(m), complex(0.0, math.sqrt(-a * b)))
 
 
 def common_perpendicular_ends(p1, q1, p2, q2):
@@ -393,8 +349,7 @@ def common_perpendicular_ends(p1, q1, p2, q2):
     r = math.sqrt(a * b)
     if a < 0:
         r = -r
-    ma, mb, mc, md = m
-    inv = (md, -mb, -mc, ma)
+    inv = mat_inverse(m)
     return geodesic_ends(mat_apply_boundary(inv, -r),
                          mat_apply_boundary(inv, r))
 
@@ -470,7 +425,8 @@ def shear_points(t: IdealTriangle):
     Returns (s12, s23, s31) where sij lies on the side from vi to vj.
     """
     center, _ = incircle(t)
-    return tuple(foot_of_perpendicular(center, side) for side in t.sides())
+    return tuple(perpendicular_foot(center, side.p, side.q)
+                 for side in t.sides())
 
 
 def _shared_edge_apexes(t_a: IdealTriangle, t_b: IdealTriangle, edge: Geodesic):
@@ -504,14 +460,14 @@ def shear(t_a: IdealTriangle, t_b: IdealTriangle, edge: Geodesic,
             return apex_shear(edge.p, edge.q, apex_b, apex_a)
         return -apex_shear(edge.p, edge.q, apex_a, apex_b)
     if method == "shear_points":
-        m = mobius_two_point(edge.p, edge.q)
+        m = two_point_mat(edge.p, edge.q)
         coord = {}
         for name, tri in (("a", t_a), ("b", t_b)):
             pts = shear_points(tri)
             on_edge = min(pts, key=lambda s: dist_to_geodesic(s, edge))
             if dist_to_geodesic(on_edge, edge) > 1e-7:
                 raise GeometryError("shear point not found on shared edge")
-            w = m(on_edge)
+            w = mat_apply(m, on_edge)
             coord[name] = math.log(w.imag)
         return coord["b"] - coord["a"]
     raise ValueError(f"unknown shear method {method!r}")
@@ -537,30 +493,29 @@ def horocycle_length_at_radius(r: float) -> float:
     return 2.0 * math.sinh(r)
 
 
-def parabolic_fixing(q, x, y) -> Isometry:
-    """The parabolic fixing the boundary point q that maps x to y."""
+def parabolic_fixing(q, x, y):
+    """Matrix of the parabolic fixing the boundary point q that maps x to y."""
     q = normalize_boundary(q)
     x = normalize_boundary(x)
     y = normalize_boundary(y)
     if q == INF:
-        return Isometry(1.0, y - x, 0.0, 1.0)
+        return (1.0, y - x, 0.0, 1.0)
     if x == INF or y == INF:
         raise GeometryError("only finite points are supported away from q")
     den = (x - q) * (q - y)
     if den == 0.0:
         raise GeometryError("degenerate parabolic constraint")
     c = (y - x) / den
-    return Isometry(1.0 + c * q, -c * q * q, c, 1.0 - c * q)
+    return (1.0 + c * q, -c * q * q, c, 1.0 - c * q)
 
 
 def parabolic_shift_mat(parabolic, fix):
     """parabolic_shift of the parabolic matrix, with m as a matrix."""
     if fix == INF:
-        m = (1.0, 0.0, 0.0, 1.0)
+        m = IDENTITY
     else:
         m = _unit_det(0.0, -1.0, 1.0, -fix)
-    a, b, c, d = m
-    g = mat_mul(mat_mul(m, parabolic), (d, -b, -c, a))
+    g = mat_mul(mat_mul(m, parabolic), mat_inverse(m))
     return m, abs(g[0] * g[1])
 
 

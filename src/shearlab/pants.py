@@ -19,16 +19,17 @@ fixed point of its holonomy, which is what lets the spiral corners and
 slot sides be read without a side test.  The seam lengths have a closed
 form (seam_lengths).
 
-build_pants computes on floats and matrix tuples (the tuple forms of
-geom), and builds the StdPants value objects once, after every check
-has passed.  A StdPants is cached per length triple and holds what the
-kernel, the gluing and the chains read: the seams, the slot axes, cusp
-points and holonomies, and the reflection matrix in each seam, from
-which the kernel mirrors the hexagon.  The marker and probe of a glued
-slot, which orient its gluing normalizer, are built by slot_normalizer
-when a gluing asks for them; the seam feet are measured only by the
-tests' geometric oracle, which also keeps the construction on geometry
-objects that this one replaced (tests/geometric_oracle.py).
+build_pants computes in geom's one format (floats, endpoint pairs and
+matrix tuples) and builds the StdPants once, after every check has
+passed.  A StdPants is cached per length triple and holds what the
+kernel, the gluing and the chains read, as computed: the seams and slot
+axes as endpoint pairs, the cusp points, the holonomy matrices, and the
+reflection matrix in each seam, from which the kernel mirrors the
+hexagon.  The marker and probe of a glued slot, which orient its gluing
+normalizer (a matrix), are built by slot_normalizer when a gluing asks
+for them; the seam feet are measured only by the tests' geometric
+oracle, which also keeps the construction on geometry objects that this
+one replaced (tests/geometric_oracle.py).
 
 On the sampling path build_pants is the scalar route: it builds only
 the pants that the numpy batch (thick.thick_batch) does not handle,
@@ -46,18 +47,19 @@ from functools import lru_cache
 
 from .geom import (
     INF,
-    Geodesic,
     GeometryError,
-    Isometry,
+    _unit_det,
     common_perpendicular_ends,
     ends_distance,
     geodesic_ends,
     geodesic_intersection,
+    mat_apply,
     mat_classify,
+    mat_inverse,
     mat_mul,
     mat_translation_length,
-    mobius_two_point,
     reflection_mat,
+    two_point_mat,
 )
 
 _CONSTRUCTION_TOL = 1e-9
@@ -112,11 +114,12 @@ def _solve_third_seam(p: float, t2: float, t3: float):
     return t2 * v, v
 
 
-def _point_along(g: Geodesic, start: complex, toward, distance: float) -> complex:
+def _point_along(g, start: complex, toward, distance: float) -> complex:
     """Point on g at the given distance from start, moving toward an endpoint."""
-    m = mobius_two_point(g.p, g.q) if toward == g.q else mobius_two_point(g.q, g.p)
-    w = m(start)
-    return m.inverse()(complex(0.0, w.imag * math.exp(distance)))
+    p, q = g
+    m = two_point_mat(p, q) if toward == q else two_point_mat(q, p)
+    w = mat_apply(m, start)
+    return mat_apply(mat_inverse(m), complex(0.0, w.imag * math.exp(distance)))
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,12 @@ class StdPants:
     """Immutable standard-position data for one pair of pants."""
 
     lengths: tuple            # boundary lengths (0.0 encodes a cusp)
-    seams: tuple              # three Geodesics; seams[k] joins slots != k
+    seams: tuple              # three endpoint pairs; seams[k] joins slots != k
     slot_is_cusp: tuple
-    slot_axis: tuple          # Geodesic or None per slot: the common
+    slot_axis: tuple          # endpoint pair or None per slot: the common
                               # perpendicular of the two adjacent seams
     slot_point: tuple         # ideal point (cusp slots) or None
-    slot_hol: tuple           # boundary holonomy per slot (X1, X2, X3)
+    slot_hol: tuple           # boundary holonomy matrix per slot (X1, X2, X3)
     seam_refl: tuple          # reflection matrix (a, b, c, d) in each seam
 
 
@@ -190,12 +193,11 @@ def build_pants(l1: float, l2: float, l3: float) -> StdPants:
     _check_pants(lengths, slot_is_cusp, slot_hol)
     return StdPants(
         lengths=lengths,
-        seams=tuple(Geodesic(*g) for g in seams),
+        seams=seams,
         slot_is_cusp=slot_is_cusp,
-        slot_axis=tuple(None if a is None else Geodesic(*a)
-                        for a in slot_axis),
+        slot_axis=tuple(slot_axis),
         slot_point=tuple(slot_point),
-        slot_hol=tuple(Isometry(*h) for h in slot_hol),
+        slot_hol=slot_hol,
         seam_refl=refl,
     )
 
@@ -209,16 +211,16 @@ def _shared_endpoint(ga, gb):
     raise GeometryError("adjacent seams of a cusp slot must share an endpoint")
 
 
-def _nearest_endpoint(seam: Geodesic, point):
+def _nearest_endpoint(seam, point):
     """The endpoint of the seam equal to the given ideal point."""
-    for x in (seam.p, seam.q):
+    for x in seam:
         if x == point or (x != INF and point != INF and
                           abs(x - point) <= 1e-9 * max(1.0, abs(x))):
             return x
     raise GeometryError("seam does not end at the expected ideal point")
 
 
-def _direction_toward(seam: Geodesic, start: complex, target) -> float:
+def _direction_toward(seam, start: complex, target) -> float:
     """Endpoint of the seam one moves toward when going from start to target.
 
     The target is either an interior point of the seam or one of its ideal
@@ -226,8 +228,9 @@ def _direction_toward(seam: Geodesic, start: complex, target) -> float:
     """
     if not isinstance(target, complex):
         return _nearest_endpoint(seam, target)
-    m = mobius_two_point(seam.p, seam.q)
-    return seam.q if m(target).imag > m(start).imag else seam.p
+    p, q = seam
+    m = two_point_mat(p, q)
+    return q if mat_apply(m, target).imag > mat_apply(m, start).imag else p
 
 
 def _check_pants(lengths: tuple, slot_is_cusp: tuple, slot_hol: tuple):
@@ -251,7 +254,7 @@ def _check_pants(lengths: tuple, slot_is_cusp: tuple, slot_hol: tuple):
         raise GeometryError("pants relation X1 X2 X3 = 1 violated")
 
 
-def slot_normalizer(pants: StdPants, slot: int) -> Isometry:
+def slot_normalizer(pants: StdPants, slot: int):
     """Map sending the slot axis to (0, inf), marker to i, body to Re > 0.
 
     The marker is the foot on the slot axis of the seam joining the slot
@@ -273,11 +276,10 @@ def slot_normalizer(pants: StdPants, slot: int) -> Isometry:
         other_foot = geodesic_intersection(seam, pants.slot_axis[other])
     toward = _direction_toward(seam, marker, other_foot)
     probe = _point_along(seam, marker, toward, 1e-3)
-    for (x, y) in ((axis.p, axis.q), (axis.q, axis.p)):
-        m = mobius_two_point(x, y)
-        if m(probe).real > 0:
-            y0 = m(marker).imag
+    for (x, y) in (axis, axis[::-1]):
+        m = two_point_mat(x, y)
+        if mat_apply(m, probe).real > 0:
+            y0 = mat_apply(m, marker).imag
             s = math.sqrt(y0)
-            scale = Isometry.from_matrix(1.0 / s, 0.0, 0.0, s)
-            return scale @ m
+            return mat_mul(_unit_det(1.0 / s, 0.0, 0.0, s), m)
     raise GeometryError("could not orient slot axis with body on the right")

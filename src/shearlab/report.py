@@ -51,7 +51,7 @@ from . import decomposition, spiralling, thick
 from .constants import (RHO, SHORT_CURVE_MAX, Signature, area,
                         constants_audit, main_bound, shear_free_params,
                         topology_constants)
-from .geom import RELATION_TOL, Isometry
+from .geom import RELATION_TOL
 from .pants import build_pants
 from .surface import (DISCONNECTED, FNCoordinates, PantsGraph, _draw,
                       canonical_pants_graph, check_curve_holonomy,
@@ -75,13 +75,19 @@ def parse_surface(data: dict):
      "pants": [{"slots": [{"curve": id} | {"cusp": id}, x3]}, ...],
      "fn": [{"curve": id, "length": l, "twist": t}, ...]}
 
-    Raises ValueError for a malformed slot, a pants graph that
-    contradicts the declared signature (the first problem
+    Raises ValueError for a signature g or n that is not a JSON integer
+    (such as 1.9, 1.0, true or "1"), a malformed slot, a pants graph
+    that contradicts the declared signature (the first problem
     surface.validate names), curve or cusp ids that cannot be ordered
     together (such as 0 and "b"), a curve without an fn row or with
     two, or an fn row of a curve that no slot glues.
     """
-    sig = Signature(int(data["signature"]["g"]), int(data["signature"]["n"]))
+    gn = [data["signature"][key] for key in ("g", "n")]
+    for key, value in zip("gn", gn):
+        if type(value) is not int:
+            raise ValueError(f"signature {key} must be an integer, "
+                             f"got {value!r}")
+    sig = Signature(*gn)
     pants = []
     for entry in data["pants"]:
         slots = []
@@ -262,9 +268,8 @@ def _scalar(layout, triples, lengths, handled, hol, params, log4a, values):
     pants, slots = (e.tolist() for e in layout.first_slot)
     for cid, length, p, s in zip(layout.cids, lengths.tolist(), pants,
                                  slots):
-        m = (Isometry(*hol[p, s].tolist()) if handled[p]
-             else std[p].slot_hol[s])
-        check_curve_holonomy(m, cid, length)
+        check_curve_holonomy(tuple(hol[p, s].tolist()) if handled[p]
+                             else std[p].slot_hol[s], cid, length)
     for p, sp in enumerate(std):
         if sp is None:
             continue

@@ -23,8 +23,8 @@ The per-pants kernel (pants_kernel) is a function of one pants in
 standard position, that is, of its boundary-length triple: it develops
 the pants once and reads off the three shears, the relation residual at
 each slot and the shear-point margins.  It is straight-line code on
-floats and matrix tuples (the tuple forms of geom) and builds no
-geometry object.  The develop on geometry objects that it replaced
+floats and matrix tuples, geom's one format, and builds no geometry
+object.  The develop on geometry objects that it replaced
 (Corner, DevelopedEdge, develop_pants, edge_shear, margin_rows) is kept
 in tests/geometric_oracle.py as its oracle, which the kernel matches
 bit for bit, errors included.  The kernel knows no pants index and no
@@ -130,9 +130,9 @@ def pants_kernel(sp: StdPants, params: ShearFreeParams) -> PantsKernel:
     corner.  Errors name the seam, not the pants.
     """
     cusp = sp.slot_is_cusp
-    hol = [(h.a, h.b, h.c, h.d) for h in sp.slot_hol]
+    hol = sp.slot_hol
     points = [None] * 6
-    stabs = hol + [None] * 3
+    stabs = [*hol, None, None, None]
     axes = [None] * 6
     for s in range(3):
         if cusp[s]:

@@ -13,6 +13,8 @@ the standard frame of one pants, together with the frame it lives in.
 Words are evaluated by telescoping the frame transitions along the
 spanning tree, which keeps every trace computation free of the large
 cancellations that global conjugation would introduce on thick surfaces.
+The gluing maps, tree paths, generator cores and checks are matrix
+tuples, as the pants holds them; evaluate_class returns an Isometry.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import geom
 from .constants import Signature, area
-from .geom import Isometry
+from .geom import IDENTITY, Isometry, mat_inverse, mat_mul
 from .pants import StdPants, build_pants, slot_normalizer
 
 @dataclass(frozen=True)
@@ -182,7 +184,7 @@ class Generator:
     """A deck transformation written as frame_L * core * frame_R^-1."""
 
     lframe: int
-    core: Isometry
+    core: tuple
     rframe: int
 
 
@@ -199,21 +201,21 @@ class Holonomy:
     curve_secondary: dict
     tree_curves: set = field(default_factory=set)
 
-    def _connector(self, p: int, q: int) -> Isometry:
+    def _connector(self, p: int, q: int):
         """Map from the frame of pants q to that of pants p, along the tree."""
+        out = IDENTITY
         if p == q:
-            return Isometry.identity()
+            return out
         path_p = self.root_paths[p]
         path_q = self.root_paths[q]
         k = 0
         while (k < len(path_p) and k < len(path_q)
                and path_p[k] is path_q[k]):
             k += 1
-        out = Isometry.identity()
         for e in reversed(path_p[k:]):
-            out = out @ e.inverse()
+            out = mat_mul(out, mat_inverse(e))
         for e in path_q[k:]:
-            out = out @ e
+            out = mat_mul(out, e)
         return out
 
     def evaluate_class(self, word) -> Isometry:
@@ -229,12 +231,12 @@ class Holonomy:
             if exp == 1:
                 factors.append((g.lframe, g.core, g.rframe))
             else:
-                factors.append((g.rframe, g.core.inverse(), g.lframe))
+                factors.append((g.rframe, mat_inverse(g.core), g.lframe))
         out = factors[0][1]
         for (fa, fb) in zip(factors, factors[1:]):
-            out = out @ self._connector(fa[2], fb[0]) @ fb[1]
-        out = out @ self._connector(factors[-1][2], factors[0][0])
-        return out
+            out = mat_mul(mat_mul(out, self._connector(fa[2], fb[0])), fb[1])
+        out = mat_mul(out, self._connector(factors[-1][2], factors[0][0]))
+        return Isometry(*out)
 
 
 def curve_length(hol: Holonomy, word) -> float:
@@ -255,10 +257,10 @@ def slot_lengths(pg: PantsGraph, fn: FNCoordinates, p: int):
 
 
 def _gluing_map(parent_std: StdPants, parent_slot: int,
-                child_std: StdPants, child_slot: int, cid,
-                twist: float) -> Isometry:
-    """Map placing the child pants across the parent's slot axis, with
-    the twist of curve cid.
+                child_std: StdPants, child_slot: int, cid, twist: float):
+    """Map n_parent^-1 T(twist) H n_child placing the child pants across
+    the parent's slot axis, with the twist of curve cid: T translates
+    along (0, inf), and the half turn H swaps its sides.
 
     A twist too large for float64 to carry the map (from about 1419 in
     absolute value) raises GeometryError naming the curve and the twist.
@@ -266,11 +268,13 @@ def _gluing_map(parent_std: StdPants, parent_slot: int,
     n_parent = slot_normalizer(parent_std, parent_slot)
     n_child = slot_normalizer(child_std, child_slot)
     try:
-        g = (n_parent.inverse() @ Isometry.translation(twist)
-             @ Isometry.half_turn() @ n_child)
+        e = math.exp(twist / 2.0)
+        g = mat_mul(mat_mul(mat_mul(mat_inverse(n_parent),
+                                    (e, 0.0, 0.0, 1.0 / e)),
+                            (0.0, -1.0, 1.0, 0.0)), n_child)
     except (OverflowError, ZeroDivisionError):
         g = None
-    if g is None or not all(map(math.isfinite, (g.a, g.b, g.c, g.d))):
+    if g is None or not all(map(math.isfinite, g)):
         raise geom.GeometryError(f"gluing map of curve {cid} at twist "
                                  f"{twist} is not finite in float64")
     return g
@@ -328,9 +332,8 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
     return hol
 
 
-def check_curve_holonomy(g: Isometry, cid, length: float):
+def check_curve_holonomy(m, cid, length: float):
     """The holonomy of a curve must translate by its requested length."""
-    m = (g.a, g.b, g.c, g.d)
     if geom.mat_classify(m) != "hyperbolic":
         raise geom.GeometryError(f"curve {cid} holonomy is not hyperbolic")
     got = geom.mat_translation_length(m)
@@ -340,12 +343,13 @@ def check_curve_holonomy(g: Isometry, cid, length: float):
 
 
 def _check_holonomy(hol: Holonomy):
+    """The holonomy of each curve and cusp, at its slot, and the tree."""
     for cid in sorted(hol.curve_primary):
-        check_curve_holonomy(hol.evaluate_class([(f"curve:{cid}", 1)]), cid,
-                             hol.fn.length(cid))
-    for cusp_id in hol.graph.cusp_slots():
-        g = hol.evaluate_class([(f"cusp:{cusp_id}", 1)])
-        if abs(abs(g.trace()) - 2.0) > 1e-9:
+        p, s = hol.curve_primary[cid]
+        check_curve_holonomy(hol.std[p].slot_hol[s], cid, hol.fn.length(cid))
+    for cusp_id, (p, s) in hol.graph.cusp_slots().items():
+        g = hol.std[p].slot_hol[s]
+        if abs(abs(g[0] + g[3]) - 2.0) > 1e-9:
             raise geom.GeometryError(f"cusp {cusp_id} word is not parabolic")
     # The two sides of a tree gluing stabilize the same axis oppositely:
     # bnd(p1,s1) must equal bnd(p2,s2)^-1 up to overall sign.  In local terms,
@@ -355,12 +359,11 @@ def _check_holonomy(hol: Holonomy):
         (p2, s2) = hol.curve_secondary[cid]
         conn = hol._connector(p1, p2)
         a = hol.std[p1].slot_hol[s1]
-        b = conn @ hol.std[p2].slot_hol[s2].inverse() @ conn.inverse()
-        scale = max(abs(b.a), abs(b.b), abs(b.c), abs(b.d), 1.0)
-        err = min(
-            max(abs(a.a - s * b.a), abs(a.b - s * b.b),
-                abs(a.c - s * b.c), abs(a.d - s * b.d))
-            for s in (1.0, -1.0))
+        b = mat_mul(mat_mul(conn, mat_inverse(hol.std[p2].slot_hol[s2])),
+                    mat_inverse(conn))
+        scale = max(*map(abs, b), 1.0)
+        err = min(max(abs(x - s * y) for x, y in zip(a, b))
+                  for s in (1.0, -1.0))
         if err > 1e-8 * scale:
             raise geom.GeometryError(
                 f"tree gluing along curve {cid} is inconsistent")

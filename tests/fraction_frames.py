@@ -13,13 +13,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from shearlab import geom
-from shearlab.geom import INF, Isometry
+from shearlab.geom import IDENTITY, INF
 
 
-def exact(iso: Isometry):
-    """The entries of an isometry as exact Fractions (a, b, c, d)."""
-    return (Fraction(iso.a), Fraction(iso.b), Fraction(iso.c),
-            Fraction(iso.d))
+def exact(m):
+    """The entries of a float matrix as exact Fractions (a, b, c, d)."""
+    return tuple(Fraction(v) for v in m)
 
 
 def exact_inverse(m):
@@ -31,7 +30,7 @@ def exact_inverse(m):
 def centered_frames(hol):
     """Exact placement of every pants relative to the middle one."""
     center = (hol.graph.num_pants - 1) // 2
-    to_center = exact(Isometry.identity())
+    to_center = exact(IDENTITY)
     for e in hol.root_paths[center]:
         to_center = geom.mat_mul(to_center, exact(e))
     base = exact_inverse(to_center)
@@ -56,15 +55,15 @@ def frame_apply(frame, pt):
     return float((a * x + b) / den)
 
 
-def frame_conj(frame, iso: Isometry) -> Isometry:
-    """frame iso frame^-1 in exact rationals, rounded once to float."""
-    m = geom.mat_mul(geom.mat_mul(frame, exact(iso)), exact_inverse(frame))
-    return Isometry(*(float(v) for v in m))
+def frame_conj(frame, m):
+    """frame m frame^-1 in exact rationals, rounded once to float."""
+    out = geom.mat_mul(geom.mat_mul(frame, exact(m)), exact_inverse(frame))
+    return tuple(float(v) for v in out)
 
 
 def evaluate_exact(gens, seq, base_point, base_parab):
     """Exact-rational point and conjugated parabolic of a generator word."""
-    word = exact(Isometry.identity())
+    word = exact(IDENTITY)
     for gi in reversed(seq):
         word = geom.mat_mul(exact(gens[gi]), word)
     return frame_apply(word, base_point), frame_conj(word, base_parab)

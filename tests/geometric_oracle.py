@@ -23,11 +23,13 @@ It keeps the construction and the develop of a pants on geometry
 objects, as the bit-exact oracle of the float build_pants and
 spiralling.pants_kernel: reference_build_pants builds the seams,
 reflections, holonomies and slot axes as Geodesic, Reflection and
-Isometry values; Corner, DevelopedEdge and develop_pants develop the
-three seam arcs with IdealTriangle values; edge_shear and margin_rows
-read each arc's shear and shear-point margins; and reference_kernel
-puts them together as the kernel did.  The tests require the same
-result bits or the same exception type and message from both.
+Mobius values, and stores their matrix tuples and endpoint pairs in the
+StdPants as build_pants does; Corner, DevelopedEdge and develop_pants
+develop the three seam arcs with IdealTriangle values; edge_shear and
+margin_rows read each arc's shear and shear-point margins; and
+reference_kernel puts them together as the kernel did.  The tests
+require the same result bits or the same exception type and message
+from both.
 
 Last, it keeps the boundary primitives and value types of geom as they
 were written with frozen dataclasses, a generator per normalisation and
@@ -38,9 +40,11 @@ the points with ==, and uses slotted dataclasses; the tests require the
 same result bits or the same exception from both.
 
 It also holds the code that only the tests reach, moved out of the
-library: the reflections and the object geometry built on them
-(Reflection, compose_reflections, geodesic_reflection, side_of_point,
-common_perpendicular, dist_between_geodesics, shear_point_on,
+library: the isometries as objects with their methods (Mobius and
+two_point_map; the library computes on matrix tuples and keeps Isometry
+as a public value only), the reflections and the object geometry built
+on them (Reflection, compose_reflections, geodesic_reflection,
+side_of_point, common_perpendicular, dist_between_geodesics, shear_point_on,
 parabolic_shift, horocycle_length_through), curve_regime,
 shears_from_places (the cusped develop read back), and the named rows
 of the shortness certificate (ShortnessRow, curve_rows, arc_rows), which
@@ -58,9 +62,9 @@ from shearlab.constants import (INTERMEDIATE_CURVE_MAX, SHORT_CURVE_MAX,
                                 truncated_collar_width)
 from shearlab.decomposition import arc_lengths
 from shearlab.geom import (INF, Geodesic, GeometryError, IdealTriangle,
-                           Isometry, boundary_close, geodesic_intersection,
-                           mat_apply_boundary, mat_mul, mobius_two_point,
-                           normalize_boundary)
+                           _unit_det, boundary_close, geodesic_intersection,
+                           mat_apply, mat_apply_boundary, mat_inverse,
+                           mat_mul, normalize_boundary, two_point_mat)
 from shearlab.pants import (_CONSTRUCTION_TOL, StdPants, _direction_toward,
                             _nearest_endpoint, _point_along, _seam_ends,
                             _shared_endpoint, _solve_third_seam)
@@ -69,6 +73,41 @@ from shearlab.spiralling import _FIX_TOL, AuditError, DevelopError
 
 # ---------------------------------------------------------------------------
 # geometry on objects that only the oracle uses
+
+
+@dataclass(slots=True)
+class Mobius:
+    """Orientation-preserving isometry z -> (a z + b)/(c z + d), det 1, as
+    an object: each method calls the tuple form in geom."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+
+    @classmethod
+    def from_matrix(cls, a, b, c, d):
+        return cls(*_unit_det(a, b, c, d))
+
+    def matrix(self):
+        return (self.a, self.b, self.c, self.d)
+
+    def inverse(self):
+        return Mobius(*mat_inverse(self.matrix()))
+
+    def __matmul__(self, other):
+        return Mobius(*mat_mul(self.matrix(), other.matrix()))
+
+    def apply_boundary(self, x):
+        return mat_apply_boundary(self.matrix(), x)
+
+    def __call__(self, z: complex) -> complex:
+        return mat_apply(self.matrix(), z)
+
+
+def two_point_map(p, q) -> Mobius:
+    """Orientation-preserving map sending p -> 0 and q -> inf."""
+    return Mobius(*two_point_mat(p, q))
 
 
 @dataclass(slots=True)
@@ -88,18 +127,18 @@ class Reflection:
     def apply_boundary(self, x):
         return mat_apply_boundary((self.a, self.b, self.c, self.d), x)
 
-    def conjugate_isometry(self, f: Isometry) -> Isometry:
+    def conjugate_isometry(self, f: Mobius) -> Mobius:
         """Return R f R (again orientation preserving)."""
         m = mat_mul(mat_mul((self.a, self.b, self.c, self.d),
-                            (f.a, f.b, f.c, f.d)),
+                            f.matrix()),
                     (self.a, self.b, self.c, self.d))
-        return Isometry(*m)
+        return Mobius(*m)
 
 
-def compose_reflections(r1: Reflection, r2: Reflection) -> Isometry:
+def compose_reflections(r1: Reflection, r2: Reflection) -> Mobius:
     """The product of two reflections is orientation preserving."""
     m = mat_mul((r1.a, r1.b, r1.c, r1.d), (r2.a, r2.b, r2.c, r2.d))
-    return Isometry(*m)
+    return Mobius(*m)
 
 
 def geodesic_reflection(g: Geodesic) -> Reflection:
@@ -108,7 +147,7 @@ def geodesic_reflection(g: Geodesic) -> Reflection:
 
 def side_of_point(g: Geodesic, z: complex) -> str:
     """Which side of the oriented geodesic an interior point lies on."""
-    m = mobius_two_point(g.p, g.q)
+    m = two_point_map(g.p, g.q)
     w = m(z)
     # travelling upward along the imaginary axis, the left side is Re < 0
     return "left" if w.real < 0 else "right"
@@ -138,26 +177,25 @@ def shear_point_on(t: IdealTriangle, edge: Geodesic) -> complex:
     raise GeometryError("edge is not a side of the triangle")
 
 
-def parabolic_shift(parabolic: Isometry, fix):
+def parabolic_shift(parabolic: Mobius, fix):
     """Conjugate a parabolic so that its fixed point fix goes to infinity.
 
     Returns (m, shift): m sends fix to infinity, and m parabolic m^-1 is
     z -> z +- shift.  For (a, b; 0, d) with ad = 1 the action is
     z -> (a/d) z + b/d with a/d = 1, so shift = |a b|.
     """
-    m, shift = geom.parabolic_shift_mat(
-        (parabolic.a, parabolic.b, parabolic.c, parabolic.d), fix)
-    return Isometry(*m), shift
+    m, shift = geom.parabolic_shift_mat(parabolic.matrix(), fix)
+    return Mobius(*m), shift
 
 
-def horocycle_length_through(parabolic: Isometry, z: complex) -> float:
+def horocycle_length_through(parabolic: Mobius, z: complex) -> float:
     """Length, in the cusp cylinder of a parabolic, of the horocycle
     through z.
 
     A hyperbolic input is rejected by name (geom.horocycle_frame).
     """
-    return geom.horocycle_length(geom.horocycle_frame(
-        (parabolic.a, parabolic.b, parabolic.c, parabolic.d)), z)
+    return geom.horocycle_length(geom.horocycle_frame(parabolic.matrix()),
+                                 z)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +203,11 @@ def horocycle_length_through(parabolic: Isometry, z: complex) -> float:
 
 
 def reference_build_pants(l1: float, l2: float, l3: float) -> StdPants:
-    """build_pants with Geodesic, Reflection and Isometry values throughout."""
+    """build_pants with Geodesic, Reflection and Mobius values throughout.
+
+    The StdPants holds their endpoint pairs and matrix tuples, as
+    build_pants gives them.
+    """
     lengths = (float(l1), float(l2), float(l3))
     alphas = [l / 2.0 for l in lengths]
     ts = [math.tanh(a / 2.0) ** 2 for a in alphas]
@@ -209,35 +251,35 @@ def reference_build_pants(l1: float, l2: float, l3: float) -> StdPants:
             slot_axis.append(common_perpendicular(adj[0], adj[1]))
             slot_point.append(None)
 
-    pants = StdPants(
+    _reference_check_pants(lengths, slot_is_cusp, slot_hol)
+    return StdPants(
         lengths=lengths,
-        seams=seams,
+        seams=tuple((g.p, g.q) for g in seams),
         slot_is_cusp=slot_is_cusp,
-        slot_axis=tuple(slot_axis),
+        slot_axis=tuple(None if g is None else (g.p, g.q)
+                        for g in slot_axis),
         slot_point=tuple(slot_point),
-        slot_hol=slot_hol,
+        slot_hol=tuple(h.matrix() for h in slot_hol),
         seam_refl=tuple((r.a, r.b, r.c, r.d) for r in refl),
     )
-    _reference_check_pants(pants)
-    return pants
 
 
-def _reference_check_pants(pants: StdPants):
+def _reference_check_pants(lengths, slot_is_cusp, slot_hol):
     for i in range(3):
-        x = pants.slot_hol[i]
+        x = slot_hol[i]
         kind = geom.classify(x)
-        if pants.slot_is_cusp[i]:
+        if slot_is_cusp[i]:
             if kind != "parabolic":
                 raise GeometryError(f"cusp slot {i} holonomy is {kind}")
         else:
             if kind != "hyperbolic":
                 raise GeometryError(f"slot {i} holonomy is {kind}")
             got = geom.translation_length(x)
-            want = pants.lengths[i]
+            want = lengths[i]
             if abs(got - want) > 1e-8 * max(1.0, want):
                 raise GeometryError(
                     f"slot {i} length {got} differs from requested {want}")
-    prod = pants.slot_hol[0] @ pants.slot_hol[1] @ pants.slot_hol[2]
+    prod = slot_hol[0] @ slot_hol[1] @ slot_hol[2]
     if geom.classify(prod) != "identity":
         raise GeometryError("pants relation X1 X2 X3 = 1 violated")
 
@@ -254,7 +296,7 @@ class Corner:
     kind: str                 # "cusp" | "curve"
     length: float = None
     axis: Geodesic = None     # lift of the curve (curve corners)
-    stabilizer: Isometry = None  # parabolic (cusp) or hyperbolic (curve)
+    stabilizer: Mobius = None  # parabolic (cusp) or hyperbolic (curve)
 
 
 @dataclass
@@ -281,12 +323,12 @@ def _front_corner(sp: StdPants, s: int) -> Corner:
     oriented from the repelling to the attracting fixed point of the
     slot holonomy, so the limit is the attracting fixed point.
     """
+    hol = Mobius(*sp.slot_hol[s])
     if sp.slot_is_cusp[s]:
-        return Corner(point=sp.slot_point[s], kind="cusp",
-                      stabilizer=sp.slot_hol[s])
-    att, rep = geom.fixed_points(sp.slot_hol[s])
+        return Corner(point=sp.slot_point[s], kind="cusp", stabilizer=hol)
+    att, rep = geom.fixed_points(hol)
     return Corner(point=att, kind="curve", length=sp.lengths[s],
-                  axis=Geodesic(att, rep), stabilizer=sp.slot_hol[s])
+                  axis=Geodesic(att, rep), stabilizer=hol)
 
 
 def _back_apex(sp: StdPants, k: int) -> Corner:
@@ -296,8 +338,8 @@ def _back_apex(sp: StdPants, k: int) -> Corner:
     right of the reflected holonomy's axis oriented toward its
     attracting fixed point, so the limit is the repelling one.
     """
-    refl = geodesic_reflection(sp.seams[k])
-    stab = refl.conjugate_isometry(sp.slot_hol[k])
+    refl = geodesic_reflection(Geodesic(*sp.seams[k]))
+    stab = refl.conjugate_isometry(Mobius(*sp.slot_hol[k]))
     if sp.slot_is_cusp[k]:
         return Corner(point=refl.apply_boundary(sp.slot_point[k]),
                       kind="cusp", stabilizer=stab)
@@ -458,18 +500,18 @@ def slot_marker_probe(sp: StdPants, i: int) -> tuple:
     return marker, _point_along(seam, marker, toward, 1e-3)
 
 
-def build_time_normalizer(sp: StdPants, slot: int) -> Isometry:
+def build_time_normalizer(sp: StdPants, slot: int) -> Mobius:
     """slot_normalizer, with the marker and probe of slot_marker_probe."""
     if sp.slot_is_cusp[slot]:
         raise GeometryError("cusp slots cannot be glued")
-    axis = sp.slot_axis[slot]
+    p, q = sp.slot_axis[slot]
     marker, probe = slot_marker_probe(sp, slot)
-    for (x, y) in ((axis.p, axis.q), (axis.q, axis.p)):
-        m = mobius_two_point(x, y)
+    for (x, y) in ((p, q), (q, p)):
+        m = two_point_map(x, y)
         if m(probe).real > 0:
             y0 = m(marker).imag
             s = math.sqrt(y0)
-            scale = Isometry.from_matrix(1.0 / s, 0.0, 0.0, s)
+            scale = Mobius.from_matrix(1.0 / s, 0.0, 0.0, s)
             return scale @ m
     raise GeometryError("could not orient slot axis with body on the right")
 
@@ -480,7 +522,7 @@ def _slot_side(sp: StdPants, s: int) -> str:
     The curve is oriented from the repelling to the attracting fixed
     point of its holonomy in the pants' own frame.
     """
-    att, rep = geom.fixed_points(sp.slot_hol[s])
+    att, rep = geom.fixed_points(Mobius(*sp.slot_hol[s]))
     return side_of_point(Geodesic(rep, att), slot_marker_probe(sp, s)[1])
 
 
@@ -518,13 +560,14 @@ def _cusp_height(sp: StdPants, slot: int):
     y >= height in the normalized frame, bounded by a horocycle of length
     CUSP_HOROCYCLE_LENGTH.
     """
-    m, shift = parabolic_shift(sp.slot_hol[slot], sp.slot_point[slot])
+    m, shift = parabolic_shift(Mobius(*sp.slot_hol[slot]),
+                               sp.slot_point[slot])
     return m, shift / CUSP_HOROCYCLE_LENGTH
 
 
 def _seam_coordinate(seam: Geodesic):
     """Arclength coordinate along the seam: t(z) = log Im(M z)."""
-    m = mobius_two_point(seam.p, seam.q)
+    m = two_point_map(seam.p, seam.q)
 
     def coord(z: complex) -> float:
         return math.log(m(z).imag)
@@ -532,7 +575,7 @@ def _seam_coordinate(seam: Geodesic):
     return m, coord
 
 
-def _horoball_interval(seam: Geodesic, coord, m_cusp: Isometry, height: float):
+def _horoball_interval(seam: Geodesic, coord, m_cusp: Mobius, height: float):
     """t-interval where the seam runs inside the horoball, or None."""
     a = m_cusp.apply_boundary(seam.p)
     b = m_cusp.apply_boundary(seam.q)
@@ -556,7 +599,7 @@ def _horoball_interval(seam: Geodesic, coord, m_cusp: Isometry, height: float):
 def _collar_interval(seam: Geodesic, coord, axis: Geodesic, width: float):
     """t-interval where the seam runs inside the collar, or None."""
     try:
-        cross = geom.geodesic_intersection(seam, axis)
+        cross = geom.geodesic_intersection((seam.p, seam.q), (axis.p, axis.q))
     except geom.GeometryError:
         cross = None
     if cross is not None:
@@ -567,7 +610,7 @@ def _collar_interval(seam: Geodesic, coord, axis: Geodesic, width: float):
     if d_min >= width or d_min == 0.0:
         return None
     perp = common_perpendicular(seam, axis)
-    foot = geom.geodesic_intersection(seam, perp)
+    foot = geom.geodesic_intersection((seam.p, seam.q), (perp.p, perp.q))
     t0 = coord(foot)
     spread = math.acosh(math.sinh(width) / math.sinh(d_min))
     return (t0 - spread, t0 + spread)
@@ -594,7 +637,7 @@ def truncate_arc(sp: StdPants, k: int) -> Truncation:
     regions is checked and reported; negative leftovers are clamped to
     zero with a diagnostic.
     """
-    seam = sp.seams[k]
+    seam = Geodesic(*sp.seams[k])
     m, coord = _seam_coordinate(seam)
     i, j = _seam_ends(k)
 
@@ -619,7 +662,8 @@ def truncate_arc(sp: StdPants, k: int) -> Truncation:
             length = sp.lengths[s]
             if length > INTERMEDIATE_CURVE_MAX:
                 continue
-            interval = _collar_interval(seam, coord, sp.slot_axis[s],
+            interval = _collar_interval(seam, coord,
+                                        Geodesic(*sp.slot_axis[s]),
                                         collar_width(length))
         if interval is None:
             continue

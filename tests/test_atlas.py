@@ -72,7 +72,7 @@ def scalar_fingerprint(sp, kern):
     """fingerprint of the scalar build_pants, pants_kernel and
     decomposition.arc_lengths."""
     return fingerprint(
-        [x for h in sp.slot_hol for x in (h.a, h.b, h.c, h.d)], kern.shears,
+        [x for h in sp.slot_hol for x in h], kern.shears,
         kern.residuals, kern.margins,
         [x for quad in kern.quadrilaterals for x in quad],
         [x for arc in D.arc_lengths(sp.lengths) for x in arc])
@@ -84,8 +84,7 @@ def curve_checks(sp):
     it (False at a cusp)."""
     lengths, passed = [], []
     for hol, length in zip(sp.slot_hol, sp.lengths):
-        m = (hol.a, hol.b, hol.c, hol.d)
-        lengths.append(mat_translation_length(m) if length else math.nan)
+        lengths.append(mat_translation_length(hol) if length else math.nan)
         try:
             check_curve_holonomy(hol, 0, length)
         except GeometryError:

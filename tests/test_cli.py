@@ -257,6 +257,18 @@ class TestMalformedSurface:
         one_line_error(capsys, [command, path], 1,
                        "curve 0 has two fn rows")
 
+    @pytest.mark.parametrize("command", ["compute", "optimize"])
+    @pytest.mark.parametrize("key, value", [("g", 1.9), ("g", True),
+                                            ("n", 1.0), ("n", "1")])
+    def test_signature_not_an_integer(self, tmp_path, capsys, command, key,
+                                      value):
+        # int() would read 1.9 and true as 1 and run the surface as (1,1)
+        bad = json.loads(json.dumps(SURFACE_11))
+        bad["signature"][key] = value
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, [command, path], 1,
+                       f"signature {key} must be an integer, got {value!r}")
+
     @pytest.mark.parametrize("twist", [1420.0, -1500.0, 1419.0])
     def test_twist_too_large_for_float64(self, tmp_path, capsys, twist):
         # the gluing map overflows, divides by a zero translation or
@@ -589,6 +601,23 @@ class TestLongBoundary:
         assert captured.err.startswith("error: ")
         assert "too long for float64" in captured.err
         assert captured.err.count("\n") == 1
+
+
+class TestUnwritableOut:
+    """An --out file that cannot be written fails with one line."""
+
+    @pytest.mark.parametrize("command", ["constants", "compute", "sample",
+                                         "optimize"])
+    def test_one_line_error(self, tmp_path, capsys, command):
+        path = write_surface(tmp_path, SURFACE_04)
+        argv = {"constants": ["constants", "--g", "1", "--n", "1"],
+                "compute": ["compute", path],
+                "sample": ["sample", "--g", "1", "--n", "1", "--count", "2"],
+                "optimize": ["optimize", path, "--budget", "5"]}[command]
+        out = tmp_path / "missing" / "report.json"
+        one_line_error(capsys, argv + ["--out", str(out)], 1,
+                       "cannot write --out file")
+        assert not out.parent.exists()
 
 
 class TestRelationCheck:

@@ -103,6 +103,17 @@ class TestDevelopFromShears:
         with pytest.raises(CU.IncompleteStructure):
             CU.develop_from_shears(cx, bad)
 
+    @pytest.mark.parametrize("edge", range(3))
+    def test_nan_cusp_sum_rejected(self, edge):
+        # NaN fails every comparison, and max keeps it only when it comes
+        # first: a NaN shear on any edge must still fail completeness
+        fn, (cx, sigma, _) = chain(Signature(0, 3))
+        bad = dict(sigma)
+        bad[cx.edges()[edge]] = math.nan
+        with pytest.raises(CU.IncompleteStructure,
+                           match="cusp sums reach nan"):
+            CU.develop_from_shears(cx, bad)
+
     def test_all_zero_once_punctured_torus(self):
         # one vertex, three edges, two faces: the modular torus
         cx = CU.CuspedTriangulation(
@@ -642,9 +653,8 @@ def same_bits(x, y):
     return struct.pack("<d", x) == struct.pack("<d", y)
 
 
-def same_isometry(g, h):
-    return all(same_bits(u, v) for u, v in zip((g.a, g.b, g.c, g.d),
-                                               (h.a, h.b, h.c, h.d)))
+def same_matrix(g, h):
+    return all(same_bits(u, v) for u, v in zip(g, h))
 
 
 class TestExactFrames:
@@ -666,7 +676,7 @@ class TestExactFrames:
 
         def conj(frame, iso):
             got = real_conj(frame, iso)
-            assert same_isometry(
+            assert same_matrix(
                 got, FF.frame_conj(FF.as_fractions(frame), iso))
             seen["conj"] += 1
             return got
@@ -675,7 +685,7 @@ class TestExactFrames:
             got = real_evaluate(gens, seq, base_point, base_parab)
             want = FF.evaluate_exact(gens, seq, base_point, base_parab)
             assert same_bits(got[0], want[0])
-            assert same_isometry(got[1], want[1])
+            assert same_matrix(got[1], want[1])
             seen["evaluate"] += 1
             return got
 

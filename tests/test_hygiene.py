@@ -26,7 +26,12 @@ geometry value types are ``slots=True`` dataclasses, immutable by
 convention only, and the pants cache shares their instances across
 records: no code may store to or delete a field of a ``slots=True``
 library dataclass, plainly, augmented or through ``setattr``, outside
-that class's own methods.  The batch of pants (thick.py) must give
+that class's own methods.  Inside the library a matrix is a tuple
+(a, b, c, d) and a geodesic a pair of endpoints; the value types
+Isometry, Geodesic and IdealTriangle are the public API's values: outside
+geom.py no library module may build one (call the class or one of its
+classmethods) except where a public function returns one
+(VALUE_RETURNS).  The batch of pants (thick.py) must give
 the scalar path's bits, and numpy's transcendental and power ufuncs
 round differently from math (its SIMD tanh, cosh, asinh, exp and log,
 and ``arr ** 2``, differ in the last bit on a share of inputs): the
@@ -290,6 +295,46 @@ def slotted_field_writes(defining, writing):
     return sorted(found)
 
 
+VALUE_TYPES = {"Isometry", "Geodesic", "IdealTriangle"}
+#: (module, function) of the public functions outside geom that return
+#: a value type, and so build one
+VALUE_RETURNS = {("surface.py", "Holonomy.evaluate_class"),
+                 ("cusped.py", "develop_walk"),
+                 ("cusped.py", "develop_from_shears")}
+
+
+def _builds_value(func):
+    """Whether a call of func builds a value type: the class itself
+    (``Isometry(...)``, ``geom.Geodesic(...)``) or one of its
+    classmethods (``Isometry.identity()``)."""
+    return (_called_name(func) in VALUE_TYPES
+            or (isinstance(func, ast.Attribute)
+                and _called_name(func.value) in VALUE_TYPES))
+
+
+def value_constructions(tree):
+    """(scope, line) of every call in tree that builds a value type.
+
+    The scope is the dotted name of the enclosing function, with its
+    class (``Holonomy.evaluate_class``), or "" at module level.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope
+                      else child.name)
+                continue
+            if isinstance(child, ast.Call) and _builds_value(child.func):
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
 def unread_fields(defining, reading):
     """Fields of the dataclasses in defining that no attribute load reads.
 
@@ -482,12 +527,31 @@ def test_slotted_fields_are_written_only_by_their_class():
                                 [_parse(p) for p in CALLERS]) == []
 
 
+def test_value_types_are_built_only_where_returned():
+    sites = {path.name: value_constructions(_parse(path)) for path in MODULES
+             if path.name != "geom.py"}
+    assert [f"{name}: {scope or '<module>'} at line {line}"
+            for name, found in sites.items() for scope, line in found
+            if (name, scope) not in VALUE_RETURNS] == []
+    # every listed return point still builds its value
+    assert VALUE_RETURNS <= {(name, scope) for name, found in sites.items()
+                             for scope, _ in found}
+
+
 def test_checks_catch_their_targets():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "def f():\n    return tau\n"
                      "def f():\n    return 1\n")
     assert duplicate_definitions(tree) == ["f"]
     assert unused_imports(tree) == ["os", "pi"]
+    lib = ast.parse("from .geom import Isometry\nimport geom\n"
+                    "X = Isometry(1, 0, 0, 1)\n"
+                    "class H:\n    def f(self):\n"
+                    "        return geom.Geodesic(0, 1)\n"
+                    "def g():\n    def h():\n"
+                    "        return geom.Isometry.identity()\n"
+                    "    return isinstance(h(), Isometry), (1, 0, 0, 1)\n")
+    assert value_constructions(lib) == [("", 3), ("H.f", 6), ("g.h", 9)]
     lib = ast.parse("A_TOL = 1\n_B = 2\nC: int = 3\nUNREAD = 4\n"
                     "lower = 5\nStyle = 6\n")
     reader = ast.parse("from lib import UNREAD\nimport lib\n"

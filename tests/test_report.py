@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearlab import geom as G
 from shearlab import report
 from shearlab import spiralling as SP
 from shearlab import surface as S
 from shearlab import thick
 from shearlab.constants import Signature, shear_free_params
 from shearlab.geom import GeometryError
-from shearlab.pants import build_pants
+from shearlab.pants import StdPants, build_pants
 
 
 def long_05(i):
@@ -329,8 +328,8 @@ class TestBatchRouting:
 
     def test_batch_route_builds_no_object_per_triple(self, monkeypatch):
         # every sample of this campaign passes, so every pants takes the
-        # batch route, which reads arrays: no Isometry (three per pants
-        # as build_pants gives them) and no PantsKernel is built
+        # batch route, which reads arrays: no StdPants (build_pants) and
+        # no PantsKernel is built
         built = Counter()
 
         def counting(cls):
@@ -342,7 +341,7 @@ class TestBatchRouting:
 
             return counted
 
-        for cls in (G.Isometry, SP.PantsKernel):
+        for cls in (StdPants, SP.PantsKernel):
             monkeypatch.setattr(cls, "__init__", counting(cls))
         build_pants.cache_clear()
         records, summary = report.run_sample_campaign(Signature(3, 2), 42, 20)
@@ -350,7 +349,7 @@ class TestBatchRouting:
         assert built == Counter()
         # the count sees what the scalar route builds
         SP.pants_kernel(build_pants(1.0, 2.0, 0.0), shear_free_params())
-        assert built["Isometry"] and built["PantsKernel"]
+        assert built["StdPants"] and built["PantsKernel"]
 
 
 JSON = st.recursive(

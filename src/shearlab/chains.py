@@ -9,6 +9,15 @@ punctured sphere the ladder is the whole triangulation.  For five
 punctures the ladder around the first curve is completed by a two-face
 fan around the remaining cusp, built in the same developed frame.
 
+The side roles are fixed by the construction, so no point is matched
+to find them.  A ladder face arrives as (prev, new, bridge), and _orient
+keeps it or swaps it to (prev, bridge, new): the later rung is always
+side 1, the outer side is side 0 or 2, and the earlier rung is the one
+left.  A fan face arrives as (cusp lift, arc start, arc end), so its
+ladder arc is side 1, and the swap exchanges sides 0 and 2.  Each
+gluing joins two sides that no other gluing touches, so every edge gets
+one shear, measured once.
+
 Supported signatures: (0,3), (0,4) and (0,5).  Larger chains would need
 an inductively propagated frontier; the structures exercised by the
 round-trip and flip tests stop at five punctures.  The holonomies, the
@@ -61,7 +70,8 @@ class _Event:
 class _LadderFace:
     labels: tuple    # cusp ids, positively oriented
     points: tuple    # global boundary points, same order
-    roles: dict      # side index -> "rung_prev" | "rung_next" | "outer"
+    outer: int       # side on the boundary line: 0 or 2; side 1 is the
+                     # later rung and side 2 - outer the earlier one
     outer_side_kind: str  # "L" | "R"
 
 
@@ -108,52 +118,39 @@ def _build_ladder(h_curve, length: float, base_points):
         if last[ev.side] is not None and last[other] is not None:
             prev_same = last[ev.side]
             bridge = last[other]
-            tri_pts = (prev_same.point, ev.point, bridge.point)
-            tri_lbl = (prev_same.cusp, ev.cusp, bridge.cusp)
-            faces.append((ev.t, _make_face(tri_lbl, tri_pts, ev.side)))
+            # (prev, new, bridge): (prev->new) lies on the boundary
+            # line, (new->bridge) is the later frontier rung and
+            # (bridge->prev) the earlier one
+            lbl, pts, outer = _orient(
+                (prev_same.cusp, ev.cusp, bridge.cusp),
+                (prev_same.point, ev.point, bridge.point))
+            faces.append((ev.t, _LadderFace(labels=lbl, points=pts,
+                                            outer=outer,
+                                            outer_side_kind=ev.side)))
         last[ev.side] = ev
-    period = sorted((f for f in faces if 0.0 <= f[0] < length - 1e-12),
-                    key=lambda f: f[0])
+    # a left and a right lift can sit at the same height modulo the
+    # length, and rounding can put that face just below 0 and its copy
+    # one period on just below the length: the window starts a relative
+    # 1e-9 below 0, so the face is counted once (faces come in t order)
+    low = -1e-9 * length
+    period = [f[1] for f in faces if low <= f[0] < length + low]
     if len(period) != 4:
         raise ChainError(
             f"ladder period contains {len(period)} faces, expected 4")
-    return [f[1] for f in period]
-
-
-def _make_face(labels, points, outer_kind):
-    """Orient the triple positively and record the role of each side.
-
-    The triple arrives as (prev, new, bridge): side (prev->new) lies on
-    the boundary line ("outer"), (bridge->prev) is the earlier frontier
-    rung, (new->bridge) the later one.
-    """
-    lbl, pts = _orient(labels, points)
-    role_of_pair = {
-        frozenset((points[0], points[1])): "outer",
-        frozenset((points[2], points[0])): "rung_prev",
-        frozenset((points[1], points[2])): "rung_next",
-    }
-    roles = {}
-    for s in range(3):
-        pair = frozenset((pts[s], pts[(s + 1) % 3]))
-        roles[s] = role_of_pair[pair]
-    return _LadderFace(labels=lbl, points=pts, roles=roles,
-                       outer_side_kind=outer_kind)
+    return period
 
 
 def _orient(labels, points):
-    """Labels and points of a face, reordered to positive cyclic order."""
+    """Labels and points of a face, reordered to positive cyclic order,
+    and the side index of (points[0], points[1]).
+
+    The triple is kept, that side being side 0, or its last two are
+    swapped, which makes it side 2; side 1 joins the last two either way.
+    """
     pts = geom.oriented(*points)
     if pts == tuple(points):
-        return tuple(labels), pts
-    return (labels[0], labels[2], labels[1]), pts
-
-
-def _side_with_role(face: _LadderFace, role: str) -> int:
-    for s, r in face.roles.items():
-        if r == role:
-            return s
-    raise ChainError(f"face has no side with role {role}")
+        return tuple(labels), pts, 0
+    return (labels[0], labels[2], labels[1]), pts, 2
 
 
 def _three_cusp_complex():
@@ -170,37 +167,31 @@ def _three_cusp_complex():
 
 
 class _Assembler:
-    """Collects faces, gluings and per-edge shear probes."""
+    """Collects faces, gluings and the shear of each glued edge."""
 
     def __init__(self):
         self.verts = []
-        self.points = []
         self.glue = {}
-        self.probes = {}
+        self.glue_shear = {}  # smaller side of each gluing -> shear
 
-    def add_face(self, labels, points):
+    def copy(self):
+        out = _Assembler()
+        out.verts = list(self.verts)
+        out.glue = dict(self.glue)
+        out.glue_shear = dict(self.glue_shear)
+        return out
+
+    def add_face(self, labels):
         self.verts.append(tuple(labels))
-        self.points.append(tuple(points))
         return len(self.verts) - 1
 
-    def side_of(self, face, a, b):
-        """Side index of face whose endpoints are the points a, b."""
-        pts = self.points[face]
-        for s in range(3):
-            x, y = pts[s], pts[(s + 1) % 3]
-            if ((geom.boundary_close(x, a, _MATCH_TOL)
-                 and geom.boundary_close(y, b, _MATCH_TOL))
-                    or (geom.boundary_close(x, b, _MATCH_TOL)
-                        and geom.boundary_close(y, a, _MATCH_TOL))):
-                return s
-        raise ChainError("face has no side with the given endpoints")
-
     def add_glue(self, k1, k2, shear):
-        if self.glue.get(k1, k2) != k2 or self.glue.get(k2, k1) != k1:
+        """Glue side k1 to side k2; a side is glued once, with one shear."""
+        if k1 in self.glue or k2 in self.glue:
             raise ChainError(f"conflicting gluing {k1} ~ {k2}")
         self.glue[k1] = k2
         self.glue[k2] = k1
-        self.probes.setdefault((min(k1, k2), max(k1, k2)), []).append(shear)
+        self.glue_shear[min(k1, k2)] = shear
 
     def finish(self, n_cusps):
         cx = CuspedTriangulation(verts=list(self.verts), glue=dict(self.glue))
@@ -209,11 +200,9 @@ class _Assembler:
         if len(links) != n_cusps:
             raise ChainError(
                 f"assembled complex has {len(links)} cusps, expected {n_cusps}")
-        sigma = {}
-        for (k1, _), vals in self.probes.items():
-            if max(vals) - min(vals) > 1e-6:
-                raise ChainError(f"shear disagreement on {k1}: {vals}")
-            sigma[cx.edge_key(*k1)] = sum(vals) / len(vals)
+        # a shear can be -0.0 (the log of exactly 1); + 0.0 stores 0.0
+        sigma = {cx.edge_key(*k): shear + 0.0
+                 for k, shear in self.glue_shear.items()}
         for e in cx.edges():
             if e not in sigma:
                 raise ChainError(f"edge {e} has no shear")
@@ -222,28 +211,22 @@ class _Assembler:
 
 def _emit_ladder(asm: _Assembler, faces, h_curve):
     """Add a ladder's faces, rung gluings and rung shears; returns face ids."""
-    ids = [asm.add_face(f.labels, f.points) for f in faces]
+    ids = [asm.add_face(f.labels) for f in faces]
     walk = []
     for i in range(4):
         j = (i + 1) % 4
-        s_next = _side_with_role(faces[i], "rung_next")
-        x = faces[i].points[s_next]
-        y = faces[i].points[(s_next + 1) % 3]
-        z = faces[i].points[(s_next + 2) % 3]
-        s_prev = _side_with_role(faces[j], "rung_prev")
-        if i < 3:
-            w = faces[j].points[(s_prev + 2) % 3]
-            chord = (faces[j].points[s_prev], faces[j].points[(s_prev + 1) % 3])
-        else:
-            pts = [mat_apply_boundary(h_curve, v) for v in faces[0].points]
-            w = pts[(s_prev + 2) % 3]
-            chord = (pts[s_prev], pts[(s_prev + 1) % 3])
+        z, x, y = faces[i].points          # the later rung is side 1
+        s_prev = 2 - faces[j].outer
+        pts = faces[j].points if i < 3 else [
+            mat_apply_boundary(h_curve, v) for v in faces[0].points]
+        w = pts[(s_prev + 2) % 3]
+        chord = (pts[s_prev], pts[(s_prev + 1) % 3])
         for v in (x, y):
             if not any(geom.boundary_close(c, v, _MATCH_TOL) for c in chord):
                 raise ChainError(f"rung {i} chords do not line up")
-        asm.add_glue((ids[i], s_next), (ids[j], s_prev),
+        asm.add_glue((ids[i], 1), (ids[j], s_prev),
                      _shear_of_quad(x, y, z, w))
-        walk.append((ids[i], s_next))
+        walk.append((ids[i], 1))
     return ids, walk
 
 
@@ -254,8 +237,7 @@ def _close_outer(asm: _Assembler, faces, ids, kind):
         raise ChainError("expected two outer faces on an end side")
     i1, i2 = outer
     f1, f2 = faces[i1], faces[i2]
-    s1 = _side_with_role(f1, "outer")
-    s2 = _side_with_role(f2, "outer")
+    s1, s2 = f1.outer, f2.outer
     x1, y1 = f1.points[s1], f1.points[(s1 + 1) % 3]
     z1 = f1.points[(s1 + 2) % 3]
     x2, y2 = f2.points[s2], f2.points[(s2 + 1) % 3]
@@ -329,8 +311,7 @@ def build_cusped_chain(hol: Holonomy):
         cx, sigma = asm.finish(4)
         return cx, sigma, walks
 
-    _complete_five(gen_table, asm, faces, ids, snake, w_point)
-    cx, sigma = asm.finish(5)
+    cx, sigma = _complete_five(gen_table, asm, faces, ids, snake, w_point)
     return cx, sigma, walks
 
 
@@ -420,17 +401,19 @@ def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
     arc, C a lift of the cusp inside the window that arc cuts off, and pi
     the parabolic stabilizing C.  The correct lift of the cusp is found
     by a breadth-first search over short deck words, certified by the
-    cusp-sum oracle of the assembled complex.
+    cusp-sum oracle of the assembled complex, which is returned as
+    (triangulation, sigma).
     """
     right = [i for i in range(4) if faces[i].outer_side_kind == "R"]
     if len(right) != 2:
         raise ChainError("expected two right-boundary faces")
-    # order the two boundary arcs consecutively: (r0 -> r1), (r1 -> r2)
+    # order the two boundary arcs consecutively: (r0 -> r1), (r1 -> r2);
+    # each vertex is carried as (point, label), from the outer side on
     sides = {}
     for i in right:
-        s = _side_with_role(faces[i], "outer")
-        sides[i] = (faces[i].points[s], faces[i].points[(s + 1) % 3],
-                    faces[i].points[(s + 2) % 3])
+        f = faces[i]
+        sides[i] = [(f.points[(f.outer + k) % 3], f.labels[(f.outer + k) % 3])
+                    for k in range(3)]
     (iA, iB) = right
     chainings = []
     for (first, second) in ((iA, iB), (iB, iA)):
@@ -438,28 +421,23 @@ def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
         b0, b1, _ = sides[second]
         for (x0, x1) in ((a0, a1), (a1, a0)):
             for (y0, y1) in ((b0, b1), (b1, b0)):
-                if (geom.boundary_close(x1, y0, _MATCH_TOL)
-                        and not geom.boundary_close(x0, y1, _MATCH_TOL)):
-                    chainings.append((first, second, x0, x1, y1))
+                if (geom.boundary_close(x1[0], y0[0], _MATCH_TOL)
+                        and not geom.boundary_close(x0[0], y1[0],
+                                                    _MATCH_TOL)):
+                    chainings.append((first, second, x0, x1, y1[0]))
     if not chainings:
         raise ChainError("right boundary arcs do not chain")
     last_cusp = snake[4]
     from .cusped import cusp_sums
     for limit in (400, 8000):
         for chaining in chainings:
-            first, second, r0, r1, r2 = chaining
-            lab_r0 = _label_of(faces[first], r0)
-            lab_r1 = _label_of(faces[first], r1)
-            zA = sides[first][2]
-            zB = sides[second][2]
+            first, second, (r0, lab_r0), (r1, lab_r1), r2 = chaining
+            zA = sides[first][2][0]
+            zB = sides[second][2][0]
             for c4, pi in _window_cusp_lifts(gen_table, w_point[last_cusp],
                                              last_cusp, r0, r1, zA,
                                              limit=limit):
-                trial = _Assembler()
-                trial.verts = list(asm.verts)
-                trial.points = list(asm.points)
-                trial.glue = dict(asm.glue)
-                trial.probes = {k: list(v) for k, v in asm.probes.items()}
+                trial = asm.copy()
                 try:
                     _emit_fan_faces(trial, faces, ids, first, second,
                                     r0, r1, r2, lab_r0, lab_r1, last_cusp,
@@ -469,19 +447,8 @@ def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
                     continue
                 sums = cusp_sums(cx, sigma)
                 if max(abs(v) for v in sums.values()) <= 1e-6:
-                    asm.verts = trial.verts
-                    asm.points = trial.points
-                    asm.glue = trial.glue
-                    asm.probes = trial.probes
-                    return
+                    return cx, sigma
     raise ChainError("no completion fan found around the last cusp")
-
-
-def _label_of(face: _LadderFace, point):
-    for lbl, pt in zip(face.labels, face.points):
-        if geom.boundary_close(pt, point, _MATCH_TOL):
-            return lbl
-    raise ChainError("point is not a vertex of the face")
 
 
 def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
@@ -554,27 +521,27 @@ def _emit_fan_faces(asm, faces, ids, first, second, r0, r1, r2,
         if cyclically_ordered(*diag, r0) == cyclically_ordered(*diag, pr0):
             raise ChainError("fan parabolic does not cross the diagonal")
 
-    fan1 = asm.add_face(*_orient((last_cusp, lab_r0, lab_r1), (c4, r0, r1)))
-    fan2 = asm.add_face(*_orient((last_cusp, lab_r1, lab_r0), (c4, r1, pr0)))
+    # side 1 of each fan face is its ladder arc; side k1 of fan1 is
+    # (c4, r0) and side k2 of fan2 is (c4, r1), the other being 2 - k
+    lbl1, _, k1 = _orient((last_cusp, lab_r0, lab_r1), (c4, r0, r1))
+    lbl2, _, k2 = _orient((last_cusp, lab_r1, lab_r0), (c4, r1, pr0))
+    fan1 = asm.add_face(lbl1)
+    fan2 = asm.add_face(lbl2)
 
     # boundary arc (r0, r1): ladder face vs fan1
-    s_lad = _side_with_role(faces[first], "outer")
-    asm.add_glue((ids[first], s_lad), (fan1, asm.side_of(fan1, r0, r1)),
+    asm.add_glue((ids[first], faces[first].outer), (fan1, 1),
                  _shear_of_quad(r0, r1, zA, c4))
     # boundary arc class of (r1, r2): the fan's lift of it is (r1, pi r0)
-    s_lad2 = _side_with_role(faces[second], "outer")
     if geom.boundary_close(pr0, r2, tol=1e-12):
         w = zB
     else:
         w = mat_apply_boundary(parabolic_fixing(r1, r2, pr0), zB)
-    asm.add_glue((ids[second], s_lad2), (fan2, asm.side_of(fan2, r1, pr0)),
+    asm.add_glue((ids[second], faces[second].outer), (fan2, 1),
                  _shear_of_quad(r1, pr0, c4, w))
     # the diagonal (c4, r1): shared by the two fan faces
-    asm.add_glue((fan1, asm.side_of(fan1, c4, r1)),
-                 (fan2, asm.side_of(fan2, c4, r1)),
+    asm.add_glue((fan1, 2 - k1), (fan2, k2),
                  _shear_of_quad(c4, r1, r0, pr0))
     # the remaining edge (c4, r0) ~ (c4, pi r0): glued through pi
-    asm.add_glue((fan1, asm.side_of(fan1, c4, r0)),
-                 (fan2, asm.side_of(fan2, c4, pr0)),
+    asm.add_glue((fan1, k1), (fan2, 2 - k2),
                  _shear_of_quad(c4, r0, r1,
                                 mat_apply_boundary(mat_inverse(pi), r1)))

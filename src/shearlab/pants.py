@@ -25,11 +25,13 @@ passed.  A StdPants is cached per length triple and holds what the
 kernel, the gluing and the chains read, as computed: the seams and slot
 axes as endpoint pairs, the cusp points, the holonomy matrices, and the
 reflection matrix in each seam, from which the kernel mirrors the
-hexagon.  The marker and probe of a glued slot, which orient its gluing
-normalizer (a matrix), are built by slot_normalizer when a gluing asks
-for them; the seam feet are measured only by the tests' geometric
-oracle, which also keeps the construction on geometry objects that this
-one replaced (tests/geometric_oracle.py).
+hexagon.  slot_normalizer builds the gluing normalizer (a matrix) of a
+glued slot when a gluing asks for it: the marker fixes its scale, and
+the orientation comes from standard position, with no side test.  The
+seam feet, and a probe point whose side test picks the same
+orientation, are measured only by the tests' geometric oracle, which
+also keeps the construction on geometry objects that this one replaced
+(tests/geometric_oracle.py).
 
 On the sampling path build_pants is the scalar route: it builds only
 the pants that the numpy batch (thick.thick_batch) does not handle,
@@ -55,7 +57,6 @@ from .geom import (
     geodesic_intersection,
     mat_apply,
     mat_classify,
-    mat_inverse,
     mat_mul,
     mat_translation_length,
     reflection_mat,
@@ -112,14 +113,6 @@ def _solve_third_seam(p: float, t2: float, t3: float):
         raise GeometryError("pants construction failed: no real seam position")
     v = (-b + math.sqrt(disc)) / (2.0 * a)
     return t2 * v, v
-
-
-def _point_along(g, start: complex, toward, distance: float) -> complex:
-    """Point on g at the given distance from start, moving toward an endpoint."""
-    p, q = g
-    m = two_point_mat(p, q) if toward == q else two_point_mat(q, p)
-    w = mat_apply(m, start)
-    return mat_apply(mat_inverse(m), complex(0.0, w.imag * math.exp(distance)))
 
 
 @dataclass(frozen=True)
@@ -211,28 +204,6 @@ def _shared_endpoint(ga, gb):
     raise GeometryError("adjacent seams of a cusp slot must share an endpoint")
 
 
-def _nearest_endpoint(seam, point):
-    """The endpoint of the seam equal to the given ideal point."""
-    for x in seam:
-        if x == point or (x != INF and point != INF and
-                          abs(x - point) <= 1e-9 * max(1.0, abs(x))):
-            return x
-    raise GeometryError("seam does not end at the expected ideal point")
-
-
-def _direction_toward(seam, start: complex, target) -> float:
-    """Endpoint of the seam one moves toward when going from start to target.
-
-    The target is either an interior point of the seam or one of its ideal
-    endpoints (a cusp foot).
-    """
-    if not isinstance(target, complex):
-        return _nearest_endpoint(seam, target)
-    p, q = seam
-    m = two_point_mat(p, q)
-    return q if mat_apply(m, target).imag > mat_apply(m, start).imag else p
-
-
 def _check_pants(lengths: tuple, slot_is_cusp: tuple, slot_hol: tuple):
     """Slot kinds and lengths, and the relation, of the holonomy matrices."""
     for i in range(3):
@@ -258,28 +229,18 @@ def slot_normalizer(pants: StdPants, slot: int):
     """Map sending the slot axis to (0, inf), marker to i, body to Re > 0.
 
     The marker is the foot on the slot axis of the seam joining the slot
-    to the next one, seam (slot + 2) mod 3.  The probe sits on that seam
-    1e-3 from the marker, toward the seam's other foot, so it lies in the
-    pants and tells which side of the axis the body is on.  Only the
-    gluing (surface.holonomy_from_fn) reads them, so they are built here
-    rather than with the pants.
+    to the next one, seam (slot + 2) mod 3.  Standard position puts the
+    pants on the left of the axis oriented from the repelling to the
+    attracting fixed point of the slot holonomy, so the body lands in
+    Re > 0 when the attracting end goes to 0.  That end comes first in
+    the stored axis of slots 0 and 2 and last in that of slot 1.  Only
+    the gluing (surface.holonomy_from_fn) reads the normalizer, so it is
+    built here rather than with the pants.
     """
     if pants.slot_is_cusp[slot]:
         raise GeometryError("cusp slots cannot be glued")
     axis = pants.slot_axis[slot]
-    seam = pants.seams[(slot + 2) % 3]
-    other = (slot + 1) % 3
-    marker = geodesic_intersection(axis, seam)
-    if pants.slot_is_cusp[other]:
-        other_foot = _nearest_endpoint(seam, pants.slot_point[other])
-    else:
-        other_foot = geodesic_intersection(seam, pants.slot_axis[other])
-    toward = _direction_toward(seam, marker, other_foot)
-    probe = _point_along(seam, marker, toward, 1e-3)
-    for (x, y) in (axis, axis[::-1]):
-        m = two_point_mat(x, y)
-        if mat_apply(m, probe).real > 0:
-            y0 = mat_apply(m, marker).imag
-            s = math.sqrt(y0)
-            return mat_mul(_unit_det(1.0 / s, 0.0, 0.0, s), m)
-    raise GeometryError("could not orient slot axis with body on the right")
+    marker = geodesic_intersection(axis, pants.seams[(slot + 2) % 3])
+    m = two_point_mat(*(axis[::-1] if slot == 1 else axis))
+    s = math.sqrt(mat_apply(m, marker).imag)
+    return mat_mul(_unit_det(1.0 / s, 0.0, 0.0, s), m)

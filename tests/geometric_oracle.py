@@ -13,11 +13,13 @@ horoballs and thin collars.
 
 It also keeps, as the oracle of slot_normalizer, the gluing data built
 from the feet of all three seams: the seam feet and the marker and probe
-of each glued slot (seam_feet, slot_marker_probe, build_time_normalizer).
-slot_normalizer builds only the marker, the one foot and the probe it
-needs, when it is called.  And it keeps the eager form of
-spiralling.margin_rows (eager_margin_rows), which computes both shear
-points of every edge whether or not a corner carries a row.
+of each glued slot (seam_feet, slot_marker_probe, build_time_normalizer,
+with the probe's helpers _nearest_endpoint, _direction_toward and
+_point_along).  slot_normalizer builds only the marker, and reads from
+the slot index the orientation that the probe's side test picks.  And
+it keeps the eager form of spiralling.margin_rows (eager_margin_rows),
+which computes both shear points of every edge whether or not a corner
+carries a row.
 
 It keeps the construction and the develop of a pants on geometry
 objects, as the bit-exact oracle of the float build_pants and
@@ -65,8 +67,7 @@ from shearlab.geom import (INF, Geodesic, GeometryError, IdealTriangle,
                            _unit_det, boundary_close, geodesic_intersection,
                            mat_apply, mat_apply_boundary, mat_inverse,
                            mat_mul, normalize_boundary, two_point_mat)
-from shearlab.pants import (_CONSTRUCTION_TOL, StdPants, _direction_toward,
-                            _nearest_endpoint, _point_along, _seam_ends,
+from shearlab.pants import (_CONSTRUCTION_TOL, StdPants, _seam_ends,
                             _shared_endpoint, _solve_third_seam)
 from shearlab.spiralling import _FIX_TOL, AuditError, DevelopError
 
@@ -467,6 +468,36 @@ def reference_kernel(sp: StdPants, params: ShearFreeParams):
                for _, margin in margin_rows(de, params)]
     return (shears, residuals, margins,
             [de.quadrilateral() for de in edges])
+
+
+def _nearest_endpoint(seam, point):
+    """The endpoint of the seam equal to the given ideal point."""
+    for x in seam:
+        if x == point or (x != INF and point != INF and
+                          abs(x - point) <= 1e-9 * max(1.0, abs(x))):
+            return x
+    raise GeometryError("seam does not end at the expected ideal point")
+
+
+def _direction_toward(seam, start: complex, target) -> float:
+    """Endpoint of the seam one moves toward when going from start to target.
+
+    The target is either an interior point of the seam or one of its ideal
+    endpoints (a cusp foot).
+    """
+    if not isinstance(target, complex):
+        return _nearest_endpoint(seam, target)
+    p, q = seam
+    m = two_point_mat(p, q)
+    return q if mat_apply(m, target).imag > mat_apply(m, start).imag else p
+
+
+def _point_along(g, start: complex, toward, distance: float) -> complex:
+    """Point on g at the given distance from start, moving toward an endpoint."""
+    p, q = g
+    m = two_point_mat(p, q) if toward == q else two_point_mat(q, p)
+    w = mat_apply(m, start)
+    return mat_apply(mat_inverse(m), complex(0.0, w.imag * math.exp(distance)))
 
 
 def seam_feet(sp: StdPants, k: int) -> tuple:

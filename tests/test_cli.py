@@ -8,8 +8,8 @@ import pytest
 
 from shearlab import cli, report
 from shearlab.constants import Signature
-from shearlab.geom import RELATION_TOL
-from shearlab.surface import sample_fn
+from shearlab.geom import RELATION_TOL, GeometryError
+from shearlab.surface import holonomy_from_fn, sample_fn
 from test_report import handle_nothing
 
 
@@ -519,7 +519,39 @@ OPTIMIZE_DIGESTS = {
         0, "a7bf6cabaf751c35823ad315e26de9fcaee00d998c84e98fb654bf2d1fbc0074"),
     (5, 9, 37, 28): (
         0, "dc2cf98ac36f96a8fe6f9d992d33ccb159f390ffcf1b9055cc982a08d30e4d70"),
+    # the (0,5) seeds above all close their fan with the first chaining of
+    # the right boundary arcs and swapped fan faces; these two take the
+    # second chaining with kept fan faces
+    (5, 77, 100, 77): (
+        0, "657128c760aae1e8dd804c38267547e69b027ef5d83320304d59811d81ec4c79"),
+    (5, 88, 100, 88): (
+        0, "84cfc4c3cfa37827a625194058244c5828170e8e8e07b921349fe2fcfa020099"),
 }
+
+
+def surface_04_at_twist(twist):
+    """Pants graph and fn coordinates of SURFACE_04 with another twist."""
+    _, pg, fn = report.parse_surface(dict(
+        SURFACE_04, fn=[{"curve": 0, "length": 2.0, "twist": twist}]))
+    return pg, fn
+
+
+@pytest.mark.parametrize("twist", [17.0, -18.0])
+def test_tree_gluing_below_the_defect(twist):
+    holonomy_from_fn(*surface_04_at_twist(twist))
+
+
+# Open defect (ROADMAP item 1): the gluing map carries e^(t/2), and from
+# twist 18 (and -19) on the conjugated slot holonomy of SURFACE_04 misses
+# the 1e-8 relative check of the tree gluing, so optimize exits 4.
+@pytest.mark.xfail(strict=True, raises=GeometryError,
+                   reason="tree-gluing check at moderate twists")
+def test_tree_gluing_at_twist_18():
+    try:
+        holonomy_from_fn(*surface_04_at_twist(18.0))
+    except GeometryError as err:
+        assert "tree gluing along curve 0 is inconsistent" in str(err)
+        raise
 
 
 class TestOptimizeBytes:

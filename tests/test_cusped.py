@@ -15,6 +15,7 @@ from shearlab import cusped as CU
 from shearlab import geom as G
 from shearlab import surface as S
 from shearlab.constants import Signature
+from shearlab.geom import RELATION_TOL
 
 
 def chain(sig, seed=None, lengths=None, twists=None):
@@ -65,6 +66,22 @@ class TestChainConstruction:
             hol = CU.develop_walk(cx, sigma, walks[0])
             got = G.translation_length(hol)
             assert abs(got - fn.length(0)) <= 1e-9 * max(1.0, fn.length(0))
+
+    def test_ladder_height_ties(self):
+        # ROADMAP item 6's (0,4) grid: on 13 of these surfaces a left and
+        # a right cusp lift sit at the same height modulo the length (at
+        # l = 2, t = 0 one at 0.0, the other at -2.0000000000000004), and
+        # the ladder period must still hold four faces
+        for length in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0):
+            for twist in (0.0, 0.25, 0.5, 0.75):
+                fn, (cx, sigma, walks) = chain(
+                    Signature(0, 4), lengths={0: length}, twists={0: twist})
+                sums = CU.cusp_sums(cx, sigma)
+                assert max(abs(v) for v in sums.values()) <= RELATION_TOL, \
+                    (length, twist)
+                got = G.translation_length(
+                    CU.develop_walk(cx, sigma, walks[0]))
+                assert abs(got - length) <= 1e-9 * length, (length, twist)
 
     def test_rejects_non_chain(self):
         pg = S.canonical_pants_graph(Signature(1, 1))

@@ -111,6 +111,32 @@ def test_slot_normalizer_matches_the_build_time_construction():
     assert compared >= 2000
 
 
+def test_slot_normalizer_sends_the_attracting_end_to_zero():
+    # the pants lies left of each slot axis oriented from the repelling
+    # to the attracting fixed point of X_s, so the normalizer, which puts
+    # the body in Re > 0, sends the attracting one near 0 and the
+    # repelling one near infinity (not exactly: the fixed points and the
+    # axis ends differ in their last bits)
+    rng = np.random.default_rng(13)
+    slots = 0
+    for _ in range(PANTS):
+        ls = tuple(0.0 if rng.random() < 0.2
+                   else math.exp(rng.uniform(math.log(1e-3), math.log(30.0)))
+                   for _ in range(3))
+        sp = sound_pants(ls)
+        if sp is None:
+            continue
+        for s in range(3):
+            if sp.slot_is_cusp[s]:
+                continue
+            n = slot_normalizer(sp, s)
+            att, rep = G.mat_fixed_points(sp.slot_hol[s], "hyperbolic")
+            assert abs(G.mat_apply_boundary(n, att)) < 1e-3, (ls, s)
+            assert abs(G.mat_apply_boundary(n, rep)) > 1e3, (ls, s)
+            slots += 1
+    assert slots >= 2 * PANTS * 9 // 10
+
+
 def random_arcs(kind, count, seed):
     """(lengths, k) for count seam arcs k of the given kind.
 

@@ -404,14 +404,20 @@ class DevelopedCusped:
     generators: list        # face-pairing deck elements of co-tree gluings
 
 
-def develop_from_shears(cx: CuspedTriangulation, sigma: dict) -> DevelopedCusped:
-    """Develop the triangulation; cusp sums must vanish (completeness)."""
+def check_complete(cx: CuspedTriangulation, sigma: dict):
+    """Raise IncompleteStructure unless every cusp sum of the shears is
+    within RELATION_TOL of 0 (completeness); a NaN sum fails."""
     residuals = [abs(v) for v in cusp_sums(cx, sigma).values()]
     # a NaN sum is never complete, and max keeps it only when it is first
     worst = math.nan if any(map(math.isnan, residuals)) else max(residuals)
     if not worst <= RELATION_TOL:
         raise IncompleteStructure(
             f"incomplete structure: cusp sums reach {worst}")
+
+
+def develop_from_shears(cx: CuspedTriangulation, sigma: dict) -> DevelopedCusped:
+    """Develop the triangulation; cusp sums must vanish (check_complete)."""
+    check_complete(cx, sigma)
     places = [None] * cx.num_faces()
     places[0] = (0.0, 1.0, INF)
     generators = []

@@ -41,6 +41,9 @@ CLASSIFY_TOL = 1e-9
 GEOM_TOL = 1e-9
 #: Allowed residual of the shear relations (cusp sums, curve-side sums).
 RELATION_TOL = 1e-6
+#: mat_fixed_points takes a hyperbolic matrix as fixing inf when |c| is
+#: below this times its largest diagonal entry (and 1)
+_VERTICAL_TOL = 1e-14
 
 #: Radius of the circle inscribed in any ideal triangle.
 IDEAL_INRADIUS = math.log(3.0) / 2.0
@@ -174,7 +177,7 @@ def mat_fixed_points(m, kind: str):
         raise GeometryError(f"no boundary fixed points for {kind} isometry")
     tr = a + d
     disc = math.sqrt(tr * tr - 4.0)
-    if abs(c) < 1e-14 * max(1.0, abs(a), abs(d)):
+    if abs(c) < _VERTICAL_TOL * max(1.0, abs(a), abs(d)):
         # one fixed point is inf; the other solves (a - d) x + b = 0
         other = b / (d - a) if a != d else INF
         # inf is attracting iff |a| > |d| (derivative at inf is (a/d)^... < 1 test)

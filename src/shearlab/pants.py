@@ -21,17 +21,18 @@ form (seam_lengths).
 
 build_pants computes in geom's one format (floats, endpoint pairs and
 matrix tuples) and builds the StdPants once, after every check has
-passed.  A StdPants is cached per length triple and holds what the
-kernel, the gluing and the chains read, as computed: the seams and slot
-axes as endpoint pairs, the cusp points, the holonomy matrices, and the
-reflection matrix in each seam, from which the kernel mirrors the
-hexagon.  slot_normalizer builds the gluing normalizer (a matrix) of a
-glued slot when a gluing asks for it: the marker fixes its scale, and
-the orientation comes from standard position, with no side test.  The
-seam feet, and a probe point whose side test picks the same
-orientation, are measured only by the tests' geometric oracle, which
-also keeps the construction on geometry objects that this one replaced
-(tests/geometric_oracle.py).
+passed.  A StdPants holds what the kernel, the gluing and the chains
+read, as computed: the seams and slot axes as endpoint pairs, the cusp
+points, the holonomy matrices, and the reflection matrix in each seam,
+from which the kernel mirrors the hexagon.  Nothing caches it: a
+campaign builds a triple only when the batch leaves it, and a gluing
+builds each pants once.  slot_normalizer builds the gluing normalizer
+(a matrix) of a glued slot when a gluing asks for it: the marker fixes
+its scale, and the orientation comes from standard position, with no
+side test.  The seam feet, and a probe point whose side test picks the
+same orientation, are measured only by the tests' geometric oracle,
+which also keeps the construction on geometry objects that this one
+replaced (tests/geometric_oracle.py).
 
 On the sampling path build_pants is the scalar route: it builds only
 the pants that the numpy batch (thick.thick_batch) does not handle,
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .geom import (
     INF,
@@ -64,6 +64,8 @@ from .geom import (
 )
 
 _CONSTRUCTION_TOL = 1e-9
+#: relative tolerance of a slot's translation length (_check_pants)
+_SLOT_LENGTH_TOL = 1e-8
 
 
 def seam_lengths(l1: float, l2: float, l3: float):
@@ -137,7 +139,6 @@ def _seam_ends(k: int):
     return _SEAM_ENDS[k]
 
 
-@lru_cache(maxsize=4096)
 def build_pants(l1: float, l2: float, l3: float) -> StdPants:
     lengths = (float(l1), float(l2), float(l3))
     alphas = [l / 2.0 for l in lengths]
@@ -217,7 +218,7 @@ def _check_pants(lengths: tuple, slot_is_cusp: tuple, slot_hol: tuple):
                 raise GeometryError(f"slot {i} holonomy is {kind}")
             got = mat_translation_length(x)
             want = lengths[i]
-            if abs(got - want) > 1e-8 * max(1.0, want):
+            if abs(got - want) > _SLOT_LENGTH_TOL * max(1.0, want):
                 raise GeometryError(
                     f"slot {i} length {got} differs from requested {want}")
     prod = mat_mul(mat_mul(slot_hol[0], slot_hol[1]), slot_hol[2])

@@ -15,23 +15,24 @@ bits:
 
 * every pants goes first through thick.thick_batch, which builds and
   develops all the triples of the block at once in numpy, in input
-  order, measures their seam arcs and checks the curve holonomies, and
-  returns arrays with a row per triple;
+  order, checks the curve holonomies and returns arrays with a row per
+  triple;
 * every pants the batch does not handle (a check fails, or a rare
-  branch is taken) goes through the scalar pants.build_pants,
-  spiralling.pants_kernel and decomposition.arc_lengths.  They are the
-  reference of the batch and report every failure by name, in the
-  scalar order: construction errors by pants, then the curve checks by
-  curve id, then kernel errors by pants.
+  branch is taken) goes through the scalar pants.build_pants and
+  spiralling.pants_kernel.  They are the reference of the batch and
+  report every failure by name, in the scalar order: construction
+  errors by pants, then the curve checks by curve id, then kernel
+  errors by pants.
 
 The batch's arrays are reshaped to (samples, pants), the scalar route
 writes the values of the pants it builds into them, and they are
 reduced per block in numpy: the largest |shear|, the largest residual
 over cusp slots and over curve slots, the least margin, and whether
-every row of the shortness certificate passes, read from the curve
-lengths and decomposition.arcs_short without building the rows.  The
-record holds these, the curve lengths and twists keyed by curve id and
-the shears keyed by arc (pants, seam).  run_surface is a campaign of
+every row of the shortness certificate passes, read without building
+the rows from the curve lengths and the seam-arc closed forms
+(decomposition), which neither route computes.  The record holds
+these, the curve lengths and twists keyed by curve id and the shears
+keyed by arc (pants, seam).  run_surface is a campaign of
 one surface.  No global holonomy is built.  Reports are deterministic:
 records are assembled in sample order and contain no wall-clock data
 (timings go to a side channel).  to_json writes json.dumps' indented
@@ -208,14 +209,13 @@ def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists,
     batch alone; every other one takes the scalar route (_scalar).
     """
     layout = _layout(pg)
-    log4a = math.log(4.0 * area(sig))
     count, pants = len(lengths), pg.num_pants
     # check_surface's checks
     bad = ~(((lengths > 0.0) & (lengths < math.inf)
              & np.isfinite(twists)).all(axis=1) & layout.sound)
     triples = np.concatenate([lengths, np.zeros((count, 1))],
                              axis=1)[:, layout.columns]
-    batch = thick.thick_batch(triples.reshape(-1, 3), params, log4a)
+    batch = thick.thick_batch(triples.reshape(-1, 3), params)
     # the least margin per pants, NaN where a pants has none: reduceat
     # gives an empty row the next row's first margin, and the last row
     # every margin up to the +inf appended
@@ -226,13 +226,12 @@ def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists,
     p, s = layout.first_slot
     fast = ~bad & handled.all(axis=1) & batch.curve_ok.reshape(
         count, pants, 3)[:, p, s].all(axis=1)
-    # per surface and pants: the shears and residuals, the least margin
-    # and arcs_short; _scalar writes into them, and so into the batch,
-    # which is read no further
+    # per surface and pants: the shears, the residuals and the least
+    # margin; _scalar writes into them, and so into the batch, which is
+    # read no further
     values = (batch.shears.reshape(count, pants, 3),
               batch.residuals.reshape(count, pants, 3),
-              least.reshape(count, pants),
-              batch.arcs_short.reshape(count, pants))
+              least.reshape(count, pants))
     out = {}
     for i in np.flatnonzero(~fast).tolist():
         try:
@@ -241,27 +240,27 @@ def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists,
                     dict(zip(layout.cids, lengths[i].tolist())),
                     dict(zip(layout.cids, twists[i].tolist()))))
             _scalar(layout, triples[i], lengths[i], handled[i], hol[i],
-                    params, log4a, [v[i] for v in values])
+                    params, [v[i] for v in values])
         except Exception as err:   # the surface's error, raised or recorded
             out[i] = err
     good = [i for i in range(count) if i not in out]
-    out.update(zip(good, _records(sig, layout, log4a, lengths, twists,
-                                  values, good)))
+    out.update(zip(good, _records(sig, layout, triples[good], lengths[good],
+                                  twists[good], [v[good] for v in values])))
     return [out[i] for i in range(count)]
 
 
-def _scalar(layout, triples, lengths, handled, hol, params, log4a, values):
+def _scalar(layout, triples, lengths, handled, hol, params, values):
     """Write into values (_surfaces' per-pants values of one surface) those
-    of the pants the batch did not handle, from the scalar build_pants,
-    pants_kernel and decomposition.arc_lengths.  The surface's length
-    triples, curve lengths, and the batch's handled and hol of its pants
-    are its rows of _surfaces' arrays.
+    of the pants the batch did not handle, from the scalar build_pants and
+    pants_kernel.  The surface's length triples, curve lengths, and the
+    batch's handled and hol of its pants are its rows of _surfaces'
+    arrays.
 
     The errors come in the order of the scalar path: construction errors
     by pants, then the curve checks by curve id, then kernel errors by
     pants.
     """
-    shears, residuals, least, short = values
+    shears, residuals, least = values
     handled = handled.tolist()
     std = [None if done else build_pants(*ls)
            for ls, done in zip(triples.tolist(), handled)]
@@ -279,19 +278,18 @@ def _scalar(layout, triples, lengths, handled, hol, params, log4a, values):
             raise type(err)((p, err.edge), err.problem) from err
         shears[p], residuals[p] = kern.shears, kern.residuals
         least[p] = min(kern.margins, default=math.nan)
-        short[p] = decomposition.arcs_short(
-            decomposition.arc_lengths(sp.lengths), log4a)
 
 
-def _records(sig, layout, log4a, lengths, twists, values, good) -> list:
-    """The records of the surfaces good on one graph, from _surfaces'
-    arrays.
+def _records(sig, layout, triples, lengths, twists, values) -> list:
+    """The records of surfaces on one graph that have one, from their
+    rows of _surfaces' arrays.
 
     certified reads the shortness certificate from the floats: every
     curve is at most 2 log(4 area) long and every pants passes
-    decomposition.arcs_short.
+    decomposition.arcs_short, evaluated here for the whole block.
     """
-    shears, residuals, least, short = values
+    shears, residuals, least = values
+    log4a = math.log(4.0 * area(sig))
     bound = main_bound(sig)
     top = np.abs(shears).max(axis=(1, 2)).tolist()
     # _max of the residuals at the cusp and at the curve slots, 0.0 at
@@ -301,6 +299,8 @@ def _records(sig, layout, log4a, lengths, twists, values, good) -> list:
                           0.0).max(axis=(2, 3)).T.tolist()
     # a margin is never NaN (the audit fails it), so NaN is "no margin"
     margin = np.fmin.reduce(least, axis=1).tolist()
+    short = decomposition.arcs_short(decomposition.arc_lengths(triples),
+                                     log4a)
     certified = ((lengths <= 2.0 * log4a).all(axis=1)
                  & short.all(axis=1)).tolist()
     flat = shears.reshape(len(lengths), len(layout.shear_keys)).tolist()
@@ -318,7 +318,7 @@ def _records(sig, layout, log4a, lengths, twists, values, good) -> list:
         "relations_ok": cusp[i] <= RELATION_TOL and side[i] <= RELATION_TOL,
         "min_margin": None if math.isnan(margin[i]) else margin[i],
         "bound_satisfied": top[i] < bound,
-    } for i in good]
+    } for i in range(len(lengths))]
 
 
 def config_hash(config: dict) -> str:

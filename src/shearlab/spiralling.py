@@ -38,7 +38,9 @@ the pants that the numpy batch (thick.thick_batch) leaves, those where a
 check fails or a rare branch is taken; the batch develops every other
 pants, cusped and thin ones included.  It is the batch's reference,
 which the batch matches bit for bit, margins and their order included,
-and it reports the failures of both routes by name.
+and it reports the failures of both routes by name.  The seam-arc
+lengths are not the kernel's: the report reads them from closed forms
+(decomposition.arc_lengths).
 """
 
 from __future__ import annotations

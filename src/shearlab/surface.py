@@ -79,6 +79,9 @@ class FNCoordinates:
 
 DISCONNECTED = "gluing graph is not connected"
 
+#: relative tolerance of a curve's translation length (check_curve_holonomy)
+_CURVE_LENGTH_TOL = 1e-9
+
 
 def validate(pg: PantsGraph, sig: Signature):
     """Check the pants graph against the signature; returns diagnostics."""
@@ -337,7 +340,7 @@ def check_curve_holonomy(m, cid, length: float):
     if geom.mat_classify(m) != "hyperbolic":
         raise geom.GeometryError(f"curve {cid} holonomy is not hyperbolic")
     got = geom.mat_translation_length(m)
-    if abs(got - length) > 1e-9 * max(1.0, length):
+    if abs(got - length) > _CURVE_LENGTH_TOL * max(1.0, length):
         raise geom.GeometryError(
             f"curve {cid} length {got} != requested {length}")
 

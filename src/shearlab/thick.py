@@ -1,19 +1,20 @@
 """Every pants of a campaign, built and developed in one numpy batch.
 
 thick_batch runs the construction (pants.build_pants), the develop and
-shear-point margins (spiralling.pants_kernel), the seam-arc lengths
-(decomposition.arc_lengths and arcs_short) and the curve-length check
+shear-point margins (spiralling.pants_kernel) and the curve-length check
 of each slot's holonomy (surface.check_curve_holonomy) over numpy arrays
 of every length triple of a block of samples at once, in input order,
 cusped and thin pants included.  It uses the same formulas in the same
 operation order as the scalar code, so a triple it handles gets the
 scalar path's bits: slot holonomies, shears, residuals, margins in
-kernel order, quadrilaterals and arc lengths.  Every operation is
-elementwise, so a triple's bits do not depend on the others in its
-batch, and a repeated triple gets the same bits each time.  It returns
-them as arrays with one row per input triple (Batch), with no object
-per triple; report reduces them per surface.  (The module keeps its name
-from when it batched only the thick compact pants.)
+kernel order and quadrilaterals.  The seam-arc lengths of the shortness
+certificate are closed forms with no check of their own, so the report
+evaluates them outside the batch (decomposition.arc_lengths).  Every
+operation is elementwise, so a triple's bits do not depend on the others
+in its batch, and a repeated triple gets the same bits each time.  It
+returns them as arrays with one row per input triple (Batch), with no
+object per triple; report reduces them per surface.  (The module keeps
+its name from when it batched only the thick compact pants.)
 
 Elementwise + - * /, abs, comparisons, np.sqrt and np.hypot (libm's
 hypot, which abs(complex) calls) round exactly as CPython does.
@@ -36,9 +37,10 @@ scalar path passes and only the branches written here are taken.  Any
 failed check (a margin that is not positive included), zero
 denominator, near-vertical fixed-point branch of a curve slot, class
 other than the expected one, or non-finite value leaves the triple
-unhandled: it goes through the unchanged scalar build_pants,
-pants_kernel and arc_lengths, which are the reference of this batch and
-report its errors by name.
+unhandled: it goes through the unchanged scalar build_pants and
+pants_kernel, which are the reference of this batch and report its
+errors by name.  So handled means exactly that every check of the
+construction and the develop passed.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (INTERMEDIATE_CURVE_MAX, ShearFreeParams,
-                        truncated_collar_width)
-from .geom import _STD_CENTER, CLASSIFY_TOL, INF, mat_mul
-from .pants import _CONSTRUCTION_TOL, _SEAM_ENDS, _seam_param
+from .constants import ShearFreeParams, truncated_collar_width
+from .geom import _STD_CENTER, _VERTICAL_TOL, CLASSIFY_TOL, INF, mat_mul
+from .pants import (_CONSTRUCTION_TOL, _SEAM_ENDS, _SLOT_LENGTH_TOL,
+                    _seam_param)
 from .spiralling import _FIX_TOL
+from .surface import _CURVE_LENGTH_TOL
 
 
 @dataclass(slots=True)
@@ -69,7 +72,6 @@ class Batch:
     margins: np.ndarray       # every margin, row after row, kernel order
     first: np.ndarray         # (rows + 1,) margins of row r are
                               # margins[first[r]:first[r + 1]]
-    arcs_short: np.ndarray    # (rows,) decomposition.arcs_short at log4a
     translation: np.ndarray   # (rows, 3) geom.mat_translation_length of
                               # X_s at a curve slot, NaN at a cusp
     curve_ok: np.ndarray      # (rows, 3) surface.check_curve_holonomy
@@ -77,8 +79,6 @@ class Batch:
     hol: np.ndarray           # (rows, 3, 4) X_s as (a, b, c, d)
     quadrilaterals: np.ndarray  # (rows, 3, 4) per arc k: (p, front apex,
                                 # q, back apex)
-    arcs: np.ndarray          # (rows, 3, 3) decomposition.arc_lengths,
-                              # NaN for None
 
 
 # the end slots i, j of each seam (pants._SEAM_ENDS), as row indices
@@ -198,7 +198,7 @@ def _fixed_points(m):
     first = abs(c * x1 + d) > 1.0
     att = np.where(first, x1, x2)
     rep = np.where(first, x2, x1)
-    return att, rep, ~(abs(c) < 1e-14 * big) & (att != rep)
+    return att, rep, ~(abs(c) < _VERTICAL_TOL * big) & (att != rep)
 
 
 def _fixed(point, m):
@@ -240,10 +240,10 @@ def _corner(x, cusp):
 
 
 @np.errstate(all="ignore")
-def thick_batch(triples, params: ShearFreeParams, log4a: float) -> Batch:
-    """The Batch of the triples, arcs_short at log4a: its row r is
-    triples[r], a boundary-length triple (0 = cusp).  triples is a
-    sequence or an (inputs, 3) array.
+def thick_batch(triples, params: ShearFreeParams) -> Batch:
+    """The Batch of the triples: its row r is triples[r], a
+    boundary-length triple (0 = cusp).  triples is a sequence or an
+    (inputs, 3) array.
 
     Every array below has a row per slot s, seam k or arc k (shape (3,
     inputs)): slot s lies between seams _SEAM_ENDS[s], and arc k joins
@@ -311,11 +311,11 @@ def thick_batch(triples, params: ShearFreeParams, log4a: float) -> Batch:
     got = 2.0 * _each(math.acosh, abs(hol[0] + hol[3]) / 2.0,
                       hyperbolic & ~cusp)
     fine &= np.where(cusp, parabolic, hyperbolic & ~(
-        abs(got - lengths) > 1e-8 * np.maximum(1.0, lengths)))
+        abs(got - lengths) > _SLOT_LENGTH_TOL * np.maximum(1.0, lengths)))
     # surface.check_curve_holonomy on the same translation length
     # (geom.mat_translation_length), at its own tolerance
     curve_ok = hyperbolic & ~cusp & ~(
-        abs(got - lengths) > 1e-9 * np.maximum(1.0, lengths))
+        abs(got - lengths) > _CURVE_LENGTH_TOL * np.maximum(1.0, lengths))
     identity, _, _ = _classify(mat_mul(
         mat_mul(tuple(e[0] for e in hol), tuple(e[1] for e in hol)),
         tuple(e[2] for e in hol)))
@@ -412,20 +412,11 @@ def thick_batch(triples, params: ShearFreeParams, log4a: float) -> Batch:
         fine &= np.isfinite(value)
     ok &= fine.all(axis=0)
 
-    rows = np.flatnonzero(ok)
-    raw, slack, trunc, short, finite = _arc_lengths(
-        lengths[:, rows], cusp[:, rows], log4a)
-    ok[rows[~finite]] = False
-    arcs = np.full((3, 3, n), math.nan)
-    arcs[:, :, rows] = np.stack([raw, slack, trunc], axis=1)
-    arcs_short = np.zeros(n, dtype=bool)
-    arcs_short[rows] = short
     # the margins of triple i are margins[first[i]:first[i + 1]]
     first = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
-    return Batch(ok, shears.T, residuals.T, margins, first, arcs_short,
-                 got.T, curve_ok.T, np.moveaxis(np.stack(hol, axis=1), -1, 0),
-                 np.moveaxis(np.stack([pk, front, qk, back], axis=1), -1, 0),
-                 np.moveaxis(arcs, -1, 0))
+    return Batch(ok, shears.T, residuals.T, margins, first, got.T,
+                 curve_ok.T, np.moveaxis(np.stack(hol, axis=1), -1, 0),
+                 np.moveaxis(np.stack([pk, front, qk, back], axis=1), -1, 0))
 
 
 def _truncated_width(params):
@@ -438,40 +429,3 @@ def _truncated_width(params):
             return math.nan
     return width
 
-
-def _arc_lengths(lengths, cusp, log4a):
-    """decomposition.arc_lengths of each triple in lengths, as the raw
-    lengths, slacks and truncated lengths per arc, with NaN for the raw
-    length and slack of an arc with a cusp end; and per triple,
-    decomposition.arcs_short at log4a and whether they are finite."""
-    every = np.ones(lengths.shape, dtype=bool)
-    half = lengths / 2.0
-    ch = _each(math.cosh, half, every)
-    sh = _each(math.sinh, half, every)
-    # decomposition._collar: constants.collar_width of an intermediate
-    # curve, asinh(1 / sinh(l / 2)), and 0 for a longer one
-    intermediate = ~cusp & (lengths <= INTERMEDIATE_CURVE_MAX)
-    collar = np.where(intermediate, _each(math.asinh, 1.0 / sh, intermediate),
-                      np.where(cusp, math.nan, 0.0))
-    both = ~cusp[_I] & ~cusp[_J]
-    arg = (ch[_I] * ch[_J] + ch) / (sh[_I] * sh[_J])
-    raw = _each(math.acosh, arg, both & (arg >= 1.0))
-    slack = collar[_I] + collar[_J]
-    # the curve end o of an arc with one cusp end, by row
-    one = cusp[_I] != cusp[_J]
-    o = np.where(cusp[_I], np.array(_J)[:, None], np.array(_I)[:, None])
-    ch_o, sh_o = (np.take_along_axis(e, o, axis=0) for e in (ch, sh))
-    collar_o = np.take_along_axis(collar, o, axis=0)
-    arg = (ch + ch_o) / sh_o
-    depth = _each(math.log, arg, one & (arg > 0.0))
-    cusps = _each(math.log, (1.0 + ch) / 2.0, cusp[_I] & cusp[_J])
-    cut = _pick([both, one], [raw - collar[_I] - collar[_J],
-                                  depth - collar_o], cusps)
-    trunc = np.where(both | one, np.where(cut > 0.0, cut, 0.0), cusps)
-    finite = np.isfinite(trunc) & (~both | np.isfinite(raw) & np.isfinite(
-        slack))
-    bound = 6.0 * log4a
-    short = (np.where(both, raw <= bound + slack, True)
-             & (trunc <= bound)).all(axis=0)
-    return (np.where(both, raw, math.nan), np.where(both, slack, math.nan),
-            trunc, short, finite.all(axis=0))

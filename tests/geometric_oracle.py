@@ -48,9 +48,12 @@ as a public value only), the reflections and the object geometry built
 on them (Reflection, compose_reflections, geodesic_reflection,
 side_of_point, common_perpendicular, dist_between_geodesics, shear_point_on,
 parabolic_shift, horocycle_length_through), curve_regime,
-shears_from_places (the cusped develop read back), and the named rows
-of the shortness certificate (ShortnessRow, curve_rows, arc_rows), which
-decomposition.arcs_short must agree with.
+shears_from_places (the cusped develop read back), and the shortness
+certificate as scalar closed forms and named rows: truncated_length,
+arc_lengths and arcs_short (with _collar) compute one pants at a time
+the floats that decomposition.arc_lengths and arcs_short compute over
+arrays, which must give their bits; and ShortnessRow, curve_rows and
+arc_rows name each bound.
 """
 
 from __future__ import annotations
@@ -62,13 +65,13 @@ from shearlab import cusped, geom
 from shearlab.constants import (INTERMEDIATE_CURVE_MAX, SHORT_CURVE_MAX,
                                 ShearFreeParams, collar_width,
                                 truncated_collar_width)
-from shearlab.decomposition import arc_lengths
 from shearlab.geom import (INF, Geodesic, GeometryError, IdealTriangle,
                            _unit_det, boundary_close, geodesic_intersection,
                            mat_apply, mat_apply_boundary, mat_inverse,
                            mat_mul, normalize_boundary, two_point_mat)
 from shearlab.pants import (_CONSTRUCTION_TOL, StdPants, _seam_ends,
-                            _shared_endpoint, _solve_third_seam)
+                            _shared_endpoint, _solve_third_seam,
+                            seam_lengths)
 from shearlab.spiralling import _FIX_TOL, AuditError, DevelopError
 
 
@@ -866,6 +869,70 @@ def shears_from_places(dev: cusped.DevelopedCusped) -> dict:
     return out
 
 
+def _collar(length: float) -> float:
+    """Width removed at a curve end: the collar of an intermediate curve."""
+    return collar_width(length) if length <= INTERMEDIATE_CURVE_MAX else 0.0
+
+
+def truncated_length(lengths: tuple, seams: tuple, k: int) -> float:
+    """Length of seam arc k outside cusp neighborhoods and thin collars.
+
+    lengths is the pants' boundary-length triple (0 = cusp) and seams its
+    seam lengths (pants.seam_lengths); the arc joins slots i < j and
+    t = k is the third boundary.  By the collar lemma the collar or cusp
+    region of the third boundary never meets the arc, so only its two
+    ends are cut:
+
+    * curve to curve: a_k - w(l_i) - w(l_j), a_k the seam length;
+    * cusp to curve o: log((cosh(l_t/2) + cosh(l_o/2)) / sinh(l_o/2))
+      - w(l_o);
+    * cusp to cusp: log((1 + cosh(l_t/2)) / 2);
+
+    each clamped at 0.
+    """
+    i, j = _seam_ends(k)
+    li, lj, lt = lengths[i], lengths[j], lengths[k]
+    if li and lj:
+        return max(0.0, seams[k] - _collar(li) - _collar(lj))
+    lo = li or lj
+    if lo:
+        depth = math.log((math.cosh(lt / 2.0) + math.cosh(lo / 2.0))
+                         / math.sinh(lo / 2.0))
+        return max(0.0, depth - _collar(lo))
+    return math.log((1.0 + math.cosh(lt / 2.0)) / 2.0)
+
+
+def arc_lengths(lengths: tuple) -> tuple:
+    """The bounded lengths of the three seam arcs of a pants.
+
+    lengths is the pants' boundary-length triple (0 = cusp); the seam
+    lengths are computed once for all three arcs.  Per arc k, in seam
+    order: (raw, slack, truncated), where raw is the seam length a_k and
+    slack the collar widths of the intermediate curves at its two ends.
+    The raw length is bounded only between two curves: at an arc with a
+    cusp end, raw and slack are None.
+    """
+    seams = seam_lengths(*lengths)
+    arcs = []
+    for k in range(3):
+        i, j = _seam_ends(k)
+        if lengths[i] and lengths[j]:
+            raw, slack = seams[k], _collar(lengths[i]) + _collar(lengths[j])
+        else:
+            raw = slack = None
+        arcs.append((raw, slack, truncated_length(lengths, seams, k)))
+    return tuple(arcs)
+
+
+def arcs_short(arcs: tuple, log4a: float) -> bool:
+    """Whether every arc of arc_lengths meets its raw and truncated bound:
+    6 log(4 area), plus the slack for the raw length between two curves.
+    """
+    bound = 6.0 * log4a
+    return all((raw is None or raw <= bound + slack) and trunc <= bound
+               for raw, slack, trunc in arcs)
+
+
 _CURVE_ROW = "curve {} length <= 2 log(4 area)"
 _RAW_ARC_ROW = "arc {} length <= 6 log(4 area) + collar widths"
 _TRUNCATED_ARC_ROW = "arc {} truncated length <= 6 log(4 area)"
@@ -898,10 +965,10 @@ def arc_rows(lengths: tuple, p: int, log4a: float) -> list:
     pants p.
 
     The rows of arc (p, k) come in seam order k = 0, 1, 2, with the
-    values of decomposition.arc_lengths: the raw length is bounded per
-    regime by 6 log(4 area) plus the collar widths of the intermediate
-    curves at its ends, the truncated length by 6 log(4 area).
-    decomposition.arcs_short passes exactly when every row does.
+    values of arc_lengths: the raw length is bounded per regime by
+    6 log(4 area) plus the collar widths of the intermediate curves at
+    its ends, the truncated length by 6 log(4 area).  arcs_short passes
+    exactly when every row does.
     """
     rows = []
     for k, (raw, slack, trunc) in enumerate(arc_lengths(lengths)):

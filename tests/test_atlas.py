@@ -9,12 +9,15 @@ derandomized hypothesis search over the grid's domain.  Every triple
 goes through both routes of report.run_surface:
 
 * the batch (thick.thick_batch): a triple it handles must pass every
-  check of the scalar path and give its bits, margins in kernel order,
-  quadrilaterals and arc lengths included, and at every slot the
-  scalar translation length and curve-holonomy check;
-* the scalar build_pants, pants_kernel and decomposition.arc_lengths:
-  every failure must be a named GeometryError (DevelopError and
-  AuditError included).
+  check of the scalar path and give its bits, margins in kernel order
+  and quadrilaterals included, and at every slot the scalar translation
+  length and curve-holonomy check;
+* the scalar build_pants and pants_kernel: every failure must be a
+  named GeometryError (DevelopError and AuditError included).
+
+The array closed forms of the shortness certificate
+(decomposition.arc_lengths and arcs_short) must give the bits of the
+oracle's scalar forms on every triple, whichever route handles it.
 
 The counts of failures per check kind and the handled share per class
 of pants (thick, thin, one cusp, two or three cusps) are printed
@@ -33,6 +36,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geometric_oracle as O
 from shearlab import decomposition as D
 from shearlab import spiralling as SP
 from shearlab import thick
@@ -48,14 +52,11 @@ CELLS = 20                    # grid cells per axis
 THIN_CELLS = 3                # thin-band cells per axis
 
 
-def fingerprint(hol, shears, residuals, margins, quadrilaterals, arcs):
-    """Everything a route gives for one triple: its floats as bits, its
-    margin count and the places of the unbounded raw arc lengths (None).
-    hol, quadrilaterals and arcs are flat."""
-    floats = [*hol, *shears, *residuals, *margins, *quadrilaterals,
-              *(0.0 if x is None else x for x in arcs)]
-    return (np.array(floats, dtype=float).tobytes(), len(margins),
-            tuple(x is None for x in arcs))
+def fingerprint(hol, shears, residuals, margins, quadrilaterals):
+    """Everything a route gives for one triple: its floats as bits and
+    its margin count.  hol and quadrilaterals are flat."""
+    floats = [*hol, *shears, *residuals, *margins, *quadrilaterals]
+    return np.array(floats, dtype=float).tobytes(), len(margins)
 
 
 def batch_fingerprint(batch, r):
@@ -64,18 +65,24 @@ def batch_fingerprint(batch, r):
     return fingerprint(
         batch.hol[r].ravel().tolist(), batch.shears[r].tolist(),
         batch.residuals[r].tolist(), margins.tolist(),
-        batch.quadrilaterals[r].ravel().tolist(),
-        [None if math.isnan(x) else x for x in batch.arcs[r].ravel().tolist()])
+        batch.quadrilaterals[r].ravel().tolist())
 
 
 def scalar_fingerprint(sp, kern):
-    """fingerprint of the scalar build_pants, pants_kernel and
-    decomposition.arc_lengths."""
+    """fingerprint of the scalar build_pants and pants_kernel."""
     return fingerprint(
         [x for h in sp.slot_hol for x in h], kern.shears,
         kern.residuals, kern.margins,
-        [x for quad in kern.quadrilaterals for x in quad],
-        [x for arc in D.arc_lengths(sp.lengths) for x in arc])
+        [x for quad in kern.quadrilaterals for x in quad])
+
+
+def arc_bits(arcs):
+    """The bits of one pants' seam-arc lengths, per arc (raw, slack,
+    truncated) with None for an unbounded raw length and its slack, and
+    the places of the Nones."""
+    flat = [x for arc in arcs for x in arc]
+    return (np.array([0.0 if x is None else x for x in flat]).tobytes(),
+            tuple(x is None for x in flat))
 
 
 def curve_checks(sp):
@@ -129,9 +136,16 @@ def check_routes(triples, params, kinds, shares):
     kinds counts the scalar failures by check kind, and shares the
     triples per class as [total, passed by the scalar path, handled].
     """
-    batch = thick.thick_batch(triples, params, LOG4A)
+    batch = thick.thick_batch(triples, params)
+    arcs = D.arc_lengths(triples)
+    short = D.arcs_short(arcs, LOG4A)
     short_max = 2.0 * math.tanh(params.rho)
     for r, ls in enumerate(map(tuple, triples)):
+        # the array closed forms on every row, whichever route takes it
+        oracle = O.arc_lengths(ls)
+        assert arc_bits([[None if math.isnan(x) else x for x in arc]
+                         for arc in arcs[r].tolist()]) == arc_bits(oracle), ls
+        assert short[r] == O.arcs_short(oracle, LOG4A), ls
         want = scalar(ls, params)
         share = shares.setdefault(pants_class(ls, short_max), [0, 0, 0])
         share[0] += 1
@@ -145,7 +159,6 @@ def check_routes(triples, params, kinds, shares):
         assert not isinstance(want, GeometryError), (ls, want)
         sp, kern = want
         assert batch_fingerprint(batch, r) == scalar_fingerprint(sp, kern), ls
-        assert batch.arcs_short[r] == D.arcs_short(D.arc_lengths(ls), LOG4A)
         assert (batch.translation[r].tobytes(),
                 batch.curve_ok[r].tolist()) == curve_checks(sp), ls
     return int(batch.handled.sum())

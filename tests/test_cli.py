@@ -3,13 +3,14 @@
 import hashlib
 import json
 import math
+import struct
 
 import pytest
 
-from shearlab import cli, report
+from shearlab import chains, cli, cusped, report
 from shearlab.constants import Signature
 from shearlab.geom import RELATION_TOL, GeometryError
-from shearlab.surface import holonomy_from_fn, sample_fn
+from shearlab.surface import FNCoordinates, holonomy_from_fn, sample_fn
 from test_report import handle_nothing
 
 
@@ -272,13 +273,17 @@ class TestMalformedSurface:
     @pytest.mark.parametrize("twist", [1420.0, -1500.0, 1419.0])
     def test_twist_too_large_for_float64(self, tmp_path, capsys, twist):
         # the gluing map overflows, divides by a zero translation or
-        # holds inf * 0; each names the curve and its twist
+        # holds inf * 0; each names the curve and its twist.  optimize
+        # first reduces the twist into [0, l) (TestTwistReduction), so
+        # only a gluing at the twist as given meets the error
+        with pytest.raises(GeometryError) as err:
+            holonomy_from_fn(*surface_04_at_twist(twist))
+        assert str(err.value) == (f"gluing map of curve 0 at twist {twist} "
+                                  f"is not finite in float64")
         bad = json.loads(json.dumps(SURFACE_04))
         bad["fn"][0]["twist"] = twist
-        path = write_surface(tmp_path, bad)
-        one_line_error(capsys, ["optimize", path], 4,
-                       f"gluing map of curve 0 at twist {twist} is not "
-                       f"finite in float64")
+        code, _ = run(["optimize", write_surface(tmp_path, bad)], capsys)
+        assert code == 0
 
     def test_disconnected_gluing_graph(self, tmp_path, capsys):
         bad = {"signature": {"g": 0, "n": 4},
@@ -529,6 +534,16 @@ OPTIMIZE_DIGESTS = {
 }
 
 
+def sample_surface(n, seed):
+    """The surface file data of sample_fn's (0,n) surface at seed."""
+    pg, fn = sample_fn(Signature(0, n), seed)
+    return {"signature": {"g": 0, "n": n},
+            "pants": [{"slots": [{kind: ident} for kind, ident in slots]}
+                      for slots in pg.pants],
+            "fn": [{"curve": cid, "length": fn.lengths[cid],
+                    "twist": fn.twists[cid]} for cid in pg.curve_ids()]}
+
+
 def surface_04_at_twist(twist):
     """Pants graph and fn coordinates of SURFACE_04 with another twist."""
     _, pg, fn = report.parse_surface(dict(
@@ -560,20 +575,84 @@ class TestOptimizeBytes:
     def test_digests(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for (n, seed, budget, search_seed), want in OPTIMIZE_DIGESTS.items():
-            pg, fn = sample_fn(Signature(0, n), seed)
-            data = {"signature": {"g": 0, "n": n},
-                    "pants": [{"slots": [{kind: ident}
-                                         for kind, ident in slots]}
-                              for slots in pg.pants],
-                    "fn": [{"curve": cid, "length": fn.lengths[cid],
-                            "twist": fn.twists[cid]}
-                           for cid in pg.curve_ids()]}
-            write_surface(tmp_path, data)
+            write_surface(tmp_path, sample_surface(n, seed))
             code, out = run(["optimize", "surface.json", "--budget",
                              str(budget), "--seed", str(search_seed)],
                             capsys)
             got = (code, hashlib.sha256(out.encode()).hexdigest())
             assert got == want, (n, seed, budget, search_seed)
+
+
+class TestTwistReduction:
+    """optimize first reduces each twist outside [0, l) into it by whole
+    Dehn twists, which change a twist by l but not the surface."""
+
+    SURFACES = {"04": SURFACE_04, "05": sample_surface(5, 2)}
+
+    @staticmethod
+    def optimize(tmp_path, capsys, data):
+        path = write_surface(tmp_path, data)
+        code, out = run(["optimize", path, "--budget", "100"], capsys)
+        assert code == 0
+        return json.loads(out)["records"][0]
+
+    @pytest.mark.parametrize("name", ["04", "05"])
+    @pytest.mark.parametrize("k", [9, 100, 700, -1])
+    def test_whole_dehn_twists(self, tmp_path, capsys, name, k):
+        # at k = 9 SURFACE_04's twist is 18.7, whose gluing fails the
+        # tree-gluing check unreduced (test_tree_gluing_at_twist_18)
+        data = self.SURFACES[name]
+        want = self.optimize(tmp_path, capsys, data)
+        shifted = json.loads(json.dumps(data))
+        for row in shifted["fn"]:
+            row["twist"] += k * row["length"]
+        got = self.optimize(tmp_path, capsys, shifted)
+        for key in ("start_max_shear", "best_max_shear"):
+            assert abs(got[key] - want[key]) <= 1e-9, key
+
+    def test_reduced_twist_bits(self):
+        # a twist inside [0, l) keeps its bits, -0.0 included; one that
+        # rounds up to l becomes 0.0, and a NaN is left to check_surface
+        lengths = dict.fromkeys(range(6), 2.0)
+        fn = cli._reduced_twists(FNCoordinates(lengths, dict(enumerate(
+            [0.7, -0.0, -1e-17, 2.0, 5.0, math.nan]))))
+        assert [struct.pack("<d", t) for t in fn.twists.values()] == [
+            struct.pack("<d", t) for t in (0.7, -0.0, 0.0, 0.0, 1.0,
+                                           math.nan)]
+        assert fn.lengths == lengths
+
+
+class TestCuspSums:
+    """optimize checks the cusp sums of its start and best states."""
+
+    @staticmethod
+    def planted(sigma):
+        """sigma with one shear 1e-5 off, so a cusp sum misses
+        RELATION_TOL."""
+        key = min(sigma)
+        return {**sigma, key: sigma[key] + 1e-5}
+
+    def test_start_state(self, tmp_path, capsys, monkeypatch):
+        real = chains.build_cusped_chain
+
+        def build(hol):
+            cx, sigma, walks = real(hol)
+            return cx, self.planted(sigma), walks
+
+        monkeypatch.setattr(chains, "build_cusped_chain", build)
+        one_line_error(capsys, ["optimize", write_surface(
+            tmp_path, SURFACE_04)], 4, "incomplete structure: cusp sums reach")
+
+    def test_best_state(self, tmp_path, capsys, monkeypatch):
+        real = cusped.minimax_flip_search
+
+        def search(*args):
+            cx, sigma, best, trail = real(*args)
+            return cx, self.planted(sigma), best, trail
+
+        monkeypatch.setattr(cusped, "minimax_flip_search", search)
+        one_line_error(capsys, ["optimize", write_surface(
+            tmp_path, SURFACE_04)], 4, "incomplete structure: cusp sums reach")
 
 
 class TestOneParser:

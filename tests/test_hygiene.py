@@ -16,29 +16,30 @@ code that only the tests reach belongs to the tests' oracle
 (tests/geometric_oracle.py).  Every field of a library
 dataclass must be read as an attribute somewhere in the library, its
 tests, demos or benchmark: a field nothing reads is dead weight carried
-by every instance.  Every field of StdPants, the pants cached per length
-triple on the sampling path, must be read inside the library itself:
+by every instance.  Every field of StdPants, the pants the sampling
+path's scalar route builds, must be read inside the library itself:
 data only the tests read belongs to the tests' oracle, not to every
 pants the sampling path builds.  Every local a library function binds
 must be read in that function (or a function nested in it); a name
 starting with ``_`` marks a value bound only to be discarded.  The
 geometry value types are ``slots=True`` dataclasses, immutable by
-convention only, and the pants cache shares their instances across
-records: no code may store to or delete a field of a ``slots=True``
+convention only, and a value may be shared by every caller that holds
+it: no code may store to or delete a field of a ``slots=True``
 library dataclass, plainly, augmented or through ``setattr``, outside
 that class's own methods.  Inside the library a matrix is a tuple
 (a, b, c, d) and a geodesic a pair of endpoints; the value types
 Isometry, Geodesic and IdealTriangle are the public API's values: outside
 geom.py no library module may build one (call the class or one of its
 classmethods) except where a public function returns one
-(VALUE_RETURNS).  The batch of pants (thick.py) must give
-the scalar path's bits, and numpy's transcendental and power ufuncs
-round differently from math (its SIMD tanh, cosh, asinh, exp and log,
-and ``arr ** 2``, differ in the last bit on a share of inputs): the
-batch names no such ufunc and uses no ``**``.  numpy's complex product,
-quotient and abs round differently from CPython's too, so the batch
-uses no complex number at all, numpy's or Python's: no ``1j`` literal,
-no ``complex``, no numpy complex type or complex dtype name.
+(VALUE_RETURNS).  The batch of pants (thick.py) and the array closed
+forms of the seam arcs (decomposition.py) must give the scalar path's
+bits, and numpy's transcendental and power ufuncs round differently
+from math (its SIMD tanh, cosh, asinh, exp and log, and ``arr ** 2``,
+differ in the last bit on a share of inputs): neither names such a
+ufunc or uses ``**``.  numpy's complex product, quotient and abs round
+differently from CPython's too, so neither uses a complex number at
+all, numpy's or Python's: no ``1j`` literal, no ``complex``, no numpy
+complex type or complex dtype name.
 """
 
 import ast
@@ -390,7 +391,7 @@ def unread_locals(tree):
     return out
 
 
-BATCH = SRC / "thick.py"
+BATCH = (SRC / "thick.py", SRC / "decomposition.py")
 NUMPY_INEXACT = {"tanh", "cosh", "sinh", "arctanh", "arccosh", "arcsinh",
                  "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
                  "power", "float_power", "square", "cbrt"}
@@ -476,9 +477,10 @@ def test_every_local_is_read(path):
 
 
 def test_batch_rounds_as_the_scalar_path():
-    tree = _parse(BATCH)
-    assert inexact_numpy(tree) == []
-    assert complex_numbers(tree) == []
+    for path in BATCH:
+        tree = _parse(path)
+        assert inexact_numpy(tree) == [], path.name
+        assert complex_numbers(tree) == [], path.name
 
 
 def test_every_constant_is_read():

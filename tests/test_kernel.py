@@ -229,7 +229,6 @@ def test_sampling_never_builds_a_gluing_normalizer(monkeypatch):
 
     monkeypatch.setattr(P, "slot_normalizer", refuse)
     monkeypatch.setattr(S, "slot_normalizer", refuse)
-    build_pants.cache_clear()
     assert report.run_sample_campaign(sig, 1, 10) == want
 
 

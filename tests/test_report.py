@@ -35,8 +35,8 @@ def handle_nothing(monkeypatch):
     takes the scalar route."""
     real = thick.thick_batch
 
-    def batch(triples, params, log4a):
-        out = real(triples, params, log4a)
+    def batch(triples, params):
+        out = real(triples, params)
         out.handled[:] = False
         return out
 
@@ -210,7 +210,6 @@ class TestBatchRouting:
 
     @staticmethod
     def campaign(gn, seed, count, lengths):
-        build_pants.cache_clear()
         records, summary = report.run_sample_campaign(
             Signature(*gn), seed, count, length_range=lengths)
         rep = {"records": records, "summary": summary}
@@ -242,8 +241,8 @@ class TestBatchRouting:
         real_kernel = SP.pants_kernel
         batched, handled, scalar = set(), set(), []
 
-        def batch(triples, params, log4a):
-            out = real_batch(triples, params, log4a)
+        def batch(triples, params):
+            out = real_batch(triples, params)
             triples = list(map(tuple, triples.tolist()))
             batched.update(triples)
             handled.update(ls for ls, done in zip(triples, out.handled)
@@ -261,7 +260,6 @@ class TestBatchRouting:
         monkeypatch.setattr(thick, "thick_batch", batch)
         monkeypatch.setattr(report, "build_pants", build)
         monkeypatch.setattr(SP, "pants_kernel", kernel)
-        build_pants.cache_clear()
         records, _ = report.run_sample_campaign(sig, seed, count)
         assert any(not rec.get("error") for rec in records)
         assert scalar and not handled & set(scalar)
@@ -295,7 +293,7 @@ class TestBatchRouting:
                (-1.0, 2.0, 0.0), (1.0, 1.0, -math.inf)]
         triples = [good[0], bad[0], good[1], good[0], bad[1], good[2],
                    bad[2], good[1], bad[3], good[2]]
-        batch = thick.thick_batch(triples, params, 1.0)
+        batch = thick.thick_batch(triples, params)
         assert batch.handled.tolist() == [ls in good for ls in triples]
 
         def bits(batch, r):
@@ -305,19 +303,19 @@ class TestBatchRouting:
                 batch.margins[batch.first[r]:batch.first[r + 1]].tobytes()]
 
         for r, ls in enumerate(triples):
-            alone = thick.thick_batch([ls], params, 1.0)
+            alone = thick.thick_batch([ls], params)
             assert alone.handled.tolist() == [batch.handled[r]]
             if batch.handled[r]:
                 assert bits(batch, r) == bits(alone, 0), ls
         assert bits(batch, 0) == bits(batch, 3)
         assert bits(batch, 5) == bits(batch, 9)
-        empty = thick.thick_batch([], params, 1.0)
+        empty = thick.thick_batch([], params)
         assert empty.handled.shape == (0,) and empty.first.tolist() == [0]
 
     def test_no_finite_triple_no_numpy_work(self, monkeypatch):
         # a block in which every sample failed to draw has no triple, and
         # runs no array work
-        def refuse(triples, params, log4a):
+        def refuse(triples, params):
             raise AssertionError("batched a block with no triple")
 
         monkeypatch.setattr(thick, "thick_batch", refuse)
@@ -343,7 +341,6 @@ class TestBatchRouting:
 
         for cls in (StdPants, SP.PantsKernel):
             monkeypatch.setattr(cls, "__init__", counting(cls))
-        build_pants.cache_clear()
         records, summary = report.run_sample_campaign(Signature(3, 2), 42, 20)
         assert summary["failures"] == 0
         assert built == Counter()

@@ -16,7 +16,13 @@ side 1, the outer side is side 0 or 2, and the earlier rung is the one
 left.  A fan face arrives as (cusp lift, arc start, arc end), so its
 ladder arc is side 1, and the swap exchanges sides 0 and 2.  Each
 gluing joins two sides that no other gluing touches, so every edge gets
-one shear, measured once.
+one shear, measured once.  The closures read their incidences from the
+roles too: the two outer faces on one side of the ladder come from
+consecutive events of that side, so the later face's prev is the
+earlier face's new, the same float.  The end closure glues the two
+outer sides around that point, and the fan chains the two right
+boundary arcs through it; an exact-equality check guards both.  Only
+the rung check and the fan window compare points within a tolerance.
 
 Supported signatures: (0,3), (0,4) and (0,5).  Larger chains would need
 an inductively propagated frontier; the structures exercised by the
@@ -30,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from . import geom
-from .cusped import CuspedTriangulation, _shear_of_quad
+from .cusped import CuspedTriangulation, _shear_of_quad, check_complete
 from .geom import (IDENTITY, INF, cyclically_ordered, geodesic_ends,
                    mat_apply_boundary, mat_classify, mat_fixed_points,
                    mat_inverse, mat_mul, parabolic_fixing, two_point_mat)
@@ -73,6 +79,12 @@ class _LadderFace:
     outer: int       # side on the boundary line: 0 or 2; side 1 is the
                      # later rung and side 2 - outer the earlier one
     outer_side_kind: str  # "L" | "R"
+
+    def roles(self):
+        """(point, label) of the prev, new and bridge corners."""
+        new = 1 if self.outer == 0 else 2
+        return tuple((self.points[k], self.labels[k])
+                     for k in (0, new, 3 - new))
 
 
 def _build_ladder(h_curve, length: float, base_points):
@@ -231,29 +243,23 @@ def _emit_ladder(asm: _Assembler, faces, h_curve):
 
 
 def _close_outer(asm: _Assembler, faces, ids, kind):
-    """Glue the two outer sides on an end-pants side of a ladder."""
+    """Glue the two outer sides on an end-pants side of a ladder.
+
+    The two faces come from consecutive events of that side, so the
+    later face's prev is the earlier face's new: the shared endpoint.
+    """
     outer = [i for i in range(4) if faces[i].outer_side_kind == kind]
     if len(outer) != 2:
         raise ChainError("expected two outer faces on an end side")
     i1, i2 = outer
-    f1, f2 = faces[i1], faces[i2]
-    s1, s2 = f1.outer, f2.outer
-    x1, y1 = f1.points[s1], f1.points[(s1 + 1) % 3]
-    z1 = f1.points[(s1 + 2) % 3]
-    x2, y2 = f2.points[s2], f2.points[(s2 + 1) % 3]
-    z2 = f2.points[(s2 + 2) % 3]
-    shared = None
-    for p1 in (x1, y1):
-        for p2 in (x2, y2):
-            if geom.boundary_close(p1, p2, _MATCH_TOL):
-                shared = p1
-    if shared is None:
+    (other1, _), (shared, _), (z1, _) = faces[i1].roles()
+    (prev2, _), (other2, _), (z2, _) = faces[i2].roles()
+    if prev2 != shared:
         raise ChainError("outer sides of an end closure share no endpoint")
-    other1 = y1 if geom.boundary_close(shared, x1, _MATCH_TOL) else x1
-    other2 = y2 if geom.boundary_close(shared, x2, _MATCH_TOL) else x2
     g = parabolic_fixing(shared, other2, other1)
     shear = _shear_of_quad(shared, other1, z1, mat_apply_boundary(g, z2))
-    asm.add_glue((ids[i1], s1), (ids[i2], s2), shear)
+    asm.add_glue((ids[i1], faces[i1].outer), (ids[i2], faces[i2].outer),
+                 shear)
 
 
 def build_cusped_chain(hol: Holonomy):
@@ -400,40 +406,27 @@ def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
     (C, r0, r1) and (C, r1, pi(r0)) where (r0, r1) is a ladder boundary
     arc, C a lift of the cusp inside the window that arc cuts off, and pi
     the parabolic stabilizing C.  The correct lift of the cusp is found
-    by a breadth-first search over short deck words, certified by the
-    cusp-sum oracle of the assembled complex, which is returned as
+    by a breadth-first search over short deck words, certified by
+    check_complete of the assembled complex, which is returned as
     (triangulation, sigma).
     """
     right = [i for i in range(4) if faces[i].outer_side_kind == "R"]
     if len(right) != 2:
         raise ChainError("expected two right-boundary faces")
-    # order the two boundary arcs consecutively: (r0 -> r1), (r1 -> r2);
-    # each vertex is carried as (point, label), from the outer side on
-    sides = {}
-    for i in right:
-        f = faces[i]
-        sides[i] = [(f.points[(f.outer + k) % 3], f.labels[(f.outer + k) % 3])
-                    for k in range(3)]
-    (iA, iB) = right
-    chainings = []
-    for (first, second) in ((iA, iB), (iB, iA)):
-        a0, a1, _ = sides[first]
-        b0, b1, _ = sides[second]
-        for (x0, x1) in ((a0, a1), (a1, a0)):
-            for (y0, y1) in ((b0, b1), (b1, b0)):
-                if (geom.boundary_close(x1[0], y0[0], _MATCH_TOL)
-                        and not geom.boundary_close(x0[0], y1[0],
-                                                    _MATCH_TOL)):
-                    chainings.append((first, second, x0, x1, y1[0]))
-    if not chainings:
+    # the two boundary arcs are consecutive, (a0 -> a1) then (a1 -> b1):
+    # face iB's prev is face iA's new; each corner is (point, label)
+    iA, iB = right
+    a0, a1, _ = faces[iA].roles()
+    b0, b1, _ = faces[iB].roles()
+    if b0[0] != a1[0]:
         raise ChainError("right boundary arcs do not chain")
+    chainings = [(iA, iB, a0, a1, b1[0]), (iB, iA, b1, b0, a0[0])]
     last_cusp = snake[4]
-    from .cusped import cusp_sums
     for limit in (400, 8000):
         for chaining in chainings:
             first, second, (r0, lab_r0), (r1, lab_r1), r2 = chaining
-            zA = sides[first][2][0]
-            zB = sides[second][2][0]
+            zA = faces[first].roles()[2][0]
+            zB = faces[second].roles()[2][0]
             for c4, pi in _window_cusp_lifts(gen_table, w_point[last_cusp],
                                              last_cusp, r0, r1, zA,
                                              limit=limit):
@@ -443,11 +436,10 @@ def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
                                     r0, r1, r2, lab_r0, lab_r1, last_cusp,
                                     zA, zB, c4, pi)
                     cx, sigma = trial.finish(5)
-                except (ChainError, ValueError, geom.GeometryError):
-                    continue
-                sums = cusp_sums(cx, sigma)
-                if max(abs(v) for v in sums.values()) <= 1e-6:
-                    return cx, sigma
+                    check_complete(cx, sigma)
+                except ValueError:    # ChainError, GeometryError and
+                    continue          # IncompleteStructure included
+                return cx, sigma
     raise ChainError("no completion fan found around the last cusp")
 
 

@@ -4,8 +4,13 @@ A cusped triangulation is a combinatorial surface triangulation whose
 vertices are the cusps, together with one shear per edge.  Edges can be
 flipped, the shears transforming by the standard local rule; the whole
 structure can be rebuilt into a holonomy representation by developing
-triangle by triangle, which provides the round-trip oracle.  The
-develop computes on matrix tuples and boundary points; an Isometry is
+triangle by triangle, which provides the round-trip oracle.  Crossing an
+edge has one formula, _step_matrix: the transition between the standard
+frames (vertices at 0, 1, inf) of the two faces, assembled from
+e^(+-shear/2).  develop_walk multiplies the steps of a dual walk, and
+develop_from_shears those of a breadth-first tree of faces, reading each
+face's places from its frame and each deck generator from a gluing the
+tree meets again.  The develop computes on matrix tuples; an Isometry is
 built only where a public function returns one (develop_walk and
 DevelopedCusped.generators).
 
@@ -30,7 +35,7 @@ import numpy as np
 from .geom import (IDENTITY, INF, RELATION_TOL, GeometryError, Isometry,
                    apex_shear, cyclically_ordered, geodesic_ends,
                    mat_apply_boundary, mat_classify, mat_inverse, mat_mul,
-                   normalize_boundary, three_point_mat, two_point_mat)
+                   normalize_boundary)
 
 
 @dataclass
@@ -328,25 +333,6 @@ class IncompleteStructure(ValueError):
     pass
 
 
-def _mobius_to(x, y, z):
-    """Matrix with x -> 0, y -> inf, z -> -1 (z on the left of x -> y)."""
-    m0 = two_point_mat(x, y)
-    z0 = mat_apply_boundary(m0, z)
-    if z0 == INF or z0 >= 0:
-        raise GeometryError("apex is not on the left of the edge")
-    k = math.sqrt(-1.0 / z0)
-    return mat_mul((k, 0.0, 0.0, 1.0 / k), m0)
-
-
-def _develop_apex(x, y, z, shear: float):
-    """Apex across edge (x, y) from the triangle with apex z, given shear."""
-    if cyclically_ordered(x, y, z):
-        m = _mobius_to(x, y, z)
-    else:
-        m = _mobius_to(y, x, z)
-    return mat_apply_boundary(mat_inverse(m), math.exp(-shear))
-
-
 #: per side, the inverse of the map sending (side, side+1, apex) to
 #: (0, inf, -1)
 _EXIT_FRAME = ((1.0, 0.0, 1.0, 1.0),
@@ -416,52 +402,41 @@ def check_complete(cx: CuspedTriangulation, sigma: dict):
 
 
 def develop_from_shears(cx: CuspedTriangulation, sigma: dict) -> DevelopedCusped:
-    """Develop the triangulation; cusp sums must vanish (check_complete)."""
+    """Develop the triangulation; cusp sums must vanish (check_complete).
+
+    A breadth-first search from face 0 gives each face a frame, the map
+    from standard position (vertices at 0, 1, inf) to its place: the
+    face f2 reached across side s of f gets frames[f] times the step
+    matrix of the crossing, the transition develop_walk accumulates, and
+    its places are its frame's images of (0, 1, inf).  A gluing met
+    again closes a loop of the search tree; unless mat_classify calls it
+    the identity, the frame the crossing would give f2 times the inverse
+    of the stored one is a generator.
+    """
     check_complete(cx, sigma)
-    places = [None] * cx.num_faces()
-    places[0] = (0.0, 1.0, INF)
+    frames = [None] * cx.num_faces()
+    frames[0] = IDENTITY
     generators = []
     frontier = [0]
-    seen = {0}
     while frontier:
         nxt = []
         for f in frontier:
             for s in range(3):
                 f2, s2 = cx.glue[(f, s)]
-                x = places[f][s]
-                y = places[f][(s + 1) % 3]
-                z = places[f][(s + 2) % 3]
-                w = _develop_apex(x, y, z, sigma[cx.edge_key(f, s)])
-                pts2 = [None, None, None]
-                pts2[s2] = y
-                pts2[(s2 + 1) % 3] = x
-                pts2[(s2 + 2) % 3] = w
-                if f2 not in seen:
-                    places[f2] = tuple(pts2)
-                    seen.add(f2)
+                m = mat_mul(frames[f], _step_matrix(
+                    s, s2, sigma[cx.edge_key(f, s)]))
+                if frames[f2] is None:
+                    frames[f2] = m
                     nxt.append(f2)
-                else:
-                    new_map = _span_map(places[f2], tuple(pts2))
-                    if new_map is not None:
-                        generators.append(Isometry(*new_map))
+                    continue
+                g = mat_mul(m, mat_inverse(frames[f2]))
+                if mat_classify(g) != "identity":
+                    generators.append(Isometry(*g))
         frontier = nxt
+    places = [tuple(mat_apply_boundary(m, v) for v in (0.0, 1.0, INF))
+              for m in frames]
     return DevelopedCusped(cx=cx, sigma=sigma, places=places,
                            generators=generators)
-
-
-def _span_map(old_pts, new_pts):
-    """Matrix of the deck element taking the stored placement to the
-    redeveloped one, or None if it is the identity or a placement is
-    degenerate."""
-    try:
-        m_old = three_point_mat(*old_pts)
-        m_new = three_point_mat(*new_pts)
-    except GeometryError:
-        return None
-    g = mat_mul(m_new, mat_inverse(m_old))
-    if mat_classify(g) == "identity":
-        return None
-    return g
 
 
 def _shear_of_quad(x, y, z, w) -> float:

@@ -369,6 +369,8 @@ def ends_distance(p1, q1, p2, q2) -> float:
         raise GeometryError("geodesics cross; distance undefined")
     if a == 0.0 or b == 0.0:
         return 0.0
+    if a == b:
+        raise GeometryError("geodesic endpoints coincide in float64")
     return math.asinh(2.0 * math.sqrt(a * b) / abs(b - a))
 
 

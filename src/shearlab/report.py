@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import decomposition, spiralling, thick
+from . import __version__, decomposition, spiralling, thick
 from .constants import (RHO, SHORT_CURVE_MAX, Signature, area,
                         constants_audit, main_bound, shear_free_params,
                         topology_constants)
@@ -327,7 +327,6 @@ def config_hash(config: dict) -> str:
 
 
 def assemble(config: dict, records: list, summary: dict) -> dict:
-    from . import __version__
     config = dict(config)
     config["version"] = __version__
     config["hash"] = config_hash(

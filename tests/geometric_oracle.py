@@ -47,8 +47,12 @@ two_point_map; the library computes on matrix tuples and keeps Isometry
 as a public value only), the reflections and the object geometry built
 on them (Reflection, compose_reflections, geodesic_reflection,
 side_of_point, common_perpendicular, dist_between_geodesics, shear_point_on,
-parabolic_shift, horocycle_length_through), curve_regime,
-shears_from_places (the cusped develop read back), and the shortness
+parabolic_shift, horocycle_length_through), curve_regime, the cusped
+develop point by point (_mobius_to and _develop_apex place each apex
+from its edge's two points and the shear, and place_faces places every
+face so, as the independent oracle of the frame develop of
+cusped.develop_from_shears), shears_from_places (the cusped develop
+read back through _develop_apex), and the shortness
 certificate as scalar closed forms and named rows: truncated_length,
 arc_lengths and arcs_short (with _collar) compute one pants at a time
 the floats that decomposition.arc_lengths and arcs_short compute over
@@ -853,6 +857,53 @@ def curve_regime(length) -> str:
     return "long"
 
 
+def _mobius_to(x, y, z):
+    """Matrix with x -> 0, y -> inf, z -> -1 (z on the left of x -> y)."""
+    m0 = two_point_mat(x, y)
+    z0 = mat_apply_boundary(m0, z)
+    if z0 == INF or z0 >= 0:
+        raise GeometryError("apex is not on the left of the edge")
+    k = math.sqrt(-1.0 / z0)
+    return mat_mul((k, 0.0, 0.0, 1.0 / k), m0)
+
+
+def _develop_apex(x, y, z, shear: float):
+    """Apex across edge (x, y) from the triangle with apex z, given shear."""
+    if geom.cyclically_ordered(x, y, z):
+        m = _mobius_to(x, y, z)
+    else:
+        m = _mobius_to(y, x, z)
+    return mat_apply_boundary(mat_inverse(m), math.exp(-shear))
+
+
+def place_faces(cx: cusped.CuspedTriangulation, sigma: dict) -> list:
+    """The places of cusped.develop_from_shears, placed point by point.
+
+    The same breadth-first search from face 0 at (0, 1, inf), but each
+    face reached across a side keeps that side's two points and gets its
+    apex from _develop_apex, in the face's own positions.
+    """
+    places = [None] * cx.num_faces()
+    places[0] = (0.0, 1.0, INF)
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for s in range(3):
+                f2, s2 = cx.glue[(f, s)]
+                if places[f2] is not None:
+                    continue
+                x, y, z = (places[f][(s + k) % 3] for k in range(3))
+                pts = [None] * 3
+                pts[s2], pts[(s2 + 1) % 3] = y, x
+                pts[(s2 + 2) % 3] = _develop_apex(x, y, z,
+                                                  sigma[cx.edge_key(f, s)])
+                places[f2] = tuple(pts)
+                nxt.append(f2)
+        frontier = nxt
+    return places
+
+
 def shears_from_places(dev: cusped.DevelopedCusped) -> dict:
     """Recompute the shear of every edge from the developed placements."""
     out = {}
@@ -864,7 +915,7 @@ def shears_from_places(dev: cusped.DevelopedCusped) -> dict:
             x = dev.places[f][s]
             y = dev.places[f][(s + 1) % 3]
             z = dev.places[f][(s + 2) % 3]
-            w = cusped._develop_apex(x, y, z, dev.sigma[key])
+            w = _develop_apex(x, y, z, dev.sigma[key])
             out[key] = cusped._shear_of_quad(x, y, z, w)
     return out
 

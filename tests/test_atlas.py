@@ -33,7 +33,7 @@ import struct
 from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geometric_oracle as O
@@ -278,6 +278,8 @@ LENGTH = st.one_of(st.just(0.0), st.floats(LOW, HIGH))
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.lists(st.tuples(LENGTH, LENGTH, LENGTH), min_size=1, max_size=8))
+# seam ends that meet in float64: the seam distance has no denominator
+@example([(0.0, 2.264521290549835, 76.08615952010994)])
 def test_search(triples):
     # a batch of up to 8 triples, repeats included: each triple's route
     # and result must not depend on the others in its batch

@@ -714,6 +714,26 @@ class TestLongBoundary:
         assert captured.err.count("\n") == 1
 
 
+class TestCoincidingEnds:
+    """A pants whose seam ends meet in float64 fails by name: pants 1 is
+    (cusp, 2.26, 76.09), so build_pants finds no seam distance."""
+
+    SURFACE = {
+        "signature": {"g": 0, "n": 5},
+        "pants": [{"slots": [{"cusp": 0}, {"cusp": 1}, {"curve": 0}]},
+                  {"slots": [{"cusp": 2}, {"curve": 0}, {"curve": 1}]},
+                  {"slots": [{"curve": 1}, {"cusp": 3}, {"cusp": 4}]}],
+        "fn": [{"curve": 0, "length": 2.264521290549835, "twist": 0.0},
+               {"curve": 1, "length": 76.08615952010994, "twist": 0.0}],
+    }
+
+    @pytest.mark.parametrize("command, code", [("compute", 3),
+                                               ("optimize", 4)])
+    def test_one_line_error(self, tmp_path, capsys, command, code):
+        one_line_error(capsys, [command, write_surface(tmp_path, self.SURFACE)],
+                       code, "geodesic endpoints coincide in float64")
+
+
 class TestUnwritableOut:
     """An --out file that cannot be written fails with one line."""
 

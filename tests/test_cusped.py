@@ -83,6 +83,40 @@ class TestChainConstruction:
                     CU.develop_walk(cx, sigma, walks[0]))
                 assert abs(got - length) <= 1e-9 * length, (length, twist)
 
+    def test_closures_need_agreeing_roles(self):
+        # the later outer face's prev must be the earlier one's new, the
+        # same float: a pair one ulp apart does not close
+        def face(kind, prev, new):
+            return CH._LadderFace(labels=(0, 1, 2), points=(prev, new, G.INF),
+                                  outer=0, outer_side_kind=kind)
+
+        faces = [face("L", 0.0, 1.0), face("R", 3.0, 4.0),
+                 face("L", math.nextafter(1.0, 2.0), 2.0),
+                 face("R", math.nextafter(4.0, 5.0), 5.0)]
+        with pytest.raises(CH.ChainError, match="outer sides of an end "
+                                                "closure share no endpoint"):
+            CH._close_outer(CH._Assembler(), faces, range(4), "L")
+        with pytest.raises(CH.ChainError,
+                           match="right boundary arcs do not chain"):
+            CH._complete_five({}, CH._Assembler(), faces, range(4), None, {})
+
+    def test_fan_rejects_a_nan_cusp_sum(self, monkeypatch):
+        # max(0.0, nan) is 0.0: a trial whose cusp sums hold a NaN that
+        # is not first must still be rejected, and the search go on
+        calls = []
+        real = CU.cusp_sums
+
+        def first_nan(cx, sigma):
+            calls.append(cx)
+            return {0: 0.0, 1: math.nan} if len(calls) == 1 \
+                else real(cx, sigma)
+
+        monkeypatch.setattr(CU, "cusp_sums", first_nan)
+        fn, (cx, sigma, _) = chain(Signature(0, 5), seed=0)
+        assert len(calls) >= 2
+        monkeypatch.undo()
+        CU.check_complete(cx, sigma)
+
     def test_rejects_non_chain(self):
         pg = S.canonical_pants_graph(Signature(1, 1))
         hol = S.holonomy_from_fn(pg, S.FNCoordinates({0: 1.0}, {0: 0.0}))
@@ -145,6 +179,32 @@ class TestDevelopFromShears:
         assert all(abs(v) < 1e-12 for v in back.values())
 
 
+    @pytest.mark.parametrize("a", [200.0, 800.0])
+    def test_large_shears_once_punctured_torus(self, a):
+        # the point placement loses these: at 200 a degenerate placement
+        # drops a generator, at 800 an apex falls off its edge's left
+        cx = CU.CuspedTriangulation(
+            verts=[(0, 0, 0), (0, 0, 0)],
+            glue={(0, 0): (1, 0), (1, 0): (0, 0),
+                  (0, 1): (1, 1), (1, 1): (0, 1),
+                  (0, 2): (1, 2), (1, 2): (0, 2)})
+        sigma = dict(zip(cx.edges(), (a, -a / 2.0, -a / 2.0)))
+        dev = CU.develop_from_shears(cx, sigma)
+        assert [G.classify(g) for g in dev.generators] == ["hyperbolic"] * 4
+        assert all(math.isfinite(x) for pts in dev.places[1:] for x in pts)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_places_match_point_placement(self, n):
+        # the frame develop against the oracle's apex-by-apex placement
+        for seed in range(40):
+            fn, (cx, sigma, _) = chain(Signature(0, n), seed=seed)
+            got = CU.develop_from_shears(cx, sigma).places
+            want = O.place_faces(cx, sigma)
+            for f, (pts, ref) in enumerate(zip(got, want)):
+                assert all(G.boundary_close(x, y, 1e-9)
+                           for x, y in zip(pts, ref)), (seed, f, pts, ref)
+
+
 class TestFlips:
     def test_three_cusps_not_flippable(self):
         fn, (cx, sigma, _) = chain(Signature(0, 3))
@@ -202,7 +262,7 @@ class TestFlips:
         f2, s2 = cx.glue[(f1, s1)]
         std = (0.0, 1.0, G.INF)
         x, y, z = std[s1], std[(s1 + 1) % 3], std[(s1 + 2) % 3]
-        w = CU._develop_apex(x, y, z, sigma[cx.edge_key(f1, s1)])
+        w = O._develop_apex(x, y, z, sigma[cx.edge_key(f1, s1)])
         cx2, sig2 = CU.flip(cx, sigma, (f1, s1))
         # new diagonal
         geo = CU._shear_of_quad(w, z, x, y)
@@ -215,7 +275,7 @@ class TestFlips:
         }
         new_side = {"R": (f1, 0), "Q": (f1, 2), "S": (f2, 0), "P": (f2, 1)}
         for lab, (f, s, a, b, apex_in, new_apex) in outer.items():
-            v = CU._develop_apex(a, b, apex_in, sigma[cx.edge_key(f, s)])
+            v = O._develop_apex(a, b, apex_in, sigma[cx.edge_key(f, s)])
             geo = CU._shear_of_quad(a, b, new_apex, v)
             alg = sig2[cx2.edge_key(*new_side[lab])]
             assert abs(geo - alg) <= 1e-9 * max(1.0, abs(geo))

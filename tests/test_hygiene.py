@@ -26,7 +26,9 @@ geometry value types are ``slots=True`` dataclasses, immutable by
 convention only, and a value may be shared by every caller that holds
 it: no code may store to or delete a field of a ``slots=True``
 library dataclass, plainly, augmented or through ``setattr``, outside
-that class's own methods.  Inside the library a matrix is a tuple
+that class's own methods.  No library module imports inside a function
+or class body: every import is at module level, where a reader sees the
+module's dependencies and an import cycle shows at once.  Inside the library a matrix is a tuple
 (a, b, c, d) and a geodesic a pair of endpoints; the value types
 Isometry, Geodesic and IdealTriangle are the public API's values: outside
 geom.py no library module may build one (call the class or one of its
@@ -336,6 +338,15 @@ def value_constructions(tree):
     return found
 
 
+def nested_imports(tree):
+    """Lines of the import statements inside a function or class body."""
+    return sorted({inner.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.ClassDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
 def unread_fields(defining, reading):
     """Fields of the dataclasses in defining that no attribute load reads.
 
@@ -476,6 +487,11 @@ def test_every_local_is_read(path):
     assert unread_locals(_parse(path)) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert nested_imports(_parse(path)) == []
+
+
 def test_batch_rounds_as_the_scalar_path():
     for path in BATCH:
         tree = _parse(path)
@@ -546,6 +562,12 @@ def test_checks_catch_their_targets():
                      "def f():\n    return 1\n")
     assert duplicate_definitions(tree) == ["f"]
     assert unused_imports(tree) == ["os", "pi"]
+    lib = ast.parse("import os\nif os:\n    import sys\n"
+                    "def f():\n    from . import x\n"
+                    "    def g():\n        import y\n"
+                    "class C:\n    import z\n"
+                    "    def m(self):\n        from .w import v\n")
+    assert nested_imports(lib) == [5, 7, 9, 11]
     lib = ast.parse("from .geom import Isometry\nimport geom\n"
                     "X = Isometry(1, 0, 0, 1)\n"
                     "class H:\n    def f(self):\n"

@@ -39,8 +39,8 @@ from . import geom
 from .cusped import CuspedTriangulation, _shear_of_quad, check_complete
 from .geom import (IDENTITY, INF, cyclically_ordered, geodesic_ends,
                    mat_apply_boundary, mat_classify, mat_fixed_points,
-                   mat_inverse, mat_mul, parabolic_fixing, two_point_mat)
-from .surface import Holonomy
+                   mat_inverse, parabolic_fixing, two_point_mat)
+from .surface import Holonomy, _exact, _inverse, _mul, _quotient
 
 _MATCH_TOL = 1e-7
 
@@ -322,57 +322,9 @@ def build_cusped_chain(hol: Holonomy):
 
 
 def _centered_frames(hol: Holonomy):
-    """Exact placement of every pants relative to the middle one.
-
-    Returned as exact matrices (see _exact); the root paths hold one
-    float gluing map per tree edge, so each frame is a short exact product.
-    """
-    center = (hol.graph.num_pants - 1) // 2
-    to_center = _exact(IDENTITY)
-    for e in hol.root_paths[center]:
-        to_center = _mul(to_center, _exact(e))
-    base = _inverse(to_center)
-    frames = []
-    for p in range(hol.graph.num_pants):
-        out = base
-        for e in hol.root_paths[p]:
-            out = _mul(out, _exact(e))
-        frames.append(out)
-    return frames
-
-
-def _exact(m):
-    """A float matrix as an exact one: integers (a, b, c, d, den) with
-    the entries (a, b, c, d) / den, den > 0."""
-    ratios = [v.as_integer_ratio() for v in m]
-    den = max(q for _, q in ratios)     # each q is a power of two
-    return (*(p * (den // q) for p, q in ratios), den)
-
-
-def _mul(m, n):
-    """Product of exact matrices: the numerator matrices and the
-    denominators multiply, with no reduction."""
-    return (*mat_mul(m[:4], n[:4]), m[4] * n[4])
-
-
-def _inverse(m):
-    """Inverse of an exact matrix: den adj / det, denominator made positive."""
-    a, b, c, d, k = m
-    det = a * d - b * c
-    if det < 0:
-        k, det = -k, -det
-    return (k * d, -k * b, -k * c, k * a, det)
-
-
-def _quotient(num: int, den: int) -> float:
-    """num / den rounded once to float, a zero to +0.0.
-
-    CPython's int true division rounds correctly, so the bits depend
-    only on the value of the ratio, not on how it is reduced.
-    """
-    if den < 0:
-        num, den = -num, -den
-    return num / den
+    """Exact placement of every pants relative to the middle one."""
+    base = _inverse(hol.frames[(hol.graph.num_pants - 1) // 2])
+    return [_mul(base, f) for f in hol.frames]
 
 
 def _frame_apply(frame, pt):

@@ -4,17 +4,21 @@ A surface is described combinatorially by a pants graph (which boundary
 slots are glued along which internal curve, which are cusps) and
 metrically by Fenchel-Nielsen coordinates (length and twist per internal
 curve).  The holonomy representation is built from the pants frames: a
-spanning tree of the gluing graph links each pants frame to the root
-frame by a path of gluing maps, and the remaining gluings contribute
-explicit deck transformations.
+spanning tree of the gluing graph places each pants relative to pants 0
+by the product of the gluing maps along its tree path, and the remaining
+gluings contribute explicit deck transformations.
 
-Generators are stored frame-locally: each generator is a small matrix in
-the standard frame of one pants, together with the frame it lives in.
-Words are evaluated by telescoping the frame transitions along the
-spanning tree, which keeps every trace computation free of the large
-cancellations that global conjugation would introduce on thick surfaces.
-The gluing maps, tree paths, generator cores and checks are matrix
-tuples, as the pants holds them; evaluate_class returns an Isometry.
+Each frame is kept exact, as integers (a, b, c, d, den) standing for
+the matrix (a, b, c, d) / den (see _exact): the product of the float
+gluing maps with no rounding.  Generators are stored frame-locally: each
+is a small matrix in the standard frame of one pants, together with the
+frame it lives in.  Words are evaluated by joining consecutive
+generators with the connector F_p^-1 F_q between their frames, computed
+exactly and rounded once per entry, which keeps every trace computation
+free of the large cancellations that global conjugation would introduce
+on thick surfaces.  The gluing maps, generator cores, connectors and
+checks are float matrix tuples, as the pants holds them; evaluate_class
+returns an Isometry.
 """
 
 from __future__ import annotations
@@ -198,28 +202,19 @@ class Holonomy:
     graph: PantsGraph
     fn: FNCoordinates
     std: list                # StdPants per pants
-    root_paths: list         # per pants: list of single-gluing edge maps
+    frames: list             # per pants: exact frame from pants 0 (_exact)
     table: dict              # generator id -> Generator
     curve_primary: dict      # cid -> slot ref carrying the curve generator
     curve_secondary: dict
     tree_curves: set = field(default_factory=set)
 
     def _connector(self, p: int, q: int):
-        """Map from the frame of pants q to that of pants p, along the tree."""
-        out = IDENTITY
+        """Map from the frame of pants q to that of pants p, F_p^-1 F_q,
+        each entry rounded once."""
         if p == q:
-            return out
-        path_p = self.root_paths[p]
-        path_q = self.root_paths[q]
-        k = 0
-        while (k < len(path_p) and k < len(path_q)
-               and path_p[k] is path_q[k]):
-            k += 1
-        for e in reversed(path_p[k:]):
-            out = mat_mul(out, mat_inverse(e))
-        for e in path_q[k:]:
-            out = mat_mul(out, e)
-        return out
+            return IDENTITY
+        *entries, den = _mul(_inverse(self.frames[p]), self.frames[q])
+        return tuple(_quotient(v, den) for v in entries)
 
     def evaluate_class(self, word) -> Isometry:
         """The word as a matrix, up to conjugation (trace-faithful)."""
@@ -249,6 +244,40 @@ def curve_length(hol: Holonomy, word) -> float:
     if kind != "hyperbolic":
         raise geom.GeometryError(f"curve class is {kind}, not a closed geodesic")
     return geom.translation_length(f)
+
+
+def _exact(m):
+    """A float matrix as an exact one: integers (a, b, c, d, den) with
+    the entries (a, b, c, d) / den, den > 0."""
+    ratios = [v.as_integer_ratio() for v in m]
+    den = max(q for _, q in ratios)     # each q is a power of two
+    return (*(p * (den // q) for p, q in ratios), den)
+
+
+def _mul(m, n):
+    """Product of exact matrices: the numerator matrices and the
+    denominators multiply, with no reduction."""
+    return (*mat_mul(m[:4], n[:4]), m[4] * n[4])
+
+
+def _inverse(m):
+    """Inverse of an exact matrix: den adj / det, denominator made positive."""
+    a, b, c, d, k = m
+    det = a * d - b * c
+    if det < 0:
+        k, det = -k, -det
+    return (k * d, -k * b, -k * c, k * a, det)
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den rounded once to float, a zero to +0.0.
+
+    CPython's int true division rounds correctly, so the bits depend
+    only on the value of the ratio, not on how it is reduced.
+    """
+    if den < 0:
+        num, den = -num, -den
+    return num / den
 
 
 def slot_lengths(pg: PantsGraph, fn: FNCoordinates, p: int):
@@ -286,8 +315,8 @@ def _gluing_map(parent_std: StdPants, parent_slot: int,
 def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
     ends = check_surface(pg, fn)
     std = [build_pants(*slot_lengths(pg, fn, p)) for p in range(pg.num_pants)]
-    root_paths = [None] * pg.num_pants
-    root_paths[0] = []
+    frames = [None] * pg.num_pants
+    frames[0] = _exact(IDENTITY)
     tree_curves = set()
     frontier = [0]
     placed = {0}
@@ -302,7 +331,7 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
                         continue
                     edge = _gluing_map(std[pp], ss, std[qq], tt, cid,
                                        fn.twist(cid))
-                    root_paths[qq] = root_paths[pp] + [edge]
+                    frames[qq] = _mul(frames[pp], _exact(edge))
                     placed.add(qq)
                     tree_curves.add(cid)
                     nxt.append(qq)
@@ -327,7 +356,7 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
             table[f"glue:{cid}"] = Generator(p1, raw, p2)
 
     hol = Holonomy(
-        graph=pg, fn=fn, std=std, root_paths=root_paths, table=table,
+        graph=pg, fn=fn, std=std, frames=frames, table=table,
         curve_primary=curve_primary, curve_secondary=curve_secondary,
         tree_curves=tree_curves,
     )

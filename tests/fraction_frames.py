@@ -3,9 +3,10 @@
 chains.py places every pants relative to the middle one, and evaluates
 the fan search's candidate words, in exact arithmetic on integer
 matrices (a, b, c, d, den), each entry rounded once to float.  These are
-the same four helpers on Fractions, the form they had before: the test
+the same helpers on Fractions, the form they had before: the test
 oracle that the integer versions must match bit for bit
-(tests/test_cusped.py::TestExactFrames).
+(tests/test_cusped.py::TestExactFrames).  The tree paths are rebuilt
+here from the gluing maps, not read from the holonomy under test.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from shearlab import geom
+from shearlab.surface import _gluing_map
 from shearlab.geom import IDENTITY, INF
 
 
@@ -27,20 +29,49 @@ def exact_inverse(m):
     return (d / det, -b / det, -c / det, a / det)
 
 
+def tree_paths(hol):
+    """Per pants, the float gluing maps along the spanning tree from
+    pants 0, found breadth first in holonomy_from_fn's order."""
+    ends = sorted(hol.graph.curve_ends().items())
+    paths = {0: []}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for cid, refs in ends:
+                for ref in refs:
+                    if ref[0] != p:
+                        continue
+                    (q, t) = refs[0] if refs[1] == ref else refs[1]
+                    if q in paths:
+                        continue
+                    paths[q] = paths[p] + [_gluing_map(
+                        hol.std[p], ref[1], hol.std[q], t, cid,
+                        hol.fn.twist(cid))]
+                    nxt.append(q)
+        frontier = nxt
+    return [paths[p] for p in range(hol.graph.num_pants)]
+
+
+def tree_frame(path):
+    """The exact product of the gluing maps of a tree path."""
+    out = exact(IDENTITY)
+    for e in path:
+        out = geom.mat_mul(out, exact(e))
+    return out
+
+
+def connector(paths, p, q):
+    """The exact map from the frame of pants q to that of pants p."""
+    return geom.mat_mul(exact_inverse(tree_frame(paths[p])),
+                        tree_frame(paths[q]))
+
+
 def centered_frames(hol):
     """Exact placement of every pants relative to the middle one."""
+    paths = tree_paths(hol)
     center = (hol.graph.num_pants - 1) // 2
-    to_center = exact(IDENTITY)
-    for e in hol.root_paths[center]:
-        to_center = geom.mat_mul(to_center, exact(e))
-    base = exact_inverse(to_center)
-    frames = []
-    for p in range(hol.graph.num_pants):
-        out = base
-        for e in hol.root_paths[p]:
-            out = geom.mat_mul(out, exact(e))
-        frames.append(out)
-    return frames
+    return [connector(paths, center, p) for p in range(len(paths))]
 
 
 def frame_apply(frame, pt):

@@ -808,4 +808,4 @@ class TestExactFrames:
         assert same_bits(FF.frame_apply(FF.as_fractions(flip_sign), 0.0), 0.0)
         half_turn = (0, 1, -1, 0, 1)        # x -> -1/x: 0 / -1 at inf
         assert same_bits(CH._frame_apply(half_turn, G.INF), 0.0)
-        assert same_bits(CH._quotient(0, -3), 0.0)
+        assert same_bits(S._quotient(0, -3), 0.0)

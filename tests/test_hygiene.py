@@ -41,7 +41,10 @@ differ in the last bit on a share of inputs): neither names such a
 ufunc or uses ``**``.  numpy's complex product, quotient and abs round
 differently from CPython's too, so neither uses a complex number at
 all, numpy's or Python's: no ``1j`` literal, no ``complex``, no numpy
-complex type or complex dtype name.
+complex type or complex dtype name.  Every module the benchmark's worker
+imports by name (its ``MODULES`` tuple, read without importing it) must
+exist in the library, so that a rename fails here and not in a
+benchmark run.
 """
 
 import ast
@@ -470,6 +473,14 @@ def complex_numbers(tree):
             sorted(found, key=lambda f: (f[0].lineno, f[0].col_offset))]
 
 
+def benchmark_modules(tree):
+    """The value of the module's top-level MODULES tuple, or None."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and "MODULES" in bound_names(node):
+            return ast.literal_eval(node.value)
+    return None
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_duplicate_top_level_names(path):
     assert duplicate_definitions(_parse(path)) == []
@@ -556,12 +567,22 @@ def test_value_types_are_built_only_where_returned():
                              for scope, _ in found}
 
 
+def test_benchmark_modules_exist():
+    names = benchmark_modules(_parse(ROOT / "perfbench" / "worker.py"))
+    assert names and "chains" in names
+    assert [name for name in names
+            if not (SRC / f"{name}.py").is_file()] == []
+
+
 def test_checks_catch_their_targets():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "def f():\n    return tau\n"
                      "def f():\n    return 1\n")
     assert duplicate_definitions(tree) == ["f"]
     assert unused_imports(tree) == ["os", "pi"]
+    assert benchmark_modules(tree) is None
+    assert benchmark_modules(ast.parse(
+        "import x\nMODULES = ('cli', 'geom')\n")) == ("cli", "geom")
     lib = ast.parse("import os\nif os:\n    import sys\n"
                     "def f():\n    from . import x\n"
                     "    def g():\n        import y\n"

@@ -1,10 +1,12 @@
 """Pants graphs, Fenchel-Nielsen holonomy, and the surface sampler."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+import fraction_frames as FF
 import geometric_oracle as O
 from shearlab import geom as G
 from shearlab import pants as P
@@ -181,6 +183,47 @@ class TestHolonomy:
         hol = S.holonomy_from_fn(pg2, fn)
         length = S.curve_length(hol, [("bnd:0:0", 1), ("bnd:0:2", 1)])
         assert length > 0
+
+
+#: gluing graphs whose spanning tree branches at pants 0, so pants 1, 2
+#: and 3 lie on three different root paths: K4 for (3,0), and for (2,2)
+#: the same star with a cusp in place of two of the leaves' gluings
+STAR_GRAPHS = {
+    (3, 0): ((("curve", 0), ("curve", 1), ("curve", 2)),
+             (("curve", 0), ("curve", 3), ("curve", 5)),
+             (("curve", 1), ("curve", 3), ("curve", 4)),
+             (("curve", 2), ("curve", 4), ("curve", 5))),
+    (2, 2): ((("curve", 0), ("curve", 1), ("curve", 2)),
+             (("curve", 0), ("curve", 3), ("cusp", 0)),
+             (("curve", 1), ("curve", 3), ("curve", 4)),
+             (("curve", 2), ("curve", 4), ("cusp", 1))),
+}
+
+
+class TestConnector:
+    """_connector(p, q) is the exact product F_p^-1 F_q of the tree
+    paths' gluing maps, each entry rounded once."""
+
+    @pytest.mark.parametrize("sig", list(STAR_GRAPHS), ids=str)
+    def test_bit_equal_to_fractions(self, sig):
+        pg = S.PantsGraph(STAR_GRAPHS[sig])
+        assert S.validate(pg, Signature(*sig)) == []
+        rng = np.random.default_rng(5)
+        cids = pg.curve_ids()
+        for _ in range(5):
+            lengths = rng.uniform(0.3, 4.0, len(cids))
+            twists = rng.uniform(-1.0, 1.0, len(cids)) * lengths
+            hol = S.holonomy_from_fn(pg, S.FNCoordinates(
+                dict(zip(cids, lengths.tolist())),
+                dict(zip(cids, twists.tolist()))))
+            paths = FF.tree_paths(hol)
+            assert [len(path) for path in paths] == [0, 1, 1, 1]
+            for p in range(4):
+                for q in range(4):
+                    want = [float(v) for v in FF.connector(paths, p, q)]
+                    assert [struct.pack("<d", v) for v in
+                            hol._connector(p, q)] == [
+                        struct.pack("<d", v) for v in want], (p, q)
 
 
 class TestSampler:

@@ -22,12 +22,20 @@ consecutive events of that side, so the later face's prev is the
 earlier face's new, the same float.  The end closure glues the two
 outer sides around that point, and the fan chains the two right
 boundary arcs through it; an exact-equality check guards both.  Only
-the rung check and the fan window compare points within a tolerance.
+the rung check, the fan window and the fan's 1e-12 test whether pi r0
+already is r2 compare points within a tolerance.  That last test never
+fired in 455k fan trials over 3,800 (0,5) surfaces; it stays because
+parabolic_fixing rejects the pair when pi r0 and r2 are both infinite.
+
+The chain is built with every twist in [-l/2, l/2) (reduced_twists),
+the same surface: beyond l/2 the fan's shears lose the accuracy the
+completeness check needs on long curves.  Every pants is placed by the
+surface's exact frame, centered on the middle pants (_centered_frames).
 
 Supported signatures: (0,3), (0,4) and (0,5).  Larger chains would need
 an inductively propagated frontier; the structures exercised by the
-round-trip and flip tests stop at five punctures.  The holonomies, the
-frames and the deck words are matrix tuples, as the surface holds them.
+round-trip and flip tests stop at five punctures.  The holonomies and
+the deck words are float matrix tuples, as the surface holds them.
 """
 
 from __future__ import annotations
@@ -40,7 +48,8 @@ from .cusped import CuspedTriangulation, _shear_of_quad, check_complete
 from .geom import (IDENTITY, INF, cyclically_ordered, geodesic_ends,
                    mat_apply_boundary, mat_classify, mat_fixed_points,
                    mat_inverse, parabolic_fixing, two_point_mat)
-from .surface import Holonomy, _exact, _inverse, _mul, _quotient
+from .surface import (FNCoordinates, Holonomy, _exact, _inverse, _mul,
+                      _quotient, holonomy_from_fn)
 
 _MATCH_TOL = 1e-7
 
@@ -262,12 +271,35 @@ def _close_outer(asm: _Assembler, faces, ids, kind):
                  shear)
 
 
+def reduced_twists(fn: FNCoordinates) -> FNCoordinates:
+    """fn with each finite twist outside [-l/2, l/2), l its curve's
+    length, taken into it by whole Dehn twists, which change a twist by
+    l but not the surface; fn itself when no twist moves.
+
+    Other twists, and those of a length check_surface rejects, keep
+    their bits.
+    """
+    moved = {}
+    for cid, twist in fn.twists.items():
+        length = fn.lengths[cid]
+        if (math.isfinite(twist) and 0.0 < length < math.inf
+                and not -length / 2.0 <= twist < length / 2.0):
+            twist %= length
+            # exact (Sterbenz); a remainder that rounds up to l gives 0.0
+            moved[cid] = twist - length if twist >= length / 2.0 else twist
+    if not moved:
+        return fn
+    return FNCoordinates(fn.lengths, {**fn.twists, **moved})
+
+
 def build_cusped_chain(hol: Holonomy):
     """Cusped triangulation, shears and curve walks for a chain surface.
 
-    Supports chains with up to five cusps.  Returns (triangulation,
-    sigma, walks); walks maps a pants curve id to a closed dual walk
-    around it where one was recorded during construction.
+    Supports chains with up to five cusps.  hol is rebuilt with its
+    twists reduced (reduced_twists) when one moves.  Returns
+    (triangulation, sigma, walks); walks maps a pants curve id to a
+    closed dual walk around it where one was recorded during
+    construction.
     """
     if not is_chain(hol):
         raise ChainError("surface is not a chain of pants")
@@ -277,6 +309,9 @@ def build_cusped_chain(hol: Holonomy):
         return _three_cusp_complex()
     if m > 3:
         raise ChainError("cusped chains are built for at most five cusps")
+    fn = reduced_twists(hol.fn)
+    if fn is not hol.fn:
+        hol = holonomy_from_fn(pg, fn)
 
     cusp_at = {(p, s): ident for ident, (p, s) in pg.cusp_slots().items()}
     snake = [cusp_at[(0, 0)]]

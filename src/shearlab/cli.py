@@ -22,8 +22,8 @@ Subcommands:
   0.05 and 2 log(4 area)).
 * ``shear optimize SURFACE.json --budget B --seed S``: flip search on a
   cusped chain surface (genus 0, up to five punctures).  Each twist
-  outside [0, l), l its curve's length, is first reduced into it by
-  whole Dehn twists, which do not change the surface.  Each of the B
+  outside [-l/2, l/2), l its curve's length, is first reduced into it
+  by whole Dehn twists, which do not change the surface.  Each of the B
   steps scores in closed form the flips that can improve the maximum
   (those of the edges of the two faces at the largest |shear|) and
   flips only the edge it takes, in place.  Exit 1 on a parse error (as for
@@ -53,7 +53,7 @@ import time
 from . import chains, cusped, report
 from .constants import Signature
 from .geom import GeometryError
-from .surface import FNCoordinates, default_length_range, holonomy_from_fn
+from .surface import default_length_range, holonomy_from_fn
 
 
 def _write(text: str, out_path) -> bool:
@@ -175,22 +175,6 @@ def cmd_sample(args) -> int:
     return 5 if summary["bound_violations_certified"] else 0
 
 
-def _reduced_twists(fn: FNCoordinates) -> FNCoordinates:
-    """fn with each finite twist outside [0, l) taken into it by whole
-    Dehn twists, which change a twist by its curve's length l but not
-    the surface; other twists (and those of a length check_surface
-    rejects) are kept bit for bit."""
-    twists = dict(fn.twists)
-    for cid, twist in fn.twists.items():
-        length = fn.lengths[cid]
-        if (math.isfinite(twist) and 0.0 < length < math.inf
-                and not 0.0 <= twist < length):
-            twist %= length
-            # (-1e-17) % 2.0 rounds up to 2.0
-            twists[cid] = twist if twist < length else 0.0
-    return FNCoordinates(fn.lengths, twists)
-
-
 def cmd_optimize(args) -> int:
     problem = _seed_problem(args.seed)
     if args.budget < 0:
@@ -206,7 +190,7 @@ def cmd_optimize(args) -> int:
         print(f"error: cannot parse surface file: {err}", file=sys.stderr)
         return 1
     try:
-        hol = holonomy_from_fn(pg, _reduced_twists(fn))
+        hol = holonomy_from_fn(pg, chains.reduced_twists(fn))
         cx, sigma, _ = chains.build_cusped_chain(hol)
         cusped.check_complete(cx, sigma)
     except (chains.ChainError, GeometryError, ValueError) as err:

@@ -9,8 +9,8 @@ edge has one formula, _step_matrix: the transition between the standard
 frames (vertices at 0, 1, inf) of the two faces, assembled from
 e^(+-shear/2).  develop_walk multiplies the steps of a dual walk, and
 develop_from_shears those of a breadth-first tree of faces, reading each
-face's places from its frame and each deck generator from a gluing the
-tree meets again.  The develop computes on matrix tuples; an Isometry is
+face's places from its frame and one deck generator from each gluing
+off the tree.  The develop computes on matrix tuples; an Isometry is
 built only where a public function returns one (develop_walk and
 DevelopedCusped.generators).
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .geom import (IDENTITY, INF, RELATION_TOL, GeometryError, Isometry,
                    apex_shear, cyclically_ordered, geodesic_ends,
-                   mat_apply_boundary, mat_classify, mat_inverse, mat_mul,
+                   mat_apply_boundary, mat_inverse, mat_mul,
                    normalize_boundary)
 
 
@@ -408,30 +408,34 @@ def develop_from_shears(cx: CuspedTriangulation, sigma: dict) -> DevelopedCusped
     from standard position (vertices at 0, 1, inf) to its place: the
     face f2 reached across side s of f gets frames[f] times the step
     matrix of the crossing, the transition develop_walk accumulates, and
-    its places are its frame's images of (0, 1, inf).  A gluing met
-    again closes a loop of the search tree; unless mat_classify calls it
-    the identity, the frame the crossing would give f2 times the inverse
-    of the stored one is a generator.
+    its places are its frame's images of (0, 1, inf).  Each gluing is
+    crossed once, from the first of its sides the search meets; one that
+    reaches a face already placed closes a loop of the search tree, and
+    the frame the crossing would give f2 times the inverse of the stored
+    one is its generator.
     """
     check_complete(cx, sigma)
     frames = [None] * cx.num_faces()
     frames[0] = IDENTITY
     generators = []
+    crossed = set()
     frontier = [0]
     while frontier:
         nxt = []
         for f in frontier:
             for s in range(3):
+                if (f, s) in crossed:
+                    continue
                 f2, s2 = cx.glue[(f, s)]
+                crossed.add((f2, s2))
                 m = mat_mul(frames[f], _step_matrix(
                     s, s2, sigma[cx.edge_key(f, s)]))
                 if frames[f2] is None:
                     frames[f2] = m
                     nxt.append(f2)
-                    continue
-                g = mat_mul(m, mat_inverse(frames[f2]))
-                if mat_classify(g) != "identity":
-                    generators.append(Isometry(*g))
+                else:
+                    generators.append(Isometry(*mat_mul(
+                        m, mat_inverse(frames[f2]))))
         frontier = nxt
     places = [tuple(mat_apply_boundary(m, v) for v in (0.0, 1.0, INF))
               for m in frames]

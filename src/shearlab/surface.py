@@ -197,7 +197,7 @@ class Generator:
 
 @dataclass
 class Holonomy:
-    """Per-pants frames, tree paths and a generator table for curve classes."""
+    """Per-pants exact frames and a generator table for curve classes."""
 
     graph: PantsGraph
     fn: FNCoordinates

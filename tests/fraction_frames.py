@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from shearlab import geom
-from shearlab.surface import _gluing_map
 from shearlab.geom import IDENTITY, INF
+from shearlab.surface import _gluing_map
 
 
 def exact(m):

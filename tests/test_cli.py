@@ -274,8 +274,8 @@ class TestMalformedSurface:
     def test_twist_too_large_for_float64(self, tmp_path, capsys, twist):
         # the gluing map overflows, divides by a zero translation or
         # holds inf * 0; each names the curve and its twist.  optimize
-        # first reduces the twist into [0, l) (TestTwistReduction), so
-        # only a gluing at the twist as given meets the error
+        # first reduces the twist into [-l/2, l/2) (TestTwistReduction),
+        # so only a gluing at the twist as given meets the error
         with pytest.raises(GeometryError) as err:
             holonomy_from_fn(*surface_04_at_twist(twist))
         assert str(err.value) == (f"gluing map of curve 0 at twist {twist} "
@@ -449,9 +449,9 @@ OPTIMIZE_DIGESTS = {
     (4, 0, 37, 1): (
         0, "b8ec181d7c9adef27c2e3daef5735f9e64a635b271a7477ad35e1633a3d557b5"),
     (4, 1, 100, 1): (
-        0, "b274dc005db8637c9664182148a4e9fe071b6dddfa53b364f26e67211b123014"),
+        0, "af7438d6de6fbf4c011973ed893ad2b238c268c8c29648ca70a0fd76465fa7a8"),
     (4, 1, 37, 4): (
-        0, "f966e3434367dce3fec97c637c6da67fcfa287a7845a3e24ae574219c1013eaa"),
+        0, "45f71cc9ec55a5302a79918ea365ae53f33b72856806ff3f639d97c00c328c97"),
     (4, 2, 100, 2): (
         0, "dd598d46bb88ea9445900ab9330717ba3c6180e8fbf8653ae80fb7f41219389e"),
     (4, 2, 37, 7): (
@@ -465,9 +465,9 @@ OPTIMIZE_DIGESTS = {
     (4, 4, 37, 13): (
         0, "d2e722de4f256f339eddf64ce04041baa04842bf5297dd432676e50759c0b338"),
     (4, 5, 100, 5): (
-        0, "0db2b358321da1755531953cddef68803f90d166f031fba5afedb7b96a2bf3b5"),
+        0, "0de131d3c87b3245a2cb6b73cb95c0de988771867a6e0b13f0343cc0f9a820e3"),
     (4, 5, 37, 16): (
-        0, "62215bd0e0918df3493303c95f980fcecf38d657039ea191b15b4531a74f1131"),
+        0, "09c75aab7aafd77b33302c8571a662179e4383812e91594fa641703daeb7131f"),
     (4, 6, 100, 6): (
         0, "5bf6a87d1bd6ac9426e760b55ca799da24fa5b9439348a155c3952eea20ddaea"),
     (4, 6, 37, 19): (
@@ -481,29 +481,29 @@ OPTIMIZE_DIGESTS = {
     (4, 8, 37, 25): (
         0, "0905bd0d3b8788994bfa405ded2306a74f61e3c6c38b13372f4d43096a55b641"),
     (4, 9, 100, 9): (
-        0, "ea8fa338918edb0903ec2adcc0a2fcbcec9d1d54874f8686e978cdd172b0f01e"),
+        0, "17ff9249349fe23716cf0e6b7494dcb22cda792da8b856ec96eacd7e296bce1c"),
     (4, 9, 37, 28): (
-        0, "afd6936881d2603f92208ad878baf046acbb710be559078ce878b305647c8841"),
+        0, "40b6b8b8b7f6ed2be219b5f35780203181a534b74b6cfaf71d77d36c1ff78861"),
     (5, 0, 100, 0): (
-        0, "b0705f9c7d99fb8d0420962f268c1dbee4723ea159da88e046399d6f604bf5fe"),
+        0, "b6261522705d80e44ba6ada414a6f7a7399f28aea00cbdef3653b15300cf089a"),
     (5, 0, 37, 1): (
-        0, "21f61ced89a97bc94d84ae66e3d3ec753a1fc2906732e967485c7580e88936fd"),
+        0, "d7c0972523ee080591f3c5563243a4681c287272ce4e2c766129a84885d4df70"),
     (5, 1, 100, 1): (
         0, "7e35c0258f8a228b59aee252f9b6e33f033c807845af1fa7fa5e36ed602fae55"),
     (5, 1, 37, 4): (
         0, "f22957a14842f949bf7f3c842359c62b463d4c446ffb226cd91c667ec9295d4d"),
     (5, 2, 100, 2): (
-        0, "597be85fa9b8af19ed7c9c8da2986acc8ac2d3e036a0ef3e9b4eb08bea4624fb"),
+        0, "78a723f1418c91ef29b7460d82a0d765823b945d08cea622663467e4e1c7881d"),
     (5, 2, 37, 7): (
-        0, "15cf6b959fcfaf2fc8a755551e545094eeb3b068306017d0085ff7a27571bb06"),
+        0, "36b90b57cbc2890252ceef3fdb1a5b47ced865e56749e17ca22521922defc0ac"),
     (5, 3, 100, 3): (
-        0, "fd30473d5e16dd1e46cafe3dd385c3d312c1f7706a57a16eb1a72c55ee360974"),
+        0, "54b8b18fb0eff2a3cfdce61d79fc10bfee324b8a79ebc4b7dd31d349ca30e645"),
     (5, 3, 37, 10): (
-        0, "a88ba557736de732176618c465e3476718a136bc5d60192c9344dd09c2dbd9bc"),
+        0, "6e5bcff1590bda3df1a0d98e94bb9f13d9433fa0fe3c91b8e34ff5c820aa45e2"),
     (5, 4, 100, 4): (
-        0, "4c8c5bce565c98274b2dd13b17db8c92145e6ff4159cb841cc24a1fba22c735c"),
+        0, "15646cc8c93391a9b1798a397811cbd50cc0471fa29185c146ebd36f86d1a3d0"),
     (5, 4, 37, 13): (
-        0, "9a054121336f5c32dfbb22cc61403b64c51bdc67681b44d721856f01e06bb015"),
+        0, "8a31ce40f154bc8079ccc0bed434618f5757676c7f08910fb5f4282618cbe168"),
     (5, 5, 100, 5): (
         0, "17893b114e69763902ac3ffc20220e6c185eb18b88385b190281d51571ecc86e"),
     (5, 5, 37, 16): (
@@ -517,26 +517,37 @@ OPTIMIZE_DIGESTS = {
     (5, 7, 37, 22): (
         0, "a7c174ac92eeeb5a8aa4809e3fa4674fa6559d1d03322ccf7e04d1bd54d26194"),
     (5, 8, 100, 8): (
-        0, "4978ea7b83bdb6eae87f1a74d3e6eeedc79fa105c83d027f6427fbab627e90a6"),
+        0, "808da32eba34d67886d033ed1b69cbb78c33ff7370b857c3f5b1395c1efdaf62"),
     (5, 8, 37, 25): (
-        0, "45dca79893ea6130e522d1e7fc657fa076be8133efd902b2d95e15ae17370419"),
+        0, "926b5202b3e00531f69c41f89c513a52e4a7a449f3469cd4e1794da676cacd37"),
     (5, 9, 100, 9): (
-        0, "a7bf6cabaf751c35823ad315e26de9fcaee00d998c84e98fb654bf2d1fbc0074"),
+        0, "8f9727760f74f3727fcfbc3aad06b250db41b534a25b1fd3d8108b69595774d8"),
     (5, 9, 37, 28): (
-        0, "dc2cf98ac36f96a8fe6f9d992d33ccb159f390ffcf1b9055cc982a08d30e4d70"),
-    # the (0,5) seeds above all close their fan with the first chaining of
-    # the right boundary arcs and swapped fan faces; these two take the
-    # second chaining with kept fan faces
+        0, "4a029d9d0d590b4a1aac548ed8d1b52e379b4b26201905d3ea25a056138138bb"),
+    # two (0,5) surfaces with long curves (lengths 7.33 and 6.70, and
+    # 4.29 and 7.93) and twists beyond l/2; reduced, they close their fan
+    # with the first chaining of the right boundary arcs, as the seeds
+    # above do
     (5, 77, 100, 77): (
-        0, "657128c760aae1e8dd804c38267547e69b027ef5d83320304d59811d81ec4c79"),
+        0, "0ea437f58cda46d2469b6326b8b32115aba68f5d1181d7cf86c03812ca36cefe"),
     (5, 88, 100, 88): (
-        0, "84cfc4c3cfa37827a625194058244c5828170e8e8e07b921349fe2fcfa020099"),
+        0, "6f62a481507c3458c968f4c37b43f2ad433d4ed74b89a71d19d54d2af22fd8cd"),
 }
 
+#: the same for sample_fn's (0,5) surfaces at lengths in (6, 12), whose
+#: fans take the second chaining of the right boundary arcs
+LONG_CURVE_DIGESTS = {
+    (5, 7, 100, 7): (
+        0, "f184ab236f6646a96cd7eb8efce9cc3d8192dd7715d245bc1f68903bac097acb"),
+    (5, 8, 100, 8): (
+        0, "81dbda1580dfe6d082a1b0f3ba545474ada283867ec561037de9259110ac3153"),
+}
+LONG_CURVES = (6.0, 12.0)
 
-def sample_surface(n, seed):
+
+def sample_surface(n, seed, length_range=None):
     """The surface file data of sample_fn's (0,n) surface at seed."""
-    pg, fn = sample_fn(Signature(0, n), seed)
+    pg, fn = sample_fn(Signature(0, n), seed, length_range=length_range)
     return {"signature": {"g": 0, "n": n},
             "pants": [{"slots": [{kind: ident} for kind, ident in slots]}
                       for slots in pg.pants],
@@ -574,18 +585,20 @@ class TestOptimizeBytes:
 
     def test_digests(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        for (n, seed, budget, search_seed), want in OPTIMIZE_DIGESTS.items():
-            write_surface(tmp_path, sample_surface(n, seed))
-            code, out = run(["optimize", "surface.json", "--budget",
-                             str(budget), "--seed", str(search_seed)],
-                            capsys)
-            got = (code, hashlib.sha256(out.encode()).hexdigest())
-            assert got == want, (n, seed, budget, search_seed)
+        for lengths, digests in ((None, OPTIMIZE_DIGESTS),
+                                 (LONG_CURVES, LONG_CURVE_DIGESTS)):
+            for (n, seed, budget, search_seed), want in digests.items():
+                write_surface(tmp_path, sample_surface(n, seed, lengths))
+                code, out = run(["optimize", "surface.json", "--budget",
+                                 str(budget), "--seed", str(search_seed)],
+                                capsys)
+                got = (code, hashlib.sha256(out.encode()).hexdigest())
+                assert got == want, (lengths, n, seed, budget, search_seed)
 
 
 class TestTwistReduction:
-    """optimize first reduces each twist outside [0, l) into it by whole
-    Dehn twists, which change a twist by l but not the surface."""
+    """optimize first reduces each twist outside [-l/2, l/2) into it by
+    whole Dehn twists, which change a twist by l but not the surface."""
 
     SURFACES = {"04": SURFACE_04, "05": sample_surface(5, 2)}
 
@@ -611,15 +624,20 @@ class TestTwistReduction:
             assert abs(got[key] - want[key]) <= 1e-9, key
 
     def test_reduced_twist_bits(self):
-        # a twist inside [0, l) keeps its bits, -0.0 included; one that
-        # rounds up to l becomes 0.0, and a NaN is left to check_surface
-        lengths = dict.fromkeys(range(6), 2.0)
-        fn = cli._reduced_twists(FNCoordinates(lengths, dict(enumerate(
-            [0.7, -0.0, -1e-17, 2.0, 5.0, math.nan]))))
+        # a twist inside [-l/2, l/2) keeps its bits, -0.0 and -l/2
+        # included; l/2 goes to -l/2, and a NaN is left to check_surface
+        given = [0.7, -0.0, -1e-17, -1.0, 1.0, 2.0, 5.0, math.nan]
+        lengths = dict.fromkeys(range(len(given)), 2.0)
+        fn = chains.reduced_twists(FNCoordinates(lengths,
+                                                 dict(enumerate(given))))
         assert [struct.pack("<d", t) for t in fn.twists.values()] == [
-            struct.pack("<d", t) for t in (0.7, -0.0, 0.0, 0.0, 1.0,
-                                           math.nan)]
+            struct.pack("<d", t) for t in (0.7, -0.0, -1e-17, -1.0, -1.0,
+                                           0.0, -1.0, math.nan)]
         assert fn.lengths == lengths
+
+    def test_unmoved_twists_keep_the_coordinates(self):
+        fn = FNCoordinates({0: 2.0, 1: 3.0}, {0: 0.9, 1: -1.5})
+        assert chains.reduced_twists(fn) is fn
 
 
 class TestCuspSums:

@@ -117,6 +117,27 @@ class TestChainConstruction:
         monkeypatch.undo()
         CU.check_complete(cx, sigma)
 
+    @pytest.mark.parametrize("seed", [61, 81, 97, 150, 250, 295])
+    def test_long_curve_fans(self, seed):
+        # curve 1 from 7.97 to 8.63 long: at the twists as drawn, in
+        # [l/2, l), every fan candidate missed the completeness check
+        fn, (cx, sigma, _) = chain(Signature(0, 5), seed=seed)
+        assert fn.length(1) > 7.9
+        CU.check_complete(cx, sigma)
+
+    def test_twist_grid(self):
+        # ROADMAP item 12's (0,4) grid, reduced as optimize reduces it: in
+        # [0, l) the gluing fails the tree-gluing check at u = 0.9 from
+        # l = 14 on, and at u >= 0.7 for l = 18
+        pg = S.canonical_pants_graph(Signature(0, 4))
+        for length in (8.0, 10.0, 12.0, 14.0, 16.0, 18.0):
+            for k in range(-5, 10):
+                fn = CH.reduced_twists(S.FNCoordinates(
+                    {0: length}, {0: k / 10.0 * length}))
+                cx, _, walks = CH.build_cusped_chain(
+                    S.holonomy_from_fn(pg, fn))
+                assert cx.num_faces() == 4 and len(walks[0]) == 4
+
     def test_rejects_non_chain(self):
         pg = S.canonical_pants_graph(Signature(1, 1))
         hol = S.holonomy_from_fn(pg, S.FNCoordinates({0: 1.0}, {0: 0.0}))
@@ -190,8 +211,20 @@ class TestDevelopFromShears:
                   (0, 2): (1, 2), (1, 2): (0, 2)})
         sigma = dict(zip(cx.edges(), (a, -a / 2.0, -a / 2.0)))
         dev = CU.develop_from_shears(cx, sigma)
-        assert [G.classify(g) for g in dev.generators] == ["hyperbolic"] * 4
+        assert [G.classify(g) for g in dev.generators] == ["hyperbolic"] * 2
         assert all(math.isfinite(x) for pts in dev.places[1:] for x in pts)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_one_generator_per_co_tree_gluing(self, n):
+        # a gluing met from both sides gave its element and the inverse
+        for seed in range(40):
+            fn, (cx, sigma, _) = chain(Signature(0, n), seed=seed)
+            gens = [(g.a, g.b, g.c, g.d)
+                    for g in CU.develop_from_shears(cx, sigma).generators]
+            assert len(gens) == len(cx.edges()) - cx.num_faces() + 1
+            for i, g in enumerate(gens):
+                for h in gens[i + 1:]:
+                    assert G.mat_classify(G.mat_mul(g, h)) != "identity"
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_places_match_point_placement(self, n):
@@ -538,7 +571,7 @@ class TestMinimaxSearch:
         assert per_step[0] == flippable > 6
 
     @pytest.mark.parametrize("n, chain_seed, budget, seed",
-                             [(4, 1, 40, 2), (5, 0, 40, 0)])
+                             [(4, 1, 40, 2), (5, 0, 40, 1)])
     def test_inputs_untouched_and_best_not_aliased(self, n, chain_seed,
                                                    budget, seed):
         _, (cx, sigma, _) = chain(Signature(0, n), seed=chain_seed)

@@ -111,15 +111,23 @@ def truncated_collar_width(length: float, params: ShearFreeParams) -> float:
     empty.  The defining identity length*cosh(w + rho) = 2 sinh(delta3)
     holds exactly for the returned raw value.
     """
+    return _collar_widths(length, params)[1]
+
+
+def _collar_widths(length: float, params: ShearFreeParams):
+    """(w, w^T) of a short closed geodesic: collar_width and
+    truncated_collar_width, with the latter's checks, evaluating each
+    width once."""
     if not 0.0 < length <= SHORT_CURVE_MAX:
         raise ValueError(f"length must lie in (0, {SHORT_CURVE_MAX}]")
     arg = 2.0 * math.sinh(params.delta3) / length
     if arg < 1.0:
         raise ValueError("truncated collar undefined: acosh argument below 1")
     w_t = math.acosh(arg) - RHO
-    if w_t + RHO >= collar_width(length):
+    w = collar_width(length)
+    if w_t + RHO >= w:
         raise AssertionError("truncated collar is not inside the standard collar")
-    return w_t
+    return w, w_t
 
 
 def main_bound(sig: Signature) -> float:
@@ -237,9 +245,9 @@ _GRID_POINTS = 10_000
 
 def _admissible_grid():
     """Log-spaced grid over (0, 2 tanh rho], densest near zero."""
-    lo, hi = 1e-8, SHORT_CURVE_MAX
-    step = (math.log(hi) - math.log(lo)) / (_GRID_POINTS - 1)
-    return [math.exp(math.log(lo) + i * step) for i in range(_GRID_POINTS)]
+    lo, hi = math.log(1e-8), math.log(SHORT_CURVE_MAX)
+    step = (hi - lo) / (_GRID_POINTS - 1)
+    return [math.exp(lo + i * step) for i in range(_GRID_POINTS)]
 
 
 @lru_cache(maxsize=128)
@@ -254,8 +262,7 @@ def _grid_scan(params: ShearFreeParams):
     gap = boundary = (-math.inf, None)
     margin = (math.inf, None)
     for ell in _admissible_grid() + [SHORT_CURVE_MAX]:
-        w = collar_width(ell)
-        w_t = truncated_collar_width(ell, params)
+        w, w_t = _collar_widths(ell, params)
         g, b, m = w - w_t, ell * math.cosh(w_t), w - (w_t + RHO)
         if g > gap[0]:
             gap = (g, ell)

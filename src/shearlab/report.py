@@ -8,10 +8,10 @@ relation (the two arc-ends at a slot sum to 0 at a cusp and to the
 curve's length at a glued slot).  Every sample of a campaign lies on the
 canonical pants graph of its signature, so the graph's curve-to-slot
 map, its curve checks and the record keys are fixed once per graph.  The
-samples are drawn straight into the block's (samples, curves) arrays of
-curve lengths and twists, and its length triples are one gather of them,
-(samples, pants, 3).  A pants takes one of two routes, with the same
-bits:
+block's seeds and its (samples, curves) arrays of curve lengths and
+twists are drawn at once (surface.block_seeds and block_draws), and its
+length triples are one gather of them, (samples, pants, 3).  A pants
+takes one of two routes, with the same bits:
 
 * every pants goes first through thick.thick_batch, which builds and
   develops all the triples of the block at once in numpy, in input
@@ -54,10 +54,10 @@ from .constants import (RHO, SHORT_CURVE_MAX, Signature, area,
                         topology_constants)
 from .geom import RELATION_TOL
 from .pants import build_pants
-from .surface import (DISCONNECTED, FNCoordinates, PantsGraph, _draw,
-                      canonical_pants_graph, check_curve_holonomy,
-                      check_surface, default_length_range, sample_seed,
-                      validate)
+from .surface import (DISCONNECTED, FNCoordinates, PantsGraph, block_draws,
+                      block_seeds, canonical_pants_graph,
+                      check_curve_holonomy, check_surface,
+                      default_length_range, validate)
 
 SCHEMA = "shearlab-report/1"
 
@@ -417,10 +417,14 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
                         length_range=None, twist_range=(0.0, 1.0)):
     """Seeded sampling campaign; per-sample failures are recorded.
 
-    The samples are drawn a block at a time, each straight into its row
-    of the block's (samples, curves) arrays with sample_fn's draw, and
-    each block runs as one array program (_surfaces): one batch of its
-    pants, then per-surface reductions in numpy.
+    The samples are drawn a block at a time: block_seeds gives their
+    seeds and block_draws their (samples, curves) arrays of lengths and
+    twists, as one integer array program each, with the bits of numpy's
+    SeedSequence and of sample_fn's draw (surface._draw), their
+    reference.  A draw's error does not depend on the seed, so a block
+    whose draw fails records it on every sample.  Each block then runs
+    as one array program (_surfaces): one batch of its pants, then
+    per-surface reductions in numpy.
     """
     params = shear_free_params()
     # every sample lies on the canonical graph of sig
@@ -430,26 +434,20 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
         length_range = default_length_range(sig)
     records = []
     for start in range(0, count, _BLOCK):
-        size = min(count, start + _BLOCK) - start
-        lengths, twists = np.empty((2, size, curves))
-        drawn = []
-        for i in range(start, start + size):
-            rec = {"seed": sample_seed(seed, i)}
-            try:
-                lengths[len(drawn)], twists[len(drawn)] = _draw(
-                    rec["seed"], curves, length_range, twist_range)
-                drawn.append(rec)
-            except Exception as err:   # recorded, campaign continues
-                rec["error"] = f"{type(err).__name__}: {err}"
-            records.append(rec)
-        if drawn:
-            k = len(drawn)
-            for rec, out in zip(drawn, _surfaces(sig, pg, lengths[:k],
-                                                 twists[:k], params)):
-                if isinstance(out, Exception):
-                    rec["error"] = f"{type(out).__name__}: {out}"
-                else:
-                    rec.update(out)
+        seeds = block_seeds(seed, start, min(count, start + _BLOCK) - start)
+        block = [{"seed": s} for s in seeds.tolist()]
+        records += block
+        try:
+            drawn = block_draws(seeds, curves, length_range, twist_range)
+        except Exception as err:   # the draw's, recorded on every sample
+            outs = [err] * len(block)
+        else:
+            outs = _surfaces(sig, pg, *drawn, params)
+        for rec, out in zip(block, outs):
+            if isinstance(out, Exception):
+                rec["error"] = f"{type(out).__name__}: {out}"
+            else:
+                rec.update(out)
     good = [r for r in records if not r.get("error")]
     certified = [r for r in good if r["certified"]]
     summary = {

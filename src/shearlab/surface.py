@@ -19,6 +19,12 @@ free of the large cancellations that global conjugation would introduce
 on thick surfaces.  The gluing maps, generator cores, connectors and
 checks are float matrix tuples, as the pants holds them; evaluate_class
 returns an Isometry.
+
+sample_fn draws one surface's Fenchel-Nielsen coordinates with numpy's
+Generator on a Philox bit generator (_draw).  A campaign draws a block
+of samples at once: block_seeds computes their seeds as numpy's
+SeedSequence would, and block_draws their lengths and twists as _draw
+would, each as one integer array program with the same bits.
 """
 
 from __future__ import annotations
@@ -429,7 +435,9 @@ def _draw(seed: int, curves: int, length_range, twist_range):
     is u * length for u uniform in twist_range.  The lengths are drawn
     first, then the u; one vector draw each gives the same values as one
     scalar draw per curve.  With no curve nothing is drawn, so nothing
-    checks the ranges.
+    checks the ranges.  A campaign draws a block of samples at once with
+    block_draws, whose reference this is: numpy's Generator on a Philox
+    bit generator keyed by the seed.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     if not curves:
@@ -439,7 +447,134 @@ def _draw(seed: int, curves: int, length_range, twist_range):
 
 
 def sample_seed(base_seed: int, index: int) -> int:
-    """Per-sample seed: SeedSequence(entropy=base, spawn_key=(index,))."""
-    mix = np.random.SeedSequence(entropy=np.uint64(base_seed),
-                                 spawn_key=(index,))
-    return int(mix.generate_state(1, dtype=np.uint64)[0])
+    """Per-sample seed: SeedSequence(entropy=base, spawn_key=(index,)),
+    block_seeds at one index."""
+    return int(block_seeds(base_seed, index, 1)[0])
+
+
+# numpy's SeedSequence: the hash constants and their multipliers, the
+# mix multipliers and the pool size (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_HASH_A = (0x43B0D7E5, 0x931E8875)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX = (0xCA01F9DD, 0x4973F715)
+_POOL = 4
+
+
+def _hash_constants(init: int, mult: int):
+    """The constants of successive hashmix calls: each xors in the hash
+    constant, multiplies it by mult and then multiplies by it."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield init, nxt
+        init = nxt
+
+
+def _hashmix(value, constants):
+    """numpy's hashmix of 32-bit words, Python ints or uint32 arrays, at
+    the next of the constants."""
+    xor, mul = next(constants)
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """numpy's mix of two 32-bit words, Python ints or uint32 arrays."""
+    value = _MIX[0] * x - _MIX[1] * y & _MASK32
+    return value ^ value >> 16
+
+
+def block_seeds(base_seed: int, start: int, size: int) -> np.ndarray:
+    """The seeds of the samples start .. start + size - 1, as uint64.
+
+    Sample i's seed is what numpy's SeedSequence(entropy=np.uint64(base_seed),
+    spawn_key=(i,)).generate_state(1, np.uint64) gives, computed here as
+    one array program.  The entropy is the base seed's 32-bit words,
+    padded with zeros to the pool size because there is a spawn key, then
+    the index's words.  Only the index words differ between samples, so
+    the pool is hashed and mixed once in Python ints, and each index word
+    is mixed into it as uint32 arrays.  The seed is the first two pool
+    words hashed again, the first as its low half.
+    """
+    base = int(np.uint64(base_seed))   # numpy's range check and its error
+    words = [base & _MASK32, base >> 32] if base >> 32 else [base]
+    words += [0] * (_POOL - len(words))
+    constants = _hash_constants(*_HASH_A)
+    pool = [_hashmix(word, constants) for word in words]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    index = np.arange(start, start + size, dtype=np.uint64)
+    low, high = ((w & _MASK32).astype(np.uint32) for w in (index, index >> 32))
+    pool = [_mix(np.full(size, p, dtype=np.uint32), _hashmix(low, constants))
+            for p in pool]
+    if high.any():   # an index from 2^32 on has a second word
+        pool = [np.where(high > 0, _mix(p, _hashmix(high, constants)), p)
+                for p in pool]
+    constants = _hash_constants(*_HASH_B)
+    low, high = (_hashmix(p, constants).astype(np.uint64) for p in pool[:2])
+    return low | high << 32
+
+
+# Philox4x64-10, as numpy's Philox bit generator runs it: the round
+# multipliers, the key increments (Weyl constants) and the rounds
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: 2^-53, the step of numpy's next_double
+_ULP53 = 1.0 / 9007199254740992.0
+
+
+def _mulhilo(m: int, x):
+    """The high and low 64-bit words of the product of the constant m and
+    each entry of the uint64 array x, from 32-bit halves."""
+    m_lo, m_hi = m & _MASK32, m >> 32
+    x_lo, x_hi = x & _MASK32, x >> 32
+    lo_lo, hi_lo = x_lo * m_lo, x_hi * m_lo
+    # below 2^64: (2^32 - 1)^2 plus two words below 2^32
+    mid = (lo_lo >> 32) + (hi_lo & _MASK32) + x_lo * m_hi
+    return x_hi * m_hi + (hi_lo >> 32) + (mid >> 32), x * m
+
+
+def _philox(counter, key):
+    """Philox4x64-10 of four uint64 arrays of counter words under the two
+    key words, an array and an int."""
+    x0, x1, x2, x3 = counter
+    k0, k1 = key
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1] & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return x0, x1, x2, x3
+
+
+def block_draws(seeds: np.ndarray, curves: int, length_range, twist_range):
+    """The lengths and twists of a block of seeded samples, as (samples,
+    curves) arrays: row i holds _draw(seeds[i], ...)'s, bit for bit.
+
+    _draw keys a Philox bit generator by the seed, which turns counter c
+    = 1, 2, ... into four 64-bit words each; Generator.uniform maps a
+    word x to lo + (hi - lo) u with u = (x >> 11) 2^-53.  Here every
+    sample's counters run through Philox4x64-10 at once, on uint64
+    arrays.  The ranges are checked by a _draw of the first sample, so
+    a draw that fails raises _draw's error; with no curve nothing is
+    drawn and nothing checked.
+    """
+    count = len(seeds)
+    if not curves:
+        return np.zeros((count, 0)), np.zeros((count, 0))
+    _draw(int(seeds[0]), curves, length_range, twist_range)
+    shape = (count, -(-2 * curves // 4))
+    zeros = np.zeros(shape, dtype=np.uint64)
+    counter = zeros + np.arange(1, shape[1] + 1, dtype=np.uint64)
+    words = np.stack(_philox((counter, zeros, zeros, zeros),
+                             (seeds[:, None], 0)), axis=2)
+    u = (words.reshape(count, -1)[:, :2 * curves] >> 11) * _ULP53
+    lo, hi = map(float, length_range)
+    t_lo, t_hi = map(float, twist_range)
+    lengths = lo + (hi - lo) * u[:, :curves]
+    return lengths, (t_lo + (t_hi - t_lo) * u[:, curves:]) * lengths

@@ -307,21 +307,48 @@ class TestOneDerivation:
             assert value == C.spike_constant((a, ell), (b, ell), p), (a, b)
 
     def test_one_scan_per_constants_report(self, monkeypatch):
+        # the scan reads both widths of a grid point from one call
         from shearlab import report
-        real = C.truncated_collar_width
+        real = C._collar_widths
         calls = []
 
         def counted(length, params):
             calls.append(length)
             return real(length, params)
 
-        monkeypatch.setattr(C, "truncated_collar_width", counted)
+        monkeypatch.setattr(C, "_collar_widths", counted)
         C._grid_scan.cache_clear()
         try:
             report.constants_report(C.Signature(2, 1))
         finally:
             C._grid_scan.cache_clear()
         assert len(calls) == C._GRID_POINTS + 1 == 10_001
+
+    @pytest.mark.parametrize("rho_prime", [C.DEFAULT_RHO_PRIME,
+                                           math.tanh(C.RHO)])
+    def test_scan_is_the_per_point_reference(self, rho_prime):
+        # the scan as it was: each width from its own public function at
+        # every point of a grid computed term by term, the same bits
+        p = C.shear_free_params(rho_prime)
+        lo, hi = 1e-8, C.SHORT_CURVE_MAX
+        step = (math.log(hi) - math.log(lo)) / (C._GRID_POINTS - 1)
+        grid = [math.exp(math.log(lo) + i * step)
+                for i in range(C._GRID_POINTS)]
+        assert C._admissible_grid() == grid
+        gap = boundary = (-math.inf, None)
+        margin = (math.inf, None)
+        for ell in grid + [C.SHORT_CURVE_MAX]:
+            w = C.collar_width(ell)
+            w_t = C.truncated_collar_width(ell, p)
+            g, b, m = w - w_t, ell * math.cosh(w_t), w - (w_t + C.RHO)
+            if g > gap[0]:
+                gap = (g, ell)
+            if b > boundary[0]:
+                boundary = (b, ell)
+            if m < margin[0]:
+                margin = (m, ell)
+        C._grid_scan.cache_clear()
+        assert C._grid_scan(p) == (gap, boundary, margin)
 
 
 class TestTopologyConstants:

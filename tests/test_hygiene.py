@@ -33,14 +33,15 @@ module's dependencies and an import cycle shows at once.  Inside the library a m
 Isometry, Geodesic and IdealTriangle are the public API's values: outside
 geom.py no library module may build one (call the class or one of its
 classmethods) except where a public function returns one
-(VALUE_RETURNS).  The batch of pants (thick.py) and the array closed
-forms of the seam arcs (decomposition.py) must give the scalar path's
-bits, and numpy's transcendental and power ufuncs round differently
-from math (its SIMD tanh, cosh, asinh, exp and log, and ``arr ** 2``,
-differ in the last bit on a share of inputs): neither names such a
-ufunc or uses ``**``.  numpy's complex product, quotient and abs round
-differently from CPython's too, so neither uses a complex number at
-all, numpy's or Python's: no ``1j`` literal, no ``complex``, no numpy
+(VALUE_RETURNS).  The batch of pants (thick.py), the array closed
+forms of the seam arcs (decomposition.py) and the campaign's block
+seeds and draws (surface.py) must give the scalar path's bits, and
+numpy's transcendental and power ufuncs round differently from math
+(its SIMD tanh, cosh, asinh, exp and log, and ``arr ** 2``, differ in
+the last bit on a share of inputs): none of them names such a ufunc or
+uses ``**``.  numpy's complex product, quotient and abs round
+differently from CPython's too, so none uses a complex number at all,
+numpy's or Python's: no ``1j`` literal, no ``complex``, no numpy
 complex type or complex dtype name.  Every module the benchmark's worker
 imports by name (its ``MODULES`` tuple, read without importing it) must
 exist in the library, so that a rename fails here and not in a
@@ -405,7 +406,7 @@ def unread_locals(tree):
     return out
 
 
-BATCH = (SRC / "thick.py", SRC / "decomposition.py")
+BATCH = (SRC / "thick.py", SRC / "decomposition.py", SRC / "surface.py")
 NUMPY_INEXACT = {"tanh", "cosh", "sinh", "arctanh", "arccosh", "arcsinh",
                  "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
                  "power", "float_power", "square", "cbrt"}

@@ -128,6 +128,30 @@ class TestCampaign:
         assert rows[1][1] == "(1,1)"
         assert rows[1][3] == "error"
 
+    def test_draw_errors_are_recorded_per_sample(self):
+        # a range numpy cannot draw from fails every sample's draw with
+        # numpy's message, and the lengths are checked before the twists;
+        # with no curve nothing is drawn, so nothing is checked
+        records, summary = report.run_sample_campaign(
+            Signature(1, 1), 1, 3, length_range=(-1e308, 1e308))
+        assert summary["failures"] == 3
+        assert [r["error"] for r in records] == [
+            "OverflowError: high - low range exceeds valid bounds"] * 3
+        assert [r["seed"] for r in records] == [S.sample_seed(1, i)
+                                                for i in range(3)]
+        records, _ = report.run_sample_campaign(
+            Signature(1, 1), 1, 2, length_range=(-1e308, 1e308),
+            twist_range=(1.0, 0.0))
+        assert {r["error"] for r in records} == {
+            "OverflowError: high - low range exceeds valid bounds"}
+        records, _ = report.run_sample_campaign(
+            Signature(1, 1), 1, 2, twist_range=(1.0, 0.0))
+        assert {r["error"] for r in records} == {"ValueError: high - low < 0"}
+        records, summary = report.run_sample_campaign(
+            Signature(0, 3), 1, 3, length_range=(-1e308, 1e308))
+        assert summary["failures"] == 0
+        assert not any("error" in r for r in records)
+
     def test_records_carry_hash_and_version(self):
         records, summary = report.run_sample_campaign(Signature(1, 1), 2, 2)
         rep = report.assemble({"command": "sample", "g": 1, "n": 1},

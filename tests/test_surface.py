@@ -258,7 +258,9 @@ class TestSampler:
         # sample_fn draws the lengths, then the twist factors, with one
         # vector draw each; the loop it replaced drew one scalar per curve.
         # Same bits in the same curve order, from 0 to 40 curves; with no
-        # curve nothing is drawn, so not even a bad range is rejected
+        # curve nothing is drawn, so not even a bad range is rejected.
+        # block_draws, a campaign's draw, gives the same bits for a block
+        # of the same seeds
         def scalar_draws(sig, seed, length_range, twist_range):
             if length_range is None:
                 length_range = (0.05, 2.0 * math.log(4.0 * area(sig)))
@@ -278,16 +280,57 @@ class TestSampler:
                 for sig in sigs] == [0, 1, 2, 4, 17, 27, 40]
         ranges = ((None, (0.0, 1.0)), ((1e-12, 1e-9), (-2.0, 3.0)),
                   ((3.0, 3.0), (0.0, 0.0)))
-        for seed in range(100):
-            for sig in sigs:
-                for length_range, twist_range in ranges:
+        seeds = np.arange(100, dtype=np.uint64)
+        for sig in sigs:
+            cids = S.canonical_pants_graph(sig).curve_ids()
+            for length_range, twist_range in ranges:
+                block = S.block_draws(
+                    seeds, len(cids), length_range
+                    or S.default_length_range(sig), twist_range)
+                for seed in range(100):
                     _, fn = S.sample_fn(sig, seed, length_range, twist_range)
                     lengths, twists = scalar_draws(sig, seed, length_range,
                                                    twist_range)
                     assert bits(fn.lengths) == bits(lengths), (seed, sig)
                     assert bits(fn.twists) == bits(twists), (seed, sig)
+                    assert bits(dict(zip(cids, block[0][seed].tolist()))) \
+                        == bits(lengths), (seed, sig)
+                    assert bits(dict(zip(cids, block[1][seed].tolist()))) \
+                        == bits(twists), (seed, sig)
         _, fn = S.sample_fn(Signature(0, 3), 1, (5.0, 1.0), (0.0, math.inf))
         assert fn.lengths == fn.twists == {}
+        assert [a.shape for a in S.block_draws(
+            seeds[:3], 0, (5.0, 1.0), (0.0, math.inf))] == [(3, 0), (3, 0)]
+
+    @pytest.mark.parametrize("base", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63,
+                                      2 ** 64 - 1])
+    def test_block_seeds_are_numpys_seed_sequence(self, base):
+        # one- and two-word entropy; indices 0-600 span the campaign's
+        # block starts (0, 256, 512), and the blocks split anywhere
+        def reference(i):
+            return int(np.random.SeedSequence(
+                entropy=np.uint64(base), spawn_key=(i,)).generate_state(
+                    1, np.uint64)[0])
+
+        want = [reference(i) for i in range(601)]
+        assert S.block_seeds(base, 0, 601).tolist() == want
+        for start, size in ((0, 256), (256, 256), (512, 89), (255, 2),
+                            (600, 1)):
+            assert S.block_seeds(base, start, size).tolist() \
+                == want[start:start + size], (start, size)
+        assert S.sample_seed(base, 600) == want[600]
+        # an index from 2^32 on is two words of spawn key
+        big = 2 ** 32 - 2
+        assert S.block_seeds(base, big, 4).tolist() == [
+            reference(i) for i in range(big, big + 4)]
+
+    def test_block_seeds_reject_what_numpy_rejects(self):
+        for base in (-1, 2 ** 64):
+            with pytest.raises(OverflowError) as ours:
+                S.block_seeds(base, 0, 3)
+            with pytest.raises(OverflowError) as numpys:
+                np.random.SeedSequence(entropy=np.uint64(base))
+            assert str(ours.value) == str(numpys.value)
 
     def test_seed_splitting_changes_streams(self):
         seeds = {S.sample_seed(42, i) for i in range(100)}

@@ -29,8 +29,12 @@ parabolic_fixing rejects the pair when pi r0 and r2 are both infinite.
 
 The chain is built with every twist in [-l/2, l/2) (reduced_twists),
 the same surface: beyond l/2 the fan's shears lose the accuracy the
-completeness check needs on long curves.  Every pants is placed by the
-surface's exact frame, centered on the middle pants (_centered_frames).
+completeness check needs on long curves.  Every pants is placed by its
+exact frame about the middle pants (Holonomy.frames_about), and each
+curve and cusp generator of the holonomy's table is its core conjugated
+exactly into that frame (surface.frame_conj).  The complex is a
+CuspedTriangulation from its first face on: each gluing stores the
+shear of its edge (_glue), and a fan trial works on a copy of both.
 
 Supported signatures: (0,3), (0,4) and (0,5).  Larger chains would need
 an inductively propagated frontier; the structures exercised by the
@@ -44,12 +48,12 @@ import math
 from dataclasses import dataclass
 
 from . import geom
-from .cusped import CuspedTriangulation, _shear_of_quad, check_complete
-from .geom import (IDENTITY, INF, cyclically_ordered, geodesic_ends,
+from .cusped import CuspedTriangulation, check_complete
+from .geom import (INF, cyclically_ordered, geodesic_ends,
                    mat_apply_boundary, mat_classify, mat_fixed_points,
-                   mat_inverse, parabolic_fixing, two_point_mat)
-from .surface import (FNCoordinates, Holonomy, _exact, _inverse, _mul,
-                      _quotient, holonomy_from_fn)
+                   mat_inverse, parabolic_fixing, quad_shear, two_point_mat)
+from .surface import (FNCoordinates, Holonomy, exact_product, frame_apply,
+                      frame_conj, holonomy_from_fn)
 
 _MATCH_TOL = 1e-7
 
@@ -187,52 +191,40 @@ def _three_cusp_complex():
     return cx, sigma, {}
 
 
-class _Assembler:
-    """Collects faces, gluings and the shear of each glued edge."""
-
-    def __init__(self):
-        self.verts = []
-        self.glue = {}
-        self.glue_shear = {}  # smaller side of each gluing -> shear
-
-    def copy(self):
-        out = _Assembler()
-        out.verts = list(self.verts)
-        out.glue = dict(self.glue)
-        out.glue_shear = dict(self.glue_shear)
-        return out
-
-    def add_face(self, labels):
-        self.verts.append(tuple(labels))
-        return len(self.verts) - 1
-
-    def add_glue(self, k1, k2, shear):
-        """Glue side k1 to side k2; a side is glued once, with one shear."""
-        if k1 in self.glue or k2 in self.glue:
-            raise ChainError(f"conflicting gluing {k1} ~ {k2}")
-        self.glue[k1] = k2
-        self.glue[k2] = k1
-        self.glue_shear[min(k1, k2)] = shear
-
-    def finish(self, n_cusps):
-        cx = CuspedTriangulation(verts=list(self.verts), glue=dict(self.glue))
-        cx.check()
-        links = cx.vertex_links()
-        if len(links) != n_cusps:
-            raise ChainError(
-                f"assembled complex has {len(links)} cusps, expected {n_cusps}")
-        # a shear can be -0.0 (the log of exactly 1); + 0.0 stores 0.0
-        sigma = {cx.edge_key(*k): shear + 0.0
-                 for k, shear in self.glue_shear.items()}
-        for e in cx.edges():
-            if e not in sigma:
-                raise ChainError(f"edge {e} has no shear")
-        return cx, sigma
+def _face(cx: CuspedTriangulation, labels):
+    """Add a face with these cusp labels; returns its index."""
+    cx.verts.append(tuple(labels))
+    return len(cx.verts) - 1
 
 
-def _emit_ladder(asm: _Assembler, faces, h_curve):
+def _glue(cx: CuspedTriangulation, sigma, k1, k2, shear):
+    """Glue side k1 to side k2; a side is glued once, with one shear,
+    stored under the smaller side, the edge's key."""
+    if k1 in cx.glue or k2 in cx.glue:
+        raise ChainError(f"conflicting gluing {k1} ~ {k2}")
+    cx.glue[k1] = k2
+    cx.glue[k2] = k1
+    # a shear can be -0.0 (the log of exactly 1); + 0.0 stores 0.0
+    sigma[min(k1, k2)] = shear + 0.0
+
+
+def _finished(cx: CuspedTriangulation, sigma, n_cusps):
+    """The complex and its shears, checked to have n_cusps cusps and a
+    shear on every edge."""
+    cx.check()
+    links = cx.vertex_links()
+    if len(links) != n_cusps:
+        raise ChainError(
+            f"assembled complex has {len(links)} cusps, expected {n_cusps}")
+    for e in cx.edges():
+        if e not in sigma:
+            raise ChainError(f"edge {e} has no shear")
+    return cx, sigma
+
+
+def _emit_ladder(cx, sigma, faces, h_curve):
     """Add a ladder's faces, rung gluings and rung shears; returns face ids."""
-    ids = [asm.add_face(f.labels) for f in faces]
+    ids = [_face(cx, f.labels) for f in faces]
     walk = []
     for i in range(4):
         j = (i + 1) % 4
@@ -245,13 +237,13 @@ def _emit_ladder(asm: _Assembler, faces, h_curve):
         for v in (x, y):
             if not any(geom.boundary_close(c, v, _MATCH_TOL) for c in chord):
                 raise ChainError(f"rung {i} chords do not line up")
-        asm.add_glue((ids[i], 1), (ids[j], s_prev),
-                     _shear_of_quad(x, y, z, w))
+        _glue(cx, sigma, (ids[i], 1), (ids[j], s_prev),
+              quad_shear(x, y, z, w))
         walk.append((ids[i], 1))
     return ids, walk
 
 
-def _close_outer(asm: _Assembler, faces, ids, kind):
+def _close_outer(cx, sigma, faces, ids, kind):
     """Glue the two outer sides on an end-pants side of a ladder.
 
     The two faces come from consecutive events of that side, so the
@@ -266,9 +258,9 @@ def _close_outer(asm: _Assembler, faces, ids, kind):
     if prev2 != shared:
         raise ChainError("outer sides of an end closure share no endpoint")
     g = parabolic_fixing(shared, other2, other1)
-    shear = _shear_of_quad(shared, other1, z1, mat_apply_boundary(g, z2))
-    asm.add_glue((ids[i1], faces[i1].outer), (ids[i2], faces[i2].outer),
-                 shear)
+    shear = quad_shear(shared, other1, z1, mat_apply_boundary(g, z2))
+    _glue(cx, sigma, (ids[i1], faces[i1].outer), (ids[i2], faces[i2].outer),
+          shear)
 
 
 def reduced_twists(fn: FNCoordinates) -> FNCoordinates:
@@ -313,27 +305,27 @@ def build_cusped_chain(hol: Holonomy):
     if fn is not hol.fn:
         hol = holonomy_from_fn(pg, fn)
 
-    cusp_at = {(p, s): ident for ident, (p, s) in pg.cusp_slots().items()}
+    cusps = pg.cusp_slots()
+    cusp_at = {(p, s): ident for ident, (p, s) in cusps.items()}
     snake = [cusp_at[(0, 0)]]
     snake += [cusp_at[(a, 1)] for a in range(m)]
     snake.append(cusp_at[(m - 1, 2)])
 
-    # Work in the frame of the middle pants with exact placement products
-    # on integers (see _exact), each entry rounded once: far-frame
+    # Work in the frame of the middle pants, placing by exact frames with
+    # each entry rounded once (see surface.frame_conj): far-frame
     # conjugates of parabolics are otherwise too large for float64 to
-    # carry their fixed points at the window scale.
-    frames = _centered_frames(hol)
-    w_point = {}
-    for ident, (p, s) in pg.cusp_slots().items():
-        w_point[ident] = _frame_apply(frames[p], hol.std[p].slot_point[s])
+    # carry their fixed points at the window scale.  A curve or cusp
+    # generator is a core in the frame of its one pants.  The curves come
+    # by id, then the cusps in slot order: the fan search's word order,
+    # and so which lift it finds first, follows this order.
+    frames = hol.frames_about((m - 1) // 2)
+    w_point = {ident: frame_apply(frames[p], hol.std[p].slot_point[s])
+               for ident, (p, s) in cusps.items()}
     gen_table = {}
-    for cid in pg.curve_ids():
-        (p, s) = hol.curve_primary[cid]
-        gen_table[f"curve:{cid}"] = _frame_conj(frames[p],
-                                                hol.std[p].slot_hol[s])
-    for ident, (p, s) in pg.cusp_slots().items():
-        gen_table[f"cusp:{ident}"] = _frame_conj(frames[p],
-                                                 hol.std[p].slot_hol[s])
+    for name in ([f"curve:{cid}" for cid in pg.curve_ids()]
+                 + [f"cusp:{ident}" for ident in cusps]):
+        g = hol.table[name]
+        gen_table[name] = frame_conj(frames[g.lframe], g.core)
 
     h0 = gen_table["curve:0"]
     base = [("L", snake[0], w_point[snake[0]]),
@@ -342,51 +334,19 @@ def build_cusped_chain(hol: Holonomy):
             ("R", snake[3], w_point[snake[3]])]
     faces = _build_ladder(h0, hol.fn.length(0), base)
 
-    asm = _Assembler()
-    ids, walk0 = _emit_ladder(asm, faces, h0)
-    _close_outer(asm, faces, ids, "L")
+    cx, sigma = CuspedTriangulation(verts=[], glue={}), {}
+    ids, walk0 = _emit_ladder(cx, sigma, faces, h0)
+    _close_outer(cx, sigma, faces, ids, "L")
     walks = {0: walk0}
 
     if m == 2:
-        _close_outer(asm, faces, ids, "R")
-        cx, sigma = asm.finish(4)
-        return cx, sigma, walks
-
-    cx, sigma = _complete_five(gen_table, asm, faces, ids, snake, w_point)
-    return cx, sigma, walks
+        _close_outer(cx, sigma, faces, ids, "R")
+        return (*_finished(cx, sigma, 4), walks)
+    return (*_complete_five(gen_table, cx, sigma, faces, ids, snake,
+                            w_point), walks)
 
 
-def _centered_frames(hol: Holonomy):
-    """Exact placement of every pants relative to the middle one."""
-    base = _inverse(hol.frames[(hol.graph.num_pants - 1) // 2])
-    return [_mul(base, f) for f in hol.frames]
-
-
-def _frame_apply(frame, pt):
-    """Boundary action of an exact frame, rounded once to float."""
-    a, b, c, d, _ = frame
-    if pt == INF:
-        return INF if c == 0 else _quotient(a, c)
-    p, q = pt.as_integer_ratio()
-    den = c * p + d * q
-    if den == 0:
-        return INF
-    return _quotient(a * p + b * q, den)
-
-
-def _frame_conj(frame, m):
-    """frame m frame^-1 in exact arithmetic, each entry rounded once.
-
-    The conjugate of a parabolic by a large-entry frame has entries that
-    cancel from products thousands of times larger; float64 alone leaves
-    absolute errors big enough to spoil downstream cross-ratios.
-    """
-    *entries, den = _mul(_mul(frame, _exact(m)), _inverse(frame))
-    return tuple(_quotient(v, den) for v in entries)
-
-
-def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
-                   w_point):
+def _complete_five(gen_table, cx, sigma, faces, ids, snake, w_point):
     """Fan the region beyond the ladder around the fifth cusp.
 
     The fifth cusp has valence two, so its two faces form a fan
@@ -417,16 +377,15 @@ def _complete_five(gen_table, asm: _Assembler, faces, ids, snake,
             for c4, pi in _window_cusp_lifts(gen_table, w_point[last_cusp],
                                              last_cusp, r0, r1, zA,
                                              limit=limit):
-                trial = asm.copy()
+                trial = cx.copy(), dict(sigma)
                 try:
-                    _emit_fan_faces(trial, faces, ids, first, second,
+                    _emit_fan_faces(*trial, faces, ids, first, second,
                                     r0, r1, r2, lab_r0, lab_r1, last_cusp,
                                     zA, zB, c4, pi)
-                    cx, sigma = trial.finish(5)
-                    check_complete(cx, sigma)
+                    check_complete(*_finished(*trial, 5))
                 except ValueError:    # ChainError, GeometryError and
                     continue          # IncompleteStructure included
-                return cx, sigma
+                return trial
     raise ChainError("no completion fan found around the last cusp")
 
 
@@ -467,10 +426,10 @@ def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
             seen.add(key)
             count += 1
             if in_window(pt):
-                exact_pt, exact_pi = _evaluate_exact(gens, seq, base_point,
-                                                     base_parab)
+                word = exact_product(gens[gi] for gi in seq)
+                exact_pt = frame_apply(word, base_point)
                 if in_window(exact_pt):
-                    yield exact_pt, exact_pi
+                    yield exact_pt, frame_conj(word, base_parab)
             for gi, g in enumerate(gens):
                 moved = mat_apply_boundary(g, pt)
                 mkey = round(moved, 9) if moved != INF else INF
@@ -479,15 +438,7 @@ def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
         frontier = nxt
 
 
-def _evaluate_exact(gens, seq, base_point, base_parab):
-    """Exact point and conjugated parabolic of a generator word."""
-    word = _exact(IDENTITY)
-    for gi in reversed(seq):
-        word = _mul(_exact(gens[gi]), word)
-    return _frame_apply(word, base_point), _frame_conj(word, base_parab)
-
-
-def _emit_fan_faces(asm, faces, ids, first, second, r0, r1, r2,
+def _emit_fan_faces(cx, sigma, faces, ids, first, second, r0, r1, r2,
                     lab_r0, lab_r1, last_cusp, zA, zB, c4, pi):
     """Add the two fan faces at the last cusp and their gluings."""
     # direction of the parabolic: the second fan face is (c4, r1, pi r0)
@@ -504,23 +455,21 @@ def _emit_fan_faces(asm, faces, ids, first, second, r0, r1, r2,
     # (c4, r0) and side k2 of fan2 is (c4, r1), the other being 2 - k
     lbl1, _, k1 = _orient((last_cusp, lab_r0, lab_r1), (c4, r0, r1))
     lbl2, _, k2 = _orient((last_cusp, lab_r1, lab_r0), (c4, r1, pr0))
-    fan1 = asm.add_face(lbl1)
-    fan2 = asm.add_face(lbl2)
+    fan1 = _face(cx, lbl1)
+    fan2 = _face(cx, lbl2)
 
     # boundary arc (r0, r1): ladder face vs fan1
-    asm.add_glue((ids[first], faces[first].outer), (fan1, 1),
-                 _shear_of_quad(r0, r1, zA, c4))
+    _glue(cx, sigma, (ids[first], faces[first].outer), (fan1, 1),
+          quad_shear(r0, r1, zA, c4))
     # boundary arc class of (r1, r2): the fan's lift of it is (r1, pi r0)
     if geom.boundary_close(pr0, r2, tol=1e-12):
         w = zB
     else:
         w = mat_apply_boundary(parabolic_fixing(r1, r2, pr0), zB)
-    asm.add_glue((ids[second], faces[second].outer), (fan2, 1),
-                 _shear_of_quad(r1, pr0, c4, w))
+    _glue(cx, sigma, (ids[second], faces[second].outer), (fan2, 1),
+          quad_shear(r1, pr0, c4, w))
     # the diagonal (c4, r1): shared by the two fan faces
-    asm.add_glue((fan1, 2 - k1), (fan2, k2),
-                 _shear_of_quad(c4, r1, r0, pr0))
+    _glue(cx, sigma, (fan1, 2 - k1), (fan2, k2), quad_shear(c4, r1, r0, pr0))
     # the remaining edge (c4, r0) ~ (c4, pi r0): glued through pi
-    asm.add_glue((fan1, k1), (fan2, 2 - k2),
-                 _shear_of_quad(c4, r0, r1,
-                                mat_apply_boundary(mat_inverse(pi), r1)))
+    _glue(cx, sigma, (fan1, k1), (fan2, 2 - k2),
+          quad_shear(c4, r0, r1, mat_apply_boundary(mat_inverse(pi), r1)))

@@ -32,10 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import (IDENTITY, INF, RELATION_TOL, GeometryError, Isometry,
-                   apex_shear, cyclically_ordered, geodesic_ends,
-                   mat_apply_boundary, mat_inverse, mat_mul,
-                   normalize_boundary)
+from .geom import (IDENTITY, INF, RELATION_TOL, Isometry,
+                   mat_apply_boundary, mat_inverse, mat_mul)
 
 
 @dataclass
@@ -441,28 +439,6 @@ def develop_from_shears(cx: CuspedTriangulation, sigma: dict) -> DevelopedCusped
               for m in frames]
     return DevelopedCusped(cx=cx, sigma=sigma, places=places,
                            generators=generators)
-
-
-def _shear_of_quad(x, y, z, w) -> float:
-    """Stored-convention shear of edge (x, y) with apexes z and w.
-
-    It is -apex_shear of the edge with its right apex, then its left one,
-    after the checks that a Geodesic of the edge, the two IdealTriangles
-    and geom.shear of them make, in that order and with their errors.
-    """
-    p, q = geodesic_ends(x, y)
-    left = []
-    for apex in (z, w):
-        if len({p, q, normalize_boundary(apex)}) != 3:
-            raise GeometryError("ideal triangle needs three distinct vertices")
-        left.append(cyclically_ordered(p, q, apex))
-        if not (left[-1] or cyclically_ordered(p, apex, q)):
-            raise GeometryError("vertices must be in positive cyclic order")
-    if left[0] == left[1]:
-        raise GeometryError("triangle apexes lie on the same side of the edge")
-    if left[0]:
-        return -apex_shear(p, q, w, z)
-    return -apex_shear(p, q, z, w)
 
 
 def rewrite_walk(walk, cx: CuspedTriangulation, edge):

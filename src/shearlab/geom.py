@@ -491,6 +491,29 @@ def apex_shear(p, q, right, left) -> float:
     return math.log(-cr)
 
 
+def quad_shear(x, y, z, w) -> float:
+    """Shear of the edge (x, y) of a quadrilateral with apexes z and w, in
+    the sign convention of the cusped triangulations' stored shears.
+
+    It is -apex_shear of the edge with its right apex, then its left one,
+    after the checks that a Geodesic of the edge, the two IdealTriangles
+    and shear of them make, in that order and with their errors.
+    """
+    p, q = geodesic_ends(x, y)
+    left = []
+    for apex in (z, w):
+        if len({p, q, normalize_boundary(apex)}) != 3:
+            raise GeometryError("ideal triangle needs three distinct vertices")
+        left.append(cyclically_ordered(p, q, apex))
+        if not (left[-1] or cyclically_ordered(p, apex, q)):
+            raise GeometryError("vertices must be in positive cyclic order")
+    if left[0] == left[1]:
+        raise GeometryError("triangle apexes lie on the same side of the edge")
+    if left[0]:
+        return -apex_shear(p, q, w, z)
+    return -apex_shear(p, q, z, w)
+
+
 def horocycle_length_at_radius(r: float) -> float:
     """Length of the horocycle through a cusp point of injectivity radius r."""
     if r <= 0:
@@ -515,7 +538,12 @@ def parabolic_fixing(q, x, y):
 
 
 def parabolic_shift_mat(parabolic, fix):
-    """parabolic_shift of the parabolic matrix, with m as a matrix."""
+    """The cusp frame (m, shift) of a parabolic matrix fixing fix.
+
+    m is the matrix that sends fix to inf (the identity when fix is inf),
+    and shift is |g_a g_b| for g = m parabolic m^-1 = (g_a, g_b, g_c, g_d),
+    which fixes inf: with |g_a| = 1 it moves every point by |g_b|.
+    """
     if fix == INF:
         m = IDENTITY
     else:

@@ -77,7 +77,8 @@ def parse_surface(data: dict):
      "fn": [{"curve": id, "length": l, "twist": t}, ...]}
 
     Raises ValueError for a signature g or n that is not a JSON integer
-    (such as 1.9, 1.0, true or "1"), a malformed slot, a pants graph
+    (such as 1.9, 1.0, true or "1"), an fn length or twist that is not
+    a JSON number (such as true or "2.0"), a malformed slot, a pants graph
     that contradicts the declared signature (the first problem
     surface.validate names), curve or cusp ids that cannot be ordered
     together (such as 0 and "b"), a curve without an fn row or with
@@ -106,10 +107,15 @@ def parse_surface(data: dict):
     lengths = {}
     twists = {}
     for row in data.get("fn", []):
-        if row["curve"] in lengths:
-            raise ValueError(f"curve {row['curve']} has two fn rows")
-        lengths[row["curve"]] = float(row["length"])
-        twists[row["curve"]] = float(row.get("twist", 0.0))
+        cid = row["curve"]
+        if cid in lengths:
+            raise ValueError(f"curve {cid} has two fn rows")
+        for key, into, value in (("length", lengths, row["length"]),
+                                 ("twist", twists, row.get("twist", 0.0))):
+            if type(value) not in (int, float):
+                raise ValueError(f"{key} of curve {cid} must be a number, "
+                                 f"got {value!r}")
+            into[cid] = float(value)
     # a disconnected gluing graph is left to check_surface, which fails it
     # as a geometry invariant
     problems = [p for p in validate(pg, sig) if p != DISCONNECTED]

@@ -10,13 +10,18 @@ gluings contribute explicit deck transformations.
 
 Each frame is kept exact, as integers (a, b, c, d, den) standing for
 the matrix (a, b, c, d) / den (see _exact): the product of the float
-gluing maps with no rounding.  Generators are stored frame-locally: each
-is a small matrix in the standard frame of one pants, together with the
-frame it lives in.  Words are evaluated by joining consecutive
-generators with the connector F_p^-1 F_q between their frames, computed
-exactly and rounded once per entry, which keeps every trace computation
-free of the large cancellations that global conjugation would introduce
-on thick surfaces.  The gluing maps, generator cores, connectors and
+gluing maps with no rounding.  Holonomy.frames_about(p) places every
+pants relative to pants p in the same form; exact_product multiplies
+float matrices into one, and frame_apply and frame_conj act with an
+exact frame on a boundary point and a float matrix, each result entry
+rounded once (the cusped chain builder places its pants with them).
+Generators are stored frame-locally: each is a small matrix in the
+standard frame of one pants, together with the frame it lives in.
+Words are evaluated by joining consecutive generators with the
+connector F_p^-1 F_q between their frames, computed exactly and
+rounded once per entry, which keeps every trace computation free of the
+large cancellations that global conjugation would introduce on thick
+surfaces.  The gluing maps, generator cores, connectors and
 checks are float matrix tuples, as the pants holds them; evaluate_class
 returns an Isometry.
 
@@ -30,14 +35,14 @@ would, each as one integer array program with the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import geom
 from .constants import Signature, area
-from .geom import IDENTITY, Isometry, mat_inverse, mat_mul
+from .geom import IDENTITY, INF, Isometry, mat_inverse, mat_mul
 from .pants import StdPants, build_pants, slot_normalizer
 
 @dataclass(frozen=True)
@@ -210,17 +215,18 @@ class Holonomy:
     std: list                # StdPants per pants
     frames: list             # per pants: exact frame from pants 0 (_exact)
     table: dict              # generator id -> Generator
-    curve_primary: dict      # cid -> slot ref carrying the curve generator
-    curve_secondary: dict
-    tree_curves: set = field(default_factory=set)
+
+    def frames_about(self, p: int):
+        """Exact frame of every pants relative to pants p, F_p^-1 F_q."""
+        base = _inverse(self.frames[p])
+        return [_mul(base, f) for f in self.frames]
 
     def _connector(self, p: int, q: int):
         """Map from the frame of pants q to that of pants p, F_p^-1 F_q,
         each entry rounded once."""
         if p == q:
             return IDENTITY
-        *entries, den = _mul(_inverse(self.frames[p]), self.frames[q])
-        return tuple(_quotient(v, den) for v in entries)
+        return _rounded(_mul(_inverse(self.frames[p]), self.frames[q]))
 
     def evaluate_class(self, word) -> Isometry:
         """The word as a matrix, up to conjugation (trace-faithful)."""
@@ -286,6 +292,43 @@ def _quotient(num: int, den: int) -> float:
     return num / den
 
 
+def _rounded(m):
+    """An exact matrix as a float one, each entry rounded once."""
+    *entries, den = m
+    return tuple(_quotient(v, den) for v in entries)
+
+
+def exact_product(mats):
+    """The product of float matrices, in order, as an exact matrix."""
+    out = _exact(IDENTITY)
+    for m in mats:
+        out = _mul(out, _exact(m))
+    return out
+
+
+def frame_apply(frame, pt):
+    """Boundary action of an exact matrix, rounded once to float."""
+    a, b, c, d, _ = frame
+    if pt == INF:
+        return INF if c == 0 else _quotient(a, c)
+    p, q = pt.as_integer_ratio()
+    den = c * p + d * q
+    if den == 0:
+        return INF
+    return _quotient(a * p + b * q, den)
+
+
+def frame_conj(frame, m):
+    """frame m frame^-1 of an exact frame and a float matrix, computed
+    exactly and each entry rounded once.
+
+    The conjugate of a parabolic by a large-entry frame has entries that
+    cancel from products thousands of times larger; float64 alone leaves
+    absolute errors big enough to spoil downstream cross-ratios.
+    """
+    return _rounded(_mul(_mul(frame, _exact(m)), _inverse(frame)))
+
+
 def slot_lengths(pg: PantsGraph, fn: FNCoordinates, p: int):
     """Boundary lengths of pants p, a cusp counting as 0."""
     out = []
@@ -344,8 +387,6 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
         frontier = nxt
 
     table = {}
-    curve_primary = {}
-    curve_secondary = {}
     for p in range(pg.num_pants):
         for s in range(3):
             table[f"bnd:{p}:{s}"] = Generator(p, std[p].slot_hol[s], p)
@@ -353,20 +394,14 @@ def holonomy_from_fn(pg: PantsGraph, fn: FNCoordinates) -> Holonomy:
         table[f"cusp:{cusp_id}"] = table[f"bnd:{p}:{s}"]
     for cid, refs in ends.items():
         (p1, s1), (p2, s2) = sorted(refs)
-        curve_primary[cid] = (p1, s1)
-        curve_secondary[cid] = (p2, s2)
         table[f"curve:{cid}"] = table[f"bnd:{p1}:{s1}"]
         if cid not in tree_curves:
             raw = _gluing_map(std[p1], s1, std[p2], s2, cid,
                                      fn.twist(cid))
             table[f"glue:{cid}"] = Generator(p1, raw, p2)
 
-    hol = Holonomy(
-        graph=pg, fn=fn, std=std, frames=frames, table=table,
-        curve_primary=curve_primary, curve_secondary=curve_secondary,
-        tree_curves=tree_curves,
-    )
-    _check_holonomy(hol)
+    hol = Holonomy(graph=pg, fn=fn, std=std, frames=frames, table=table)
+    _check_holonomy(hol, ends, tree_curves)
     return hol
 
 
@@ -380,21 +415,24 @@ def check_curve_holonomy(m, cid, length: float):
             f"curve {cid} length {got} != requested {length}")
 
 
-def _check_holonomy(hol: Holonomy):
-    """The holonomy of each curve and cusp, at its slot, and the tree."""
-    for cid in sorted(hol.curve_primary):
-        p, s = hol.curve_primary[cid]
-        check_curve_holonomy(hol.std[p].slot_hol[s], cid, hol.fn.length(cid))
-    for cusp_id, (p, s) in hol.graph.cusp_slots().items():
-        g = hol.std[p].slot_hol[s]
+def _check_holonomy(hol: Holonomy, ends: dict, tree_curves: set):
+    """The holonomy of each curve and cusp, at its slot, and the tree.
+
+    ends is the curve index pg.curve_ends(), and tree_curves the curves
+    of the spanning tree's gluings.
+    """
+    for cid in sorted(ends):
+        check_curve_holonomy(hol.table[f"curve:{cid}"].core, cid,
+                             hol.fn.length(cid))
+    for cusp_id in hol.graph.cusp_slots():
+        g = hol.table[f"cusp:{cusp_id}"].core
         if abs(abs(g[0] + g[3]) - 2.0) > 1e-9:
             raise geom.GeometryError(f"cusp {cusp_id} word is not parabolic")
     # The two sides of a tree gluing stabilize the same axis oppositely:
     # bnd(p1,s1) must equal bnd(p2,s2)^-1 up to overall sign.  In local terms,
     # with E the edge map, X1 = E X2^-1 E^-1 entrywise.
-    for cid in hol.tree_curves:
-        (p1, s1) = hol.curve_primary[cid]
-        (p2, s2) = hol.curve_secondary[cid]
+    for cid in tree_curves:
+        (p1, s1), (p2, s2) = sorted(ends[cid])
         conn = hol._connector(p1, p2)
         a = hol.std[p1].slot_hol[s1]
         b = mat_mul(mat_mul(conn, mat_inverse(hol.std[p2].slot_hol[s2])),

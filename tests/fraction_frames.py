@@ -1,12 +1,15 @@
-"""The chain builder's exact frames in Fraction arithmetic.
+"""The exact frames of surface.py in Fraction arithmetic.
 
-chains.py places every pants relative to the middle one, and evaluates
-the fan search's candidate words, in exact arithmetic on integer
-matrices (a, b, c, d, den), each entry rounded once to float.  These are
-the same helpers on Fractions, the form they had before: the test
-oracle that the integer versions must match bit for bit
-(tests/test_cusped.py::TestExactFrames).  The tree paths are rebuilt
-here from the gluing maps, not read from the holonomy under test.
+surface.py keeps each pants frame exact, as integer matrices (a, b, c,
+d, den), and its frame_apply, frame_conj, exact_product and
+Holonomy.frames_about compute on them, each entry rounded once to
+float; the chain builder places its pants and evaluates the fan
+search's candidate words with them.  These are the same operations on
+Fractions: the test oracle that the integer versions must match bit for
+bit (tests/test_cusped.py::TestExactFrames, and
+tests/test_surface.py::TestConnector for Holonomy._connector).  The
+tree paths are rebuilt here from the gluing maps, not read from the
+holonomy under test.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ def tree_paths(hol):
 
 
 def tree_frame(path):
-    """The exact product of the gluing maps of a tree path."""
+    """The exact product of the float matrices of a path, such as the
+    gluing maps of a tree path."""
     out = exact(IDENTITY)
     for e in path:
         out = geom.mat_mul(out, exact(e))
@@ -67,11 +71,10 @@ def connector(paths, p, q):
                         tree_frame(paths[q]))
 
 
-def centered_frames(hol):
-    """Exact placement of every pants relative to the middle one."""
+def frames_about(hol, p):
+    """Exact placement of every pants relative to pants p."""
     paths = tree_paths(hol)
-    center = (hol.graph.num_pants - 1) // 2
-    return [connector(paths, center, p) for p in range(len(paths))]
+    return [connector(paths, p, q) for q in range(len(paths))]
 
 
 def frame_apply(frame, pt):
@@ -90,14 +93,6 @@ def frame_conj(frame, m):
     """frame m frame^-1 in exact rationals, rounded once to float."""
     out = geom.mat_mul(geom.mat_mul(frame, exact(m)), exact_inverse(frame))
     return tuple(float(v) for v in out)
-
-
-def evaluate_exact(gens, seq, base_point, base_parab):
-    """Exact-rational point and conjugated parabolic of a generator word."""
-    word = exact(IDENTITY)
-    for gi in reversed(seq):
-        word = geom.mat_mul(exact(gens[gi]), word)
-    return frame_apply(word, base_point), frame_conj(word, base_parab)
 
 
 def as_fractions(frame):

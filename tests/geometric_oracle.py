@@ -916,7 +916,7 @@ def shears_from_places(dev: cusped.DevelopedCusped) -> dict:
             y = dev.places[f][(s + 1) % 3]
             z = dev.places[f][(s + 2) % 3]
             w = _develop_apex(x, y, z, dev.sigma[key])
-            out[key] = cusped._shear_of_quad(x, y, z, w)
+            out[key] = geom.quad_shear(x, y, z, w)
     return out
 
 

@@ -270,6 +270,20 @@ class TestMalformedSurface:
         one_line_error(capsys, [command, path], 1,
                        f"signature {key} must be an integer, got {value!r}")
 
+    @pytest.mark.parametrize("command", ["compute", "optimize"])
+    @pytest.mark.parametrize("key, value", [("length", "2.0"),
+                                            ("length", True),
+                                            ("twist", "0.3"),
+                                            ("twist", True)])
+    def test_fn_value_not_a_number(self, tmp_path, capsys, command, key,
+                                   value):
+        # float() would read "2.0" and true as 2.0 and 1.0 and run them
+        bad = json.loads(json.dumps(SURFACE_11))
+        bad["fn"][0][key] = value
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, [command, path], 1,
+                       f"{key} of curve 0 must be a number, got {value!r}")
+
     @pytest.mark.parametrize("twist", [1420.0, -1500.0, 1419.0])
     def test_twist_too_large_for_float64(self, tmp_path, capsys, twist):
         # the gluing map overflows, divides by a zero translation or

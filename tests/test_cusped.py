@@ -95,10 +95,12 @@ class TestChainConstruction:
                  face("R", math.nextafter(4.0, 5.0), 5.0)]
         with pytest.raises(CH.ChainError, match="outer sides of an end "
                                                 "closure share no endpoint"):
-            CH._close_outer(CH._Assembler(), faces, range(4), "L")
+            CH._close_outer(CU.CuspedTriangulation([], {}), {}, faces,
+                            range(4), "L")
         with pytest.raises(CH.ChainError,
                            match="right boundary arcs do not chain"):
-            CH._complete_five({}, CH._Assembler(), faces, range(4), None, {})
+            CH._complete_five({}, CU.CuspedTriangulation([], {}), {},
+                              faces, range(4), None, {})
 
     def test_fan_rejects_a_nan_cusp_sum(self, monkeypatch):
         # max(0.0, nan) is 0.0: a trial whose cusp sums hold a NaN that
@@ -298,7 +300,7 @@ class TestFlips:
         w = O._develop_apex(x, y, z, sigma[cx.edge_key(f1, s1)])
         cx2, sig2 = CU.flip(cx, sigma, (f1, s1))
         # new diagonal
-        geo = CU._shear_of_quad(w, z, x, y)
+        geo = G.quad_shear(w, z, x, y)
         assert abs(geo - sig2[cx2.edge_key(f1, 1)]) <= 1e-9
         outer = {
             "P": (f1, (s1 + 1) % 3, y, z, x, w),
@@ -309,7 +311,7 @@ class TestFlips:
         new_side = {"R": (f1, 0), "Q": (f1, 2), "S": (f2, 0), "P": (f2, 1)}
         for lab, (f, s, a, b, apex_in, new_apex) in outer.items():
             v = O._develop_apex(a, b, apex_in, sigma[cx.edge_key(f, s)])
-            geo = CU._shear_of_quad(a, b, new_apex, v)
+            geo = G.quad_shear(a, b, new_apex, v)
             alg = sig2[cx2.edge_key(*new_side[lab])]
             assert abs(geo - alg) <= 1e-9 * max(1.0, abs(geo))
 
@@ -774,9 +776,9 @@ class TestExactFrames:
     def compare_with_fractions(monkeypatch):
         """Check every frame action, conjugation and candidate word of
         the chain builder against the oracle; returns the call counts."""
-        real_apply, real_conj = CH._frame_apply, CH._frame_conj
-        real_evaluate = CH._evaluate_exact
-        seen = {"apply": 0, "conj": 0, "evaluate": 0}
+        real_apply, real_conj = CH.frame_apply, CH.frame_conj
+        real_product = CH.exact_product
+        seen = {"apply": 0, "conj": 0, "product": 0}
 
         def apply(frame, pt):
             got = real_apply(frame, pt)
@@ -791,17 +793,16 @@ class TestExactFrames:
             seen["conj"] += 1
             return got
 
-        def evaluate(gens, seq, base_point, base_parab):
-            got = real_evaluate(gens, seq, base_point, base_parab)
-            want = FF.evaluate_exact(gens, seq, base_point, base_parab)
-            assert same_bits(got[0], want[0])
-            assert same_matrix(got[1], want[1])
-            seen["evaluate"] += 1
+        def product(mats):
+            mats = list(mats)
+            got = real_product(mats)
+            assert FF.as_fractions(got) == FF.tree_frame(mats)
+            seen["product"] += 1
             return got
 
-        monkeypatch.setattr(CH, "_frame_apply", apply)
-        monkeypatch.setattr(CH, "_frame_conj", conj)
-        monkeypatch.setattr(CH, "_evaluate_exact", evaluate)
+        monkeypatch.setattr(CH, "frame_apply", apply)
+        monkeypatch.setattr(CH, "frame_conj", conj)
+        monkeypatch.setattr(CH, "exact_product", product)
         return seen
 
     def test_bit_equal_to_fractions(self, monkeypatch):
@@ -811,14 +812,16 @@ class TestExactFrames:
             for seed in range(30):
                 pg, fn = S.sample_fn(Signature(0, n), seed)
                 hol = S.holonomy_from_fn(pg, fn)
-                frames = CH._centered_frames(hol)
-                want = FF.centered_frames(hol)
-                assert [FF.as_fractions(f) for f in frames] == want
-                assert all(f[4] > 0 for f in frames)
+                # every base pants, the middle one (the chain's) included
+                for p in range(pg.num_pants):
+                    frames = hol.frames_about(p)
+                    assert [FF.as_fractions(f) for f in frames] == \
+                        FF.frames_about(hol, p)
+                    assert all(f[4] > 0 for f in frames)
                 CH.build_cusped_chain(hol)
                 surfaces += 1
         assert surfaces >= 50
-        assert seen["evaluate"] >= 30, seen
+        assert seen["product"] >= 30, seen
         assert seen["apply"] >= 300 and seen["conj"] >= 300, seen
 
     def test_every_window_candidate(self, monkeypatch):
@@ -832,13 +835,13 @@ class TestExactFrames:
         for seed in range(10):
             pg, fn = S.sample_fn(Signature(0, 5), seed)
             CH.build_cusped_chain(S.holonomy_from_fn(pg, fn))
-        assert seen["evaluate"] >= 1000, seen
+        assert seen["product"] >= 1000, seen
 
     def test_zero_keeps_fractions_sign(self):
         # an exact zero rounds to +0.0 whatever the sign of its denominator
         flip_sign = (1, 0, 0, -1, 1)        # x -> -x: 0 / -1 at x = 0
-        assert same_bits(CH._frame_apply(flip_sign, 0.0), 0.0)
+        assert same_bits(S.frame_apply(flip_sign, 0.0), 0.0)
         assert same_bits(FF.frame_apply(FF.as_fractions(flip_sign), 0.0), 0.0)
         half_turn = (0, 1, -1, 0, 1)        # x -> -1/x: 0 / -1 at inf
-        assert same_bits(CH._frame_apply(half_turn, G.INF), 0.0)
+        assert same_bits(S.frame_apply(half_turn, G.INF), 0.0)
         assert same_bits(S._quotient(0, -3), 0.0)

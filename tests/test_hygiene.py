@@ -44,11 +44,14 @@ differently from CPython's too, so none uses a complex number at all,
 numpy's or Python's: no ``1j`` literal, no ``complex``, no numpy
 complex type or complex dtype name.  Every module the benchmark's worker
 imports by name (its ``MODULES`` tuple, read without importing it) must
-exist in the library, so that a rename fails here and not in a
-benchmark run.
+exist in the library, and so must every library name a benchmark file
+imports (``from shearlab.m import name``) or reads as ``m.name`` after
+``from shearlab import m``, collected without running the benchmark:
+a rename fails here and not in a benchmark run.
 """
 
 import ast
+import importlib
 import math
 import re
 from collections import Counter
@@ -482,6 +485,44 @@ def benchmark_modules(tree):
     return None
 
 
+def benchmark_names(tree):
+    """The dotted library names a benchmark file uses: each module of a
+    ``from shearlab import m``, each ``m.name`` the file reads after it,
+    and each ``m.name`` of a ``from shearlab.m import name``."""
+    modules = {}
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        for alias in node.names:
+            if node.module == "shearlab":
+                modules[alias.asname or alias.name] = alias.name
+                names.add(alias.name)
+            elif node.module and node.module.startswith("shearlab."):
+                names.add(f"{node.module[len('shearlab.'):]}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add(f"{modules[node.value.id]}.{node.attr}")
+    return sorted(names)
+
+
+def missing_library_names(names):
+    """The dotted names that the shearlab package does not define."""
+    missing = []
+    for name in names:
+        module, _, attr = name.partition(".")
+        try:
+            found = importlib.import_module(f"shearlab.{module}")
+        except ImportError:
+            missing.append(name)
+            continue
+        if attr and not hasattr(found, attr):
+            missing.append(name)
+    return missing
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_duplicate_top_level_names(path):
     assert duplicate_definitions(_parse(path)) == []
@@ -575,6 +616,15 @@ def test_benchmark_modules_exist():
             if not (SRC / f"{name}.py").is_file()] == []
 
 
+def test_benchmark_names_exist():
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        names.update(benchmark_names(_parse(path)))
+    assert {"chains.build_cusped_chain", "cusped.flip",
+            "report.parse_surface", "surface.sample_fn"} <= names
+    assert missing_library_names(sorted(names)) == []
+
+
 def test_checks_catch_their_targets():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "def f():\n    return tau\n"
@@ -584,6 +634,15 @@ def test_checks_catch_their_targets():
     assert benchmark_modules(tree) is None
     assert benchmark_modules(ast.parse(
         "import x\nMODULES = ('cli', 'geom')\n")) == ("cli", "geom")
+    bench = ast.parse("def f():\n    from shearlab import chains as ch\n"
+                      "    from shearlab.geom import INF, no_such\n"
+                      "    return ch.build_cusped_chain, ch.gone, other.x\n")
+    assert benchmark_names(bench) == [
+        "chains", "chains.build_cusped_chain", "chains.gone", "geom.INF",
+        "geom.no_such"]
+    assert missing_library_names(benchmark_names(bench)) == [
+        "chains.gone", "geom.no_such"]
+    assert missing_library_names(["no_module.x"]) == ["no_module.x"]
     lib = ast.parse("import os\nif os:\n    import sys\n"
                     "def f():\n    from . import x\n"
                     "    def g():\n        import y\n"

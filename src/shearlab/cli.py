@@ -36,7 +36,8 @@ Boundary lengths too long for float64 (about 76 and up) fail the pants
 construction: ``compute`` exits 3 and ``optimize`` exits 4.  A surface
 file whose signature ``g`` or ``n`` is not a JSON integer, or whose fn
 ``length`` or ``twist`` is not a JSON number (an integer or a float,
-never true, false or a string such as "2.0"), is a parse error.  Every subcommand exits 1 with one error line if its ``--out``
+never true, false or a string such as "2.0") or is an integer too large
+for a float, is a parse error.  Every subcommand exits 1 with one error line if its ``--out``
 file cannot be written.
 
 Reports are byte-deterministic for a fixed configuration; timings are

@@ -14,15 +14,13 @@ off the tree.  The develop computes on matrix tuples; an Isometry is
 built only where a public function returns one (develop_walk and
 DevelopedCusped.generators).
 
-Flips run on one flat encoding of the complex: side s of face f is the
-integer 3f + s, the gluing and the cusp labels are lists indexed by
-side, and the shears a dict keyed by integer edge keys.  A flip changes
-only its two faces and the five edges they carry.  The one in-place
-flip kernel re-glues those faces, renames those shears and checks those
-faces and their neighbours, with the one face check that check() also
-runs.  The public flip encodes its inputs, flips and checks the whole
-result; the minimax search encodes once, checks the whole complex once
-and flips its encoding in place, decoding only the best state.
+Flips run on one flat encoding: side s of face f is the integer 3f + s,
+and the gluing, the cusp labels and the shears (both sides of an edge
+hold its shear) are lists indexed by side.  The one in-place flip
+kernel re-glues a flip's two faces, writes the shears of their five
+edges on their sides and the sides' partners, and checks those faces
+and their neighbours with the face check that check() runs.  The public
+flip and the search, which decodes only its best state, both run it.
 """
 
 from __future__ import annotations
@@ -118,9 +116,9 @@ def max_abs_shear(sigma: dict) -> float:
 # flips, on a flat encoding
 #
 # Side s of face f is the integer i = 3f + s, so integer order is (face,
-# side) order.  glue[i] is the side glued to side i and labels[i] the
-# cusp at the start of side i; the shears are a dict keyed by the edge
-# key min(i, glue[i]), in the order of the shear vector they encode.
+# side) order.  glue[i] is the side glued to side i, labels[i] the cusp
+# at the start of side i and shears[i] the shear of its edge, the same
+# float on both sides; the edge key is the smaller side, min(i, glue[i]).
 
 _NEXT = (1, 1, -2)      # side i + _NEXT[i % 3] follows side i in its face
 _PREV = (2, -1, -1)     # side i + _PREV[i % 3] precedes it
@@ -151,29 +149,41 @@ def _encode(cx: CuspedTriangulation):
     return glue, labels
 
 
-def _encode_shears(sigma: dict) -> dict:
-    return {3 * f + s: v for (f, s), v in sigma.items()}
+def _encode_shears(glue, sigma: dict) -> list:
+    """The shears by side, each edge's on both of its sides."""
+    shears = [None] * len(glue)
+    for (f, s), v in sigma.items():
+        i = 3 * f + s
+        if not (0 <= s < 3 and 0 <= i < len(glue) and i <= glue[i]):
+            raise ValueError(f"{(f, s)} is not an edge key")
+        shears[i] = shears[glue[i]] = v
+    if None in shears:      # at the key of the first edge without one
+        raise ValueError(f"no shear for edge {divmod(shears.index(None), 3)}")
+    return shears
 
 
-def _decode(glue, labels, shears):
-    """The triangulation and shear vector of a flat encoding."""
+def _decode(glue, labels, shears, keys=None):
+    """The triangulation and shear vector of a flat encoding, with the
+    edges of keys in their order (by default every edge, in key order)."""
     cx = CuspedTriangulation(
         verts=[tuple(labels[i:i + 3]) for i in range(0, len(labels), 3)],
         glue={divmod(i, 3): divmod(j, 3) for i, j in enumerate(glue)})
-    return cx, {divmod(k, 3): v for k, v in shears.items()}
+    keys = _edge_keys(glue) if keys is None else keys
+    return cx, {divmod(k, 3): shears[k] for k in keys}
 
 
 def _copy(glue, labels, shears):
-    return glue[:], labels[:], dict(shears)
+    return glue[:], labels[:], shears[:]
 
 
 def _check(glue, labels):
     _check_faces(glue, labels, range(len(glue) // 3))
 
 
-def _check_faces(glue, labels, faces):
+def _check_faces(glue, labels, faces, shears=None):
     """Check that the given faces are glued by an involution and carry
-    the same cusps as their partners across each side."""
+    the same cusps as their partners across each side; given the shears,
+    also that each side holds its partner's shear."""
     for f in faces:
         for i in range(3 * f, 3 * f + 3):
             j = glue[i]
@@ -184,6 +194,9 @@ def _check_faces(glue, labels, faces):
             if (labels[i] != labels[j + _NEXT[j % 3]]
                     or labels[i + _NEXT[i % 3]] != labels[j]):
                 raise ValueError(f"cusp labels disagree across {divmod(i, 3)}")
+            # the same float, not an equal one, so that a NaN passes
+            if shears is not None and shears[i] is not shears[j]:
+                raise RuntimeError(f"shears differ across {divmod(i, 3)}")
 
 
 def _edge_keys(glue):
@@ -198,95 +211,85 @@ def _flippable(glue, i) -> bool:
     return (glue[b] // 3, glue[b + 1] // 3, glue[b + 2] // 3).count(f2) == 1
 
 
-def _flip_changes(glue, shears, e) -> dict:
-    """The shears a flip of the edge key e changes, by their old keys.
+def _flip_changes(glue, shears, e):
+    """The keys and new shears, two tuples, of the edges a flip of the
+    flippable edge key e changes: the outer sides' edges (two of e's
+    face, then two of its partner's), then e.
 
     Penner's rule: the flipped shear negates; in the stored sign
     convention the side following the flipped edge in each adjacent
     triangle's cyclic order gains -log(1 + e^-s) and the preceding side
-    gains +log(1 + e^s).  An edge met twice (two sides of the
-    quadrilateral glued together) sums both gains before they are added
-    to its shear.  The flipped edge comes last.
+    gains +log(1 + e^s).  An edge's gains sum from 0.0 (so -0.0 adds as
+    +0.0) before they are added to its shear; a self-folded triangle's
+    two glued outer sides meet one edge, which sums both.
     """
-    e2 = glue[e]
-    s_val = shears[e]
+    e2, s_val = glue[e], shears[e]
     gain_prev = math.log1p(math.exp(s_val)) if s_val < 30 else s_val
     gain_next = math.log1p(math.exp(-s_val)) if s_val > -30 else -s_val
-    delta = {}
-    for side, amount in ((e + _NEXT[e % 3], -gain_next),
-                         (e + _PREV[e % 3], +gain_prev),
-                         (e2 + _NEXT[e2 % 3], -gain_next),
-                         (e2 + _PREV[e2 % 3], +gain_prev)):
-        partner = glue[side]
-        key = partner if partner < side else side   # the edge key
-        delta[key] = delta.get(key, 0.0) + amount
-    out = {key: shears[key] + amount for key, amount in delta.items()}
-    out[e] = -s_val
-    return out
+    lose, gain = 0.0 + -gain_next, 0.0 + gain_prev
+    p, q = e + _NEXT[e % 3], e + _PREV[e % 3]
+    r, s = e2 + _NEXT[e2 % 3], e2 + _PREV[e2 % 3]
+    gp, gq, gr, gs = glue[p], glue[q], glue[r], glue[s]
+    keys = (p if p < gp else gp, q if q < gq else gq,
+            r if r < gr else gr, s if s < gs else gs, e)
+    if gp == q or gr == s:
+        delta = {}
+        for key, amount in zip(keys, (lose, gain, lose, gain)):
+            delta[key] = delta.get(key, 0.0) + amount
+        return (*delta, e), (*[shears[k] + delta[k] for k in delta], -s_val)
+    return keys, (shears[p] + lose, shears[q] + gain,
+                  shears[r] + lose, shears[s] + gain, -s_val)
 
 
-def _flip_score(ranking: list, changed: dict) -> float:
-    """max_abs_shear of the shears a flip would give.
-
-    changed is _flip_changes of the flip; ranking holds (|shear|, edge
-    key) for the current shears in decreasing order, so the largest
-    unchanged shear is the first ranked edge the flip leaves alone.  The
-    value is bit-equal to the one read from the flipped shear vector.
-    """
+def _flip_score(ranking: list, changed: tuple) -> float:
+    """max_abs_shear of the shears a flip would give, bit for bit, from
+    its _flip_changes: ranking holds (|shear|, edge key) for the current
+    shears in decreasing order, so the largest unchanged shear is the
+    first ranked edge the flip leaves alone."""
+    keys, values = changed
     for kept, key in ranking:
-        if key not in changed:
+        if key not in keys:
             break
     else:
         kept = 0.0
-    return max(kept, *map(abs, changed.values()))
+    return max(kept, *map(abs, values))
 
 
-def _flip_flat(glue, labels, shears, e, changed) -> dict:
-    """Flip the flippable edge key e in place, given its _flip_changes.
-
-    Re-glues the six sides of the two faces, moves the changed shears to
-    the keys of the edges those sides now carry, and checks the two faces
-    and their neighbours: the only faces whose gluing or labels a flip
-    changes.  Returns the new key of each changed edge, by old key.
-    """
+def _flip_flat(glue, labels, shears, e, changed):
+    """Flip the flippable edge key e in place, given its _flip_changes:
+    re-glue the six sides of the two faces, write the changed shears on
+    them and their partners, and check the two faces and their
+    neighbours, the only faces whose gluing, labels or shears a flip
+    changes.  Returns the outer sides and the sides they moved to."""
+    keys, values = changed
     e2 = glue[e]
     b1, b2 = e - e % 3, e2 - e2 % 3
     # outer sides P, Q of f1 and R, S of f2, and the slots they move to:
     # U1 = (x, w, z) replaces f1, U2 = (w, y, z) replaces f2
-    outer = (e + _NEXT[e % 3], e + _PREV[e % 3],
-             e2 + _NEXT[e2 % 3], e2 + _PREV[e2 % 3])
-    x, y, z = labels[e], labels[outer[0]], labels[outer[1]]
-    w = labels[outer[3]]
-    slots = (b2 + 1, b1 + 2, b1, b2)
-    partners = [glue[i] for i in outer]
+    p, q = e + _NEXT[e % 3], e + _PREV[e % 3]
+    r, s = e2 + _NEXT[e2 % 3], e2 + _PREV[e2 % 3]
+    outer, slots = (p, q, r, s), (b2 + 1, b1 + 2, b1, b2)
+    x, y, z, w = labels[e], labels[p], labels[q], labels[s]
+    partners = [glue[p], glue[q], glue[r], glue[s]]
     if e in partners or e2 in partners:
         raise ValueError("flip would glue a side to the removed edge")
-    moved = dict(zip(outer, slots))
-    # a new side of each changed edge, with the edge's old key; the new
-    # diagonal (w, z), sides b1 + 1 and b2 + 2, replaces the edge
-    sides = [(b1 + 1, e)]
-    sides += [(me, min(side, p))
-              for me, side, p in zip(slots, outer, partners)]
-
+    if len(keys) < 5:
+        # a self-folded triangle's outer sides: one shear, glued together
+        moved = dict(zip(outer, slots))
+        values = [values[keys.index(min(i, j))]
+                  for i, j in zip(outer, partners)] + [values[-1]]
+        partners = [moved.get(j, j) for j in partners]
     labels[b1:b1 + 3] = (x, w, z)
     labels[b2:b2 + 3] = (w, y, z)
-    for me, partner in zip(slots, partners):
-        partner = moved.get(partner, partner)
-        glue[me] = partner
-        glue[partner] = me
-    glue[b1 + 1] = b2 + 2
-    glue[b2 + 2] = b1 + 1
-    _check_faces(glue, labels, {b1 // 3, b2 // 3} | {p // 3 for p in partners})
-
-    renamed = {old: min(me, glue[me]) for me, old in sides}
-    for key in changed:
-        del shears[key]
-    for old, new in renamed.items():
-        shears[new] = changed[old]
-    if len(shears) != len(glue) // 2:
-        raise RuntimeError(f"{len(shears)} shears for {len(glue) // 2} "
-                           f"edges after flipping {divmod(e, 3)}")
-    return renamed
+    for me, partner, value in zip(slots, partners, values):
+        glue[me], glue[partner] = partner, me
+        shears[me] = shears[partner] = value
+    glue[b1 + 1], glue[b2 + 2] = b2 + 2, b1 + 1
+    shears[b1 + 1] = shears[b2 + 2] = values[-1]
+    _check_faces(glue, labels, {b1 // 3, b2 // 3, partners[0] // 3,
+                                partners[1] // 3, partners[2] // 3,
+                                partners[3] // 3}, shears)
+    return outer, slots
 
 
 def flippable(cx: CuspedTriangulation, edge) -> bool:
@@ -300,27 +303,24 @@ def flip(cx: CuspedTriangulation, sigma: dict, edge):
     """Flip the edge; returns a new triangulation and shear vector.
 
     The inputs are left unchanged.  The shears change by Penner's rule
-    (see _flip_changes); the result passes the whole-complex check and
-    carries a shear on every edge.  It lists the edges in the order of
-    sigma, each under its new key, with the new diagonal last.
+    (see _flip_changes) on the flat encoding, each side holding its
+    edge's shear; the result passes the whole-complex check.  It lists
+    the edges in the order of sigma, each under its new key, with the
+    new diagonal last.
     """
     glue, labels = _encode(cx)
     f, s = cx.edge_key(*edge)
     e = 3 * f + s
     if not _flippable(glue, e):
         raise ValueError(f"edge {divmod(e, 3)} is not flippable")
-    before = _encode_shears(sigma)
-    shears = dict(before)
-    renamed = _flip_flat(glue, labels, shears, e,
-                         _flip_changes(glue, before, e))
+    shears = _encode_shears(glue, sigma)
+    moved = dict(zip(*_flip_flat(glue, labels, shears, e,
+                                 _flip_changes(glue, shears, e))))
     _check(glue, labels)
-    order = [renamed.get(k, k) for k in before if k != e] + [renamed[e]]
-    shears = {k: shears[k] for k in order}
-    for i in _edge_keys(glue):
-        if i not in shears:
-            raise RuntimeError(f"missing shear for edge {divmod(i, 3)} "
-                               f"after flip")
-    return _decode(glue, labels, shears)
+    # an edge keeps its key's side unless the flip moved it
+    sides = [moved.get(k, k) for k in (3 * g + t for g, t in sigma)
+             if k != e] + [e - e % 3 + 1]
+    return _decode(glue, labels, shears, [min(i, glue[i]) for i in sides])
 
 
 # ---------------------------------------------------------------------------
@@ -514,45 +514,45 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
     is finite a step scores only the flippable edges of the two faces
     of the top-ranked edge, and a kick also scores the edge it draws.
     Every step, kick or descent, uses one unit of budget.  The search
-    encodes the inputs once (see _encode), checks the whole complex once,
-    then flips the encoding in place with a check of only the faces each
-    flip touches; the inputs are left unchanged, the encoding is copied
-    only when the best maximum improves, and the best state is decoded
-    once, at the end.  Returns the best triangulation, its shear vector,
-    the best maximum and the flip trail.
+    encodes the inputs once, a shear on every side, checks the whole
+    complex once, then flips the encoding in place (see _flip_flat); the
+    inputs are left unchanged, the encoding is copied only when the best
+    maximum improves, and the best state is decoded once, at the end,
+    its edges in key order.  Returns the best triangulation, its shear
+    vector, the best maximum and the flip trail.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     cur_max = max_abs_shear(sigma)
     glue, labels = _encode(cx)
-    shears = _encode_shears(sigma)
     _check(glue, labels)
+    shears = _encode_shears(glue, sigma)
     best, best_max = None, cur_max      # None: the input state
     trail = []
     while len(trail) < budget:
-        ranking = sorted(zip(map(abs, shears.values()), shears),
+        edges = _edge_keys(glue)
+        ranking = sorted(zip(map(abs, map(shears.__getitem__, edges)), edges),
                          reverse=True)
         # a NaN shear can leave the ranking's head below a finite maximum
-        if (ranking and math.isfinite(cur_max)
-                and ranking[0][0] == cur_max):
+        if ranking and math.isfinite(cur_max) and ranking[0][0] == cur_max:
             top = ranking[0][1]
-            near = set()
-            for b in (top - top % 3, glue[top] - glue[top] % 3):
-                for i in (b, b + 1, b + 2):
-                    j = glue[i]
-                    near.add(j if j < i else i)
+            b1, b2 = top - top % 3, glue[top] - glue[top] % 3
+            near = {i if i < glue[i] else glue[i]
+                    for i in (b1, b1 + 1, b1 + 2, b2, b2 + 1, b2 + 2)}
         else:
-            near = set(_edge_keys(glue))
-        flipped = {e: _flip_changes(glue, shears, e)
-                   for e in near if _flippable(glue, e)}
-        scored = [(_flip_score(ranking, changed), e)
-                  for e, changed in flipped.items()]
-        improving = [c for c in scored if c[0] < cur_max - 1e-12]
+            near = set(edges)
+        flipped, improving = {}, None      # improving: the lowest (value, e)
+        for e in near:
+            if _flippable(glue, e):
+                flipped[e] = _flip_changes(glue, shears, e)
+                c = (_flip_score(ranking, flipped[e]), e)
+                if c[0] < cur_max - 1e-12 and (not improving or c < improving):
+                    improving = c
         if improving:
-            val, e = min(improving)
+            val, e = improving
         else:
-            # stuck at a local minimum: random kick
-            # the near edges were tested already: flippable iff scored
-            candidates = [e for e in _edge_keys(glue)
+            # stuck at a local minimum: random kick; the near edges were
+            # tested already: flippable iff scored
+            candidates = [e for e in edges
                           if (e in flipped if e in near
                               else _flippable(glue, e))]
             if not candidates:

@@ -78,7 +78,8 @@ def parse_surface(data: dict):
 
     Raises ValueError for a signature g or n that is not a JSON integer
     (such as 1.9, 1.0, true or "1"), an fn length or twist that is not
-    a JSON number (such as true or "2.0"), a malformed slot, a pants graph
+    a JSON number (such as true or "2.0") or is an integer too large for
+    a float (such as 10**400), a malformed slot, a pants graph
     that contradicts the declared signature (the first problem
     surface.validate names), curve or cusp ids that cannot be ordered
     together (such as 0 and "b"), a curve without an fn row or with
@@ -115,7 +116,11 @@ def parse_surface(data: dict):
             if type(value) not in (int, float):
                 raise ValueError(f"{key} of curve {cid} must be a number, "
                                  f"got {value!r}")
-            into[cid] = float(value)
+            try:
+                into[cid] = float(value)
+            except OverflowError:
+                raise ValueError(f"{key} of curve {cid} is too large for a "
+                                 f"float") from None
     # a disconnected gluing graph is left to check_surface, which fails it
     # as a geometry invariant
     problems = [p for p in validate(pg, sig) if p != DISCONNECTED]

@@ -271,18 +271,22 @@ class TestMalformedSurface:
                        f"signature {key} must be an integer, got {value!r}")
 
     @pytest.mark.parametrize("command", ["compute", "optimize"])
-    @pytest.mark.parametrize("key, value", [("length", "2.0"),
-                                            ("length", True),
-                                            ("twist", "0.3"),
-                                            ("twist", True)])
+    @pytest.mark.parametrize("key, value", [
+        ("length", "2.0"), ("length", True), ("twist", "0.3"),
+        ("twist", True),
+        pytest.param("length", 10 ** 400, id="length-10**400"),
+        pytest.param("twist", -10 ** 400, id="twist--10**400")])
     def test_fn_value_not_a_number(self, tmp_path, capsys, command, key,
                                    value):
-        # float() would read "2.0" and true as 2.0 and 1.0 and run them
+        # float() would read "2.0" and true as 2.0 and 1.0 and run them,
+        # and raises OverflowError for an integer beyond the float range
         bad = json.loads(json.dumps(SURFACE_11))
         bad["fn"][0][key] = value
         path = write_surface(tmp_path, bad)
-        one_line_error(capsys, [command, path], 1,
-                       f"{key} of curve 0 must be a number, got {value!r}")
+        needle = (f"{key} of curve 0 is too large for a float"
+                  if type(value) is int else
+                  f"{key} of curve 0 must be a number, got {value!r}")
+        one_line_error(capsys, [command, path], 1, needle)
 
     @pytest.mark.parametrize("twist", [1420.0, -1500.0, 1419.0])
     def test_twist_too_large_for_float64(self, tmp_path, capsys, twist):

@@ -354,8 +354,9 @@ class TestWalksThroughFlips:
 
 def _reference_search(cx, sigma, budget, seed):
     """The search as it was before closed-form scoring: every candidate
-    flip is built and checked.  Returns minimax_flip_search's four values
-    and the number of random kicks."""
+    flip is built and checked, with the dict-keyed kernel of the flip
+    harness.  Returns minimax_flip_search's four values and the number
+    of random kicks."""
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     best = (cx, dict(sigma), CU.max_abs_shear(sigma))
     cur_cx, cur_sigma = cx, dict(sigma)
@@ -369,7 +370,7 @@ def _reference_search(cx, sigma, budget, seed):
             if not CU.flippable(cur_cx, e):
                 continue
             try:
-                nxt_cx, nxt_sigma = CU.flip(cur_cx, cur_sigma, e)
+                nxt_cx, nxt_sigma = F.dict_flip(cur_cx, cur_sigma, e)
             except (ValueError, RuntimeError):
                 continue
             candidates.append((CU.max_abs_shear(nxt_sigma), e, nxt_cx,
@@ -443,12 +444,67 @@ def doubled_polygon(n):
 def flat(cx, sigma):
     """The flat encoding the search runs on: glue, labels and shears."""
     glue, labels = CU._encode(cx)
-    return glue, labels, CU._encode_shears(sigma)
+    return glue, labels, CU._encode_shears(glue, sigma)
 
 
 def index(side):
     """The flat index 3f + s of side (f, s)."""
     return 3 * side[0] + side[1]
+
+
+def assert_flip_matches_oracle(cx, sigma, cand):
+    """The per-side kernel's flip of cand gives the dict-keyed kernel's
+    bits: the changed keys and shears, the gluing, the labels, every
+    shear and each changed edge's new key; the public flip, the same
+    triangulation and shear vector, the edges in the same order."""
+    e = index(cx.edge_key(*cand))
+    glue, labels, shears = flat(cx, sigma)
+    o_glue, o_labels, o_shears = glue[:], labels[:], F.dict_shears(sigma)
+    want = F.dict_flip_changes(o_glue, o_shears, e)
+    keys, values = CU._flip_changes(glue, shears, e)
+    assert keys == tuple(want)
+    assert all(map(same_bits, values, want.values()))
+    renamed = F.dict_flip_flat(o_glue, o_labels, o_shears, e, want)
+    outer, slots = CU._flip_flat(glue, labels, shears, e, (keys, values))
+    assert glue == o_glue and labels == o_labels
+    assert CU._edge_keys(glue) == sorted(o_shears)
+    assert all(same_bits(shears[k], v) and shears[glue[k]] is shears[k]
+               for k, v in o_shears.items())
+    moved = dict(zip(outer, slots)) | {e: e - e % 3 + 1}
+    sides = {k: moved.get(k, k) for k in keys}
+    assert {k: min(i, glue[i]) for k, i in sides.items()} == renamed
+    got_cx, got_sigma = CU.flip(cx, sigma, cand)
+    want_cx, want_sigma = F.dict_flip(cx, sigma, cand)
+    assert got_cx.verts == want_cx.verts and got_cx.glue == want_cx.glue
+    assert list(got_sigma) == list(want_sigma)
+    assert all(same_bits(got_sigma[k], v) for k, v in want_sigma.items())
+
+
+def self_folded(folded_first):
+    """A sphere with cusps 0 to 3 and a self-folded triangle (0, 0, 3):
+    its sides 1 and 2 are glued together, and its side 0, a loop at cusp
+    0, is the one edge it shares with (0, 0, 1).  With the folded face
+    first its outer sides are the loop flip's first two, else its last
+    two."""
+    verts = [(0, 0, 3), (0, 0, 1), (0, 1, 2), (1, 0, 2)]
+    pairs = [((0, 1), (0, 2)), ((0, 0), (1, 0)), ((1, 1), (3, 0)),
+             ((1, 2), (2, 0)), ((2, 1), (3, 2)), ((2, 2), (3, 1))]
+    at = [0, 1, 2, 3] if folded_first else [1, 0, 2, 3]
+    glue = {}
+    for (f, s), (g, t) in pairs:
+        glue[(at[f], s)], glue[(at[g], t)] = (at[g], t), (at[f], s)
+    cx = CU.CuspedTriangulation(verts=[verts[at[f]] for f in range(4)],
+                                glue=glue)
+    cx.check()
+    return cx
+
+
+def folds(cx, edge):
+    """Whether two outer sides of the edge's flip are glued together."""
+    f1, s1 = cx.edge_key(*edge)
+    f2, s2 = cx.glue[(f1, s1)]
+    return any(cx.glue[(f, (s + 1) % 3)] == (f, (s + 2) % 3)
+               for f, s in ((f1, s1), (f2, s2)))
 
 
 def count_scores_per_step(monkeypatch):
@@ -491,8 +547,8 @@ class TestMinimaxSearch:
         for cx, sigma in trail_states(search_runs):
             cx.check()
             glue, _, shears = flat(cx, sigma)
-            ranking = sorted(((abs(v), k) for k, v in shears.items()),
-                             reverse=True)
+            ranking = sorted(((abs(shears[k]), k)
+                              for k in CU._edge_keys(glue)), reverse=True)
             for cand in cx.edges():
                 if not CU.flippable(cx, cand):
                     continue
@@ -620,6 +676,67 @@ class TestMinimaxSearch:
 
 
 class TestFlipInPlace:
+    def test_matches_dict_oracle(self, search_runs):
+        # every state on the trails, every flippable edge
+        flipped = 0
+        for cx, sigma in trail_states(search_runs):
+            for cand in cx.edges():
+                if CU.flippable(cx, cand):
+                    assert_flip_matches_oracle(cx, sigma, cand)
+                    flipped += 1
+        assert flipped >= 5000
+
+    def test_check_catches_split_shears(self, search_runs):
+        # after an in-place flip, every side of the two faces holds its
+        # partner's shear: one that does not stops the face check
+        split = 0
+        for cx, sigma, *_ in search_runs[:4]:
+            for cand in cx.edges():
+                if not CU.flippable(cx, cand):
+                    continue
+                glue, labels, shears = flat(cx, sigma)
+                e = index(cand)
+                faces = {e // 3, glue[e] // 3}
+                CU._flip_flat(glue, labels, shears, e,
+                              CU._flip_changes(glue, shears, e))
+                CU._check_faces(glue, labels, faces, shears)
+                for i in (i for f in faces for i in range(3 * f, 3 * f + 3)):
+                    bad = shears[:]
+                    bad[i] = bad[i] + 1.0
+                    with pytest.raises(RuntimeError,
+                                       match="shears differ across"):
+                        CU._check_faces(glue, labels, faces, bad)
+                    split += 1
+        assert split >= 100
+
+    def test_nan_shear_flips(self):
+        # a NaN is not equal to itself, but both sides hold the same one
+        cx = doubled_polygon(5)
+        sigma = {k: 0.5 for k in cx.edges()}
+        for cand in (k for k in cx.edges() if CU.flippable(cx, k)):
+            f, s = cand
+            sigma_nan = dict(sigma)
+            sigma_nan[cx.edge_key(f, (s + 1) % 3)] = math.nan
+            got_cx, got = CU.flip(cx, sigma_nan, cand)
+            assert sum(map(math.isnan, got.values())) == 1
+            assert_flip_matches_oracle(cx, sigma_nan, cand)
+
+    def test_signed_zero_gain(self):
+        # above 745, log1p(exp(-s)) is 0.0: the sides following the
+        # flipped edge gain -0.0, which adds as +0.0 from the sum's 0.0
+        # start, so their -0.0 shears become +0.0
+        cx = doubled_polygon(5)
+        for cand in (k for k in cx.edges() if CU.flippable(cx, k)):
+            (f1, s1), (f2, s2) = cand, cx.glue[cand]
+            sigma = {k: 0.5 for k in cx.edges()}
+            sigma[cand] = 800.0
+            sigma[cx.edge_key(f1, (s1 + 1) % 3)] = -0.0
+            sigma[cx.edge_key(f2, (s2 + 1) % 3)] = -0.0
+            assert_flip_matches_oracle(cx, sigma, cand)
+            got_cx, got = CU.flip(cx, sigma, cand)
+            for side in ((f2, 1), (f1, 0)):     # where those sides moved
+                assert same_bits(got[got_cx.edge_key(*side)], 0.0)
+
     def test_matches_flip(self, search_runs):
         flipped = 0
         for cx, sigma in trail_states(search_runs):
@@ -637,7 +754,7 @@ class TestFlipInPlace:
                 got_cx.check()
                 # flip keeps the order of the edges it leaves alone and
                 # lists the new diagonal last
-                kept = [k for k in sigma if index(k) not in changed]
+                kept = [k for k in sigma if index(k) not in changed[0]]
                 assert [k for k in want_sigma if k in kept] == kept
                 assert list(want_sigma)[-1] == want_cx.edge_key(cand[0], 1)
                 flipped += 1
@@ -700,6 +817,43 @@ class TestFlipInPlace:
         assert stopped >= 300
 
 
+class TestSelfFoldedTriangle:
+    # the flip of a self-folded triangle's loop meets the edge inside it
+    # twice, and Penner's rule sums both gains; no chain reaches it
+
+    @pytest.mark.parametrize("folded_first", [True, False])
+    def test_flip_matches_oracle(self, folded_first):
+        cx = self_folded(folded_first)
+        loop = cx.edge_key(1 - folded_first, 0)
+        assert CU.flippable(cx, loop) and folds(cx, loop)
+        rng = np.random.default_rng(5)
+        sigma = {e: float(rng.normal(0.0, 3.0)) for e in cx.edges()}
+        glue, _, shears = flat(cx, sigma)
+        assert len(CU._flip_changes(glue, shears, index(loop))[0]) == 4
+        for cand in cx.edges():
+            if CU.flippable(cx, cand):
+                assert_flip_matches_oracle(cx, sigma, cand)
+
+    @pytest.mark.parametrize("folded_first", [True, False])
+    def test_search_matches_reference(self, folded_first):
+        cx = self_folded(folded_first)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            sigma = {e: float(rng.normal(0.0, 3.0)) for e in cx.edges()}
+            want = _reference_search(cx, sigma, 30, seed)
+            got = CU.minimax_flip_search(cx, sigma, 30, seed)
+            assert got[3] == want[3] and got[2] == want[2]
+            assert got[0].verts == want[0].verts
+            assert got[0].glue == want[0].glue
+            assert got[1].keys() == want[1].keys()
+            assert all(same_bits(got[1][k], v) for k, v in want[1].items())
+            states, folded = [(cx, sigma)], 0
+            for e in want[3]:
+                folded += folds(states[-1][0], e)
+                states.append(F.dict_flip(*states[-1], e))
+            assert folded >= 1 and want[4] >= 10        # and kicks ran
+
+
 def break_involution(cx, side, _):
     """Glue side to a side whose partner is some other side."""
     other = next(k for k in sorted(cx.glue)
@@ -731,14 +885,38 @@ def relabel_partner_second(cx, side, fresh):
 
 class TestFlatEncoding:
     def test_round_trip_and_order(self, search_runs):
-        # integer order is (face, side) order, and the shears keep the
-        # order of the vector they encode
+        # integer order is (face, side) order; both sides of an edge hold
+        # its shear, and the decoder lists the edges in key order or in
+        # the order it is given
         for cx, sigma in trail_states(search_runs):
             glue, labels, shears = flat(cx, sigma)
+            assert all(shears[i] is shears[j] for i, j in enumerate(glue))
             back_cx, back_sigma = CU._decode(glue, labels, shears)
             assert back_cx.verts == cx.verts and back_cx.glue == cx.glue
-            assert list(back_sigma.items()) == list(sigma.items())
+            assert list(back_sigma) == cx.edges() and back_sigma == sigma
+            _, ordered = CU._decode(glue, labels, shears, map(index, sigma))
+            assert list(ordered.items()) == list(sigma.items())
             assert [divmod(k, 3) for k in CU._edge_keys(glue)] == cx.edges()
+
+    @pytest.mark.parametrize("key", ["missing", (99, 0), (-1, 0), (0, 3),
+                                     "partner"])
+    def test_shears_keyed_by_edge_keys(self, key):
+        # every edge has one shear, under its key: a key past either end
+        # of the sides or a partner side would overwrite another shear
+        _, (cx, sigma, _) = chain(Signature(0, 4), seed=2)
+        bad = dict(sigma)
+        if key == "missing":
+            del bad[cx.edges()[2]]
+            needle = f"no shear for edge {cx.edges()[2]}"
+        else:
+            key = cx.glue[cx.edges()[2]] if key == "partner" else key
+            bad[key] = 1.0
+            needle = f"{key} is not an edge key"
+        edge = next(e for e in cx.edges() if CU.flippable(cx, e))
+        for run in (lambda: CU.flip(cx, bad, edge),
+                    lambda: CU.minimax_flip_search(cx, bad, 5, 1)):
+            with pytest.raises(ValueError, match=re.escape(needle)):
+                run()
 
     @pytest.mark.parametrize("breakage, needle", [
         ("square", "face 1 is not a triangle"),

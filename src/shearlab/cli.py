@@ -160,7 +160,7 @@ def cmd_sample(args) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return 1
     t0 = time.perf_counter()
-    records, summary = report.run_sample_campaign(
+    campaign = report.sample_campaign(
         sig, args.seed, args.count, length_range=length_range,
         twist_range=(0.0, args.twist_max))
     elapsed = time.perf_counter() - t0
@@ -168,13 +168,12 @@ def cmd_sample(args) -> int:
               "seed": args.seed, "count": args.count,
               "length_range": list(length_range) if length_range else None,
               "twist_max": args.twist_max, "format": args.format}
-    out = report.assemble(config, records, summary)
-    text = (report.sample_rows(out) if args.format == "csv"
-            else report.to_json(out))
+    text = (report.sample_rows(campaign) if args.format == "csv"
+            else report.sample_json(config, campaign))
     if not _write(text, args.out):
         return 1
     print(f"{args.count} samples in {elapsed:.3f}s", file=sys.stderr)
-    return 5 if summary["bound_violations_certified"] else 0
+    return 5 if campaign.summary["bound_violations_certified"] else 0
 
 
 def cmd_optimize(args) -> int:

@@ -30,19 +30,26 @@ reduced per block in numpy: the largest |shear|, the largest residual
 over cusp slots and over curve slots, the least margin, and whether
 every row of the shortness certificate passes, read without building
 the rows from the curve lengths and the seam-arc closed forms
-(decomposition), which neither route computes.  The record holds
-these, the curve lengths and twists keyed by curve id and the shears
-keyed by arc (pants, seam).  run_surface is a campaign of
-one surface.  No global holonomy is built.  Reports are deterministic:
-records are assembled in sample order and contain no wall-clock data
-(timings go to a side channel).  to_json writes json.dumps' indented
-bytes with the C encoder.
+(decomposition), which neither route computes.  A record holds these,
+the curve lengths and twists keyed by curve id and the shears keyed by
+arc (pants, seam); a campaign keeps them as each block's columns
+(_Rows).  run_surface is a campaign of one surface, and it and
+run_sample_campaign return records as dicts.  No global holonomy is
+built.  Reports are deterministic: records come in sample order and
+contain no wall-clock data (timings go to a side channel).  to_json
+writes json.dumps' indented bytes with the C encoder.  sample_json
+writes the same bytes for a sampling report straight from the
+columns, with no dict per record: one text template per pants graph,
+and the values' reprs joined into it a block at a time.  sample_rows
+writes the CSV rows and _summary the summary from the same columns.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -194,23 +201,44 @@ def _layout(pg: PantsGraph) -> _Layout:
                     for k in range(3)], sound)
 
 
+@dataclass(slots=True)
+class _Rows:
+    """The values of the records of a block's surfaces that have one, a
+    row per surface, in sample order (_surfaces)."""
+
+    at: list                  # the surfaces' indices in the block
+    lengths: np.ndarray       # (rows, curves) curve lengths and twists, a
+    twists: np.ndarray        # column per curve id in _layout order
+    shears: np.ndarray        # (rows, arcs) in shear_keys order
+    top: np.ndarray           # the largest |shear|
+    ratio: np.ndarray         # top / main_bound
+    satisfied: np.ndarray     # top < main_bound
+    certified: np.ndarray
+    cusp: np.ndarray          # the largest residual at a cusp slot and at
+    side: np.ndarray          # a curve slot, 0.0 at none
+    relations_ok: np.ndarray
+    margin: np.ndarray        # the least margin, NaN at none
+
+
 def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
     """Per-pants pipeline on one surface, as a campaign of one; returns
     its record, or raises the error its scalar route names.  A curve
     that fn gives no length or twist reads as NaN, which check_surface
     rejects."""
-    cids = _layout(pg).cids
-    lengths = np.array([[fn.lengths.get(c, math.nan) for c in cids]], float)
-    twists = np.array([[fn.twists.get(c, math.nan) for c in cids]], float)
-    (out,) = _surfaces(sig, pg, lengths, twists, shear_free_params())
-    if isinstance(out, Exception):
-        raise out
-    return out
+    layout = _layout(pg)
+    lengths = np.array([[fn.lengths.get(c, math.nan) for c in layout.cids]],
+                       float)
+    twists = np.array([[fn.twists.get(c, math.nan) for c in layout.cids]],
+                      float)
+    errors, rows = _surfaces(sig, pg, lengths, twists, shear_free_params())
+    if errors:
+        raise errors[0]
+    return _records(sig, layout, rows)[0]
 
 
-def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists,
-              params) -> list:
-    """The record of each surface on pg, or the error it fails with.
+def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists, params):
+    """The error of each surface on pg that fails, by index, and the rows
+    of the others (_Rows).
 
     lengths and twists are (surfaces, curves) arrays, a column per curve
     id in _layout order.  The surfaces' length triples are gathered into
@@ -243,7 +271,7 @@ def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists,
     values = (batch.shears.reshape(count, pants, 3),
               batch.residuals.reshape(count, pants, 3),
               least.reshape(count, pants))
-    out = {}
+    errors = {}
     for i in np.flatnonzero(~fast).tolist():
         try:
             if bad[i]:
@@ -253,11 +281,10 @@ def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists,
             _scalar(layout, triples[i], lengths[i], handled[i], hol[i],
                     params, [v[i] for v in values])
         except Exception as err:   # the surface's error, raised or recorded
-            out[i] = err
-    good = [i for i in range(count) if i not in out]
-    out.update(zip(good, _records(sig, layout, triples[good], lengths[good],
-                                  twists[good], [v[good] for v in values])))
-    return [out[i] for i in range(count)]
+            errors[i] = err
+    at = [i for i in range(count) if i not in errors]
+    return errors, _rows(sig, layout, at, triples[at], lengths[at],
+                         twists[at], [v[at] for v in values])
 
 
 def _scalar(layout, triples, lengths, handled, hol, params, values):
@@ -291,9 +318,9 @@ def _scalar(layout, triples, lengths, handled, hol, params, values):
         least[p] = min(kern.margins, default=math.nan)
 
 
-def _records(sig, layout, triples, lengths, twists, values) -> list:
-    """The records of surfaces on one graph that have one, from their
-    rows of _surfaces' arrays.
+def _rows(sig, layout, at, triples, lengths, twists, values) -> _Rows:
+    """The rows of the surfaces at (their indices in the block), from
+    their rows of _surfaces' arrays.
 
     certified reads the shortness certificate from the floats: every
     curve is at most 2 log(4 area) long and every pants passes
@@ -302,34 +329,46 @@ def _records(sig, layout, triples, lengths, twists, values) -> list:
     shears, residuals, least = values
     log4a = math.log(4.0 * area(sig))
     bound = main_bound(sig)
-    top = np.abs(shears).max(axis=(1, 2)).tolist()
+    top = np.abs(shears).max(axis=(1, 2))
     # _max of the residuals at the cusp and at the curve slots, 0.0 at
     # none: a residual is an abs, so a 0.0 in the other slots is never
     # larger, and np.max keeps NaN
     cusp, side = np.where(layout.slots, residuals[:, None],
-                          0.0).max(axis=(2, 3)).T.tolist()
-    # a margin is never NaN (the audit fails it), so NaN is "no margin"
-    margin = np.fmin.reduce(least, axis=1).tolist()
+                          0.0).max(axis=(2, 3)).T
     short = decomposition.arcs_short(decomposition.arc_lengths(triples),
                                      log4a)
-    certified = ((lengths <= 2.0 * log4a).all(axis=1)
-                 & short.all(axis=1)).tolist()
-    flat = shears.reshape(len(lengths), len(layout.shear_keys)).tolist()
-    fn_lengths, fn_twists = lengths.tolist(), twists.tolist()
+    return _Rows(
+        at, lengths, twists,
+        shears.reshape(len(at), len(layout.shear_keys)), top, top / bound,
+        top < bound,
+        (lengths <= 2.0 * log4a).all(axis=1) & short.all(axis=1),
+        cusp, side, (cusp <= RELATION_TOL) & (side <= RELATION_TOL),
+        # a margin is never NaN (the audit fails it), so NaN is "no margin"
+        np.fmin.reduce(least, axis=1))
+
+
+def _records(sig, layout, rows: _Rows) -> list:
+    """The records of rows as dicts, without their seeds: the view of
+    run_surface and run_sample_campaign."""
+    bound = main_bound(sig)
+    keys = layout.cid_keys
     return [{
-        "fn": {"lengths": dict(zip(layout.cid_keys, fn_lengths[i])),
-               "twists": dict(zip(layout.cid_keys, fn_twists[i]))},
-        "shears": dict(zip(layout.shear_keys, flat[i])),
-        "max_shear": top[i],
+        "fn": {"lengths": dict(zip(keys, ls)), "twists": dict(zip(keys, ts))},
+        "shears": dict(zip(layout.shear_keys, shears)),
+        "max_shear": top,
         "bound": bound,
-        "ratio": top[i] / bound,
-        "certified": certified[i],
-        "cusp_residual": cusp[i],
-        "spiral_residual": side[i],
-        "relations_ok": cusp[i] <= RELATION_TOL and side[i] <= RELATION_TOL,
-        "min_margin": None if math.isnan(margin[i]) else margin[i],
-        "bound_satisfied": top[i] < bound,
-    } for i in range(len(lengths))]
+        "ratio": ratio,
+        "certified": certified,
+        "cusp_residual": cusp,
+        "spiral_residual": side,
+        "relations_ok": ok,
+        "min_margin": None if math.isnan(margin) else margin,
+        "bound_satisfied": satisfied,
+    } for ls, ts, shears, top, ratio, satisfied, certified, cusp, side, ok,
+        margin in zip(*(column.tolist() for column in (
+            rows.lengths, rows.twists, rows.shears, rows.top, rows.ratio,
+            rows.satisfied, rows.certified, rows.cusp, rows.side,
+            rows.relations_ok, rows.margin)))]
 
 
 def config_hash(config: dict) -> str:
@@ -337,11 +376,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def assemble(config: dict, records: list, summary: dict) -> dict:
+def _stamped(config: dict) -> dict:
+    """config with the version and the hash of the rest."""
     config = dict(config)
     config["version"] = __version__
     config["hash"] = config_hash(
         {k: v for k, v in config.items() if k != "hash"})
+    return config
+
+
+def assemble(config: dict, records: list, summary: dict) -> dict:
+    config = _stamped(config)
     records = [dict(rec, config_hash=config["hash"], version=__version__)
                for rec in records]
     return {"schema": SCHEMA, "config": config, "records": records,
@@ -397,35 +442,56 @@ def _encode(value, newline: str) -> str:
                               f"{_encode(item, inner)}")
         body = sep.join(parts[k] for k in sorted(value))
     else:
-        body = sep.join(_encode(v, inner) for v in value)
+        body = _grid(value, inner) or sep.join(_encode(v, inner)
+                                               for v in value)
     return ("{" if is_dict else "[") + inner + body + newline + (
         "}" if is_dict else "]")
 
 
-def sample_rows(report: dict):
-    """Flatten a sampling report into the fixed CSV columns.
+def _grid(value, inner: str) -> str:
+    """The items of value, a list of lists of one length (at least 1) of
+    scalars, such as optimize's flip trail, as _encode joins them on
+    lines that end in inner; "" for any other value.
 
-    The gn field contains a comma, so it is quoted per CSV convention.
+    The C encoder writes every scalar at once, split at its item
+    separator as in _encode, and one % regroups them.
     """
-    rows = [CSV_HEADER]
-    cfg = report["config"]
-    gn = f"\"({cfg['g']},{cfg['n']})\""
-    for i, rec in enumerate(report["records"]):
-        if rec.get("error"):
-            rows.append(f"{i},{gn},{rec['seed']},error,,,,,,")
-            continue
-        rows.append(
-            f"{i},{gn},{rec['seed']},{str(rec['certified']).lower()},"
-            f"{rec['max_shear']:.12g},{rec['bound']:.12g},"
-            f"{rec['ratio']:.12g},{rec['cusp_residual']:.6g},"
-            f"{rec['spiral_residual']:.6g},"
-            f"{'' if rec['min_margin'] is None else format(rec['min_margin'], '.6g')}"
-        )
-    return "\n".join(rows) + "\n"
+    if type(value) is not list or {type(v) for v in value} != {list}:
+        return ""
+    width = len(value[0])
+    if not width or any(len(v) != width for v in value):
+        return ""
+    items = [x for v in value for x in v]
+    if not set(map(type, items)) <= _SCALARS:
+        return ""
+    deeper = inner + "  "
+    row = "[" + deeper + ("," + deeper).join(["%s"] * width) + inner + "]"
+    return ("," + inner).join([row] * len(value)) % tuple(
+        _flat(deeper).encode(items)[1:-1].split("," + deeper))
 
 
-def run_sample_campaign(sig: Signature, seed: int, count: int,
-                        length_range=None, twist_range=(0.0, 1.0)):
+@dataclass(slots=True)
+class _Block:
+    """The samples of one block of a campaign."""
+
+    seeds: list               # the samples' seeds
+    errors: dict              # the error line of each failed sample, by
+                              # index in the block
+    rows: _Rows | None        # those of the others; None if the draw failed
+
+
+@dataclass(slots=True)
+class Campaign:
+    """A seeded sampling campaign, kept as its blocks' columns."""
+
+    sig: Signature
+    pg: PantsGraph            # the canonical pants graph of sig
+    blocks: list              # _Block per block, in sample order
+    summary: dict
+
+
+def sample_campaign(sig: Signature, seed: int, count: int,
+                    length_range=None, twist_range=(0.0, 1.0)) -> Campaign:
     """Seeded sampling campaign; per-sample failures are recorded.
 
     The samples are drawn a block at a time: block_seeds gives their
@@ -435,7 +501,7 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
     reference.  A draw's error does not depend on the seed, so a block
     whose draw fails records it on every sample.  Each block then runs
     as one array program (_surfaces): one batch of its pants, then
-    per-surface reductions in numpy.
+    per-surface reductions in numpy, kept as columns (_Rows).
     """
     params = shear_free_params()
     # every sample lies on the canonical graph of sig
@@ -443,41 +509,193 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
     curves = len(_layout(pg).cids)
     if length_range is None:
         length_range = default_length_range(sig)
-    records = []
+    blocks = []
     for start in range(0, count, _BLOCK):
         seeds = block_seeds(seed, start, min(count, start + _BLOCK) - start)
-        block = [{"seed": s} for s in seeds.tolist()]
-        records += block
         try:
             drawn = block_draws(seeds, curves, length_range, twist_range)
         except Exception as err:   # the draw's, recorded on every sample
-            outs = [err] * len(block)
+            errors, rows = dict.fromkeys(range(len(seeds)), err), None
         else:
-            outs = _surfaces(sig, pg, *drawn, params)
-        for rec, out in zip(block, outs):
-            if isinstance(out, Exception):
-                rec["error"] = f"{type(out).__name__}: {out}"
-            else:
-                rec.update(out)
-    good = [r for r in records if not r.get("error")]
-    certified = [r for r in good if r["certified"]]
-    summary = {
+            errors, rows = _surfaces(sig, pg, *drawn, params)
+        blocks.append(_Block(seeds.tolist(), {
+            i: f"{type(err).__name__}: {err}" for i, err in errors.items()},
+            rows))
+    return Campaign(sig, pg, blocks, _summary(count, blocks))
+
+
+def _summary(count: int, blocks: list) -> dict:
+    """The summary of a campaign of count samples, from its blocks'
+    columns."""
+    rows = [block.rows for block in blocks if block.rows is not None]
+    ratio, certified, satisfied, cusp, side, margin = (
+        [v for r in rows for v in getattr(r, name).tolist()]
+        for name in ("ratio", "certified", "satisfied", "cusp", "side",
+                     "margin"))
+    return {
         "samples": count,
-        "failures": len(records) - len(good),
-        "certified": len(certified),
-        "max_ratio_certified": _max((r["ratio"] for r in certified), None),
-        "max_ratio_uncertified": _max((r["ratio"] for r in good
-                                       if not r["certified"]), None),
-        "bound_violations_certified": sum(1 for r in certified
-                                          if not r["bound_satisfied"]),
-        "worst_cusp_residual": _max((r["cusp_residual"] for r in good),
+        "failures": count - len(ratio),
+        "certified": sum(certified),
+        "max_ratio_certified": _max(itertools.compress(ratio, certified),
                                     None),
-        "worst_spiral_residual": _max((r["spiral_residual"] for r in good),
-                                      None),
-        "min_margin": min((r["min_margin"] for r in good
-                           if r["min_margin"] is not None), default=None),
+        "max_ratio_uncertified": _max((r for r, c in zip(ratio, certified)
+                                       if not c), None),
+        "bound_violations_certified": sum(
+            c and not s for c, s in zip(certified, satisfied)),
+        "worst_cusp_residual": _max(cusp, None),
+        "worst_spiral_residual": _max(side, None),
+        "min_margin": min((m for m in margin if not math.isnan(m)),
+                          default=None),
     }
-    return records, summary
+
+
+def run_sample_campaign(sig: Signature, seed: int, count: int,
+                        length_range=None, twist_range=(0.0, 1.0)):
+    """sample_campaign's records as dicts, in sample order, and its
+    summary.  A failed sample's record is its seed and error line."""
+    campaign = sample_campaign(sig, seed, count, length_range, twist_range)
+    layout = _layout(campaign.pg)
+    records = []
+    for block in campaign.blocks:
+        rows = block.rows
+        good = {} if rows is None else dict(zip(
+            rows.at, _records(sig, layout, rows)))
+        records += [{"seed": s, "error": block.errors[i]}
+                    if i in block.errors else {"seed": s, **good[i]}
+                    for i, s in enumerate(block.seeds)]
+    return records, campaign.summary
+
+
+#: a value's place in a report template: the encoded string of _MARK and
+#: the value's number or name.  No key or fixed value of a template holds
+#: the character, so only the markers match.
+_MARK = "\x00"
+_MARKS = re.compile(r'"\\u0000(\d+)"')
+
+#: the record keys of the bool and float values of a sampling record, in
+#: the order of _values' columns
+_SCALAR_KEYS = ("bound_satisfied", "certified", "relations_ok",
+                "cusp_residual", "max_shear", "min_margin", "ratio",
+                "spiral_residual")
+
+#: between two records of a report, as to_json writes them
+_SEP = ",\n    "
+
+_BOOLS = np.array(["false", "true"], dtype=object)
+
+#: the encoder's spelling of each non-finite float repr
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@lru_cache(maxsize=128)
+def _template(pg: PantsGraph) -> str:
+    """A sampling record of a surface on pg as to_json writes it in a
+    report, with a marker for each value: the columns of _values by
+    number (the bools and floats of _SCALAR_KEYS, the curve lengths and
+    twists, the shears, the seed), and bound, config_hash and version by
+    name.  The keys come in JSON's string order ("10" before "2")."""
+    layout = _layout(pg)
+    marks = (f"{_MARK}{j}" for j in itertools.count())
+    # zip stops at its first argument's end without drawing a mark
+    record = dict(zip(_SCALAR_KEYS, marks))
+    record["fn"] = {"lengths": dict(zip(layout.cid_keys, marks)),
+                    "twists": dict(zip(layout.cid_keys, marks))}
+    record["shears"] = dict(zip(layout.shear_keys, marks))
+    record["seed"] = next(marks)
+    record.update((key, _MARK + key)
+                  for key in ("bound", "config_hash", "version"))
+    return _encode(record, "\n    ")
+
+
+def _values(rows: _Rows, seeds: list) -> np.ndarray:
+    """The JSON text of the values of rows and their seeds, as an object
+    array with a row per record and a column per numbered marker of
+    _template.  A float is written as its repr, or as the encoder's NaN,
+    Infinity and -Infinity; a missing margin is null."""
+    floats = np.column_stack((rows.cusp, rows.top, rows.margin, rows.ratio,
+                              rows.side, rows.lengths, rows.twists,
+                              rows.shears))
+    text = np.array(list(map(float.__repr__, floats.ravel().tolist())),
+                    dtype=object).reshape(floats.shape)
+    odd = ~np.isfinite(floats)
+    if odd.any():
+        text[odd] = [_NON_FINITE[t] for t in text[odd].tolist()]
+    text[np.isnan(rows.margin), 2] = "null"    # no min_margin
+    flags = _BOOLS[np.column_stack((rows.satisfied, rows.certified,
+                                    rows.relations_ok)).astype(np.intp)]
+    return np.concatenate((flags, text, np.array(
+        list(map(str, seeds)), dtype=object)[:, None]), axis=1)
+
+
+def _block_text(block: _Block, literal: list, order: list,
+                stamp: dict) -> str:
+    """The records of a block as to_json writes them in a report, each
+    followed by _SEP: the template's literal text around each record's
+    values, in the template's order of markers, and an error record
+    written by _encode."""
+    cells = np.empty((len(block.seeds), 2 * len(order) + 2), dtype=object)
+    cells[:, 0:-1:2] = literal
+    cells[:, -1] = _SEP
+    rows = block.rows
+    if rows is not None:
+        cells[rows.at, 1:-1:2] = _values(
+            rows, [block.seeds[i] for i in rows.at])[:, order]
+    for i, error in block.errors.items():
+        cells[i, :-1] = ""
+        cells[i, 0] = _encode(dict(stamp, seed=block.seeds[i], error=error),
+                              "\n    ")
+    return "".join(cells.ravel().tolist())
+
+
+def sample_json(config: dict, campaign: Campaign) -> str:
+    """to_json(assemble(config, records, summary)) of the campaign's
+    records (run_sample_campaign's) and summary, byte for byte, written
+    from its blocks' columns without a dict per record: the record
+    template of its pants graph (_template) is filled once with the
+    bound, config hash and version, and each block is one join of its
+    text and the block's values (_block_text)."""
+    config = _stamped(config)
+    stamp = {"config_hash": config["hash"], "version": __version__}
+    text = _template(campaign.pg)
+    for key, value in dict(stamp, bound=main_bound(campaign.sig)).items():
+        text = text.replace(json.dumps(_MARK + key), json.dumps(value))
+    pieces = _MARKS.split(text)
+    literal, order = pieces[0::2], list(map(int, pieces[1::2]))
+    records = "".join(_block_text(block, literal, order, stamp)
+                      for block in campaign.blocks)
+    head, _, tail = _MARKS.split(_encode(
+        {"config": config, "records": _MARK + "0", "schema": SCHEMA,
+         "summary": campaign.summary}, "\n"))
+    return head + ("[\n    " + records[:-len(_SEP)] + "\n  ]" if records
+                   else "[]") + tail + "\n"
+
+
+def sample_rows(campaign: Campaign) -> str:
+    """The campaign's records in the fixed CSV columns, from its blocks'
+    columns.
+
+    The gn field contains a comma, so it is quoted per CSV convention.
+    """
+    gn = f"\"({campaign.sig.g},{campaign.sig.n})\""
+    bound = f"{main_bound(campaign.sig):.12g}"
+    lines = [CSV_HEADER]
+    for block in campaign.blocks:
+        start = len(lines) - 1
+        cells = [f"{i},{gn},{s},error,,,,,,"
+                 for i, s in enumerate(block.seeds, start)]
+        rows = block.rows
+        if rows is not None:
+            for i, certified, top, ratio, cusp, side, margin in zip(
+                    rows.at, *(column.tolist() for column in (
+                        rows.certified, rows.top, rows.ratio, rows.cusp,
+                        rows.side, rows.margin))):
+                cells[i] = (
+                    f"{start + i},{gn},{block.seeds[i]},"
+                    f"{str(certified).lower()},{top:.12g},{bound},"
+                    f"{ratio:.12g},{cusp:.6g},{side:.6g},"
+                    f"{'' if math.isnan(margin) else format(margin, '.6g')}")
+        lines += cells
+    return "\n".join(lines) + "\n"
 
 
 def constants_report(sig: Signature, rho_prime=None) -> dict:
@@ -492,8 +710,10 @@ def constants_report(sig: Signature, rho_prime=None) -> dict:
     if 2.0 * math.sinh(params.delta3) < SHORT_CURVE_MAX:
         raise ValueError(f"rho_prime must lie in [tanh(rho), rho) = "
                          f"[{math.tanh(RHO)}, {RHO})")
-    tc = topology_constants(sig, params)
+    # the audit first: it runs the lru-cached grid scan, which
+    # topology_constants' spike table reads too
     audit = constants_audit(params)
+    tc = topology_constants(sig, params)
     return {
         "signature": {"g": sig.g, "n": sig.n},
         "rho": params.rho,

@@ -411,6 +411,50 @@ class TestSampleCommand:
         assert len(data["config"]["hash"]) == 16
 
 
+#: flags of ``sample`` -> (exit code, sha256 of stdout) in JSON and in
+#: CSV: error records at (5,5); no curve, so empty fn dicts, at (0,3);
+#: curve ids from 10 on, which JSON sorts before "2", at (10,0); three
+#: blocks at the largest seed; every sample failing at very short
+#: lengths, and every construction failing at huge ones; no sample
+SAMPLE_DIGESTS = {
+    ("--g", "5", "--n", "5", "--seed", "3", "--count", "300"): (
+        (0, "688bcfde53e27c23d3b3ba09d02d8fcad28752337a94d459a0924b2d41a86409"),
+        (0, "9559a32c8a02b520610f9bbe1c8a523b7656c349950a1e043589a34be20273d6")),
+    ("--g", "0", "--n", "3", "--seed", "1", "--count", "5"): (
+        (0, "7d4dc0eb1eee4c4b2c1440afdd522309c259c193d9ca4df8cb2e5e15843fc265"),
+        (0, "817ec127dfb1fe2e289f709ab9daf7234629892788c8ce2021e8ffb83ee8ed69")),
+    ("--g", "10", "--n", "0", "--seed", "42", "--count", "40"): (
+        (0, "ee089709bf15657c1edeea93e08d82b112deece1f3fcf8bb05c977892a8d6cff"),
+        (0, "c4d914edf8414271b2a671b1a89dd06c3b23849f99a341f9f3695623f248b8c6")),
+    ("--g", "1", "--n", "1", "--seed", str(2 ** 64 - 1), "--count", "600"): (
+        (0, "6706b15befbb8187d135dafcc1e8434add1774496ace02b2d9b6a99e1b875e65"),
+        (0, "733031a9466da22812c4ea04c0a5abdb60fee4314e7fcf5bfbc08dd6688ebfe0")),
+    ("--g", "2", "--n", "0", "--seed", "1", "--count", "20",
+     "--length-min", "0.001", "--length-max", "0.01"): (
+        (0, "e17c6ca10e023c8c029d9247bb392ef86325fc8e56042b4ba8cc8ad399f30fe2"),
+        (0, "51a06aa740b8a47ba81bb7979241532623a763ed83f579d21b8b4b6460e071da")),
+    ("--g", "1", "--n", "1", "--seed", "1", "--count", "3",
+     "--length-min", "1e-300", "--length-max", "1e308"): (
+        (0, "52811896f8887027c7c595581223334a3e6c799a686e4da385f61a94d61bf3f5"),
+        (0, "9ca8d504f5e5b659e0a1479af175e632d8d7eeca5de3b929f359ef6e9a33e6c9")),
+    ("--g", "1", "--n", "1", "--seed", "0", "--count", "0"): (
+        (0, "c523272e383038e2eb3b2dacbc03da9f84a84332bf432ad370de1a93f33ce5a9"),
+        (0, "549a4943f516740596f4956b764f8fcf5f80a0ad520afa4d9c10ad4dde62a34f")),
+}
+
+
+class TestSampleBytes:
+    """sample writes the same bytes for fixed flags and seeds."""
+
+    @pytest.mark.parametrize("flags", SAMPLE_DIGESTS,
+                             ids=lambda flags: " ".join(flags[1:8:2]))
+    def test_digests(self, capsys, flags):
+        for fmt, want in zip(("json", "csv"), SAMPLE_DIGESTS[flags]):
+            code, out = run(["sample", *flags, "--format", fmt], capsys)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, (
+                fmt)
+
+
 class TestOptimizeCommand:
     def test_three_cusped_sphere_trivial(self, tmp_path, capsys):
         path = write_surface(tmp_path, SURFACE_03)

@@ -324,6 +324,30 @@ class TestOneDerivation:
             C._grid_scan.cache_clear()
         assert len(calls) == C._GRID_POINTS + 1 == 10_001
 
+    def test_audit_runs_the_scan(self, monkeypatch):
+        # constants_report runs the audit first, so a traced run charges
+        # the lru-cached grid scan to constants_audit, not to
+        # topology_constants' spike table
+        from shearlab import report
+        real_scan, real_audit = C._grid_scan, report.constants_audit
+        inside, calls = [], []
+
+        def audit(params):
+            inside.append(True)
+            try:
+                return real_audit(params)
+            finally:
+                inside.pop()
+
+        def scan(params):
+            calls.append(bool(inside))
+            return real_scan(params)
+
+        monkeypatch.setattr(report, "constants_audit", audit)
+        monkeypatch.setattr(C, "_grid_scan", scan)
+        report.constants_report(C.Signature(2, 1))
+        assert calls and calls[0]
+
     @pytest.mark.parametrize("rho_prime", [C.DEFAULT_RHO_PRIME,
                                            math.tanh(C.RHO)])
     def test_scan_is_the_per_point_reference(self, rho_prime):

@@ -17,6 +17,8 @@ from shearlab.constants import Signature, shear_free_params
 from shearlab.geom import GeometryError
 from shearlab.pants import StdPants, build_pants
 
+import report_oracle
+
 
 def long_05(i):
     """Sample i of the (0,5) campaign at seed 3 with lengths in (0.01, 30).
@@ -121,9 +123,9 @@ class TestCampaign:
             Signature(1, 1), 5, 4, length_range=(39.0, 40.0))
         assert summary["failures"] == 4
         assert all("error" in r for r in records)
-        rep = report.assemble({"command": "sample", "g": 1, "n": 1},
-                              records, summary)
-        rows = list(csv.reader(io.StringIO(report.sample_rows(rep))))
+        campaign = report.sample_campaign(Signature(1, 1), 5, 4,
+                                          length_range=(39.0, 40.0))
+        rows = list(csv.reader(io.StringIO(report.sample_rows(campaign))))
         assert rows[0] == report.CSV_HEADER.split(",")
         assert rows[1][1] == "(1,1)"
         assert rows[1][3] == "error"
@@ -205,6 +207,108 @@ class TestCampaign:
         text = report.to_json(rep)
         again = report.to_json(json.loads(text))
         assert text == again
+
+
+class TestSampleWriter:
+    """report.sample_json and report.sample_rows write, from a campaign's
+    columns, the bytes of the dict route (report_oracle): the record dicts
+    of run_sample_campaign, assembled and encoded by json.dumps, and the
+    CSV rows and summary read from those dicts."""
+
+    # (g, n), seed, count, length range, twist range: error records, no
+    # curve, curve ids from 10 on (JSON's "10" before "2"), three blocks,
+    # every sample failing, every sample's construction failing at huge
+    # lengths, no sample, and the draw failing on every sample
+    CAMPAIGNS = (((5, 5), 3, 300, None, (0.0, 1.0)),
+                 ((0, 3), 1, 5, None, (0.0, 1.0)),
+                 ((10, 0), 42, 40, None, (0.0, 1.0)),
+                 ((1, 1), 2 ** 64 - 1, 600, None, (0.0, 1.0)),
+                 ((2, 0), 1, 20, (0.001, 0.01), (0.0, 1.0)),
+                 ((1, 1), 1, 3, (1e-300, 1e308), (0.0, 1.0)),
+                 ((1, 1), 0, 0, None, (0.0, 1.0)),
+                 ((1, 1), 1, 3, (-1e308, 1e308), (0.0, 1.0)),
+                 ((1, 1), 1, 2, None, (1.0, 0.0)))
+
+    @staticmethod
+    def check(gn, seed, count, lengths, twists):
+        """The campaign's report in both formats, checked against the
+        oracle; returns the JSON text and the record dicts."""
+        sig = Signature(*gn)
+        config = {"command": "sample", "g": sig.g, "n": sig.n, "seed": seed,
+                  "count": count,
+                  "length_range": list(lengths) if lengths else None,
+                  "twist_max": twists[1], "format": "json"}
+        campaign = report.sample_campaign(sig, seed, count, lengths, twists)
+        records, summary = report.run_sample_campaign(sig, seed, count,
+                                                      lengths, twists)
+        # NaN compares unequal to itself; json.dumps spells it out
+        assert json.dumps(campaign.summary) == json.dumps(summary) == (
+            json.dumps(report_oracle.summary(records, count)))
+        text = report.sample_json(config, campaign)
+        assert text == report_oracle.sample_json(config, records, summary)
+        assert report.sample_rows(campaign) == report_oracle.sample_rows(
+            report.assemble(config, records, summary))
+        return text, records
+
+    @pytest.mark.parametrize(
+        "gn, seed, count, lengths, twists", CAMPAIGNS,
+        ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_campaigns(self, gn, seed, count, lengths, twists):
+        _, records = self.check(gn, seed, count, lengths, twists)
+        if gn == (5, 5):
+            assert any("error" in rec for rec in records)
+        if gn == (10, 0):
+            assert list(records[0]["fn"]["lengths"])[:3] == ["0", "1", "2"]
+
+    def test_planted_values(self, monkeypatch):
+        # one pants per (1,1) sample, so batch row i is sample i: a NaN
+        # shear, a NaN residual at a curve slot, a NaN least margin (no
+        # margin), a -0.0 shear and an infinite shear
+        real = thick.thick_batch
+
+        def batch(triples, params):
+            out = real(triples, params)
+            out.shears[1, 0] = math.nan
+            out.residuals[2, 0] = math.nan
+            out.margins[out.first[3]:out.first[4]] = math.nan
+            out.shears[4, 0] = -0.0
+            out.shears[5, 1] = math.inf
+            return out
+
+        monkeypatch.setattr(thick, "thick_batch", batch)
+        text, records = self.check((1, 1), 5, 8, None, (0.0, 1.0))
+        assert math.isnan(records[1]["shears"]["(0, 0)"])
+        assert math.isnan(records[1]["max_shear"])
+        assert not records[2]["relations_ok"]
+        assert records[3]["min_margin"] is None
+        assert math.copysign(1.0, records[4]["shears"]["(0, 0)"]) == -1.0
+        assert records[5]["max_shear"] == math.inf
+        for needle in ('"max_shear": NaN', '"(0, 0)": NaN',
+                       '"spiral_residual": NaN', '"relations_ok": false',
+                       '"min_margin": null', '"(0, 0)": -0.0',
+                       '"(0, 1)": Infinity', '"worst_spiral_residual": NaN'):
+            assert needle in text, needle
+
+    def test_cli_builds_no_record_dict(self, monkeypatch, capsys):
+        # the sample command writes from the columns: _records, which
+        # makes the dicts of run_surface and run_sample_campaign, is
+        # never called
+        from shearlab import cli
+        argv = ["sample", "--g", "5", "--n", "5", "--count", "40",
+                "--seed", "3", "--format"]
+        want = {}
+        for fmt in ("json", "csv"):
+            want[fmt] = cli.main(argv + [fmt]), capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("built a record dict")
+
+        monkeypatch.setattr(report, "_records", refuse)
+        for fmt in ("json", "csv"):
+            assert (cli.main(argv + [fmt]), capsys.readouterr().out) == (
+                want[fmt])
+        with pytest.raises(AssertionError, match="built a record dict"):
+            report.run_sample_campaign(Signature(5, 5), 3, 2)
 
 
 class TestBatchRouting:
@@ -428,6 +532,30 @@ class TestToJson:
             text = capsys.readouterr().out
             assert text and text == json.dumps(
                 json.loads(text), sort_keys=True, indent=2) + "\n"
+
+    def test_trails(self, monkeypatch):
+        # a list of lists of one length of scalars, such as optimize's
+        # flip trail, is written with one encoder call (_grid); a list of
+        # lists of mixed lengths, with an empty list, of tuples or of
+        # nested lists takes the generic route, one _encode per item
+        trail = [[i % 7, i % 3] for i in range(100)]
+        cases = ((trail, 1), ([["a", 1.5, None, True]], 1),
+                 ([[1, 2], [3]], 3), ([[1], []], 3),
+                 ([(1, 2), (3, 4)], 3), ([[1, 2], (3, 4)], 3),
+                 ([[1, [2]], [3, [4]]], 7), ([[math.nan, -0.0]] * 2, 1))
+        real = report._encode
+        calls = []
+
+        def counted(value, newline):
+            calls.append(value)
+            return real(value, newline)
+
+        monkeypatch.setattr(report, "_encode", counted)
+        for value, encodes in cases:
+            calls.clear()
+            self.same(value)
+            assert len(calls) == encodes, value
+            self.same({"flips": value, "x": 1})
 
     @settings(max_examples=300, derandomize=True, database=None,
               deadline=None)

@@ -8,7 +8,13 @@ to satisfy and reports each one with its witness.
 
 Each fact is derived once: one pass over the audit grid per set of
 shear-free parameters gives the audit's three extrema, and one
-per-regime side map gives every spike constant and their table.
+per-regime side map gives every spike constant and their table.  The
+pass evaluates the whole grid as numpy arrays, whose exp, sinh, arcsinh
+and arccosh round differently from math's on a share of the points, so
+it only picks the candidates: the points near each extremum and those
+where a check could fail.  Those are evaluated again with math, and
+the audit reports exactly the values, witnesses and errors of a scalar
+scan of every point.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+import numpy as np
 
 #: Half the inradius of an ideal triangle; the inradius itself is 2*rho.
 RHO = math.log(3.0) / 4.0
@@ -242,12 +250,42 @@ class AuditReport:
 # points of the grid the audit scans the admissible lengths on
 _GRID_POINTS = 10_000
 
+#: How far the grid scan's numpy values may lie from math's and still
+#: pick every point that decides its result.  The three scanned values
+#: are sums and differences of widths below 20 (w(1e-8) = 19.8), and
+#: numpy's differ from math's by a few ulps of those widths, at most
+#: 1.5 ulps of 16 at the tested rho'.  A point whose numpy value lies
+#: more than this band below the numpy maximum then lies below the math
+#: maximum, as long as each error is under half the band
+#: (tests/test_constants.py checks it), and the same holds for the
+#: minimum and for the clearance of each check.
+_SCAN_BAND = 16 * math.ulp(16.0)
 
-def _admissible_grid():
-    """Log-spaced grid over (0, 2 tanh rho], densest near zero."""
+
+def _grid_axis():
+    """(lo, step) of the log-spaced grid on [1e-8, 2 tanh rho]: its
+    point i is exp(lo + i * step)."""
     lo, hi = math.log(1e-8), math.log(SHORT_CURVE_MAX)
-    step = (hi - lo) / (_GRID_POINTS - 1)
-    return [math.exp(lo + i * step) for i in range(_GRID_POINTS)]
+    return lo, (hi - lo) / (_GRID_POINTS - 1)
+
+
+def _grid_values(params: ShearFreeParams):
+    """The grid's lengths, then 2 tanh rho, and at each the acosh argument
+    of w^T, w - w^T, l cosh w^T and w - (w^T + rho), as numpy arrays.
+
+    lo + i * step rounds as in the scalar grid; numpy's exp, sinh,
+    arcsinh, arccosh and cosh may not.  Below tanh rho, arccosh gets
+    arguments under 1 and its values are NaN.
+    """
+    lo, step = _grid_axis()
+    lengths = np.append(np.exp(lo + np.arange(_GRID_POINTS) * step),
+                        SHORT_CURVE_MAX)
+    args = 2.0 * math.sinh(params.delta3) / lengths
+    with np.errstate(invalid="ignore"):
+        wts = np.arccosh(args) - RHO
+    ws = np.arcsinh(1.0 / np.sinh(lengths / 2.0))
+    return (lengths, args, ws - wts, lengths * np.cosh(wts),
+            ws - (wts + RHO))
 
 
 @lru_cache(maxsize=128)
@@ -255,13 +293,34 @@ def _grid_scan(params: ShearFreeParams):
     """One pass over the admissible lengths, with w and w^T at each.
 
     Returns (sup(w - w^T), witness), (sup(l cosh w^T), witness) and
-    (min(w - (w^T + rho)), witness).  The gap is increasing in the
-    length, so its supremum sits at the right endpoint; the scan is kept
-    as a guard against that monotonicity failing for unusual parameters.
+    (min(w - (w^T + rho)), witness) over the grid and 2 tanh rho.  The
+    gap is increasing in the length, so its supremum sits at the right
+    endpoint; the scan is kept as a guard against that monotonicity
+    failing for unusual parameters.
+
+    numpy evaluates the three values at every point (_grid_values).
+    Only the points within _SCAN_BAND of a numpy extremum, and those
+    where numpy leaves less than the band between a value and a check of
+    _collar_widths, are evaluated again with math, in index order and
+    with the running updates of a scalar scan.  Every other point passes
+    each check and stays below each extremum, so the values, the
+    witnesses and the first error raised are those of _collar_widths at
+    every point.
     """
+    lengths, args, gaps, bounds, margins = _grid_values(params)
+    band = _SCAN_BAND
+    clear = ((lengths > band) & (lengths < SHORT_CURVE_MAX - band)
+             & (args > 1.0 + band) & (margins > band))
+    candidates = ((gaps >= np.fmax.reduce(gaps) - band)
+                  | (bounds >= np.fmax.reduce(bounds) - band)
+                  | (margins <= np.fmin.reduce(margins) + band) | ~clear)
+
+    lo, step = _grid_axis()
     gap = boundary = (-math.inf, None)
     margin = (math.inf, None)
-    for ell in _admissible_grid() + [SHORT_CURVE_MAX]:
+    for i in np.flatnonzero(candidates).tolist():
+        ell = (math.exp(lo + i * step) if i < _GRID_POINTS
+               else SHORT_CURVE_MAX)
         w, w_t = _collar_widths(ell, params)
         g, b, m = w - w_t, ell * math.cosh(w_t), w - (w_t + RHO)
         if g > gap[0]:

@@ -182,13 +182,14 @@ def canonical_pants_graph(sig: Signature) -> PantsGraph:
         slots[p][2] = ("curve", next_curve)
         slots[p + 1][0] = ("curve", next_curve)
         next_curve += 1
+    # the 2g + n free slots in order: g handles, then the cusps
     free = [(p, s) for p in range(m) for s in range(3) if slots[p][s] is None]
-    for _ in range(sig.g):
-        (p1, s1), (p2, s2) = free.pop(0), free.pop(0)
+    for k in range(sig.g):
+        (p1, s1), (p2, s2) = free[2 * k], free[2 * k + 1]
         slots[p1][s1] = ("curve", next_curve)
         slots[p2][s2] = ("curve", next_curve)
         next_curve += 1
-    for cusp_id, (p, s) in enumerate(free):
+    for cusp_id, (p, s) in enumerate(free[2 * sig.g:]):
         slots[p][s] = ("cusp", cusp_id)
     pg = PantsGraph(tuple(tuple(s) for s in slots))
     problems = validate(pg, sig)

@@ -8,7 +8,7 @@ import struct
 import pytest
 
 from shearlab import chains, cli, cusped, report
-from shearlab.constants import Signature
+from shearlab.constants import Signature, collar_width
 from shearlab.geom import RELATION_TOL, GeometryError
 from shearlab.surface import FNCoordinates, holonomy_from_fn, sample_fn
 from test_report import handle_nothing
@@ -88,6 +88,82 @@ class TestConstantsCommand:
         code, _ = run(["constants", "--g", "1", "--n", "1",
                        "--rho-prime", tanh_rho], capsys)
         assert code == 2
+
+
+#: --rho-prime values of the constants digests: the default, tanh(rho),
+#: two inside [tanh(rho), rho), and 0.26, which is rejected below tanh(rho)
+CONSTANTS_RHO_PRIMES = (None, "0.26794919243112275", "0.27", "0.2746",
+                        "0.26")
+
+#: (g, n) -> (exit code, sha256 of stdout) of ``constants --g G --n N``
+#: at each of CONSTANTS_RHO_PRIMES: the six signatures of the theorem
+#: sweep, (5,5) and (100,0)
+CONSTANTS_DIGESTS = {
+    (1, 1): (
+        (2, "2295126498286d0378812fab4b764201131309ce8342685bceeefbbd9861ba04"),
+        (2, "b26b1a1f45e262594107046bc110bc2811b314811850585e5773908750626d62"),
+        (2, "660947f9bb06acbf28d8b43e907fef46f0d0aa4a3cb40292d8a984ec1c6cf32d"),
+        (2, "1701e3959e11756749b4f6e74a9ab93bebbdb7741006cbc886fb56dfdccfbea1"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    (1, 2): (
+        (2, "ef2425e6f8d2f7da1f62e9beefff4297a40f095c7afd3b3e63f2819a3bc79632"),
+        (2, "f45a6b9417372da31e2866c166223101c6e1ea018f311085e908c8193250c471"),
+        (2, "3d634829c223ed57414ecec87c14b4266fd29165d159acd3aeaa2b5f20e0fe59"),
+        (2, "bd825ea76f753b93a694599d0b5fc4de49eec8f42c357ad5cf9c78beb4a771a8"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    (2, 0): (
+        (2, "6aa230c4fbb38912a722050679b92620f69e363e3db0618ae4497a16e959d504"),
+        (2, "9b9fb55926714d3c35dfb334852b6719efc3c4c79aaee15b1716db03f0409182"),
+        (2, "c0766a3cea6488a37e193049038e52f1c47a7f75e6f21a2f0ce1baddab8bf075"),
+        (2, "93a7ac85273433184b51335829bdbfff413c22857f1f36c2f36e97b4c33371a8"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    (2, 1): (
+        (2, "54e9190e0b3f247e3d8ba8dea082d0103f75b6feb645044d7e8e5b92b54352e7"),
+        (2, "04b0f88de8627a2f051d978b5e92dec718b7d0e41e991c0fd0e2015eafa8b33e"),
+        (2, "3f30442801dbd1ef36967038321e31ecb613788e5507e5904da8bcf56d5719c9"),
+        (2, "f215738050ead1381ce8b31d4c7f8b1a058362f082606d45c36aeec13ee4e2ca"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    (0, 4): (
+        (2, "5d6aedbb2f5d16cf69788032ca81b356e55b0f3387ec16c8b9f90c8c40e42b5d"),
+        (2, "26d8dab49e05b21d98640b41e1b31e87d29ee69e67ae2221c5f50f85500d8935"),
+        (2, "feec5dac58fb3f5c458950da7d213e37143135b57cb60b10bed7710586f13e8c"),
+        (2, "8fdcf176e7ecb3e93b2afc1ea950a7d94f92036928ed6368aa619b1058cb89aa"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    (0, 5): (
+        (2, "98fcb789acf8d1371545b9df740d01e6da8620a56bafd74eeb16e0103bda7d3e"),
+        (2, "9a00aecfa45086977b61b623a1a849a1c9477f5baa00dbc5bf1696967a933d74"),
+        (2, "772a29f1fe21187bac25304ba5ab54f66cab735d1e6043ab925cf828a2f4edf0"),
+        (2, "da41728d02329517cfcf188f5810c9fc428842a6541824afc37cdceac8431cb0"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    (5, 5): (
+        (2, "ced78f79c3f0924fdde9f583a94ae5bfdb64fad78f4b726e82fca94dd2e640a3"),
+        (2, "1b51442fb06b9ca230aa5c5e714ad3e1596f8c2855b8bd3019f28ab0f5606bf0"),
+        (2, "28ac883fc9c9a9b94b3871d5e96ff319ffa98780cc8ffa3353930888be27c285"),
+        (2, "cdacfe1c9a891cb7a7767f0e7738390586f62bc1d876f96eea7f86a630951222"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+    (100, 0): (
+        (2, "df2165e46e6f1bc9ce7e86eb62e910327bf8de6c9fb9f8b22f2eaa104c7f9dea"),
+        (2, "6b20845790cb3d1886392007ac7c5ccd25d13c6d487e6416d247ac397117c073"),
+        (2, "1fde7b42d58b7df2df90287644d7ff7dc220a2cf9b9e1de808b8e8cbc6c3e062"),
+        (2, "42c7dc87d06a69c0fa3867592d63430dfce78e5602eb9e10a40897ad8a710275"),
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")),
+}
+
+
+class TestConstantsBytes:
+    """constants writes the same bytes for fixed signatures and rho'."""
+
+    @pytest.mark.parametrize("sig", CONSTANTS_DIGESTS,
+                             ids=lambda sig: "%d,%d" % sig)
+    def test_digests(self, capsys, sig):
+        g, n = sig
+        for rho_prime, want in zip(CONSTANTS_RHO_PRIMES,
+                                   CONSTANTS_DIGESTS[sig]):
+            flags = [] if rho_prime is None else ["--rho-prime", rho_prime]
+            code, out = run(["constants", "--g", str(g), "--n", str(n),
+                             *flags], capsys)
+            assert (code, hashlib.sha256(out.encode()).hexdigest()) == want, (
+                rho_prime)
 
 
 class TestComputeCommand:
@@ -657,6 +733,25 @@ class TestOptimizeBytes:
                 got = (code, hashlib.sha256(out.encode()).hexdigest())
                 assert got == want, (lengths, n, seed, budget, search_seed)
 
+
+class TestCollarLaw:
+    """On (0,4) with one short curve, the best max |shear| that
+    ``optimize --budget 300 --seed 0`` finds is twice the curve's collar
+    width, 2 asinh(1/sinh(l/2)), to within 0.02 (measured: best - 2w(l)
+    lies in [-0.0025, 0]).  This is a measured property of the chain
+    builder and the seeded flip search, not a theorem."""
+
+    @pytest.mark.parametrize("length", [0.02, 0.05, 0.1, 0.2])
+    def test_best_is_twice_the_collar_width(self, tmp_path, capsys, length):
+        for u in (-0.4, 0.0, 0.1, 0.3):
+            path = write_surface(tmp_path, dict(
+                SURFACE_04,
+                fn=[{"curve": 0, "length": length, "twist": u * length}]))
+            code, out = run(["optimize", path, "--budget", "300",
+                             "--seed", "0"], capsys)
+            best = json.loads(out)["records"][0]["best_max_shear"]
+            assert code == 0
+            assert abs(best - 2 * collar_width(length)) <= 0.02, u
 
 class TestTwistReduction:
     """optimize first reduces each twist outside [-l/2, l/2) into it by

@@ -295,6 +295,12 @@ def _row(report, prefix):
     raise AssertionError(f"no audit row starting with {prefix!r}")
 
 
+#: rho' across [tanh(rho), rho): its ends, the default just below rho,
+#: and points between
+SCAN_RHO_PRIMES = [C.DEFAULT_RHO_PRIME, math.tanh(C.RHO), 0.268, 0.27,
+                   0.272, 0.274, 0.2745, 0.2746]
+
+
 class TestOneDerivation:
     """The spike table and the audit rest on one side map and one scan."""
 
@@ -307,7 +313,8 @@ class TestOneDerivation:
             assert value == C.spike_constant((a, ell), (b, ell), p), (a, b)
 
     def test_one_scan_per_constants_report(self, monkeypatch):
-        # the scan reads both widths of a grid point from one call
+        # one scan per report, which evaluates each candidate point once
+        # with math, and far fewer points than the grid holds
         from shearlab import report
         real = C._collar_widths
         calls = []
@@ -320,9 +327,13 @@ class TestOneDerivation:
         C._grid_scan.cache_clear()
         try:
             report.constants_report(C.Signature(2, 1))
+            misses = C._grid_scan.cache_info().misses
         finally:
             C._grid_scan.cache_clear()
-        assert len(calls) == C._GRID_POINTS + 1 == 10_001
+        assert misses == 1
+        grid = set(_math_grid())
+        assert calls and set(calls) <= grid
+        assert len(set(calls)) == len(calls) < len(grid) / 4
 
     def test_audit_runs_the_scan(self, monkeypatch):
         # constants_report runs the audit first, so a traced run charges
@@ -348,31 +359,104 @@ class TestOneDerivation:
         report.constants_report(C.Signature(2, 1))
         assert calls and calls[0]
 
-    @pytest.mark.parametrize("rho_prime", [C.DEFAULT_RHO_PRIME,
-                                           math.tanh(C.RHO)])
+    @pytest.mark.parametrize("rho_prime", SCAN_RHO_PRIMES)
     def test_scan_is_the_per_point_reference(self, rho_prime):
-        # the scan as it was: each width from its own public function at
-        # every point of a grid computed term by term, the same bits
         p = C.shear_free_params(rho_prime)
-        lo, hi = 1e-8, C.SHORT_CURVE_MAX
-        step = (math.log(hi) - math.log(lo)) / (C._GRID_POINTS - 1)
-        grid = [math.exp(math.log(lo) + i * step)
-                for i in range(C._GRID_POINTS)]
-        assert C._admissible_grid() == grid
-        gap = boundary = (-math.inf, None)
-        margin = (math.inf, None)
-        for ell in grid + [C.SHORT_CURVE_MAX]:
-            w = C.collar_width(ell)
-            w_t = C.truncated_collar_width(ell, p)
-            g, b, m = w - w_t, ell * math.cosh(w_t), w - (w_t + C.RHO)
-            if g > gap[0]:
-                gap = (g, ell)
-            if b > boundary[0]:
-                boundary = (b, ell)
-            if m < margin[0]:
-                margin = (m, ell)
         C._grid_scan.cache_clear()
-        assert C._grid_scan(p) == (gap, boundary, margin)
+        assert C._grid_scan(p) == _reference_scan(p)
+
+    @pytest.mark.parametrize("rho_prime", [0.26, 0.2, 0.1])
+    def test_scan_raises_as_the_per_point_reference(self, rho_prime):
+        # below tanh(rho) the acosh argument drops under 1 inside the
+        # grid: the first point that fails raises, whichever scan runs
+        p = C.shear_free_params(rho_prime)
+        with pytest.raises(Exception) as want:
+            _reference_scan(p)
+        C._grid_scan.cache_clear()
+        with pytest.raises(Exception) as got:
+            C._grid_scan(p)
+        assert want.type is got.type is ValueError
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("column,value", [
+        (0, C.SHORT_CURVE_MAX), (1, 1.0), (4, math.nan)])
+    def test_points_a_check_could_fail_are_evaluated(self, monkeypatch,
+                                                     column, value):
+        # a numpy length at the top of the range, an acosh argument at 1
+        # or a NaN margin, in the middle of the grid, where no extremum
+        # lies: the scan evaluates that point with math
+        real_values, real_widths = C._grid_values, C._collar_widths
+        k = C._GRID_POINTS // 2
+        calls = []
+
+        def values(params):
+            arrays = [a.copy() for a in real_values(params)]
+            arrays[column][k] = value
+            return arrays
+
+        def widths(length, params):
+            calls.append(length)
+            return real_widths(length, params)
+
+        monkeypatch.setattr(C, "_grid_values", values)
+        monkeypatch.setattr(C, "_collar_widths", widths)
+        p = C.shear_free_params()
+        C._grid_scan.cache_clear()
+        try:
+            got = C._grid_scan(p)
+        finally:
+            C._grid_scan.cache_clear()
+        assert _math_grid()[k] in calls
+        assert got == _reference_scan(p)
+
+    @pytest.mark.parametrize("rho_prime", SCAN_RHO_PRIMES)
+    def test_numpy_values_within_half_the_band(self, rho_prime):
+        # the premise of the scan's candidate band: at every point,
+        # numpy's length, acosh argument, gap, boundary and margin lie
+        # close enough to math's that a point outside the band can
+        # neither reach an extremum nor fail a check
+        p = C.shear_free_params(rho_prime)
+        lengths, args, *values = C._grid_values(p)
+        want = np.array(_math_rows(p)).T
+        assert np.all(np.abs(lengths - want[0]) <= np.spacing(want[0]))
+        assert np.all(np.abs(args - want[1])
+                      <= want[1] * C._SCAN_BAND / 2)
+        for got, exact in zip(values, want[2:]):
+            assert np.max(np.abs(got - exact)) <= C._SCAN_BAND / 2
+
+
+def _math_grid():
+    """The audit's grid computed term by term, then 2 tanh(rho)."""
+    lo, hi = 1e-8, C.SHORT_CURVE_MAX
+    step = (math.log(hi) - math.log(lo)) / (C._GRID_POINTS - 1)
+    return [math.exp(math.log(lo) + i * step)
+            for i in range(C._GRID_POINTS)] + [C.SHORT_CURVE_MAX]
+
+
+def _math_rows(p):
+    """Length, acosh argument, gap, boundary and margin per grid point,
+    each width from its own public function."""
+    rows = []
+    for ell in _math_grid():
+        w = C.collar_width(ell)
+        w_t = C.truncated_collar_width(ell, p)
+        rows.append((ell, 2.0 * math.sinh(p.delta3) / ell, w - w_t,
+                     ell * math.cosh(w_t), w - (w_t + C.RHO)))
+    return rows
+
+
+def _reference_scan(p):
+    """The scan as it was: every point evaluated in math, in order."""
+    gap = boundary = (-math.inf, None)
+    margin = (math.inf, None)
+    for ell, _, g, b, m in _math_rows(p):
+        if g > gap[0]:
+            gap = (g, ell)
+        if b > boundary[0]:
+            boundary = (b, ell)
+        if m < margin[0]:
+            margin = (m, ell)
+    return gap, boundary, margin
 
 
 class TestTopologyConstants:

@@ -39,7 +39,8 @@ seeds and draws (surface.py) must give the scalar path's bits, and
 numpy's transcendental and power ufuncs round differently from math
 (its SIMD tanh, cosh, asinh, exp and log, and ``arr ** 2``, differ in
 the last bit on a share of inputs): none of them names such a ufunc or
-uses ``**``.  numpy's complex product, quotient and abs round
+uses ``**``.  The constants audit's grid scan (constants.py) does, but
+only to pick the points it evaluates again with math.  numpy's complex product, quotient and abs round
 differently from CPython's too, so none uses a complex number at all,
 numpy's or Python's: no ``1j`` literal, no ``complex``, no numpy
 complex type or complex dtype name.  Every module the benchmark's worker

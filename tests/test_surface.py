@@ -41,6 +41,36 @@ class TestValidate:
             sig = Signature(g, n)
             assert S.validate(S.canonical_pants_graph(sig), sig) == []
 
+    def test_canonical_graph_is_the_old_construction(self):
+        sigs = [(g, n) for g in range(61) for n in range(7)
+                if 2 * g - 2 + n > 0] + [(2000, 3)]
+        for g, n in sigs:
+            sig = Signature(g, n)
+            assert S.canonical_pants_graph(sig) == old_canonical_graph(sig), (
+                g, n)
+
+
+def old_canonical_graph(sig):
+    """canonical_pants_graph as first written, popping the handle slots
+    off the front of the free list (quadratic in g): the oracle of the
+    indexed walk."""
+    m = sig.complexity
+    slots = [[None, None, None] for _ in range(m)]
+    next_curve = 0
+    for p in range(m - 1):
+        slots[p][2] = ("curve", next_curve)
+        slots[p + 1][0] = ("curve", next_curve)
+        next_curve += 1
+    free = [(p, s) for p in range(m) for s in range(3) if slots[p][s] is None]
+    for _ in range(sig.g):
+        (p1, s1), (p2, s2) = free.pop(0), free.pop(0)
+        slots[p1][s1] = ("curve", next_curve)
+        slots[p2][s2] = ("curve", next_curve)
+        next_curve += 1
+    for cusp_id, (p, s) in enumerate(free):
+        slots[p][s] = ("cusp", cusp_id)
+    return S.PantsGraph(tuple(tuple(s) for s in slots))
+
 
 class TestSeamLengths:
     def test_equilateral(self):

@@ -25,12 +25,13 @@ Subcommands:
   outside [-l/2, l/2), l its curve's length, is first reduced into it
   by whole Dehn twists, which do not change the surface.  Each of the B
   steps scores in closed form the flips that can improve the maximum
-  (those of the edges of the two faces at the largest |shear|) and
-  flips only the edge it takes, in place.  Exit 1 on a parse error (as for
-  ``compute``), a negative budget or a seed outside [0, 2^64), 4 for
-  surfaces without a supported start triangulation or that fail a
-  geometry invariant (as for ``compute``, and a start or best state
-  whose cusp sums exceed 1e-6, RELATION_TOL).
+  (by the signs of Penner's rule, the two edges the sides of the edge
+  at the largest |shear| follow when that shear is >= 0, or precede
+  when it is < 0) and flips only the edge it takes, in place.  Exit 1
+  on a parse error (as for ``compute``), a negative budget or a seed
+  outside [0, 2^64), 4 for surfaces without a supported start
+  triangulation or that fail a geometry invariant (as for ``compute``,
+  and a start or best state whose cusp sums exceed 1e-6, RELATION_TOL).
 
 Boundary lengths too long for float64 (about 76 and up) fail the pants
 construction: ``compute`` exits 3 and ``optimize`` exits 4.  A surface

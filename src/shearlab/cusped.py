@@ -21,12 +21,23 @@ kernel re-glues a flip's two faces, writes the shears of their five
 edges on their sides and the sides' partners, and checks those faces
 and their neighbours with the face check that check() runs.  The public
 flip and the search, which decodes only its best state, both run it.
+Each side's successor and predecessor in its face come from side
+tables (_side_tables).
+
+The minimax search lowers the largest |shear|.  Penner's rule adds a
+non-positive amount to the sides following a flipped edge in its faces
+and a non-negative one to the sides preceding it, so at a finite
+maximum only two flips can lower the top edge's |shear|: those of the
+edges its two sides follow when its shear is >= 0, or precede when it
+is < 0.  A step scores those two, the few others _descents names, and
+the edge a kick draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,6 +135,14 @@ _NEXT = (1, 1, -2)      # side i + _NEXT[i % 3] follows side i in its face
 _PREV = (2, -1, -1)     # side i + _PREV[i % 3] precedes it
 
 
+@lru_cache(maxsize=16)
+def _side_tables(n: int):
+    """For n sides, the side following and the side preceding each side
+    in its face, as two tuples indexed by side."""
+    return (tuple(i + _NEXT[i % 3] for i in range(n)),
+            tuple(i + _PREV[i % 3] for i in range(n)))
+
+
 def _encode(cx: CuspedTriangulation):
     """The flat glue and labels of a triangulation.
 
@@ -184,6 +203,7 @@ def _check_faces(glue, labels, faces, shears=None):
     """Check that the given faces are glued by an involution and carry
     the same cusps as their partners across each side; given the shears,
     also that each side holds its partner's shear."""
+    nxt, _ = _side_tables(len(glue))
     for f in faces:
         for i in range(3 * f, 3 * f + 3):
             j = glue[i]
@@ -191,8 +211,7 @@ def _check_faces(glue, labels, faces, shears=None):
                 raise ValueError(
                     f"gluing is not an involution at {divmod(i, 3)}")
             # glued sides carry the same cusps, traversed oppositely
-            if (labels[i] != labels[j + _NEXT[j % 3]]
-                    or labels[i + _NEXT[i % 3]] != labels[j]):
+            if labels[i] != labels[nxt[j]] or labels[nxt[i]] != labels[j]:
                 raise ValueError(f"cusp labels disagree across {divmod(i, 3)}")
             # the same float, not an equal one, so that a NaN passes
             if shears is not None and shears[i] is not shears[j]:
@@ -262,12 +281,12 @@ def _flip_flat(glue, labels, shears, e, changed):
     neighbours, the only faces whose gluing, labels or shears a flip
     changes.  Returns the outer sides and the sides they moved to."""
     keys, values = changed
+    nxt, prv = _side_tables(len(glue))
     e2 = glue[e]
     b1, b2 = e - e % 3, e2 - e2 % 3
     # outer sides P, Q of f1 and R, S of f2, and the slots they move to:
     # U1 = (x, w, z) replaces f1, U2 = (w, y, z) replaces f2
-    p, q = e + _NEXT[e % 3], e + _PREV[e % 3]
-    r, s = e2 + _NEXT[e2 % 3], e2 + _PREV[e2 % 3]
+    p, q, r, s = nxt[e], prv[e], nxt[e2], prv[e2]
     outer, slots = (p, q, r, s), (b2 + 1, b1 + 2, b1, b2)
     x, y, z, w = labels[e], labels[p], labels[q], labels[s]
     partners = [glue[p], glue[q], glue[r], glue[s]]
@@ -292,11 +311,21 @@ def _flip_flat(glue, labels, shears, e, changed):
     return outer, slots
 
 
+def _edge_index(glue, edge) -> int:
+    """The flat edge key of the edge through side edge = (face, side);
+    raises ValueError for a pair that is not a side."""
+    f, s = edge
+    i = 3 * f + s
+    if not (0 <= s < 3 and 0 <= i < len(glue)):
+        raise ValueError(f"{(f, s)} is not a side")
+    return min(i, glue[i])
+
+
 def flippable(cx: CuspedTriangulation, edge) -> bool:
-    """Whether the edge's two faces differ and share only this edge."""
+    """Whether the edge's two faces differ and share only this edge;
+    raises ValueError if edge is not a side."""
     glue, _ = _encode(cx)
-    f, s = cx.edge_key(*edge)
-    return _flippable(glue, 3 * f + s)
+    return _flippable(glue, _edge_index(glue, edge))
 
 
 def flip(cx: CuspedTriangulation, sigma: dict, edge):
@@ -309,8 +338,7 @@ def flip(cx: CuspedTriangulation, sigma: dict, edge):
     new diagonal last.
     """
     glue, labels = _encode(cx)
-    f, s = cx.edge_key(*edge)
-    e = 3 * f + s
+    e = _edge_index(glue, edge)
     if not _flippable(glue, e):
         raise ValueError(f"edge {divmod(e, 3)} is not flippable")
     shears = _encode_shears(glue, sigma)
@@ -499,6 +527,35 @@ def rewrite_walk(walk, cx: CuspedTriangulation, edge):
 # minimax flip search
 
 
+def _descents(glue, shears, top, nxt, prv) -> list:
+    """The flippable edge keys a search step scores at a finite maximum
+    |shear| held by edge key top, given the side tables nxt and prv.
+
+    Penner's rule (see _flip_changes) adds lose <= 0 to the outer sides
+    that follow the flipped edge in its two faces and gain >= 0 to the
+    sides that precede it.  For a flippable edge other than top whose
+    quadrilateral has no self-folded face, top is exactly one of those
+    four sides.  Rounding is monotone, so a flip that adds gain to top's
+    shear T >= 0, or lose to T < 0, leaves |T'| >= |T|, the maximum, and
+    its score, which counts |T'|, does not improve; top's own flip only
+    negates T.  So the two edges top's sides follow (T >= 0) or precede
+    (T < 0) are scored.  Of the other two edges of top's faces, one is
+    scored anyway if its shear is NaN, which makes T' a NaN that the
+    score passes over, or if its quadrilateral has a self-folded face.
+    """
+    lower, other = (prv, nxt) if shears[top] >= 0 else (nxt, prv)
+    keys = set()
+    for i in (top, glue[top]):
+        j = lower[i]
+        keys.add(min(j, glue[j]))
+        j = other[i]
+        k = glue[j]
+        if (shears[j] != shears[j] or glue[nxt[j]] == prv[j]
+                or glue[nxt[k]] == prv[k]):
+            keys.add(min(j, k))
+    return [e for e in keys if _flippable(glue, e)]
+
+
 def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
                         seed: int):
     """Greedy descent on the maximum absolute shear with random kicks.
@@ -508,24 +565,29 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
     complex.  The lowest (value, edge) is flipped if it improves on the
     current maximum by more than 1e-12; otherwise a seeded random kick
     flips an edge drawn uniformly from the sorted flippable edges.  Only
-    a flip that changes the shear of the top-ranked edge can improve,
-    since any other keeps that shear, the current maximum; and a flip
-    changes only the edges of its own two faces.  So while the maximum
-    is finite a step scores only the flippable edges of the two faces
-    of the top-ranked edge, and a kick also scores the edge it draws.
-    Every step, kick or descent, uses one unit of budget.  The search
-    encodes the inputs once, a shear on every side, checks the whole
-    complex once, then flips the encoding in place (see _flip_flat); the
-    inputs are left unchanged, the encoding is copied only when the best
-    maximum improves, and the best state is decoded once, at the end,
-    its edges in key order.  Returns the best triangulation, its shear
-    vector, the best maximum and the flip trail.
+    a flip that lowers the |shear| of the top-ranked edge can improve,
+    since any other keeps that shear, the current maximum, or raises it.
+    By the signs of Penner's rule (see _descents), at most two flips do:
+    those of the edges the top edge's two sides follow in their faces
+    when its shear is >= 0, or precede when it is < 0.  So while the
+    maximum is finite a step scores those two, and any other edge of the
+    top edge's faces whose shear is NaN or whose quadrilateral has a
+    self-folded face; a kick also scores the edge it draws.  Otherwise a
+    step scores every flippable edge.  Every step, kick or descent, uses
+    one unit of budget.  The search encodes the inputs once, a shear on
+    every side, checks the whole complex once, then flips the encoding
+    in place (see _flip_flat); the inputs are left unchanged, the
+    encoding is copied only when the best maximum improves, and the best
+    state is decoded once, at the end, its edges in key order.  Returns
+    the best triangulation, its shear vector, the best maximum and the
+    flip trail.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     cur_max = max_abs_shear(sigma)
     glue, labels = _encode(cx)
     _check(glue, labels)
     shears = _encode_shears(glue, sigma)
+    nxt, prv = _side_tables(len(glue))
     best, best_max = None, cur_max      # None: the input state
     trail = []
     while len(trail) < budget:
@@ -534,27 +596,20 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
                          reverse=True)
         # a NaN shear can leave the ranking's head below a finite maximum
         if ranking and math.isfinite(cur_max) and ranking[0][0] == cur_max:
-            top = ranking[0][1]
-            b1, b2 = top - top % 3, glue[top] - glue[top] % 3
-            near = {i if i < glue[i] else glue[i]
-                    for i in (b1, b1 + 1, b1 + 2, b2, b2 + 1, b2 + 2)}
+            scored = _descents(glue, shears, ranking[0][1], nxt, prv)
         else:
-            near = set(edges)
+            scored = [e for e in edges if _flippable(glue, e)]
         flipped, improving = {}, None      # improving: the lowest (value, e)
-        for e in near:
-            if _flippable(glue, e):
-                flipped[e] = _flip_changes(glue, shears, e)
-                c = (_flip_score(ranking, flipped[e]), e)
-                if c[0] < cur_max - 1e-12 and (not improving or c < improving):
-                    improving = c
+        for e in scored:
+            flipped[e] = _flip_changes(glue, shears, e)
+            c = (_flip_score(ranking, flipped[e]), e)
+            if c[0] < cur_max - 1e-12 and (not improving or c < improving):
+                improving = c
         if improving:
             val, e = improving
         else:
-            # stuck at a local minimum: random kick; the near edges were
-            # tested already: flippable iff scored
-            candidates = [e for e in edges
-                          if (e in flipped if e in near
-                              else _flippable(glue, e))]
+            # stuck at a local minimum: random kick
+            candidates = [e for e in edges if _flippable(glue, e)]
             if not candidates:
                 break
             e = candidates[int(rng.integers(0, len(candidates)))]

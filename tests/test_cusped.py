@@ -320,6 +320,15 @@ class TestFlips:
         with pytest.raises(ValueError):
             CU.flip(cx, sigma, cx.edges()[0])
 
+    def test_rejects_non_sides(self):
+        _, (cx, sigma, _) = chain(Signature(0, 4), seed=2)
+        for edge in ((99, 0), (0, 3), (-1, 0)):
+            for run in (lambda: CU.flip(cx, sigma, edge),
+                        lambda: CU.flippable(cx, edge)):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"{edge} is not a side")):
+                    run()
+
 
 class TestWalksThroughFlips:
     def test_lengths_invariant_over_random_sequences(self):
@@ -603,9 +612,10 @@ class TestMinimaxSearch:
 
     @pytest.mark.parametrize("n", [4, 7, 12, 24])
     def test_step_scores_at_most_six_flips(self, n, monkeypatch):
-        # only the flips of the edges of the two faces of the top-ranked
-        # edge can improve, so a step scores at most those five edges and
-        # the edge a kick draws, whatever the number of edges
+        # at a finite maximum only the flips of the two edges the top
+        # edge's sides follow (shear >= 0) or precede (shear < 0) can
+        # improve (see TestDescentRule), so a step scores at most those
+        # two and the edge a kick draws, whatever the number of edges
         cx = doubled_polygon(n)
         rng = np.random.default_rng(n)
         sigma = {e: float(rng.normal(0.0, 3.0)) for e in cx.edges()}
@@ -614,7 +624,9 @@ class TestMinimaxSearch:
         got = CU.minimax_flip_search(cx, sigma, 40, n)
         assert got[3] == want[3] and got[2] == want[2] and got[1] == want[1]
         assert len(per_step) == 41 and per_step[-1] == 0
-        assert max(per_step) <= 6
+        assert all(math.isfinite(CU.max_abs_shear(s))
+                   for _, s in replay(cx, sigma, got[3]))
+        assert max(per_step) <= 3
         assert 1 <= want[4] < 40        # descents and kicks both ran
 
     def test_infinite_maximum_scans_every_edge(self, monkeypatch):
@@ -673,6 +685,113 @@ class TestMinimaxSearch:
         out1 = CU.minimax_flip_search(cx, sigma, 25, 7)
         out2 = CU.minimax_flip_search(cx, sigma, 25, 7)
         assert out1[2] == out2[2] and out1[3] == out2[3]
+
+
+def sign_rule(cx, sigma, top):
+    """The edges the top edge's two sides follow in their faces when its
+    shear is >= 0, or precede when it is < 0."""
+    turn = 2 if sigma[top] >= 0 else 1      # side (s + 2) % 3 precedes s
+    return {cx.edge_key(f, (s + turn) % 3) for f, s in (top, cx.glue[top])}
+
+
+def near_edges(cx, top):
+    """The edges of the top edge's two faces."""
+    return {cx.edge_key(f, s) for f in (top[0], cx.glue[top][0])
+            for s in range(3)}
+
+
+def descents(cx, sigma):
+    """The top-ranked edge, the maximum |shear| and the edges the search
+    scores at that state, for a state whose maximum is finite."""
+    glue, _, shears = flat(cx, sigma)
+    cur_max, top = max((abs(shears[k]), k) for k in CU._edge_keys(glue))
+    scored = CU._descents(glue, shears, top, *CU._side_tables(len(glue)))
+    return divmod(top, 3), cur_max, {divmod(e, 3) for e in scored}
+
+
+def descent_states(search_runs):
+    """The states of the search runs' trails, of the self-folded
+    fixtures' searches and of searches on doubled polygons."""
+    yield from trail_states(search_runs)
+    for folded_first in (True, False):
+        cx = self_folded(folded_first)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            sigma = {e: float(rng.normal(0.0, 3.0)) for e in cx.edges()}
+            yield from replay(cx, sigma,
+                              _reference_search(cx, sigma, 30, seed)[3])
+    for n in (4, 7, 12):
+        cx = doubled_polygon(n)
+        rng = np.random.default_rng(n)
+        sigma = {e: float(rng.normal(0.0, 3.0)) for e in cx.edges()}
+        yield from replay(cx, sigma, CU.minimax_flip_search(cx, sigma, 40,
+                                                            n)[3])
+
+
+class TestDescentRule:
+    # Penner's rule adds lose <= 0 to the sides following a flipped edge
+    # in its faces and gain >= 0 to the sides preceding it, so at a finite
+    # maximum only two flips can lower the top edge's |shear|
+
+    def test_skipped_flips_never_improve(self, search_runs):
+        # the built flip of every flippable edge outside the sign rule's
+        # two, the top edge and self-folded quadrilaterals included, is
+        # no descent: its maximum is not below cur_max - 1e-12
+        skipped = folded = 0
+        for cx, sigma in descent_states(search_runs):
+            top, cur_max, scored = descents(cx, sigma)
+            assert math.isfinite(cur_max) and abs(sigma[top]) == cur_max
+            rule = sign_rule(cx, sigma, top)
+            flippable = {e for e in cx.edges() if CU.flippable(cx, e)}
+            assert rule & flippable <= scored <= flippable & near_edges(cx,
+                                                                        top)
+            for e in flippable - rule:
+                _, flipped = F.dict_flip(cx, sigma, e)
+                assert not CU.max_abs_shear(flipped) < cur_max - 1e-12
+                skipped += 1
+                folded += folds(cx, e)
+        assert skipped >= 5000 and folded >= 10, (skipped, folded)
+
+    def test_nan_shear_is_scored(self):
+        # a NaN shear makes the flip's outer shears NaN, the top edge's
+        # too, so the largest finite |shear| it leaves can fall below the
+        # maximum: the rule scores it
+        cx = doubled_polygon(6)
+        planted = 0
+        for top in cx.edges():
+            for sign in (1.0, -1.0):
+                sigma = {e: 0.5 for e in cx.edges()}
+                sigma[top] = 3.0 * sign
+                rule = sign_rule(cx, sigma, top)
+                _, cur_max, scored = descents(cx, sigma)
+                assert scored == {e for e in rule if CU.flippable(cx, e)}
+                for e in near_edges(cx, top) - rule - {top}:
+                    if not CU.flippable(cx, e):
+                        continue
+                    bad = dict(sigma)
+                    bad[e] = math.nan
+                    assert e in descents(cx, bad)[2]
+                    _, flipped = F.dict_flip(cx, bad, e)
+                    assert max(abs(v) for v in flipped.values()
+                               if not math.isnan(v)) < cur_max - 1e-12
+                    planted += 1
+        assert planted >= 10
+
+    @pytest.mark.parametrize("folded_first", [True, False])
+    def test_self_folded_quadrilateral_is_scored(self, folded_first):
+        cx = self_folded(folded_first)
+        planted = 0
+        for top in cx.edges():
+            for sign in (1.0, -1.0):
+                sigma = {e: 0.5 for e in cx.edges()}
+                sigma[top] = 3.0 * sign
+                _, _, scored = descents(cx, sigma)
+                for e in (near_edges(cx, top) - sign_rule(cx, sigma, top)
+                          - {top}):
+                    if CU.flippable(cx, e) and folds(cx, e):
+                        assert e in scored
+                        planted += 1
+        assert planted >= 1
 
 
 class TestFlipInPlace:

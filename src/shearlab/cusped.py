@@ -30,14 +30,20 @@ and a non-negative one to the sides preceding it, so at a finite
 maximum only two flips can lower the top edge's |shear|: those of the
 edges its two sides follow when its shear is >= 0, or precede when it
 is < 0.  A step scores those two, the few others _descents names, and
-the edge a kick draws.
+the edge a kick draws.  The search keeps its step state, which sides
+are edge keys and which edges are flippable, from one step to the next:
+a flip changes it only on the sides of its two faces and their
+partners.  A kick draws from the raw words of a Philox bit generator by
+numpy's bounded rule, so it draws what Generator.integers would.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -205,7 +211,8 @@ def _check_faces(glue, labels, faces, shears=None):
     also that each side holds its partner's shear."""
     nxt, _ = _side_tables(len(glue))
     for f in faces:
-        for i in range(3 * f, 3 * f + 3):
+        b = 3 * f
+        for i in (b, b + 1, b + 2):
             j = glue[i]
             if glue[j] != i:
                 raise ValueError(
@@ -222,12 +229,19 @@ def _edge_keys(glue):
     return [i for i, j in enumerate(glue) if i <= j]
 
 
+def _face_flippable(glue, f) -> tuple:
+    """Whether the edge of each side of face f is flippable: its two
+    faces differ and share only this edge, so that no other side of f
+    is glued to the same face."""
+    b = 3 * f
+    x, y, z = glue[b] // 3, glue[b + 1] // 3, glue[b + 2] // 3
+    return (x != f and x != y and x != z, y != f and y != x and y != z,
+            z != f and z != x and z != y)
+
+
 def _flippable(glue, i) -> bool:
-    f1, f2 = i // 3, glue[i] // 3
-    if f1 == f2:
-        return False
-    b = 3 * f1
-    return (glue[b] // 3, glue[b + 1] // 3, glue[b + 2] // 3).count(f2) == 1
+    """Whether side i's edge is flippable (the same from either side)."""
+    return _face_flippable(glue, i // 3)[i % 3]
 
 
 def _flip_changes(glue, shears, e):
@@ -246,8 +260,8 @@ def _flip_changes(glue, shears, e):
     gain_prev = math.log1p(math.exp(s_val)) if s_val < 30 else s_val
     gain_next = math.log1p(math.exp(-s_val)) if s_val > -30 else -s_val
     lose, gain = 0.0 + -gain_next, 0.0 + gain_prev
-    p, q = e + _NEXT[e % 3], e + _PREV[e % 3]
-    r, s = e2 + _NEXT[e2 % 3], e2 + _PREV[e2 % 3]
+    nxt, prv = _side_tables(len(glue))
+    p, q, r, s = nxt[e], prv[e], nxt[e2], prv[e2]
     gp, gq, gr, gs = glue[p], glue[q], glue[r], glue[s]
     keys = (p if p < gp else gp, q if q < gq else gq,
             r if r < gr else gr, s if s < gs else gs, e)
@@ -300,14 +314,21 @@ def _flip_flat(glue, labels, shears, e, changed):
         partners = [moved.get(j, j) for j in partners]
     labels[b1:b1 + 3] = (x, w, z)
     labels[b2:b2 + 3] = (w, y, z)
-    for me, partner, value in zip(slots, partners, values):
-        glue[me], glue[partner] = partner, me
-        shears[me] = shears[partner] = value
+    # each slot is glued to its outer side's partner and holds the new
+    # shear of their edge; the new diagonal joins b1 + 1 and b2 + 2
+    (pp, pq, pr, ps), (vp, vq, vr, vs, vd) = partners, values
+    glue[b2 + 1], glue[pp] = pp, b2 + 1
+    shears[b2 + 1] = shears[pp] = vp
+    glue[b1 + 2], glue[pq] = pq, b1 + 2
+    shears[b1 + 2] = shears[pq] = vq
+    glue[b1], glue[pr] = pr, b1
+    shears[b1] = shears[pr] = vr
+    glue[b2], glue[ps] = ps, b2
+    shears[b2] = shears[ps] = vs
     glue[b1 + 1], glue[b2 + 2] = b2 + 2, b1 + 1
-    shears[b1 + 1] = shears[b2 + 2] = values[-1]
-    _check_faces(glue, labels, {b1 // 3, b2 // 3, partners[0] // 3,
-                                partners[1] // 3, partners[2] // 3,
-                                partners[3] // 3}, shears)
+    shears[b1 + 1] = shears[b2 + 2] = vd
+    _check_faces(glue, labels, {b1 // 3, b2 // 3, pp // 3, pq // 3, pr // 3,
+                                ps // 3}, shears)
     return outer, slots
 
 
@@ -527,9 +548,36 @@ def rewrite_walk(walk, cx: CuspedTriangulation, edge):
 # minimax flip search
 
 
-def _descents(glue, shears, top, nxt, prv) -> list:
+def _step_state(glue):
+    """The search's step state of a flat gluing: two lists indexed by
+    side, whether the side is its edge's key and whether its edge is
+    flippable (the same on both sides)."""
+    return ([i <= j for i, j in enumerate(glue)],
+            [ok for f in range(len(glue) // 3)
+             for ok in _face_flippable(glue, f)])
+
+
+def _refresh(glue, is_key, flags, faces):
+    """Bring the step state up to date after a flip that re-glued the
+    two given faces.  Only their six sides and those sides' partners
+    can change key, and only the edges of those sides, the flipped
+    quadrilateral's five, can change flippability: elsewhere the flip
+    at most exchanges one of the two faces for the other as a partner
+    face, and the flippability of an edge between two other faces
+    compares neither of them."""
+    for f in faces:
+        b = 3 * f
+        i, j, k = glue[b], glue[b + 1], glue[b + 2]
+        flags[b], flags[b + 1], flags[b + 2] = flags[i], flags[j], flags[k] \
+            = _face_flippable(glue, f)
+        is_key[b], is_key[b + 1], is_key[b + 2] = b <= i, b < j, b + 2 <= k
+        is_key[i], is_key[j], is_key[k] = i <= b, j <= b + 1, k <= b + 2
+
+
+def _descents(glue, shears, top, nxt, prv, flags) -> list:
     """The flippable edge keys a search step scores at a finite maximum
-    |shear| held by edge key top, given the side tables nxt and prv.
+    |shear| held by edge key top, given the side tables nxt and prv and
+    the step state's flippable flags.
 
     Penner's rule (see _flip_changes) adds lose <= 0 to the outer sides
     that follow the flipped edge in its two faces and gain >= 0 to the
@@ -547,13 +595,41 @@ def _descents(glue, shears, top, nxt, prv) -> list:
     keys = set()
     for i in (top, glue[top]):
         j = lower[i]
-        keys.add(min(j, glue[j]))
+        k = glue[j]
+        keys.add(j if j < k else k)
         j = other[i]
         k = glue[j]
         if (shears[j] != shears[j] or glue[nxt[j]] == prv[j]
                 or glue[nxt[k]] == prv[k]):
-            keys.add(min(j, k))
-    return [e for e in keys if _flippable(glue, e)]
+            keys.add(j if j < k else k)
+    return list(filter(flags.__getitem__, keys))
+
+
+def _philox_halves(seed):
+    """The 32-bit words numpy's bounded integers read from
+    Philox(key=seed): each raw 64-bit word's low half, then its high
+    half.  The bit generator is made, and its raw words read 32 at a
+    time, only when a word is asked for."""
+    bitgen = np.random.Philox(key=seed)
+    while True:
+        for word in bitgen.random_raw(32).tolist():
+            yield word & 0xFFFFFFFF
+            yield word >> 32
+
+
+def _draw(halves, k: int) -> int:
+    """Generator(Philox(key=seed)).integers(0, k) for 1 <= k <= 2**32,
+    from the words of _philox_halves(seed): numpy's bounded Lemire rule.
+    It reads no word for k = 1; otherwise it returns the high half of
+    word * k, drawing again while the low half is below (2**32 - k) % k."""
+    if k == 1:
+        return 0
+    m = next(halves) * k
+    if m & 0xFFFFFFFF < k:      # (2**32 - k) % k < k
+        threshold = (0x100000000 - k) % k
+        while m & 0xFFFFFFFF < threshold:
+            m = next(halves) * k
+    return m >> 32
 
 
 def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
@@ -574,31 +650,47 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
     top edge's faces whose shear is NaN or whose quadrilateral has a
     self-folded face; a kick also scores the edge it draws.  Otherwise a
     step scores every flippable edge.  Every step, kick or descent, uses
-    one unit of budget.  The search encodes the inputs once, a shear on
-    every side, checks the whole complex once, then flips the encoding
-    in place (see _flip_flat); the inputs are left unchanged, the
-    encoding is copied only when the best maximum improves, and the best
-    state is decoded once, at the end, its edges in key order.  Returns
-    the best triangulation, its shear vector, the best maximum and the
-    flip trail.
+    one unit of budget.
+
+    The search encodes the inputs once, a shear on every side, checks
+    the whole complex once, then flips the encoding in place (see
+    _flip_flat); the inputs are left unchanged, the encoding is copied
+    only when the best maximum improves, and the best state is decoded
+    once, at the end, its edges in key order.  It keeps its step state,
+    which sides are edge keys and which edges are flippable
+    (_step_state), from one step to the next, and after a flip
+    recomputes it only for the two re-glued faces (_refresh).  A kick's
+    draw is Generator(Philox(key=seed)).integers(0, k), read from the
+    raw Philox words (_draw).  Returns the best triangulation, its shear
+    vector, the best maximum and the flip trail.  Raises ValueError for
+    a seed that is not an integer in [0, 2**64) or a budget that is not
+    a non-negative integer.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 64):
+        raise ValueError(
+            f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if not (isinstance(budget, numbers.Integral) and budget >= 0):
+        raise ValueError(
+            f"budget must be a non-negative integer, got {budget!r}")
+    halves = _philox_halves(seed)
     cur_max = max_abs_shear(sigma)
     glue, labels = _encode(cx)
     _check(glue, labels)
     shears = _encode_shears(glue, sigma)
     nxt, prv = _side_tables(len(glue))
+    is_key, flags = _step_state(glue)
+    sides = range(len(glue))
     best, best_max = None, cur_max      # None: the input state
     trail = []
     while len(trail) < budget:
-        edges = _edge_keys(glue)
+        edges = list(compress(sides, is_key))
         ranking = sorted(zip(map(abs, map(shears.__getitem__, edges)), edges),
                          reverse=True)
         # a NaN shear can leave the ranking's head below a finite maximum
         if ranking and math.isfinite(cur_max) and ranking[0][0] == cur_max:
-            scored = _descents(glue, shears, ranking[0][1], nxt, prv)
+            scored = _descents(glue, shears, ranking[0][1], nxt, prv, flags)
         else:
-            scored = [e for e in edges if _flippable(glue, e)]
+            scored = list(compress(edges, map(flags.__getitem__, edges)))
         flipped, improving = {}, None      # improving: the lowest (value, e)
         for e in scored:
             flipped[e] = _flip_changes(glue, shears, e)
@@ -609,14 +701,16 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
             val, e = improving
         else:
             # stuck at a local minimum: random kick
-            candidates = [e for e in edges if _flippable(glue, e)]
+            candidates = list(compress(edges, map(flags.__getitem__, edges)))
             if not candidates:
                 break
-            e = candidates[int(rng.integers(0, len(candidates)))]
+            e = candidates[_draw(halves, len(candidates))]
             if e not in flipped:
                 flipped[e] = _flip_changes(glue, shears, e)
             val = _flip_score(ranking, flipped[e])
+        faces = (e // 3, glue[e] // 3)
         _flip_flat(glue, labels, shears, e, flipped[e])
+        _refresh(glue, is_key, flags, faces)
         cur_max = val
         trail.append(divmod(e, 3))
         if improving and val < best_max:

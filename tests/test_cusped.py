@@ -686,6 +686,157 @@ class TestMinimaxSearch:
         out2 = CU.minimax_flip_search(cx, sigma, 25, 7)
         assert out1[2] == out2[2] and out1[3] == out2[3]
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, 7.0, "7", None,
+                                      np.int64(-3)])
+    def test_rejects_bad_seed(self, seed):
+        # a seed is an unsigned 64-bit integer, as the CLI's --seed is
+        cx = doubled_polygon(5)
+        sigma = {e: 0.5 for e in cx.edges()}
+        needle = f"seed must be an integer in [0, 2**64), got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            CU.minimax_flip_search(cx, sigma, 5, seed)
+
+    @pytest.mark.parametrize("budget", [-1, 2.5, 3.0, "5", None])
+    def test_rejects_bad_budget(self, budget):
+        cx = doubled_polygon(5)
+        sigma = {e: 0.5 for e in cx.edges()}
+        needle = f"budget must be a non-negative integer, got {budget!r}"
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            CU.minimax_flip_search(cx, sigma, budget, 1)
+
+    def test_accepts_the_seed_range_ends(self):
+        # numpy integers are integers; the ends of [0, 2**64) draw as
+        # the reference's Philox keys do
+        cx = doubled_polygon(7)
+        rng = np.random.default_rng(7)
+        sigma = {e: float(rng.normal(0.0, 3.0)) for e in cx.edges()}
+        for seed in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int64(5)):
+            want = _reference_search(cx, sigma, 30, seed)
+            got = CU.minimax_flip_search(cx, sigma, np.int64(30), seed)
+            assert got[3] == want[3] and want[4] >= 5
+
+    def test_matches_reference_at_scale(self):
+        # 138 edges: the step state and the kicks' draws over a complex
+        # far larger than a chain's, with at least ten kicks
+        cx = doubled_polygon(48)
+        rng = np.random.default_rng(48)
+        sigma = {e: float(rng.normal(0.0, 3.0)) for e in cx.edges()}
+        want = _reference_search(cx, sigma, 20, 1)
+        got = CU.minimax_flip_search(cx, sigma, 20, 1)
+        assert got[3] == want[3] and got[2] == want[2]
+        assert got[0].verts == want[0].verts and got[0].glue == want[0].glue
+        assert got[1].keys() == want[1].keys()
+        assert all(same_bits(got[1][k], v) for k, v in want[1].items())
+        assert want[4] >= 10, want[4]
+
+
+def flippable_by_count(glue, i):
+    """Whether side i's edge joins two faces that share only it, counted
+    over the sides of i's face."""
+    f1, f2 = i // 3, glue[i] // 3
+    return f1 != f2 and [glue[k] // 3 for k in range(3 * f1, 3 * f1 + 3)
+                         ].count(f2) == 1
+
+
+def assert_step_state(glue, is_key, flags):
+    """The search's step state is the one its gluing gives: the sides
+    marked as keys are the edge keys, and every side's flag is its
+    edge's flippability."""
+    assert [i for i, key in enumerate(is_key) if key] == CU._edge_keys(glue)
+    assert len(is_key) == len(flags) == len(glue)
+    for i, j in enumerate(glue):
+        assert flags[i] == CU._flippable(glue, min(i, j))
+        assert flags[i] == flippable_by_count(glue, min(i, j))
+
+
+def watch_step_state(monkeypatch):
+    """Patch the search so that its step state is checked against its
+    gluing before every flip; returns the list of the states the search
+    made, each (glue, is_key, flags), and the count of checks made."""
+    states, checks = [], [0]
+    real_state, real_flip = CU._step_state, CU._flip_flat
+
+    def recording_state(glue):
+        state = real_state(glue)
+        states.append((glue, *state))
+        return state
+
+    def checking_flip(glue, labels, shears, e, changed):
+        assert states[-1][0] is glue
+        assert_step_state(*states[-1])
+        checks[0] += 1
+        return real_flip(glue, labels, shears, e, changed)
+
+    monkeypatch.setattr(CU, "_step_state", recording_state)
+    monkeypatch.setattr(CU, "_flip_flat", checking_flip)
+    return states, checks
+
+
+def state_cases(search_runs):
+    """(triangulation, shears, budget, seed) of the search runs, the
+    self-folded fixtures' searches, searches on doubled polygons and a
+    search from an infinite maximum."""
+    for cx, sigma, budget, seed, _ in search_runs:
+        yield cx, sigma, budget, seed
+    for folded_first in (True, False):
+        cx = self_folded(folded_first)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            yield (cx, {e: float(rng.normal(0.0, 3.0)) for e in cx.edges()},
+                   30, seed)
+    for n in (4, 7, 12, 48):
+        cx = doubled_polygon(n)
+        rng = np.random.default_rng(n)
+        yield (cx, {e: float(rng.normal(0.0, 3.0)) for e in cx.edges()},
+               200, n)
+    cx = doubled_polygon(6)
+    sigma = {e: 0.5 for e in cx.edges()}
+    sigma[cx.edges()[3]] = math.inf
+    yield cx, sigma, 20, 1
+
+
+class TestStepState:
+    def test_state_is_the_gluing_at_every_step(self, search_runs,
+                                               monkeypatch):
+        # the state a step reads is the one its gluing gives: checked
+        # before every flip and after the last one, with the trail the
+        # unpatched search gives
+        cases = list(state_cases(search_runs))
+        wants = [CU.minimax_flip_search(*case)[3] for case in cases]
+        states, checks = watch_step_state(monkeypatch)
+        for case, want in zip(cases, wants):
+            before = checks[0]
+            assert CU.minimax_flip_search(*case)[3] == want
+            assert checks[0] - before == len(want)
+            assert_step_state(*states[-1])
+        assert len(states) == len(cases)
+        assert checks[0] >= 2500, checks[0]
+
+
+#: k for the draw test: one candidate, small and large counts, and
+#: counts above 2**31, where numpy redraws about half of the words
+DRAW_COUNTS = [1, 2, 3, 5, 6, 9, 1, 1, 17, 138, 1000, 2 ** 20 + 7,
+               2 ** 31 - 1, 2 ** 31 + 1, 3 * 2 ** 30 + 1, 2 ** 32 - 1,
+               2 ** 32, 7]
+
+
+class TestKickDraws:
+    @pytest.mark.parametrize("seeds", [range(150), "random"])
+    def test_draws_equal_generator_integers(self, seeds):
+        # 150 small seeds and 150 drawn from [0, 2**64), 200 draws each
+        # across several raw blocks; afterwards both have read the same
+        # words (none for k = 1), so the next 32-bit word agrees too
+        if seeds == "random":
+            seeds = [int(s) for s in np.random.default_rng(30).integers(
+                0, 2 ** 64, size=150, dtype=np.uint64)]
+        counts = (DRAW_COUNTS * 12)[:200]
+        for seed in seeds:
+            halves = CU._philox_halves(seed)
+            rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+            got = [CU._draw(halves, k) for k in counts]
+            assert got == [int(rng.integers(0, k)) for k in counts]
+            assert next(halves) == int(rng.integers(0, 2 ** 32))
+
 
 def sign_rule(cx, sigma, top):
     """The edges the top edge's two sides follow in their faces when its
@@ -705,7 +856,8 @@ def descents(cx, sigma):
     scores at that state, for a state whose maximum is finite."""
     glue, _, shears = flat(cx, sigma)
     cur_max, top = max((abs(shears[k]), k) for k in CU._edge_keys(glue))
-    scored = CU._descents(glue, shears, top, *CU._side_tables(len(glue)))
+    scored = CU._descents(glue, shears, top, *CU._side_tables(len(glue)),
+                          CU._step_state(glue)[1])
     return divmod(top, 3), cur_max, {divmod(e, 3) for e in scored}
 
 

@@ -48,7 +48,10 @@ imports by name (its ``MODULES`` tuple, read without importing it) must
 exist in the library, and so must every library name a benchmark file
 imports (``from shearlab.m import name``) or reads as ``m.name`` after
 ``from shearlab import m``, collected without running the benchmark:
-a rename fails here and not in a benchmark run.
+a rename fails here and not in a benchmark run.  The flip search calls
+its kernel, ``_flip_changes`` and ``_flip_flat``, by their module-level
+names and never binds or aliases them, so that the tests that patch the
+kernel in the module count every call.
 """
 
 import ast
@@ -524,6 +527,53 @@ def missing_library_names(names):
     return missing
 
 
+#: the flip kernel that the search's counting tests patch in the module
+#: (tests/test_cusped.py: count_scores_per_step and
+#: test_builds_one_flip_per_step)
+SEARCH_KERNEL = ("_flip_changes", "_flip_flat")
+
+
+def unpatched_calls(tree, function, names):
+    """How the module's top-level function could escape a test's patch
+    of the given module-level names: a name it never calls, one it
+    binds (an argument, an assignment, a loop, with or except target,
+    an import, a nested definition, or a global or nonlocal
+    declaration), by line, and one it reads other than as the function
+    of a call (an alias, or an argument to another call)."""
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == function)
+    found, calls, loads = [], Counter(), Counter()
+    for node in ast.walk(fn):
+        bound = []
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            calls[node.func.id] += 1
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Load):
+                loads[node.id] += 1
+            else:
+                bound.append(node.id)
+        elif isinstance(node, ast.arg):
+            bound.append(node.arg)
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                ast.ClassDef)) and node is not fn):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name.split(".")[0]
+                      for alias in node.names]
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            bound += node.names
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.append(node.name)
+        found += [(node.lineno, name) for name in bound if name in names]
+    found = [f"{name} bound at line {line}" for line, name in sorted(found)]
+    for name in names:
+        if not calls[name]:
+            found.append(f"{name} never called")
+        elif loads[name] > calls[name]:
+            found.append(f"{name} read other than as a call")
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_duplicate_top_level_names(path):
     assert duplicate_definitions(_parse(path)) == []
@@ -626,6 +676,16 @@ def test_benchmark_names_exist():
     assert missing_library_names(sorted(names)) == []
 
 
+def test_search_calls_its_kernel_by_name():
+    # the counting tests patch the kernel in the module, so the search
+    # must look each kernel function up there at every call: one it held
+    # under another name would pass those tests without being counted
+    tree = _parse(SRC / "cusped.py")
+    assert set(SEARCH_KERNEL) <= {node.name for node in tree.body
+                                  if isinstance(node, ast.FunctionDef)}
+    assert unpatched_calls(tree, "minimax_flip_search", SEARCH_KERNEL) == []
+
+
 def test_checks_catch_their_targets():
     tree = ast.parse("import os\nfrom math import pi, tau\n"
                      "def f():\n    return tau\n"
@@ -633,6 +693,27 @@ def test_checks_catch_their_targets():
     assert duplicate_definitions(tree) == ["f"]
     assert unused_imports(tree) == ["os", "pi"]
     assert benchmark_modules(tree) is None
+    search = ast.parse("def search(g, kernel):\n"
+                       "    flip = step\n"
+                       "    for score in g:\n"
+                       "        flip(score)\n"
+                       "        step(g)\n"
+                       "    def local():\n"
+                       "        global other\n"
+                       "        import other\n"
+                       "    try:\n        g()\n"
+                       "    except ValueError as caught:\n        pass\n"
+                       "    return kernel(g), fine(g)\n"
+                       "def elsewhere(g):\n    missing = g\n")
+    assert unpatched_calls(search, "search", (
+        "kernel", "step", "score", "local", "other", "caught", "fine",
+        "missing")) == [
+        "kernel bound at line 1", "score bound at line 3",
+        "local bound at line 6", "other bound at line 7",
+        "other bound at line 8", "caught bound at line 11",
+        "step read other than as a call", "score never called",
+        "local never called", "other never called", "caught never called",
+        "missing never called"]
     assert benchmark_modules(ast.parse(
         "import x\nMODULES = ('cli', 'geom')\n")) == ("cli", "geom")
     bench = ast.parse("def f():\n    from shearlab import chains as ch\n"

@@ -30,11 +30,9 @@ and a non-negative one to the sides preceding it, so at a finite
 maximum only two flips can lower the top edge's |shear|: those of the
 edges its two sides follow when its shear is >= 0, or precede when it
 is < 0.  A step scores those two, the few others _descents names, and
-the edge a kick draws.  The search keeps its step state, which sides
-are edge keys and which edges are flippable, from one step to the next:
-a flip changes it only on the sides of its two faces and their
-partners.  A kick draws from the raw words of a Philox bit generator by
-numpy's bounded rule, so it draws what Generator.integers would.
+the edge a kick draws.  A kick draws from the raw words of a Philox bit
+generator by numpy's bounded rule, so it draws what Generator.integers
+would.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 
 import numpy as np
 
@@ -229,19 +226,12 @@ def _edge_keys(glue):
     return [i for i, j in enumerate(glue) if i <= j]
 
 
-def _face_flippable(glue, f) -> tuple:
-    """Whether the edge of each side of face f is flippable: its two
-    faces differ and share only this edge, so that no other side of f
-    is glued to the same face."""
-    b = 3 * f
-    x, y, z = glue[b] // 3, glue[b + 1] // 3, glue[b + 2] // 3
-    return (x != f and x != y and x != z, y != f and y != x and y != z,
-            z != f and z != x and z != y)
-
-
 def _flippable(glue, i) -> bool:
-    """Whether side i's edge is flippable (the same from either side)."""
-    return _face_flippable(glue, i // 3)[i % 3]
+    f1, f2 = i // 3, glue[i] // 3
+    if f1 == f2:
+        return False
+    b = 3 * f1
+    return (glue[b] // 3, glue[b + 1] // 3, glue[b + 2] // 3).count(f2) == 1
 
 
 def _flip_changes(glue, shears, e):
@@ -314,21 +304,14 @@ def _flip_flat(glue, labels, shears, e, changed):
         partners = [moved.get(j, j) for j in partners]
     labels[b1:b1 + 3] = (x, w, z)
     labels[b2:b2 + 3] = (w, y, z)
-    # each slot is glued to its outer side's partner and holds the new
-    # shear of their edge; the new diagonal joins b1 + 1 and b2 + 2
-    (pp, pq, pr, ps), (vp, vq, vr, vs, vd) = partners, values
-    glue[b2 + 1], glue[pp] = pp, b2 + 1
-    shears[b2 + 1] = shears[pp] = vp
-    glue[b1 + 2], glue[pq] = pq, b1 + 2
-    shears[b1 + 2] = shears[pq] = vq
-    glue[b1], glue[pr] = pr, b1
-    shears[b1] = shears[pr] = vr
-    glue[b2], glue[ps] = ps, b2
-    shears[b2] = shears[ps] = vs
+    for me, partner, value in zip(slots, partners, values):
+        glue[me], glue[partner] = partner, me
+        shears[me] = shears[partner] = value
     glue[b1 + 1], glue[b2 + 2] = b2 + 2, b1 + 1
-    shears[b1 + 1] = shears[b2 + 2] = vd
-    _check_faces(glue, labels, {b1 // 3, b2 // 3, pp // 3, pq // 3, pr // 3,
-                                ps // 3}, shears)
+    shears[b1 + 1] = shears[b2 + 2] = values[-1]
+    _check_faces(glue, labels, {b1 // 3, b2 // 3, partners[0] // 3,
+                                partners[1] // 3, partners[2] // 3,
+                                partners[3] // 3}, shears)
     return outer, slots
 
 
@@ -548,36 +531,9 @@ def rewrite_walk(walk, cx: CuspedTriangulation, edge):
 # minimax flip search
 
 
-def _step_state(glue):
-    """The search's step state of a flat gluing: two lists indexed by
-    side, whether the side is its edge's key and whether its edge is
-    flippable (the same on both sides)."""
-    return ([i <= j for i, j in enumerate(glue)],
-            [ok for f in range(len(glue) // 3)
-             for ok in _face_flippable(glue, f)])
-
-
-def _refresh(glue, is_key, flags, faces):
-    """Bring the step state up to date after a flip that re-glued the
-    two given faces.  Only their six sides and those sides' partners
-    can change key, and only the edges of those sides, the flipped
-    quadrilateral's five, can change flippability: elsewhere the flip
-    at most exchanges one of the two faces for the other as a partner
-    face, and the flippability of an edge between two other faces
-    compares neither of them."""
-    for f in faces:
-        b = 3 * f
-        i, j, k = glue[b], glue[b + 1], glue[b + 2]
-        flags[b], flags[b + 1], flags[b + 2] = flags[i], flags[j], flags[k] \
-            = _face_flippable(glue, f)
-        is_key[b], is_key[b + 1], is_key[b + 2] = b <= i, b < j, b + 2 <= k
-        is_key[i], is_key[j], is_key[k] = i <= b, j <= b + 1, k <= b + 2
-
-
-def _descents(glue, shears, top, nxt, prv, flags) -> list:
+def _descents(glue, shears, top, nxt, prv) -> list:
     """The flippable edge keys a search step scores at a finite maximum
-    |shear| held by edge key top, given the side tables nxt and prv and
-    the step state's flippable flags.
+    |shear| held by edge key top, given the side tables nxt and prv.
 
     Penner's rule (see _flip_changes) adds lose <= 0 to the outer sides
     that follow the flipped edge in its two faces and gain >= 0 to the
@@ -602,7 +558,7 @@ def _descents(glue, shears, top, nxt, prv, flags) -> list:
         if (shears[j] != shears[j] or glue[nxt[j]] == prv[j]
                 or glue[nxt[k]] == prv[k]):
             keys.add(j if j < k else k)
-    return list(filter(flags.__getitem__, keys))
+    return [e for e in keys if _flippable(glue, e)]
 
 
 def _philox_halves(seed):
@@ -650,26 +606,24 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
     top edge's faces whose shear is NaN or whose quadrilateral has a
     self-folded face; a kick also scores the edge it draws.  Otherwise a
     step scores every flippable edge.  Every step, kick or descent, uses
-    one unit of budget.
-
-    The search encodes the inputs once, a shear on every side, checks
-    the whole complex once, then flips the encoding in place (see
-    _flip_flat); the inputs are left unchanged, the encoding is copied
-    only when the best maximum improves, and the best state is decoded
-    once, at the end, its edges in key order.  It keeps its step state,
-    which sides are edge keys and which edges are flippable
-    (_step_state), from one step to the next, and after a flip
-    recomputes it only for the two re-glued faces (_refresh).  A kick's
+    one unit of budget.  The search encodes the inputs once, a shear on
+    every side, checks the whole complex once, then flips the encoding
+    in place (see _flip_flat); the inputs are left unchanged, the
+    encoding is copied only when the best maximum improves, and the best
+    state is decoded once, at the end, its edges in key order.  A kick's
     draw is Generator(Philox(key=seed)).integers(0, k), read from the
     raw Philox words (_draw).  Returns the best triangulation, its shear
     vector, the best maximum and the flip trail.  Raises ValueError for
     a seed that is not an integer in [0, 2**64) or a budget that is not
     a non-negative integer.
     """
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2 ** 64):
+    # bool is an Integral, but True is not a seed or a budget
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 2 ** 64):
         raise ValueError(
             f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if not (isinstance(budget, numbers.Integral) and budget >= 0):
+    if (isinstance(budget, bool) or not isinstance(budget, numbers.Integral)
+            or budget < 0):
         raise ValueError(
             f"budget must be a non-negative integer, got {budget!r}")
     halves = _philox_halves(seed)
@@ -678,19 +632,17 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
     _check(glue, labels)
     shears = _encode_shears(glue, sigma)
     nxt, prv = _side_tables(len(glue))
-    is_key, flags = _step_state(glue)
-    sides = range(len(glue))
     best, best_max = None, cur_max      # None: the input state
     trail = []
     while len(trail) < budget:
-        edges = list(compress(sides, is_key))
+        edges = _edge_keys(glue)
         ranking = sorted(zip(map(abs, map(shears.__getitem__, edges)), edges),
                          reverse=True)
         # a NaN shear can leave the ranking's head below a finite maximum
         if ranking and math.isfinite(cur_max) and ranking[0][0] == cur_max:
-            scored = _descents(glue, shears, ranking[0][1], nxt, prv, flags)
+            scored = _descents(glue, shears, ranking[0][1], nxt, prv)
         else:
-            scored = list(compress(edges, map(flags.__getitem__, edges)))
+            scored = [e for e in edges if _flippable(glue, e)]
         flipped, improving = {}, None      # improving: the lowest (value, e)
         for e in scored:
             flipped[e] = _flip_changes(glue, shears, e)
@@ -701,16 +653,14 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
             val, e = improving
         else:
             # stuck at a local minimum: random kick
-            candidates = list(compress(edges, map(flags.__getitem__, edges)))
+            candidates = [e for e in edges if _flippable(glue, e)]
             if not candidates:
                 break
             e = candidates[_draw(halves, len(candidates))]
             if e not in flipped:
                 flipped[e] = _flip_changes(glue, shears, e)
             val = _flip_score(ranking, flipped[e])
-        faces = (e // 3, glue[e] // 3)
         _flip_flat(glue, labels, shears, e, flipped[e])
-        _refresh(glue, is_key, flags, faces)
         cur_max = val
         trail.append(divmod(e, 3))
         if improving and val < best_max:

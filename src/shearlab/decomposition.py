@@ -8,8 +8,9 @@ curves no longer than 2 asinh 1, are closed forms in the pants' length
 triple (arc_lengths), which the report evaluates over the numpy arrays
 of a block of samples at once; no code builds the certificate's rows
 (arcs_short reads from the floats whether each would pass).  The forms
-take every transcendental through math one element at a time, so each
-triple gets the bits of the scalar forms, which stay with the named rows
+take every transcendental through math one element at a time, and one
+of a single length once per distinct length, so each triple gets
+the bits of the scalar forms, which stay with the named rows
 and the geometric measurement as the tests' oracle
 (tests/geometric_oracle.py).  The doubled-loop bound has no row: the
 seam word X_i X_j is conjugate to the third boundary of its pants
@@ -23,7 +24,7 @@ import math
 import numpy as np
 
 from .constants import INTERMEDIATE_CURVE_MAX
-from .thick import _I, _J, _each, _pick
+from .thick import _I, _J, _distinct, _each, _once, _pick
 
 
 @np.errstate(all="ignore")
@@ -44,15 +45,18 @@ def arc_lengths(triples) -> np.ndarray:
     triples = np.asarray(triples, dtype=float)
     lengths = triples.reshape(-1, 3).T
     cusp = lengths == 0.0
-    every = np.ones(lengths.shape, dtype=bool)
-    half = lengths / 2.0
+    values, where = _distinct(lengths)
+    every = np.ones(values.shape, dtype=bool)
+    half = values / 2.0
     ch = _each(math.cosh, half, every)
     sh = _each(math.sinh, half, every)
     # the collar width of an intermediate curve, and 0 for a longer one
-    intermediate = ~cusp & (lengths <= INTERMEDIATE_CURVE_MAX)
+    intermediate = (values != 0.0) & (values <= INTERMEDIATE_CURVE_MAX)
     collar = np.where(intermediate, _each(math.asinh, 1.0 / sh,
                                           intermediate),
-                      np.where(cusp, math.nan, 0.0))
+                      np.where(values == 0.0, math.nan, 0.0))
+    cusps = _once(math.log, (1.0 + ch) / 2.0, where, cusp[_I] & cusp[_J])
+    ch, sh, collar = ch[where], sh[where], collar[where]
     both = ~cusp[_I] & ~cusp[_J]
     arg = (ch[_I] * ch[_J] + ch) / (sh[_I] * sh[_J])
     raw = _each(math.acosh, arg, both & (arg >= 1.0))
@@ -63,7 +67,6 @@ def arc_lengths(triples) -> np.ndarray:
                             for e in (ch, sh, collar))
     arg = (ch + ch_o) / sh_o
     depth = _each(math.log, arg, one & (arg > 0.0))
-    cusps = _each(math.log, (1.0 + ch) / 2.0, cusp[_I] & cusp[_J])
     cut = _pick([both, one], [raw - collar[_I] - collar[_J],
                               depth - collar_o], cusps)
     trunc = np.where(both | one, np.where(cut > 0.0, cut, 0.0), cusps)

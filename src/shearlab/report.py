@@ -495,12 +495,14 @@ def sample_campaign(sig: Signature, seed: int, count: int,
     """Seeded sampling campaign; per-sample failures are recorded.
 
     The samples are drawn a block at a time: block_seeds gives their
-    seeds and block_draws their (samples, curves) arrays of lengths and
-    twists, as one integer array program each, with the bits of numpy's
-    SeedSequence and of sample_fn's draw (surface._draw), their
-    reference.  A draw's error does not depend on the seed, so a block
-    whose draw fails records it on every sample.  Each block then runs
-    as one array program (_surfaces): one batch of its pants, then
+    seeds, an integer array program with the bits of numpy's
+    SeedSequence, and block_draws their (samples, curves) arrays of
+    lengths and twists from one Philox re-keyed per sample, with the
+    bits of sample_fn's draw (surface._draw), their reference.  A draw's
+    error does not depend on the seed, so a block whose draw fails
+    records it on every sample.  Each block then runs as one array
+    program (_surfaces): one batch of its pants, which takes each
+    function of a single length once per distinct length, then
     per-surface reductions in numpy, kept as columns (_Rows).
     """
     params = shear_free_params()

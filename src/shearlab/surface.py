@@ -28,8 +28,8 @@ returns an Isometry.
 sample_fn draws one surface's Fenchel-Nielsen coordinates with numpy's
 Generator on a Philox bit generator (_draw).  A campaign draws a block
 of samples at once: block_seeds computes their seeds as numpy's
-SeedSequence would, and block_draws their lengths and twists as _draw
-would, each as one integer array program with the same bits.
+SeedSequence would, as one integer array program, and block_draws their
+lengths and twists as _draw would, from one Philox re-keyed per sample.
 """
 
 from __future__ import annotations
@@ -556,63 +556,36 @@ def block_seeds(base_seed: int, start: int, size: int) -> np.ndarray:
     return low | high << 32
 
 
-# Philox4x64-10, as numpy's Philox bit generator runs it: the round
-# multipliers, the key increments (Weyl constants) and the rounds
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 #: 2^-53, the step of numpy's next_double
 _ULP53 = 1.0 / 9007199254740992.0
-
-
-def _mulhilo(m: int, x):
-    """The high and low 64-bit words of the product of the constant m and
-    each entry of the uint64 array x, from 32-bit halves."""
-    m_lo, m_hi = m & _MASK32, m >> 32
-    x_lo, x_hi = x & _MASK32, x >> 32
-    lo_lo, hi_lo = x_lo * m_lo, x_hi * m_lo
-    # below 2^64: (2^32 - 1)^2 plus two words below 2^32
-    mid = (lo_lo >> 32) + (hi_lo & _MASK32) + x_lo * m_hi
-    return x_hi * m_hi + (hi_lo >> 32) + (mid >> 32), x * m
-
-
-def _philox(counter, key):
-    """Philox4x64-10 of four uint64 arrays of counter words under the two
-    key words, an array and an int."""
-    x0, x1, x2, x3 = counter
-    k0, k1 = key
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1] & _MASK64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return x0, x1, x2, x3
 
 
 def block_draws(seeds: np.ndarray, curves: int, length_range, twist_range):
     """The lengths and twists of a block of seeded samples, as (samples,
     curves) arrays: row i holds _draw(seeds[i], ...)'s, bit for bit.
 
-    _draw keys a Philox bit generator by the seed, which turns counter c
-    = 1, 2, ... into four 64-bit words each; Generator.uniform maps a
-    word x to lo + (hi - lo) u with u = (x >> 11) 2^-53.  Here every
-    sample's counters run through Philox4x64-10 at once, on uint64
-    arrays.  The ranges are checked by a _draw of the first sample, so
-    a draw that fails raises _draw's error; with no curve nothing is
-    drawn and nothing checked.
+    _draw keys a Philox bit generator by the seed, and Generator.uniform
+    maps each of its words x to lo + (hi - lo) u, u = (x >> 11) 2^-53, the
+    lengths first.  Here one Philox is re-keyed to each sample, as
+    Philox(key=seed) starts, and read for its 2 curves raw words, which
+    are mapped for the whole block at once.  numpy's uniform checks the
+    ranges as _draw does, at any size, so a bad range raises _draw's
+    error, even for an empty block; with no curve nothing is checked.
     """
     count = len(seeds)
     if not curves:
         return np.zeros((count, 0)), np.zeros((count, 0))
-    _draw(int(seeds[0]), curves, length_range, twist_range)
-    shape = (count, -(-2 * curves // 4))
-    zeros = np.zeros(shape, dtype=np.uint64)
-    counter = zeros + np.arange(1, shape[1] + 1, dtype=np.uint64)
-    words = np.stack(_philox((counter, zeros, zeros, zeros),
-                             (seeds[:, None], 0)), axis=2)
-    u = (words.reshape(count, -1)[:, :2 * curves] >> 11) * _ULP53
+    bits = np.random.Philox(key=0)
+    state = bits.state          # key (0, 0), counter 0, empty buffer
+    key = state["state"]["key"]
+    for low_high in (length_range, twist_range):
+        np.random.Generator(bits).uniform(*low_high, 0)
+    words = np.empty((count, 2 * curves), dtype=np.uint64)
+    for i, seed in enumerate(seeds):
+        key[0] = seed
+        bits.state = state
+        words[i] = bits.random_raw(2 * curves)
+    u = (words >> 11) * _ULP53
     lo, hi = map(float, length_range)
     t_lo, t_hi = map(float, twist_range)
     lengths = lo + (hi - lo) * u[:, :curves]

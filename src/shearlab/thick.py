@@ -21,13 +21,15 @@ hypot, which abs(complex) calls) round exactly as CPython does.
 numpy's transcendental and power ufuncs do not (its SIMD tanh, cosh,
 asinh, exp, log and ``arr ** 2`` differ from math in the last bit on a
 share of inputs), so every transcendental is computed with math, one
-element at a time.  numpy's complex product, quotient and abs round
-differently from CPython's too, so the interior points of the kernel
-(incircle centres, perpendicular feet) are pairs of real arrays, and
+element at a time, and a function of one length (_seam_param, the
+truncated collar width) once per distinct length (_distinct).  numpy's
+complex product, quotient and abs round differently from CPython's
+too, so the interior points of the kernel (incircle centres,
+perpendicular feet) are pairs of real arrays, and
 CPython's complex operations are written out in its order: a float
 times a complex is complex(a, 0) * z, and a quotient takes
 _Py_c_quot's branch on |re| >= |im|.  tests/test_hygiene.py rejects any
-numpy transcendental, ``**`` or complex number here.
+numpy transcendental, ``**``, ``pow`` or complex number here.
 
 A cusp at slot 1 lies at infinity; the points at infinity of
 two_point_mat, three_point_mat, cross_ratio, mat_apply_boundary and
@@ -94,6 +96,22 @@ def _each(fn, x, mask):
     out = np.full(x.shape, math.nan)
     out[mask] = list(map(fn, x[mask].tolist()))
     return out
+
+
+def _distinct(x):
+    """The distinct bit patterns of the float array x, as floats, and the
+    position of each element of x among them: np.unique of an int64 view
+    keeps -0.0 and 0.0, and NaN payloads, apart."""
+    keys, where = np.unique(x.view(np.int64), return_inverse=True)
+    return keys.view(float), where.reshape(x.shape)
+
+
+def _once(fn, values, where, mask):
+    """_each(fn, values[where], mask), with fn taken once per distinct
+    value: values and where are _distinct's."""
+    need = np.zeros(values.shape, dtype=bool)
+    need[where[mask]] = True
+    return np.where(mask, _each(fn, values, need)[where], math.nan)
 
 
 def _pick(cases, choices, default):
@@ -253,10 +271,12 @@ def thick_batch(triples, params: ShearFreeParams) -> Batch:
     n = lengths.shape[1]
     alphas = lengths / 2.0
     cusp = alphas == 0.0
+    values, where = _distinct(lengths)
     # pants.build_pants: seams[0] = (u, v), seams[1] = (p, 1), seams[2] =
     # (0, inf), with p = ts[0] and (u, v) from pants._solve_third_seam,
     # whose branch is the cusp pattern of slots 1 and 2
-    ts = _each(_seam_param, alphas, np.ones(lengths.shape, dtype=bool))
+    ts = _each(_seam_param, values / 2.0,
+               np.ones(values.shape, dtype=bool))[where]
     # a slot is a cusp for build_pants, for decomposition and for its
     # seam branch alike
     ok = ((lengths >= 0.0) & (lengths < INF) & (ts != 1.0)
@@ -400,7 +420,7 @@ def thick_batch(triples, params: ShearFreeParams) -> Batch:
         np.where(back_corner, back_att[arc, col], att[slot, col]),
         np.where(back_corner, back_rep[arc, col], rep[slot, col]))
     wr, wi, fine_axis = _apply_point(frame, zr, zi)
-    widths = _each(_truncated_width(params), lengths, thin & ~cusp)
+    widths = _once(_truncated_width(params), values, where, thin & ~cusp)
     margins = np.where(at_cusp, horo,
                        _each(math.asinh, abs(wr) / wi, ~at_cusp)
                        - widths[slot, col])

@@ -39,8 +39,10 @@ seeds and draws (surface.py) must give the scalar path's bits, and
 numpy's transcendental and power ufuncs round differently from math
 (its SIMD tanh, cosh, asinh, exp and log, and ``arr ** 2``, differ in
 the last bit on a share of inputs): none of them names such a ufunc or
-uses ``**``.  The constants audit's grid scan (constants.py) does, but
-only to pick the points it evaluates again with math.  numpy's complex product, quotient and abs round
+uses ``**``, the builtin ``pow`` or operator's power functions, which
+run numpy's power ufunc on an array.  The constants audit's grid scan
+(constants.py) does, but only to pick the points it evaluates again
+with math.  numpy's complex product, quotient and abs round
 differently from CPython's too, so none uses a complex number at all,
 numpy's or Python's: no ``1j`` literal, no ``complex``, no numpy
 complex type or complex dtype name.  Every module the benchmark's worker
@@ -417,24 +419,34 @@ BATCH = (SRC / "thick.py", SRC / "decomposition.py", SRC / "surface.py")
 NUMPY_INEXACT = {"tanh", "cosh", "sinh", "arctanh", "arccosh", "arcsinh",
                  "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
                  "power", "float_power", "square", "cbrt"}
+OPERATOR_POW = {"pow", "ipow", "__pow__", "__ipow__"}
 
 
 def inexact_numpy(tree):
-    """Uses of numpy transcendental or power ufuncs, and ``**`` anywhere.
+    """Uses of numpy transcendental or power ufuncs, and of power anywhere.
 
     A use is an attribute ``np.f`` or ``numpy.f``, or a name imported
-    from numpy; ``**`` and ``**=`` are flagged whatever their operands,
-    since the tree does not say which are arrays.
+    from numpy.  ``**``, ``**=``, the builtin ``pow`` and operator's
+    power functions are flagged whatever their operands, since the tree
+    does not say which are arrays, and on an array each runs numpy's
+    power ufunc.
     """
+    modules = {"np": NUMPY_INEXACT, "numpy": NUMPY_INEXACT,
+               "operator": OPERATOR_POW}
     found = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in NUMPY_INEXACT
+        if (isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
-                and node.value.id in ("np", "numpy")):
+                and node.attr in modules.get(node.value.id, ())):
             found.append((node, f"{node.value.id}.{node.attr}"))
-        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"):
-            found += [(node, f"numpy.{alias.name}") for alias in node.names
-                      if alias.name in NUMPY_INEXACT]
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module in ("numpy", "operator")):
+            found += [(node, f"{node.module}.{alias.name}")
+                      for alias in node.names
+                      if alias.name in modules[node.module]]
+        elif (isinstance(node, ast.Name) and node.id == "pow"
+              and isinstance(node.ctx, ast.Load)):
+            found.append((node, "pow"))
         elif (isinstance(node, (ast.BinOp, ast.AugAssign))
               and isinstance(node.op, ast.Pow)):
             found.append((node, "**"))
@@ -823,10 +835,18 @@ def test_checks_catch_their_targets():
                       "    a = np.sqrt(x) + np.tanh(x) * numpy.exp(y)\n"
                       "    b = x ** 2\n    b **= 2\n"
                       "    c = np.where(x > 0, x, 1.0) - abs(y) / 2.0\n"
-                      "    return np.power(a, b), c, math.tanh(1.0)\n")
+                      "    return np.power(a, b), c, math.tanh(1.0)\n"
+                      "import operator\nfrom operator import ipow\n"
+                      "def g(x, y):\n"
+                      "    a = pow(x, 2) + operator.pow(x, y)\n"
+                      "    b = list(map(pow, x, y)), operator.__pow__\n"
+                      "    return a, b, math.pow(2.0, 0.5), operator.mul\n")
     assert inexact_numpy(batch) == [
         "numpy.log1p at line 2", "np.tanh at line 4", "numpy.exp at line 4",
-        "** at line 5", "** at line 6", "np.power at line 8"]
+        "** at line 5", "** at line 6", "np.power at line 8",
+        "operator.ipow at line 10", "pow at line 12",
+        "operator.pow at line 12", "pow at line 13",
+        "operator.__pow__ at line 13"]
     batch = ast.parse("import numpy as np\nfrom numpy import cdouble, hypot\n"
                       "def f(x, y, m):\n"
                       "    z = x + 1j * y\n    w = complex(x, y)\n"

@@ -2,14 +2,16 @@
 
 import json
 import math
+import struct
 from collections import Counter
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shearlab import report
+from shearlab import decomposition, report
 from shearlab import spiralling as SP
 from shearlab import surface as S
 from shearlab import thick
@@ -414,15 +416,34 @@ class TestBatchRouting:
         # a batch of its triple alone, so a repeated triple gets the same
         # bits at each of its rows; a length that is not finite, or
         # negative, leaves its triple unhandled (the sign of a NaN the
-        # unhandled rows carry is not pinned)
+        # unhandled rows carry is not pinned).  The functions of one
+        # length are taken once per distinct bit pattern, so a length
+        # shared across slots and rows, 0.0 beside -0.0 (a cusp either
+        # way) and a NaN get the bits of their row alone, in the batch
+        # and in the seam-arc lengths (decomposition.arc_lengths)
         params = shear_free_params()
-        good = [(1.0, 2.0, 0.0), (0.3, 0.0, 0.0), (2.5, 1.5, 3.0)]
+        good = [(1.0, 2.0, 0.0), (0.3, 0.0, 0.0), (2.5, 1.5, 3.0),
+                (0.5, 0.5, 0.5), (0.5, 2.0, 0.5), (2.0, 2.0, 1.0),
+                (1.0, -0.0, 0.0), (0.0, -0.0, 0.3), (-0.0, -0.0, 2.5)]
         bad = [(math.inf, 1.0, 0.0), (math.nan, 1.0, 1.0),
-               (-1.0, 2.0, 0.0), (1.0, 1.0, -math.inf)]
+               (-1.0, 2.0, 0.0), (1.0, 1.0, -math.inf),
+               (0.5, math.nan, -0.0)]
         triples = [good[0], bad[0], good[1], good[0], bad[1], good[2],
-                   bad[2], good[1], bad[3], good[2]]
+                   bad[2], good[1], bad[3], good[2], *good[3:], bad[4],
+                   good[6]]
         batch = thick.thick_batch(triples, params)
         assert batch.handled.tolist() == [ls in good for ls in triples]
+        arcs = decomposition.arc_lengths(triples)
+        for r, ls in enumerate(triples):
+            assert arcs[r].tobytes() \
+                == decomposition.arc_lengths(ls).tobytes(), ls
+        # the distinct values gathered back are the lengths, bit for bit,
+        # though no output above depends on the sign of a zero or a NaN
+        payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))
+        lengths = np.array([*triples, (-math.nan, *payload, 0.5)]).T
+        values, where = thick._distinct(lengths)
+        assert len(values) < lengths.size
+        assert values[where].tobytes() == lengths.tobytes()
 
         def bits(batch, r):
             return [getattr(batch, f.name)[r].tobytes()
@@ -437,6 +458,7 @@ class TestBatchRouting:
                 assert bits(batch, r) == bits(alone, 0), ls
         assert bits(batch, 0) == bits(batch, 3)
         assert bits(batch, 5) == bits(batch, 9)
+        assert bits(batch, 13) == bits(batch, 17)
         empty = thick.thick_batch([], params)
         assert empty.handled.shape == (0,) and empty.first.tolist() == [0]
 

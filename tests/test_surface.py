@@ -332,6 +332,45 @@ class TestSampler:
         assert [a.shape for a in S.block_draws(
             seeds[:3], 0, (5.0, 1.0), (0.0, math.inf))] == [(3, 0), (3, 0)]
 
+    @pytest.mark.parametrize("curves", [1, 17, 27])
+    def test_block_draws_are_draws_row_by_row(self, curves):
+        # block_draws re-keys one Philox per sample: row i must be
+        # _draw(seeds[i]) at the top of the seed range and at a
+        # campaign's seeds, in blocks of 1 and 257, where 2 curves words
+        # do not fill whole Philox blocks of 4
+        top = [2 ** 63, 2 ** 63 + 1, 2 ** 64 - 2, 2 ** 64 - 1]
+        rng = np.random.default_rng(curves)
+        top += rng.integers(2 ** 63, 2 ** 64, 253, dtype=np.uint64,
+                            endpoint=False).tolist()
+        for seeds in (np.array(top, dtype=np.uint64),
+                      S.block_seeds(7, 0, 257), S.block_seeds(2 ** 64 - 1,
+                                                              300, 257)):
+            for block in (seeds[:1], seeds[-1:], seeds):
+                lengths, twists = S.block_draws(block, curves, (0.05, 9.0),
+                                                (0.0, 1.0))
+                assert lengths.shape == twists.shape == (len(block), curves)
+                for seed, row_l, row_t in zip(block.tolist(), lengths,
+                                              twists):
+                    want_l, want_t = S._draw(seed, curves, (0.05, 9.0),
+                                             (0.0, 1.0))
+                    assert row_l.tobytes() == want_l.tobytes(), seed
+                    assert row_t.tobytes() == want_t.tobytes(), seed
+
+    def test_empty_block_draws_nothing_but_checks_the_ranges(self):
+        # a block with no sample and some curves gives (0, curves) arrays,
+        # and a bad range raises _draw's error all the same
+        seeds = np.zeros(0, dtype=np.uint64)
+        assert [a.shape for a in S.block_draws(seeds, 3, (0.05, 9.0),
+                                               (0.0, 1.0))] == [(0, 3)] * 2
+        for ranges in (((5.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, math.inf)),
+                       ((math.nan, 1.0), (2.0, 1.0))):
+            with pytest.raises((ValueError, OverflowError)) as ours:
+                S.block_draws(seeds, 3, *ranges)
+            with pytest.raises((ValueError, OverflowError)) as reference:
+                S._draw(0, 3, *ranges)
+            assert type(ours.value) is type(reference.value)
+            assert str(ours.value) == str(reference.value)
+
     @pytest.mark.parametrize("base", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63,
                                       2 ** 64 - 1])
     def test_block_seeds_are_numpys_seed_sequence(self, base):

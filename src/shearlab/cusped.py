@@ -24,15 +24,15 @@ flip and the search, which decodes only its best state, both run it.
 Each side's successor and predecessor in its face come from side
 tables (_side_tables).
 
-The minimax search lowers the largest |shear|.  Penner's rule adds a
-non-positive amount to the sides following a flipped edge in its faces
-and a non-negative one to the sides preceding it, so at a finite
-maximum only two flips can lower the top edge's |shear|: those of the
-edges its two sides follow when its shear is >= 0, or precede when it
-is < 0.  A step scores those two, the few others _descents names, and
-the edge a kick draws.  A kick draws from the raw words of a Philox bit
-generator by numpy's bounded rule, so it draws what Generator.integers
-would.
+The minimax search lowers the largest |shear| of finite shears (it
+raises ValueError for others, and for a flip that would overflow one).
+Penner's rule adds a non-positive amount to the sides following a
+flipped edge in its faces and a non-negative one to the sides
+preceding it, so only two flips can lower the top edge's |shear|:
+those of the edges its two sides follow when its shear is >= 0, or
+precede when it is < 0.  A step scores those two and the edge a kick
+draws, which comes from the raw words of a Philox bit generator by
+numpy's bounded rule, so it draws what Generator.integers would.
 """
 
 from __future__ import annotations
@@ -396,13 +396,18 @@ def develop_walk(cx: CuspedTriangulation, sigma: dict, walk) -> Isometry:
     is developed in its own standard frame (vertices at 0, 1, inf) and
     the per-step transition maps, closed forms in e^(+-shear/2), are
     accumulated; each step stays well conditioned however large the
-    shears have become.
+    shears have become.  Raises ValueError for an empty walk, a step
+    that is not a side, or steps that do not chain or close up.
     """
+    if not walk:
+        raise ValueError("walk must be nonempty")
     hol = IDENTITY
     cur_face = walk[0][0]
     for face, side in walk:
         if face != cur_face:
             raise ValueError("walk steps do not chain")
+        if (face, side) not in cx.glue:
+            raise ValueError(f"{(face, side)} is not a side")
         f2, s2 = cx.glue[(face, side)]
         hol = mat_mul(hol, _step_matrix(side, s2,
                                         sigma[cx.edge_key(face, side)]))
@@ -532,33 +537,25 @@ def rewrite_walk(walk, cx: CuspedTriangulation, edge):
 
 
 def _descents(glue, shears, top, nxt, prv) -> list:
-    """The flippable edge keys a search step scores at a finite maximum
-    |shear| held by edge key top, given the side tables nxt and prv.
+    """The flippable edge keys a search step scores when edge key top
+    holds the maximum |shear|, given the side tables nxt and prv.
 
     Penner's rule (see _flip_changes) adds lose <= 0 to the outer sides
-    that follow the flipped edge in its two faces and gain >= 0 to the
-    sides that precede it.  For a flippable edge other than top whose
-    quadrilateral has no self-folded face, top is exactly one of those
-    four sides.  Rounding is monotone, so a flip that adds gain to top's
-    shear T >= 0, or lose to T < 0, leaves |T'| >= |T|, the maximum, and
-    its score, which counts |T'|, does not improve; top's own flip only
-    negates T.  So the two edges top's sides follow (T >= 0) or precede
-    (T < 0) are scored.  Of the other two edges of top's faces, one is
-    scored anyway if its shear is NaN, which makes T' a NaN that the
-    score passes over, or if its quadrilateral has a self-folded face.
+    that follow the flipped edge in its faces and gain >= 0 to those
+    that precede it.  A flippable edge's two faces share only that edge,
+    so top is two outer sides of a flip only as the folded edge of a
+    self-folded face, whose third side, the loop, is then the flipped
+    edge and one of the two below.  Any other flip but top's own, which
+    negates top's shear T, changes T once at most.  Rounding is
+    monotone, so adding gain to T >= 0, or lose to T < 0, leaves
+    |T'| >= |T|, the maximum, in the score.  So only the flips of the
+    edges top's sides follow (T >= 0) or precede (T < 0) can improve.
     """
-    lower, other = (prv, nxt) if shears[top] >= 0 else (nxt, prv)
-    keys = set()
-    for i in (top, glue[top]):
-        j = lower[i]
-        k = glue[j]
-        keys.add(j if j < k else k)
-        j = other[i]
-        k = glue[j]
-        if (shears[j] != shears[j] or glue[nxt[j]] == prv[j]
-                or glue[nxt[k]] == prv[k]):
-            keys.add(j if j < k else k)
-    return [e for e in keys if _flippable(glue, e)]
+    lower = prv if shears[top] >= 0 else nxt
+    i, j = lower[top], lower[glue[top]]
+    gi, gj = glue[i], glue[j]
+    return [e for e in {i if i < gi else gi, j if j < gj else gj}
+            if _flippable(glue, e)]
 
 
 def _philox_halves(seed):
@@ -596,26 +593,25 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
     flip would give, in closed form and without building the flipped
     complex.  The lowest (value, edge) is flipped if it improves on the
     current maximum by more than 1e-12; otherwise a seeded random kick
-    flips an edge drawn uniformly from the sorted flippable edges.  Only
-    a flip that lowers the |shear| of the top-ranked edge can improve,
-    since any other keeps that shear, the current maximum, or raises it.
-    By the signs of Penner's rule (see _descents), at most two flips do:
-    those of the edges the top edge's two sides follow in their faces
-    when its shear is >= 0, or precede when it is < 0.  So while the
-    maximum is finite a step scores those two, and any other edge of the
-    top edge's faces whose shear is NaN or whose quadrilateral has a
-    self-folded face; a kick also scores the edge it draws.  Otherwise a
-    step scores every flippable edge.  Every step, kick or descent, uses
-    one unit of budget.  The search encodes the inputs once, a shear on
-    every side, checks the whole complex once, then flips the encoding
-    in place (see _flip_flat); the inputs are left unchanged, the
-    encoding is copied only when the best maximum improves, and the best
-    state is decoded once, at the end, its edges in key order.  A kick's
-    draw is Generator(Philox(key=seed)).integers(0, k), read from the
-    raw Philox words (_draw).  Returns the best triangulation, its shear
-    vector, the best maximum and the flip trail.  Raises ValueError for
-    a seed that is not an integer in [0, 2**64) or a budget that is not
-    a non-negative integer.
+    flips an edge drawn uniformly from the sorted flippable edges.  The
+    shears must be finite, so the top-ranked |shear| is the maximum, and
+    by the signs of Penner's rule only two flips can lower it (see
+    _descents): those of the edges the top edge's two sides follow in
+    their faces when its shear is >= 0, or precede when it is < 0.  A
+    step scores those two, and a kick the edge it draws.  Every step,
+    kick or descent, uses one unit of budget.  The search encodes the
+    inputs once, a shear on every side, checks the whole complex once,
+    then flips the encoding in place (see _flip_flat); the inputs are
+    left unchanged, the encoding is copied only when the best maximum
+    improves, and the best state is decoded once, at the end, its edges
+    in key order.  A kick's draw is Generator(Philox(key=seed)).integers
+    (0, k), read from the raw Philox words (_draw).  Returns the best
+    triangulation, its shear vector, the best maximum and the flip
+    trail.  Raises ValueError for a seed that is not an integer in
+    [0, 2**64), a budget that is not a non-negative integer or a shear
+    that is not finite, and when the flip a step takes would make a
+    shear overflow, which Penner's rule does only within about a factor
+    of two of the largest float.
     """
     # bool is an Integral, but True is not a seed or a budget
     if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
@@ -627,24 +623,25 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
         raise ValueError(
             f"budget must be a non-negative integer, got {budget!r}")
     halves = _philox_halves(seed)
-    cur_max = max_abs_shear(sigma)
     glue, labels = _encode(cx)
     _check(glue, labels)
     shears = _encode_shears(glue, sigma)
+    for i, v in enumerate(shears):      # the first side of an edge is its key
+        if not math.isfinite(v):
+            raise ValueError(
+                f"shears must be finite, got {v!r} on edge {divmod(i, 3)}")
     nxt, prv = _side_tables(len(glue))
-    best, best_max = None, cur_max      # None: the input state
+    best, best_max = None, max_abs_shear(sigma)     # None: the input state
     trail = []
     while len(trail) < budget:
         edges = _edge_keys(glue)
+        if not edges:
+            break
         ranking = sorted(zip(map(abs, map(shears.__getitem__, edges)), edges),
                          reverse=True)
-        # a NaN shear can leave the ranking's head below a finite maximum
-        if ranking and math.isfinite(cur_max) and ranking[0][0] == cur_max:
-            scored = _descents(glue, shears, ranking[0][1], nxt, prv)
-        else:
-            scored = [e for e in edges if _flippable(glue, e)]
+        cur_max, top = ranking[0]
         flipped, improving = {}, None      # improving: the lowest (value, e)
-        for e in scored:
+        for e in _descents(glue, shears, top, nxt, prv):
             flipped[e] = _flip_changes(glue, shears, e)
             c = (_flip_score(ranking, flipped[e]), e)
             if c[0] < cur_max - 1e-12 and (not improving or c < improving):
@@ -660,8 +657,10 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
             if e not in flipped:
                 flipped[e] = _flip_changes(glue, shears, e)
             val = _flip_score(ranking, flipped[e])
+        if not math.isfinite(val):
+            raise ValueError(
+                f"flip of edge {divmod(e, 3)} makes a shear overflow")
         _flip_flat(glue, labels, shears, e, flipped[e])
-        cur_max = val
         trail.append(divmod(e, 3))
         if improving and val < best_max:
             best, best_max = _copy(glue, labels, shears), val

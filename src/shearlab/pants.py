@@ -35,8 +35,8 @@ which also keeps the construction on geometry objects that this one
 replaced (tests/geometric_oracle.py).
 
 On the sampling path build_pants is the scalar route: it builds only
-the pants that the numpy batch (thick.thick_batch) does not handle,
-those where a check fails or a rare branch is taken.  The batch repeats
+the pants that the numpy batch (decomposition.pants_batch) does not
+handle, those where a check fails or a rare branch is taken.  The batch repeats
 this construction's formulas in the same operation order, cusp branches
 and points at infinity included, so build_pants is its reference, and
 it names every failure of the construction.

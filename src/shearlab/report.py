@@ -13,10 +13,10 @@ twists are drawn at once (surface.block_seeds and block_draws), and its
 length triples are one gather of them, (samples, pants, 3).  A pants
 takes one of two routes, with the same bits:
 
-* every pants goes first through thick.thick_batch, which builds and
-  develops all the triples of the block at once in numpy, in input
-  order, checks the curve holonomies and returns arrays with a row per
-  triple;
+* every pants goes first through decomposition.pants_batch, which
+  builds and develops all the triples of the block at once in numpy, in
+  input order, checks the curve holonomies, evaluates the seam-arc
+  closed forms and returns arrays with a row per triple;
 * every pants the batch does not handle (a check fails, or a rare
   branch is taken) goes through the scalar pants.build_pants and
   spiralling.pants_kernel.  They are the reference of the batch and
@@ -29,10 +29,10 @@ writes the values of the pants it builds into them, and they are
 reduced per block in numpy: the largest |shear|, the largest residual
 over cusp slots and over curve slots, the least margin, and whether
 every row of the shortness certificate passes, read without building
-the rows from the curve lengths and the seam-arc closed forms
-(decomposition), which neither route computes.  A record holds these,
-the curve lengths and twists keyed by curve id and the shears keyed by
-arc (pants, seam); a campaign keeps them as each block's columns
+the rows from the curve lengths and the batch's seam-arc closed forms
+(Batch.arcs), which the scalar route does not compute.  A record holds
+these, the curve lengths and twists keyed by curve id and the shears
+keyed by arc (pants, seam); a campaign keeps them as each block's columns
 (_Rows).  run_surface is a campaign of one surface, and it and
 run_sample_campaign return records as dicts.  No global holonomy is
 built.  Reports are deterministic: records come in sample order and
@@ -55,7 +55,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import __version__, decomposition, spiralling, thick
+from . import __version__, decomposition, spiralling
 from .constants import (RHO, SHORT_CURVE_MAX, Signature, area,
                         constants_audit, main_bound, shear_free_params,
                         topology_constants)
@@ -242,7 +242,7 @@ def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists, params):
 
     lengths and twists are (surfaces, curves) arrays, a column per curve
     id in _layout order.  The surfaces' length triples are gathered into
-    (surfaces, pants, 3) and batched (thick.thick_batch).  A surface
+    (surfaces, pants, 3) and batched (decomposition.pants_batch).  A surface
     whose data and graph pass check_surface, whose pants the batch all
     handled and whose curves pass check_curve_holonomy is read from the
     batch alone; every other one takes the scalar route (_scalar).
@@ -254,7 +254,7 @@ def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists, params):
              & np.isfinite(twists)).all(axis=1) & layout.sound)
     triples = np.concatenate([lengths, np.zeros((count, 1))],
                              axis=1)[:, layout.columns]
-    batch = thick.thick_batch(triples.reshape(-1, 3), params)
+    batch = decomposition.pants_batch(triples.reshape(-1, 3), params)
     # the least margin per pants, NaN where a pants has none: reduceat
     # gives an empty row the next row's first margin, and the last row
     # every margin up to the +inf appended
@@ -283,8 +283,9 @@ def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists, params):
         except Exception as err:   # the surface's error, raised or recorded
             errors[i] = err
     at = [i for i in range(count) if i not in errors]
-    return errors, _rows(sig, layout, at, triples[at], lengths[at],
-                         twists[at], [v[at] for v in values])
+    return errors, _rows(sig, layout, at,
+                         batch.arcs.reshape(count, pants, 3, 3)[at],
+                         lengths[at], twists[at], [v[at] for v in values])
 
 
 def _scalar(layout, triples, lengths, handled, hol, params, values):
@@ -318,9 +319,9 @@ def _scalar(layout, triples, lengths, handled, hol, params, values):
         least[p] = min(kern.margins, default=math.nan)
 
 
-def _rows(sig, layout, at, triples, lengths, twists, values) -> _Rows:
+def _rows(sig, layout, at, arcs, lengths, twists, values) -> _Rows:
     """The rows of the surfaces at (their indices in the block), from
-    their rows of _surfaces' arrays.
+    their rows of _surfaces' arrays and of the batch's arcs.
 
     certified reads the shortness certificate from the floats: every
     curve is at most 2 log(4 area) long and every pants passes
@@ -335,8 +336,7 @@ def _rows(sig, layout, at, triples, lengths, twists, values) -> _Rows:
     # larger, and np.max keeps NaN
     cusp, side = np.where(layout.slots, residuals[:, None],
                           0.0).max(axis=(2, 3)).T
-    short = decomposition.arcs_short(decomposition.arc_lengths(triples),
-                                     log4a)
+    short = decomposition.arcs_short(arcs, log4a)
     return _Rows(
         at, lengths, twists,
         shears.reshape(len(at), len(layout.shear_keys)), top, top / bound,
@@ -498,7 +498,7 @@ def sample_campaign(sig: Signature, seed: int, count: int,
     seeds, an integer array program with the bits of numpy's
     SeedSequence, and block_draws their (samples, curves) arrays of
     lengths and twists from one Philox re-keyed per sample, with the
-    bits of sample_fn's draw (surface._draw), their reference.  A draw's
+    bits of numpy's Generator keyed by each seed.  A draw's
     error does not depend on the seed, so a block whose draw fails
     records it on every sample.  Each block then runs as one array
     program (_surfaces): one batch of its pants, which takes each

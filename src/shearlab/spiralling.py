@@ -33,14 +33,14 @@ curve ids; its errors name the seam, and the report names the edge
 the kernel against closed forms that do not depend on the developed
 geometry (tests/test_kernel.py).
 
-The kernel is the scalar route of the report: it develops only
-the pants that the numpy batch (thick.thick_batch) leaves, those where a
-check fails or a rare branch is taken; the batch develops every other
-pants, cusped and thin ones included.  It is the batch's reference,
-which the batch matches bit for bit, margins and their order included,
-and it reports the failures of both routes by name.  The seam-arc
-lengths are not the kernel's: the report reads them from closed forms
-(decomposition.arc_lengths).
+The kernel is the scalar route of the report: it develops only the
+pants that the numpy batch (decomposition.pants_batch) leaves, those
+where a check fails or a rare branch is taken; the batch develops every
+other pants, cusped and thin ones included.  It is the batch's
+reference, which the batch matches bit for bit, margins and their order
+included, and it reports the failures of both routes by name.  The
+seam-arc lengths are not the kernel's: the batch evaluates them from
+closed forms for every pants (Batch.arcs).
 """
 
 from __future__ import annotations

@@ -25,11 +25,12 @@ surfaces.  The gluing maps, generator cores, connectors and
 checks are float matrix tuples, as the pants holds them; evaluate_class
 returns an Isometry.
 
-sample_fn draws one surface's Fenchel-Nielsen coordinates with numpy's
-Generator on a Philox bit generator (_draw).  A campaign draws a block
-of samples at once: block_seeds computes their seeds as numpy's
-SeedSequence would, as one integer array program, and block_draws their
-lengths and twists as _draw would, from one Philox re-keyed per sample.
+Surfaces draw their Fenchel-Nielsen coordinates a block of samples at
+once: block_seeds computes their seeds as numpy's SeedSequence would, as
+one integer array program, and block_draws their lengths and twists as
+numpy's Generator on a Philox bit generator keyed by each seed would,
+from one Philox re-keyed per sample.  sample_fn draws one surface as a
+block of one, and sample_seed is block_seeds at one index.
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ def validate(pg: PantsGraph, sig: Signature):
         n_cusps = len(pg.cusp_slots())
     except ValueError as err:
         problems.append(str(err))
-        n_cusps = -1
-    if n_cusps != sig.n:
-        problems.append(f"expected {sig.n} cusps, found {n_cusps}")
+    else:
+        if n_cusps != sig.n:
+            problems.append(f"expected {sig.n} cusps, found {n_cusps}")
     if not _connected(pg, ends):
         problems.append(DISCONNECTED)
     return problems
@@ -456,33 +457,17 @@ def sample_fn(sig: Signature, seed: int, length_range=None,
     """Seeded random surface on the canonical pants graph.
 
     Lengths are uniform in length_range, which defaults to
-    default_length_range(sig); the draw is _draw's, in curve id order.
+    default_length_range(sig); the draw is block_draws' of the one seed,
+    in curve id order.
     """
     pg = canonical_pants_graph(sig)
     if length_range is None:
         length_range = default_length_range(sig)
     cids = pg.curve_ids()
-    lengths, twists = _draw(seed, len(cids), length_range, twist_range)
-    return pg, FNCoordinates(dict(zip(cids, lengths.tolist())),
-                             dict(zip(cids, twists.tolist())))
-
-
-def _draw(seed: int, curves: int, length_range, twist_range):
-    """The lengths and twists of the curves of a seeded sample, as arrays.
-
-    The lengths are uniform in length_range, and the twist of each curve
-    is u * length for u uniform in twist_range.  The lengths are drawn
-    first, then the u; one vector draw each gives the same values as one
-    scalar draw per curve.  With no curve nothing is drawn, so nothing
-    checks the ranges.  A campaign draws a block of samples at once with
-    block_draws, whose reference this is: numpy's Generator on a Philox
-    bit generator keyed by the seed.
-    """
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    if not curves:
-        return np.zeros(0), np.zeros(0)
-    lengths = rng.uniform(*length_range, curves)
-    return lengths, rng.uniform(*twist_range, curves) * lengths
+    lengths, twists = block_draws(np.array([seed], dtype=np.uint64),
+                                  len(cids), length_range, twist_range)
+    return pg, FNCoordinates(dict(zip(cids, lengths[0].tolist())),
+                             dict(zip(cids, twists[0].tolist())))
 
 
 def sample_seed(base_seed: int, index: int) -> int:
@@ -562,15 +547,19 @@ _ULP53 = 1.0 / 9007199254740992.0
 
 def block_draws(seeds: np.ndarray, curves: int, length_range, twist_range):
     """The lengths and twists of a block of seeded samples, as (samples,
-    curves) arrays: row i holds _draw(seeds[i], ...)'s, bit for bit.
+    curves) arrays.
 
-    _draw keys a Philox bit generator by the seed, and Generator.uniform
-    maps each of its words x to lo + (hi - lo) u, u = (x >> 11) 2^-53, the
-    lengths first.  Here one Philox is re-keyed to each sample, as
-    Philox(key=seed) starts, and read for its 2 curves raw words, which
-    are mapped for the whole block at once.  numpy's uniform checks the
-    ranges as _draw does, at any size, so a bad range raises _draw's
-    error, even for an empty block; with no curve nothing is checked.
+    Row i holds, bit for bit, what numpy's Generator on a Philox bit
+    generator keyed by seeds[i] draws: the lengths uniform in
+    length_range, then per curve a u uniform in twist_range, whose twist
+    is u * length (tests/test_surface.py draws them so as the reference).
+    Generator.uniform maps each word x of the bit generator to
+    lo + (hi - lo) u, u = (x >> 11) 2^-53.  Here one Philox is re-keyed
+    to each sample, as Philox(key=seed) starts, and read for its 2 curves
+    raw words, which are mapped for the whole block at once.  numpy's
+    uniform checks the ranges at any size, so a bad range raises its
+    error, even for an empty block; with no curve nothing is drawn and
+    nothing checks the ranges.
     """
     count = len(seeds)
     if not curves:

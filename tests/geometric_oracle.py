@@ -1,7 +1,7 @@
 """The geometric seam-arc code that the closed forms replaced.
 
-decomposition.arc_lengths reads the raw and truncated seam-arc lengths
-from the boundary-length triple alone; the kernel's spiral corners take
+decomposition.pants_batch reads the raw and truncated seam-arc lengths
+(Batch.arcs) from the boundary-length triple alone; the kernel's spiral corners take
 fixed points of the slot holonomies without a probe test, and its
 relation residuals group the arc-ends one slot at a time, since every
 glued slot lies on the left of its curve in its own frame.  This module
@@ -55,7 +55,7 @@ cusped.develop_from_shears), shears_from_places (the cusped develop
 read back through _develop_apex), and the shortness
 certificate as scalar closed forms and named rows: truncated_length,
 arc_lengths and arcs_short (with _collar) compute one pants at a time
-the floats that decomposition.arc_lengths and arcs_short compute over
+the floats that decomposition's Batch.arcs and arcs_short compute over
 arrays, which must give their bits; and ShortnessRow, curve_rows and
 arc_rows name each bound.
 """

@@ -8,16 +8,16 @@ lengths in (1e-3, 2 tanh(rho)] and every cusp pattern; and a
 derandomized hypothesis search over the grid's domain.  Every triple
 goes through both routes of report.run_surface:
 
-* the batch (thick.thick_batch): a triple it handles must pass every
+* the batch (decomposition.pants_batch): a triple it handles must pass every
   check of the scalar path and give its bits, margins in kernel order
   and quadrilaterals included, and at every slot the scalar translation
   length and curve-holonomy check;
 * the scalar build_pants and pants_kernel: every failure must be a
   named GeometryError (DevelopError and AuditError included).
 
-The array closed forms of the shortness certificate
-(decomposition.arc_lengths and arcs_short) must give the bits of the
-oracle's scalar forms on every triple, whichever route handles it.
+The array closed forms of the shortness certificate (the batch's
+Batch.arcs and arcs_short) must give the bits of the oracle's scalar
+forms on every triple, whichever route handles it.
 
 The counts of failures per check kind and the handled share per class
 of pants (thick, thin, one cusp, two or three cusps) are printed
@@ -39,7 +39,6 @@ from hypothesis import strategies as st
 import geometric_oracle as O
 from shearlab import decomposition as D
 from shearlab import spiralling as SP
-from shearlab import thick
 from shearlab.constants import shear_free_params
 from shearlab.geom import GeometryError, mat_translation_length
 from shearlab.pants import build_pants
@@ -60,7 +59,7 @@ def fingerprint(hol, shears, residuals, margins, quadrilaterals):
 
 
 def batch_fingerprint(batch, r):
-    """fingerprint of row r of a thick.Batch."""
+    """fingerprint of row r of a decomposition.Batch."""
     margins = batch.margins[batch.first[r]:batch.first[r + 1]]
     return fingerprint(
         batch.hol[r].ravel().tolist(), batch.shears[r].tolist(),
@@ -136,15 +135,14 @@ def check_routes(triples, params, kinds, shares):
     kinds counts the scalar failures by check kind, and shares the
     triples per class as [total, passed by the scalar path, handled].
     """
-    batch = thick.thick_batch(triples, params)
-    arcs = D.arc_lengths(triples)
-    short = D.arcs_short(arcs, LOG4A)
+    batch = D.pants_batch(triples, params)
+    short = D.arcs_short(batch.arcs, LOG4A)
     short_max = 2.0 * math.tanh(params.rho)
     for r, ls in enumerate(map(tuple, triples)):
         # the array closed forms on every row, whichever route takes it
         oracle = O.arc_lengths(ls)
         assert arc_bits([[None if math.isnan(x) else x for x in arc]
-                         for arc in arcs[r].tolist()]) == arc_bits(oracle), ls
+                         for arc in batch.arcs[r].tolist()]) == arc_bits(oracle), ls
         assert short[r] == O.arcs_short(oracle, LOG4A), ls
         want = scalar(ls, params)
         share = shares.setdefault(pants_class(ls, short_max), [0, 0, 0])
@@ -255,7 +253,7 @@ def test_complex_arithmetic_rounds_as_cpython():
     a, b, c, d, zr, zi = (np.array([value() for _ in range(count)])
                           for _ in range(6))
     with np.errstate(all="ignore"):
-        wr, wi, good = thick._apply_point((a, b, c, d), zr, zi)
+        wr, wi, good = D._apply_point((a, b, c, d), zr, zi)
         hyp = np.hypot(zr, zi)
     for i in range(count):
         z = complex(zr[i], zi[i])

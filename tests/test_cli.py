@@ -271,6 +271,21 @@ class TestMalformedSurface:
         one_line_error(capsys, ["compute", path], 1,
                        "curve 0 glues 3 slots, expected 2")
 
+    def test_duplicate_cusp_id(self, tmp_path, capsys):
+        bad = dict(SURFACE_04, pants=[
+            {"slots": [{"cusp": 0}, {"cusp": 1}, {"curve": 0}]},
+            {"slots": [{"curve": 0}, {"cusp": 0}, {"cusp": 3}]}])
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, ["compute", path], 1, "cusp id 0 used twice")
+
+    def test_pants_with_two_slots(self, tmp_path, capsys):
+        bad = dict(SURFACE_04, pants=[
+            {"slots": [{"cusp": 0}, {"cusp": 1}, {"curve": 0}]},
+            {"slots": [{"curve": 0}, {"cusp": 2}]}])
+        path = write_surface(tmp_path, bad)
+        one_line_error(capsys, ["compute", path], 1,
+                       "each pants needs exactly three slots")
+
     def test_non_finite_length(self, tmp_path, capsys):
         bad = json.loads(json.dumps(SURFACE_11))
         bad["fn"][0]["length"] = math.inf
@@ -937,8 +952,9 @@ class TestRelationCheck:
     def patch_kernel(monkeypatch, field, index, value, call=0):
         """Set kernel field[index] to value in the call-th kernel run.
 
-        The batch (thick.thick_batch) is patched to handle nothing, so
-        that every pants takes the scalar route through the kernel.
+        The batch (decomposition.pants_batch) is patched to handle
+        nothing, so that every pants takes the scalar route through the
+        kernel.
         Returns the (pants, kernel) of every kernel run.
         """
         from shearlab import spiralling

@@ -367,15 +367,29 @@ class TestWalksThroughFlips:
             with pytest.raises(ValueError,
                                match=re.escape(f"{walk[-1]} is not a side")):
                 CU.develop_walk(cx, sigma, walk)
+        # a side into another face: the next step must start there, and
+        # a walk must end in the face it started from
+        face, side = next(key for key, (f2, _) in cx.glue.items()
+                          if f2 != key[0])
+        for walk, problem in (([(face, side), (face, side)],
+                               "walk steps do not chain"),
+                              ([(face, side)], "walk does not close up")):
+            with pytest.raises(ValueError, match=problem):
+                CU.develop_walk(cx, sigma, walk)
 
     def test_rewrite_requires_leaving_quad(self):
         fn, (cx, sigma, _) = chain(Signature(0, 4), seed=5)
         e = next(e for e in cx.edges() if CU.flippable(cx, e))
         f1, s1 = e
         f2, s2 = cx.glue[e]
-        walk = [(f1, s1), (f2, s2)]
-        with pytest.raises(ValueError):
-            CU.rewrite_walk(walk, cx, e)
+        outside = next(key for key in cx.glue if key[0] not in (f1, f2))
+        for walk, problem in (
+                ([(f1, s1), (f2, s2)],
+                 "walk never leaves the flipped quadrilateral"),
+                ([outside, (f1, s1)], "walk enters the quadrilateral "
+                                      "through the flipped edge")):
+            with pytest.raises(ValueError, match=problem):
+                CU.rewrite_walk(walk, cx, e)
 
 
 def _reference_search(cx, sigma, budget, seed):

@@ -33,9 +33,9 @@ module's dependencies and an import cycle shows at once.  Inside the library a m
 Isometry, Geodesic and IdealTriangle are the public API's values: outside
 geom.py no library module may build one (call the class or one of its
 classmethods) except where a public function returns one
-(VALUE_RETURNS).  The batch of pants (thick.py), the array closed
-forms of the seam arcs (decomposition.py) and the campaign's block
-seeds and draws (surface.py) must give the scalar path's bits, and
+(VALUE_RETURNS).  The batch of pants and its array closed forms of
+the seam arcs (decomposition.py) and the campaign's block seeds and
+draws (surface.py) must give the scalar path's bits, and
 numpy's transcendental and power ufuncs round differently from math
 (its SIMD tanh, cosh, asinh, exp and log, and ``arr ** 2``, differ in
 the last bit on a share of inputs): none of them names such a ufunc or
@@ -47,10 +47,12 @@ differently from CPython's too, so none uses a complex number at all,
 numpy's or Python's: no ``1j`` literal, no ``complex``, no numpy
 complex type or complex dtype name.  Every module the benchmark's worker
 imports by name (its ``MODULES`` tuple, read without importing it) must
-exist in the library, and so must every library name a benchmark file
-imports (``from shearlab.m import name``) or reads as ``m.name`` after
-``from shearlab import m``, collected without running the benchmark:
-a rename fails here and not in a benchmark run.  The flip search calls
+exist in the library, and every library module but ``__init__`` must be
+among them, so that no module's time goes untraced into its callers'
+self time.  Every library name a benchmark file imports (``from
+shearlab.m import name``) or reads as ``m.name`` after ``from shearlab
+import m`` must exist too, collected without running the benchmark: a
+rename fails here and not in a benchmark run.  The flip search calls
 its kernel, ``_flip_changes`` and ``_flip_flat``, by their module-level
 names and never binds or aliases them, so that the tests that patch the
 kernel in the module count every call.
@@ -415,7 +417,7 @@ def unread_locals(tree):
     return out
 
 
-BATCH = (SRC / "thick.py", SRC / "decomposition.py", SRC / "surface.py")
+BATCH = (SRC / "decomposition.py", SRC / "surface.py")
 NUMPY_INEXACT = {"tanh", "cosh", "sinh", "arctanh", "arccosh", "arcsinh",
                  "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
                  "power", "float_power", "square", "cbrt"}
@@ -677,6 +679,12 @@ def test_benchmark_modules_exist():
     assert names and "chains" in names
     assert [name for name in names
             if not (SRC / f"{name}.py").is_file()] == []
+
+
+def test_benchmark_traces_every_module():
+    names = benchmark_modules(_parse(ROOT / "perfbench" / "worker.py"))
+    assert sorted(path.stem for path in MODULES
+                  if path.name != "__init__.py") == sorted(names)
 
 
 def test_benchmark_names_exist():

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from shearlab import decomposition, report
 from shearlab import spiralling as SP
 from shearlab import surface as S
-from shearlab import thick
 from shearlab.constants import Signature, shear_free_params
 from shearlab.geom import GeometryError
 from shearlab.pants import StdPants, build_pants
@@ -35,16 +34,16 @@ def long_05(i):
 
 
 def handle_nothing(monkeypatch):
-    """Patch thick.thick_batch to handle no triple, so that every pants
+    """Patch decomposition.pants_batch to handle no triple, so that every pants
     takes the scalar route."""
-    real = thick.thick_batch
+    real = decomposition.pants_batch
 
     def batch(triples, params):
         out = real(triples, params)
         out.handled[:] = False
         return out
 
-    monkeypatch.setattr(thick, "thick_batch", batch)
+    monkeypatch.setattr(decomposition, "pants_batch", batch)
 
 
 class TestRunSurface:
@@ -266,7 +265,7 @@ class TestSampleWriter:
         # one pants per (1,1) sample, so batch row i is sample i: a NaN
         # shear, a NaN residual at a curve slot, a NaN least margin (no
         # margin), a -0.0 shear and an infinite shear
-        real = thick.thick_batch
+        real = decomposition.pants_batch
 
         def batch(triples, params):
             out = real(triples, params)
@@ -277,7 +276,7 @@ class TestSampleWriter:
             out.shears[5, 1] = math.inf
             return out
 
-        monkeypatch.setattr(thick, "thick_batch", batch)
+        monkeypatch.setattr(decomposition, "pants_batch", batch)
         text, records = self.check((1, 1), 5, 8, None, (0.0, 1.0))
         assert math.isnan(records[1]["shears"]["(0, 0)"])
         assert math.isnan(records[1]["max_shear"])
@@ -314,7 +313,7 @@ class TestSampleWriter:
 
 
 class TestBatchRouting:
-    """Every pants of a campaign goes through thick.thick_batch.
+    """Every pants of a campaign goes through decomposition.pants_batch.
 
     The scalar build_pants and pants_kernel are its reference: with the
     batch handling nothing, every record and summary, error strings
@@ -367,7 +366,7 @@ class TestBatchRouting:
     def routes(monkeypatch, sig, seed, count):
         """The triples a campaign batches, those the batch handles, and
         those the scalar build_pants and pants_kernel see."""
-        real_batch, real_build = thick.thick_batch, report.build_pants
+        real_batch, real_build = decomposition.pants_batch, report.build_pants
         real_kernel = SP.pants_kernel
         batched, handled, scalar = set(), set(), []
 
@@ -387,7 +386,7 @@ class TestBatchRouting:
             scalar.append(sp.lengths)
             return real_kernel(sp, params)
 
-        monkeypatch.setattr(thick, "thick_batch", batch)
+        monkeypatch.setattr(decomposition, "pants_batch", batch)
         monkeypatch.setattr(report, "build_pants", build)
         monkeypatch.setattr(SP, "pants_kernel", kernel)
         records, _ = report.run_sample_campaign(sig, seed, count)
@@ -414,52 +413,53 @@ class TestBatchRouting:
     def test_batch_rows_are_the_input_triples(self):
         # row r of the batch is triple r: a handled row has the bits of
         # a batch of its triple alone, so a repeated triple gets the same
-        # bits at each of its rows; a length that is not finite, or
-        # negative, leaves its triple unhandled (the sign of a NaN the
-        # unhandled rows carry is not pinned).  The functions of one
+        # bits at each of its rows; a length that is not finite,
+        # negative or too long for build_pants leaves its triple
+        # unhandled (the sign of a NaN the unhandled rows carry is not
+        # pinned), and the arcs take no cosh of a length that long, which
+        # would overflow.  The functions of one
         # length are taken once per distinct bit pattern, so a length
         # shared across slots and rows, 0.0 beside -0.0 (a cusp either
         # way) and a NaN get the bits of their row alone, in the batch
-        # and in the seam-arc lengths (decomposition.arc_lengths)
+        # and in its seam-arc lengths (Batch.arcs)
         params = shear_free_params()
         good = [(1.0, 2.0, 0.0), (0.3, 0.0, 0.0), (2.5, 1.5, 3.0),
                 (0.5, 0.5, 0.5), (0.5, 2.0, 0.5), (2.0, 2.0, 1.0),
                 (1.0, -0.0, 0.0), (0.0, -0.0, 0.3), (-0.0, -0.0, 2.5)]
         bad = [(math.inf, 1.0, 0.0), (math.nan, 1.0, 1.0),
                (-1.0, 2.0, 0.0), (1.0, 1.0, -math.inf),
-               (0.5, math.nan, -0.0)]
+               (0.5, math.nan, -0.0), (1500.0, 1.0, 0.0)]
         triples = [good[0], bad[0], good[1], good[0], bad[1], good[2],
                    bad[2], good[1], bad[3], good[2], *good[3:], bad[4],
-                   good[6]]
-        batch = thick.thick_batch(triples, params)
+                   good[6], bad[5]]
+        batch = decomposition.pants_batch(triples, params)
         assert batch.handled.tolist() == [ls in good for ls in triples]
-        arcs = decomposition.arc_lengths(triples)
         for r, ls in enumerate(triples):
-            assert arcs[r].tobytes() \
-                == decomposition.arc_lengths(ls).tobytes(), ls
+            assert batch.arcs[r].tobytes() == decomposition.pants_batch(
+                [ls], params).arcs[0].tobytes(), ls
         # the distinct values gathered back are the lengths, bit for bit,
         # though no output above depends on the sign of a zero or a NaN
         payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))
         lengths = np.array([*triples, (-math.nan, *payload, 0.5)]).T
-        values, where = thick._distinct(lengths)
+        values, where = decomposition._distinct(lengths)
         assert len(values) < lengths.size
         assert values[where].tobytes() == lengths.tobytes()
 
         def bits(batch, r):
             return [getattr(batch, f.name)[r].tobytes()
-                    for f in fields(thick.Batch)
+                    for f in fields(decomposition.Batch)
                     if f.name not in ("margins", "first")] + [
                 batch.margins[batch.first[r]:batch.first[r + 1]].tobytes()]
 
         for r, ls in enumerate(triples):
-            alone = thick.thick_batch([ls], params)
+            alone = decomposition.pants_batch([ls], params)
             assert alone.handled.tolist() == [batch.handled[r]]
             if batch.handled[r]:
                 assert bits(batch, r) == bits(alone, 0), ls
         assert bits(batch, 0) == bits(batch, 3)
         assert bits(batch, 5) == bits(batch, 9)
         assert bits(batch, 13) == bits(batch, 17)
-        empty = thick.thick_batch([], params)
+        empty = decomposition.pants_batch([], params)
         assert empty.handled.shape == (0,) and empty.first.tolist() == [0]
 
     def test_no_finite_triple_no_numpy_work(self, monkeypatch):
@@ -468,7 +468,7 @@ class TestBatchRouting:
         def refuse(triples, params):
             raise AssertionError("batched a block with no triple")
 
-        monkeypatch.setattr(thick, "thick_batch", refuse)
+        monkeypatch.setattr(decomposition, "pants_batch", refuse)
         records, summary = report.run_sample_campaign(
             Signature(1, 1), 42, 20, length_range=(2.0, 1.0))
         assert summary["failures"] == 20

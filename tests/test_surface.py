@@ -14,6 +14,23 @@ from shearlab import surface as S
 from shearlab.constants import Signature, area
 
 
+def draw(seed, curves, length_range, twist_range):
+    """The lengths and twists of the curves of a seeded sample, as arrays:
+    the reference of block_draws and sample_fn.
+
+    numpy's Generator on a Philox bit generator keyed by the seed draws
+    the lengths uniform in length_range, then per curve a u uniform in
+    twist_range; the twist is u * length.  One vector draw each gives the
+    same values as one scalar draw per curve.  With no curve nothing is
+    drawn, so nothing checks the ranges.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    if not curves:
+        return np.zeros(0), np.zeros(0)
+    lengths = rng.uniform(*length_range, curves)
+    return lengths, rng.uniform(*twist_range, curves) * lengths
+
+
 class TestValidate:
     def test_one_handle_pants(self):
         pg = S.PantsGraph(((("curve", 0), ("curve", 0), ("cusp", 0)),))
@@ -34,6 +51,10 @@ class TestValidate:
         pg = S.PantsGraph(((("curve", 0), ("cusp", 0), ("cusp", 1)),))
         problems = S.validate(pg, Signature(1, 1))
         assert problems  # dangling curve, wrong cusp count
+        # no cusp count is read from a slot table that reuses a cusp id
+        pg = S.PantsGraph(((("cusp", 0), ("cusp", 1), ("curve", 0)),
+                           (("curve", 0), ("cusp", 0), ("cusp", 3))))
+        assert S.validate(pg, Signature(0, 4)) == ["cusp id 0 used twice"]
 
     def test_canonical_graphs(self):
         for g, n in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 0), (2, 1),
@@ -335,7 +356,7 @@ class TestSampler:
     @pytest.mark.parametrize("curves", [1, 17, 27])
     def test_block_draws_are_draws_row_by_row(self, curves):
         # block_draws re-keys one Philox per sample: row i must be
-        # _draw(seeds[i]) at the top of the seed range and at a
+        # draw(seeds[i]) at the top of the seed range and at a
         # campaign's seeds, in blocks of 1 and 257, where 2 curves words
         # do not fill whole Philox blocks of 4
         top = [2 ** 63, 2 ** 63 + 1, 2 ** 64 - 2, 2 ** 64 - 1]
@@ -351,14 +372,14 @@ class TestSampler:
                 assert lengths.shape == twists.shape == (len(block), curves)
                 for seed, row_l, row_t in zip(block.tolist(), lengths,
                                               twists):
-                    want_l, want_t = S._draw(seed, curves, (0.05, 9.0),
-                                             (0.0, 1.0))
+                    want_l, want_t = draw(seed, curves, (0.05, 9.0),
+                                          (0.0, 1.0))
                     assert row_l.tobytes() == want_l.tobytes(), seed
                     assert row_t.tobytes() == want_t.tobytes(), seed
 
     def test_empty_block_draws_nothing_but_checks_the_ranges(self):
         # a block with no sample and some curves gives (0, curves) arrays,
-        # and a bad range raises _draw's error all the same
+        # and a bad range raises draw's error all the same
         seeds = np.zeros(0, dtype=np.uint64)
         assert [a.shape for a in S.block_draws(seeds, 3, (0.05, 9.0),
                                                (0.0, 1.0))] == [(0, 3)] * 2
@@ -367,7 +388,33 @@ class TestSampler:
             with pytest.raises((ValueError, OverflowError)) as ours:
                 S.block_draws(seeds, 3, *ranges)
             with pytest.raises((ValueError, OverflowError)) as reference:
-                S._draw(0, 3, *ranges)
+                draw(0, 3, *ranges)
+            assert type(ours.value) is type(reference.value)
+            assert str(ours.value) == str(reference.value)
+
+    def test_sample_fn_is_the_reference_draw(self):
+        # sample_fn draws a block of one: the reference's bits up to the
+        # top of the seed range, and its error for a seed out of that
+        # range or a bad length or twist range
+        for gn in ((0, 3), (1, 1), (5, 5)):
+            sig = Signature(*gn)
+            cids = S.canonical_pants_graph(sig).curve_ids()
+            for seed in (0, 7, 123456789, 2 ** 64 - 1):
+                _, fn = S.sample_fn(sig, seed)
+                want = draw(seed, len(cids), S.default_length_range(sig),
+                            (0.0, 1.0))
+                got = [np.array([table[c] for c in cids], dtype=float)
+                       for table in (fn.lengths, fn.twists)]
+                assert [a.tobytes() for a in got] == [
+                    a.tobytes() for a in want], (gn, seed)
+        for seed, ranges in ((-1, ((0.05, 9.0), (0.0, 1.0))),
+                             (2 ** 64, ((0.05, 9.0), (0.0, 1.0))),
+                             (0, ((5.0, 1.0), (0.0, 1.0))),
+                             (0, ((0.05, math.inf), (0.0, 1.0)))):
+            with pytest.raises((ValueError, OverflowError)) as ours:
+                S.sample_fn(Signature(0, 4), seed, *ranges)
+            with pytest.raises((ValueError, OverflowError)) as reference:
+                draw(seed, 1, *ranges)
             assert type(ours.value) is type(reference.value)
             assert str(ours.value) == str(reference.value)
 

@@ -22,7 +22,8 @@ edges on their sides and the sides' partners, and checks those faces
 and their neighbours with the face check that check() runs.  The public
 flip and the search, which decodes only its best state, both run it.
 Each side's successor and predecessor in its face come from side
-tables (_side_tables).
+tables (_side_tables); the search looks them up once and hands them to
+the kernel and the face check, which otherwise look them up per call.
 
 The minimax search lowers the largest |shear| of finite shears (it
 raises ValueError for others, and for a flip that would overflow one).
@@ -32,7 +33,9 @@ preceding it, so only two flips can lower the top edge's |shear|:
 those of the edges its two sides follow when its shear is >= 0, or
 precede when it is < 0.  A step scores those two and the edge a kick
 draws, which comes from the raw words of a Philox bit generator by
-numpy's bounded rule, so it draws what Generator.integers would.
+numpy's bounded rule, so it draws what Generator.integers would.  A
+step ranks the edges, and a kick lists its candidates, in one pass over
+the sides that reads each edge at its key, the side i with i <= glue[i].
 """
 
 from __future__ import annotations
@@ -202,11 +205,13 @@ def _check(glue, labels):
     _check_faces(glue, labels, range(len(glue) // 3))
 
 
-def _check_faces(glue, labels, faces, shears=None):
+def _check_faces(glue, labels, faces, shears=None, nxt=None):
     """Check that the given faces are glued by an involution and carry
     the same cusps as their partners across each side; given the shears,
-    also that each side holds its partner's shear."""
-    nxt, _ = _side_tables(len(glue))
+    also that each side holds its partner's shear.  nxt is the side
+    table of successors (_side_tables), looked up when not given."""
+    if nxt is None:
+        nxt, _ = _side_tables(len(glue))
     for f in faces:
         b = 3 * f
         for i in (b, b + 1, b + 2):
@@ -234,10 +239,11 @@ def _flippable(glue, i) -> bool:
     return (glue[b] // 3, glue[b + 1] // 3, glue[b + 2] // 3).count(f2) == 1
 
 
-def _flip_changes(glue, shears, e):
+def _flip_changes(glue, shears, e, nxt=None, prv=None):
     """The keys and new shears, two tuples, of the edges a flip of the
     flippable edge key e changes: the outer sides' edges (two of e's
-    face, then two of its partner's), then e.
+    face, then two of its partner's), then e.  nxt and prv are the side
+    tables (_side_tables), looked up when not given.
 
     Penner's rule: the flipped shear negates; in the stored sign
     convention the side following the flipped edge in each adjacent
@@ -250,7 +256,8 @@ def _flip_changes(glue, shears, e):
     gain_prev = math.log1p(math.exp(s_val)) if s_val < 30 else s_val
     gain_next = math.log1p(math.exp(-s_val)) if s_val > -30 else -s_val
     lose, gain = 0.0 + -gain_next, 0.0 + gain_prev
-    nxt, prv = _side_tables(len(glue))
+    if nxt is None:
+        nxt, prv = _side_tables(len(glue))
     p, q, r, s = nxt[e], prv[e], nxt[e2], prv[e2]
     gp, gq, gr, gs = glue[p], glue[q], glue[r], glue[s]
     keys = (p if p < gp else gp, q if q < gq else gq,
@@ -278,14 +285,17 @@ def _flip_score(ranking: list, changed: tuple) -> float:
     return max(kept, *map(abs, values))
 
 
-def _flip_flat(glue, labels, shears, e, changed):
+def _flip_flat(glue, labels, shears, e, changed, nxt=None, prv=None):
     """Flip the flippable edge key e in place, given its _flip_changes:
     re-glue the six sides of the two faces, write the changed shears on
     them and their partners, and check the two faces and their
     neighbours, the only faces whose gluing, labels or shears a flip
-    changes.  Returns the outer sides and the sides they moved to."""
+    changes.  nxt and prv are the side tables (_side_tables), looked up
+    when not given.  Returns the outer sides and the sides they moved
+    to."""
     keys, values = changed
-    nxt, prv = _side_tables(len(glue))
+    if nxt is None:
+        nxt, prv = _side_tables(len(glue))
     e2 = glue[e]
     b1, b2 = e - e % 3, e2 - e2 % 3
     # outer sides P, Q of f1 and R, S of f2, and the slots they move to:
@@ -293,25 +303,31 @@ def _flip_flat(glue, labels, shears, e, changed):
     p, q, r, s = nxt[e], prv[e], nxt[e2], prv[e2]
     outer, slots = (p, q, r, s), (b2 + 1, b1 + 2, b1, b2)
     x, y, z, w = labels[e], labels[p], labels[q], labels[s]
-    partners = [glue[p], glue[q], glue[r], glue[s]]
-    if e in partners or e2 in partners:
+    gp, gq, gr, gs = glue[p], glue[q], glue[r], glue[s]
+    if e in (gp, gq, gr, gs) or e2 in (gp, gq, gr, gs):
         raise ValueError("flip would glue a side to the removed edge")
     if len(keys) < 5:
         # a self-folded triangle's outer sides: one shear, glued together
+        partners = [gp, gq, gr, gs]
         moved = dict(zip(outer, slots))
         values = [values[keys.index(min(i, j))]
                   for i, j in zip(outer, partners)] + [values[-1]]
-        partners = [moved.get(j, j) for j in partners]
+        gp, gq, gr, gs = [moved.get(j, j) for j in partners]
+    vp, vq, vr, vs, diagonal = values
     labels[b1:b1 + 3] = (x, w, z)
     labels[b2:b2 + 3] = (w, y, z)
-    for me, partner, value in zip(slots, partners, values):
-        glue[me], glue[partner] = partner, me
-        shears[me] = shears[partner] = value
+    glue[b2 + 1], glue[gp] = gp, b2 + 1
+    shears[b2 + 1] = shears[gp] = vp
+    glue[b1 + 2], glue[gq] = gq, b1 + 2
+    shears[b1 + 2] = shears[gq] = vq
+    glue[b1], glue[gr] = gr, b1
+    shears[b1] = shears[gr] = vr
+    glue[b2], glue[gs] = gs, b2
+    shears[b2] = shears[gs] = vs
     glue[b1 + 1], glue[b2 + 2] = b2 + 2, b1 + 1
-    shears[b1 + 1] = shears[b2 + 2] = values[-1]
-    _check_faces(glue, labels, {b1 // 3, b2 // 3, partners[0] // 3,
-                                partners[1] // 3, partners[2] // 3,
-                                partners[3] // 3}, shears)
+    shears[b1 + 1] = shears[b2 + 2] = diagonal
+    _check_faces(glue, labels, {b1 // 3, b2 // 3, gp // 3, gq // 3,
+                                gr // 3, gs // 3}, shears, nxt)
     return outer, slots
 
 
@@ -401,20 +417,28 @@ def develop_walk(cx: CuspedTriangulation, sigma: dict, walk) -> Isometry:
     """
     if not walk:
         raise ValueError("walk must be nonempty")
+    _check_walk(cx, walk)
     hol = IDENTITY
-    cur_face = walk[0][0]
+    for face, side in walk:
+        _, s2 = cx.glue[(face, side)]
+        hol = mat_mul(hol, _step_matrix(side, s2,
+                                        sigma[cx.edge_key(face, side)]))
+    return Isometry(*hol)
+
+
+def _check_walk(cx: CuspedTriangulation, walk):
+    """Raise ValueError unless every step of the dual walk is a side
+    whose glued face is the next step's face, and the last step's is
+    the first step's (an empty walk passes)."""
+    cur_face = walk[0][0] if walk else None
     for face, side in walk:
         if face != cur_face:
             raise ValueError("walk steps do not chain")
         if (face, side) not in cx.glue:
             raise ValueError(f"{(face, side)} is not a side")
-        f2, s2 = cx.glue[(face, side)]
-        hol = mat_mul(hol, _step_matrix(side, s2,
-                                        sigma[cx.edge_key(face, side)]))
-        cur_face = f2
-    if cur_face != walk[0][0]:
+        cur_face = cx.glue[(face, side)][0]
+    if walk and cur_face != walk[0][0]:
         raise ValueError("walk does not close up")
-    return Isometry(*hol)
 
 
 @dataclass
@@ -484,7 +508,14 @@ def rewrite_walk(walk, cx: CuspedTriangulation, edge):
     Runs of the walk inside the two flipped faces are re-derived from
     their entry and exit sides: in the new complex the transit either
     stays inside one of the new faces or crosses the new diagonal once.
+    Raises ValueError for a step that is not a side, steps that do not
+    chain or close up (as develop_walk does) and a walk that never
+    leaves the two faces.  Each run's entry and exit are then outer
+    sides: the entry is glued to the step before the run and the exit to
+    the face of the step after it, both outside the two faces, while the
+    flipped edge's two sides are glued to each other.
     """
+    _check_walk(cx, walk)
     edge = cx.edge_key(*edge)
     f1, s1 = edge
     f2, s2 = cx.glue[edge]
@@ -518,9 +549,6 @@ def rewrite_walk(walk, cx: CuspedTriangulation, edge):
         prev = rotated[i - 1]
         entry = cx.glue[prev]
         exit_ = rotated[j - 1]
-        if entry not in new_side or exit_ not in new_side:
-            raise ValueError("walk enters the quadrilateral through the "
-                             "flipped edge")
         e_new = new_side[entry]
         x_new = new_side[exit_]
         if e_new[0] == x_new[0]:
@@ -604,8 +632,13 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
     then flips the encoding in place (see _flip_flat); the inputs are
     left unchanged, the encoding is copied only when the best maximum
     improves, and the best state is decoded once, at the end, its edges
-    in key order.  A kick's draw is Generator(Philox(key=seed)).integers
-    (0, k), read from the raw Philox words (_draw).  Returns the best
+    in key order.  A step ranks (|shear|, edge key) in decreasing order,
+    ties going to the larger key, in one pass over the sides that reads
+    each edge at its key (the side i with i <= glue[i]), and a kick lists
+    the flippable edge keys in key order by the same pass.  The side
+    tables are looked up once and passed to the flip kernel and its face
+    check.  A kick's draw is Generator(Philox(key=seed)).integers(0, k),
+    read from the raw Philox words (_draw).  Returns the best
     triangulation, its shear vector, the best maximum and the flip
     trail.  Raises ValueError for a seed that is not an integer in
     [0, 2**64), a budget that is not a non-negative integer or a shear
@@ -631,18 +664,18 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
             raise ValueError(
                 f"shears must be finite, got {v!r} on edge {divmod(i, 3)}")
     nxt, prv = _side_tables(len(glue))
+    sides = range(len(glue))
     best, best_max = None, max_abs_shear(sigma)     # None: the input state
     trail = []
     while len(trail) < budget:
-        edges = _edge_keys(glue)
-        if not edges:
+        ranking = [(abs(shears[i]), i) for i in sides if i <= glue[i]]
+        if not ranking:
             break
-        ranking = sorted(zip(map(abs, map(shears.__getitem__, edges)), edges),
-                         reverse=True)
+        ranking.sort(reverse=True)
         cur_max, top = ranking[0]
         flipped, improving = {}, None      # improving: the lowest (value, e)
         for e in _descents(glue, shears, top, nxt, prv):
-            flipped[e] = _flip_changes(glue, shears, e)
+            flipped[e] = _flip_changes(glue, shears, e, nxt, prv)
             c = (_flip_score(ranking, flipped[e]), e)
             if c[0] < cur_max - 1e-12 and (not improving or c < improving):
                 improving = c
@@ -650,17 +683,18 @@ def minimax_flip_search(cx: CuspedTriangulation, sigma: dict, budget: int,
             val, e = improving
         else:
             # stuck at a local minimum: random kick
-            candidates = [e for e in edges if _flippable(glue, e)]
+            candidates = [i for i in sides
+                          if i <= glue[i] and _flippable(glue, i)]
             if not candidates:
                 break
             e = candidates[_draw(halves, len(candidates))]
             if e not in flipped:
-                flipped[e] = _flip_changes(glue, shears, e)
+                flipped[e] = _flip_changes(glue, shears, e, nxt, prv)
             val = _flip_score(ranking, flipped[e])
         if not math.isfinite(val):
             raise ValueError(
                 f"flip of edge {divmod(e, 3)} makes a shear overflow")
-        _flip_flat(glue, labels, shears, e, flipped[e])
+        _flip_flat(glue, labels, shears, e, flipped[e], nxt, prv)
         trail.append(divmod(e, 3))
         if improving and val < best_max:
             best, best_max = _copy(glue, labels, shears), val

@@ -1,5 +1,6 @@
 """Cusped triangulations: chain construction, flips, developing maps."""
 
+import hashlib
 import math
 import re
 import struct
@@ -383,13 +384,41 @@ class TestWalksThroughFlips:
         f1, s1 = e
         f2, s2 = cx.glue[e]
         outside = next(key for key in cx.glue if key[0] not in (f1, f2))
+        # outside is glued into f1, so the walk leaving f1 through the
+        # flipped edge chains but does not close up
+        assert cx.glue[outside][0] == f1
         for walk, problem in (
                 ([(f1, s1), (f2, s2)],
                  "walk never leaves the flipped quadrilateral"),
-                ([outside, (f1, s1)], "walk enters the quadrilateral "
-                                      "through the flipped edge")):
+                ([outside, (f1, s1)], "walk does not close up"),
+                ([(f1, s1), (f1, s1)], "walk steps do not chain"),
+                ([(f1, s1)], "walk does not close up"),
+                ([(f1, 5)], re.escape(f"{(f1, 5)} is not a side"))):
             with pytest.raises(ValueError, match=problem):
                 CU.rewrite_walk(walk, cx, e)
+
+    def test_rewrite_keeps_closed_walks(self):
+        # every run's entry and exit are outer sides, so every closed
+        # walk that leaves the quadrilateral rewrites to a closed walk of
+        # the flipped complex with the same holonomy length
+        rewritten = 0
+        for n in (4, 5):
+            _, (cx, sigma, _) = chain(Signature(0, n), seed=3)
+            sigma = F.project_to_complete(cx, sigma)
+            for e in (e for e in cx.edges() if CU.flippable(cx, e)):
+                flipped_cx, flipped = CU.flip(cx, sigma, e)
+                for walk in F.closed_dual_walks(cx, max_len=5):
+                    try:
+                        new = CU.rewrite_walk(walk, cx, e)
+                    except ValueError as err:
+                        assert "never leaves" in str(err)
+                        continue
+                    old = CU.develop_walk(cx, sigma, walk)
+                    got = CU.develop_walk(flipped_cx, flipped, new)
+                    want = abs(old.a + old.d)
+                    assert abs(abs(got.a + got.d) - want) <= 1e-6 * want
+                    rewritten += 1
+        assert rewritten >= 1000, rewritten
 
 
 def _reference_search(cx, sigma, budget, seed):
@@ -549,17 +578,18 @@ def folds(cx, edge):
 
 def count_scores_per_step(monkeypatch):
     """Patch the search's flip scoring; returns the list of _flip_changes
-    calls per step, each step closed by its in-place flip."""
+    calls per step, each step closed by its in-place flip.  Both hooks
+    forward the search's side tables."""
     per_step = [0]
     real_changes, real_flip = CU._flip_changes, CU._flip_flat
 
-    def counting_changes(glue, shears, e):
+    def counting_changes(glue, shears, e, *tables):
         per_step[-1] += 1
-        return real_changes(glue, shears, e)
+        return real_changes(glue, shears, e, *tables)
 
-    def closing_flip(glue, labels, shears, e, changed):
+    def closing_flip(glue, labels, shears, e, changed, *tables):
         per_step.append(0)
-        return real_flip(glue, labels, shears, e, changed)
+        return real_flip(glue, labels, shears, e, changed, *tables)
 
     monkeypatch.setattr(CU, "_flip_changes", counting_changes)
     monkeypatch.setattr(CU, "_flip_flat", closing_flip)
@@ -619,9 +649,10 @@ class TestMinimaxSearch:
         real = {name: getattr(CU, name) for name in
                 ("_flip_flat", "_check", "_encode", "_copy", "_decode")}
 
-        def counting_flip(glue, labels, shears, e, changed):
+        def counting_flip(glue, labels, shears, e, changed, *tables):
             calls["flip"].append(divmod(e, 3))
-            return real["_flip_flat"](glue, labels, shears, e, changed)
+            return real["_flip_flat"](glue, labels, shears, e, changed,
+                                       *tables)
 
         def counting(name, key):
             def patched(*args):
@@ -773,6 +804,87 @@ class TestMinimaxSearch:
         assert got[1].keys() == want[1].keys()
         assert all(same_bits(got[1][k], v) for k, v in want[1].items())
         assert want[4] >= 10, want[4]
+
+    @pytest.mark.parametrize("values", [(1.0, -1.0), (0.0, -0.0)],
+                             ids=["unit", "zeros"])
+    def test_ties_and_signed_zeros(self, values, monkeypatch):
+        # every |shear| ties: the ranking puts the larger edge key first,
+        # so the top edge a step reads is the largest key at the maximum,
+        # and each in-place flip keeps the sign of every zero shear, as
+        # the dict-keyed kernel does
+        cx = doubled_polygon(6)
+        tops, states = [], []
+        real_descents, real_flip = CU._descents, CU._flip_flat
+
+        def recording_descents(glue, shears, top, *tables):
+            keys = CU._edge_keys(glue)
+            cur_max = max(abs(shears[k]) for k in keys)
+            tops.append((top, max(k for k in keys
+                                  if abs(shears[k]) == cur_max)))
+            return real_descents(glue, shears, top, *tables)
+
+        def recording_flip(glue, labels, shears, e, changed, *tables):
+            out = real_flip(glue, labels, shears, e, changed, *tables)
+            states.append(CU._decode(glue, labels, shears))
+            return out
+
+        monkeypatch.setattr(CU, "_descents", recording_descents)
+        monkeypatch.setattr(CU, "_flip_flat", recording_flip)
+        negative_zeros = 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            sigma = {e: values[int(rng.integers(0, 2))] for e in cx.edges()}
+            want = _reference_search(cx, sigma, 30, seed)
+            tops.clear()
+            states.clear()
+            got = CU.minimax_flip_search(cx, sigma, 30, seed)
+            assert got[3] == want[3] and same_bits(got[2], want[2])
+            assert got[0].verts == want[0].verts
+            assert got[0].glue == want[0].glue
+            assert got[1].keys() == want[1].keys()
+            assert all(same_bits(got[1][k], v) for k, v in want[1].items())
+            assert len(tops) == 30 and all(t == w for t, w in tops)
+            # the search's state after each flip against the dict-keyed
+            # kernel's replay of the trail
+            state = (cx, sigma)
+            for e, (got_cx, got_sigma) in zip(got[3], states):
+                state = F.dict_flip(*state, e)
+                assert got_cx.verts == state[0].verts
+                assert got_cx.glue == state[0].glue
+                assert got_sigma.keys() == state[1].keys()
+                assert all(same_bits(got_sigma[k], v)
+                           for k, v in state[1].items())
+                negative_zeros += sum(v == 0.0 and math.copysign(1.0, v) < 0
+                                      for v in got_sigma.values())
+            assert len(states) == 30
+        if values[0] == 0.0:
+            assert negative_zeros >= 10, negative_zeros
+
+    def test_large_complex_digests(self, monkeypatch):
+        # 138 edges and 1495 kicks in 2000 steps: the kick listing over
+        # a complex far larger than a chain's; digests taken before the
+        # ranking and the kick list were read from the side array
+        cx = doubled_polygon(48)
+        rng = np.random.default_rng(48)
+        sigma = {e: float(rng.normal(0.0, 3.0)) for e in cx.edges()}
+        draws, real_draw = [], CU._draw
+
+        def counting_draw(halves, k):
+            draws.append(k)
+            return real_draw(halves, k)
+
+        monkeypatch.setattr(CU, "_draw", counting_draw)
+        best_cx, best_sigma, best, trail = CU.minimax_flip_search(
+            cx, sigma, 2000, 1)
+        assert len(trail) == 2000 and len(draws) == 1495
+        assert same_bits(best, float.fromhex("0x1.d74e736fb3694p+2"))
+        digests = [hashlib.sha256(repr(x).encode()).hexdigest() for x in (
+            trail, [(k, v.hex()) for k, v in best_sigma.items()],
+            (best_cx.verts, sorted(best_cx.glue.items())))]
+        assert digests == [
+            "63d9e421a66fc58bdcb3844f3f8e88d983412a96bad27cdfe1a40c6e4624b3ac",
+            "ed88368474cb568b5fc5398766eac256c307fd662af6ec40c38039e41ce34b72",
+            "210230ca7276ffc859d64d4b9735c51553cefae3dcf5a30375ee82bd39a89a0b"]
 
 
 #: k for the draw test: one candidate, small and large counts, and

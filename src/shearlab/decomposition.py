@@ -33,16 +33,29 @@ hypot, which abs(complex) calls) round exactly as CPython does.
 numpy's transcendental and power ufuncs do not (its SIMD tanh, cosh,
 asinh, exp, log and ``arr ** 2`` differ from math in the last bit on a
 share of inputs), so every transcendental is computed with math, one
-element at a time, and a function of one length (_seam_param, the
-truncated collar width, the arcs' cosh, sinh, collar width and
-two-cusp log) once per distinct length of the batch (_distinct, taken
-once).  numpy's complex product, quotient and abs round differently
-from CPython's too, so the interior points of the kernel (incircle
-centres, perpendicular feet) are pairs of real arrays, and CPython's
-complex operations are written out in its order: a float times a
-complex is complex(a, 0) * z, and a quotient takes _Py_c_quot's branch
-on |re| >= |im|.  tests/test_hygiene.py rejects any numpy
+element at a time (_each maps it over the selected elements and reads
+the results back with np.fromiter, with no list in between), and a
+function of one length (_seam_param, the truncated collar width, the
+arcs' cosh, sinh and collar width) once per distinct length of the
+batch (_distinct, taken once).  numpy's complex product, quotient and
+abs round differently from CPython's too, so the interior points of
+the kernel (incircle centres, perpendicular feet) are pairs of real
+arrays, and CPython's complex operations are written out in its order:
+a float times a complex is complex(a, 0) * z, and a quotient takes
+_Py_c_quot's branch on |re| >= |im|.  tests/test_hygiene.py rejects any numpy
 transcendental, ``**``, ``pow`` or complex number here.
+
+On arrays of a block's size a numpy call costs more than its
+arithmetic, so a step taken on several arrays of one shape is taken
+once, on arrays made in their stacked shape: the ends of the three
+seams are one (end, seam, rows) array, the seam reflections R_k one
+(entry, seam, rows) array, the slot holonomies X_s and the back-corner
+stabilizers R_k X_k R_k one (entry, side, slot, rows) array, classified
+and solved for their fixed points once, and the front and back corners
+one (side, slot, rows) array.  A margin reads its corner's stabilizer,
+fixed points and class at one flat index into that (side, slot, rows)
+layout.  Each element still takes the scalar path's operations in its
+order, so stacking changes no bit.
 
 A cusp at slot 1 lies at infinity; the points at infinity of
 two_point_mat, three_point_mat, cross_ratio, mat_apply_boundary and
@@ -106,13 +119,27 @@ _I = [i for i, _ in _SEAM_ENDS]
 _J = [j for _, j in _SEAM_ENDS]
 # the slot of corner c (i, j, k, 3 + k) of arc k, at [c, k]
 _SLOT = np.array([_I, _J, [0, 1, 2], [0, 1, 2]])
+# the seams a, b of slot s's holonomy X_s = R_a R_b: X1 = R1 R2,
+# X2 = R2 R0, X3 = R0 R1
+_A, _B = [1, 2, 0], [2, 0, 1]
+# the signs of the slot axis' ends -r, r
+_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+# per triangle of an arc (front, back): whether its apex lies on the
+# other side of the arc from the front apex
+_BACK = np.array([[False], [True]])
+
+
+def _map(fn, x):
+    """fn (a math function) of each element of the 1-d array x."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
 def _each(fn, x, mask):
     """fn (a math function) of each element of x where mask holds, NaN
     elsewhere."""
-    out = np.full(x.shape, math.nan)
-    out[mask] = list(map(fn, x[mask].tolist()))
+    out = np.empty(x.shape)
+    out.fill(math.nan)
+    out[mask] = _map(fn, x[mask])
     return out
 
 
@@ -282,8 +309,9 @@ def pants_batch(triples, params: ShearFreeParams) -> Batch:
     (inputs, 3) array.
 
     Every array below has a row per slot s, seam k or arc k (shape (3,
-    inputs)): slot s lies between seams _SEAM_ENDS[s], and arc k joins
-    the slots _SEAM_ENDS[k].
+    inputs)), after the leading axes of a stacked array: slot s lies
+    between seams _SEAM_ENDS[s], and arc k joins the slots
+    _SEAM_ENDS[k].
     """
     lengths = np.asarray(triples, dtype=float).reshape(-1, 3).T
     n = lengths.shape[1]
@@ -293,8 +321,7 @@ def pants_batch(triples, params: ShearFreeParams) -> Batch:
     # pants.build_pants: seams[0] = (u, v), seams[1] = (p, 1), seams[2] =
     # (0, inf), with p = ts[0] and (u, v) from pants._solve_third_seam,
     # whose branch is the cusp pattern of slots 1 and 2
-    seam_params = _each(_seam_param, values / 2.0,
-                        np.ones(values.shape, dtype=bool))
+    seam_params = _map(_seam_param, values / 2.0)
     ts = seam_params[where]
     # a slot is a cusp for build_pants, for the seam arcs (_arcs) and for
     # its seam branch alike
@@ -310,16 +337,19 @@ def pants_batch(triples, params: ShearFreeParams) -> Batch:
               t2 * root)
     v = _pick([c1, c2], [INF, 1.0 / t2], root)
     ok &= (u != v) & np.isfinite(u) & (np.isfinite(v) | c1)
+    # seams[:, k] are the two ends of seam k
+    seams = np.empty((2, 3, n))
+    seams[:, 0] = u, v
+    seams[0, 1], seams[1, 1] = p, 1.0
+    seams[:, 2] = [[0.0], [INF]]
 
     # per slot s, between seams[i] and seams[j]: ends_distance, then the
     # common perpendicular (the slot axis) of a curve slot or the shared
     # endpoint (the cusp point) of a cusp slot; both read the map m of
     # seams[i] and the images x, y of the ends of seams[j]
-    zeros, ones, infs = np.zeros(n), np.ones(n), np.full(n, INF)
-    ga = (np.stack([p, u, u]), np.stack([ones, v, v]))
-    gb = (np.stack([zeros, zeros, p]), np.stack([infs, infs, ones]))
+    ga, gb = seams[:, _I], seams[:, _J]
     m, fine = _two_point(*ga)
-    x, y = _apply(m, gb[0]), _apply(m, gb[1])
+    x, y = _apply(m, gb)
     xy = x * y
     gap = abs(y - x)
     asymptotic = (x == INF) | (y == INF)
@@ -333,57 +363,57 @@ def pants_batch(triples, params: ShearFreeParams) -> Batch:
     r = np.sqrt(xy)
     r = np.where(x < 0, -r, r)
     ma, mb, mc, md = m
-    inv = (md, -mb, -mc, ma)
-    fine &= cusp | (~asymptotic & (xy > 0)
-                    & (_apply(inv, -r) != _apply(inv, r)))
-    meets = [ga[0] == gb[0], ga[0] == gb[1], ga[1] == gb[0], ga[1] == gb[1]]
-    shared = _pick(meets, [ga[0], ga[0], ga[1], ga[1]], math.nan)
-    fine &= ~cusp | np.logical_or.reduce(meets)
+    axis_ends = _apply((md, -mb, -mc, ma), r * _SIGNS)
+    fine &= cusp | (~asymptotic & (xy > 0) & (axis_ends[0] != axis_ends[1]))
+    # meets[e]: end e of seams[i] is an end of seams[j]
+    meets = (ga[:, None] == gb).any(axis=1)
+    shared = np.where(meets[0], ga[0], np.where(meets[1], ga[1], math.nan))
+    fine &= ~cusp | meets[0] | meets[1]
 
-    # the seam reflections and slot holonomies X1 = R1 R2, X2 = R2 R0,
-    # X3 = R0 R1, and pants._check_pants
-    r0, r1 = _reflection(u, v), _reflection(p, ones)
-    r2 = (-1.0, 0.0, 0.0, 1.0)
-    hol = tuple(np.stack(e) for e in zip(mat_mul(r1, r2), mat_mul(r2, r0),
-                                         mat_mul(r0, r1)))
-    _, parabolic, hyperbolic = _classify(hol)
+    # the seam reflections R_k and slot holonomies X_s = R_a R_b, and
+    # pants._check_pants
+    refl = np.empty((4, 3, n))
+    refl[:, :2] = _reflection(seams[0, :2], seams[1, :2])
+    refl[:, 2] = [[-1.0], [0.0], [0.0], [1.0]]
+    # mats[:, 0, s] is X_s and mats[:, 1, k] the stabilizer R_k X_k R_k
+    # of back corner k
+    mats = np.empty((4, 2, 3, n))
+    mats[:, 0] = mat_mul(refl[:, _A], refl[:, _B])
+    hol = mats[:, 0]
+    mats[:, 1] = mat_mul(mat_mul(refl, hol), refl)
+    _, parabolic, hyperbolic = _classify(mats)
     got = 2.0 * _each(math.acosh, abs(hol[0] + hol[3]) / 2.0,
-                      hyperbolic & ~cusp)
-    fine &= np.where(cusp, parabolic, hyperbolic & ~(
+                      hyperbolic[0] & ~cusp)
+    fine &= np.where(cusp, parabolic[0], hyperbolic[0] & ~(
         abs(got - lengths) > _SLOT_LENGTH_TOL * np.maximum(1.0, lengths)))
     # surface.check_curve_holonomy on the same translation length
     # (geom.mat_translation_length), at its own tolerance
-    curve_ok = hyperbolic & ~cusp & ~(
+    curve_ok = hyperbolic[0] & ~cusp & ~(
         abs(got - lengths) > _CURVE_LENGTH_TOL * np.maximum(1.0, lengths))
-    identity, _, _ = _classify(mat_mul(
-        mat_mul(tuple(e[0] for e in hol), tuple(e[1] for e in hol)),
-        tuple(e[2] for e in hol)))
+    identity, _, _ = _classify(mat_mul(mat_mul(hol[:, 0], hol[:, 1]),
+                                       hol[:, 2]))
     ok &= identity
 
     # spiralling.pants_kernel: front corner s is the cusp point or the
     # attracting fixed point of X_s, back corner k the mirror of the cusp
     # point or the repelling fixed point of R_k X_k R_k
-    att, rep, regular = _fixed_points(hol)
-    fine &= cusp | regular
-    front = np.where(cusp, shared, att)
-    fine &= _fixed(front, hol)
-    refl = tuple(np.stack([e0, e1, np.full(n, e2)])
-                 for e0, e1, e2 in zip(r0, r1, r2))
-    stab = mat_mul(mat_mul(refl, hol), refl)
-    _, _, hyperbolic = _classify(stab)
-    back_att, back_rep, regular = _fixed_points(stab)
-    fine &= cusp | (hyperbolic & regular)
-    back = np.where(cusp, _apply(refl, shared), back_rep)
-    fine &= _fixed(back, stab) & _corner(front, cusp) & _corner(back, cusp)
-    # arc k: edge from front corner i to front corner j, apexes front
-    # corner k and back corner k
-    pk, qk = front[_I], front[_J]
-    fine &= ((pk != qk) & (pk != front) & (pk != back) & (qk != front)
-             & (qk != back) & (front != back))
-    front_left = _cyclic(pk, qk, front)
-    fine &= front_left != _cyclic(pk, qk, back)
-    cr = _cross_ratio(pk, qk, np.where(front_left, back, front),
-                      np.where(front_left, front, back))
+    att, rep, regular = _fixed_points(mats)
+    fine &= cusp | (regular[0] & hyperbolic[1] & regular[1])
+    # per arc k: (p, front apex, q, back apex), the edge from front corner
+    # i to front corner j and the apexes front corner k and back corner k
+    quad = np.empty((4, 3, n))
+    edge, corners = quad[::2], quad[1::2]
+    corners[0] = np.where(cusp, shared, att[0])
+    corners[1] = np.where(cusp, _apply(refl, shared), rep[1])
+    fine &= (_fixed(corners, mats) & _corner(corners, cusp)).all(axis=0)
+    edge[:] = corners[0][[_I, _J]]
+    pk, qk = edge
+    fine &= ((pk != qk) & (edge[:, None] != corners).all(axis=(0, 1))
+             & (corners[0] != corners[1]))
+    left = _cyclic(pk, qk, corners)
+    front_left = left[0]
+    fine &= front_left != left[1]
+    cr = _cross_ratio(pk, qk, *np.where(front_left, corners[::-1], corners))
     fine &= cr < 0
     shears = -_each(math.log, -cr, cr < 0)
     residuals = abs(shears[_I] + shears[_J] - lengths)
@@ -394,13 +424,15 @@ def pants_batch(triples, params: ShearFreeParams) -> Batch:
     short_max = 2.0 * math.tanh(params.rho)
     thin = cusp | (lengths <= short_max)
     thin_corner = thin[_SLOT]                 # (corner, arc, n)
-    arc, col = np.nonzero(thin_corner.any(axis=0))
-    # the shear points of arc k of triple i are at [:, z_index[k, i]]
-    z_index = np.zeros((3, n), dtype=int)
-    z_index[arc, col] = np.arange(len(arc))
-    arc_p, arc_q, left = pk[arc, col], qk[arc, col], front_left[arc, col]
-    apex = np.stack([front[arc, col], back[arc, col]])
-    on_left = np.stack([left, ~left])         # (triangle, arc with margins)
+    # the arcs with a thin corner, at their flat (arc, triple) indices;
+    # the shear points of the m-th of them are at [:, m]
+    thin_arc = np.flatnonzero(thin_corner.any(axis=0))
+    z_index = np.zeros(3 * n, dtype=int)
+    z_index[thin_arc] = np.arange(len(thin_arc))
+    arc_quad = quad.reshape(4, -1).take(thin_arc, axis=1)
+    arc_p, arc_q = arc_quad[::2]
+    apex = arc_quad[1::2]                     # (triangle, arc with margins)
+    on_left = front_left.take(thin_arc) != _BACK
     tri, good = _three_point(arc_p, np.where(on_left, arc_q, apex),
                              np.where(on_left, apex, arc_q))
     centre_r, centre_i, fine_centre = _apply_point(
@@ -408,22 +440,25 @@ def pants_batch(triples, params: ShearFreeParams) -> Batch:
     zr, zi, fine_foot = _foot(centre_r, centre_i,
                               np.where(on_left, arc_p, arc_q),
                               np.where(on_left, arc_q, arc_p))
-    bad = np.zeros((3, n), dtype=bool)
-    bad[arc, col] = ~(good & fine_centre & fine_foot).all(axis=0)
-    fine &= ~bad
+    bad = np.zeros(3 * n, dtype=bool)
+    bad[thin_arc] = ~(good & fine_centre & fine_foot).all(axis=0)
+    fine &= ~bad.reshape(3, n)
     # one entry per margin, ordered as the kernel appends them: by triple,
     # arc, corner, triangle
-    col, arc, corner, tri = np.nonzero(np.broadcast_to(
-        thin_corner.transpose(2, 1, 0)[..., None], (n, 3, 4, 2)))
-    slot = _SLOT[corner, arc]
-    at_cusp = cusp[slot, col]
-    zr, zi = zr[tri, z_index[arc, col]], zi[tri, z_index[arc, col]]
+    col, arc, corner = (e.repeat(2) for e in np.nonzero(
+        thin_corner.transpose(2, 1, 0)))
+    tri = np.arange(len(col)) & 1
+    z = tri * len(thin_arc) + z_index[arc * n + col]
+    zr, zi = zr.take(z), zi.take(z)
+    # the flat index of the corner's slot in a (3, n) array, and of its
+    # stabilizer (X_s at a front corner, R_k X_k R_k at back corner k,
+    # whose slot is k), fixed points and class in a (2, 3, n) one
+    slot = _SLOT[corner, arc] * n + col
+    at = slot + corner // 3 * (3 * n)
+    at_cusp = cusp.take(slot)
+    a, b, c, d = mats.reshape(4, -1).take(at, axis=1)
     # a cusp corner: the horocycle through the point, in the frame of the
-    # corner's stabilizer (X_s at a front corner, R_k X_k R_k at a back one)
-    back_corner = corner == 3
-    a, b, c, d = (np.where(back_corner, s[arc, col], e[slot, col])
-                  for e, s in zip(hol, stab))
-    _, parabolic, _ = _classify((a, b, c, d))
+    # corner's stabilizer
     at_inf = abs(c) <= CLASSIFY_TOL * np.maximum(np.maximum(1.0, abs(a)),
                                                   abs(d))
     shift_map, _ = _unit_det(0.0, -1.0, 1.0, -np.where(
@@ -431,31 +466,27 @@ def pants_batch(triples, params: ShearFreeParams) -> Batch:
     hm = tuple(np.where(at_inf, e0, e)
                for e0, e in zip((1.0, 0.0, 0.0, 1.0), shift_map))
     g = mat_mul(mat_mul(hm, (a, b, c, d)), (hm[3], -hm[1], -hm[2], hm[0]))
-    _, hi, fine_horo = _apply_point(hm, zr, zi)
-    horo = abs(g[0] * g[1]) / hi - params.delta2
     # a curve corner: the distance to the corner's axis, against the
     # truncated collar width of its curve
-    frame, fine_frame = _two_point(
-        np.where(back_corner, back_att[arc, col], att[slot, col]),
-        np.where(back_corner, back_rep[arc, col], rep[slot, col]))
-    wr, wi, fine_axis = _apply_point(frame, zr, zi)
+    axis, fine_axis = _two_point(att.take(at), rep.take(at))
+    wr, wi, fine_point = _apply_point(
+        tuple(np.where(at_cusp, h, e) for h, e in zip(hm, axis)), zr, zi)
     widths = _once(_truncated_width(params), values, where, thin & ~cusp)
-    margins = np.where(at_cusp, horo,
+    margins = np.where(at_cusp, abs(g[0] * g[1]) / wi - params.delta2,
                        _each(math.asinh, abs(wr) / wi, ~at_cusp)
-                       - widths[slot, col])
-    passed = (np.where(at_cusp, parabolic & fine_horo,
-                       fine_frame & fine_axis)
+                       - widths.take(slot))
+    passed = (np.where(at_cusp, parabolic.take(at), fine_axis) & fine_point
               & (margins > 0.0) & np.isfinite(margins))
     ok &= np.bincount(col[~passed], minlength=n) == 0
-    for value in (shears, residuals, *hol):
-        fine &= np.isfinite(value)
+    fine &= (np.isfinite(shears) & np.isfinite(residuals)
+             & np.isfinite(hol).all(axis=0))
     ok &= fine.all(axis=0)
 
     # the margins of triple i are margins[first[i]:first[i + 1]]
-    first = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n))])
+    first = np.zeros(n + 1, dtype=int)
+    np.cumsum(np.bincount(col, minlength=n), out=first[1:])
     return Batch(ok, shears.T, residuals.T, margins, first, got.T,
-                 curve_ok.T, np.moveaxis(np.stack(hol, axis=1), -1, 0),
-                 np.moveaxis(np.stack([pk, front, qk, back], axis=1), -1, 0),
+                 curve_ok.T, hol.transpose(2, 1, 0), quad.transpose(2, 1, 0),
                  _arcs(values, where, seam_params != 1.0))
 
 
@@ -477,34 +508,41 @@ def _arcs(values, where, accepted):
     between cusps.  At an arc with a cusp end the raw length is
     unbounded: raw and slack are NaN.
     """
+    n = where.shape[1]
     cusp = (values == 0.0)[where]
     half = values / 2.0
-    ch = _each(math.cosh, half, accepted)
-    sh = _each(math.sinh, half, accepted)
-    # the collar width of an intermediate curve, and 0 for a longer one
+    # per distinct length: cosh and sinh of its half, and the collar
+    # width of an intermediate curve (0 for a longer one)
+    per = np.empty((3, len(values)))
+    per[0] = _each(math.cosh, half, accepted)
+    per[1] = sh = _each(math.sinh, half, accepted)
     intermediate = accepted & (values != 0.0) & (
         values <= INTERMEDIATE_CURVE_MAX)
-    collar = np.where(intermediate, _each(math.asinh, 1.0 / sh,
+    per[2] = np.where(intermediate, _each(math.asinh, 1.0 / sh,
                                           intermediate),
                       np.where(values == 0.0, math.nan, 0.0))
-    cusps = _once(math.log, (1.0 + ch) / 2.0, where, cusp[_I] & cusp[_J])
-    ch, sh, collar = ch[where], sh[where], collar[where]
-    both = ~cusp[_I] & ~cusp[_J]
-    arg = (ch[_I] * ch[_J] + ch) / (sh[_I] * sh[_J])
+    # the three at the slot k of arc k and at its end slots i, j
+    slots = per[:, where]
+    ch, sh, _ = slots
+    ends = slots[:, [_I, _J]]
+    (ch_i, ch_j), (sh_i, sh_j), (collar_i, collar_j) = ends
+    cusp_i, cusp_j = cusp[[_I, _J]]
+    both, one = ~cusp_i & ~cusp_j, cusp_i != cusp_j
+    two = cusp_i & cusp_j
+    arg = (ch_i * ch_j + ch) / (sh_i * sh_j)
     raw = _each(math.acosh, arg, both & (arg >= 1.0))
-    # the curve end o of an arc with one cusp end, by row
-    one = cusp[_I] != cusp[_J]
-    o = np.where(cusp[_I], np.array(_J)[:, None], np.array(_I)[:, None])
-    ch_o, sh_o, collar_o = (np.take_along_axis(e, o, axis=0)
-                            for e in (ch, sh, collar))
-    arg = (ch + ch_o) / sh_o
-    depth = _each(math.log, arg, one & (arg > 0.0))
-    cut = _pick([both, one], [raw - collar[_I] - collar[_J],
-                              depth - collar_o], cusps)
-    trunc = np.where(both | one, np.where(cut > 0.0, cut, 0.0), cusps)
-    return np.stack([np.where(both, raw, math.nan),
-                     np.where(both, collar[_I] + collar[_J], math.nan),
-                     trunc], axis=-1).swapaxes(0, 1)
+    # the log of the depth from a cusp to the curve end o of an arc with
+    # one cusp end, or of the gap between two cusps
+    ch_o, sh_o, collar_o = np.where(cusp_i, ends[:, 1], ends[:, 0])
+    arg = np.where(two, (1.0 + ch) / 2.0, (ch + ch_o) / sh_o)
+    logs = _each(math.log, arg, two | one & (arg > 0.0))
+    cut = _pick([both, one], [raw - collar_i - collar_j, logs - collar_o],
+                logs)
+    arcs = np.empty((3, 3, n))    # (raw, slack, truncated) of arc k
+    arcs[0] = np.where(both, raw, math.nan)
+    arcs[1] = np.where(both, collar_i + collar_j, math.nan)
+    arcs[2] = np.where(both | one, np.where(cut > 0.0, cut, 0.0), logs)
+    return arcs.transpose(2, 1, 0)
 
 
 def _truncated_width(params):

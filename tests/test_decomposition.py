@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 import geometric_oracle as O
 from shearlab import decomposition as D
 from shearlab import geom as G
@@ -236,3 +238,46 @@ class TestCertification:
             "arc (0, 2) length <= 6 log(4 area) + collar widths",
             "arc (0, 2) truncated length <= 6 log(4 area)",
         ]
+
+
+class TestElementwiseMath:
+    """_each and _once take a math function of the masked elements of an
+    array of any shape and count, zero included: math's bits where the
+    mask holds, NaN elsewhere."""
+
+    @staticmethod
+    def expected(fn, x, mask):
+        want = np.full(x.shape, math.nan)
+        for at in zip(*np.nonzero(mask)):
+            want[at] = fn(float(x[at]))
+        return want
+
+    @staticmethod
+    def masks(x):
+        return (x > 1.0, np.zeros(x.shape, dtype=bool),
+                np.ones(x.shape, dtype=bool))
+
+    def test_each(self):
+        # a stacked (2, 3, n) array, as the batch's corners and matrices
+        x = np.random.default_rng(35).uniform(0.0, 3.0, (2, 3, 7))
+        for mask in self.masks(x):
+            got = D._each(math.asinh, x, mask)
+            assert got.shape == x.shape
+            assert got.tobytes() == self.expected(math.asinh, x,
+                                                  mask).tobytes()
+        empty = np.empty((2, 3, 0))
+        assert D._each(math.asinh, empty, empty > 0.0).shape == (2, 3, 0)
+
+    def test_once(self):
+        # repeated values, and 0.0 beside -0.0, each taken once
+        x = np.random.default_rng(35).choice([0.3, 1.5, 2.5, 0.0, -0.0],
+                                             (2, 3, 7))
+        values, where = D._distinct(x)
+        assert len(values) == 5
+        for mask in self.masks(x):
+            got = D._once(math.cosh, values, where, mask)
+            assert got.tobytes() == self.expected(math.cosh, x,
+                                                  mask).tobytes()
+        values, where = D._distinct(np.empty((2, 3, 0)))
+        got = D._once(math.cosh, values, where, np.ones(where.shape, bool))
+        assert got.shape == (2, 3, 0)

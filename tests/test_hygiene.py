@@ -417,7 +417,7 @@ def unread_locals(tree):
     return out
 
 
-BATCH = (SRC / "decomposition.py", SRC / "surface.py")
+BATCH = (SRC / "decomposition.py", SRC / "surface.py", SRC / "report.py")
 NUMPY_INEXACT = {"tanh", "cosh", "sinh", "arctanh", "arccosh", "arcsinh",
                  "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
                  "power", "float_power", "square", "cbrt"}

@@ -46,6 +46,15 @@ def handle_nothing(monkeypatch):
     monkeypatch.setattr(decomposition, "pants_batch", batch)
 
 
+def row_bits(batch, r):
+    """The bytes of row r of every field of a decomposition.Batch, its
+    margin slice in place of margins and first."""
+    return [getattr(batch, f.name)[r].tobytes()
+            for f in fields(decomposition.Batch)
+            if f.name not in ("margins", "first")] + [
+        batch.margins[batch.first[r]:batch.first[r + 1]].tobytes()]
+
+
 class TestRunSurface:
     def test_two_pants_all_slots_glued(self):
         data = {
@@ -461,6 +470,45 @@ class TestBatchRouting:
         assert bits(batch, 13) == bits(batch, 17)
         empty = decomposition.pants_batch([], params)
         assert empty.handled.shape == (0,) and empty.first.tolist() == [0]
+
+    @staticmethod
+    def block_triples(monkeypatch, sig, seed, count, lengths=None):
+        """The triples a campaign hands to pants_batch, in its order."""
+        real, seen = decomposition.pants_batch, []
+
+        def batch(triples, params):
+            seen.append(np.array(triples, dtype=float))
+            return real(triples, params)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(decomposition, "pants_batch", batch)
+            report.run_sample_campaign(sig, seed, count, length_range=lengths)
+        return np.concatenate(seen)
+
+    def test_batch_rows_do_not_depend_on_their_neighbours(self, monkeypatch):
+        # the triples of a real (5,5) block and of a (0,5) block at long
+        # and short lengths, shuffled and split in halves: each row is
+        # handled as in the whole batch, and a handled row gets the same
+        # bits in every field and margin, wherever its neighbours' arrays
+        # (stacked slots, corners and margin entries) put it
+        params = shear_free_params()
+        triples = np.concatenate([
+            self.block_triples(monkeypatch, Signature(5, 5), 7, 20),
+            self.block_triples(monkeypatch, Signature(0, 5), 3, 200,
+                               (0.01, 30.0))])
+        whole = decomposition.pants_batch(triples, params)
+        # cusped and thin corners, and failures left to the scalar route
+        thin = 2.0 * math.tanh(params.rho)
+        assert (triples == 0.0).any() and (
+            (triples > 0.0) & (triples <= thin)).any()
+        assert 0 < whole.handled.sum() < len(triples)
+        order = np.random.default_rng(7).permutation(len(triples))
+        for part in np.array_split(order, 2):
+            batch = decomposition.pants_batch(triples[part], params)
+            assert batch.handled.tolist() == whole.handled[part].tolist()
+            for r, row in enumerate(part.tolist()):
+                if whole.handled[row]:
+                    assert row_bits(batch, r) == row_bits(whole, row), row
 
     def test_no_finite_triple_no_numpy_work(self, monkeypatch):
         # a block in which every sample failed to draw has no triple, and

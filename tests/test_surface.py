@@ -56,6 +56,14 @@ class TestValidate:
                            (("curve", 0), ("cusp", 0), ("cusp", 3))))
         assert S.validate(pg, Signature(0, 4)) == ["cusp id 0 used twice"]
 
+    def test_two_slot_pants(self):
+        # the library's check: the command line's parser rejects such a
+        # file before validate sees it
+        pg = S.PantsGraph(((("curve", 0), ("cusp", 0), ("cusp", 1)),
+                           (("curve", 0), ("cusp", 2))))
+        assert S.validate(pg, Signature(0, 4)) == [
+            "pants 1 must have exactly 3 slots", "expected 4 cusps, found 3"]
+
     def test_canonical_graphs(self):
         for g, n in [(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (2, 0), (2, 1),
                      (2, 2), (3, 0)]:

@@ -12,7 +12,6 @@
 
 from shearlab import FNCoordinates, Signature, canonical_pants_graph, sample_fn
 from shearlab.pants import build_pants, seam_lengths
-from shearlab.constants import shear_free_params
 from shearlab.report import run_surface
 from shearlab.spiralling import pants_kernel
 from shearlab.surface import slot_lengths
@@ -24,7 +23,7 @@ print("pants graph:", graph.pants)
 fn = FNCoordinates({0: 1.0}, {0: 0.3})
 lengths = slot_lengths(graph, fn, 0)
 print("boundary lengths:", lengths, " seam lengths:", seam_lengths(*lengths))
-kern = pants_kernel(build_pants(*lengths), shear_free_params())
+kern = pants_kernel(build_pants(*lengths))
 for k, (quad, shear) in enumerate(zip(kern.quadrilaterals, kern.shears)):
     quad = ", ".join(f"{x:.4f}" for x in quad)
     print(f"arc {(0, k)}: quadrilateral ({quad}), shear {shear:.9f}")

@@ -97,14 +97,21 @@ def cmd_constants(args) -> int:
     return 0 if data["audit"]["ok"] else 2
 
 
-def cmd_compute(args) -> int:
+def _read_surface(path):
+    """A surface file's (sig, pg, fn), or None after its parse error."""
     try:
-        with open(args.surface) as fh:
-            data = json.load(fh)
-        sig, pg, fn = report.parse_surface(data)
+        with open(path) as fh:
+            return report.parse_surface(json.load(fh))
     except (OSError, ValueError, KeyError, TypeError) as err:
         print(f"error: cannot parse surface file: {err}", file=sys.stderr)
+        return None
+
+
+def cmd_compute(args) -> int:
+    surface = _read_surface(args.surface)
+    if surface is None:
         return 1
+    sig, pg, fn = surface
     t0 = time.perf_counter()
     try:
         record = report.run_surface(sig, pg, fn)
@@ -184,13 +191,10 @@ def cmd_optimize(args) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 1
-    try:
-        with open(args.surface) as fh:
-            data = json.load(fh)
-        sig, pg, fn = report.parse_surface(data)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        print(f"error: cannot parse surface file: {err}", file=sys.stderr)
+    surface = _read_surface(args.surface)
+    if surface is None:
         return 1
+    sig, pg, fn = surface
     try:
         hol = holonomy_from_fn(pg, chains.reduced_twists(fn))
         cx, sigma, _ = chains.build_cusped_chain(hol)

@@ -94,7 +94,6 @@ DELTA1_FLOOR = 0.27
 class ShearFreeParams:
     """Derived constants for the regions guaranteed to avoid shear points."""
 
-    rho: float
     rho_prime: float
     delta2: float
     delta3: float
@@ -104,11 +103,14 @@ def shear_free_params(rho_prime: float = DEFAULT_RHO_PRIME) -> ShearFreeParams:
     if not 0.0 < rho_prime < RHO:
         raise ValueError(f"rho_prime must lie in (0, {RHO})")
     return ShearFreeParams(
-        rho=RHO,
         rho_prime=rho_prime,
         delta2=2.0 * math.sinh(rho_prime) / math.exp(RHO),
         delta3=math.asinh(rho_prime),
     )
+
+
+#: The values at DEFAULT_RHO_PRIME, the one rho' of the per-pants kernels.
+SHEAR_FREE = shear_free_params()
 
 
 def truncated_collar_width(length: float, params: ShearFreeParams) -> float:
@@ -204,8 +206,7 @@ class TopologyConstants:
 
 
 def topology_constants(sig: Signature,
-                       params: ShearFreeParams | None = None) -> TopologyConstants:
-    params = params or shear_free_params()
+                       params: ShearFreeParams = SHEAR_FREE) -> TopologyConstants:
     a = area(sig)
     return TopologyConstants(
         area=a,
@@ -339,7 +340,7 @@ def _spike_table(params: ShearFreeParams) -> dict:
             for a, b in itertools.combinations_with_replacement(_REGIMES, 2)}
 
 
-def constants_audit(params: ShearFreeParams | None = None) -> AuditReport:
+def constants_audit(params: ShearFreeParams = SHEAR_FREE) -> AuditReport:
     """Re-derive the numeric inequalities the spike constants rest on.
 
     Rows list the claimed bounds verbatim and whether they hold at the
@@ -349,7 +350,6 @@ def constants_audit(params: ShearFreeParams | None = None) -> AuditReport:
     truncated width goes slightly negative near the top of its range.
     The audit reports this honestly rather than patching the bound.
     """
-    params = params or shear_free_params()
     rows = []
 
     v = SHORT_CURVE_MAX

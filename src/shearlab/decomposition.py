@@ -1,18 +1,19 @@
 """The array program of a sampling block: every pants of a campaign
 built and developed, and its seam arcs measured, in one numpy batch.
 
-pants_batch runs the construction (pants.build_pants), the develop and
-shear-point margins (spiralling.pants_kernel) and the curve-length check
-of each slot's holonomy (surface.check_curve_holonomy) over numpy arrays
-of every length triple of a block of samples at once, in input order,
-cusped and thin pants included.  It uses the same formulas in the same
-operation order as the scalar code, so a triple it handles gets the
-scalar path's bits: slot holonomies, shears, residuals, margins in
-kernel order and quadrilaterals.  Every operation is elementwise, so a
-triple's bits do not depend on the others in its batch, and a repeated
-triple gets the same bits each time.  It returns them as arrays with
-one row per input triple (Batch), with no object per triple; report
-reduces them per surface.
+pants_batch(triples) runs the construction (pants.build_pants), the
+develop and shear-point margins (spiralling.pants_kernel(sp), at the
+rho' of constants.SHEAR_FREE) and the curve-length check of each slot's
+holonomy (surface.check_curve_holonomy) over numpy arrays of every
+length triple of a block of samples at once, in input order, cusped and
+thin pants included.  It uses the same formulas in the same operation
+order as the scalar code, so a triple it handles gets the scalar path's
+bits: slot holonomies, shears, residuals, margins in kernel order and
+quadrilaterals.  Every operation is elementwise, so a triple's bits do
+not depend on the others in its batch, and a repeated triple gets the
+same bits each time.  It returns them as arrays with one row per input
+triple (Batch), with no object per triple; report reduces them per
+surface.
 
 The batch also gives the seam arcs of the shortness certificate
 (Batch.arcs).  Cutting a pair of pants along its three seams (the
@@ -78,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (INTERMEDIATE_CURVE_MAX, ShearFreeParams,
+from .constants import (INTERMEDIATE_CURVE_MAX, SHEAR_FREE, SHORT_CURVE_MAX,
                         truncated_collar_width)
 from .geom import _STD_CENTER, _VERTICAL_TOL, CLASSIFY_TOL, INF, mat_mul
 from .pants import (_CONSTRUCTION_TOL, _SEAM_ENDS, _SLOT_LENGTH_TOL,
@@ -303,7 +304,7 @@ def _corner(x, cusp):
 
 
 @np.errstate(all="ignore")
-def pants_batch(triples, params: ShearFreeParams) -> Batch:
+def pants_batch(triples) -> Batch:
     """The Batch of the triples: its row r is triples[r], a
     boundary-length triple (0 = cusp).  triples is a sequence or an
     (inputs, 3) array.
@@ -421,8 +422,7 @@ def pants_batch(triples, params: ShearFreeParams) -> Batch:
     # the shear-point margins, of the arcs with a thin corner: per arc k
     # its corners i, j, k, 3 + k (on the slots _SLOT[:, k]), per corner
     # the shear points of the front and the back triangle
-    short_max = 2.0 * math.tanh(params.rho)
-    thin = cusp | (lengths <= short_max)
+    thin = cusp | (lengths <= SHORT_CURVE_MAX)
     thin_corner = thin[_SLOT]                 # (corner, arc, n)
     # the arcs with a thin corner, at their flat (arc, triple) indices;
     # the shear points of the m-th of them are at [:, m]
@@ -471,8 +471,8 @@ def pants_batch(triples, params: ShearFreeParams) -> Batch:
     axis, fine_axis = _two_point(att.take(at), rep.take(at))
     wr, wi, fine_point = _apply_point(
         tuple(np.where(at_cusp, h, e) for h, e in zip(hm, axis)), zr, zi)
-    widths = _once(_truncated_width(params), values, where, thin & ~cusp)
-    margins = np.where(at_cusp, abs(g[0] * g[1]) / wi - params.delta2,
+    widths = _once(_truncated_width, values, where, thin & ~cusp)
+    margins = np.where(at_cusp, abs(g[0] * g[1]) / wi - SHEAR_FREE.delta2,
                        _each(math.asinh, abs(wr) / wi, ~at_cusp)
                        - widths.take(slot))
     passed = (np.where(at_cusp, parabolic.take(at), fine_axis) & fine_point
@@ -545,15 +545,12 @@ def _arcs(values, where, accepted):
     return arcs.transpose(2, 1, 0)
 
 
-def _truncated_width(params):
-    """constants.truncated_collar_width at params, NaN where it raises
-    (the scalar kernel raises it by name)."""
-    def width(length):
-        try:
-            return truncated_collar_width(length, params)
-        except (ValueError, AssertionError):
-            return math.nan
-    return width
+def _truncated_width(length):
+    """truncated_collar_width at SHEAR_FREE, NaN where it raises."""
+    try:
+        return truncated_collar_width(length, SHEAR_FREE)
+    except (ValueError, AssertionError):
+        return math.nan
 
 
 def arcs_short(arcs, log4a: float) -> np.ndarray:

@@ -11,16 +11,17 @@ map, its curve checks and the record keys are fixed once per graph.  The
 block's seeds and its (samples, curves) arrays of curve lengths and
 twists are drawn at once (surface.block_seeds and block_draws), and its
 length triples are one gather of them, (samples, pants, 3).  A pants
-takes one of two routes, with the same bits:
+takes one of two routes, with the same bits; _surfaces(sig, pg, lengths,
+twists) runs both, at the rho' of constants.SHEAR_FREE:
 
-* every pants goes first through decomposition.pants_batch, which
-  builds and develops all the triples of the block at once in numpy, in
-  input order, checks the curve holonomies, evaluates the seam-arc
-  closed forms and returns arrays with a row per triple;
+* every pants goes first through decomposition.pants_batch(triples),
+  which builds and develops all the triples of the block at once in
+  numpy, in input order, checks the curve holonomies, evaluates the
+  seam-arc closed forms and returns arrays with a row per triple;
 * every pants the batch does not handle (a check fails, or a rare
-  branch is taken) goes through the scalar pants.build_pants and
-  spiralling.pants_kernel.  They are the reference of the batch and
-  report every failure by name, in the scalar order: construction
+  branch is taken) goes through the scalar pants.build_pants(*triple)
+  and spiralling.pants_kernel(sp).  They are the reference of the batch
+  and report every failure by name, in the scalar order: construction
   errors by pants, then the curve checks by curve id, then kernel
   errors by pants.
 
@@ -56,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__, decomposition, spiralling
-from .constants import (RHO, SHORT_CURVE_MAX, Signature, area,
+from .constants import (RHO, SHEAR_FREE, SHORT_CURVE_MAX, Signature, area,
                         constants_audit, main_bound, shear_free_params,
                         topology_constants)
 from .geom import RELATION_TOL
@@ -230,13 +231,13 @@ def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
                        float)
     twists = np.array([[fn.twists.get(c, math.nan) for c in layout.cids]],
                       float)
-    errors, rows = _surfaces(sig, pg, lengths, twists, shear_free_params())
+    errors, rows = _surfaces(sig, pg, lengths, twists)
     if errors:
         raise errors[0]
     return _records(sig, layout, rows)[0]
 
 
-def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists, params):
+def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists):
     """The error of each surface on pg that fails, by index, and the rows
     of the others (_Rows).
 
@@ -254,7 +255,7 @@ def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists, params):
              & np.isfinite(twists)).all(axis=1) & layout.sound)
     triples = np.concatenate([lengths, np.zeros((count, 1))],
                              axis=1)[:, layout.columns]
-    batch = decomposition.pants_batch(triples.reshape(-1, 3), params)
+    batch = decomposition.pants_batch(triples.reshape(-1, 3))
     # the least margin per pants, NaN where a pants has none: reduceat
     # gives an empty row the next row's first margin, and the last row
     # every margin up to the +inf appended
@@ -279,7 +280,7 @@ def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists, params):
                     dict(zip(layout.cids, lengths[i].tolist())),
                     dict(zip(layout.cids, twists[i].tolist()))))
             _scalar(layout, triples[i], lengths[i], handled[i], hol[i],
-                    params, [v[i] for v in values])
+                    [v[i] for v in values])
         except Exception as err:   # the surface's error, raised or recorded
             errors[i] = err
     at = [i for i in range(count) if i not in errors]
@@ -288,7 +289,7 @@ def _surfaces(sig: Signature, pg: PantsGraph, lengths, twists, params):
                          lengths[at], twists[at], [v[at] for v in values])
 
 
-def _scalar(layout, triples, lengths, handled, hol, params, values):
+def _scalar(layout, triples, lengths, handled, hol, values):
     """Write into values (_surfaces' per-pants values of one surface) those
     of the pants the batch did not handle, from the scalar build_pants and
     pants_kernel.  The surface's length triples, curve lengths, and the
@@ -312,7 +313,7 @@ def _scalar(layout, triples, lengths, handled, hol, params, values):
         if sp is None:
             continue
         try:
-            kern = spiralling.pants_kernel(sp, params)
+            kern = spiralling.pants_kernel(sp)
         except spiralling.DevelopError as err:
             raise type(err)((p, err.edge), err.problem) from err
         shears[p], residuals[p] = kern.shears, kern.residuals
@@ -505,7 +506,6 @@ def sample_campaign(sig: Signature, seed: int, count: int,
     function of a single length once per distinct length, then
     per-surface reductions in numpy, kept as columns (_Rows).
     """
-    params = shear_free_params()
     # every sample lies on the canonical graph of sig
     pg = canonical_pants_graph(sig)
     curves = len(_layout(pg).cids)
@@ -519,7 +519,7 @@ def sample_campaign(sig: Signature, seed: int, count: int,
         except Exception as err:   # the draw's, recorded on every sample
             errors, rows = dict.fromkeys(range(len(seeds)), err), None
         else:
-            errors, rows = _surfaces(sig, pg, *drawn, params)
+            errors, rows = _surfaces(sig, pg, *drawn)
         blocks.append(_Block(seeds.tolist(), {
             i: f"{type(err).__name__}: {err}" for i, err in errors.items()},
             rows))
@@ -707,18 +707,17 @@ def constants_report(sig: Signature, rho_prime=None) -> dict:
     defined on every short length, so a rho' below tanh(rho) is rejected
     by name (ValueError), as is one outside (0, rho).
     """
-    params = (shear_free_params() if rho_prime is None
-              else shear_free_params(rho_prime))
+    params = SHEAR_FREE if rho_prime is None else shear_free_params(rho_prime)
     if 2.0 * math.sinh(params.delta3) < SHORT_CURVE_MAX:
         raise ValueError(f"rho_prime must lie in [tanh(rho), rho) = "
-                         f"[{math.tanh(RHO)}, {RHO})")
+                         f"[{SHORT_CURVE_MAX / 2.0}, {RHO})")
     # the audit first: it runs the lru-cached grid scan, which
     # topology_constants' spike table reads too
     audit = constants_audit(params)
     tc = topology_constants(sig, params)
     return {
         "signature": {"g": sig.g, "n": sig.n},
-        "rho": params.rho,
+        "rho": RHO,
         "rho_prime": params.rho_prime,
         "delta1": tc.delta1,
         "delta2": params.delta2,

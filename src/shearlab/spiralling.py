@@ -19,15 +19,16 @@ spiralling on one side of a closed curve sum to the curve's length.
 Each such group is the two arc-ends at one slot of one pants, so the
 relations are checked one slot at a time.
 
-The per-pants kernel (pants_kernel) is a function of one pants in
-standard position, that is, of its boundary-length triple: it develops
-the pants once and reads off the three shears, the relation residual at
-each slot and the shear-point margins.  It is straight-line code on
-floats and matrix tuples, geom's one format, and builds no geometry
-object.  The develop on geometry objects that it replaced
-(Corner, DevelopedEdge, develop_pants, edge_shear, margin_rows) is kept
-in tests/geometric_oracle.py as its oracle, which the kernel matches
-bit for bit, errors included.  The kernel knows no pants index and no
+The per-pants kernel (pants_kernel(sp)) is a function of one pants in
+standard position, that is, of its boundary-length triple alone (its
+rho' is that of constants.SHEAR_FREE): it develops the pants once and
+reads off the three shears, the relation residual at each slot and the
+shear-point margins.  It is straight-line code on floats and matrix
+tuples, geom's one format, and builds no geometry object.  The develop
+on geometry objects that it replaced (Corner, DevelopedEdge,
+develop_pants, edge_shear, margin_rows) is kept in
+tests/geometric_oracle.py as its oracle, which the kernel matches bit
+for bit, errors included.  The kernel knows no pants index and no
 curve ids; its errors name the seam, and the report names the edge
 (pants, seam).  No global frame is built.  The tests also check
 the kernel against closed forms that do not depend on the developed
@@ -45,11 +46,10 @@ closed forms for every pants (Batch.arcs).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import geom
-from .constants import ShearFreeParams, truncated_collar_width
+from .constants import SHEAR_FREE, SHORT_CURVE_MAX, truncated_collar_width
 from .geom import (INF, apex_shear, axis_distance, cyclically_ordered,
                    geodesic_ends, horocycle_frame, horocycle_length,
                    incircle_center, mat_apply_boundary, mat_classify,
@@ -97,7 +97,7 @@ class PantsKernel:
                               # its edge running from p to q
 
 
-def pants_kernel(sp: StdPants, params: ShearFreeParams) -> PantsKernel:
+def pants_kernel(sp: StdPants) -> PantsKernel:
     """Develop one pants and read off its shears, residuals and margins.
 
     Six corners are developed.  Corner c < 3 is the spiral limit point
@@ -192,14 +192,13 @@ def pants_kernel(sp: StdPants, params: ShearFreeParams) -> PantsKernel:
         i, j = _seam_ends(s)
         residuals.append(abs(shears[i] + shears[j] - sp.lengths[s]))
 
-    short_max = 2.0 * math.tanh(params.rho)
     frames = [None] * 6
     widths = [None] * 3       # truncated collar width per slot
     margins = []
     for k, (p, q, front_left) in enumerate(edges):
         i, j = _seam_ends(k)
         thin = [c for c in (i, j, k, 3 + k)
-                if cusp[c % 3] or sp.lengths[c % 3] <= short_max]
+                if cusp[c % 3] or sp.lengths[c % 3] <= SHORT_CURVE_MAX]
         if not thin:
             continue
         # the incircle tangency point of each triangle on the edge, the
@@ -221,14 +220,14 @@ def pants_kernel(sp: StdPants, params: ShearFreeParams) -> PantsKernel:
                     if frames[c] is None:
                         frames[c] = horocycle_frame(stabs[c])
                     horo = horocycle_length(frames[c], z)
-                    margin = horo - params.delta2
+                    margin = horo - SHEAR_FREE.delta2
                 else:
                     if frames[c] is None:
                         frames[c] = two_point_mat(*axes[c])
                     d = axis_distance(frames[c], z)
                     if widths[slot] is None:
                         widths[slot] = truncated_collar_width(
-                            sp.lengths[slot], params)
+                            sp.lengths[slot], SHEAR_FREE)
                     w_t = widths[slot]
                     margin = d - w_t
                 margins.append(margin)

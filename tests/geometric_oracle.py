@@ -432,10 +432,9 @@ def margin_rows(de: DevelopedEdge, params: ShearFreeParams) -> list:
     included) raises AuditError.
     The shear points are computed only when some corner carries a row.
     """
-    short_max = 2.0 * math.tanh(params.rho)
     thin = [corner for corner in (*de.end_corners, de.apex_front,
                                   de.apex_back)
-            if corner.kind == "cusp" or corner.length <= short_max]
+            if corner.kind == "cusp" or corner.length <= SHORT_CURVE_MAX]
     if not thin:
         return []
     pts = (shear_point_on(de.front, de.edge),
@@ -740,7 +739,6 @@ def truncate_arc(sp: StdPants, k: int) -> Truncation:
 
 def eager_margin_rows(de, params) -> list:
     """spiralling.margin_rows with both shear points always computed."""
-    short_max = 2.0 * math.tanh(params.rho)
     pts = (shear_point_on(de.front, de.edge),
            shear_point_on(de.back, de.edge))
     rows = []
@@ -749,7 +747,7 @@ def eager_margin_rows(de, params) -> list:
             if corner.kind == "cusp":
                 horo = horocycle_length_through(corner.stabilizer, s)
                 margin = horo - params.delta2
-            elif corner.length <= short_max:
+            elif corner.length <= SHORT_CURVE_MAX:
                 d = geom.dist_to_geodesic(s, corner.axis)
                 w_t = truncated_collar_width(corner.length, params)
                 margin = d - w_t

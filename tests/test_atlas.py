@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 import geometric_oracle as O
 from shearlab import decomposition as D
 from shearlab import spiralling as SP
-from shearlab.constants import shear_free_params
+from shearlab.constants import SHORT_CURVE_MAX
 from shearlab.geom import GeometryError, mat_translation_length
 from shearlab.pants import build_pants
 from shearlab.surface import check_curve_holonomy
@@ -100,12 +100,12 @@ def curve_checks(sp):
     return np.array(lengths).tobytes(), passed
 
 
-def scalar(ls, params):
+def scalar(ls):
     """(StdPants, PantsKernel), or the error of the scalar path, which
     must be a named GeometryError."""
     try:
         sp = build_pants(*ls)
-        return sp, SP.pants_kernel(sp, params)
+        return sp, SP.pants_kernel(sp)
     except Exception as err:
         assert isinstance(err, GeometryError), (ls, err)
         return err
@@ -118,34 +118,33 @@ def kind(err):
     return f"{type(err).__name__}: {text}"
 
 
-def pants_class(ls, short_max):
+def pants_class(ls):
     cusps = ls.count(0.0)
     if cusps:
         return "one cusp" if cusps == 1 else "two or three cusps"
-    return "thin" if min(ls) <= short_max else "thick"
+    return "thin" if min(ls) <= SHORT_CURVE_MAX else "thick"
 
 
 CLASSES = ("thick", "thin", "one cusp", "two or three cusps")
 
 
-def check_routes(triples, params, kinds, shares):
+def check_routes(triples, kinds, shares):
     """Run both routes on every triple, repeats included (row r of the
     batch is triple r); returns the handled count.
 
     kinds counts the scalar failures by check kind, and shares the
     triples per class as [total, passed by the scalar path, handled].
     """
-    batch = D.pants_batch(triples, params)
+    batch = D.pants_batch(triples)
     short = D.arcs_short(batch.arcs, LOG4A)
-    short_max = 2.0 * math.tanh(params.rho)
     for r, ls in enumerate(map(tuple, triples)):
         # the array closed forms on every row, whichever route takes it
         oracle = O.arc_lengths(ls)
         assert arc_bits([[None if math.isnan(x) else x for x in arc]
                          for arc in batch.arcs[r].tolist()]) == arc_bits(oracle), ls
         assert short[r] == O.arcs_short(oracle, LOG4A), ls
-        want = scalar(ls, params)
-        share = shares.setdefault(pants_class(ls, short_max), [0, 0, 0])
+        want = scalar(ls)
+        share = shares.setdefault(pants_class(ls), [0, 0, 0])
         share[0] += 1
         if isinstance(want, GeometryError):
             kinds[kind(want)] += 1
@@ -172,7 +171,7 @@ def seeded_grid(seed, low=LOW, high=HIGH, cells=CELLS):
 def thin_band(seed):
     """One seeded draw per cell of THIN_CELLS log-spaced cells over
     (1e-3, 2 tanh(rho)]."""
-    top = math.log(2.0 * math.tanh(shear_free_params().rho))
+    top = math.log(SHORT_CURVE_MAX)
     return [math.exp(v) for v in seeded_grid(seed, math.log(1e-3), top,
                                              THIN_CELLS)]
 
@@ -214,9 +213,8 @@ def report_counts(title, total, handled, kinds, shares):
 
 
 def run_atlas(title, triples):
-    params = shear_free_params()
     kinds, shares = Counter(), {}
-    handled = check_routes(triples, params, kinds, shares)
+    handled = check_routes(triples, kinds, shares)
     report_counts(title, len(triples), handled, kinds, shares)
     return handled, shares
 
@@ -281,4 +279,4 @@ LENGTH = st.one_of(st.just(0.0), st.floats(LOW, HIGH))
 def test_search(triples):
     # a batch of up to 8 triples, repeats included: each triple's route
     # and result must not depend on the others in its batch
-    check_routes(triples, shear_free_params(), Counter(), {})
+    check_routes(triples, Counter(), {})

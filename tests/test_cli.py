@@ -963,8 +963,8 @@ class TestRelationCheck:
         kernel = spiralling.pants_kernel
         runs = []
 
-        def patched(sp, params):
-            kern = kernel(sp, params)
+        def patched(sp):
+            kern = kernel(sp)
             if len(runs) == call:
                 getattr(kern, field)[index] = value
             runs.append((sp, kern))
@@ -1065,9 +1065,10 @@ class TestAuditFailure:
         # an AuditError is a geometry-invariant failure like any develop
         # check: one stderr line naming the edge, exit 3
         import dataclasses
-        from shearlab.constants import shear_free_params
-        strict = dataclasses.replace(shear_free_params(), delta2=1e9)
-        monkeypatch.setattr(report, "shear_free_params", lambda: strict)
+        from shearlab import decomposition, spiralling
+        strict = dataclasses.replace(spiralling.SHEAR_FREE, delta2=1e9)
+        monkeypatch.setattr(decomposition, "SHEAR_FREE", strict)
+        monkeypatch.setattr(spiralling, "SHEAR_FREE", strict)
         path = write_surface(tmp_path, SURFACE_03)
         assert cli.main(["compute", path]) == 3
         captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Named constants, closed-form bounds, and the self-audit."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -87,10 +88,16 @@ class TestDelta1:
 class TestShearFreeParams:
     def test_default_near_limit(self):
         p = C.shear_free_params()
-        assert 0 < p.rho_prime < p.rho
+        assert 0 < p.rho_prime < C.RHO
         limit = 2 * math.sinh(C.RHO) / math.exp(C.RHO)
         assert abs(p.delta2 - limit) < 1e-5
         assert abs(limit - (1 - 1 / math.sqrt(3))) < 1e-15
+
+    def test_kernels_read_the_default(self):
+        # rho is RHO, not a field; the per-pants kernels read SHEAR_FREE
+        assert [f.name for f in dataclasses.fields(C.ShearFreeParams)] == [
+            "rho_prime", "delta2", "delta3"]
+        assert C.SHEAR_FREE == C.shear_free_params()
 
     def test_log_two_over_delta2(self):
         p = C.shear_free_params()

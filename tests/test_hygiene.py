@@ -55,7 +55,13 @@ import m`` must exist too, collected without running the benchmark: a
 rename fails here and not in a benchmark run.  The flip search calls
 its kernel, ``_flip_changes`` and ``_flip_flat``, by their module-level
 names and never binds or aliases them, so that the tests that patch the
-kernel in the module count every call.
+kernel in the module count every call.  The per-pants pipeline has one
+rho': SHORT_CURVE_MAX is 2 tanh(rho) and constants.SHEAR_FREE holds the
+shear-free values, both built once in constants.py.  No other library
+module calls ``math.tanh`` on ``RHO`` or on a ``.rho`` attribute, and
+the per-pants modules (PER_PANTS) name neither ``ShearFreeParams`` nor
+``shear_free_params``, so a pants' results stay a function of its
+length triple.
 """
 
 import ast
@@ -495,6 +501,45 @@ def complex_numbers(tree):
             sorted(found, key=lambda f: (f[0].lineno, f[0].col_offset))]
 
 
+def tanh_of_rho(tree):
+    """Calls of ``math.tanh`` (or a ``tanh`` imported from math) on
+    ``RHO`` or on a ``.rho`` attribute, by line."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        func, arg = node.func, node.args[0]
+        if ((isinstance(func, ast.Attribute) and func.attr == "tanh"
+             and isinstance(func.value, ast.Name)
+             and func.value.id == "math"
+             or isinstance(func, ast.Name) and func.id == "tanh")
+                and (isinstance(arg, ast.Name) and arg.id == "RHO"
+                     or isinstance(arg, ast.Attribute)
+                     and arg.attr == "rho")):
+            found.append(f"tanh({ast.unparse(arg)}) at line {node.lineno}")
+    return found
+
+
+#: the modules of the per-pants pipeline, which take no rho'
+PER_PANTS = (SRC / "pants.py", SRC / "spiralling.py",
+             SRC / "decomposition.py")
+SHEAR_FREE_BUILDERS = {"ShearFreeParams", "shear_free_params"}
+
+
+def shear_free_builders(tree):
+    """Imports and attribute reads of ShearFreeParams or
+    shear_free_params, by line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(node, alias.name) for alias in node.names
+                      if alias.name in SHEAR_FREE_BUILDERS]
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in SHEAR_FREE_BUILDERS):
+            found.append((node, node.attr))
+    return [f"{name} at line {node.lineno}" for node, name in found]
+
+
 def benchmark_modules(tree):
     """The value of the module's top-level MODULES tuple, or None."""
     for node in tree.body:
@@ -615,6 +660,16 @@ def test_batch_rounds_as_the_scalar_path():
         tree = _parse(path)
         assert inexact_numpy(tree) == [], path.name
         assert complex_numbers(tree) == [], path.name
+
+
+def test_one_rho_for_the_per_pants_pipeline():
+    # 2 tanh(rho) is SHORT_CURVE_MAX, and the kernels read SHEAR_FREE
+    found = [f"{path.name}: {hit}" for path in MODULES
+             if path.name != "constants.py"
+             for hit in tanh_of_rho(_parse(path))]
+    found += [f"{path.name}: {hit}" for path in PER_PANTS
+              for hit in shear_free_builders(_parse(path))]
+    assert found == []
 
 
 def test_every_constant_is_read():
@@ -867,3 +922,14 @@ def test_checks_catch_their_targets():
         "numpy.cdouble at line 2", "1j at line 4", "complex at line 5",
         "complex at line 6", "complex at line 7", "np.complex128 at line 7",
         "'c16' at line 8", "numpy.csingle at line 8"]
+    kernel = ast.parse("import math\nfrom math import tanh\n"
+                       "from .constants import RHO, ShearFreeParams\n"
+                       "from . import constants\n"
+                       "def f(cfg, x):\n"
+                       "    a = 2.0 * math.tanh(cfg.rho)\n"
+                       "    b = tanh(RHO) + math.tanh(x) + math.cosh(RHO)\n"
+                       "    return a, b, constants.shear_free_params()\n")
+    assert tanh_of_rho(kernel) == ["tanh(cfg.rho) at line 6",
+                                   "tanh(RHO) at line 7"]
+    assert shear_free_builders(kernel) == ["ShearFreeParams at line 3",
+                                           "shear_free_params at line 8"]

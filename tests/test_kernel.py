@@ -86,7 +86,7 @@ def check_pants(sig, pg, fn, p, rec):
     scale = max(1.0, max(ls))
     sp = build_pants(*ls)
     log4a = math.log(4.0 * area(sig))
-    kern = SP.pants_kernel(sp, shear_free_params())
+    kern = SP.pants_kernel(sp)
     seams = seam_lengths(*ls)
     pants_rows = O.arc_rows(ls, p, log4a)
     for s in range(3):
@@ -322,7 +322,7 @@ CONDITIONING_DEFECTS = [
                               "mirrored-stabilizer"))
 def test_conditioning_defects(ls, message):
     try:
-        kern = SP.pants_kernel(build_pants(*ls), shear_free_params())
+        kern = SP.pants_kernel(build_pants(*ls))
     except GeometryError as err:
         assert message in str(err)
         raise
@@ -362,7 +362,8 @@ def pants_bits(sp):
 
 
 # margins stay above 0.5 on every sampled pants at the default
-# constants, so the audit's failures are reached with larger thresholds
+# constants, so the audit's failures are reached with larger thresholds;
+# the kernel reads them from spiralling.SHEAR_FREE, patched per run
 AUDIT_PARAMS = (shear_free_params(),
                 dataclasses.replace(shear_free_params(), delta2=1.2,
                                     delta3=0.6))
@@ -382,7 +383,9 @@ def compare_with_oracle(ls, seen):
         return
     assert pants_bits(got[1]) == pants_bits(want[1]), ls
     for params in AUDIT_PARAMS:
-        kern = outcome(SP.pants_kernel, got[1], params)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SP, "SHEAR_FREE", params)
+            kern = outcome(SP.pants_kernel, got[1])
         ref = outcome(O.reference_kernel, want[1], params)
         assert kern[0] == ref[0], (ls, kern, ref)
         if kern[0] == "raise":
@@ -445,7 +448,7 @@ def test_parabolic_mirrored_curve_holonomy_is_named():
     # the back corner of a curve slot needs two fixed points; a mirrored
     # holonomy of another class fails as a develop error of its seam
     with pytest.raises(SP.DevelopError) as err:
-        SP.pants_kernel(build_pants(*MIRRORED_PARABOLIC), shear_free_params())
+        SP.pants_kernel(build_pants(*MIRRORED_PARABOLIC))
     assert err.value.edge == 0
     assert str(err.value) == ("edge 0: slot 0 holonomy mirrored across the "
                               "seam is parabolic")
@@ -476,7 +479,7 @@ def test_kernel_builds_no_geometry_objects(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting(cls))
     margins = 0
     for sp in pants:
-        margins += len(SP.pants_kernel(sp, params).margins)
+        margins += len(SP.pants_kernel(sp).margins)
     assert margins > 0
     assert built == Counter()
     # the count sees what the object develop builds

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from shearlab import decomposition, report
 from shearlab import spiralling as SP
 from shearlab import surface as S
-from shearlab.constants import Signature, shear_free_params
+from shearlab.constants import SHORT_CURVE_MAX, Signature
 from shearlab.geom import GeometryError
 from shearlab.pants import StdPants, build_pants
 
@@ -38,8 +38,8 @@ def handle_nothing(monkeypatch):
     takes the scalar route."""
     real = decomposition.pants_batch
 
-    def batch(triples, params):
-        out = real(triples, params)
+    def batch(triples):
+        out = real(triples)
         out.handled[:] = False
         return out
 
@@ -100,7 +100,7 @@ class TestRunSurface:
         sig, pg, fn = long_05(5)
         sp = build_pants(*S.slot_lengths(pg, fn, 1))
         with pytest.raises(SP.DevelopError) as kernel_err:
-            SP.pants_kernel(sp, shear_free_params())
+            SP.pants_kernel(sp)
         assert kernel_err.value.edge == 2
         assert str(kernel_err.value) == (
             "edge 2: developed endpoint is not fixed by its holonomy")
@@ -108,6 +108,23 @@ class TestRunSurface:
             report.run_surface(sig, pg, fn)
         assert str(record_err.value) == (
             "edge (1, 2): developed endpoint is not fixed by its holonomy")
+
+    @pytest.mark.parametrize("g, n, seed", [(2, 1, 3), (0, 5, 7), (3, 0, 11)])
+    def test_record_does_not_depend_on_the_twists(self, g, n, seed):
+        # a pants' results are a function of its length triple, so moving
+        # every twist by 0.37 of its curve's length changes the record
+        # only in the twists it echoes
+        sig = Signature(g, n)
+        pg, fn = S.sample_fn(sig, seed)
+        moved = S.FNCoordinates(fn.lengths, {
+            c: t + 0.37 * fn.lengths[c] for c, t in fn.twists.items()})
+        want, got = (report.run_surface(sig, pg, f) for f in (fn, moved))
+        assert got.keys() == want.keys()
+        assert json.dumps({k: v for k, v in got.items() if k != "fn"}) == (
+            json.dumps({k: v for k, v in want.items() if k != "fn"}))
+        assert got["fn"]["lengths"] == want["fn"]["lengths"]
+        assert all(got["fn"]["twists"][c] != t
+                   for c, t in want["fn"]["twists"].items())
 
     def test_hyperbolic_cusp_stabilizer_is_named(self):
         sig, pg, fn = long_05(7)
@@ -276,8 +293,8 @@ class TestSampleWriter:
         # margin), a -0.0 shear and an infinite shear
         real = decomposition.pants_batch
 
-        def batch(triples, params):
-            out = real(triples, params)
+        def batch(triples):
+            out = real(triples)
             out.shears[1, 0] = math.nan
             out.residuals[2, 0] = math.nan
             out.margins[out.first[3]:out.first[4]] = math.nan
@@ -379,8 +396,8 @@ class TestBatchRouting:
         real_kernel = SP.pants_kernel
         batched, handled, scalar = set(), set(), []
 
-        def batch(triples, params):
-            out = real_batch(triples, params)
+        def batch(triples):
+            out = real_batch(triples)
             triples = list(map(tuple, triples.tolist()))
             batched.update(triples)
             handled.update(ls for ls, done in zip(triples, out.handled)
@@ -391,9 +408,9 @@ class TestBatchRouting:
             scalar.append(ls)
             return real_build(*ls)
 
-        def kernel(sp, params):
+        def kernel(sp):
             scalar.append(sp.lengths)
-            return real_kernel(sp, params)
+            return real_kernel(sp)
 
         monkeypatch.setattr(decomposition, "pants_batch", batch)
         monkeypatch.setattr(report, "build_pants", build)
@@ -406,17 +423,16 @@ class TestBatchRouting:
     def test_batch_handles_the_thick_compact_pants(self, monkeypatch):
         # a count, not a speed: the thick compact triples the batch
         # handles never reach the scalar build_pants or pants_kernel
-        short_max = 2.0 * math.tanh(shear_free_params().rho)
         batched, handled = self.routes(monkeypatch, Signature(5, 5), 11, 40)
-        qualifying = {ls for ls in batched if min(ls) > short_max}
+        qualifying = {ls for ls in batched if min(ls) > SHORT_CURVE_MAX}
         assert len(handled & qualifying) >= 0.95 * len(qualifying) > 0
 
     def test_batch_handles_the_cusped_and_thin_pants(self, monkeypatch):
         # the pants with shear-point margins: a cusp or a short curve
-        short_max = 2.0 * math.tanh(shear_free_params().rho)
         batched, handled = self.routes(monkeypatch, Signature(5, 5), 11, 40)
         for thin in ({ls for ls in batched if 0.0 in ls},
-                     {ls for ls in batched if 0.0 < min(ls) <= short_max}):
+                     {ls for ls in batched
+                      if 0.0 < min(ls) <= SHORT_CURVE_MAX}):
             assert len(handled & thin) >= 0.95 * len(thin) > 0
 
     def test_batch_rows_are_the_input_triples(self):
@@ -431,7 +447,6 @@ class TestBatchRouting:
         # shared across slots and rows, 0.0 beside -0.0 (a cusp either
         # way) and a NaN get the bits of their row alone, in the batch
         # and in its seam-arc lengths (Batch.arcs)
-        params = shear_free_params()
         good = [(1.0, 2.0, 0.0), (0.3, 0.0, 0.0), (2.5, 1.5, 3.0),
                 (0.5, 0.5, 0.5), (0.5, 2.0, 0.5), (2.0, 2.0, 1.0),
                 (1.0, -0.0, 0.0), (0.0, -0.0, 0.3), (-0.0, -0.0, 2.5)]
@@ -441,11 +456,11 @@ class TestBatchRouting:
         triples = [good[0], bad[0], good[1], good[0], bad[1], good[2],
                    bad[2], good[1], bad[3], good[2], *good[3:], bad[4],
                    good[6], bad[5]]
-        batch = decomposition.pants_batch(triples, params)
+        batch = decomposition.pants_batch(triples)
         assert batch.handled.tolist() == [ls in good for ls in triples]
         for r, ls in enumerate(triples):
             assert batch.arcs[r].tobytes() == decomposition.pants_batch(
-                [ls], params).arcs[0].tobytes(), ls
+                [ls]).arcs[0].tobytes(), ls
         # the distinct values gathered back are the lengths, bit for bit,
         # though no output above depends on the sign of a zero or a NaN
         payload = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))
@@ -461,14 +476,14 @@ class TestBatchRouting:
                 batch.margins[batch.first[r]:batch.first[r + 1]].tobytes()]
 
         for r, ls in enumerate(triples):
-            alone = decomposition.pants_batch([ls], params)
+            alone = decomposition.pants_batch([ls])
             assert alone.handled.tolist() == [batch.handled[r]]
             if batch.handled[r]:
                 assert bits(batch, r) == bits(alone, 0), ls
         assert bits(batch, 0) == bits(batch, 3)
         assert bits(batch, 5) == bits(batch, 9)
         assert bits(batch, 13) == bits(batch, 17)
-        empty = decomposition.pants_batch([], params)
+        empty = decomposition.pants_batch([])
         assert empty.handled.shape == (0,) and empty.first.tolist() == [0]
 
     @staticmethod
@@ -476,9 +491,9 @@ class TestBatchRouting:
         """The triples a campaign hands to pants_batch, in its order."""
         real, seen = decomposition.pants_batch, []
 
-        def batch(triples, params):
+        def batch(triples):
             seen.append(np.array(triples, dtype=float))
-            return real(triples, params)
+            return real(triples)
 
         with monkeypatch.context() as patch:
             patch.setattr(decomposition, "pants_batch", batch)
@@ -491,20 +506,18 @@ class TestBatchRouting:
         # handled as in the whole batch, and a handled row gets the same
         # bits in every field and margin, wherever its neighbours' arrays
         # (stacked slots, corners and margin entries) put it
-        params = shear_free_params()
         triples = np.concatenate([
             self.block_triples(monkeypatch, Signature(5, 5), 7, 20),
             self.block_triples(monkeypatch, Signature(0, 5), 3, 200,
                                (0.01, 30.0))])
-        whole = decomposition.pants_batch(triples, params)
+        whole = decomposition.pants_batch(triples)
         # cusped and thin corners, and failures left to the scalar route
-        thin = 2.0 * math.tanh(params.rho)
         assert (triples == 0.0).any() and (
-            (triples > 0.0) & (triples <= thin)).any()
+            (triples > 0.0) & (triples <= SHORT_CURVE_MAX)).any()
         assert 0 < whole.handled.sum() < len(triples)
         order = np.random.default_rng(7).permutation(len(triples))
         for part in np.array_split(order, 2):
-            batch = decomposition.pants_batch(triples[part], params)
+            batch = decomposition.pants_batch(triples[part])
             assert batch.handled.tolist() == whole.handled[part].tolist()
             for r, row in enumerate(part.tolist()):
                 if whole.handled[row]:
@@ -513,7 +526,7 @@ class TestBatchRouting:
     def test_no_finite_triple_no_numpy_work(self, monkeypatch):
         # a block in which every sample failed to draw has no triple, and
         # runs no array work
-        def refuse(triples, params):
+        def refuse(triples):
             raise AssertionError("batched a block with no triple")
 
         monkeypatch.setattr(decomposition, "pants_batch", refuse)
@@ -543,7 +556,7 @@ class TestBatchRouting:
         assert summary["failures"] == 0
         assert built == Counter()
         # the count sees what the scalar route builds
-        SP.pants_kernel(build_pants(1.0, 2.0, 0.0), shear_free_params())
+        SP.pants_kernel(build_pants(1.0, 2.0, 0.0))
         assert built["StdPants"] and built["PantsKernel"]
 
 

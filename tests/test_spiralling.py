@@ -1,7 +1,5 @@
 """Spiralling triangulations: developing, shears, relations, audits."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,8 @@ from shearlab import geom as G
 from shearlab import report
 from shearlab import spiralling as SP
 from shearlab import surface as S
-from shearlab.constants import Signature, main_bound, shear_free_params
+from shearlab.constants import (SHORT_CURVE_MAX, Signature, main_bound,
+                                shear_free_params)
 from shearlab.pants import _seam_ends, build_pants
 
 
@@ -52,14 +51,14 @@ class TestSpiral:
         assert rec["spiral_residual"] == 0.0
         sp = build_pants(0.0, 0.0, 0.0)
         assert sp.slot_is_cusp == (True, True, True)
-        assert len(SP.pants_kernel(sp, shear_free_params()).residuals) == 3
+        assert len(SP.pants_kernel(sp).residuals) == 3
 
     def test_once_punctured_torus_counts(self):
         # curve 0 fills slots 0 and 1 (its two sides), cusp 0 slot 2
         pg, fn = surface(Signature(1, 1), lengths={0: 1.0})
         assert pg.pants == ((("curve", 0), ("curve", 0), ("cusp", 0)),)
         sp = build_pants(*S.slot_lengths(pg, fn, 0))
-        kern = SP.pants_kernel(sp, shear_free_params())
+        kern = SP.pants_kernel(sp)
         assert len(kern.shears) == 3 and len(kern.residuals) == 3
         assert max(kern.residuals) <= 1e-9
 
@@ -236,25 +235,23 @@ class TestShearPointFreeAudit:
     def test_long_pants_compute_no_shear_point(self, monkeypatch):
         # no corner of a pants whose boundaries all exceed 2 tanh(rho)
         # carries a row, so its shear points are never computed
-        params = shear_free_params()
         sp = build_pants(1.0, 2.0, 3.0)
-        assert min(sp.lengths) > 2.0 * math.tanh(params.rho)
+        assert min(sp.lengths) > SHORT_CURVE_MAX
 
         def refuse(*args):
             raise AssertionError("shear point computed")
 
         monkeypatch.setattr(SP, "incircle_center", refuse)
         monkeypatch.setattr(SP, "perpendicular_foot", refuse)
-        assert SP.pants_kernel(sp, params).margins == []
+        assert SP.pants_kernel(sp).margins == []
         # a pants with a cusp computes them
         with pytest.raises(AssertionError, match="shear point computed"):
-            SP.pants_kernel(build_pants(1.0, 2.0, 0.0), params)
+            SP.pants_kernel(build_pants(1.0, 2.0, 0.0))
 
     def test_rows_match_the_eager_audit(self):
         # cusps, curves that carry a collar row and curves that do not:
         # the same rows in the same order, or the same error
         params = shear_free_params()
-        short_max = 2.0 * math.tanh(params.rho)
         rng = np.random.default_rng(17)
 
         def outcome(audit, de):
@@ -265,8 +262,8 @@ class TestShearPointFreeAudit:
 
         edges = empty = 0
         for _ in range(2000):
-            ls = tuple((0.0, rng.uniform(0.001, short_max),
-                        rng.uniform(short_max, 12.0))[rng.integers(3)]
+            ls = tuple((0.0, rng.uniform(0.001, SHORT_CURVE_MAX),
+                        rng.uniform(SHORT_CURVE_MAX, 12.0))[rng.integers(3)]
                        for _ in range(3))
             try:
                 developed = O.develop_pants(build_pants(*ls))

@@ -390,7 +390,7 @@ def _complete_five(gen_table, cx, sigma, faces, ids, snake, w_point):
 
 
 def _window_cusp_lifts(gen_table, base_point, last_cusp, r0, r1, far,
-                       limit=400):
+                       limit):
     """Lifts of the last cusp inside the window under the arc (r0, r1).
 
     Breadth-first search over short words in the holonomy generators;

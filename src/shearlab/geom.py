@@ -38,7 +38,6 @@ from dataclasses import dataclass
 INF = math.inf
 
 CLASSIFY_TOL = 1e-9
-GEOM_TOL = 1e-9
 #: Allowed residual of the shear relations (cusp sums, curve-side sums).
 RELATION_TOL = 1e-6
 #: mat_fixed_points takes a hyperbolic matrix as fixing inf when |c| is
@@ -58,7 +57,7 @@ def normalize_boundary(x):
     return float(x)
 
 
-def boundary_close(x, y, tol=GEOM_TOL):
+def boundary_close(x, y, tol):
     if x == INF or y == INF:
         return x == y
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))

@@ -33,16 +33,19 @@ every row of the shortness certificate passes, read without building
 the rows from the curve lengths and the batch's seam-arc closed forms
 (Batch.arcs), which the scalar route does not compute.  A record holds
 these, the curve lengths and twists keyed by curve id and the shears
-keyed by arc (pants, seam); a campaign keeps them as each block's columns
-(_Rows).  run_surface is a campaign of one surface, and it and
-run_sample_campaign return records as dicts.  No global holonomy is
-built.  Reports are deterministic: records come in sample order and
-contain no wall-clock data (timings go to a side channel).  to_json
-writes json.dumps' indented bytes with the C encoder.  sample_json
-writes the same bytes for a sampling report straight from the
-columns, with no dict per record: one text template per pants graph,
-and the values' reprs joined into it a block at a time.  sample_rows
-writes the CSV rows and _summary the summary from the same columns.
+keyed by arc (pants, seam).  A campaign (Campaign) is one set of
+record columns: every sample's seed, the error line of each failed
+sample by its index, and the rows (_Rows) of the others, kept per block
+with the index of the block's first sample.  run_surface is a campaign
+of one surface, and it and run_sample_campaign return records as dicts.
+No global holonomy is built.  Reports are deterministic: records come
+in sample order and contain no wall-clock data (timings go to a side
+channel).  to_json writes json.dumps' indented bytes with the C
+encoder.  sample_json writes the same bytes for a sampling report
+straight from the columns, with no dict per record: one text template
+per pants graph, and every value spelled by one C encoder pass
+(_items) and joined into it.  sample_rows writes the CSV rows and
+_summary the summary from the same columns.
 """
 from __future__ import annotations
 
@@ -454,8 +457,8 @@ def _grid(value, inner: str) -> str:
     scalars, such as optimize's flip trail, as _encode joins them on
     lines that end in inner; "" for any other value.
 
-    The C encoder writes every scalar at once, split at its item
-    separator as in _encode, and one % regroups them.
+    The C encoder writes every scalar at once (_items), and one %
+    regroups them.
     """
     if type(value) is not list or {type(v) for v in value} != {list}:
         return ""
@@ -467,32 +470,32 @@ def _grid(value, inner: str) -> str:
         return ""
     deeper = inner + "  "
     row = "[" + deeper + ("," + deeper).join(["%s"] * width) + inner + "]"
-    return ("," + inner).join([row] * len(value)) % tuple(
-        _flat(deeper).encode(items)[1:-1].split("," + deeper))
+    return ("," + inner).join([row] * len(value)) % tuple(_items(items))
 
 
-@dataclass(slots=True)
-class _Block:
-    """The samples of one block of a campaign."""
-
-    seeds: list               # the samples' seeds
-    errors: dict              # the error line of each failed sample, by
-                              # index in the block
-    rows: _Rows | None        # those of the others; None if the draw failed
+def _items(values: list) -> list:
+    """The JSON text of each scalar of values, a flat list, from one C
+    encoder call, split at its item separator as in _encode."""
+    return _flat("\n").encode(values)[1:-1].split(",\n") if values else []
 
 
 @dataclass(slots=True)
 class Campaign:
-    """A seeded sampling campaign, kept as its blocks' columns."""
+    """A seeded sampling campaign, kept as its record columns."""
 
     sig: Signature
     pg: PantsGraph            # the canonical pants graph of sig
-    blocks: list              # _Block per block, in sample order
+    seeds: list               # every sample's seed, in sample order
+    errors: dict              # the error line of each failed sample, by
+                              # sample index
+    rows: list                # (start, _Rows) per block that drew: the
+                              # index of its first sample, and the rows
+                              # of its samples that did not fail
     summary: dict
 
 
-def sample_campaign(sig: Signature, seed: int, count: int,
-                    length_range=None, twist_range=(0.0, 1.0)) -> Campaign:
+def sample_campaign(sig: Signature, seed: int, count: int, length_range,
+                    twist_range=(0.0, 1.0)) -> Campaign:
     """Seeded sampling campaign; per-sample failures are recorded.
 
     The samples are drawn a block at a time: block_seeds gives their
@@ -504,34 +507,35 @@ def sample_campaign(sig: Signature, seed: int, count: int,
     records it on every sample.  Each block then runs as one array
     program (_surfaces): one batch of its pants, which takes each
     function of a single length once per distinct length, then
-    per-surface reductions in numpy, kept as columns (_Rows).
+    per-surface reductions in numpy, kept as columns (_Rows) with the
+    index of the block's first sample.
     """
     # every sample lies on the canonical graph of sig
     pg = canonical_pants_graph(sig)
     curves = len(_layout(pg).cids)
     if length_range is None:
         length_range = default_length_range(sig)
-    blocks = []
+    seeds, errors, rows = [], {}, []
     for start in range(0, count, _BLOCK):
-        seeds = block_seeds(seed, start, min(count, start + _BLOCK) - start)
+        block = block_seeds(seed, start, min(count, start + _BLOCK) - start)
+        seeds += block.tolist()
         try:
-            drawn = block_draws(seeds, curves, length_range, twist_range)
+            drawn = block_draws(block, curves, length_range, twist_range)
         except Exception as err:   # the draw's, recorded on every sample
-            errors, rows = dict.fromkeys(range(len(seeds)), err), None
+            failed = dict.fromkeys(range(len(block)), err)
         else:
-            errors, rows = _surfaces(sig, pg, *drawn)
-        blocks.append(_Block(seeds.tolist(), {
-            i: f"{type(err).__name__}: {err}" for i, err in errors.items()},
-            rows))
-    return Campaign(sig, pg, blocks, _summary(count, blocks))
+            failed, done = _surfaces(sig, pg, *drawn)
+            rows.append((start, done))
+        errors.update((start + i, f"{type(err).__name__}: {err}")
+                      for i, err in failed.items())
+    return Campaign(sig, pg, seeds, errors, rows, _summary(count, rows))
 
 
-def _summary(count: int, blocks: list) -> dict:
-    """The summary of a campaign of count samples, from its blocks'
-    columns."""
-    rows = [block.rows for block in blocks if block.rows is not None]
+def _summary(count: int, rows: list) -> dict:
+    """The summary of a campaign of count samples, from its rows
+    (Campaign.rows)."""
     ratio, certified, satisfied, cusp, side, margin = (
-        [v for r in rows for v in getattr(r, name).tolist()]
+        [v for _, r in rows for v in getattr(r, name).tolist()]
         for name in ("ratio", "certified", "satisfied", "cusp", "side",
                      "margin"))
     return {
@@ -557,15 +561,14 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
     summary.  A failed sample's record is its seed and error line."""
     campaign = sample_campaign(sig, seed, count, length_range, twist_range)
     layout = _layout(campaign.pg)
-    records = []
-    for block in campaign.blocks:
-        rows = block.rows
-        good = {} if rows is None else dict(zip(
-            rows.at, _records(sig, layout, rows)))
-        records += [{"seed": s, "error": block.errors[i]}
-                    if i in block.errors else {"seed": s, **good[i]}
-                    for i, s in enumerate(block.seeds)]
-    return records, campaign.summary
+    seeds = campaign.seeds
+    records = {i: {"seed": seeds[i], "error": error}
+               for i, error in campaign.errors.items()}
+    for start, rows in campaign.rows:
+        records.update((start + i, {"seed": seeds[start + i], **record})
+                       for i, record in zip(rows.at,
+                                            _records(sig, layout, rows)))
+    return [records[i] for i in range(count)], campaign.summary
 
 
 #: a value's place in a report template: the encoded string of _MARK and
@@ -582,11 +585,6 @@ _SCALAR_KEYS = ("bound_satisfied", "certified", "relations_ok",
 
 #: between two records of a report, as to_json writes them
 _SEP = ",\n    "
-
-_BOOLS = np.array(["false", "true"], dtype=object)
-
-#: the encoder's spelling of each non-finite float repr
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @lru_cache(maxsize=128)
@@ -612,39 +610,33 @@ def _template(pg: PantsGraph) -> str:
 def _values(rows: _Rows, seeds: list) -> np.ndarray:
     """The JSON text of the values of rows and their seeds, as an object
     array with a row per record and a column per numbered marker of
-    _template.  A float is written as its repr, or as the encoder's NaN,
-    Infinity and -Infinity; a missing margin is null."""
-    floats = np.column_stack((rows.cusp, rows.top, rows.margin, rows.ratio,
-                              rows.side, rows.lengths, rows.twists,
-                              rows.shears))
-    text = np.array(list(map(float.__repr__, floats.ravel().tolist())),
-                    dtype=object).reshape(floats.shape)
-    odd = ~np.isfinite(floats)
-    if odd.any():
-        text[odd] = [_NON_FINITE[t] for t in text[odd].tolist()]
-    text[np.isnan(rows.margin), 2] = "null"    # no min_margin
-    flags = _BOOLS[np.column_stack((rows.satisfied, rows.certified,
-                                    rows.relations_ok)).astype(np.intp)]
-    return np.concatenate((flags, text, np.array(
-        list(map(str, seeds)), dtype=object)[:, None]), axis=1)
+    _template, from one C encoder pass (_items); a missing margin is
+    null."""
+    values = np.column_stack([np.asarray(column, dtype=object) for column in (
+        rows.satisfied, rows.certified, rows.relations_ok, rows.cusp,
+        rows.top, rows.margin, rows.ratio, rows.side, rows.lengths,
+        rows.twists, rows.shears, seeds)])
+    values[np.isnan(rows.margin), 5] = None    # no min_margin
+    return np.array(_items(values.ravel().tolist()),
+                    dtype=object).reshape(values.shape)
 
 
-def _block_text(block: _Block, literal: list, order: list,
-                stamp: dict) -> str:
-    """The records of a block as to_json writes them in a report, each
+def _records_text(campaign: Campaign, literal: list, order: list,
+                  stamp: dict) -> str:
+    """The campaign's records as to_json writes them in a report, each
     followed by _SEP: the template's literal text around each record's
     values, in the template's order of markers, and an error record
     written by _encode."""
-    cells = np.empty((len(block.seeds), 2 * len(order) + 2), dtype=object)
+    seeds = campaign.seeds
+    cells = np.empty((len(seeds), 2 * len(order) + 2), dtype=object)
     cells[:, 0:-1:2] = literal
     cells[:, -1] = _SEP
-    rows = block.rows
-    if rows is not None:
-        cells[rows.at, 1:-1:2] = _values(
-            rows, [block.seeds[i] for i in rows.at])[:, order]
-    for i, error in block.errors.items():
+    for start, rows in campaign.rows:
+        at = [start + i for i in rows.at]
+        cells[at, 1:-1:2] = _values(rows, [seeds[i] for i in at])[:, order]
+    for i, error in campaign.errors.items():
         cells[i, :-1] = ""
-        cells[i, 0] = _encode(dict(stamp, seed=block.seeds[i], error=error),
+        cells[i, 0] = _encode(dict(stamp, seed=seeds[i], error=error),
                               "\n    ")
     return "".join(cells.ravel().tolist())
 
@@ -652,10 +644,10 @@ def _block_text(block: _Block, literal: list, order: list,
 def sample_json(config: dict, campaign: Campaign) -> str:
     """to_json(assemble(config, records, summary)) of the campaign's
     records (run_sample_campaign's) and summary, byte for byte, written
-    from its blocks' columns without a dict per record: the record
+    from its record columns without a dict per record: the record
     template of its pants graph (_template) is filled once with the
-    bound, config hash and version, and each block is one join of its
-    text and the block's values (_block_text)."""
+    bound, config hash and version, and the records are one join of its
+    text and their values (_records_text)."""
     config = _stamped(config)
     stamp = {"config_hash": config["hash"], "version": __version__}
     text = _template(campaign.pg)
@@ -663,8 +655,7 @@ def sample_json(config: dict, campaign: Campaign) -> str:
         text = text.replace(json.dumps(_MARK + key), json.dumps(value))
     pieces = _MARKS.split(text)
     literal, order = pieces[0::2], list(map(int, pieces[1::2]))
-    records = "".join(_block_text(block, literal, order, stamp)
-                      for block in campaign.blocks)
+    records = _records_text(campaign, literal, order, stamp)
     head, _, tail = _MARKS.split(_encode(
         {"config": config, "records": _MARK + "0", "schema": SCHEMA,
          "summary": campaign.summary}, "\n"))
@@ -673,31 +664,26 @@ def sample_json(config: dict, campaign: Campaign) -> str:
 
 
 def sample_rows(campaign: Campaign) -> str:
-    """The campaign's records in the fixed CSV columns, from its blocks'
+    """The campaign's records in the fixed CSV columns, from its record
     columns.
 
     The gn field contains a comma, so it is quoted per CSV convention.
     """
     gn = f"\"({campaign.sig.g},{campaign.sig.n})\""
     bound = f"{main_bound(campaign.sig):.12g}"
-    lines = [CSV_HEADER]
-    for block in campaign.blocks:
-        start = len(lines) - 1
-        cells = [f"{i},{gn},{s},error,,,,,,"
-                 for i, s in enumerate(block.seeds, start)]
-        rows = block.rows
-        if rows is not None:
-            for i, certified, top, ratio, cusp, side, margin in zip(
-                    rows.at, *(column.tolist() for column in (
-                        rows.certified, rows.top, rows.ratio, rows.cusp,
-                        rows.side, rows.margin))):
-                cells[i] = (
-                    f"{start + i},{gn},{block.seeds[i]},"
-                    f"{str(certified).lower()},{top:.12g},{bound},"
-                    f"{ratio:.12g},{cusp:.6g},{side:.6g},"
-                    f"{'' if math.isnan(margin) else format(margin, '.6g')}")
-        lines += cells
-    return "\n".join(lines) + "\n"
+    seeds = campaign.seeds
+    lines = [f"{i},{gn},{s},error,,,,,," for i, s in enumerate(seeds)]
+    for start, rows in campaign.rows:
+        for i, certified, top, ratio, cusp, side, margin in zip(
+                [start + i for i in rows.at], *(column.tolist() for column in (
+                    rows.certified, rows.top, rows.ratio, rows.cusp,
+                    rows.side, rows.margin))):
+            lines[i] = (
+                f"{i},{gn},{seeds[i]},"
+                f"{str(certified).lower()},{top:.12g},{bound},"
+                f"{ratio:.12g},{cusp:.6g},{side:.6g},"
+                f"{'' if math.isnan(margin) else format(margin, '.6g')}")
+    return "\n".join([CSV_HEADER] + lines) + "\n"
 
 
 def constants_report(sig: Signature, rho_prime=None) -> dict:

@@ -11,7 +11,8 @@ goes through both routes of report.run_surface:
 * the batch (decomposition.pants_batch): a triple it handles must pass every
   check of the scalar path and give its bits, margins in kernel order
   and quadrilaterals included, and at every slot the scalar translation
-  length and curve-holonomy check;
+  length and curve-holonomy check; and it must handle every triple
+  that passes the scalar path;
 * the scalar build_pants and pants_kernel: every failure must be a
   named GeometryError (DevelopError and AuditError included).
 
@@ -21,8 +22,9 @@ forms on every triple, whichever route handles it.
 
 The counts of failures per check kind and the handled share per class
 of pants (thick, thin, one cusp, two or three cusps) are printed
-(``pytest -s``), not pinned: the failures are the open conditioning
-defects of the float64 standard position.
+(``pytest -s``), and only the share is pinned (all of the triples that
+pass the scalar path): the failures are the open conditioning defects
+of the float64 standard position.
 """
 
 import cmath
@@ -150,6 +152,9 @@ def check_routes(triples, kinds, shares):
             kinds[kind(want)] += 1
         else:
             share[1] += 1
+            # the scalar route is only the batch's reference here: every
+            # triple it accepts, the batch handles
+            assert batch.handled[r], ls
         if not batch.handled[r]:
             continue
         share[2] += 1

@@ -194,6 +194,14 @@ class TestRoughCuspedBound:
         with pytest.raises(ValueError):
             C.rough_cusped_bound(C.Signature(1, 1), 50.0)
 
+    @pytest.mark.parametrize("g, n, sys, message", [
+        (2, 0, 1.0, "requires at least one puncture"),
+        (1, 1, 0.0, "systole must be positive"),
+        (1, 1, -1.0, "systole must be positive")])
+    def test_rejections_are_named(self, g, n, sys, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            C.rough_cusped_bound(C.Signature(g, n), sys)
+
 
 class TestSpikeConstant:
     def test_long_long_is_zero(self):
@@ -210,6 +218,14 @@ class TestSpikeConstant:
         p = C.shear_free_params()
         with pytest.raises(ValueError):
             C.spike_constant(("short", None), ("cusp", None), p)
+
+    @pytest.mark.parametrize("ends", [
+        (("bogus", None), ("cusp", None)), (("long", None), ("thick", 1.0))])
+    def test_unknown_regime_is_named(self, ends):
+        kind = next(k for k, _ in ends if k not in ("cusp", "long"))
+        with pytest.raises(ValueError,
+                           match=f"^unknown endpoint regime '{kind}'$"):
+            C.spike_constant(*ends, C.SHEAR_FREE)
 
     def test_mixed_cases_additive(self):
         p = C.shear_free_params()

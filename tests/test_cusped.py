@@ -45,6 +45,19 @@ class TestChainConstruction:
         assert all(v == 0.0 for v in sigma.values())
         assert len(cx.vertex_links()) == 3
 
+    @pytest.mark.parametrize("merged", [(0, 1), (1, 2), (0, 2)])
+    def test_disconnected_link_is_named(self, merged):
+        # the three-cusped sphere's two faces, with two of its cusps given
+        # one id: that cusp's link is two cycles
+        fn, (cx, sigma, walks) = chain(Signature(0, 3))
+        keep, drop = merged
+        relabelled = CU.CuspedTriangulation(
+            verts=[tuple(keep if c == drop else c for c in vs)
+                   for vs in cx.verts], glue=cx.glue)
+        with pytest.raises(ValueError,
+                           match=f"^cusp {keep} has a disconnected link$"):
+            relabelled.vertex_links()
+
     def test_four_cusps(self):
         for seed in range(6):
             fn, (cx, sigma, walks) = chain(Signature(0, 4), seed=seed)

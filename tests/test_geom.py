@@ -1,6 +1,7 @@
 """Core half-plane geometry: conventions, oracles, invariances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,7 +276,7 @@ def horocycle_through(center, z: complex):
 
 
 def horocycles_tangent(center1, z1: complex, center2, z2: complex,
-                       tol=G.GEOM_TOL) -> bool:
+                       tol=1e-9) -> bool:
     """Whether the horocycles at two distinct ideal centers are tangent.
 
     Shear points are where the horocycles at the two ends of a side touch,
@@ -496,3 +497,32 @@ class TestParabolicFixing:
             assert G.mat_classify(g) == "parabolic"
             assert abs(G.mat_apply_boundary(g, q) - q) < 1e-9
             assert abs(G.mat_apply_boundary(g, x) - y) < 1e-9 * max(1, abs(y))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: G.two_point_mat(1.0, 1.0), "points must be distinct"),
+    (lambda: G.three_point_mat(1.0, 0.0, 2.0),
+     "target triple must be positively ordered"),
+    (lambda: G.dist(1j, 0.5 - 1j), "points must lie in the upper half-plane"),
+    (lambda: G.parabolic_fixing(0.0, INF, 1.0),
+     "only finite points are supported away from q"),
+    (lambda: G.parabolic_fixing(0.0, 0.0, 1.0),
+     "degenerate parabolic constraint"),
+    (lambda: G.side_of(G.Geodesic(0.0, INF, oriented=False), 1.0),
+     "side is only defined for oriented geodesics"),
+    (lambda: G._unit_det(1.0, 0.0, 0.0, -1.0),
+     "matrix determinant -1.0 is not positive"),
+    (lambda: G.ends_distance(-1.0, 1.0, 0.0, INF),
+     "geodesics cross; distance undefined")],
+    ids=["two_point_mat", "three_point_mat", "dist", "parabolic_infinite",
+         "parabolic_degenerate", "side_of", "unit_det", "ends_distance"])
+def test_rejections_are_named(call, message):
+    with pytest.raises(G.GeometryError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_unknown_shear_method_is_named():
+    t_a = G.IdealTriangle(-1.0, 0.0, INF)
+    t_b = G.IdealTriangle(0.0, 1.0, INF)
+    with pytest.raises(ValueError, match="^unknown shear method 'bogus'$"):
+        G.shear(t_a, t_b, G.Geodesic(0.0, INF), method="bogus")

@@ -7,9 +7,11 @@ are exempt.  Every UPPER_CASE constant the library defines at top level
 must be read somewhere in the library or its tests.  Every defaulted
 parameter of a library function must be passed by some call in the
 library, its tests, demos or benchmark: a default nothing overrides is a
-constant.  Every top-level function of the library must be named
-somewhere in the library, its tests, demos or benchmark outside its own
-definition: a function nothing names is dead.  Every public top-level
+constant.  And if the function has a call, some call must leave the
+parameter out: a default every call overrides is never used.  Every
+top-level function of the library must be named somewhere in the
+library, its tests, demos or benchmark outside its own definition: a
+function nothing names is dead.  Every public top-level
 name of the library (a function, class or assignment) must be used by
 the library outside its own definition, by a demo or by the benchmark:
 code that only the tests reach belongs to the tests' oracle
@@ -165,13 +167,14 @@ def _defaulted(fn, is_method):
     return out
 
 
-def unset_defaults(defining, calling):
-    """Defaulted parameters that no call passes, by keyword or by position.
+def _called_name(func):
+    return (func.id if isinstance(func, ast.Name) else
+            func.attr if isinstance(func, ast.Attribute) else None)
 
-    Calls are matched by the called name alone (``f(...)`` or
-    ``x.f(...)``; a class name calls its ``__init__``), so a parameter
-    passed to any function of the same name counts as passed.
-    """
+
+def _defaulted_params(defining):
+    """(called name, parameter, position) of every defaulted parameter of
+    the functions of defining; a class name calls its ``__init__``."""
     params = []
     for tree in defining:
         methods = {id(fn): cls.name for cls in ast.walk(tree)
@@ -183,26 +186,62 @@ def unset_defaults(defining, calling):
                     name = methods[id(fn)]
                 params += [(name, arg, pos) for arg, pos
                            in _defaulted(fn, id(fn) in methods)]
+    return params
+
+
+def _calls(calling):
+    """Per called name, (positional arguments, keywords) of each call;
+    a starred argument counts as infinitely many, ``**`` as keyword
+    None."""
     calls = {}
     for tree in calling:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = (func.id if isinstance(func, ast.Name) else
-                    func.attr if isinstance(func, ast.Attribute) else None)
             starred = any(isinstance(a, ast.Starred) for a in node.args)
-            keys = {k.arg for k in node.keywords}
-            calls.setdefault(name, []).append(
-                (math.inf if starred else len(node.args), keys))
+            calls.setdefault(_called_name(node.func), []).append(
+                (math.inf if starred else len(node.args),
+                 {k.arg for k in node.keywords}))
+    return calls
+
+
+def unset_defaults(defining, calling):
+    """Defaulted parameters that no call passes, by keyword or by position.
+
+    Calls are matched by the called name alone (``f(...)`` or
+    ``x.f(...)``; a class name calls its ``__init__``), so a parameter
+    passed to any function of the same name counts as passed.  A call
+    with ``**`` arguments counts as passing every parameter, and one
+    with ``*`` arguments every positional one.
+    """
+    calls = _calls(calling)
 
     def passed(name, arg, pos):
         return any(arg in keys or None in keys
                    or (pos is not None and npos > pos)
                    for npos, keys in calls.get(name, ()))
 
-    return [f"{name}({arg}=)" for name, arg, pos in params
+    return [f"{name}({arg}=)" for name, arg, pos in _defaulted_params(defining)
             if not passed(name, arg, pos)]
+
+
+def always_set_defaults(defining, calling):
+    """Defaulted parameters of a function that has a call, and that every
+    call passes, by keyword or by position: unset_defaults' mirror.
+
+    Calls are matched as in unset_defaults, so a call of any function of
+    the same name that leaves the parameter out keeps it.  A call with
+    ``*`` or ``**`` arguments may leave any parameter out, so it keeps
+    them all.
+    """
+    calls = _calls(calling)
+
+    def always(name, arg, pos):
+        return all(arg in keys or (pos is not None and pos < npos < math.inf)
+                   for npos, keys in calls[name])
+
+    return [f"{name}({arg}=)" for name, arg, pos in _defaulted_params(defining)
+            if calls.get(name) and always(name, arg, pos)]
 
 
 def _names(node):
@@ -241,11 +280,6 @@ def unexported_names(defining, referring):
     return [name for tree in defining for node in tree.body
             for name in bound_names(node) if not name.startswith("_")
             and uses[name] == _names(node).count(name)]
-
-
-def _called_name(func):
-    return (func.id if isinstance(func, ast.Name) else
-            func.attr if isinstance(func, ast.Attribute) else None)
 
 
 def _is_dataclass(cls):
@@ -682,6 +716,13 @@ def test_every_default_is_set_somewhere():
                           [_parse(p) for p in CALLERS]) == []
 
 
+def test_every_default_is_left_out_somewhere():
+    # a default every call overrides is never used: the parameter is
+    # required
+    assert always_set_defaults([_parse(p) for p in MODULES],
+                               [_parse(p) for p in CALLERS]) == []
+
+
 def test_every_function_is_referenced():
     trees = {path: _parse(path) for path in CALLERS}
     assert unreferenced_functions([trees[p] for p in MODULES],
@@ -827,6 +868,11 @@ def test_checks_catch_their_targets():
     caller = ast.parse("f(0, 1, e=5)\nmod.g(*xs)\nh(**kw)\n"
                        "K(1)\nK().m(1)\nobj.m(v=2)\n")
     assert unset_defaults([lib], [caller]) == ["f(c=)", "f(d=)", "K(w=)"]
+    caller = ast.parse("f(0, 1, 2, d=5)\nf(0, b=1, c=2)\nmod.g(*xs)\n"
+                       "h(**kw)\nK(1, w=2)\nK(2, 3)\nobj.m(1)\n"
+                       "obj.m(v=2, u=0)\n")
+    assert always_set_defaults([lib], [caller]) == [
+        "f(b=)", "f(c=)", "K(z=)", "K(w=)", "m(u=)"]
     lib = ast.parse("def used():\n    pass\n"
                     "def recursive(n):\n    return recursive(n - 1)\n"
                     "def imported():\n    pass\n"

@@ -245,7 +245,8 @@ class TestSampleWriter:
     # (g, n), seed, count, length range, twist range: error records, no
     # curve, curve ids from 10 on (JSON's "10" before "2"), three blocks,
     # every sample failing, every sample's construction failing at huge
-    # lengths, no sample, and the draw failing on every sample
+    # lengths, no sample, the draw failing on every sample, and failing
+    # in both blocks of a campaign
     CAMPAIGNS = (((5, 5), 3, 300, None, (0.0, 1.0)),
                  ((0, 3), 1, 5, None, (0.0, 1.0)),
                  ((10, 0), 42, 40, None, (0.0, 1.0)),
@@ -254,7 +255,8 @@ class TestSampleWriter:
                  ((1, 1), 1, 3, (1e-300, 1e308), (0.0, 1.0)),
                  ((1, 1), 0, 0, None, (0.0, 1.0)),
                  ((1, 1), 1, 3, (-1e308, 1e308), (0.0, 1.0)),
-                 ((1, 1), 1, 2, None, (1.0, 0.0)))
+                 ((1, 1), 1, 2, None, (1.0, 0.0)),
+                 ((1, 1), 1, 300, (-1e308, 1e308), (0.0, 1.0)))
 
     @staticmethod
     def check(gn, seed, count, lengths, twists):

@@ -130,6 +130,12 @@ class TestSeamLengths:
             assert math.isclose(base[1], perm[0], rel_tol=1e-12)
             assert math.isclose(base[2], perm[1], rel_tol=1e-12)
 
+    @pytest.mark.parametrize("lengths", [(-1.0, 1.0, 1.0), (1.0, 1.0, -0.5)])
+    def test_negative_length_is_named(self, lengths):
+        with pytest.raises(ValueError,
+                           match="^boundary lengths must be nonnegative$"):
+            P.seam_lengths(*lengths)
+
     def test_matches_developed_feet(self):
         sp = P.build_pants(1.3, 2.1, 0.7)
         trig = P.seam_lengths(1.3, 2.1, 0.7)

@@ -275,11 +275,39 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = None
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _joined(argv: list) -> list:
+    """argv with each number that starts with "-" joined to the long
+    option before it, as ``--twist-max=-1e-3``.
+
+    argparse takes an argument that starts with "-" as an option's value
+    only if it is a plain decimal such as -0.001; -1e-3 or -inf would
+    end in its usage error, not in the option's own check.
+    """
+    out = []
+    for arg in argv:
+        if (arg.startswith("-") and out and out[-1].startswith("--")
+                and len(out[-1]) > 2 and "=" not in out[-1]
+                and _is_number(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser.parse_args(_joined(sys.argv[1:] if argv is None
+                                      else argv))
     return args.func(args)
 
 

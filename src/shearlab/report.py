@@ -40,11 +40,13 @@ with the index of the block's first sample.  run_surface is a campaign
 of one surface, and it and run_sample_campaign return records as dicts.
 No global holonomy is built.  Reports are deterministic: records come
 in sample order and contain no wall-clock data (timings go to a side
-channel).  to_json writes json.dumps' indented bytes with the C
-encoder.  sample_json writes the same bytes for a sampling report
-straight from the columns, with no dict per record: one text template
-per pants graph, and every value spelled by one C encoder pass
-(_items) and joined into it.  sample_rows writes the CSV rows and
+channel).  to_json writes json.dumps' indented bytes, every scalar of
+a container spelled at once by _spell: one orjson call for the
+numbers, whose shortest round-trip digits are repr's, and literal
+fix-ups to repr's spelling.  sample_json writes the same bytes for a
+sampling report straight from the columns, with no dict per record:
+one text template per pants graph, and every value spelled by one
+_spell call and joined into it.  sample_rows writes the CSV rows and
 _summary the summary from the same columns.
 """
 from __future__ import annotations
@@ -58,6 +60,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import orjson
 
 from . import __version__, decomposition, spiralling
 from .constants import (RHO, SHEAR_FREE, SHORT_CURVE_MAX, Signature, area,
@@ -400,51 +403,99 @@ def assemble(config: dict, records: list, summary: dict) -> dict:
 def to_json(report: dict) -> str:
     """json.dumps(report, sort_keys=True, indent=2) + "\\n", byte for byte.
 
-    json.dumps runs its pure-Python encoder when it indents.  Here the C
-    encoder writes the scalars of every container, with the line break
-    and indentation of its items as item separator, and the containers
-    are joined around them (_encode).  Keys must be strings.
+    json.dumps runs its pure-Python encoder when it indents, and spells
+    each float with float.__repr__.  Here _spell writes the scalars of
+    every container at once, and the containers are joined around them
+    with the line break and indentation of their items (_encode).  Keys
+    must be strings.
     """
     return _encode(report, "\n") + "\n"
 
 
-#: the types the C encoder writes as scalars
+#: the scalars of JSON, which _spell writes
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 
+#: where orjson's spelling of a number differs from repr's, each found by
+#: a literal prefix: a positive exponent without its sign, a negative one
+#: of one digit without its leading zero, and a number in [1e-5, 1e-4)
+#: written fixed, 0.0000d..., which the look-behind takes only at the
+#: start of a number (not in 120.00006)
+_EXP_SIGN = re.compile(r"e(\d)")
+_EXP_PAD = re.compile(r"e-(\d)(?!\d)")
+_FIXED = re.compile(r"0\.0000(?<=[-,\[]0\.0000)(\d)(\d*)")
 
-@lru_cache(maxsize=None)
-def _flat(newline: str) -> json.JSONEncoder:
-    """The C encoder of the scalars of a container whose items start on
-    a line that ends in newline."""
-    return json.JSONEncoder(sort_keys=True, separators=("," + newline, ": "))
+
+def _unfixed(match) -> str:
+    """repr's spelling of a number that _FIXED matched."""
+    lead, rest = match.groups()
+    return f"{lead}.{rest}e-05" if rest else f"{lead}e-05"
+
+
+def _spell(values: list) -> list:
+    """The JSON text of each scalar of values, a flat list, as json.dumps
+    writes it.
+
+    One orjson.dumps call writes every number with the shortest digits
+    that round-trip (Ryu), the digits of repr, and three fix-ups give
+    them repr's spelling.  orjson writes None, NaN and +-inf as null.  A
+    string (json escapes it to ASCII, orjson does not) or an integer
+    beyond 64 bits (orjson raises) makes a second call with each of them
+    as None.  Each null item is then spelled from its value (_null).
+    """
+    if not values:
+        return []
+    try:
+        raw = orjson.dumps(values)
+    except orjson.JSONEncodeError:      # an integer beyond 64 bits
+        raw = None
+    if raw is None or b'"' in raw:
+        raw = orjson.dumps([
+            None if type(v) is str or type(v) is int and not (
+                -(1 << 63) <= v < 1 << 64) else v for v in values])
+    text = _EXP_PAD.sub(r"e-0\1", _EXP_SIGN.sub(r"e+\1", raw.decode()))
+    if "0.0000" in text:          # str.find scans faster than re
+        text = _FIXED.sub(_unfixed, text)
+    items = text[1:-1].split(",")
+    if "n" in text:               # only null has an n
+        for i in [i for i, item in enumerate(items) if item == "null"]:
+            items[i] = _null(values[i])
+    return items
+
+
+def _null(value) -> str:
+    """The JSON text of a scalar that _spell's orjson call writes as null:
+    None, NaN, +-inf, a string or an integer beyond 64 bits."""
+    if type(value) is float:
+        return ("NaN" if value != value else
+                "Infinity" if value > 0 else "-Infinity")
+    if type(value) is str:
+        return json.encoder.encode_basestring_ascii(value)
+    return "null" if value is None else int.__repr__(value)
 
 
 def _encode(value, newline: str) -> str:
     """value as json.dumps(sort_keys=True, indent=2) writes it on a line
     that ends in newline (a line break and the line's indentation).
 
-    The C encoder writes the items whose values are scalars at once, and
-    they are split at the item separator: an encoded string escapes
-    every line break, so a line break is only ever a separator.
+    The scalars of a container are spelled at once (_spell), and a
+    container item is written by _encode on the next line.
     """
     is_dict = isinstance(value, dict)
     if not is_dict and not isinstance(value, (list, tuple)):
-        return _flat(newline).encode(value)
+        return _spell([value])[0]
     if not value:
         return "{}" if is_dict else "[]"
     inner = newline + "  "
     sep = "," + inner
-    if set(map(type, value.values() if is_dict else value)) <= _SCALARS:
-        body = _flat(inner).encode(value)[1:-1]
-    elif is_dict:
-        flat = {k: v for k, v in value.items() if type(v) in _SCALARS}
-        parts = dict(zip(sorted(flat), _flat(inner).encode(flat)[1:-1].split(
-            sep))) if flat else {}
-        for key, item in value.items():
-            if key not in flat:
-                parts[key] = (f"{json.encoder.encode_basestring_ascii(key)}: "
-                              f"{_encode(item, inner)}")
-        body = sep.join(parts[k] for k in sorted(value))
+    if is_dict:
+        keys = sorted(value)
+        flat = [k for k in keys if type(value[k]) in _SCALARS]
+        texts = dict(zip(flat, _spell([value[k] for k in flat])))
+        body = sep.join(f"{json.encoder.encode_basestring_ascii(k)}: "
+                        f"{texts.get(k) or _encode(value[k], inner)}"
+                        for k in keys)
+    elif set(map(type, value)) <= _SCALARS:
+        body = sep.join(_spell(list(value)))
     else:
         body = _grid(value, inner) or sep.join(_encode(v, inner)
                                                for v in value)
@@ -457,8 +508,7 @@ def _grid(value, inner: str) -> str:
     scalars, such as optimize's flip trail, as _encode joins them on
     lines that end in inner; "" for any other value.
 
-    The C encoder writes every scalar at once (_items), and one %
-    regroups them.
+    _spell writes every scalar at once, and one % regroups them.
     """
     if type(value) is not list or {type(v) for v in value} != {list}:
         return ""
@@ -470,13 +520,7 @@ def _grid(value, inner: str) -> str:
         return ""
     deeper = inner + "  "
     row = "[" + deeper + ("," + deeper).join(["%s"] * width) + inner + "]"
-    return ("," + inner).join([row] * len(value)) % tuple(_items(items))
-
-
-def _items(values: list) -> list:
-    """The JSON text of each scalar of values, a flat list, from one C
-    encoder call, split at its item separator as in _encode."""
-    return _flat("\n").encode(values)[1:-1].split(",\n") if values else []
+    return ("," + inner).join([row] * len(value)) % tuple(_spell(items))
 
 
 @dataclass(slots=True)
@@ -610,14 +654,13 @@ def _template(pg: PantsGraph) -> str:
 def _values(rows: _Rows, seeds: list) -> np.ndarray:
     """The JSON text of the values of rows and their seeds, as an object
     array with a row per record and a column per numbered marker of
-    _template, from one C encoder pass (_items); a missing margin is
-    null."""
+    _template, from one _spell call; a missing margin is null."""
     values = np.column_stack([np.asarray(column, dtype=object) for column in (
         rows.satisfied, rows.certified, rows.relations_ok, rows.cusp,
         rows.top, rows.margin, rows.ratio, rows.side, rows.lengths,
         rows.twists, rows.shears, seeds)])
     values[np.isnan(rows.margin), 5] = None    # no min_margin
-    return np.array(_items(values.ravel().tolist()),
+    return np.array(_spell(values.ravel().tolist()),
                     dtype=object).reshape(values.shape)
 
 
@@ -652,7 +695,7 @@ def sample_json(config: dict, campaign: Campaign) -> str:
     stamp = {"config_hash": config["hash"], "version": __version__}
     text = _template(campaign.pg)
     for key, value in dict(stamp, bound=main_bound(campaign.sig)).items():
-        text = text.replace(json.dumps(_MARK + key), json.dumps(value))
+        text = text.replace(*_spell([_MARK + key, value]))
     pieces = _MARKS.split(text)
     literal, order = pieces[0::2], list(map(int, pieces[1::2]))
     records = _records_text(campaign, literal, order, stamp)

@@ -66,7 +66,8 @@ class TestConstantsCommand:
             cli.main(["constants", "--g", "0", "--n", "2"])
         assert err.value.code == 1
 
-    @pytest.mark.parametrize("rho_prime", ["0", "-0.1", "0.2"])
+    @pytest.mark.parametrize("rho_prime", ["0", "-0.1", "0.2", "-5e-1",
+                                           "-inf"])
     def test_rho_prime_out_of_range(self, capsys, rho_prime):
         # 0 is a value, not "use the default"; both are rejected by name
         code = cli.main(["constants", "--g", "1", "--n", "1",
@@ -461,6 +462,15 @@ class TestSampleCommand:
         # against the default maximum 2 log(4 area), about 6.45 at (1,1)
         (["--length-min", "20"], "is below length minimum 20.0"),
         (["--twist-max", "-1"], "--twist-max must be non-negative"),
+        # argparse reads only plain decimals after an option as negative
+        # numbers; these reach the named checks too
+        (["--twist-max", "-1e-3"], "--twist-max must be non-negative"),
+        (["--twist-max", "-inf"], "--twist-max must be finite"),
+        (["--length-min", "-1e308"], "--length-min must be positive"),
+        (["--length-max", "-1e3"],
+         "length maximum -1000.0 is below length minimum 0.05"),
+        (["--length-min", "-1E-3", "--length-max", "-2e0"],
+         "--length-min must be positive"),
     ])
     def test_empty_or_invalid_ranges(self, capsys, flags, needle):
         one_line_error(capsys, ["sample", "--g", "1", "--n", "1",

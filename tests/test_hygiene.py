@@ -63,13 +63,19 @@ shear-free values, both built once in constants.py.  No other library
 module calls ``math.tanh`` on ``RHO`` or on a ``.rho`` attribute, and
 the per-pants modules (PER_PANTS) name neither ``ShearFreeParams`` nor
 ``shear_free_params``, so a pants' results stay a function of its
-length triple.
+length triple.  The library's third-party modules are its declared
+dependencies and nothing more: every top-level module a library file
+imports is in ``sys.stdlib_module_names``, is shearlab itself, or is
+named in pyproject's ``[project] dependencies`` (read without a TOML
+parser, which the standard library gains only in Python 3.11), and
+every declared dependency is imported by some library file.
 """
 
 import ast
 import importlib
 import math
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -667,6 +673,31 @@ def unpatched_calls(tree, function, names):
     return found
 
 
+def imported_modules(tree):
+    """The top-level modules that the module's absolute imports name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def declared_dependencies(pyproject):
+    """The import names of the ``dependencies`` list of pyproject's
+    ``[project]`` table, given as text: each requirement's distribution
+    name, lowercased and with - as _."""
+    table = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject,
+                      re.MULTILINE | re.DOTALL)
+    found = re.search(r"^dependencies\s*=\s*(\[.*?\])", table[1],
+                      re.MULTILINE | re.DOTALL) if table else None
+    if found is None:
+        return set()
+    return {re.match(r"[A-Za-z0-9._-]+", requirement)[0].lower().replace(
+        "-", "_") for requirement in ast.literal_eval(found[1])}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_duplicate_top_level_names(path):
     assert duplicate_definitions(_parse(path)) == []
@@ -792,6 +823,15 @@ def test_benchmark_names_exist():
     assert missing_library_names(sorted(names)) == []
 
 
+def test_imports_are_the_declared_dependencies():
+    declared = declared_dependencies((ROOT / "pyproject.toml").read_text())
+    imported = set().union(*(imported_modules(_parse(p)) for p in LIBRARY))
+    assert "numpy" in declared
+    assert sorted(imported - sys.stdlib_module_names - {"shearlab"}
+                  - declared) == []
+    assert sorted(declared - imported) == []
+
+
 def test_search_calls_its_kernel_by_name():
     # the counting tests patch the kernel in the module, so the search
     # must look each kernel function up there at every call: one it held
@@ -809,6 +849,18 @@ def test_checks_catch_their_targets():
     assert duplicate_definitions(tree) == ["f"]
     assert unused_imports(tree) == ["os", "pi"]
     assert benchmark_modules(tree) is None
+    lib = ast.parse("import os.path, numpy as np\nfrom . import geom\n"
+                    "from .geom import x\nfrom orjson import dumps\n"
+                    "from xml.dom import minidom\n")
+    assert imported_modules(lib) == {"os", "numpy", "orjson", "xml"}
+    assert declared_dependencies(
+        '[build-system]\nrequires = ["setuptools>=68"]\n\n[project]\n'
+        'name = "x"\ndependencies = [\n  "numpy>=1.24",\n'
+        '  "Typing-Extensions; python_version<\'3.11\'",\n  "orjson"]\n\n'
+        '[project.optional-dependencies]\ntest = ["pytest>=7"]\n') == {
+        "numpy", "typing_extensions", "orjson"}
+    assert declared_dependencies('[project]\nname = "x"\n'
+                                 '[tool.x]\ndependencies = ["y"]\n') == set()
     search = ast.parse("def search(g, kernel):\n"
                        "    flip = step\n"
                        "    for score in g:\n"

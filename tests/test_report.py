@@ -591,6 +591,25 @@ class TestToJson:
         for value in ({}, [], [[]], [{}], math.nan, -0.0, "\u00e9", 7, None,
                       (1, (2.0, {"k": ()}))):
             self.same(value)
+        # where orjson's spelling differs from repr's (a fixed [1e-5, 1e-4),
+        # exponents without a sign or a leading zero), where it writes null
+        # (NaN, +-inf) or raises (integers beyond 64 bits); and numbers
+        # that hold the fixed text of [1e-5, 1e-4) inside them
+        band = [1e-5, 1.5e-5, 2.5e-05, 9.999999999999999e-05, 1e-4]
+        numbers = [*band, *(-x for x in band), 1e16, 1.2345678901234568e+16,
+                   1e22, -1e22, 1.5e-07, -1.5e-07, 5e-324, -0.0, 120.00006,
+                   -100.00001, 10.00001, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
+                   -2 ** 63, -2 ** 63 - 1, math.nan, math.inf, -math.inf]
+        self.same(numbers)
+        self.same({str(i): x for i, x in enumerate(numbers)})
+        self.same([[x, None] for x in numbers])
+        self.same({"nested": [{"x": [x], "y": x} for x in numbers]})
+        for x in numbers:
+            self.same(x)
+        # strings the fix-ups must leave alone, beside the numbers they
+        # spell
+        self.same({"a": "0.00001", "b": "1e5", "c": ["0.00001", 1e-5, "1e5",
+                                                     1e5, "x,0.00001", 2e16]})
 
     def test_command_reports(self, tmp_path, capsys):
         from shearlab import cli
@@ -647,3 +666,22 @@ class TestToJson:
     @given(JSON)
     def test_search(self, value):
         self.same(value)
+
+    @settings(max_examples=500, derandomize=True, database=None,
+              deadline=None)
+    @given(st.lists(st.floats() | st.integers(), max_size=20))
+    def test_spell_numbers(self, values):
+        # report._spell gives each number json.dumps's text
+        assert report._spell(values) == [json.dumps(v) for v in values]
+
+    def test_spell_every_decade(self):
+        # random doubles of every bit pattern, and of every decade of
+        # both signs: the shortest digits and spelling of json.dumps
+        rng = np.random.default_rng(5)
+        values = np.concatenate([
+            rng.integers(0, 2 ** 64, 4000, dtype=np.uint64).view(np.float64),
+            rng.uniform(1.0, 10.0, 6000) * 10.0 ** rng.integers(
+                -323, 308, 6000).astype(float),
+            rng.uniform(1e-5, 1e-4, 1000), rng.uniform(1e15, 1e17, 1000)])
+        values = (values * rng.choice([-1.0, 1.0], len(values))).tolist()
+        assert report._spell(values) == [json.dumps(v) for v in values]

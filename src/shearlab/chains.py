@@ -63,16 +63,18 @@ class ChainError(ValueError):
 
 
 def is_chain(hol: Holonomy) -> bool:
-    """Whether the surface is a genus-zero linear chain of pants."""
+    """Whether the surface is a genus-zero linear chain of pants: slot 1
+    of every pants, slot 0 of the first and slot 2 of the last are
+    cusps, and the chain's curve a, whatever its id, glues slot 2 of
+    pants a to slot 0 of pants a + 1."""
     pg = hol.graph
     m = pg.num_pants
     if m == 1:
         return len(pg.cusp_slots()) == 3
     if any(slots[1][0] != "cusp" for slots in pg.pants):
         return False
-    ends = pg.curve_ends()
-    want = {a: [(a, 2), (a + 1, 0)] for a in range(m - 1)}
-    got = {cid: sorted(refs) for cid, refs in ends.items()}
+    want = [[(a, 2), (a + 1, 0)] for a in range(m - 1)]
+    got = sorted(sorted(refs) for refs in pg.curve_ends().values())
     return got == want and pg.pants[0][0][0] == "cusp" \
         and pg.pants[m - 1][2][0] == "cusp"
 
@@ -316,28 +318,32 @@ def build_cusped_chain(hol: Holonomy):
     # conjugates of parabolics are otherwise too large for float64 to
     # carry their fixed points at the window scale.  A curve or cusp
     # generator is a core in the frame of its one pants.  The curves come
-    # by id, then the cusps in slot order: the fan search's word order,
-    # and so which lift it finds first, follows this order.
+    # by position along the chain, then the cusps in slot order: the fan
+    # search's word order, and so which lift it finds first, follows this
+    # order.
     frames = hol.frames_about((m - 1) // 2)
     w_point = {ident: frame_apply(frames[p], hol.std[p].slot_point[s])
                for ident, (p, s) in cusps.items()}
+    # the chain's curve ids by position: curve a is slot 2 of pants a
+    curves = [slots[2][1] for slots in pg.pants[:-1]]
     gen_table = {}
-    for name in ([f"curve:{cid}" for cid in pg.curve_ids()]
+    for name in ([f"curve:{cid}" for cid in curves]
                  + [f"cusp:{ident}" for ident in cusps]):
         g = hol.table[name]
         gen_table[name] = frame_conj(frames[g.lframe], g.core)
 
-    h0 = gen_table["curve:0"]
+    # the ladder is built around the chain's first curve
+    h0 = gen_table[f"curve:{curves[0]}"]
     base = [("L", snake[0], w_point[snake[0]]),
             ("L", snake[1], w_point[snake[1]]),
             ("R", snake[2], w_point[snake[2]]),
             ("R", snake[3], w_point[snake[3]])]
-    faces = _build_ladder(h0, hol.fn.length(0), base)
+    faces = _build_ladder(h0, hol.fn.length(curves[0]), base)
 
     cx, sigma = CuspedTriangulation(verts=[], glue={}), {}
     ids, walk0 = _emit_ladder(cx, sigma, faces, h0)
     _close_outer(cx, sigma, faces, ids, "L")
-    walks = {0: walk0}
+    walks = {curves[0]: walk0}
 
     if m == 2:
         _close_outer(cx, sigma, faces, ids, "R")

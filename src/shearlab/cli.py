@@ -21,7 +21,10 @@ Subcommands:
   or a length maximum below the length minimum (the defaults count:
   0.05 and 2 log(4 area)).
 * ``shear optimize SURFACE.json --budget B --seed S``: flip search on a
-  cusped chain surface (genus 0, up to five punctures).  Each twist
+  cusped chain surface (genus 0, up to five punctures).  A chain of m
+  pants is read by position, whatever its curve ids: slot 1 of every
+  pants, slot 0 of pants 0 and slot 2 of pants m - 1 are cusps, and
+  curve a glues slot 2 of pants a to slot 0 of pants a + 1.  Each twist
   outside [-l/2, l/2), l its curve's length, is first reduced into it
   by whole Dehn twists, which do not change the surface.  Each of the B
   steps scores in closed form the flips that can improve the maximum

@@ -33,11 +33,13 @@ every row of the shortness certificate passes, read without building
 the rows from the curve lengths and the batch's seam-arc closed forms
 (Batch.arcs), which the scalar route does not compute.  A record holds
 these, the curve lengths and twists keyed by curve id and the shears
-keyed by arc (pants, seam).  A campaign (Campaign) is one set of
-record columns: every sample's seed, the error line of each failed
-sample by its index, and the rows (_Rows) of the others, kept per block
-with the index of the block's first sample.  run_surface is a campaign
-of one surface, and it and run_sample_campaign return records as dicts.
+keyed by arc (pants, seam); its bool and float fields are one table
+(_FIELDS), each the _Rows column named by its record key.  A campaign
+(Campaign) is one set of record columns: every sample's seed, the error
+line of each failed sample by its index, and the rows (_Rows) of the
+others, kept per block with the index of the block's first sample.
+run_surface is a campaign of one surface, and it and
+run_sample_campaign return records as dicts.
 No global holonomy is built.  Reports are deterministic: records come
 in sample order and contain no wall-clock data (timings go to a side
 channel).  to_json writes json.dumps' indented bytes, every scalar of
@@ -157,18 +159,6 @@ def parse_surface(data: dict):
     return sig, pg, fn
 
 
-def _max(values, default):
-    """max() of the values, NaN if any of them is NaN.
-
-    Python's max keeps a NaN only when it comes first, so a NaN residual
-    or shear later in the list would be dropped silently.
-    """
-    values = list(values)
-    if any(math.isnan(v) for v in values):
-        return math.nan
-    return max(values, default=default)
-
-
 @dataclass(slots=True)
 class _Layout:
     """What a pants graph fixes for every surface on it."""
@@ -217,14 +207,31 @@ class _Rows:
     lengths: np.ndarray       # (rows, curves) curve lengths and twists, a
     twists: np.ndarray        # column per curve id in _layout order
     shears: np.ndarray        # (rows, arcs) in shear_keys order
-    top: np.ndarray           # the largest |shear|
-    ratio: np.ndarray         # top / main_bound
-    satisfied: np.ndarray     # top < main_bound
+    max_shear: np.ndarray     # the largest |shear|
+    ratio: np.ndarray         # max_shear / main_bound
+    bound_satisfied: np.ndarray   # max_shear < main_bound
     certified: np.ndarray
-    cusp: np.ndarray          # the largest residual at a cusp slot and at
-    side: np.ndarray          # a curve slot, 0.0 at none
+    cusp_residual: np.ndarray     # the largest residual at a cusp slot and
+    spiral_residual: np.ndarray   # at a curve slot, 0.0 at none
     relations_ok: np.ndarray
-    margin: np.ndarray        # the least margin, NaN at none
+    min_margin: np.ndarray    # the least margin, NaN at none
+
+
+#: The one table of a record's bool and float fields, in JSON's key order:
+#: each is the slot of its _Rows column, named by the field's record key.
+#: _records, _template and _values read the fields through it.
+_FIELDS = (_Rows.bound_satisfied, _Rows.certified, _Rows.cusp_residual,
+           _Rows.max_shear, _Rows.min_margin, _Rows.ratio,
+           _Rows.relations_ok, _Rows.spiral_residual)
+
+
+def _columns(rows: _Rows) -> list:
+    """The columns of _FIELDS in rows, as object arrays of Python bools
+    and floats; a NaN margin ("no margin") is None, JSON's null."""
+    columns = [np.asarray(field.__get__(rows), dtype=object)
+               for field in _FIELDS]
+    columns[_FIELDS.index(_Rows.min_margin)][np.isnan(rows.min_margin)] = None
+    return columns
 
 
 def run_surface(sig: Signature, pg: PantsGraph, fn: FNCoordinates) -> dict:
@@ -338,20 +345,21 @@ def _rows(sig, layout, at, arcs, lengths, twists, values) -> _Rows:
     log4a = math.log(4.0 * area(sig))
     bound = main_bound(sig)
     top = np.abs(shears).max(axis=(1, 2))
-    # _max of the residuals at the cusp and at the curve slots, 0.0 at
+    # the largest residual at the cusp and at the curve slots, 0.0 at
     # none: a residual is an abs, so a 0.0 in the other slots is never
     # larger, and np.max keeps NaN
     cusp, side = np.where(layout.slots, residuals[:, None],
                           0.0).max(axis=(2, 3)).T
     short = decomposition.arcs_short(arcs, log4a)
     return _Rows(
-        at, lengths, twists,
-        shears.reshape(len(at), len(layout.shear_keys)), top, top / bound,
-        top < bound,
-        (lengths <= 2.0 * log4a).all(axis=1) & short.all(axis=1),
-        cusp, side, (cusp <= RELATION_TOL) & (side <= RELATION_TOL),
+        at=at, lengths=lengths, twists=twists,
+        shears=shears.reshape(len(at), len(layout.shear_keys)),
+        max_shear=top, ratio=top / bound, bound_satisfied=top < bound,
+        certified=(lengths <= 2.0 * log4a).all(axis=1) & short.all(axis=1),
+        cusp_residual=cusp, spiral_residual=side,
+        relations_ok=(cusp <= RELATION_TOL) & (side <= RELATION_TOL),
         # a margin is never NaN (the audit fails it), so NaN is "no margin"
-        np.fmin.reduce(least, axis=1))
+        min_margin=np.fmin.reduce(least, axis=1))
 
 
 def _records(sig, layout, rows: _Rows) -> list:
@@ -362,20 +370,11 @@ def _records(sig, layout, rows: _Rows) -> list:
     return [{
         "fn": {"lengths": dict(zip(keys, ls)), "twists": dict(zip(keys, ts))},
         "shears": dict(zip(layout.shear_keys, shears)),
-        "max_shear": top,
         "bound": bound,
-        "ratio": ratio,
-        "certified": certified,
-        "cusp_residual": cusp,
-        "spiral_residual": side,
-        "relations_ok": ok,
-        "min_margin": None if math.isnan(margin) else margin,
-        "bound_satisfied": satisfied,
-    } for ls, ts, shears, top, ratio, satisfied, certified, cusp, side, ok,
-        margin in zip(*(column.tolist() for column in (
-            rows.lengths, rows.twists, rows.shears, rows.top, rows.ratio,
-            rows.satisfied, rows.certified, rows.cusp, rows.side,
-            rows.relations_ok, rows.margin)))]
+        **{field.__name__: v for field, v in zip(_FIELDS, values)},
+    } for ls, ts, shears, values in zip(
+        rows.lengths.tolist(), rows.twists.tolist(), rows.shears.tolist(),
+        zip(*(column.tolist() for column in _columns(rows))))]
 
 
 def config_hash(config: dict) -> str:
@@ -577,25 +576,27 @@ def sample_campaign(sig: Signature, seed: int, count: int, length_range,
 
 def _summary(count: int, rows: list) -> dict:
     """The summary of a campaign of count samples, from its rows
-    (Campaign.rows)."""
-    ratio, certified, satisfied, cusp, side, margin = (
-        [v for _, r in rows for v in getattr(r, name).tolist()]
-        for name in ("ratio", "certified", "satisfied", "cusp", "side",
-                     "margin"))
+    (Campaign.rows), reduced in numpy over their columns joined: its max
+    keeps a NaN wherever it lies."""
+    # the columns of every block joined, empty when no block drew
+    ratio, certified, satisfied, cusp, side, margin = map(np.concatenate, zip(
+        *[(r.ratio, r.certified, r.bound_satisfied, r.cusp_residual,
+           r.spiral_residual, r.min_margin) for _, r in rows]
+        or [[np.empty(0, bool)] * 6]))
+    margin = margin[~np.isnan(margin)]
+    top_certified, top_uncertified, worst_cusp, worst_side = (
+        values.max().item() if values.size else None
+        for values in (ratio[certified], ratio[~certified], cusp, side))
     return {
         "samples": count,
-        "failures": count - len(ratio),
-        "certified": sum(certified),
-        "max_ratio_certified": _max(itertools.compress(ratio, certified),
-                                    None),
-        "max_ratio_uncertified": _max((r for r, c in zip(ratio, certified)
-                                       if not c), None),
-        "bound_violations_certified": sum(
-            c and not s for c, s in zip(certified, satisfied)),
-        "worst_cusp_residual": _max(cusp, None),
-        "worst_spiral_residual": _max(side, None),
-        "min_margin": min((m for m in margin if not math.isnan(m)),
-                          default=None),
+        "failures": count - ratio.size,
+        "certified": int(certified.sum()),
+        "max_ratio_certified": top_certified,
+        "max_ratio_uncertified": top_uncertified,
+        "bound_violations_certified": int((certified & ~satisfied).sum()),
+        "worst_cusp_residual": worst_cusp,
+        "worst_spiral_residual": worst_side,
+        "min_margin": margin.min().item() if margin.size else None,
     }
 
 
@@ -621,27 +622,20 @@ def run_sample_campaign(sig: Signature, seed: int, count: int,
 _MARK = "\x00"
 _MARKS = re.compile(r'"\\u0000(\d+)"')
 
-#: the record keys of the bool and float values of a sampling record, in
-#: the order of _values' columns
-_SCALAR_KEYS = ("bound_satisfied", "certified", "relations_ok",
-                "cusp_residual", "max_shear", "min_margin", "ratio",
-                "spiral_residual")
-
 #: between two records of a report, as to_json writes them
 _SEP = ",\n    "
 
 
-@lru_cache(maxsize=128)
 def _template(pg: PantsGraph) -> str:
     """A sampling record of a surface on pg as to_json writes it in a
     report, with a marker for each value: the columns of _values by
-    number (the bools and floats of _SCALAR_KEYS, the curve lengths and
-    twists, the shears, the seed), and bound, config_hash and version by
-    name.  The keys come in JSON's string order ("10" before "2")."""
+    number (the fields of _FIELDS, the curve lengths and twists, the
+    shears, the seed), and bound, config_hash and version by name.  The
+    keys come in JSON's string order ("10" before "2")."""
     layout = _layout(pg)
     marks = (f"{_MARK}{j}" for j in itertools.count())
     # zip stops at its first argument's end without drawing a mark
-    record = dict(zip(_SCALAR_KEYS, marks))
+    record = {field.__name__: mark for field, mark in zip(_FIELDS, marks)}
     record["fn"] = {"lengths": dict(zip(layout.cid_keys, marks)),
                     "twists": dict(zip(layout.cid_keys, marks))}
     record["shears"] = dict(zip(layout.shear_keys, marks))
@@ -654,12 +648,10 @@ def _template(pg: PantsGraph) -> str:
 def _values(rows: _Rows, seeds: list) -> np.ndarray:
     """The JSON text of the values of rows and their seeds, as an object
     array with a row per record and a column per numbered marker of
-    _template, from one _spell call; a missing margin is null."""
-    values = np.column_stack([np.asarray(column, dtype=object) for column in (
-        rows.satisfied, rows.certified, rows.relations_ok, rows.cusp,
-        rows.top, rows.margin, rows.ratio, rows.side, rows.lengths,
-        rows.twists, rows.shears, seeds)])
-    values[np.isnan(rows.margin), 5] = None    # no min_margin
+    _template, from one _spell call."""
+    values = np.column_stack(_columns(rows) + [
+        np.asarray(column, dtype=object)
+        for column in (rows.lengths, rows.twists, rows.shears, seeds)])
     return np.array(_spell(values.ravel().tolist()),
                     dtype=object).reshape(values.shape)
 
@@ -719,8 +711,9 @@ def sample_rows(campaign: Campaign) -> str:
     for start, rows in campaign.rows:
         for i, certified, top, ratio, cusp, side, margin in zip(
                 [start + i for i in rows.at], *(column.tolist() for column in (
-                    rows.certified, rows.top, rows.ratio, rows.cusp,
-                    rows.side, rows.margin))):
+                    rows.certified, rows.max_shear, rows.ratio,
+                    rows.cusp_residual, rows.spiral_residual,
+                    rows.min_margin))):
             lines[i] = (
                 f"{i},{gn},{seeds[i]},"
                 f"{str(certified).lower()},{top:.12g},{bound},"
@@ -733,11 +726,16 @@ def constants_report(sig: Signature, rho_prime=None) -> dict:
     """Every named constant and the self-audit at one rho'.
 
     The truncated collar needs 2 sinh(delta3) >= 2 tanh(rho) to be
-    defined on every short length, so a rho' below tanh(rho) is rejected
-    by name (ValueError), as is one outside (0, rho).
+    defined on every short length, so the accepted rho' are those of
+    [tanh(rho), rho); every other one (NaN and +-inf included) is
+    rejected with that range (ValueError).
     """
-    params = SHEAR_FREE if rho_prime is None else shear_free_params(rho_prime)
-    if 2.0 * math.sinh(params.delta3) < SHORT_CURVE_MAX:
+    try:
+        params = (SHEAR_FREE if rho_prime is None
+                  else shear_free_params(rho_prime))
+    except ValueError:              # outside (0, rho)
+        params = None
+    if params is None or 2.0 * math.sinh(params.delta3) < SHORT_CURVE_MAX:
         raise ValueError(f"rho_prime must lie in [tanh(rho), rho) = "
                          f"[{SHORT_CURVE_MAX / 2.0}, {RHO})")
     # the audit first: it runs the lru-cached grid scan, which

@@ -8,8 +8,18 @@ the summary read from those dicts.
 """
 
 import json
+import math
 
 from shearlab import report
+
+
+def nan_max(values, default):
+    """The largest of values, NaN if any of them is NaN, default if there
+    are none.  Python's max keeps a NaN only when it comes first."""
+    values = list(values)
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values, default=default)
 
 
 def summary(records: list, count: int) -> dict:
@@ -20,16 +30,16 @@ def summary(records: list, count: int) -> dict:
         "samples": count,
         "failures": len(records) - len(good),
         "certified": len(certified),
-        "max_ratio_certified": report._max((r["ratio"] for r in certified),
-                                           None),
-        "max_ratio_uncertified": report._max((r["ratio"] for r in good
-                                              if not r["certified"]), None),
+        "max_ratio_certified": nan_max((r["ratio"] for r in certified),
+                                       None),
+        "max_ratio_uncertified": nan_max((r["ratio"] for r in good
+                                          if not r["certified"]), None),
         "bound_violations_certified": sum(1 for r in certified
                                           if not r["bound_satisfied"]),
-        "worst_cusp_residual": report._max((r["cusp_residual"] for r in good),
-                                           None),
-        "worst_spiral_residual": report._max((r["spiral_residual"]
-                                              for r in good), None),
+        "worst_cusp_residual": nan_max((r["cusp_residual"] for r in good),
+                                       None),
+        "worst_spiral_residual": nan_max((r["spiral_residual"] for r in good),
+                                         None),
         "min_margin": min((r["min_margin"] for r in good
                            if r["min_margin"] is not None), default=None),
     }

@@ -11,6 +11,7 @@ from shearlab import chains, cli, cusped, report
 from shearlab.constants import Signature, collar_width
 from shearlab.geom import RELATION_TOL, GeometryError
 from shearlab.surface import FNCoordinates, holonomy_from_fn, sample_fn
+from report_oracle import nan_max
 from test_report import handle_nothing
 
 
@@ -80,11 +81,18 @@ class TestConstantsCommand:
 
 
     def test_rho_prime_below_tanh_rho_names_the_range(self, capsys):
-        # below tanh(rho) the truncated collar is undefined at 2 tanh(rho)
-        code = cli.main(["constants", "--g", "1", "--n", "1",
-                         "--rho-prime", "0.2"])
-        assert code == 1
-        assert "[tanh(rho), rho)" in capsys.readouterr().err
+        # below tanh(rho) the truncated collar is undefined at 2 tanh(rho);
+        # every rejected rho', below tanh(rho) or outside (0, rho), names
+        # the one accepted range
+        rho = repr(math.log(3.0) / 4.0)
+        for rho_prime in ("0.2", "0.1", "0.3", "-1", "nan", "inf", rho):
+            code = cli.main(["constants", "--g", "1", "--n", "1",
+                             "--rho-prime", rho_prime])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == "", rho_prime
+            assert captured.err == (
+                "error: rho_prime must lie in [tanh(rho), rho) = "
+                f"[{math.tanh(math.log(3.0) / 4.0)}, {rho})\n"), rho_prime
         tanh_rho = repr(math.tanh(math.log(3.0) / 4.0))
         code, _ = run(["constants", "--g", "1", "--n", "1",
                        "--rho-prime", tanh_rho], capsys)
@@ -759,6 +767,53 @@ class TestOptimizeBytes:
                 assert got == want, (lengths, n, seed, budget, search_seed)
 
 
+class TestChainCurveIds:
+    """optimize reads a chain's curves by position, not by id: curve a
+    glues slot 2 of pants a to slot 0 of pants a + 1 whatever its id, so
+    a chain relabelled with other curve ids writes the same bytes."""
+
+    @staticmethod
+    def relabelled(data, ids):
+        """The surface file data with curve a (ids 0, 1, ... by position,
+        as sample_fn and SURFACE_04 number them) renamed ids[a]."""
+        return dict(
+            data,
+            pants=[{"slots": [{"curve": ids[slot["curve"]]} if "curve" in slot
+                              else slot for slot in entry["slots"]]}
+                   for entry in data["pants"]],
+            fn=[dict(row, curve=ids[row["curve"]]) for row in data["fn"]])
+
+    def optimize(self, tmp_path, capsys, data):
+        # the same file name, so that the configs (and hashes) agree too
+        write_surface(tmp_path, data)
+        return run(["optimize", "surface.json", "--budget", "100",
+                    "--seed", "3"], capsys)
+
+    def check(self, tmp_path, capsys, monkeypatch, data, ids):
+        monkeypatch.chdir(tmp_path)
+        want = self.optimize(tmp_path, capsys, data)
+        got = self.optimize(tmp_path, capsys, self.relabelled(data, ids))
+        assert want[0] == 0 and json.loads(want[1])["records"][0]["flips"]
+        assert got == want
+
+    def test_four_punctured_chain_with_curve_5(self, tmp_path, capsys,
+                                               monkeypatch):
+        self.check(tmp_path, capsys, monkeypatch, SURFACE_04, {0: 5})
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_five_punctured_chain_with_curves_9_and_4(
+            self, tmp_path, capsys, monkeypatch, seed):
+        self.check(tmp_path, capsys, monkeypatch, sample_surface(5, seed),
+                   {0: 9, 1: 4})
+
+    def test_chain_graph_is_read_by_position(self):
+        # curve 4 glues pants 0 to 1, curve 9 pants 1 to 2
+        data = self.relabelled(sample_surface(5, 3), {0: 4, 1: 9})
+        hol = holonomy_from_fn(*report.parse_surface(data)[1:])
+        assert chains.is_chain(hol)
+        assert set(chains.build_cusped_chain(hol)[2]) == {4}
+
+
 class TestCollarLaw:
     """On (0,4) with one short curve, the best max |shear| that
     ``optimize --budget 300 --seed 0`` finds is twice the curve's collar
@@ -985,17 +1040,16 @@ class TestRelationCheck:
 
     @staticmethod
     def check_reductions(rec, runs):
-        """The record's numpy maxima and checks are those report._max
-        gives on the kernels' values, NaN included."""
+        """The record's numpy maxima and checks are those nan_max gives
+        on the kernels' values, NaN included."""
         def same(got, want):
             return got == want or math.isnan(got) and math.isnan(want)
 
         res = [(r, cusp) for sp, kern in runs
                for r, cusp in zip(kern.residuals, sp.slot_is_cusp)]
-        cusp = report._max((r for r, at_cusp in res if at_cusp), 0.0)
-        side = report._max((r for r, at_cusp in res if not at_cusp), 0.0)
-        top = report._max((abs(v) for _, kern in runs for v in kern.shears),
-                          0.0)
+        cusp = nan_max((r for r, at_cusp in res if at_cusp), 0.0)
+        side = nan_max((r for r, at_cusp in res if not at_cusp), 0.0)
+        top = nan_max((abs(v) for _, kern in runs for v in kern.shears), 0.0)
         assert same(rec["cusp_residual"], cusp)
         assert same(rec["spiral_residual"], side)
         assert same(rec["max_shear"], top)

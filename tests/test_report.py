@@ -133,6 +133,18 @@ class TestRunSurface:
                            match="^no horocycle for hyperbolic isometry$"):
             report.run_surface(sig, pg, fn)
 
+    def test_scalar_fields_are_the_schema_table(self):
+        # every bool and float field of a record is one entry of _FIELDS,
+        # and each entry is the _Rows column of its key
+        sig = Signature(2, 1)
+        rec = report.run_surface(sig, *S.sample_fn(sig, 3))
+        keys = [field.__name__ for field in report._FIELDS]
+        assert len(set(keys)) == len(keys)
+        assert set(rec) - {"fn", "shears", "bound"} == set(keys)
+        assert set(keys) <= {f.name for f in fields(report._Rows)}
+        assert all(type(rec[key]) in (bool, float) for key in keys
+                   if rec[key] is not None)
+
 
 class TestCampaign:
     def test_three_cusped_sphere_campaign(self):
